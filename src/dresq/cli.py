@@ -10,7 +10,7 @@ One subcommand per reproducible figure-style artifact:
 
 Every run writes its artifacts plus a manifest.json holding the fully
 resolved configuration and a sha256 per artifact. Identical
-configuration (and seed) produces byte-identical CSV/JSON output; SVG
+configuration produces byte-identical CSV/JSON output; SVG
 carries no timestamps.
 
 Exit codes: 0 success, 2 configuration error, 3 physics-domain error,
@@ -46,17 +46,18 @@ DEFAULT_BIAS_Q2 = 4.691
 DEFAULT_INTERACTION_GHZ = 4.60
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, dims: bool = True) -> None:
     parser.add_argument("--device", type=Path, default=None,
                         help="device JSON file (defaults to the built-in device)")
-    parser.add_argument("--dims", type=int, nargs=4, default=list(DEFAULT_DIMS),
-                        metavar=("DA", "DB", "D1", "D2"),
-                        help="per-mode truncation dimensions")
+    if dims:
+        parser.add_argument("--dims", type=int, nargs=4, default=list(DEFAULT_DIMS),
+                            metavar=("DA", "DB", "D1", "D2"),
+                            help="per-mode truncation dimensions")
+    _add_out(parser)
+
+
+def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random seed recorded in the manifest (noise generation)")
-    parser.add_argument("--step", type=float, default=None,
-                        help="integrator step override, ns")
 
 
 def _load_device(path: Path | None) -> DeviceParams:
@@ -100,7 +101,7 @@ def cmd_spectrum(args) -> int:
         "command": "spectrum", "axis": args.axis, "start": args.start,
         "stop": args.stop, "points": args.points, "levels": args.levels,
         "fixed_q1": args.fixed_q1, "fixed_q2": args.fixed_q2,
-        "dims": list(args.dims), "seed": args.seed,
+        "dims": list(args.dims),
         "device": json.loads(params.to_json()),
     }
     _write_outputs(args.out, config, {"spectrum.csv": sweep.to_csv(), "spectrum.svg": svg})
@@ -131,7 +132,7 @@ def cmd_geff(args) -> int:
     summary = json.dumps({"switch_off_ghz": switch_off}, indent=2) + "\n"
     config = {
         "command": "geff", "start": args.start, "stop": args.stop,
-        "points": args.points, "dims": list(args.dims), "seed": args.seed,
+        "points": args.points, "dims": list(args.dims),
         "device": json.loads(params.to_json()),
     }
     _write_outputs(args.out, config, {
@@ -164,7 +165,7 @@ def cmd_gapscan(args) -> int:
                                 x_label="setpoint", y_label="gap (MHz)")
     config = {
         "command": "gapscan", "setpoints": list(args.setpoints),
-        "dims": list(args.dims), "seed": args.seed,
+        "dims": list(args.dims),
         "device": json.loads(params.to_json()),
     }
     _write_outputs(args.out, config, {"gaps.csv": csv, "gaps.svg": svg})
@@ -173,7 +174,6 @@ def cmd_gapscan(args) -> int:
 
 def cmd_chevron(args) -> int:
     params = _load_device(args.device)
-    space = HilbertSpace(args.dims)
     if args.tau_points < 2:
         raise ConfigError("degenerate interaction-time grid: need at least 2 points")
     if args.detuning_points < 1:
@@ -182,9 +182,8 @@ def cmd_chevron(args) -> int:
     offsets = np.linspace(-args.span_mhz, args.span_mhz, args.detuning_points)
     bias = OperatingPoint(args.bias_q1, args.bias_q2)
     chev = dynamics.vacuum_rabi_chevron(
-        params, bias, args.target, offsets, taus, space,
+        params, bias, args.target, offsets, taus,
         prep_to_readout_ns=args.prep_to_readout,
-        step_ns=args.step if args.step else dynamics.DEFAULT_SUBSPACE_STEP_NS,
         dissipation=not args.no_dissipation,
     )
     estimate = fitting.geff_from_chevron(chev)
@@ -205,8 +204,6 @@ def cmd_chevron(args) -> int:
         "tau_max": args.tau_max, "tau_points": args.tau_points,
         "prep_to_readout": args.prep_to_readout,
         "dissipation": not args.no_dissipation,
-        "step_ns": chev.meta["step_ns"],
-        "dims": list(args.dims), "seed": args.seed,
         "device": json.loads(params.to_json()),
     }
     _write_outputs(args.out, config, {
@@ -226,10 +223,7 @@ def cmd_fit(args) -> int:
         outcome = fitting.fit_exp_decay(trace)
     else:
         outcome = fitting.fit_damped_cosine(trace)
-    config = {
-        "command": "fit", "model": args.model, "trace": str(trace_path),
-        "seed": args.seed,
-    }
+    config = {"command": "fit", "model": args.model, "trace": str(trace_path)}
     _write_outputs(args.out, config, {"fit.json": outcome.to_json()})
     return 0
 
@@ -265,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gapscan)
 
     p = sub.add_parser("chevron", help="vacuum-Rabi chevron plus coupling estimate")
-    _add_common(p)
+    _add_common(p, dims=False)
     p.add_argument("--target", type=float, default=DEFAULT_INTERACTION_GHZ,
                    help="interaction-point frequency, GHz")
     p.add_argument("--bias-q1", type=float, default=DEFAULT_BIAS_Q1)
@@ -280,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chevron)
 
     p = sub.add_parser("fit", help="fit a trace CSV")
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--model", choices=("exp", "cosine"), required=True)
     p.add_argument("trace", help="CSV file with columns time_ns,value[,uncertainty]")
     p.set_defaults(func=cmd_fit)

@@ -1,19 +1,24 @@
 """Time-domain simulation: Lindblad evolution, staged flux pulses, chevrons.
 
-The master equation dρ/dt = -i[H, ρ] + Σ_k D[L_k]ρ is integrated with a
-fixed-step classical Runge-Kutta (RK4) scheme. Because H is piecewise
-constant per pulse stage the generator is linear and constant on each
-stage, so the RK4 update is a fixed matrix acting on vec(ρ); for small
-Hilbert spaces the module builds that one-step propagator once and
-applies powers of it, which is bit-for-bit the same map as stepping
-sequentially but far cheaper. Larger spaces fall back to direct RK4 with
-matrix products.
+Each pulse stage holds H constant, so the master equation
+dρ/dt = -i[H, ρ] + Σ_k D[L_k]ρ has a constant generator L on it and the
+map across the stage is exactly exp(t·L) acting on vec(ρ). That
+exponential is computed by scaling and squaring with the degree-13 Padé
+approximant (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005); there is
+no step size.
 
-Vacuum-Rabi chevrons run in the excitation-conserving (rotating-wave)
-model, whose dynamics starting from a single excitation stays exactly in
-the 5-dimensional zero-plus-one-excitation block; relaxation only moves
-population down into that block and dephasing keeps it there, so the
-projection is exact, not an approximation.
+L acts on the d² entries of ρ, so its exponential costs d⁶ time and d⁴
+memory. Evolution therefore runs on the smallest block of basis states
+the dynamics can reach. In the excitation-conserving (rotating-wave)
+model relaxation and dephasing never raise the total excitation number
+N and each π-prep raises it by at most one, so the states with
+N ≤ N₀ + (number of π-preps) hold the whole evolution and the
+projection is exact, not an approximation. Where counter-rotating terms
+connect the blocks the full space is used, and a generator whose
+exponential would not fit in memory is refused before it is built.
+
+Vacuum-Rabi chevrons start from one excitation and so run on the
+5-dimensional N ≤ 1 block, which is the same at any truncation.
 
 Units at the interface: linear GHz for frequencies, MHz for detunings
 and couplings where noted, ns for times, µs for coherence times.
@@ -28,18 +33,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IntegrationError, PhysicsError
-from .fock import HilbertSpace, OperatorMatrix, lowering_operator, number_operator
+from .fock import (
+    HilbertSpace,
+    OperatorMatrix,
+    embed_operator,
+    lowering_operator,
+    number_operator,
+    total_number_operator,
+)
 from .device import TWO_PI, DeviceParams, OperatingPoint, build_hamiltonian
 
 TRACE_TOL = 1e-8
 
 POSITIVITY_TOL = 1e-8
 
-# above this Hilbert-space size the vectorized one-step propagator
-# (size² by size² matrix) stops being worth its memory
-PROPAGATOR_SIZE_LIMIT = 36
-
-DEFAULT_SUBSPACE_STEP_NS = 0.005
+# largest workspace a stage exponential may take; a bigger block is
+# refused with a ConfigError before its generator is built
+EXPM_BYTES_LIMIT = 512 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +209,7 @@ def collapse_operators(
 
 
 # ---------------------------------------------------------------------------
-# integrator core
+# exact stage propagation
 
 
 def _superoperator(h: np.ndarray, collapse: list[np.ndarray]) -> np.ndarray:
@@ -214,101 +224,76 @@ def _superoperator(h: np.ndarray, collapse: list[np.ndarray]) -> np.ndarray:
     return s
 
 
-def _rk4_step_propagator(s: np.ndarray, h_step: float) -> np.ndarray:
-    """Matrix of one RK4 step for the linear system dv/dt = S v.
+# numerator coefficients of the degree-13 Padé approximant to exp and the
+# 1-norm up to which it is accurate to double precision (Higham 2005)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
-    For a constant generator the classical RK4 update is exactly the
-    degree-4 Taylor polynomial of exp(h S).
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring with the degree-13 Padé approximant."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**squarings
+    b = _PADE13
+    ident = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+def _expm_bytes(dim: int) -> int:
+    """Peak bytes of exponentiating the generator of a dim-state block.
+
+    The generator is a complex d²×d² matrix. :func:`_expm` peaks at
+    eleven matrices of that size, its input included (the powers, the
+    Padé sums and the solve); one more holds the map it returns.
     """
-    n = s.shape[0]
-    hs = h_step * s
-    out = np.eye(n, dtype=complex) + hs
-    term = hs
-    for k in (2.0, 3.0, 4.0):
-        term = term @ hs / k
-        out += term
-    return out
+    return 12 * 16 * dim**4
 
 
-def _matrix_power_apply(base: np.ndarray, exponent: int, vec: np.ndarray) -> np.ndarray:
-    """base^exponent @ vec by binary powering."""
-    result = vec
-    factor = base
-    e = exponent
-    while e > 0:
-        if e & 1:
-            result = factor @ result
-        e >>= 1
-        if e:
-            factor = factor @ factor
-    return result
-
-
-def _rk4_direct(
-    rho: np.ndarray,
-    a_eff: np.ndarray,
-    collapse: list[np.ndarray],
-    duration: float,
-    h_step: float,
+def _closed_block(
+    space: HilbertSpace, rho: np.ndarray, n_preps: int, operators: list[np.ndarray]
 ) -> np.ndarray:
-    """Fixed-step RK4 on the matrix form of the master equation.
+    """Basis indices of the smallest excitation block evolution can reach.
 
-    a_eff = -iH - ½ Σ L†L, so the right-hand side is
-    a_eff ρ + ρ a_eff† + Σ L ρ L†.
+    Takes the states with total excitation number N ≤ (largest N on the
+    support of ρ) + ``n_preps``, since a π-prep raises N by at most one.
+    That block is used only if every operator (stage Hamiltonians and
+    collapse operators L, and L†L for the anticommutator) maps it into
+    itself, which holds in the excitation-conserving model; otherwise
+    the full space is returned.
+    Raises ConfigError when the block's generator exponential would
+    exceed EXPM_BYTES_LIMIT.
     """
-    if duration <= 0:
-        return rho
-    nsteps = max(1, math.ceil(duration / h_step))
-    h = duration / nsteps
-    a_dag = a_eff.conj().T
-    l_dags = [l.conj().T for l in collapse]
-
-    def rhs(r: np.ndarray) -> np.ndarray:
-        out = a_eff @ r + r @ a_dag
-        for l, ld in zip(collapse, l_dags):
-            out += l @ r @ ld
-        return out
-
-    for _ in range(nsteps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * h * k1)
-        k3 = rhs(rho + 0.5 * h * k2)
-        k4 = rhs(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rho
-
-
-class _StagePropagator:
-    """Advances a density matrix under one constant-generator stage."""
-
-    def __init__(self, h: np.ndarray, collapse: list[np.ndarray], h_step: float):
-        self.size = h.shape[0]
-        self.h_step = h_step
-        self.collapse = collapse
-        if self.size <= PROPAGATOR_SIZE_LIMIT:
-            self.super = _superoperator(h, collapse)
-            self._cache: dict[tuple[float, int], np.ndarray] = {}
-            self.a_eff = None
-        else:
-            self.super = None
-            a = -1j * h
-            for l in collapse:
-                a -= 0.5 * (l.conj().T @ l)
-            self.a_eff = a
-
-    def advance(self, rho: np.ndarray, duration: float) -> np.ndarray:
-        if duration <= 0:
-            return rho
-        nsteps = max(1, math.ceil(duration / self.h_step - 1e-9))
-        h = duration / nsteps
-        if self.super is not None:
-            key = (round(h, 15), 0)
-            if key not in self._cache:
-                self._cache[key] = _rk4_step_propagator(self.super, h)
-            step = self._cache[key]
-            vec = _matrix_power_apply(step, nsteps, rho.reshape(-1))
-            return vec.reshape(self.size, self.size)
-        return _rk4_direct(rho, self.a_eff, self.collapse, duration, h)
+    n_exc = np.indices(space.dims).reshape(space.n_modes, -1).sum(axis=0)
+    support = np.any(rho != 0, axis=1)
+    inside = n_exc <= n_exc[support].max() + n_preps
+    leak = np.ix_(~inside, inside)
+    idx = np.arange(space.size)
+    if not any(np.any(op[leak]) or np.any((op.conj().T @ op)[leak]) for op in operators):
+        idx = idx[inside]
+    need = _expm_bytes(idx.size)
+    if need > EXPM_BYTES_LIMIT:
+        raise ConfigError(
+            f"evolution needs a {idx.size}-state block, whose {idx.size**2}x{idx.size**2} "
+            f"generator exponential takes {need / 2**20:.0f} MiB (limit "
+            f"{EXPM_BYTES_LIMIT / 2**20:.0f} MiB); use a smaller truncation or the "
+            "excitation-conserving model"
+        )
+    return idx
 
 
 def _pi_flip_matrix(space: HilbertSpace, mode_index: int) -> np.ndarray:
@@ -317,15 +302,7 @@ def _pi_flip_matrix(space: HilbertSpace, mode_index: int) -> np.ndarray:
     local = np.eye(d, dtype=complex)
     local[0, 0] = local[1, 1] = 0.0
     local[0, 1] = local[1, 0] = 1.0
-    from .fock import embed_operator
-
     return embed_operator(space, mode_index, local).elements
-
-
-def default_step_ns(max_freq_ghz: float) -> float:
-    """Step rule: min(0.01 ns, 1/(200 · f_max))."""
-    f = max(abs(max_freq_ghz), 1e-9)
-    return min(0.01, 1.0 / (200.0 * f))
 
 
 def evolve(
@@ -335,23 +312,23 @@ def evolve(
     space: HilbertSpace,
     observables: dict[str, OperatorMatrix],
     n_samples: int = 201,
-    step_ns: float | None = None,
     include_counter_rotating: bool = True,
     frame_ghz: float = 0.0,
-    dissipation: bool = True,
-    collapse: list[OperatorMatrix] | None = None,
 ) -> TraceSeries:
-    """Integrate the master equation through a staged schedule.
+    """Propagate the master equation exactly through a staged schedule.
 
     Observable expectations are sampled on a uniform grid of
     ``n_samples`` points over the total schedule duration (padding
-    included). ``frame_ghz`` subtracts that frequency times the total
-    excitation number from every stage Hamiltonian; this is an exact
-    frame change for the excitation-conserving model (counter-rotating
-    off) and reduces integrator stiffness dramatically, but is invalid
-    with counter-rotating terms on.
+    included). Dissipation comes from the device coherence times
+    (:func:`collapse_operators`). ``frame_ghz`` subtracts that frequency
+    times the total excitation number from every stage Hamiltonian; this
+    is an exact frame change for the excitation-conserving model
+    (counter-rotating off) and invalid with counter-rotating terms on.
 
-    Trace drift beyond 1e-8 at any sample aborts with diagnostics.
+    Evolution runs on the excitation block of :func:`_closed_block`, so a
+    block too large to exponentiate raises ConfigError before anything
+    of its size is built. Trace drift beyond 1e-8 at any sample aborts
+    with diagnostics.
     """
     if initial.space.size != space.size:
         raise ConfigError("initial state lives on a different space")
@@ -366,70 +343,70 @@ def evolve(
     if n_samples < 2:
         raise ConfigError("need at least 2 sample points")
 
-    if collapse is None:
-        collapse = collapse_operators(params, space) if dissipation else []
-    l_mats = [c.elements for c in collapse]
-
-    frame_shift = None
-    if frame_ghz != 0.0:
-        from .fock import total_number_operator
-
-        frame_shift = TWO_PI * frame_ghz * total_number_operator(space).elements
-
-    if step_ns is None:
-        f_candidates = [
-            abs(params.resonator_freq_a - frame_ghz),
-            abs(params.resonator_freq_b - frame_ghz),
-        ]
-        for st in stages:
-            f_candidates.append(abs(st.point.qubit_freq_1 - frame_ghz))
-            f_candidates.append(abs(st.point.qubit_freq_2 - frame_ghz))
-        step_ns = default_step_ns(max(f_candidates))
-
-    propagators = []
-    for st in stages:
-        h = build_hamiltonian(
+    l_mats = [c.elements for c in collapse_operators(params, space)]
+    hs = [
+        build_hamiltonian(
             params, st.point, space, include_counter_rotating=include_counter_rotating
         ).elements
-        if frame_shift is not None:
-            h = h - frame_shift
-        propagators.append(_StagePropagator(h, l_mats, step_ns))
+        for st in stages
+    ]
+    if frame_ghz != 0.0:
+        frame_shift = TWO_PI * frame_ghz * total_number_operator(space).elements
+        hs = [h - frame_shift for h in hs]
+
+    n_preps = sum(st.prep is not None for st in stages)
+    idx = _closed_block(space, initial.rho, n_preps, hs + l_mats)
+    sel = np.ix_(idx, idx)
+    l_blk = [l[sel] for l in l_mats]
+    generators = [_superoperator(h[sel], l_blk) for h in hs]
+    maps: dict[tuple[int, float], np.ndarray] = {}
+
+    def advance(rho: np.ndarray, k: int, duration: float) -> np.ndarray:
+        if duration <= 0:
+            return rho
+        key = (k, round(duration, 12))  # uniform samples share one map
+        if key not in maps:
+            maps[key] = _expm(duration * generators[k])
+        return (maps[key] @ rho.reshape(-1)).reshape(rho.shape)
+
+    def prep(rho: np.ndarray, stage: Stage) -> np.ndarray:
+        if not stage.prep:
+            return rho
+        u = _pi_flip_matrix(space, 2 if stage.prep == "pi_q1" else 3)[sel]
+        return u @ rho @ u.conj().T
 
     sample_times = np.linspace(0.0, total, n_samples)
     obs_names = list(observables)
-    obs_mats = [observables[k].elements for k in obs_names]
+    obs_mats = [observables[k].elements[sel] for k in obs_names]
     records = {k: np.empty(n_samples) for k in obs_names}
 
-    rho = initial.rho.copy()
+    rho = prep(initial.rho[sel], stages[0])
     t_now = 0.0
     stage_idx = 0
     stage_end = stages[0].duration_ns
-    if stages[0].prep:
-        u = _pi_flip_matrix(space, 2 if stages[0].prep == "pi_q1" else 3)
-        rho = u @ rho @ u.conj().T
 
     for i, ts in enumerate(sample_times):
         # cross stage boundaries up to the sample time
         while ts > stage_end + 1e-9 and stage_idx + 1 < len(stages):
-            rho = propagators[stage_idx].advance(rho, stage_end - t_now)
+            rho = advance(rho, stage_idx, stage_end - t_now)
             t_now = stage_end
             stage_idx += 1
             stage_end += stages[stage_idx].duration_ns
-            if stages[stage_idx].prep:
-                u = _pi_flip_matrix(space, 2 if stages[stage_idx].prep == "pi_q1" else 3)
-                rho = u @ rho @ u.conj().T
-        rho = propagators[stage_idx].advance(rho, ts - t_now)
+            rho = prep(rho, stages[stage_idx])
+        rho = advance(rho, stage_idx, ts - t_now)
         t_now = ts
         tr = rho.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise IntegrationError(
                 f"trace drifted to {tr:.12f} at t = {ts:.3f} ns "
-                f"(step {step_ns} ns, stage {stage_idx})"
+                f"(stage {stage_idx}, {idx.size}-state block)"
             )
         for name, mat in zip(obs_names, obs_mats):
             records[name][i] = np.real(np.trace(mat @ rho))
 
-    return TraceSeries(sample_times, records, DensityState(space, rho))
+    final = np.zeros((space.size, space.size), dtype=complex)
+    final[sel] = rho
+    return TraceSeries(sample_times, records, DensityState(space, final))
 
 
 # ---------------------------------------------------------------------------
@@ -477,46 +454,16 @@ class ChevronMap:
                 f"population outside [0, 1]: range [{self.p1.min():.2e}, {self.p1.max():.2e}]"
             )
 
-    def to_csv(self, contrast_scale: float | None = None, contrast_baseline: float = 0.0) -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
-        header = "detuning_mhz,tau_ns,p1"
-        if contrast_scale is not None:
-            header += ",contrast"
-        buf.write(header + "\n")
+        buf.write("detuning_mhz,tau_ns,p1\n")
         for i, d in enumerate(self.detunings_mhz):
             for j, t in enumerate(self.taus_ns):
-                row = f"{d:.9g},{t:.9g},{self.p1[i, j]:.9f}"
-                if contrast_scale is not None:
-                    row += f",{contrast_scale * self.p1[i, j] + contrast_baseline:.9f}"
-                buf.write(row + "\n")
+                buf.write(f"{d:.9g},{t:.9g},{self.p1[i, j]:.9f}\n")
         return buf.getvalue()
 
     def column(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         return self.taus_ns, self.p1[i]
-
-
-def _single_excitation_block(
-    params: DeviceParams,
-    point: OperatingPoint,
-    space: HilbertSpace,
-    collapse: list[np.ndarray],
-    frame_ghz: float,
-) -> tuple[np.ndarray, list[np.ndarray], tuple[int, ...]]:
-    """Project H (rotating-wave) and collapse operators onto N ≤ 1.
-
-    The excitation-conserving Hamiltonian never couples the block
-    {|vac>, one quantum in any single mode} to anything outside it, and
-    the relaxation and dephasing operators map the block into itself,
-    so dynamics started inside is exact.
-    """
-    idx = (0,) + space.single_excitation_indices()
-    sel = np.ix_(idx, idx)
-    h = build_hamiltonian(params, point, space, include_counter_rotating=False).elements
-    if frame_ghz:
-        from .fock import total_number_operator
-
-        h = h - TWO_PI * frame_ghz * total_number_operator(space).elements
-    return h[sel], [l[sel] for l in collapse], idx
 
 
 def vacuum_rabi_chevron(
@@ -525,9 +472,7 @@ def vacuum_rabi_chevron(
     q2_target: float,
     q1_offsets_mhz,
     taus_ns,
-    space: HilbertSpace | None = None,
     prep_to_readout_ns: float | None = None,
-    step_ns: float = DEFAULT_SUBSPACE_STEP_NS,
     dissipation: bool = True,
 ) -> ChevronMap:
     """Vacuum-Rabi population map under the staged flux protocol.
@@ -538,13 +483,11 @@ def vacuum_rabi_chevron(
     column's detuning), held for τ, and the qubit-1 excited population
     is recorded. With ``prep_to_readout_ns`` set, the state is further
     evolved at the bias point until that fixed total delay before
-    readout. Runs in the excitation-conserving model on the exact
-    single-excitation block.
+    readout. Runs in the excitation-conserving model on the exact N ≤ 1
+    block, with the same stage exponentials as :func:`evolve`.
 
     τ values must form a uniform ascending grid starting at 0.
     """
-    if space is None:
-        space = HilbertSpace((3, 3, 3, 3))
     margin = 3.0 * params.max_qubit_resonator_coupling
     for f_res, tag in ((params.resonator_freq_a, "a"), (params.resonator_freq_b, "b")):
         if abs(q2_target - f_res) < margin:
@@ -568,57 +511,44 @@ def vacuum_rabi_chevron(
             f"longest interaction time {taus[-1]} ns"
         )
 
-    collapse = (
-        [c.elements for c in collapse_operators(params, space)] if dissipation else []
-    )
-    frame = q2_target  # exact frame change in the excitation-conserving model
+    # two levels per mode hold the N <= 1 block, where the anharmonic term vanishes
+    space = HilbertSpace((2, 2, 2, 2))
+    l_mats = [c.elements for c in collapse_operators(params, space)] if dissipation else []
+    # exact frame change in the excitation-conserving model
+    frame_shift = TWO_PI * q2_target * total_number_operator(space).elements
+
+    def hamiltonian(point: OperatingPoint) -> np.ndarray:
+        h = build_hamiltonian(params, point, space, include_counter_rotating=False)
+        return h.elements - frame_shift
+
+    hs = [hamiltonian(OperatingPoint(q2_target + off * 1e-3, q2_target)) for off in offsets]
+    h_pad = [hamiltonian(bias)] if prep_to_readout_ns is not None else []
+    rho0 = DensityState.single_excitation(space, 3).rho
+    idx = _closed_block(space, rho0, 0, hs + h_pad + l_mats)
+    sel = np.ix_(idx, idx)
+    l_blk = [l[sel] for l in l_mats]
+    block_dim = idx.size
+    q1_slot = int(np.searchsorted(idx, space.single_excitation_indices()[2]))
     n_tau = taus.size
 
-    # padding propagators at the bias point, if a fixed delay is requested
-    pad_powers = None
-    if prep_to_readout_ns is not None:
-        h_bias, l_bias, _ = _single_excitation_block(params, bias, space, collapse, frame)
-        s_bias = _superoperator(h_bias, l_bias)
-        nsub = max(1, math.ceil(dtau / step_ns - 1e-9))
-        step_dtau = _matrix_power_apply(
-            _rk4_step_propagator(s_bias, dtau / nsub), nsub, np.eye(s_bias.shape[0], dtype=complex)
-        )
-        base_dur = prep_to_readout_ns - taus[-1]
-        if base_dur > 1e-9:
-            nb = max(1, math.ceil(base_dur / step_ns - 1e-9))
-            pad_base = _matrix_power_apply(
-                _rk4_step_propagator(s_bias, base_dur / nb),
-                nb,
-                np.eye(s_bias.shape[0], dtype=complex),
-            )
-        else:
-            pad_base = np.eye(s_bias.shape[0], dtype=complex)
-        pad_powers = [pad_base]
+    # pads[j] carries the state from the end of τ_j to the fixed readout
+    pads = None
+    if h_pad:
+        s_pad = _superoperator(h_pad[0][sel], l_blk)
+        step_pad = _expm(dtau * s_pad)
+        pads = [_expm(max(prep_to_readout_ns - taus[-1], 0.0) * s_pad)]
         for _ in range(n_tau - 1):
-            pad_powers.append(pad_powers[-1] @ step_dtau)
+            pads.append(pads[-1] @ step_pad)
+        pads.reverse()
 
-    block_dim = space.n_modes + 1
-    q1_slot = 3  # position of the qubit-1 single-excitation state in the block
-    q2_slot = 4
     p1 = np.empty((offsets.size, n_tau))
-
-    for i, off in enumerate(offsets):
-        point = OperatingPoint(q2_target + off * 1e-3, q2_target)
-        h_blk, l_blk, _ = _single_excitation_block(params, point, space, collapse, frame)
-        s = _superoperator(h_blk, l_blk)
-        nsub = max(1, math.ceil(dtau / step_ns - 1e-9))
-        step = _matrix_power_apply(
-            _rk4_step_propagator(s, dtau / nsub), nsub, np.eye(s.shape[0], dtype=complex)
-        )
-        rho = np.zeros((block_dim, block_dim), dtype=complex)
-        rho[q2_slot, q2_slot] = 1.0
-        vec = rho.reshape(-1)
+    for i, h in enumerate(hs):
+        step = _expm(dtau * _superoperator(h[sel], l_blk))
+        vec = rho0[sel].reshape(-1)
         for j in range(n_tau):
             if j > 0:
                 vec = step @ vec
-            out = vec
-            if pad_powers is not None:
-                out = pad_powers[n_tau - 1 - j] @ vec
+            out = vec if pads is None else pads[j] @ vec
             rho_out = out.reshape(block_dim, block_dim)
             tr = rho_out.trace().real
             if abs(tr - 1.0) > TRACE_TOL:
@@ -630,10 +560,9 @@ def vacuum_rabi_chevron(
         "bias_q1_ghz": bias.qubit_freq_1,
         "bias_q2_ghz": bias.qubit_freq_2,
         "q2_target_ghz": q2_target,
-        "step_ns": step_ns,
         "prep_to_readout_ns": prep_to_readout_ns,
         "dissipation": dissipation,
-        "dims": list(space.dims),
+        "block_dim": block_dim,
     }
     return ChevronMap(offsets, taus, p1, meta)
 

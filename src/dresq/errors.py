@@ -2,7 +2,7 @@
 
 The CLI maps these onto process exit codes: configuration problems exit 2,
 physics-domain failures (degeneracies, missing sign changes, bad brackets)
-exit 3, and numerical failures (integrator blow-up, fit non-convergence)
+exit 3, and numerical failures (trace drift, fit non-convergence)
 exit 4.
 """
 
@@ -24,7 +24,7 @@ class NumericsError(DresqError):
 
 
 class IntegrationError(NumericsError):
-    """Master-equation integration violated a trace/step tolerance."""
+    """Master-equation evolution violated a trace or positivity tolerance."""
 
 
 class FitError(NumericsError):

@@ -269,12 +269,19 @@ def fit_damped_cosine(trace: TimeTrace) -> FitOutcome:
         jac[:, 4] = w
         return r, jac
 
+    # a start can converge to an alias above the Nyquist frequency, which
+    # matches the samples exactly and would win the residual comparison
+    nyquist = 0.5 / float(np.mean(np.diff(t)))
     best = None
     for phi0 in (0.0, math.pi / 2, math.pi, -math.pi / 2):
         p0 = np.array([a0, f_seed, phi0, math.log(tau0), c0])
         p, sig, rms, conv, it = _levenberg_marquardt(rj, p0)
-        if best is None or rms < best[2]:
+        if abs(p[1]) <= nyquist and (best is None or rms < best[2]):
             best = (p, sig, rms, conv, it)
+    if best is None:
+        raise FitError(
+            f"every fit start converged above the {nyquist:.4g} /ns Nyquist frequency"
+        )
     p, sig, rms, conv, it = best
     a, f, phi, log_tau, c = p
     log_tau = min(max(log_tau, -10.0), 30.0)

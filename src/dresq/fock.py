@@ -154,10 +154,6 @@ def embed_operator(space: HilbertSpace, mode_index: int, local: np.ndarray) -> O
     return OperatorMatrix(space, out)
 
 
-def identity_operator(space: HilbertSpace) -> OperatorMatrix:
-    return OperatorMatrix(space, np.eye(space.size, dtype=complex))
-
-
 def lowering_operator(space: HilbertSpace, mode_index: int) -> OperatorMatrix:
     """Annihilation operator of one mode, embedded into the full space."""
     _check_mode(space, mode_index)

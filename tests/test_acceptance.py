@@ -202,7 +202,7 @@ def test_criterion_5_open_system_sanity():
     init = DensityState.single_excitation(space, 3)
     ts = evolve(
         p, sched, init, space, {"n_q1": number_operator(space, 2)},
-        n_samples=7, include_counter_rotating=False, frame_ghz=4.60, step_ns=0.005,
+        n_samples=7, include_counter_rotating=False, frame_ghz=4.60,
     )
     trace_dev = abs(ts.final_state.rho.trace().real - 1.0)
     min_eig = float(np.linalg.eigvalsh(ts.final_state.rho).min())
@@ -212,7 +212,7 @@ def test_criterion_5_open_system_sanity():
     ts_u = evolve(
         p_unitary, sched, DensityState.single_excitation(space, 3), space,
         {"n_q1": number_operator(space, 2)},
-        n_samples=7, include_counter_rotating=False, frame_ghz=4.60, step_ns=0.005,
+        n_samples=7, include_counter_rotating=False, frame_ghz=4.60,
     )
     purity_dev = abs(ts_u.final_state.purity() - 1.0)
 

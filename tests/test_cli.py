@@ -157,3 +157,16 @@ def test_unknown_device_key_exit_2(tmp_path):
     device = tmp_path / "device.json"
     device.write_text(json.dumps({"coupling_strength": 1.0}))
     assert run(["geff", "--device", device, "--out", tmp_path / "g"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["geff", "--step", "0.01"],
+    ["spectrum", "--start", "4.4", "--stop", "4.5", "--seed", "3"],
+    ["chevron", "--dims", "3", "3", "3", "3"],
+    ["fit", "--model", "exp", "--dims", "3", "3", "3", "3", "trace.csv"],
+    ["fit", "--model", "exp", "--device", "device.json", "trace.csv"],
+])
+def test_removed_flags_rejected_by_argparse(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", tmp_path / "x"])
+    assert exc.value.code == 2

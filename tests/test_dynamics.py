@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from dresq.errors import ConfigError, IntegrationError, PhysicsError
 from dresq.fock import HilbertSpace, number_operator, total_number_operator
 from dresq.device import DeviceParams, OperatingPoint
 from dresq.dynamics import (
+    EXPM_BYTES_LIMIT,
     ChevronMap,
     DensityState,
     PulseSchedule,
@@ -16,6 +18,9 @@ from dresq.dynamics import (
     evolve,
     two_level_transfer,
     vacuum_rabi_chevron,
+    _expm,
+    _expm_bytes,
+    _superoperator,
 )
 
 SPACE2 = HilbertSpace((2, 2, 2, 2))
@@ -133,7 +138,6 @@ def test_resonant_exchange_matches_closed_form():
     ts = evolve(
         p, sched, init, SPACE2, {"n_q1": number_operator(SPACE2, 2)},
         n_samples=21, include_counter_rotating=False, frame_ghz=4.60,
-        step_ns=0.005,
     )
     expected = np.sin(2 * math.pi * g * ts.times_ns) ** 2
     assert np.abs(ts.expectations["n_q1"] - expected).max() < 1e-8
@@ -166,7 +170,7 @@ def test_unitary_purity_constant():
     init = DensityState.single_excitation(SPACE2, 3)
     ts = evolve(
         p, sched, init, SPACE2, {"n_q1": number_operator(SPACE2, 2)},
-        n_samples=9, include_counter_rotating=False, frame_ghz=4.60, step_ns=0.005,
+        n_samples=9, include_counter_rotating=False, frame_ghz=4.60,
     )
     assert abs(ts.final_state.purity() - 1.0) < 1e-8
     ts.final_state.validate()
@@ -178,7 +182,7 @@ def test_excitation_conservation_rotating_wave():
     init = DensityState.single_excitation(SPACE3, 3)
     ts = evolve(
         p, sched, init, SPACE3, {"n_tot": total_number_operator(SPACE3)},
-        n_samples=9, include_counter_rotating=False, frame_ghz=4.60, step_ns=0.005,
+        n_samples=9, include_counter_rotating=False, frame_ghz=4.60,
     )
     assert np.abs(ts.expectations["n_tot"] - 1.0).max() < 1e-8
 
@@ -190,7 +194,9 @@ def test_excitation_drift_with_counter_rotating_bounded():
     ts = evolve(
         p, sched, init, SPACE2, {"n_tot": total_number_operator(SPACE2)}, n_samples=9
     )
-    assert np.abs(ts.expectations["n_tot"] - 1.0).max() < 1e-3
+    drift = np.abs(ts.expectations["n_tot"] - 1.0).max()
+    # counter-rotating terms leave the N <= 1 block, so it must not be used
+    assert 1e-6 < drift < 1e-3
 
 
 def test_pi_prep_flips_qubit():
@@ -199,6 +205,18 @@ def test_pi_prep_flips_qubit():
     init = DensityState.ground(SPACE2)
     ts = evolve(p, sched, init, SPACE2, {"n_q2": number_operator(SPACE2, 3)}, n_samples=5)
     assert np.allclose(ts.expectations["n_q2"], 1.0, atol=1e-9)
+
+
+def test_pi_prep_on_excited_state_reaches_two_excitations():
+    # q1 excited, then a pi-prep of q2: the block must hold N = 2
+    p = decoupled()  # T1 = 10 us for both qubits
+    sched = PulseSchedule([Stage(1000.0, OperatingPoint(4.60, 4.70), prep="pi_q2")])
+    init = DensityState.single_excitation(SPACE2, 2)
+    obs = {"n_q1": number_operator(SPACE2, 2), "n_q2": number_operator(SPACE2, 3)}
+    ts = evolve(p, sched, init, SPACE2, obs, n_samples=3)
+    decay = np.exp(-ts.times_ns / 10000.0)
+    assert np.allclose(ts.expectations["n_q1"], decay, atol=1e-9)
+    assert np.allclose(ts.expectations["n_q2"], decay, atol=1e-9)
 
 
 def test_multi_stage_schedule_with_padding():
@@ -217,7 +235,7 @@ def test_multi_stage_schedule_with_padding():
     init = DensityState.ground(SPACE2)
     ts = evolve(
         p, sched, init, SPACE2, {"n_q1": number_operator(SPACE2, 2)},
-        n_samples=25, include_counter_rotating=False, frame_ghz=4.60, step_ns=0.005,
+        n_samples=25, include_counter_rotating=False, frame_ghz=4.60,
     )
     assert ts.expectations["n_q1"][-1] == pytest.approx(1.0, abs=1e-4)
 
@@ -230,14 +248,46 @@ def test_frame_with_counter_rotating_rejected():
         evolve(p, sched, init, SPACE2, {}, frame_ghz=4.6, include_counter_rotating=True)
 
 
-def test_step_halving_convergence():
-    g = 0.003
-    p = DeviceParams(**lossless()).replace(g_12=g)
+def test_chevron_column_matches_evolve():
+    # the chevron and evolve share the stage exponentials: a column without
+    # a readout delay is evolve on the same pi-prep, step and hold protocol
+    p = DeviceParams()
     taus = np.linspace(0.0, 500.0, 26)
-    kw = dict(dissipation=False)
-    c1 = vacuum_rabi_chevron(p, BIAS, 4.60, np.array([0.0, 3.0]), taus, step_ns=0.005, **kw)
-    c2 = vacuum_rabi_chevron(p, BIAS, 4.60, np.array([0.0, 3.0]), taus, step_ns=0.0025, **kw)
-    assert np.abs(c1.p1 - c2.p1).max() < 1e-6
+    chev = vacuum_rabi_chevron(p, BIAS, 4.60, np.array([3.0]), taus)
+    hold = OperatingPoint(4.603, 4.60)
+    sched = PulseSchedule([Stage(0.0, BIAS, prep="pi_q2"), Stage(taus[-1], hold)])
+    ts = evolve(
+        p, sched, DensityState.ground(SPACE3), SPACE3, {"n_q1": number_operator(SPACE3, 2)},
+        n_samples=taus.size, include_counter_rotating=False, frame_ghz=4.60,
+    )
+    assert np.abs(chev.p1[0] - ts.expectations["n_q1"]).max() < 1e-10
+
+
+def test_lossy_counter_rotating_full_space_refused_before_allocating():
+    sched = PulseSchedule([Stage(1.0, BIAS)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="MiB"):
+            evolve(DeviceParams(), sched, DensityState.ground(SPACE3), SPACE3, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+
+
+def test_expm_byte_estimate():
+    # 81 states need a 6561 x 6561 generator: refused; 16 states fit
+    assert _expm_bytes(81) == 12 * 16 * 81**4 > EXPM_BYTES_LIMIT
+    assert _expm_bytes(16) < EXPM_BYTES_LIMIT
+    # the estimate bounds what exponentiating a generator really takes
+    h = np.diag(np.arange(12.0))
+    tracemalloc.start()
+    try:
+        _expm(_superoperator(h, [np.eye(12)]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _expm_bytes(12) / 2 < peak <= _expm_bytes(12)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from dresq.errors import ConfigError, FitError
 from dresq.device import DeviceParams, OperatingPoint
-from dresq.dynamics import vacuum_rabi_chevron
+from dresq.dynamics import ChevronMap, vacuum_rabi_chevron
 from dresq.fitting import (
     ChevronCouplingFit,
     TimeTrace,
@@ -231,3 +231,18 @@ def test_geff_from_chevron_edge_resonance_rejected():
     chev = vacuum_rabi_chevron(p, BIAS, 4.60, offsets, taus, dissipation=False)
     with pytest.raises(FitError, match="resonance"):
         geff_from_chevron(chev)
+
+
+@pytest.mark.parametrize("target", [4.5975, 4.600])
+def test_geff_from_chevron_stable_under_tiny_perturbation(target):
+    # paper device with a fixed readout delay: a 1e-8 change of p1 must not
+    # let a damped-cosine fit jump to an alias above the Nyquist frequency
+    chev = vacuum_rabi_chevron(
+        DeviceParams(), BIAS, target, np.linspace(-20, 20, 41), np.linspace(0, 2000, 201),
+        prep_to_readout_ns=2500.0,
+    )
+    noise = 1e-8 * np.random.default_rng(0).standard_normal(chev.p1.shape)
+    nudged = ChevronMap(chev.detunings_mhz, chev.taus_ns, np.clip(chev.p1 + noise, 0.0, 1.0))
+    est, est_nudged = geff_from_chevron(chev), geff_from_chevron(nudged)
+    assert not est.below_floor and not est_nudged.below_floor
+    assert est_nudged.g_mhz == pytest.approx(est.g_mhz, rel=1e-6)
