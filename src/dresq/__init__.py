@@ -2,7 +2,7 @@
 
 Modules:
     fock          tensor-product Fock space, ladder operators, eigensolver
-    device        device parameters, Hamiltonian builder, analytic coupling
+    device        device parameters, cached Hamiltonian model, analytic coupling
     spectroscopy  eigenvalue sweeps, dressed-state labels, gap extraction
     dynamics      Lindblad evolution, pulse schedules, vacuum-Rabi chevrons
     fitting       decay / damped-cosine / chevron-coupling least squares

@@ -187,7 +187,8 @@ def cmd_chevron(args) -> int:
         dissipation=not args.no_dissipation,
     )
     estimate = fitting.geff_from_chevron(chev)
-    analytic_mhz = effective_coupling(
+    # the analytic formula has no g_ab path: report no value, not a wrong one
+    analytic_mhz = None if params.g_ab != 0.0 else effective_coupling(
         params, OperatingPoint(args.target, args.target)
     ) * 1e3
     verdict = dict(json.loads(estimate.to_json()))

@@ -1,16 +1,25 @@
-"""Device parameters, Hamiltonian builder, analytic effective coupling.
+"""Device parameters, Hamiltonian model, analytic effective coupling.
 
 The model is a two-qubit device coupled through two bus resonators plus a
 small direct capacitive term. Externally everything is expressed in linear
-frequency (GHz) and microseconds; the Hamiltonian builder converts to
+frequency (GHz) and microseconds; the Hamiltonian model converts to
 angular frequency in rad/ns at its boundary and nothing else ever does.
 
 Mode order on the Hilbert space is fixed: (resonator a, resonator b,
 qubit 1, qubit 2).
+
+Along any sweep only the two qubit frequencies change, so the Hamiltonian
+is split once per (device, truncation, model) into a static real symmetric
+part and the two qubit number diagonals (:class:`DeviceModel`, cached by
+:func:`device_model`). The exchange part of every coupling keeps the total
+excitation number and its counter-rotating part changes it by two, so
+excitation parity is conserved and the even and odd blocks can be
+diagonalized separately.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -19,12 +28,7 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from .errors import ConfigError, PhysicsError
-from .fock import (
-    HilbertSpace,
-    OperatorMatrix,
-    lowering_operator,
-    number_operator,
-)
+from .fock import HilbertSpace, OperatorMatrix, lowering_operator
 
 TWO_PI = 2.0 * math.pi
 
@@ -173,13 +177,122 @@ class OperatingPoint:
                 raise ConfigError(f"{name} must be positive and finite, got {v!r}")
 
 
-def _mode_frequencies(params: DeviceParams, point: OperatingPoint) -> tuple[float, ...]:
-    return (
-        params.resonator_freq_a,
-        params.resonator_freq_b,
-        point.qubit_freq_1,
-        point.qubit_freq_2,
-    )
+# largest footprint a DeviceModel may need (see model_bytes); a bigger
+# space is refused with a ConfigError before anything of its size is built
+MODEL_BYTES_LIMIT = 512 * 2**20
+
+
+def model_bytes(dims) -> int:
+    """Peak bytes of building a DeviceModel on ``dims`` and diagonalizing it.
+
+    Building peaks at eight float64 d×d matrices: H_static, the four
+    embedded lowering operators and the temporaries of one coupling term.
+    A real ``eigh`` of the largest excitation-parity block, ⌈d/2⌉ states,
+    takes six of its own size: the block, LAPACK's copy and 2n² workspace,
+    the eigenvectors and their squared weights.
+    """
+    d = math.prod(dims)
+    n = (d + 1) // 2
+    return 8 * (8 * d * d + 6 * n * n)
+
+
+class DeviceModel:
+    """H/ħ in rad/ns on the 4-mode space (a, b, q1, q2), split by dependence.
+
+    ``h_static`` holds the resonator energies, the qubit anharmonicities
+    α a†a†aa and every coupling line. Each line has the exchange form
+    g(c†a + ca†); with ``include_counter_rotating`` it also carries the
+    -(c†a† + ca) pair-creation part. Setting the flag False gives the
+    excitation-conserving rotating-wave model. All elements are real, so
+    H is stored as float64, and it is checked symmetric once, here.
+    ``n_q1`` and ``n_q2`` are the qubit number diagonals that
+    :meth:`hamiltonian` scales by the operating point; ``even`` and
+    ``odd`` are the basis indices of the two excitation-parity blocks,
+    which no term of H couples. Arrays are read-only: one model is shared
+    by every caller of :func:`device_model`.
+
+    Raises ConfigError when :func:`model_bytes` exceeds
+    MODEL_BYTES_LIMIT, before anything of the space's size is allocated.
+    """
+
+    def __init__(
+        self, params: DeviceParams, space: HilbertSpace, include_counter_rotating: bool
+    ):
+        if space.n_modes != 4:
+            raise ConfigError(f"device Hamiltonian needs 4 modes, space has {space.n_modes}")
+        need = model_bytes(space.dims)
+        if need > MODEL_BYTES_LIMIT:
+            raise ConfigError(
+                f"a {space.size}-state device model takes {need / 2**20:.0f} MiB "
+                f"(limit {MODEL_BYTES_LIMIT / 2**20:.0f} MiB); use a smaller truncation"
+            )
+        self.space = space
+        occupations = np.indices(space.dims).reshape(4, -1)
+        parity = occupations.sum(axis=0) % 2
+        self.even = np.flatnonzero(parity == 0)
+        self.odd = np.flatnonzero(parity == 1)
+        self.n_q1 = occupations[2].astype(float)
+        self.n_q2 = occupations[3].astype(float)
+        self.h_static = _static_hamiltonian(
+            params, space, occupations, include_counter_rotating
+        )
+        asym = float(np.abs(self.h_static - self.h_static.T).max())
+        if asym != 0.0:
+            raise ConfigError(f"assembled Hamiltonian not symmetric (defect {asym:.2e})")
+        for a in (self.even, self.odd, self.n_q1, self.n_q2, self.h_static):
+            a.flags.writeable = False
+
+    def hamiltonian(self, point: OperatingPoint, idx: np.ndarray | None = None) -> OperatorMatrix:
+        """H_static + 2π(f₁ N̂_q1 + f₂ N̂_q2), on the basis states ``idx`` if given."""
+        w1 = TWO_PI * point.qubit_freq_1
+        w2 = TWO_PI * point.qubit_freq_2
+        if idx is None:
+            h = self.h_static.copy()
+            h.flat[:: h.shape[0] + 1] += w1 * self.n_q1 + w2 * self.n_q2
+        else:
+            h = self.h_static[np.ix_(idx, idx)]
+            h.flat[:: h.shape[0] + 1] += w1 * self.n_q1[idx] + w2 * self.n_q2[idx]
+        return OperatorMatrix(self.space, h, idx)
+
+
+def _static_hamiltonian(
+    params: DeviceParams,
+    space: HilbertSpace,
+    occupations: np.ndarray,
+    include_counter_rotating: bool,
+) -> np.ndarray:
+    """The point-independent part of H, assembled from the ladder operators.
+
+    ``occupations[m]`` is the number of quanta in mode m of each basis state.
+    """
+    lowers = [lowering_operator(space, m).elements for m in range(4)]
+    n_a, n_b, n_1, n_2 = occupations
+    h = np.diag(TWO_PI * (
+        params.resonator_freq_a * n_a
+        + params.resonator_freq_b * n_b
+        + params.anharmonicity_1 * n_1 * (n_1 - 1)
+        + params.anharmonicity_2 * n_2 * (n_2 - 1)
+    ))
+    lines = [(getattr(params, name), i, j) for name, (i, j) in _RESONATOR_QUBIT_PAIRS.items()]
+    lines += [(params.g_ab, 0, 1), (params.g_12, 2, 3)]
+    for g_ghz, i, j in lines:
+        if g_ghz == 0.0:
+            continue
+        # c_i† c_j, minus c_i c_j when pair creation is kept; adding the
+        # transpose gives the Hermitian line
+        term = lowers[i].T @ lowers[j]
+        if include_counter_rotating:
+            term -= lowers[i] @ lowers[j]
+        h += TWO_PI * g_ghz * (term + term.T)
+    return h
+
+
+@functools.lru_cache(maxsize=4)
+def device_model(
+    params: DeviceParams, space: HilbertSpace, include_counter_rotating: bool
+) -> DeviceModel:
+    """The DeviceModel of one (device, truncation, model), built on first use."""
+    return DeviceModel(params, space, include_counter_rotating)
 
 
 def build_hamiltonian(
@@ -187,52 +300,14 @@ def build_hamiltonian(
     point: OperatingPoint,
     space: HilbertSpace,
     include_counter_rotating: bool = True,
+    idx: np.ndarray | None = None,
 ) -> OperatorMatrix:
-    """Assemble H/ħ in rad/ns on the 4-mode space (a, b, q1, q2).
+    """H/ħ in rad/ns at ``point``, from the cached :class:`DeviceModel`.
 
-    Each mode contributes ω n̂; the qubits add the anharmonic shift
-    α a†a†aa. Every coupling line has the exchange form g(c†a + ca†);
-    with ``include_counter_rotating`` it also carries the
-    -(c†a† + ca) pair-creation part. Setting the flag False gives the
-    excitation-conserving rotating-wave model, useful for long
-    integrations where the total-excitation block structure can be
-    exploited.
+    On the whole space, or on the basis states ``idx`` (such as the
+    model's ``even`` or ``odd`` parity block) if given.
     """
-    if space.n_modes != 4:
-        raise ConfigError(f"device Hamiltonian needs 4 modes, space has {space.n_modes}")
-    freqs = _mode_frequencies(params, point)
-
-    n = space.size
-    h = np.zeros((n, n), dtype=complex)
-    lowers = [lowering_operator(space, m).elements for m in range(4)]
-    numbers = [number_operator(space, m).elements for m in range(4)]
-
-    for m, f in enumerate(freqs):
-        h += TWO_PI * f * numbers[m]
-    for m, alpha in ((2, params.anharmonicity_1), (3, params.anharmonicity_2)):
-        adag = lowers[m].conj().T
-        h += TWO_PI * alpha * (adag @ adag @ lowers[m] @ lowers[m])
-
-    def add_coupling(g_ghz: float, i: int, j: int) -> None:
-        if g_ghz == 0.0:
-            return
-        ci, cj = lowers[i], lowers[j]
-        term = ci.conj().T @ cj + ci @ cj.conj().T
-        if include_counter_rotating:
-            term -= ci.conj().T @ cj.conj().T + ci @ cj
-        nonlocal h
-        h += TWO_PI * g_ghz * term
-
-    for name, (i, j) in _RESONATOR_QUBIT_PAIRS.items():
-        add_coupling(getattr(params, name), i, j)
-    add_coupling(params.g_ab, 0, 1)
-    add_coupling(params.g_12, 2, 3)
-
-    out = OperatorMatrix(space, h)
-    defect = out.hermiticity_defect()
-    if defect >= 1e-12:
-        raise ConfigError(f"assembled Hamiltonian not Hermitian (defect {defect:.2e})")
-    return out
+    return device_model(params, space, include_counter_rotating).hamiltonian(point, idx)
 
 
 def effective_coupling(params: DeviceParams, point: OperatingPoint) -> float:
@@ -250,12 +325,20 @@ def effective_coupling(params: DeviceParams, point: OperatingPoint) -> float:
     This is the second-order dispersive result (Yan et al., Phys. Rev.
     Applied 10, 054062 (2018)), valid to leading order in g/|Δ|: its
     residual against half the exact co-tuned splitting is of fourth order
-    in the couplings (acceptance criterion 1). It omits the resonator-
-    resonator path through ``g_ab``, which ``build_hamiltonian`` includes.
-    At the default couplings it overestimates |g_eff| against exact
-    diagonalization, by 13 % at 4.58 GHz and 76 % at 4.76 GHz, where
-    g/|Δ| reaches 0.75.
+    in the couplings (acceptance criterion 1). At the default couplings it
+    overestimates |g_eff| against exact diagonalization, by 13 % at
+    4.58 GHz and 76 % at 4.76 GHz, where g/|Δ| reaches 0.75.
+
+    The formula has no term for the resonator-resonator path through
+    ``g_ab``, which :class:`DeviceModel` includes, so a device with
+    ``g_ab`` != 0 raises ConfigError rather than getting a wrong answer.
     """
+    if params.g_ab != 0.0:
+        raise ConfigError(
+            f"g_ab = {params.g_ab} GHz: the analytic effective coupling omits the "
+            "resonator-resonator path through g_ab; use exact diagonalization "
+            "(cotuned_half_gap, qubit_qubit_gap) for such a device"
+        )
     q_freqs = (point.qubit_freq_1, point.qubit_freq_2)
     res = (("a", params.resonator_freq_a, params.g_a1, params.g_a2),
            ("b", params.resonator_freq_b, params.g_b1, params.g_b2))
@@ -284,7 +367,9 @@ def find_switch_off(
     Both qubits are swept together (ω_1 = ω_2 = ω). Each resonator term
     of the coupling formula is monotone in ω between the resonator poles,
     so plain bisection is reliable; the interval must sit strictly inside
-    (resonator_freq_a, resonator_freq_b).
+    (resonator_freq_a, resonator_freq_b). Through
+    :func:`effective_coupling` it raises ConfigError for a device with
+    ``g_ab`` != 0.
     """
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not lo < hi:

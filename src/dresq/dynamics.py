@@ -8,14 +8,18 @@ approximant (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005); there is
 no step size.
 
 L acts on the d² entries of ρ, so its exponential costs d⁶ time and d⁴
-memory. Evolution therefore runs on the smallest block of basis states
-the dynamics can reach. In the excitation-conserving (rotating-wave)
-model relaxation and dephasing never raise the total excitation number
-N and each π-prep raises it by at most one, so the states with
+memory. Without collapse operators the map is ρ → UρU† with
+U = V e^{-iEt} V† from the eigendecomposition H = V E V† of the (real
+symmetric) device Hamiltonian, which costs d³ time and d² memory.
+
+Evolution runs on the smallest block of basis states the dynamics can
+reach. In the excitation-conserving (rotating-wave) model relaxation and
+dephasing never raise the total excitation number N and each π-prep
+raises it by at most one, so the states with
 N ≤ N₀ + (number of π-preps) hold the whole evolution and the
 projection is exact, not an approximation. Where counter-rotating terms
-connect the blocks the full space is used, and a generator whose
-exponential would not fit in memory is refused before it is built.
+connect the blocks the full space is used, and a stage map that would not
+fit in memory is refused before it is built.
 
 Vacuum-Rabi chevrons start from one excitation and so run on the
 5-dimensional N ≤ 1 block, which is the same at any truncation.
@@ -36,6 +40,7 @@ from .errors import ConfigError, IntegrationError, PhysicsError
 from .fock import (
     HilbertSpace,
     OperatorMatrix,
+    eigendecompose_hermitian,
     embed_operator,
     lowering_operator,
     number_operator,
@@ -47,8 +52,8 @@ TRACE_TOL = 1e-8
 
 POSITIVITY_TOL = 1e-8
 
-# largest workspace a stage exponential may take; a bigger block is
-# refused with a ConfigError before its generator is built
+# largest workspace the stage maps may take; a bigger block is refused
+# with a ConfigError before anything of its size is built
 EXPM_BYTES_LIMIT = 512 * 2**20
 
 
@@ -264,8 +269,22 @@ def _expm_bytes(dim: int) -> int:
     return 12 * 16 * dim**4
 
 
+def _unitary_bytes(dim: int) -> int:
+    """Peak bytes of the lossless stage maps of a dim-state block.
+
+    Counts twelve complex d×d matrices: the Hamiltonian, its eigenvectors
+    and the eigensolver's workspace, the phased eigenvectors, U, and ρ with
+    the products and adjoint of U ρ U†.
+    """
+    return 12 * 16 * dim**2
+
+
 def _closed_block(
-    space: HilbertSpace, rho: np.ndarray, n_preps: int, operators: list[np.ndarray]
+    space: HilbertSpace,
+    rho: np.ndarray,
+    n_preps: int,
+    operators: list[np.ndarray],
+    stage_bytes,
 ) -> np.ndarray:
     """Basis indices of the smallest excitation block evolution can reach.
 
@@ -275,8 +294,9 @@ def _closed_block(
     collapse operators L, and L†L for the anticommutator) maps it into
     itself, which holds in the excitation-conserving model; otherwise
     the full space is returned.
-    Raises ConfigError when the block's generator exponential would
-    exceed EXPM_BYTES_LIMIT.
+    Raises ConfigError when ``stage_bytes`` of the block's size
+    (:func:`_expm_bytes` or :func:`_unitary_bytes`) exceeds
+    EXPM_BYTES_LIMIT.
     """
     n_exc = np.indices(space.dims).reshape(space.n_modes, -1).sum(axis=0)
     support = np.any(rho != 0, axis=1)
@@ -285,13 +305,12 @@ def _closed_block(
     idx = np.arange(space.size)
     if not any(np.any(op[leak]) or np.any((op.conj().T @ op)[leak]) for op in operators):
         idx = idx[inside]
-    need = _expm_bytes(idx.size)
+    need = stage_bytes(idx.size)
     if need > EXPM_BYTES_LIMIT:
         raise ConfigError(
-            f"evolution needs a {idx.size}-state block, whose {idx.size**2}x{idx.size**2} "
-            f"generator exponential takes {need / 2**20:.0f} MiB (limit "
-            f"{EXPM_BYTES_LIMIT / 2**20:.0f} MiB); use a smaller truncation or the "
-            "excitation-conserving model"
+            f"evolution needs a {idx.size}-state block, whose stage maps take "
+            f"{need / 2**20:.0f} MiB (limit {EXPM_BYTES_LIMIT / 2**20:.0f} MiB); use a "
+            "smaller truncation or the excitation-conserving model"
         )
     return idx
 
@@ -326,9 +345,12 @@ def evolve(
     (counter-rotating off) and invalid with counter-rotating terms on.
 
     Evolution runs on the excitation block of :func:`_closed_block`, so a
-    block too large to exponentiate raises ConfigError before anything
-    of its size is built. Trace drift beyond 1e-8 at any sample aborts
-    with diagnostics.
+    block whose stage maps would not fit in memory raises ConfigError
+    before anything of its size is built. With dissipation each stage map
+    is the exponential of the Lindblad generator; without, it is
+    ρ → UρU† from the eigendecomposition of H, which also makes a
+    lossless counter-rotating run on the full space affordable. Trace
+    drift beyond 1e-8 at any sample aborts with diagnostics.
     """
     if initial.space.size != space.size:
         raise ConfigError("initial state lives on a different space")
@@ -355,19 +377,34 @@ def evolve(
         hs = [h - frame_shift for h in hs]
 
     n_preps = sum(st.prep is not None for st in stages)
-    idx = _closed_block(space, initial.rho, n_preps, hs + l_mats)
+    stage_bytes = _expm_bytes if l_mats else _unitary_bytes
+    idx = _closed_block(space, initial.rho, n_preps, hs + l_mats, stage_bytes)
     sel = np.ix_(idx, idx)
-    l_blk = [l[sel] for l in l_mats]
-    generators = [_superoperator(h[sel], l_blk) for h in hs]
-    maps: dict[tuple[int, float], np.ndarray] = {}
+    h_blks = [h[sel] for h in hs]
+    if l_mats:
+        l_blk = [l[sel] for l in l_mats]
+        generators = [_superoperator(h, l_blk) for h in h_blks]
+
+        def stage_map(k: int, duration: float):
+            m = _expm(duration * generators[k])
+            return lambda rho: (m @ rho.reshape(-1)).reshape(rho.shape)
+    else:
+        eigs = [eigendecompose_hermitian(OperatorMatrix(space, h, idx)) for h in h_blks]
+
+        def stage_map(k: int, duration: float):
+            e, v = eigs[k]
+            u = (v * np.exp(-1j * duration * e)) @ v.conj().T
+            return lambda rho: u @ rho @ u.conj().T
+
+    maps = {}
 
     def advance(rho: np.ndarray, k: int, duration: float) -> np.ndarray:
         if duration <= 0:
             return rho
         key = (k, round(duration, 12))  # uniform samples share one map
         if key not in maps:
-            maps[key] = _expm(duration * generators[k])
-        return (maps[key] @ rho.reshape(-1)).reshape(rho.shape)
+            maps[key] = stage_map(k, duration)
+        return maps[key](rho)
 
     def prep(rho: np.ndarray, stage: Stage) -> np.ndarray:
         if not stage.prep:
@@ -524,7 +561,7 @@ def vacuum_rabi_chevron(
     hs = [hamiltonian(OperatingPoint(q2_target + off * 1e-3, q2_target)) for off in offsets]
     h_pad = [hamiltonian(bias)] if prep_to_readout_ns is not None else []
     rho0 = DensityState.single_excitation(space, 3).rho
-    idx = _closed_block(space, rho0, 0, hs + h_pad + l_mats)
+    idx = _closed_block(space, rho0, 0, hs + h_pad + l_mats, _expm_bytes)
     sel = np.ix_(idx, idx)
     l_blk = [l[sel] for l in l_mats]
     block_dim = idx.size

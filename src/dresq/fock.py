@@ -3,9 +3,12 @@
 Operators live on a truncated multi-mode Fock space built as a Kronecker
 product in a fixed mode order. For the two-qubit / two-resonator device the
 order is (resonator a, resonator b, qubit 1, qubit 2); mode 0 varies slowest
-in the composite basis index. Matrices are dense complex: the default device
-truncation (3, 3, 3, 3) is only 81-dimensional, so sparse machinery would be
-pure overhead.
+in the composite basis index. Matrices are dense, float64 for real
+operators (ladder and number operators, the device Hamiltonian) and complex
+otherwise: the default device truncation (3, 3, 3, 3) is only
+81-dimensional, so sparse machinery would be pure overhead. An operator may
+also be restricted to a subset of the composite basis, such as one
+excitation-parity block, and is then diagonalized on that subset alone.
 """
 
 from __future__ import annotations
@@ -86,23 +89,35 @@ class HilbertSpace:
 
 @dataclass
 class OperatorMatrix:
-    """Dense complex operator tied to a HilbertSpace."""
+    """Dense operator tied to a HilbertSpace.
+
+    ``elements`` are float64 when given real and complex otherwise.
+    ``basis`` lists the composite basis indices the matrix acts on, in
+    order; None means the whole space.
+    """
 
     space: HilbertSpace
     elements: np.ndarray
+    basis: np.ndarray | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.elements, dtype=complex)
+        m = np.asarray(self.elements)
+        m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError(f"operator must be square, got shape {m.shape}")
-        if m.shape[0] != self.space.size:
+        size = self.space.size if self.basis is None else len(self.basis)
+        if m.shape[0] != size:
             raise ConfigError(
-                f"operator dimension {m.shape[0]} does not match space size {self.space.size}"
+                f"operator dimension {m.shape[0]} does not match the size {size} "
+                "of its basis"
             )
         self.elements = m
 
+    def _like(self, elements: np.ndarray) -> "OperatorMatrix":
+        return OperatorMatrix(self.space, elements, self.basis)
+
     def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.elements.conj().T)
+        return self._like(self.elements.conj().T)
 
     def hermiticity_defect(self) -> float:
         """Largest element-wise magnitude of M - M†."""
@@ -112,16 +127,16 @@ class OperatorMatrix:
         return self.hermiticity_defect() < tol
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.elements @ other.elements)
+        return self._like(self.elements @ other.elements)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.elements + other.elements)
+        return self._like(self.elements + other.elements)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.elements - other.elements)
+        return self._like(self.elements - other.elements)
 
     def __rmul__(self, scalar: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, scalar * self.elements)
+        return self._like(scalar * self.elements)
 
 
 def _check_mode(space: HilbertSpace, mode_index: int) -> None:
@@ -132,7 +147,7 @@ def _check_mode(space: HilbertSpace, mode_index: int) -> None:
 
 
 def _single_mode_lowering(dim: int) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=complex)
+    m = np.zeros((dim, dim))
     for n in range(1, dim):
         m[n - 1, n] = np.sqrt(n)
     return m
@@ -145,12 +160,12 @@ def embed_operator(space: HilbertSpace, mode_index: int, local: np.ndarray) -> O
     except ``mode_index``.
     """
     _check_mode(space, mode_index)
-    local = np.asarray(local, dtype=complex)
+    local = np.asarray(local)
     if local.shape != (space.dims[mode_index], space.dims[mode_index]):
         raise ConfigError("local operator shape must match the mode dimension")
-    out = np.array([[1.0 + 0.0j]])
+    out = np.ones((1, 1))
     for i, d in enumerate(space.dims):
-        out = np.kron(out, local if i == mode_index else np.eye(d, dtype=complex))
+        out = np.kron(out, local if i == mode_index else np.eye(d))
     return OperatorMatrix(space, out)
 
 
@@ -169,11 +184,11 @@ def number_operator(space: HilbertSpace, mode_index: int) -> OperatorMatrix:
     a = lowering_operator(space, mode_index)
     n = a.dagger().elements @ a.elements
     # exact integers on the diagonal, kill rounding dust
-    return OperatorMatrix(space, np.diag(np.round(np.diag(n).real)).astype(complex))
+    return OperatorMatrix(space, np.diag(np.round(np.diag(n))))
 
 
 def total_number_operator(space: HilbertSpace) -> OperatorMatrix:
-    total = np.zeros((space.size, space.size), dtype=complex)
+    total = np.zeros((space.size, space.size))
     for mode in range(space.n_modes):
         total += number_operator(space, mode).elements
     return OperatorMatrix(space, total)
@@ -184,10 +199,11 @@ def eigendecompose_hermitian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns.
 
-    Rejects non-Hermitian input, reporting the measured asymmetry. The
-    result satisfies max|M v - e v| < 1e-9 * max|e| and V†V = I to 1e-10;
-    both bounds are enforced by the test suite rather than re-checked here
-    on every call.
+    A real symmetric operator gets a real eigensolver and real
+    eigenvectors. Rejects non-Hermitian input, reporting the measured
+    asymmetry. The result satisfies max|M v - e v| < 1e-9 * max|e| and
+    V†V = I to 1e-10; both bounds are enforced by the test suite rather
+    than re-checked here on every call.
     """
     defect = op.hermiticity_defect()
     if defect >= tol:

@@ -1,17 +1,18 @@
 """Frequency-domain emulation: spectrum sweeps, labels, anti-crossing gaps.
 
 Every sweep point is an independent exact diagonalization of the device
-Hamiltonian; levels are reported relative to the ground state in GHz and
-tagged with the bare product state they overlap most, or "mixed" when no
-bare state dominates.
+Hamiltonian, one real symmetric excitation-parity block at a time (no term
+couples the blocks); levels are reported relative to the ground state in
+GHz and tagged with the bare product state they overlap most, or "mixed"
+when no bare state dominates. The qubit-qubit anti-crossing lies in the
+odd block, so gap tracking diagonalizes that block alone.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .device import (
     DeviceParams,
     OperatingPoint,
     build_hamiltonian,
+    device_model,
 )
 
 SWEEP_AXES = ("flux_1", "flux_2", "freq_1", "freq_2")
@@ -61,7 +63,12 @@ class SpectrumSweep:
 
 @dataclass
 class GapResult:
-    """Minimum separation of two tracked dressed levels along a sweep."""
+    """Minimum separation of two tracked dressed levels along a sweep.
+
+    ``level_pair`` indexes the ascending levels the separation was taken
+    from: those of the whole sweep for :func:`min_labeled_separation`, and
+    those of the odd-parity block for :func:`qubit_qubit_gap`.
+    """
 
     gap_mhz: float
     location_ghz: float
@@ -97,14 +104,6 @@ def _point_for(axis: str, value: float, fixed: OperatingPoint, params: DevicePar
     raise ConfigError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
 
 
-def _diagonalize_point(
-    params: DeviceParams, point: OperatingPoint, space: HilbertSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    h = build_hamiltonian(params, point, space)
-    evals, evecs = eigendecompose_hermitian(h)
-    return evals, evecs
-
-
 def sweep_spectrum(
     params: DeviceParams,
     axis: str,
@@ -112,15 +111,14 @@ def sweep_spectrum(
     fixed_other: OperatingPoint,
     space: HilbertSpace,
     n_levels: int | None = None,
-    workers: int = 1,
 ) -> SpectrumSweep:
     """Diagonalize the device along one swept control.
 
     ``axis`` is one of flux_1, flux_2, freq_1, freq_2; flux axes are
     mapped through the tuning curve first. Levels are ground-referenced
-    and converted to linear GHz. Sweep points are independent, so they
-    can be evaluated on a thread pool (``workers`` > 1) with ordered
-    assembly.
+    and converted to linear GHz. Each point diagonalizes the even and odd
+    parity blocks and merges their levels with a stable sort; labels and
+    overlaps refer to the full product basis.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 1:
@@ -130,34 +128,31 @@ def sweep_spectrum(
         raise ConfigError("sweep values must be strictly monotone")
     if n_levels is None:
         n_levels = space.size - 1
+    if n_levels < 1:
+        raise ConfigError(f"need at least one level above the ground state, got {n_levels}")
     n_levels = min(n_levels, space.size - 1)
 
     bare = _bare_labels(space)
-
-    def solve(value: float):
+    model = device_model(params, space, True)
+    levels = np.empty((values.size, n_levels))
+    overlaps = np.empty((values.size, n_levels))
+    labels = []
+    for i, value in enumerate(values):
         point = _point_for(axis, value, fixed_other, params)
-        evals, evecs = _diagonalize_point(params, point, space)
-        rel = (evals[1 : n_levels + 1] - evals[0]) / TWO_PI
-        labels, overlaps = [], []
-        for k in range(1, n_levels + 1):
-            weights = np.abs(evecs[:, k]) ** 2
-            j = int(np.argmax(weights))
-            if weights[j] > 0.5:
-                labels.append(bare[j])
-            else:
-                labels.append(MIXED_LABEL)
-            overlaps.append(math.sqrt(weights[j]))
-        return rel, labels, np.asarray(overlaps)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, values))
-    else:
-        results = [solve(v) for v in values]
-
-    levels = np.vstack([r[0] for r in results])
-    labels = [r[1] for r in results]
-    overlaps = np.vstack([r[2] for r in results])
+        evals, dominant, weight = [], [], []
+        for idx in (model.even, model.odd):
+            e, v = eigendecompose_hermitian(build_hamiltonian(params, point, space, idx=idx))
+            w = np.abs(v) ** 2
+            evals.append(e)
+            dominant.append(idx[np.argmax(w, axis=0)])
+            weight.append(w.max(axis=0))
+        evals = np.concatenate(evals)
+        order = np.argsort(evals, kind="stable")[: n_levels + 1]
+        dominant = np.concatenate(dominant)[order[1:]]
+        weight = np.concatenate(weight)[order[1:]]
+        levels[i] = (evals[order[1:]] - evals[order[0]]) / TWO_PI
+        overlaps[i] = np.sqrt(weight)
+        labels.append([bare[j] if w > 0.5 else MIXED_LABEL for j, w in zip(dominant, weight)])
     return SpectrumSweep(axis, values, levels, labels, overlaps)
 
 
@@ -203,10 +198,13 @@ def _tracked_separation(
     At a co-tuned degeneracy both dressed states carry half q1 and half
     q2 character, so levels are ranked by their combined qubit weight and
     the top two are taken; this stays stable through the anti-crossing.
+    Both single-qubit excitations are odd, so only the odd-parity block is
+    diagonalized, and the returned pair indexes its ascending levels.
     """
-    i_q1, i_q2 = _qubit_character_indices(space)
-    evals, evecs = _diagonalize_point(params, point, space)
-    weight = np.abs(evecs[i_q1, :]) ** 2 + np.abs(evecs[i_q2, :]) ** 2
+    odd = device_model(params, space, True).odd
+    s_q1, s_q2 = np.searchsorted(odd, _qubit_character_indices(space))
+    evals, evecs = eigendecompose_hermitian(build_hamiltonian(params, point, space, idx=odd))
+    weight = np.abs(evecs[s_q1, :]) ** 2 + np.abs(evecs[s_q2, :]) ** 2
     order = np.argsort(weight)[::-1]
     k1, k2 = sorted(int(k) for k in order[:2])
     sep = abs(evals[k2] - evals[k1]) / TWO_PI

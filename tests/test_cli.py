@@ -75,6 +75,12 @@ def test_geff_g12_zero_still_crosses(tmp_path):
     assert 4.47 < marker["switch_off_ghz"] < 4.80
 
 
+def test_geff_with_resonator_resonator_coupling_exit_2(tmp_path):
+    device = tmp_path / "device.json"
+    device.write_text(json.dumps({"g_ab": 0.01}))
+    assert run(["geff", "--device", device, "--out", tmp_path / "g"]) == 2
+
+
 def test_geff_interval_outside_band_exit_3(tmp_path):
     assert run(["geff", "--start", 4.85, "--stop", 4.88,
                 "--out", tmp_path / "x"]) == 3
@@ -119,6 +125,16 @@ def test_chevron_estimate_consistent_with_analytic(tmp_path):
     verdict = json.loads((out / "geff_estimate.json").read_text())
     assert not verdict["below_floor"]
     assert verdict["g_mhz"] == pytest.approx(verdict["analytic_geff_mhz"], rel=0.1)
+
+
+def test_chevron_with_resonator_resonator_coupling_has_no_analytic_value(tmp_path):
+    device = tmp_path / "device.json"
+    device.write_text(json.dumps({"g_ab": 0.01}))
+    out = tmp_path / "chev"
+    assert run(["chevron", "--device", device, "--tau-max", 300, "--tau-points", 31,
+                "--detuning-points", 5, "--out", out]) == 0
+    verdict = json.loads((out / "geff_estimate.json").read_text())
+    assert verdict["analytic_geff_mhz"] is None
 
 
 def test_chevron_below_floor_at_switch_off(tmp_path):

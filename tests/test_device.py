@@ -235,6 +235,16 @@ def test_switch_off_no_sign_change_reports_endpoints():
         find_switch_off(DeviceParams(), (4.70, 4.77))
 
 
+def test_analytic_coupling_rejects_resonator_resonator_coupling():
+    # the formula has no g_ab path: the bisected root would stay at 4.6294 GHz,
+    # where the exact gap with g_ab = 10 MHz is ten times that without
+    p = DeviceParams(g_ab=0.01)
+    with pytest.raises(ConfigError, match="g_ab"):
+        effective_coupling(p, OperatingPoint(4.6, 4.6))
+    with pytest.raises(ConfigError, match="resonator-resonator"):
+        find_switch_off(p, (4.50, 4.77))
+
+
 def test_switch_off_interval_outside_band():
     with pytest.raises(PhysicsError, match="no sign change"):
         find_switch_off(DeviceParams(), (4.40, 4.77))

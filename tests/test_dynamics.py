@@ -6,7 +6,7 @@ import pytest
 
 from dresq.errors import ConfigError, IntegrationError, PhysicsError
 from dresq.fock import HilbertSpace, number_operator, total_number_operator
-from dresq.device import DeviceParams, OperatingPoint
+from dresq.device import DeviceParams, OperatingPoint, build_hamiltonian
 from dresq.dynamics import (
     EXPM_BYTES_LIMIT,
     ChevronMap,
@@ -21,6 +21,7 @@ from dresq.dynamics import (
     _expm,
     _expm_bytes,
     _superoperator,
+    _unitary_bytes,
 )
 
 SPACE2 = HilbertSpace((2, 2, 2, 2))
@@ -273,6 +274,36 @@ def test_lossy_counter_rotating_full_space_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2**20
+
+
+def test_lossless_counter_rotating_full_space_runs():
+    # no collapse operators: the 81-state full space needs U, not the
+    # 6561 x 6561 generator exponential the lossy case is refused for
+    assert _unitary_bytes(81) == 12 * 16 * 81**2 < EXPM_BYTES_LIMIT < _expm_bytes(81)
+    p = DeviceParams(**lossless())
+    sched = PulseSchedule([Stage(0.5, BIAS, prep="pi_q2"), Stage(50.0, OperatingPoint(4.60, 4.60))])
+    ts = evolve(
+        p, sched, DensityState.ground(SPACE3), SPACE3,
+        {"n_tot": total_number_operator(SPACE3)}, n_samples=11,
+    )
+    final = ts.final_state
+    assert abs(final.rho.trace() - 1.0) < 1e-8
+    assert abs(final.purity() - 1.0) < 1e-8
+    final.validate()
+    # counter-rotating terms moved excitation number, so the full space ran
+    assert np.abs(ts.expectations["n_tot"][1:] - 1.0).max() > 1e-6
+
+
+def test_lossless_evolution_matches_generator_exponential():
+    p = DeviceParams(**lossless())
+    point = OperatingPoint(4.60, 4.62)
+    duration = 37.0
+    init = DensityState.single_excitation(SPACE2, 3)
+    ts = evolve(p, PulseSchedule([Stage(duration, point)]), init, SPACE2, {}, n_samples=2)
+    h = build_hamiltonian(p, point, SPACE2).elements
+    stage_map = _expm(duration * _superoperator(h, []))
+    expected = (stage_map @ init.rho.reshape(-1)).reshape(init.rho.shape)
+    assert np.abs(ts.final_state.rho - expected).max() < 1e-10
 
 
 def test_expm_byte_estimate():

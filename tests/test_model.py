@@ -1,0 +1,159 @@
+"""Invariants of the cached, real, parity-blocked device model.
+
+The reference is the Kronecker assembly of H written out here from the
+single-mode ladder matrices, independently of ``dresq.fock``.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dresq.errors import ConfigError
+from dresq.fock import HilbertSpace
+from dresq.device import (
+    MODEL_BYTES_LIMIT,
+    TWO_PI,
+    DeviceModel,
+    DeviceParams,
+    OperatingPoint,
+    device_model,
+    model_bytes,
+)
+
+
+def reference_hamiltonian(params, point, dims, counter_rotating):
+    """H/ħ in rad/ns by Kronecker products of the single-mode ladders."""
+
+    def lowering(mode):
+        out = np.ones((1, 1))
+        for i, d in enumerate(dims):
+            local = np.diag(np.sqrt(np.arange(1.0, d)), 1) if i == mode else np.eye(d)
+            out = np.kron(out, local)
+        return out
+
+    a = [lowering(m) for m in range(4)]
+    freqs = (params.resonator_freq_a, params.resonator_freq_b,
+             point.qubit_freq_1, point.qubit_freq_2)
+    h = sum(TWO_PI * f * a[m].T @ a[m] for m, f in enumerate(freqs))
+    for m, alpha in ((2, params.anharmonicity_1), (3, params.anharmonicity_2)):
+        h = h + TWO_PI * alpha * a[m].T @ a[m].T @ a[m] @ a[m]
+    lines = {(0, 2): params.g_a1, (0, 3): params.g_a2, (1, 2): params.g_b1,
+             (1, 3): params.g_b2, (0, 1): params.g_ab, (2, 3): params.g_12}
+    for (i, j), g in lines.items():
+        term = a[i].T @ a[j] + a[i] @ a[j].T
+        if counter_rotating:
+            term = term - (a[i].T @ a[j].T + a[i] @ a[j])
+        h = h + TWO_PI * g * term
+    return h
+
+
+def excitation_numbers(dims):
+    return np.indices(dims).reshape(len(dims), -1).sum(axis=0)
+
+
+cases = st.tuples(
+    st.tuples(*[st.integers(2, 4)] * 4),
+    st.floats(4.0, 5.2),
+    st.floats(4.0, 5.2),
+    st.floats(-0.02, 0.02),
+)
+
+
+def build(case, counter_rotating):
+    dims, f1, f2, g_ab = case
+    params = DeviceParams(g_ab=g_ab)
+    model = DeviceModel(params, HilbertSpace(dims), counter_rotating)
+    return model, params, OperatingPoint(f1, f2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases, st.booleans())
+def test_hamiltonian_real_symmetric_and_matches_reference(case, counter_rotating):
+    model, params, point = build(case, counter_rotating)
+    h = model.hamiltonian(point).elements
+    assert h.dtype == np.float64
+    assert np.array_equal(h, h.T)
+    ref = reference_hamiltonian(params, point, case[0], counter_rotating)
+    assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases, st.booleans())
+def test_no_element_couples_the_parities(case, counter_rotating):
+    model, _, point = build(case, counter_rotating)
+    parity = excitation_numbers(case[0]) % 2
+    assert np.array_equal(model.even, np.flatnonzero(parity == 0))
+    assert np.array_equal(model.odd, np.flatnonzero(parity == 1))
+    h = model.hamiltonian(point).elements
+    assert not np.any(h[np.ix_(model.even, model.odd)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases)
+def test_rotating_wave_model_conserves_excitation_number(case):
+    model, _, point = build(case, False)
+    n = excitation_numbers(case[0])
+    h = model.hamiltonian(point).elements
+    assert not np.any(h[n[:, None] != n[None, :]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases, st.booleans())
+def test_block_eigenvalues_equal_full_spectrum(case, counter_rotating):
+    model, _, point = build(case, counter_rotating)
+    full = np.linalg.eigvalsh(model.hamiltonian(point).elements)
+    blocks = [np.linalg.eigvalsh(model.hamiltonian(point, idx).elements)
+              for idx in (model.even, model.odd)]
+    merged = np.sort(np.concatenate(blocks), kind="stable")
+    assert np.abs(merged - full).max() <= 1e-12 * np.abs(full).max()
+
+
+def test_block_is_the_restriction_of_the_full_hamiltonian():
+    model = DeviceModel(DeviceParams(g_ab=0.01), HilbertSpace((3, 3, 3, 3)), True)
+    point = OperatingPoint(4.58, 4.61)
+    full = model.hamiltonian(point).elements
+    block = model.hamiltonian(point, model.odd)
+    assert np.array_equal(block.basis, model.odd)
+    assert np.array_equal(block.elements, full[np.ix_(model.odd, model.odd)])
+
+
+def test_model_cached_and_read_only():
+    space = HilbertSpace((3, 3, 3, 3))
+    model = device_model(DeviceParams(), space, True)
+    assert device_model(DeviceParams(), space, True) is model
+    assert device_model(DeviceParams(), space, False) is not model
+    with pytest.raises(ValueError):
+        model.h_static[0, 0] = 1.0
+    h = model.hamiltonian(OperatingPoint(4.6, 4.6)).elements
+    h[0, 0] = 1.0  # each call returns its own matrix
+    assert model.h_static[0, 0] == 0.0
+
+
+def test_model_byte_estimate():
+    # 4096 states: 8 d² for the build and 6 n² for an eigh of the 2048-state
+    # parity block, refused; 5⁴ fits
+    assert model_bytes((8, 8, 8, 8)) == 8 * (8 * 4096**2 + 6 * 2048**2) > MODEL_BYTES_LIMIT
+    assert model_bytes((5, 5, 5, 5)) == 8 * (8 * 625**2 + 6 * 313**2) < MODEL_BYTES_LIMIT
+    # the estimate bounds what building a model really takes
+    space = HilbertSpace((4, 4, 4, 4))
+    tracemalloc.start()
+    try:
+        DeviceModel(DeviceParams(g_ab=0.01), space, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 8 * 4 * 256**2 < peak <= model_bytes(space.dims)
+
+
+def test_oversized_model_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="MiB"):
+            DeviceModel(DeviceParams(), HilbertSpace((8, 8, 8, 8)), True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
