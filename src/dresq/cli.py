@@ -20,7 +20,9 @@ Exit codes: 0 success, 2 configuration error, 3 physics-domain error,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -121,7 +123,7 @@ def cmd_geff(args) -> int:
         geffs.append(g_mhz)
         half_gaps.append(hg)
         rows.append(f"{f:.9f},{g_mhz:.6f},{hg:.6f}")
-    csv = "\n".join(rows) + "\n"
+    table = "\n".join(rows) + "\n"
     svg = svgplot.line_plot(
         freqs,
         {"analytic g_eff (MHz)": np.array(geffs), "ED half gap (MHz)": np.array(half_gaps)},
@@ -136,7 +138,7 @@ def cmd_geff(args) -> int:
         "device": json.loads(params.to_json()),
     }
     _write_outputs(args.out, config, {
-        "geff.csv": csv, "geff.svg": svg, "switch_off.json": summary,
+        "geff.csv": table, "geff.svg": svg, "switch_off.json": summary,
     })
     return 0
 
@@ -145,16 +147,17 @@ def cmd_gapscan(args) -> int:
     params = _load_device(args.device)
     space = HilbertSpace(args.dims)
     results, errors = spectroscopy.gap_vs_setpoint(params, args.setpoints, space)
-    rows = ["setpoint_ghz,gap_mhz,location_ghz,error"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["setpoint_ghz", "gap_mhz", "location_ghz", "error"])
     xs, ys = [], []
     for sp, res, err in zip(args.setpoints, results, errors):
         if res is not None:
-            rows.append(f"{sp:.9f},{res.gap_mhz:.6f},{res.location_ghz:.9f},")
+            writer.writerow([f"{sp:.9f}", f"{res.gap_mhz:.6f}", f"{res.location_ghz:.9f}", ""])
             xs.append(sp)
             ys.append(res.gap_mhz)
         else:
-            rows.append(f'{sp:.9f},,,"{err}"')
-    csv = "\n".join(rows) + "\n"
+            writer.writerow([f"{sp:.9f}", "", "", err])
     if xs:
         svg = svgplot.line_plot(
             np.array(xs), {"anti-crossing gap (MHz)": np.array(ys)},
@@ -168,7 +171,7 @@ def cmd_gapscan(args) -> int:
         "dims": list(args.dims),
         "device": json.loads(params.to_json()),
     }
-    _write_outputs(args.out, config, {"gaps.csv": csv, "gaps.svg": svg})
+    _write_outputs(args.out, config, {"gaps.csv": buf.getvalue(), "gaps.svg": svg})
     return 0
 
 

@@ -87,7 +87,7 @@ class DeviceParams:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not isinstance(v, (int, float)) or math.isnan(v):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v):
                 raise ConfigError(f"parameter {f.name} must be a number, got {v!r}")
             # infinite coherence times mean "no dissipation"; everything else
             # must be finite
@@ -173,7 +173,9 @@ class OperatingPoint:
     def __post_init__(self):
         for name in ("qubit_freq_1", "qubit_freq_2"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not (
+                isinstance(v, (int, float)) and math.isfinite(v) and v > 0
+            ):
                 raise ConfigError(f"{name} must be positive and finite, got {v!r}")
 
 

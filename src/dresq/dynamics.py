@@ -22,7 +22,12 @@ connect the blocks the full space is used, and a stage map that would not
 fit in memory is refused before it is built.
 
 Vacuum-Rabi chevrons start from one excitation and so run on the
-5-dimensional N ≤ 1 block, which is the same at any truncation.
+5-dimensional N ≤ 1 block, which is the same at any truncation. All
+detuning columns share one τ grid, so they advance together: one batched
+product of the stacked column step maps per τ step. The readout is a
+linear functional of vec(ρ), so a fixed readout delay is applied by
+carrying that functional backwards through the padding rather than
+carrying every state forwards.
 
 Units at the interface: linear GHz for frequencies, MHz for detunings
 and couplings where noted, ns for times, µs for coherence times.
@@ -51,6 +56,9 @@ from .device import TWO_PI, DeviceParams, OperatingPoint, build_hamiltonian
 TRACE_TOL = 1e-8
 
 POSITIVITY_TOL = 1e-8
+
+# largest spread of the steps of a time grid that still counts as uniform
+GRID_TOL_NS = 1e-9
 
 # largest workspace the stage maps may take; a bigger block is refused
 # with a ConfigError before anything of its size is built
@@ -217,16 +225,25 @@ def collapse_operators(
 # exact stage propagation
 
 
-def _superoperator(h: np.ndarray, collapse: list[np.ndarray]) -> np.ndarray:
-    """Lindblad generator on row-major vec(ρ): vec(AρB) = (A⊗Bᵀ)vec(ρ)."""
-    n = h.shape[0]
+def _dissipator(collapse: list[np.ndarray], n: int) -> np.ndarray:
+    """Σ_k D[L_k] on row-major vec(ρ) of an n-state block.
+
+    Row-major vectorization gives vec(AρB) = (A⊗Bᵀ)vec(ρ). The dissipator
+    does not depend on H, so every stage of a schedule shares one.
+    """
     eye = np.eye(n, dtype=complex)
-    s = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    d = np.zeros((n * n, n * n), dtype=complex)
     for l in collapse:
         ldl = l.conj().T @ l
-        s += np.kron(l, l.conj())
-        s -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
-    return s
+        d += np.kron(l, l.conj())
+        d -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    return d
+
+
+def _superoperator(h: np.ndarray, dissipator: np.ndarray) -> np.ndarray:
+    """Lindblad generator -i[H, ·] plus a :func:`_dissipator` on vec(ρ)."""
+    eye = np.eye(h.shape[0])
+    return dissipator - 1j * (np.kron(h, eye) - np.kron(eye, h.T))
 
 
 # numerator coefficients of the degree-13 Padé approximant to exp and the
@@ -350,7 +367,7 @@ def evolve(
     is the exponential of the Lindblad generator; without, it is
     ρ → UρU† from the eigendecomposition of H, which also makes a
     lossless counter-rotating run on the full space affordable. Trace
-    drift beyond 1e-8 at any sample aborts with diagnostics.
+    drift beyond 1e-8 (or a NaN) at any sample aborts with diagnostics.
     """
     if initial.space.size != space.size:
         raise ConfigError("initial state lives on a different space")
@@ -382,8 +399,8 @@ def evolve(
     sel = np.ix_(idx, idx)
     h_blks = [h[sel] for h in hs]
     if l_mats:
-        l_blk = [l[sel] for l in l_mats]
-        generators = [_superoperator(h, l_blk) for h in h_blks]
+        dissipator = _dissipator([l[sel] for l in l_mats], idx.size)
+        generators = [_superoperator(h, dissipator) for h in h_blks]
 
         def stage_map(k: int, duration: float):
             m = _expm(duration * generators[k])
@@ -433,7 +450,7 @@ def evolve(
         rho = advance(rho, stage_idx, ts - t_now)
         t_now = ts
         tr = rho.trace().real
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:  # a NaN trace counts as drift
             raise IntegrationError(
                 f"trace drifted to {tr:.12f} at t = {ts:.3f} ns "
                 f"(stage {stage_idx}, {idx.size}-state block)"
@@ -492,11 +509,13 @@ class ChevronMap:
             )
 
     def to_csv(self) -> str:
+        """One line per cell, detuning-major, built one detuning at a time."""
         buf = io.StringIO()
         buf.write("detuning_mhz,tau_ns,p1\n")
-        for i, d in enumerate(self.detunings_mhz):
-            for j, t in enumerate(self.taus_ns):
-                buf.write(f"{d:.9g},{t:.9g},{self.p1[i, j]:.9f}\n")
+        taus = [f",{t:.9g}," for t in self.taus_ns]
+        for d, row in zip(self.detunings_mhz, self.p1.tolist()):
+            lead = f"{d:.9g}"
+            buf.write("".join([f"{lead}{t}{p:.9f}\n" for t, p in zip(taus, row)]))
         return buf.getvalue()
 
     def column(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -521,7 +540,9 @@ def vacuum_rabi_chevron(
     is recorded. With ``prep_to_readout_ns`` set, the state is further
     evolved at the bias point until that fixed total delay before
     readout. Runs in the excitation-conserving model on the exact N ≤ 1
-    block, with the same stage exponentials as :func:`evolve`.
+    block, with the same stage exponentials and shared dissipator as
+    :func:`evolve`. A trace drift beyond 1e-8 (or a NaN) in any cell
+    raises IntegrationError naming the first such column.
 
     τ values must form a uniform ascending grid starting at 0.
     """
@@ -536,7 +557,7 @@ def vacuum_rabi_chevron(
     if taus.ndim != 1 or taus.size < 2:
         raise ConfigError("chevron needs at least 2 interaction times")
     dt = np.diff(taus)
-    if abs(taus[0]) > 1e-12 or dt.min() <= 0 or (dt.max() - dt.min()) > 1e-9:
+    if abs(taus[0]) > 1e-12 or dt.min() <= 0 or (dt.max() - dt.min()) > GRID_TOL_NS:
         raise ConfigError("interaction times must be a uniform ascending grid from 0")
     dtau = float(dt[0])
     offsets = np.asarray(q1_offsets_mhz, dtype=float)
@@ -563,34 +584,38 @@ def vacuum_rabi_chevron(
     rho0 = DensityState.single_excitation(space, 3).rho
     idx = _closed_block(space, rho0, 0, hs + h_pad + l_mats, _expm_bytes)
     sel = np.ix_(idx, idx)
-    l_blk = [l[sel] for l in l_mats]
+    dissipator = _dissipator([l[sel] for l in l_mats], idx.size)
     block_dim = idx.size
     q1_slot = int(np.searchsorted(idx, space.single_excitation_indices()[2]))
     n_tau = taus.size
 
-    # pads[j] carries the state from the end of τ_j to the fixed readout
-    pads = None
+    # the readout is linear in vec(ρ): row 0 reads <q1|ρ|q1>, row 1 tr ρ
+    readout = np.zeros((2, block_dim * block_dim))
+    readout[0, q1_slot * (block_dim + 1)] = 1.0
+    readout[1, :: block_dim + 1] = 1.0
+    # rows[j] reads the state at the end of τ_j; with a fixed readout delay
+    # it is carried backwards through the padding, one step map per τ step
+    rows = [readout] * n_tau
     if h_pad:
-        s_pad = _superoperator(h_pad[0][sel], l_blk)
+        s_pad = _superoperator(h_pad[0][sel], dissipator)
         step_pad = _expm(dtau * s_pad)
-        pads = [_expm(max(prep_to_readout_ns - taus[-1], 0.0) * s_pad)]
-        for _ in range(n_tau - 1):
-            pads.append(pads[-1] @ step_pad)
-        pads.reverse()
+        rows[-1] = readout @ _expm(max(prep_to_readout_ns - taus[-1], 0.0) * s_pad)
+        for j in range(n_tau - 2, -1, -1):
+            rows[j] = rows[j + 1] @ step_pad
 
-    p1 = np.empty((offsets.size, n_tau))
-    for i, h in enumerate(hs):
-        step = _expm(dtau * _superoperator(h[sel], l_blk))
-        vec = rho0[sel].reshape(-1)
-        for j in range(n_tau):
-            if j > 0:
-                vec = step @ vec
-            out = vec if pads is None else pads[j] @ vec
-            rho_out = out.reshape(block_dim, block_dim)
-            tr = rho_out.trace().real
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise IntegrationError(f"trace drifted to {tr:.12f} in chevron column {i}")
-            p1[i, j] = rho_out[q1_slot, q1_slot].real
+    # every column advances in lockstep, one batched product per τ step
+    steps = np.stack([_expm(dtau * _superoperator(h[sel], dissipator)) for h in hs])
+    vecs = np.repeat(rho0[sel].reshape(1, -1, 1), offsets.size, axis=0)
+    readings = np.empty((n_tau, offsets.size, 2))
+    for j in range(n_tau):
+        if j > 0:
+            vecs = steps @ vecs
+        readings[j] = (rows[j] @ vecs)[:, :, 0].real
+    p1, tr = readings[:, :, 0].T, readings[:, :, 1].T
+    bad = ~(np.abs(tr - 1.0) <= TRACE_TOL)  # a NaN trace counts as drift
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise IntegrationError(f"trace drifted to {tr[i, j]:.12f} in chevron column {i}")
 
     p1 = np.clip(p1, 0.0, 1.0)
     meta = {

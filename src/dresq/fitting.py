@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FitError
-from .dynamics import ChevronMap
+from .dynamics import GRID_TOL_NS, ChevronMap
 
 MAX_ITERATIONS = 200
 
@@ -54,13 +54,17 @@ class TimeTrace:
             raise ConfigError("trace times and values must be 1-d and equal length")
         if t.size < MIN_POINTS:
             raise ConfigError(f"a fit needs at least {MIN_POINTS} points, got {t.size}")
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise ConfigError("trace times and values must be finite")
         if np.any(np.diff(t) <= 0):
             raise ConfigError("trace times must be strictly ascending")
         self.times_ns, self.values = t, v
         if self.uncertainty is not None:
             u = np.asarray(self.uncertainty, dtype=float)
-            if u.shape != t.shape or np.any(u <= 0):
-                raise ConfigError("uncertainties must be positive and match the trace length")
+            if u.shape != t.shape or not np.all(np.isfinite(u) & (u > 0)):
+                raise ConfigError(
+                    "uncertainties must be positive, finite and match the trace length"
+                )
             self.uncertainty = u
 
     @property
@@ -69,12 +73,19 @@ class TimeTrace:
 
     @classmethod
     def from_csv(cls, text: str) -> "TimeTrace":
-        """Parse two-column CSV time_ns,value (optional third: uncertainty)."""
+        """Parse two-column CSV time_ns,value (optional third: uncertainty).
+
+        Row 1 is a header when none of its fields parses as a number and
+        data when all do; a row 1 mixing the two is refused.
+        """
         times, values, sigmas = [], [], []
         rows = [r.strip() for r in text.splitlines() if r.strip()]
         if not rows:
             raise ConfigError("empty trace file")
-        start = 1 if any(c.isalpha() for c in rows[0]) else 0
+        numeric = [_is_float(f) for f in rows[0].split(",")]
+        if any(numeric) and not all(numeric):
+            raise ConfigError(f"trace line 1 is neither a header nor data: {rows[0]!r}")
+        start = 0 if all(numeric) else 1
         for lineno, row in enumerate(rows[start:], start=start + 1):
             parts = row.split(",")
             if len(parts) not in (2, 3):
@@ -89,6 +100,14 @@ class TimeTrace:
         if sigmas and len(sigmas) != len(times):
             raise ConfigError("uncertainty column present on only some rows")
         return cls(np.array(times), np.array(values), np.array(sigmas) if sigmas else None)
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass
@@ -236,8 +255,18 @@ def _periodogram_peak(trace: TimeTrace) -> tuple[float, float, float]:
 
 
 def fit_damped_cosine(trace: TimeTrace) -> FitOutcome:
-    """Fit A·exp(-t/τ)·cos(2π f t + φ) + c with periodogram frequency seeding."""
+    """Fit A·exp(-t/τ)·cos(2π f t + φ) + c with periodogram frequency seeding.
+
+    The periodogram assumes uniform sampling, so the time steps may differ
+    by at most GRID_TOL_NS, the tolerance the chevron applies to τ.
+    """
     t, y, w = _weighted(trace)
+    dt = np.diff(t)
+    if dt.max() - dt.min() > GRID_TOL_NS:
+        raise ConfigError(
+            f"a damped-cosine fit needs uniformly spaced times; the steps span "
+            f"{dt.min():.6g} to {dt.max():.6g} ns"
+        )
     f_seed, peak, median = _periodogram_peak(trace)
     window = trace.window_ns
     if median <= 0 or peak < PEAK_OVER_MEDIAN * median:

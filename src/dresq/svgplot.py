@@ -141,20 +141,32 @@ def line_plot(
     return cv.finish()
 
 
-def _heat_color(v: float) -> str:
-    """Map [0, 1] to a dark-blue to yellow ramp."""
-    v = min(max(v, 0.0), 1.0)
-    r = int(255 * min(1.0, 1.8 * v))
-    g = int(255 * (v ** 1.3))
-    b = int(255 * max(0.0, 0.55 - 0.55 * v) + 60 * (1 - v))
-    return f"#{r:02x}{g:02x}{min(b, 255):02x}"
+_HEX = np.array([f"{k:02x}" for k in range(256)], dtype=object)
+
+
+def _heat_channels(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map [0, 1] to the 8-bit channels of a dark-blue to yellow ramp."""
+    v = np.clip(v, 0.0, 1.0)
+    r = (255 * np.minimum(1.0, 1.8 * v)).astype(int)
+    # Python's float pow, not numpy's: the two differ in the last ulp of
+    # some values, which can move a channel by one step
+    g = (255 * np.array([c ** 1.3 for c in v.ravel().tolist()])).astype(int).reshape(v.shape)
+    b = (255 * np.maximum(0.0, 0.55 - 0.55 * v) + 60 * (1 - v)).astype(int)
+    return r, g, np.minimum(b, 255)
 
 
 def heatmap(x, y, z, x_label: str, y_label: str, title: str = "") -> str:
-    """Cell-per-pixel-block heatmap; z indexed as z[i, j] = z(x[i], y[j])."""
+    """Cell-per-pixel-block heatmap; z indexed as z[i, j] = z(x[i], y[j]).
+
+    Each row's y and height are formatted once. The cells of one x column
+    are then joined from those pieces, the column's x and width and the
+    cells' colours, and written as one string.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("heatmap values must be finite")
     z_lo, z_hi = float(z.min()), float(z.max())
     span = z_hi - z_lo or 1.0
     cv = _Canvas(
@@ -163,13 +175,18 @@ def heatmap(x, y, z, x_label: str, y_label: str, title: str = "") -> str:
     )
     half_x = 0.5 * (x[1] - x[0]) if len(x) > 1 else 0.5
     half_y = 0.5 * (y[1] - y[0]) if len(y) > 1 else 0.5
+    y_at = np.empty(len(y), dtype=object)
+    height = np.empty_like(y_at)
+    for j, yj in enumerate(y):
+        py1, py0 = cv.py(max(yj - half_y, cv.y_lo)), cv.py(min(yj + half_y, cv.y_hi))
+        y_at[j] = f"{py0:.2f}"
+        height[j] = f'{py1 - py0:.2f}" fill="#'
+    r, g, b = _heat_channels((z - z_lo) / span)
     for i, xi in enumerate(x):
         px0, px1 = cv.px(max(xi - half_x, cv.x_lo)), cv.px(min(xi + half_x, cv.x_hi))
-        for j, yj in enumerate(y):
-            py1, py0 = cv.py(max(yj - half_y, cv.y_lo)), cv.py(min(yj + half_y, cv.y_hi))
-            color = _heat_color((z[i, j] - z_lo) / span)
-            cv.buf.write(
-                f'<rect x="{px0:.2f}" y="{py0:.2f}" width="{px1 - px0:.2f}" '
-                f'height="{py1 - py0:.2f}" fill="{color}"/>\n'
-            )
+        cells = (
+            f'<rect x="{px0:.2f}" y="' + y_at + f'" width="{px1 - px0:.2f}" height="'
+            + height + _HEX[r[i]] + _HEX[g[i]] + _HEX[b[i]] + '"/>\n'
+        )
+        cv.buf.write("".join(cells.tolist()))
     return cv.finish()

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 
@@ -167,6 +169,40 @@ def test_fit_command(tmp_path):
 def test_fit_missing_trace_exit_2(tmp_path):
     assert run(["fit", "--model", "exp", "--out", tmp_path / "f",
                 tmp_path / "missing.csv"]) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_fit_non_finite_trace_exit_2(tmp_path, bad):
+    rows = [f"{t},{math.cos(0.3 * t)}" for t in range(20)]
+    rows[7] = f"7,{bad}"
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time_ns,value\n" + "\n".join(rows) + "\n")
+    assert run(["fit", "--model", "cosine", "--out", tmp_path / "f", trace]) == 2
+    assert not (tmp_path / "f").exists()
+
+
+def test_gapscan_error_text_round_trips(tmp_path, monkeypatch):
+    from dresq import cli, spectroscopy
+
+    real = spectroscopy.gap_vs_setpoint
+    message = 'no "qubit" pair, or none resolved'
+
+    def second_fails(params, setpoints, space):
+        results, errors = real(params, setpoints, space)
+        results[1], errors[1] = None, message
+        return results, errors
+
+    monkeypatch.setattr(cli.spectroscopy, "gap_vs_setpoint", second_fails)
+    out = tmp_path / "gaps"
+    assert run(["gapscan", "--setpoints", 4.58, 4.60, "--out", out]) == 0
+    text = (out / "gaps.csv").read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["setpoint_ghz", "gap_mhz", "location_ghz", "error"]
+    assert rows[2] == ["4.600000000", "", "", message]
+    # a resolved setpoint keeps its row: fixed-point fields, empty error
+    line = text.splitlines()[1]
+    assert line.startswith("4.580000000,") and line.endswith(",")
+    assert line.count(",") == 3
 
 
 def test_unknown_device_key_exit_2(tmp_path):

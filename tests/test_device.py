@@ -80,6 +80,16 @@ def test_operating_point_validation():
         OperatingPoint(4.6, float("nan"))
 
 
+@pytest.mark.parametrize("key", ["t1_qubit1", "g_12", "flux_period_2"])
+def test_bools_are_not_numbers(key):
+    with pytest.raises(ConfigError, match=key):
+        DeviceParams(**{key: True})
+    with pytest.raises(ConfigError, match=key):
+        DeviceParams.from_json(json.dumps({key: False}))
+    with pytest.raises(ConfigError, match="qubit_freq_1"):
+        OperatingPoint(True, 4.6)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian builder
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dresq import dynamics
 from dresq.errors import ConfigError, IntegrationError, PhysicsError
 from dresq.fock import HilbertSpace, number_operator, total_number_operator
 from dresq.device import DeviceParams, OperatingPoint, build_hamiltonian
@@ -18,6 +19,7 @@ from dresq.dynamics import (
     evolve,
     two_level_transfer,
     vacuum_rabi_chevron,
+    _dissipator,
     _expm,
     _expm_bytes,
     _superoperator,
@@ -263,6 +265,53 @@ def test_chevron_column_matches_evolve():
     )
     assert np.abs(chev.p1[0] - ts.expectations["n_q1"]).max() < 1e-10
 
+    # lossy, with a fixed readout delay: each cell is one evolve run whose
+    # schedule is padded at the bias point up to the readout
+    readout_ns = 800.0
+    chev = vacuum_rabi_chevron(p, BIAS, 4.60, np.array([3.0]), taus, readout_ns)
+    for j, tau in enumerate(taus):
+        sched = PulseSchedule(
+            [Stage(0.0, BIAS, prep="pi_q2"), Stage(tau, hold)],
+            prep_to_readout_ns=readout_ns, padding_point=BIAS,
+        )
+        ts = evolve(
+            p, sched, DensityState.ground(SPACE3), SPACE3,
+            {"n_q1": number_operator(SPACE3, 2)},
+            n_samples=2, include_counter_rotating=False, frame_ghz=4.60,
+        )
+        assert abs(chev.p1[0, j] - ts.expectations["n_q1"][-1]) < 1e-10
+
+
+@pytest.mark.parametrize("factor", [1.01, math.nan])
+def test_chevron_corrupted_step_map_names_its_column(monkeypatch, factor):
+    # step maps that do not preserve the trace (or yield NaN) must stop
+    # the lockstep propagation and name the first column they belong to
+    calls = []
+
+    def corrupt_from_third(a):
+        calls.append(None)
+        m = _expm(a)
+        return factor * m if len(calls) >= 3 else m
+
+    monkeypatch.setattr(dynamics, "_expm", corrupt_from_third)
+    with pytest.raises(IntegrationError, match="chevron column 2$"):
+        vacuum_rabi_chevron(
+            DeviceParams(), BIAS, 4.60, np.array([-3.0, 0.0, 3.0, 6.0]),
+            np.linspace(0.0, 100.0, 11),
+        )
+    assert len(calls) == 4
+
+
+def test_evolve_stops_on_a_nan_stage_map(monkeypatch):
+    real = _expm
+    monkeypatch.setattr(dynamics, "_expm", lambda a: np.nan * real(a))
+    sched = PulseSchedule([Stage(10.0, OperatingPoint(4.60, 4.60))])
+    with pytest.raises(IntegrationError, match="trace drifted"):
+        evolve(
+            DeviceParams(), sched, DensityState.single_excitation(SPACE2, 3), SPACE2, {},
+            n_samples=3, include_counter_rotating=False,
+        )
+
 
 def test_lossy_counter_rotating_full_space_refused_before_allocating():
     sched = PulseSchedule([Stage(1.0, BIAS)])
@@ -301,7 +350,7 @@ def test_lossless_evolution_matches_generator_exponential():
     init = DensityState.single_excitation(SPACE2, 3)
     ts = evolve(p, PulseSchedule([Stage(duration, point)]), init, SPACE2, {}, n_samples=2)
     h = build_hamiltonian(p, point, SPACE2).elements
-    stage_map = _expm(duration * _superoperator(h, []))
+    stage_map = _expm(duration * _superoperator(h, _dissipator([], 16)))
     expected = (stage_map @ init.rho.reshape(-1)).reshape(init.rho.shape)
     assert np.abs(ts.final_state.rho - expected).max() < 1e-10
 
@@ -314,7 +363,7 @@ def test_expm_byte_estimate():
     h = np.diag(np.arange(12.0))
     tracemalloc.start()
     try:
-        _expm(_superoperator(h, [np.eye(12)]))
+        _expm(_superoperator(h, _dissipator([np.eye(12)], 12)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -391,6 +440,19 @@ def test_chevron_population_bounds_and_csv():
     lines = chev.to_csv().splitlines()
     assert lines[0] == "detuning_mhz,tau_ns,p1"
     assert len(lines) == 1 + 3 * 21
+
+
+def test_chevron_csv_matches_cell_loop():
+    rng = np.random.default_rng(3)
+    chev = ChevronMap(
+        np.linspace(-20, 20, 7), np.linspace(0, 2000, 13), rng.random((7, 13))
+    )
+    chev.p1[0, :3] = [0.0, 1.0, 1e-12]
+    lines = ["detuning_mhz,tau_ns,p1\n"]
+    for i, d in enumerate(chev.detunings_mhz):
+        for j, t in enumerate(chev.taus_ns):
+            lines.append(f"{d:.9g},{t:.9g},{chev.p1[i, j]:.9f}\n")
+    assert chev.to_csv() == "".join(lines)
 
 
 def test_chevron_fixed_readout_delay_attenuates():

@@ -51,6 +51,28 @@ def test_trace_csv_with_uncertainty_and_no_header():
     assert np.all(trace.uncertainty == 0.01)
 
 
+@pytest.mark.parametrize("column", ["times", "values", "uncertainty"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trace_rejects_non_finite(column, bad):
+    cols = {"times": np.arange(10.0), "values": np.zeros(10), "uncertainty": np.ones(10)}
+    cols[column][4] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        TimeTrace(cols["times"], cols["values"], cols["uncertainty"])
+
+
+def test_trace_csv_first_row_is_data_when_it_parses():
+    # an exponent letter is no header: every one of the 50 rows is data
+    t = np.linspace(0.0, 49.0, 50)
+    csv = "\n".join(f"{a:g},{b:.3e}" for a, b in zip(t, np.cos(t)))
+    assert csv.startswith("0,1.000e+00\n")
+    trace = TimeTrace.from_csv(csv)
+    assert trace.times_ns.size == 50
+    assert trace.values[0] == 1.0
+    assert TimeTrace.from_csv("time_ns,value\n" + csv).times_ns.size == 50
+    with pytest.raises(ConfigError, match="line 1"):
+        TimeTrace.from_csv("time_ns,1.0\n" + csv)
+
+
 def test_trace_csv_malformed():
     with pytest.raises(ConfigError):
         TimeTrace.from_csv("time,value\n1,2,3,4\n")
@@ -130,6 +152,20 @@ def test_damped_cosine_seeded_noise_ensemble():
         if abs(out.estimates["frequency_per_ns"] - 0.006) / 0.006 < 0.02:
             successes += 1
     assert successes >= 95
+
+
+def test_damped_cosine_rejects_non_uniform_times():
+    rng = np.random.default_rng(11)
+    t = np.sort(rng.uniform(0.0, 1000.0, 80))
+    y = np.cos(2 * math.pi * 0.01 * t)
+    with pytest.raises(ConfigError, match="uniformly spaced"):
+        fit_damped_cosine(TimeTrace(t, y))
+    # a linspace grid, shifted or not, stays within the tolerance
+    t = np.linspace(0.0, 2000.0, 201)
+    y = np.cos(2 * math.pi * 0.004 * t)
+    for shift in (0.0, 123.0, 1e5):
+        out = fit_damped_cosine(TimeTrace(t + shift, y))
+        assert out.estimates["frequency_per_ns"] == pytest.approx(0.004, rel=1e-6)
 
 
 def test_damped_cosine_white_noise_rejected():
