@@ -59,8 +59,9 @@ class DeviceParams:
     4.80 GHz, qubit sweet spots at 4.641 and 4.91 GHz, qubit-resonator
     couplings of 27 and 30 MHz, and a 0.88 MHz direct qubit-qubit term.
     The resonator-resonator coupling and the anharmonicities were not
-    measured; g_ab defaults to zero and the anharmonicity to a typical
-    transmon value of -250 MHz.
+    measured; g_ab defaults to zero and the anharmonicity α to -0.250.
+    The Hamiltonian adds α·n(n−1) = α a†a†aa per qubit, so the 1→2
+    transition lies 2α (−500 MHz at the default) below the 0→1 one.
     """
 
     resonator_freq_a: float = 4.47
@@ -177,6 +178,21 @@ class OperatingPoint:
                 isinstance(v, (int, float)) and math.isfinite(v) and v > 0
             ):
                 raise ConfigError(f"{name} must be positive and finite, got {v!r}")
+
+
+def _require_resonator_clearance(params: DeviceParams, freq_ghz: float, what: str) -> None:
+    """PhysicsError if ``freq_ghz`` is within 3·max g_qr of a resonator.
+
+    A qubit there hybridizes with the resonator, so neither level tracking
+    nor the two-qubit exchange picture holds.
+    """
+    clearance = 3.0 * params.max_qubit_resonator_coupling
+    for tag, f_res in (("a", params.resonator_freq_a), ("b", params.resonator_freq_b)):
+        if abs(freq_ghz - f_res) < clearance:
+            raise PhysicsError(
+                f"{what} {freq_ghz} GHz is {abs(freq_ghz - f_res) * 1e3:.1f} MHz from "
+                f"resonator {tag} (needs {clearance * 1e3:.1f} MHz clearance)"
+            )
 
 
 # largest footprint a DeviceModel may need (see model_bytes); a bigger

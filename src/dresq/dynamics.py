@@ -21,13 +21,13 @@ projection is exact, not an approximation. Where counter-rotating terms
 connect the blocks the full space is used, and a stage map that would not
 fit in memory is refused before it is built.
 
-Vacuum-Rabi chevrons start from one excitation and so run on the
-5-dimensional N ≤ 1 block, which is the same at any truncation. All
-detuning columns share one τ grid, so they advance together: one batched
-product of the stacked column step maps per τ step. The readout is a
-linear functional of vec(ρ), so a fixed readout delay is applied by
-carrying that functional backwards through the padding rather than
-carrying every state forwards.
+:func:`evolve` and :func:`vacuum_rabi_chevron` share one block set-up
+and one sample loop, which applies each sample's stage and π-prep maps
+to a batch of block states and reads rows · vec(ρ), row 0 being the
+trace. ``evolve`` is a batch of one; an observable O is the row vec(Oᵀ).
+The chevron is a batch of detuning columns on the 5-state N ≤ 1 block
+that share one τ grid; a fixed readout delay carries the readout rows
+backwards through the padding rather than every state forwards.
 
 Units at the interface: linear GHz for frequencies, MHz for detunings
 and couplings where noted, ns for times, µs for coherence times.
@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationError, PhysicsError
+from .errors import ConfigError, IntegrationError
 from .fock import (
     HilbertSpace,
     OperatorMatrix,
@@ -51,7 +51,13 @@ from .fock import (
     number_operator,
     total_number_operator,
 )
-from .device import TWO_PI, DeviceParams, OperatingPoint, build_hamiltonian
+from .device import (
+    TWO_PI,
+    DeviceParams,
+    OperatingPoint,
+    _require_resonator_clearance,
+    build_hamiltonian,
+)
 
 TRACE_TOL = 1e-8
 
@@ -184,18 +190,14 @@ class TraceSeries:
 # collapse operators
 
 
-def collapse_operators(
-    params: DeviceParams,
-    space: HilbertSpace,
-    resonator_rate_per_us: float = 0.0,
-) -> list[OperatorMatrix]:
+def collapse_operators(params: DeviceParams, space: HilbertSpace) -> list[OperatorMatrix]:
     """Standard open-system operators from the device coherence times.
 
     Per qubit: a relaxation operator √(1/T1)·a and a pure-dephasing
     operator √(2/T_φ)·a†a with 1/T_φ = 1/T2 − 1/(2T1). Rates are per ns.
     Infinite lifetimes contribute nothing; with everything infinite the
-    list is empty and evolution is unitary. Resonator loss defaults to
-    zero (no measured rate) but can be switched on.
+    list is empty and evolution is unitary. The resonators have no
+    measured loss rate and get no collapse operator.
     """
     ops: list[OperatorMatrix] = []
     for qubit, mode in ((1, 2), (2, 3)):
@@ -214,10 +216,6 @@ def collapse_operators(
             ops.append(math.sqrt(gamma1) * lowering_operator(space, mode))
         if gamma_phi > 1e-15:
             ops.append(math.sqrt(2.0 * gamma_phi) * number_operator(space, mode))
-    if resonator_rate_per_us > 0:
-        kappa = resonator_rate_per_us / 1e3
-        for mode in (0, 1):
-            ops.append(math.sqrt(kappa) * lowering_operator(space, mode))
     return ops
 
 
@@ -335,10 +333,51 @@ def _closed_block(
 def _pi_flip_matrix(space: HilbertSpace, mode_index: int) -> np.ndarray:
     """Unitary swapping levels 0 and 1 of one mode (identity elsewhere)."""
     d = space.dims[mode_index]
-    local = np.eye(d, dtype=complex)
-    local[0, 0] = local[1, 1] = 0.0
-    local[0, 1] = local[1, 0] = 1.0
-    return embed_operator(space, mode_index, local).elements
+    return embed_operator(space, mode_index, np.eye(d)[[1, 0, *range(2, d)]]).elements
+
+
+def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_ghz,
+                 dissipation=True, unitary=True):
+    """Block indices, block Hamiltonians (one per point) and block collapse operators.
+
+    Hamiltonians are in the frame rotating at ``frame_ghz`` times the total
+    excitation number; collapse operators are built only with ``dissipation``.
+    The block is :func:`_closed_block`'s, with its memory guard sized for U ρ U†
+    maps if ``unitary`` is set and nothing decays, else for generator exponentials.
+    """
+    ls = [c.elements for c in collapse_operators(params, space)] if dissipation else []
+    hs = [
+        build_hamiltonian(params, p, space, include_counter_rotating=counter_rotating).elements
+        for p in points
+    ]
+    if frame_ghz:
+        frame_shift = TWO_PI * frame_ghz * total_number_operator(space).elements
+        hs = [h - frame_shift for h in hs]
+    stage_bytes = _unitary_bytes if unitary and not ls else _expm_bytes
+    idx = _closed_block(space, rho0, n_preps, hs + ls, stage_bytes)
+    sel = np.ix_(idx, idx)
+    return idx, [h[sel] for h in hs], [l[sel] for l in ls]
+
+
+def _sample(rho, steps, rows, act, where) -> tuple[np.ndarray, np.ndarray]:
+    """Readings (batch, row, sample) of a batch of block states, and the final states.
+
+    Sample j applies each map of ``steps[j]`` by ``act(map, rho)``, then
+    reads ``rows[j] · vec(ρ)``; row 0 is the trace row. Trace drift beyond
+    TRACE_TOL (or a NaN) raises IntegrationError, located by ``where(b, j)``
+    at the first failing batch member b and sample j.
+    """
+    readings = np.empty((len(rho), len(rows[0]), len(steps)))
+    for j, (maps, r) in enumerate(zip(steps, rows)):
+        for m in maps:
+            rho = act(m, rho)
+        readings[:, :, j] = (r @ rho.reshape(len(rho), -1, 1))[:, :, 0].real
+    tr = readings[:, 0]
+    bad = ~(np.abs(tr - 1.0) <= TRACE_TOL)  # a NaN trace counts as drift
+    if bad.any():
+        b, j = np.argwhere(bad)[0]
+        raise IntegrationError(f"trace drifted to {tr[b, j]:.12f} {where(b, j)}")
+    return readings, rho
 
 
 def evolve(
@@ -382,85 +421,74 @@ def evolve(
     if n_samples < 2:
         raise ConfigError("need at least 2 sample points")
 
-    l_mats = [c.elements for c in collapse_operators(params, space)]
-    hs = [
-        build_hamiltonian(
-            params, st.point, space, include_counter_rotating=include_counter_rotating
-        ).elements
-        for st in stages
-    ]
-    if frame_ghz != 0.0:
-        frame_shift = TWO_PI * frame_ghz * total_number_operator(space).elements
-        hs = [h - frame_shift for h in hs]
-
     n_preps = sum(st.prep is not None for st in stages)
-    stage_bytes = _expm_bytes if l_mats else _unitary_bytes
-    idx = _closed_block(space, initial.rho, n_preps, hs + l_mats, stage_bytes)
+    idx, hs, ls = _block_model(
+        params, space, [st.point for st in stages], initial.rho, n_preps,
+        include_counter_rotating, frame_ghz,
+    )
     sel = np.ix_(idx, idx)
-    h_blks = [h[sel] for h in hs]
-    if l_mats:
-        dissipator = _dissipator([l[sel] for l in l_mats], idx.size)
-        generators = [_superoperator(h, dissipator) for h in h_blks]
-
-        def stage_map(k: int, duration: float):
-            m = _expm(duration * generators[k])
-            return lambda rho: (m @ rho.reshape(-1)).reshape(rho.shape)
+    flips = {
+        tag: _pi_flip_matrix(space, 2 if tag == "pi_q1" else 3)[sel]
+        for tag in {st.prep for st in stages} - {None}
+    }
+    if ls:
+        # maps act on vec(ρ); a prep P becomes P ⊗ P̄
+        dissipator = _dissipator(ls, idx.size)
+        generators = [_superoperator(h, dissipator) for h in hs]
+        flips = {tag: np.kron(p, p.conj()) for tag, p in flips.items()}
+        rho = initial.rho[sel].reshape(1, -1, 1)
+        act = np.matmul
     else:
-        eigs = [eigendecompose_hermitian(OperatorMatrix(space, h, idx)) for h in h_blks]
+        eigs = [eigendecompose_hermitian(OperatorMatrix(space, h, idx)) for h in hs]
+        rho = initial.rho[sel][None]
 
-        def stage_map(k: int, duration: float):
-            e, v = eigs[k]
-            u = (v * np.exp(-1j * duration * e)) @ v.conj().T
-            return lambda rho: u @ rho @ u.conj().T
+        def act(u, rho):
+            return u @ rho @ u.conj().T
 
     maps = {}
 
-    def advance(rho: np.ndarray, k: int, duration: float) -> np.ndarray:
+    def hold(k: int, duration: float) -> list[np.ndarray]:
         if duration <= 0:
-            return rho
+            return []
         key = (k, round(duration, 12))  # uniform samples share one map
         if key not in maps:
-            maps[key] = stage_map(k, duration)
-        return maps[key](rho)
+            if ls:
+                maps[key] = _expm(duration * generators[k])
+            else:
+                e, v = eigs[k]
+                maps[key] = (v * np.exp(-1j * duration * e)) @ v.conj().T
+        return [maps[key]]
 
-    def prep(rho: np.ndarray, stage: Stage) -> np.ndarray:
-        if not stage.prep:
-            return rho
-        u = _pi_flip_matrix(space, 2 if stage.prep == "pi_q1" else 3)[sel]
-        return u @ rho @ u.conj().T
+    def prep(k: int) -> list[np.ndarray]:
+        return [flips[stages[k].prep]] if stages[k].prep else []
 
-    sample_times = np.linspace(0.0, total, n_samples)
-    obs_names = list(observables)
-    obs_mats = [observables[k].elements[sel] for k in obs_names]
-    records = {k: np.empty(n_samples) for k in obs_names}
-
-    rho = prep(initial.rho[sel], stages[0])
-    t_now = 0.0
-    stage_idx = 0
-    stage_end = stages[0].duration_ns
-
-    for i, ts in enumerate(sample_times):
-        # cross stage boundaries up to the sample time
-        while ts > stage_end + 1e-9 and stage_idx + 1 < len(stages):
-            rho = advance(rho, stage_idx, stage_end - t_now)
+    # each sample's maps: stage boundaries crossed since the last sample,
+    # with the preps they bring, then the hold up to the sample time
+    times = np.linspace(0.0, total, n_samples)
+    steps, stage_at = [], []
+    pending = prep(0)
+    k, t_now, stage_end = 0, 0.0, stages[0].duration_ns
+    for ts in times:
+        while ts > stage_end + 1e-9 and k + 1 < len(stages):
+            pending += hold(k, stage_end - t_now)
             t_now = stage_end
-            stage_idx += 1
-            stage_end += stages[stage_idx].duration_ns
-            rho = prep(rho, stages[stage_idx])
-        rho = advance(rho, stage_idx, ts - t_now)
-        t_now = ts
-        tr = rho.trace().real
-        if not abs(tr - 1.0) <= TRACE_TOL:  # a NaN trace counts as drift
-            raise IntegrationError(
-                f"trace drifted to {tr:.12f} at t = {ts:.3f} ns "
-                f"(stage {stage_idx}, {idx.size}-state block)"
-            )
-        for name, mat in zip(obs_names, obs_mats):
-            records[name][i] = np.real(np.trace(mat @ rho))
+            k += 1
+            stage_end += stages[k].duration_ns
+            pending += prep(k)
+        steps.append(pending + hold(k, ts - t_now))
+        stage_at.append(k)
+        pending, t_now = [], ts
 
+    names = list(observables)
+    rows = np.stack([np.eye(idx.size)] + [observables[n].elements[sel].T for n in names])
+    readings, rho = _sample(
+        rho, steps, [rows.reshape(len(rows), -1)] * n_samples, act,
+        lambda b, j: f"at t = {times[j]:.3f} ns (stage {stage_at[j]}, {idx.size}-state block)",
+    )
     final = np.zeros((space.size, space.size), dtype=complex)
-    final[sel] = rho
-    return TraceSeries(sample_times, records, DensityState(space, final))
+    final[sel] = rho.reshape(idx.size, idx.size)
+    records = {n: readings[0, i + 1] for i, n in enumerate(names)}
+    return TraceSeries(times, records, DensityState(space, final))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +526,6 @@ class ChevronMap:
     detunings_mhz: np.ndarray
     taus_ns: np.ndarray
     p1: np.ndarray  # shape (len(detunings), len(taus))
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.p1.shape != (len(self.detunings_mhz), len(self.taus_ns)):
@@ -540,19 +567,13 @@ def vacuum_rabi_chevron(
     is recorded. With ``prep_to_readout_ns`` set, the state is further
     evolved at the bias point until that fixed total delay before
     readout. Runs in the excitation-conserving model on the exact N ≤ 1
-    block, with the same stage exponentials and shared dissipator as
-    :func:`evolve`. A trace drift beyond 1e-8 (or a NaN) in any cell
-    raises IntegrationError naming the first such column.
+    block, through the block set-up and sample loop of :func:`evolve`. A
+    trace drift beyond 1e-8 (or a NaN) in any cell raises
+    IntegrationError naming the first such column.
 
     τ values must form a uniform ascending grid starting at 0.
     """
-    margin = 3.0 * params.max_qubit_resonator_coupling
-    for f_res, tag in ((params.resonator_freq_a, "a"), (params.resonator_freq_b, "b")):
-        if abs(q2_target - f_res) < margin:
-            raise PhysicsError(
-                f"interaction point {q2_target} GHz is within {margin * 1e3:.1f} MHz of "
-                f"resonator {tag}; the exchange picture breaks down there"
-            )
+    _require_resonator_clearance(params, q2_target, "interaction point")
     taus = np.asarray(taus_ns, dtype=float)
     if taus.ndim != 1 or taus.size < 2:
         raise ConfigError("chevron needs at least 2 interaction times")
@@ -571,66 +592,37 @@ def vacuum_rabi_chevron(
 
     # two levels per mode hold the N <= 1 block, where the anharmonic term vanishes
     space = HilbertSpace((2, 2, 2, 2))
-    l_mats = [c.elements for c in collapse_operators(params, space)] if dissipation else []
-    # exact frame change in the excitation-conserving model
-    frame_shift = TWO_PI * q2_target * total_number_operator(space).elements
-
-    def hamiltonian(point: OperatingPoint) -> np.ndarray:
-        h = build_hamiltonian(params, point, space, include_counter_rotating=False)
-        return h.elements - frame_shift
-
-    hs = [hamiltonian(OperatingPoint(q2_target + off * 1e-3, q2_target)) for off in offsets]
-    h_pad = [hamiltonian(bias)] if prep_to_readout_ns is not None else []
     rho0 = DensityState.single_excitation(space, 3).rho
-    idx = _closed_block(space, rho0, 0, hs + h_pad + l_mats, _expm_bytes)
-    sel = np.ix_(idx, idx)
-    dissipator = _dissipator([l[sel] for l in l_mats], idx.size)
-    block_dim = idx.size
-    q1_slot = int(np.searchsorted(idx, space.single_excitation_indices()[2]))
-    n_tau = taus.size
+    holds = [OperatingPoint(q2_target + off * 1e-3, q2_target) for off in offsets]
+    padded = prep_to_readout_ns is not None
+    # the readout rows are carried through generators even without dissipation
+    idx, hs, ls = _block_model(
+        params, space, holds + [bias] * padded, rho0, 0, False, q2_target,
+        dissipation=dissipation, unitary=False,
+    )
+    d = idx.size
+    dissipator = _dissipator(ls, d)
+    generators = [_superoperator(h, dissipator) for h in hs]
 
-    # the readout is linear in vec(ρ): row 0 reads <q1|ρ|q1>, row 1 tr ρ
-    readout = np.zeros((2, block_dim * block_dim))
-    readout[0, q1_slot * (block_dim + 1)] = 1.0
-    readout[1, :: block_dim + 1] = 1.0
+    # row 0 reads tr ρ, row 1 <q1|ρ|q1>
+    readout = np.zeros((2, d * d))
+    readout[0, :: d + 1] = 1.0
+    readout[1, np.searchsorted(idx, space.single_excitation_indices()[2]) * (d + 1)] = 1.0
     # rows[j] reads the state at the end of τ_j; with a fixed readout delay
     # it is carried backwards through the padding, one step map per τ step
-    rows = [readout] * n_tau
-    if h_pad:
-        s_pad = _superoperator(h_pad[0][sel], dissipator)
+    rows = [readout] * taus.size
+    if padded:
+        s_pad = generators.pop()
         step_pad = _expm(dtau * s_pad)
         rows[-1] = readout @ _expm(max(prep_to_readout_ns - taus[-1], 0.0) * s_pad)
-        for j in range(n_tau - 2, -1, -1):
+        for j in range(taus.size - 2, -1, -1):
             rows[j] = rows[j + 1] @ step_pad
 
     # every column advances in lockstep, one batched product per τ step
-    steps = np.stack([_expm(dtau * _superoperator(h[sel], dissipator)) for h in hs])
-    vecs = np.repeat(rho0[sel].reshape(1, -1, 1), offsets.size, axis=0)
-    readings = np.empty((n_tau, offsets.size, 2))
-    for j in range(n_tau):
-        if j > 0:
-            vecs = steps @ vecs
-        readings[j] = (rows[j] @ vecs)[:, :, 0].real
-    p1, tr = readings[:, :, 0].T, readings[:, :, 1].T
-    bad = ~(np.abs(tr - 1.0) <= TRACE_TOL)  # a NaN trace counts as drift
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise IntegrationError(f"trace drifted to {tr[i, j]:.12f} in chevron column {i}")
-
-    p1 = np.clip(p1, 0.0, 1.0)
-    meta = {
-        "bias_q1_ghz": bias.qubit_freq_1,
-        "bias_q2_ghz": bias.qubit_freq_2,
-        "q2_target_ghz": q2_target,
-        "prep_to_readout_ns": prep_to_readout_ns,
-        "dissipation": dissipation,
-        "block_dim": block_dim,
-    }
-    return ChevronMap(offsets, taus, p1, meta)
-
-
-def contrast_map(p1_series, scale: float, baseline: float):
-    """Affine readout-contrast model: scale · p1 + baseline."""
-    if not (math.isfinite(scale) and math.isfinite(baseline)):
-        raise ConfigError("contrast scale and baseline must be finite")
-    return scale * np.asarray(p1_series, dtype=float) + baseline
+    step = np.stack([_expm(dtau * s) for s in generators])
+    vecs = np.repeat(rho0[np.ix_(idx, idx)].reshape(1, -1, 1), offsets.size, axis=0)
+    readings, _ = _sample(
+        vecs, [[]] + [[step]] * (taus.size - 1), rows, np.matmul,
+        lambda i, j: f"in chevron column {i}",
+    )
+    return ChevronMap(offsets, taus, np.clip(readings[:, 1], 0.0, 1.0))

@@ -123,9 +123,6 @@ class OperatorMatrix:
         """Largest element-wise magnitude of M - M†."""
         return float(np.abs(self.elements - self.elements.conj().T).max())
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return self.hermiticity_defect() < tol
-
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self._like(self.elements @ other.elements)
 

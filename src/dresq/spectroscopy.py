@@ -23,6 +23,7 @@ from .device import (
     MODE_NAMES,
     DeviceParams,
     OperatingPoint,
+    _require_resonator_clearance,
     build_hamiltonian,
     device_model,
 )
@@ -227,13 +228,7 @@ def qubit_qubit_gap(
     """
     if space is None:
         space = HilbertSpace((3, 3, 3, 3))
-    margin = 3.0 * params.max_qubit_resonator_coupling
-    for f_res, tag in ((params.resonator_freq_a, "a"), (params.resonator_freq_b, "b")):
-        if abs(qubit2_freq - f_res) < margin:
-            raise PhysicsError(
-                f"qubit-2 setpoint {qubit2_freq} GHz is within {margin * 1e3:.1f} MHz "
-                f"of resonator {tag}; qubit-character tracking is unreliable there"
-            )
+    _require_resonator_clearance(params, qubit2_freq, "qubit-2 setpoint")
     if sweep_1 is None:
         half_span = 0.020
         sweep_1 = (qubit2_freq - half_span, qubit2_freq + half_span, DEFAULT_GAP_GRID)
@@ -246,12 +241,7 @@ def qubit_qubit_gap(
         )
     grid = np.linspace(lo, hi, count)
     for f1 in (lo, hi):
-        for f_res, tag in ((params.resonator_freq_a, "a"), (params.resonator_freq_b, "b")):
-            if abs(f1 - f_res) < margin:
-                raise PhysicsError(
-                    f"sweep endpoint {f1} GHz too close to resonator {tag} "
-                    f"(needs {margin * 1e3:.1f} MHz clearance)"
-                )
+        _require_resonator_clearance(params, f1, "sweep endpoint")
 
     seps = np.empty(count)
     pairs = []

@@ -192,6 +192,13 @@ def test_gap_setpoint_too_close_to_resonator():
         qubit_qubit_gap(DeviceParams(), 4.49, space=SPACE)
 
 
+def test_gap_sweep_endpoint_too_close_to_resonator():
+    # the setpoint clears resonator a by 95 MHz, but the default sweep's
+    # lower endpoint 4.545 GHz is 75 MHz from it, inside the 90 MHz clearance
+    with pytest.raises(PhysicsError, match=r"sweep endpoint .* resonator a .*90\.0 MHz"):
+        qubit_qubit_gap(DeviceParams(), 4.565)
+
+
 def test_gap_vs_setpoint_decreasing():
     results, errors = gap_vs_setpoint(DeviceParams(), [4.58, 4.60, 4.62], SPACE)
     assert errors == [None, None, None]
