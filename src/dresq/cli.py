@@ -70,6 +70,12 @@ def _load_device(path: Path | None) -> DeviceParams:
     return DeviceParams.from_json(path.read_text())
 
 
+def _grid(start: float, stop: float, points: int, flag: str) -> np.ndarray:
+    if points < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {points}")
+    return np.linspace(start, stop, points)
+
+
 def _write_outputs(out_dir: Path, config: dict, artifacts: dict[str, str]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     checksums = {}
@@ -86,7 +92,7 @@ def _write_outputs(out_dir: Path, config: dict, artifacts: dict[str, str]) -> No
 def cmd_spectrum(args) -> int:
     params = _load_device(args.device)
     space = HilbertSpace(args.dims)
-    values = np.linspace(args.start, args.stop, args.points)
+    values = _grid(args.start, args.stop, args.points, "--points")
     fixed = OperatingPoint(args.fixed_q1, args.fixed_q2)
     sweep = spectroscopy.sweep_spectrum(
         params, args.axis, values, fixed, space, n_levels=args.levels
@@ -113,7 +119,7 @@ def cmd_spectrum(args) -> int:
 def cmd_geff(args) -> int:
     params = _load_device(args.device)
     space = HilbertSpace(args.dims)
-    freqs = np.linspace(args.start, args.stop, args.points)
+    freqs = _grid(args.start, args.stop, args.points, "--points")
     switch_off = find_switch_off(params, (args.start, args.stop))
     rows = ["freq_ghz,geff_mhz,ed_half_gap_mhz"]
     geffs, half_gaps = [], []
@@ -177,12 +183,8 @@ def cmd_gapscan(args) -> int:
 
 def cmd_chevron(args) -> int:
     params = _load_device(args.device)
-    if args.tau_points < 2:
-        raise ConfigError("degenerate interaction-time grid: need at least 2 points")
-    if args.detuning_points < 1:
-        raise ConfigError("need at least one detuning point")
-    taus = np.linspace(0.0, args.tau_max, args.tau_points)
-    offsets = np.linspace(-args.span_mhz, args.span_mhz, args.detuning_points)
+    taus = _grid(0.0, args.tau_max, args.tau_points, "--tau-points")
+    offsets = _grid(-args.span_mhz, args.span_mhz, args.detuning_points, "--detuning-points")
     bias = OperatingPoint(args.bias_q1, args.bias_q2)
     chev = dynamics.vacuum_rabi_chevron(
         params, bias, args.target, offsets, taus,

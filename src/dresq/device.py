@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, asdict, fields
 
@@ -88,8 +89,10 @@ class DeviceParams:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
                 raise ConfigError(f"parameter {f.name} must be a number, got {v!r}")
+            if isinstance(v, int) and abs(v) > sys.float_info.max:
+                raise ConfigError(f"parameter {f.name} is an integer beyond the float range")
             # infinite coherence times mean "no dissipation"; everything else
             # must be finite
             if math.isinf(v) and not f.name.startswith(("t1_", "t2_")):
@@ -148,7 +151,7 @@ class DeviceParams:
         """
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
             raise ConfigError(f"device file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("device file must be a JSON object")

@@ -571,19 +571,23 @@ def vacuum_rabi_chevron(
     trace drift beyond 1e-8 (or a NaN) in any cell raises
     IntegrationError naming the first such column.
 
-    τ values must form a uniform ascending grid starting at 0.
+    τ values must form a finite uniform ascending grid from 0, and a readout
+    delay must be finite.
     """
     _require_resonator_clearance(params, q2_target, "interaction point")
     taus = np.asarray(taus_ns, dtype=float)
     if taus.ndim != 1 or taus.size < 2:
         raise ConfigError("chevron needs at least 2 interaction times")
     dt = np.diff(taus)
-    if abs(taus[0]) > 1e-12 or dt.min() <= 0 or (dt.max() - dt.min()) > GRID_TOL_NS:
-        raise ConfigError("interaction times must be a uniform ascending grid from 0")
+    if (not np.isfinite(taus).all() or abs(taus[0]) > 1e-12 or dt.min() <= 0
+            or (dt.max() - dt.min()) > GRID_TOL_NS):
+        raise ConfigError("interaction times must be a finite uniform ascending grid from 0")
     dtau = float(dt[0])
     offsets = np.asarray(q1_offsets_mhz, dtype=float)
     if offsets.ndim != 1 or offsets.size < 1:
         raise ConfigError("need at least one detuning offset")
+    if prep_to_readout_ns is not None and not np.isfinite(prep_to_readout_ns):
+        raise ConfigError(f"prep-to-readout interval must be finite, got {prep_to_readout_ns}")
     if prep_to_readout_ns is not None and prep_to_readout_ns < taus[-1] - 1e-9:
         raise ConfigError(
             f"prep-to-readout interval {prep_to_readout_ns} ns shorter than the "

@@ -3,9 +3,10 @@ the exchange coupling from chevron data.
 
 All fits go through one damped Gauss-Newton (Levenberg-Marquardt) core
 with analytic Jacobians: deterministic, bounded at 200 iterations, step
-tolerance 1e-10. Oscillation frequencies are seeded from the
-periodogram peak of the mean-subtracted trace, which is what keeps
-low-signal data from landing in local minima.
+tolerance 1e-10. A damped cosine gets one start: its frequency from the
+periodogram peak of the mean-subtracted trace, which keeps low-signal
+data out of local minima, and its amplitude, phase and offset from an
+exact linear solve at that frequency.
 
 Registered models:
     exp_decay       A·exp(-t/T) + c
@@ -15,7 +16,6 @@ Registered models:
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -240,8 +240,8 @@ def fit_exp_decay(trace: TimeTrace) -> FitOutcome:
     )
 
 
-def _periodogram_peak(trace: TimeTrace) -> tuple[float, float, float]:
-    """Frequency (1/ns), peak power and median power of the detrended trace."""
+def _periodogram_peak(trace: TimeTrace) -> tuple[float, float, float, float]:
+    """Peak frequency, peak and median power, Nyquist frequency (1/ns)."""
     t, y, _ = _weighted(trace)
     dt = float(np.mean(np.diff(t)))
     z = y - y.mean()
@@ -251,14 +251,17 @@ def _periodogram_peak(trace: TimeTrace) -> tuple[float, float, float]:
     spec[0] = 0.0
     k = int(np.argmax(spec))
     median = float(np.median(spec[1:]))
-    return float(freqs[k]), float(spec[k]), median
+    return float(freqs[k]), float(spec[k]), median, float(freqs[-1])
 
 
 def fit_damped_cosine(trace: TimeTrace) -> FitOutcome:
-    """Fit A·exp(-t/τ)·cos(2π f t + φ) + c with periodogram frequency seeding.
+    """Fit A·exp(-t/τ)·cos(2π f t + φ) + c from one start.
 
-    The periodogram assumes uniform sampling, so the time steps may differ
-    by at most GRID_TOL_NS, the tolerance the chevron applies to τ.
+    At the periodogram frequency and τ = window the model is linear in
+    (A cos φ, -A sin φ, c): one weighted solve gives them, one LM run
+    refines all five. A peak at Nyquist (A and φ unresolvable) or a fit
+    ending above it (an alias) raises FitError. The periodogram needs
+    uniform sampling: steps may differ by at most GRID_TOL_NS.
     """
     t, y, w = _weighted(trace)
     dt = np.diff(t)
@@ -267,7 +270,7 @@ def fit_damped_cosine(trace: TimeTrace) -> FitOutcome:
             f"a damped-cosine fit needs uniformly spaced times; the steps span "
             f"{dt.min():.6g} to {dt.max():.6g} ns"
         )
-    f_seed, peak, median = _periodogram_peak(trace)
+    f_seed, peak, median, nyquist = _periodogram_peak(trace)
     window = trace.window_ns
     if median <= 0 or peak < PEAK_OVER_MEDIAN * median:
         raise FitError("oscillation not detected: no spectral peak above the noise floor")
@@ -276,9 +279,12 @@ def fit_damped_cosine(trace: TimeTrace) -> FitOutcome:
             f"oscillation not detected: fewer than {MIN_PERIODS:g} periods in the "
             f"{window:.3g} ns window"
         )
-    c0 = float(y.mean())
-    a0 = float(math.sqrt(2.0) * np.std(y - c0))
+    if f_seed >= nyquist:
+        raise FitError(f"oscillation cannot be resolved at the {nyquist:.4g} /ns Nyquist frequency")
     tau0 = window  # weak-damping seed; the solver shrinks it as needed
+    e0, arg0 = np.exp(-(t - t[0]) / tau0), 2.0 * math.pi * f_seed * t
+    basis = np.stack([e0 * np.cos(arg0), e0 * np.sin(arg0), np.ones_like(t)]) * w
+    u, v, c0 = np.linalg.solve(basis @ basis.T, basis @ (y * w))
 
     def rj(p):
         a, f, phi, log_tau, c = p
@@ -298,26 +304,16 @@ def fit_damped_cosine(trace: TimeTrace) -> FitOutcome:
         jac[:, 4] = w
         return r, jac
 
-    # a start can converge to an alias above the Nyquist frequency, which
-    # matches the samples exactly and would win the residual comparison
-    nyquist = 0.5 / float(np.mean(np.diff(t)))
-    best = None
-    for phi0 in (0.0, math.pi / 2, math.pi, -math.pi / 2):
-        p0 = np.array([a0, f_seed, phi0, math.log(tau0), c0])
-        p, sig, rms, conv, it = _levenberg_marquardt(rj, p0)
-        if abs(p[1]) <= nyquist and (best is None or rms < best[2]):
-            best = (p, sig, rms, conv, it)
-    if best is None:
-        raise FitError(
-            f"every fit start converged above the {nyquist:.4g} /ns Nyquist frequency"
-        )
-    p, sig, rms, conv, it = best
+    p0 = np.array([math.hypot(u, v), f_seed, math.atan2(-v, u), math.log(tau0), c0])
+    p, sig, rms, conv, it = _levenberg_marquardt(rj, p0)
     a, f, phi, log_tau, c = p
+    f = abs(f)
+    if f > nyquist:
+        raise FitError(f"fit ended at {f:.4g} /ns, above the {nyquist:.4g} /ns Nyquist frequency")
     log_tau = min(max(log_tau, -10.0), 30.0)
     if a < 0:
         a, phi = -a, phi + math.pi
     phi = math.atan2(math.sin(phi), math.cos(phi))
-    f = abs(f)
     return FitOutcome(
         "damped_cosine",
         {

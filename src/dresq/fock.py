@@ -13,7 +13,7 @@ excitation-parity block, and is then diagonalized on that subset alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
 
@@ -31,24 +31,22 @@ class HilbertSpace:
     """Ordered list of per-mode truncation dimensions.
 
     Immutable; the composite dimension is the product of the per-mode
-    dimensions and must stay below ``dimension_cap``.
+    dimensions and may not exceed DEFAULT_DIMENSION_CAP.
     """
 
     dims: tuple[int, ...]
-    dimension_cap: int = DEFAULT_DIMENSION_CAP
 
-    def __init__(self, dims: Iterable[int], dimension_cap: int = DEFAULT_DIMENSION_CAP):
+    def __init__(self, dims: Iterable[int]):
         dims = tuple(int(d) for d in dims)
         if len(dims) < 1:
             raise ConfigError("a Hilbert space needs at least one mode")
         if any(d < 2 for d in dims):
             raise ConfigError(f"every mode needs dimension >= 2, got {dims}")
-        if prod(dims) > dimension_cap:
+        if prod(dims) > DEFAULT_DIMENSION_CAP:
             raise ConfigError(
-                f"total dimension {prod(dims)} exceeds cap {dimension_cap}"
+                f"total dimension {prod(dims)} exceeds cap {DEFAULT_DIMENSION_CAP}"
             )
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "dimension_cap", int(dimension_cap))
 
     @property
     def size(self) -> int:

@@ -151,8 +151,18 @@ def test_chevron_below_floor_at_switch_off(tmp_path):
     assert verdict["below_floor"]
 
 
-def test_chevron_degenerate_tau_grid_exit_2(tmp_path):
-    assert run(["chevron", "--tau-points", 1, "--out", tmp_path / "x"]) == 2
+@pytest.mark.parametrize("argv", [
+    pytest.param(["chevron", "--tau-points", "1"], id="chevron-tau-points-1"),
+    pytest.param(["chevron", "--tau-max", "nan"], id="chevron-tau-max-nan"),
+    pytest.param(["chevron", "--prep-to-readout", "nan"], id="chevron-prep-to-readout-nan"),
+    pytest.param(["spectrum", "--start", "4.4", "--stop", "4.5", "--points", "-1"],
+                 id="spectrum-points-negative"),
+    pytest.param(["geff", "--points", "0"], id="geff-points-0"),
+    pytest.param(["geff", "--points", "-3"], id="geff-points-negative"),
+])
+def test_malformed_grid_exit_2(tmp_path, argv):
+    assert run(argv + ["--out", tmp_path / "x"]) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_fit_command(tmp_path):
@@ -208,6 +218,12 @@ def test_gapscan_error_text_round_trips(tmp_path, monkeypatch):
 def test_unknown_device_key_exit_2(tmp_path):
     device = tmp_path / "device.json"
     device.write_text(json.dumps({"coupling_strength": 1.0}))
+    assert run(["geff", "--device", device, "--out", tmp_path / "g"]) == 2
+
+
+def test_oversized_device_integer_exit_2(tmp_path):
+    device = tmp_path / "device.json"
+    device.write_text('{"g_12": 1' + "0" * 400 + "}")
     assert run(["geff", "--device", device, "--out", tmp_path / "g"]) == 2
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dresq.errors import ConfigError, PhysicsError
 from dresq.fock import HilbertSpace, eigendecompose_hermitian
@@ -71,6 +73,35 @@ def test_json_partial_and_null_lifetimes():
     assert p.g_12 == 0.001
     assert math.isinf(p.t1_qubit1)
     assert p.resonator_freq_b == 4.80  # defaults fill in
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"g_12": 1' + "0" * 400 + "}", id="g_12-401-digits"),
+    pytest.param('{"t1_qubit1": 1' + "0" * 400 + "}", id="t1-401-digits"),
+    # past the interpreter's limit on parsing integers
+    pytest.param('{"g_12": ' + "1" * 5000 + "}", id="g_12-5000-digits"),
+])
+def test_json_oversized_integer_rejected(text):
+    with pytest.raises(ConfigError):
+        DeviceParams.from_json(text)
+
+
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**400, 10**400),
+    st.floats(), st.text(max_size=4), st.lists(st.floats(), max_size=2),
+)
+
+
+@pytest.mark.filterwarnings("ignore:largest coupling")
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(DeviceParams)]),
+                       json_values))
+def test_json_fuzz_round_trips_or_raises_config_error(raw):
+    try:
+        p = DeviceParams.from_json(json.dumps(raw))
+    except ConfigError:
+        return
+    assert DeviceParams.from_json(p.to_json()) == p
 
 
 def test_operating_point_validation():

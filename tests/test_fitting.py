@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dresq.errors import ConfigError, FitError
 from dresq.device import DeviceParams, OperatingPoint
 from dresq.dynamics import ChevronMap, vacuum_rabi_chevron
 from dresq.fitting import (
+    MIN_POINTS,
     ChevronCouplingFit,
     TimeTrace,
     fit_damped_cosine,
@@ -42,6 +44,28 @@ def test_trace_csv_round_trip():
     assert np.allclose(trace.times_ns, t)
     assert np.allclose(trace.values, y)
     assert trace.uncertainty is None
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(finite, min_size=MIN_POINTS, max_size=40, unique=True), st.data(),
+       st.booleans(), st.booleans())
+def test_trace_csv_round_trip_property(times, data, header, with_sigma):
+    n = len(times)
+    cols = [sorted(times), data.draw(st.lists(finite, min_size=n, max_size=n))]
+    if with_sigma:
+        cols.append(data.draw(st.lists(st.floats(1e-9, 1e6), min_size=n, max_size=n)))
+    rows = [",".join(repr(c[i]) for c in cols) for i in range(n)]
+    if header:
+        rows.insert(0, "time_ns,value,sigma" if with_sigma else "time_ns,value")
+    trace = TimeTrace.from_csv("\n".join(rows) + "\n")
+    assert trace.times_ns.tolist() == cols[0]
+    assert trace.values.tolist() == cols[1]
+    assert (trace.uncertainty is not None) == with_sigma
+    if with_sigma:
+        assert trace.uncertainty.tolist() == cols[2]
 
 
 def test_trace_csv_with_uncertainty_and_no_header():
@@ -183,6 +207,34 @@ def test_damped_cosine_slow_oscillation_rejected():
         fit_damped_cosine(TimeTrace(t, y))
 
 
+def test_damped_cosine_runs_one_levenberg_marquardt_fit(monkeypatch):
+    from dresq import fitting
+
+    runs = []
+
+    def counted(rj, p0):
+        out = real(rj, p0)
+        runs.append(out[4])
+        return out
+
+    real = fitting._levenberg_marquardt
+    monkeypatch.setattr(fitting, "_levenberg_marquardt", counted)
+    t = np.linspace(0, 1000, 200)
+    y = 0.5 * np.exp(-t / 1000.0) * np.cos(2 * math.pi * 0.006 * t + 0.3) + 0.2
+    out = fit_damped_cosine(TimeTrace(t, y))
+    assert len(runs) == 1
+    assert out.n_iterations == runs[0]
+
+
+@pytest.mark.parametrize("offset, decay_ns", [(0.0, math.inf), (0.2, 100.0)])
+def test_damped_cosine_refuses_a_peak_at_nyquist(offset, decay_ns):
+    # (-1)^k: amplitude and phase cannot be told apart at the Nyquist frequency
+    t = np.arange(64.0)
+    y = np.exp(-t / decay_ns) * np.cos(math.pi * t) + offset
+    with pytest.raises(FitError, match="cannot be resolved.*Nyquist"):
+        fit_damped_cosine(TimeTrace(t, y))
+
+
 def test_time_shift_changes_only_phase():
     t = np.linspace(0, 1000, 200)
     signal = lambda tt: 0.4 * np.exp(-tt / 2000.0) * np.cos(2 * math.pi * 0.008 * tt + 0.5) + 0.1
@@ -269,7 +321,7 @@ def test_geff_from_chevron_edge_resonance_rejected():
         geff_from_chevron(chev)
 
 
-@pytest.mark.parametrize("target", [4.5975, 4.600])
+@pytest.mark.parametrize("target", [4.578, 4.586, 4.594, 4.5975, 4.600, 4.606])
 def test_geff_from_chevron_stable_under_tiny_perturbation(target):
     # paper device with a fixed readout delay: a 1e-8 change of p1 must not
     # let a damped-cosine fit jump to an alias above the Nyquist frequency

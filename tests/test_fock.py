@@ -34,7 +34,6 @@ def test_space_validation():
     with pytest.raises(ConfigError):
         HilbertSpace((8, 8, 8, 16))  # 8192 exceeds the 4096 cap
     HilbertSpace((8, 8, 8, 8))  # exactly at the cap is allowed
-    HilbertSpace((8, 8, 8, 16), dimension_cap=8192)  # raising the cap works
 
 
 def test_dims_immutable():
