@@ -239,9 +239,10 @@ def _dissipator(collapse: list[np.ndarray], n: int) -> np.ndarray:
 
 
 def _superoperator(h: np.ndarray, dissipator: np.ndarray) -> np.ndarray:
-    """Lindblad generator -i[H, ·] plus a :func:`_dissipator` on vec(ρ)."""
-    eye = np.eye(h.shape[0])
-    return dissipator - 1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    """Lindblad generators -i[H, ·] plus a :func:`_dissipator` on vec(ρ), for a
+    (…, n, n) stack of Hamiltonians (``np.kron`` pairs the stack members)."""
+    eye = np.eye(h.shape[-1])
+    return dissipator - 1j * (np.kron(h, eye) - np.kron(eye, np.swapaxes(h, -1, -2)))
 
 
 # numerator coefficients of the degree-13 Padé approximant to exp and the
@@ -255,12 +256,17 @@ _THETA13 = 5.371920351148152
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring with the degree-13 Padé approximant."""
-    norm = float(np.abs(a).sum(axis=0).max())
-    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    a = a / 2.0**squarings
+    """exp of each matrix of a (…, n, n) stack by scaling and squaring with
+    the degree-13 Padé approximant; a single matrix is a stack of one.
+
+    Each member is scaled by its own power of two and squared back only
+    as often as its own 1-norm asks.
+    """
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    squarings = np.ceil(np.log2(np.fmax(norms, _THETA13) / _THETA13)).astype(int)
+    a = a / 2.0 ** squarings[..., None, None]
     b = _PADE13
-    ident = np.eye(a.shape[0], dtype=a.dtype)
+    ident = np.eye(a.shape[-1], dtype=a.dtype)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
@@ -269,8 +275,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
+    for k in range(squarings.max()):
+        more = squarings > k
+        rk = r[more]
+        r[more] = rk @ rk
     return r
 
 
@@ -279,7 +287,8 @@ def _expm_bytes(dim: int) -> int:
 
     The generator is a complex d²×d² matrix. :func:`_expm` peaks at
     eleven matrices of that size, its input included (the powers, the
-    Padé sums and the solve); one more holds the map it returns.
+    Padé sums and the solve); one more holds the map it returns. A stack
+    of m generators takes m times as much.
     """
     return 12 * 16 * dim**4
 
@@ -433,8 +442,7 @@ def evolve(
     }
     if ls:
         # maps act on vec(ρ); a prep P becomes P ⊗ P̄
-        dissipator = _dissipator(ls, idx.size)
-        generators = [_superoperator(h, dissipator) for h in hs]
+        generators = _superoperator(np.stack(hs), _dissipator(ls, idx.size))
         flips = {tag: np.kron(p, p.conj()) for tag, p in flips.items()}
         rho = initial.rho[sel].reshape(1, -1, 1)
         act = np.matmul
@@ -545,9 +553,6 @@ class ChevronMap:
             buf.write("".join([f"{lead}{t}{p:.9f}\n" for t, p in zip(taus, row)]))
         return buf.getvalue()
 
-    def column(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.taus_ns, self.p1[i]
-
 
 def vacuum_rabi_chevron(
     params: DeviceParams,
@@ -572,7 +577,9 @@ def vacuum_rabi_chevron(
     IntegrationError naming the first such column.
 
     τ values must form a finite uniform ascending grid from 0, and a readout
-    delay must be finite.
+    delay must be finite. All columns' step maps are exponentiated as one
+    stack, so a grid whose stack (with its readings) would exceed
+    EXPM_BYTES_LIMIT is refused before any column is built.
     """
     _require_resonator_clearance(params, q2_target, "interaction point")
     taus = np.asarray(taus_ns, dtype=float)
@@ -594,6 +601,14 @@ def vacuum_rabi_chevron(
             f"longest interaction time {taus[-1]} ns"
         )
 
+    # the N <= 1 block has 5 states (ground, one excitation in each mode); each
+    # column costs one member of the step-map stack plus 3 floats per τ
+    need = offsets.size * (_expm_bytes(5) + 24 * taus.size)
+    if need > EXPM_BYTES_LIMIT:
+        raise ConfigError(
+            f"a chevron of {offsets.size} columns needs {need / 2**20:.0f} MiB for its step "
+            f"maps and readings (limit {EXPM_BYTES_LIMIT / 2**20:.0f} MiB)"
+        )
     # two levels per mode hold the N <= 1 block, where the anharmonic term vanishes
     space = HilbertSpace((2, 2, 2, 2))
     rho0 = DensityState.single_excitation(space, 3).rho
@@ -605,8 +620,7 @@ def vacuum_rabi_chevron(
         dissipation=dissipation, unitary=False,
     )
     d = idx.size
-    dissipator = _dissipator(ls, d)
-    generators = [_superoperator(h, dissipator) for h in hs]
+    generators = _superoperator(np.stack(hs), _dissipator(ls, d))
 
     # row 0 reads tr ρ, row 1 <q1|ρ|q1>
     readout = np.zeros((2, d * d))
@@ -616,14 +630,13 @@ def vacuum_rabi_chevron(
     # it is carried backwards through the padding, one step map per τ step
     rows = [readout] * taus.size
     if padded:
-        s_pad = generators.pop()
-        step_pad = _expm(dtau * s_pad)
-        rows[-1] = readout @ _expm(max(prep_to_readout_ns - taus[-1], 0.0) * s_pad)
+        step_pad = _expm(dtau * generators[-1])
+        rows[-1] = readout @ _expm(max(prep_to_readout_ns - taus[-1], 0.0) * generators[-1])
         for j in range(taus.size - 2, -1, -1):
             rows[j] = rows[j + 1] @ step_pad
 
     # every column advances in lockstep, one batched product per τ step
-    step = np.stack([_expm(dtau * s) for s in generators])
+    step = _expm(dtau * generators[: offsets.size])
     vecs = np.repeat(rho0[np.ix_(idx, idx)].reshape(1, -1, 1), offsets.size, axis=0)
     readings, _ = _sample(
         vecs, [[]] + [[step]] * (taus.size - 1), rows, np.matmul,

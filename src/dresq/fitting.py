@@ -3,10 +3,12 @@ the exchange coupling from chevron data.
 
 All fits go through one damped Gauss-Newton (Levenberg-Marquardt) core
 with analytic Jacobians: deterministic, bounded at 200 iterations, step
-tolerance 1e-10. A damped cosine gets one start: its frequency from the
-periodogram peak of the mean-subtracted trace, which keeps low-signal
-data out of local minima, and its amplitude, phase and offset from an
-exact linear solve at that frequency.
+tolerance 1e-10. It runs a batch of problems in lockstep, each with its
+own damping and stopping test; a single fit is a batch of one. A damped
+cosine gets one start: its frequency from the periodogram peak of the
+mean-subtracted trace, which keeps low-signal data out of local minima,
+and its amplitude, phase and offset from an exact linear solve at that
+frequency. The chevron fits all its columns as one such batch.
 
 Registered models:
     exp_decay       A·exp(-t/T) + c
@@ -52,12 +54,7 @@ class TimeTrace:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or v.shape != t.shape:
             raise ConfigError("trace times and values must be 1-d and equal length")
-        if t.size < MIN_POINTS:
-            raise ConfigError(f"a fit needs at least {MIN_POINTS} points, got {t.size}")
-        if not (np.isfinite(t).all() and np.isfinite(v).all()):
-            raise ConfigError("trace times and values must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise ConfigError("trace times must be strictly ascending")
+        _check_samples(t, v)
         self.times_ns, self.values = t, v
         if self.uncertainty is not None:
             u = np.asarray(self.uncertainty, dtype=float)
@@ -102,6 +99,17 @@ class TimeTrace:
         return cls(np.array(times), np.array(values), np.array(sigmas) if sigmas else None)
 
 
+def _check_samples(t: np.ndarray, v: np.ndarray) -> None:
+    """Refuse a time grid t, and values v sampled on it (one row per
+    trace), that no fit can use."""
+    if t.size < MIN_POINTS:
+        raise ConfigError(f"a fit needs at least {MIN_POINTS} points, got {t.size}")
+    if not (np.isfinite(t).all() and np.isfinite(v).all()):
+        raise ConfigError("trace times and values must be finite")
+    if np.any(np.diff(t) <= 0):
+        raise ConfigError("trace times must be strictly ascending")
+
+
 def _is_float(text: str) -> bool:
     try:
         float(text)
@@ -136,58 +144,79 @@ class FitOutcome:
         ) + "\n"
 
 
-def _levenberg_marquardt(residual_jac, p0: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool, int]:
-    """Damped Gauss-Newton minimization of ||r(p)||².
+def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x with a[i] x[i] = b[i] for a stack, and which members were solvable.
 
-    residual_jac(p) must return (r, J) with J[i, k] = ∂r_i/∂p_k.
-    Returns (p, sigma, rms, converged, iterations).
+    A singular member gets NaN and leaves the others untouched.
     """
-    p = np.asarray(p0, dtype=float).copy()
-    r, jac = residual_jac(p)
-    cost = float(r @ r)
-    lam = 1e-3
-    converged = False
-    accepted_any = False
-    it = 0
-    for it in range(1, MAX_ITERATIONS + 1):
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = 1.0
-        try:
-            step = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        p_new = p + step
-        r_new, jac_new = residual_jac(p_new)
-        cost_new = float(r_new @ r_new)
-        if cost_new < cost:
-            rel = np.max(np.abs(step) / (np.abs(p) + 1e-30))
-            improvement = (cost - cost_new) / max(cost, 1e-300)
-            p, r, jac, cost = p_new, r_new, jac_new, cost_new
-            lam = max(lam * 0.3, 1e-12)
-            accepted_any = True
-            if rel < STEP_TOL or improvement < 1e-12:
-                converged = True
-                break
-        else:
-            lam *= 10.0
-            if lam > 1e12:
-                # fully damped and no step helps: we are at a (possibly
-                # local) optimum provided some progress was ever made
-                converged = accepted_any or cost < 1e-30
-                break
-    n, k = jac.shape
-    dof = max(n - k, 1)
-    rms = math.sqrt(cost / n)
-    scale = cost / dof
     try:
-        cov = scale * np.linalg.inv(jac.T @ jac)
-        sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        return np.linalg.solve(a, b), np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
-        sigma = np.full(k, math.nan)
-    return p, sigma, rms, converged, it
+        x, ok = np.full(b.shape, math.nan), np.ones(len(a), dtype=bool)
+        for i in range(len(a)):
+            try:
+                x[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return x, ok
+
+
+def _levenberg_marquardt(residual_jac, p0: np.ndarray):
+    """Damped Gauss-Newton minimization of ||r_b(p_b)||² for a batch of problems.
+
+    ``p0`` is (batch, k). ``residual_jac(p, rows)`` must return, for the
+    problems ``rows`` at the parameters p (one row each), the residuals
+    r (rows, n) and the transposed Jacobians J (rows, k, n) with
+    J[b, j, i] = ∂r_bi/∂p_bj. The problems advance in lockstep, but each
+    keeps its own damping and stops on its own test, after which it is
+    no longer evaluated; so each takes the path it would take alone.
+    Returns arrays (p, sigma, rms, converged, iterations), one row or
+    entry per problem.
+    """
+    p = np.array(p0, dtype=float)
+    m, k = p.shape
+    run = np.arange(m)  # the problems still running
+    r, jac = residual_jac(p, run)
+    cost = (r * r).sum(axis=1)
+    lam = np.full(m, 1e-3)
+    converged = np.zeros(m, dtype=bool)
+    accepted_any = np.zeros(m, dtype=bool)
+    iterations = np.zeros(m, dtype=int)
+    diagonal = np.arange(k)
+    for it in range(1, MAX_ITERATIONS + 1):
+        iterations[run] = it
+        ja = jac[run]
+        jtj = ja @ np.swapaxes(ja, 1, 2)
+        d = np.diagonal(jtj, axis1=1, axis2=2)
+        jtj[:, diagonal, diagonal] += lam[run, None] * np.where(d > 0, d, 1.0)
+        # a singular member gets a NaN step, which no cost accepts
+        step, solved = _solve_each(jtj, -(ja @ r[run, :, None]))
+        step = step[:, :, 0]
+        r_new, j_new = residual_jac(p[run] + step, run)
+        c_new = (r_new * r_new).sum(axis=1)
+        better = c_new < cost[run]
+        rel = np.max(np.abs(step) / (np.abs(p[run]) + 1e-30), axis=1)
+        improvement = (cost[run] - c_new) / np.maximum(cost[run], 1e-300)
+        up = run[better]
+        p[up] += step[better]
+        r[up], jac[up], cost[up] = r_new[better], j_new[better], c_new[better]
+        lam[run] = np.where(better, np.maximum(lam[run] * 0.3, 1e-12), lam[run] * 10.0)
+        accepted_any[up] = True
+        done = better & ((rel < STEP_TOL) | (improvement < 1e-12))
+        # fully damped and no step helps: we are at a (possibly local)
+        # optimum provided some progress was ever made
+        stuck = ~better & solved & (lam[run] > 1e12)
+        converged[run] = done | stuck & (accepted_any[run] | (cost[run] < 1e-30))
+        run = run[~(done | stuck)]
+        if not run.size:
+            break
+    n = r.shape[1]
+    dof = max(n - k, 1)
+    rms = np.sqrt(cost / n)
+    inv, _ = _solve_each(jac @ np.swapaxes(jac, 1, 2), np.broadcast_to(np.eye(k), (m, k, k)))
+    cov = (cost / dof)[:, None, None] * inv
+    sigma = np.sqrt(np.clip(np.diagonal(cov, axis1=1, axis2=2), 0.0, None))
+    return p, sigma, rms, converged, iterations
 
 
 def _weighted(trace: TimeTrace):
@@ -211,47 +240,132 @@ def fit_exp_decay(trace: TimeTrace) -> FitOutcome:
     above = np.nonzero(norm > math.exp(-1.0))[0]
     t0_seed = t[above[-1]] - t[0] if above.size else trace.window_ns / 3.0
     t0_seed = max(t0_seed, (t[1] - t[0]))
+    elapsed = t - t[0]
 
-    def rj(p):
-        a, log_t, c = p
-        tau = math.exp(min(max(log_t, -10.0), 30.0))
-        e = np.exp(-(t - t[0]) / tau)
-        model = a * e + c
-        r = (model - y) * w
-        jac = np.empty((t.size, 3))
-        jac[:, 0] = e * w
-        jac[:, 1] = a * e * (t - t[0]) / tau * w  # d/d(logT): chain rule
-        jac[:, 2] = w
-        return r, jac
+    def rj(p, rows):
+        a, log_t, c = p.T[:, :, None]
+        tau = np.exp(np.clip(log_t, -10.0, 30.0))
+        e = np.exp(-elapsed / tau)
+        r = (a * e + c - y) * w
+        # d/d(logT) by the chain rule
+        return r, np.stack([e * w, a * e * elapsed / tau * w, np.broadcast_to(w, r.shape)], axis=1)
 
-    p, sig, rms, conv, it = _levenberg_marquardt(rj, np.array([a0, math.log(t0_seed), c0]))
-    a, log_t, c = p
+    p, sig, rms, conv, it = _levenberg_marquardt(rj, [[a0, math.log(t0_seed), c0]])
+    a, log_t, c = p[0]
     tau = math.exp(min(max(log_t, -10.0), 30.0))
     if tau > 1e3 * trace.window_ns:
         raise FitError(
             f"no decay detected: fitted time constant {tau:.3g} ns is far beyond "
             f"the {trace.window_ns:.3g} ns window"
         )
+    sig = sig[0]
     return FitOutcome(
         "exp_decay",
         {"amplitude": float(a), "decay_time_ns": float(tau), "offset": float(c)},
         {"amplitude": float(sig[0]), "decay_time_ns": float(sig[1] * tau), "offset": float(sig[2])},
-        rms, conv, it,
+        float(rms[0]), bool(conv[0]), int(it[0]),
     )
 
 
-def _periodogram_peak(trace: TimeTrace) -> tuple[float, float, float, float]:
-    """Peak frequency, peak and median power, Nyquist frequency (1/ns)."""
-    t, y, _ = _weighted(trace)
+def _periodogram_peaks(t: np.ndarray, y: np.ndarray):
+    """Per row of y: peak frequency, peak and median power; and the Nyquist
+    frequency (1/ns) of the grid t."""
     dt = float(np.mean(np.diff(t)))
-    z = y - y.mean()
-    n_fft = 8 * len(z)
-    spec = np.abs(np.fft.rfft(z, n=n_fft)) ** 2
+    z = y - y.mean(axis=1, keepdims=True)
+    n_fft = 8 * t.size
+    spec = np.abs(np.fft.rfft(z, n=n_fft, axis=1)) ** 2
     freqs = np.fft.rfftfreq(n_fft, d=dt)
-    spec[0] = 0.0
-    k = int(np.argmax(spec))
-    median = float(np.median(spec[1:]))
-    return float(freqs[k]), float(spec[k]), median, float(freqs[-1])
+    spec[:, 0] = 0.0
+    k = np.argmax(spec, axis=1)
+    median = np.median(spec[:, 1:], axis=1)
+    return freqs[k], spec[np.arange(len(y)), k], median, float(freqs[-1])
+
+
+_COSINE_PARAMS = ("amplitude", "frequency_per_ns", "phase_rad", "decay_time_ns", "offset")
+
+
+def _fit_damped_cosines(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> list:
+    """Damped-cosine fits of the rows of y (traces on the grid t, weights w), in lockstep.
+
+    Each row gets what :func:`fit_damped_cosine` gives that trace alone:
+    a FitOutcome, or the FitError that rejects it.
+    """
+    dt = np.diff(t)
+    if dt.max() - dt.min() > GRID_TOL_NS:
+        raise ConfigError(
+            f"a damped-cosine fit needs uniformly spaced times; the steps span "
+            f"{dt.min():.6g} to {dt.max():.6g} ns"
+        )
+    f_seed, peak, median, nyquist = _periodogram_peaks(t, y)
+    window = float(t[-1] - t[0])
+    outcomes: list = [None] * len(y)
+    undetected = (median <= 0) | (peak < PEAK_OVER_MEDIAN * median)
+    too_slow = ~undetected & (f_seed < MIN_PERIODS / window)
+    at_nyquist = ~undetected & ~too_slow & (f_seed >= nyquist)
+    for mask, reason in (
+        (undetected, "oscillation not detected: no spectral peak above the noise floor"),
+        (too_slow, f"oscillation not detected: fewer than {MIN_PERIODS:g} periods in the "
+                   f"{window:.3g} ns window"),
+        (at_nyquist, f"oscillation cannot be resolved at the {nyquist:.4g} /ns Nyquist frequency"),
+    ):
+        for i in np.flatnonzero(mask):
+            outcomes[i] = FitError(reason)
+    rows = np.flatnonzero(~(undetected | too_slow | at_nyquist))
+    if not rows.size:
+        return outcomes
+
+    y, w, f_seed = y[rows], w[rows], f_seed[rows]
+    elapsed = t - t[0]
+    tau0 = window  # weak-damping seed; the solver shrinks it as needed
+    e0, arg0 = np.exp(-elapsed / tau0), (2.0 * math.pi * f_seed)[:, None] * t
+    basis = np.stack([e0 * np.cos(arg0), e0 * np.sin(arg0), np.ones_like(arg0)], axis=1)
+    basis *= w[:, None, :]
+    u, v, c0 = np.linalg.solve(
+        basis @ np.swapaxes(basis, 1, 2), basis @ (y * w)[:, :, None]
+    )[:, :, 0].T
+
+    def rj(p, sub):
+        a, f, phi, log_tau, c = p.T[:, :, None]
+        # clamp the decay time: beyond ~e^30 ns the envelope is flat, below
+        # e^-10 ns the model is numerically dead anyway
+        tau = np.exp(np.clip(log_tau, -10.0, 30.0))
+        e = np.exp(-elapsed / tau)
+        arg = 2.0 * math.pi * f * t + phi
+        cos_, sin_ = np.cos(arg), np.sin(arg)
+        ws = w[sub]
+        ae = a * e
+        aec, aes = ae * cos_, -ae * sin_
+        jac = np.stack(
+            [e * cos_, aes * (2.0 * math.pi) * t, aes, aec * elapsed / tau, np.ones_like(e)],
+            axis=1,
+        )
+        jac *= ws[:, None]
+        return (aec + c - y[sub]) * ws, jac
+
+    p0 = np.stack([np.hypot(u, v), f_seed, np.arctan2(-v, u),
+                   np.full(rows.size, math.log(tau0)), c0], axis=1)
+    p, sig, rms, conv, its = _levenberg_marquardt(rj, p0)
+    a, f, phi, log_tau, c = p.T
+    f = np.abs(f)
+    tau = np.exp(np.clip(log_tau, -10.0, 30.0))
+    flip = a < 0
+    a, phi = np.where(flip, -a, a), np.where(flip, phi + math.pi, phi)
+    phi = np.arctan2(np.sin(phi), np.cos(phi))
+    sig[:, 3] *= tau
+    estimates = np.stack([a, f, phi, tau, c], axis=1).tolist()
+    for j, i in enumerate(rows.tolist()):
+        if f[j] > nyquist:
+            outcomes[i] = FitError(
+                f"fit ended at {f[j]:.4g} /ns, above the {nyquist:.4g} /ns Nyquist frequency"
+            )
+        else:
+            outcomes[i] = FitOutcome(
+                "damped_cosine",
+                dict(zip(_COSINE_PARAMS, estimates[j])),
+                dict(zip(_COSINE_PARAMS, sig[j].tolist())),
+                float(rms[j]), bool(conv[j]), int(its[j]),
+            )
+    return outcomes
 
 
 def fit_damped_cosine(trace: TimeTrace) -> FitOutcome:
@@ -264,74 +378,10 @@ def fit_damped_cosine(trace: TimeTrace) -> FitOutcome:
     uniform sampling: steps may differ by at most GRID_TOL_NS.
     """
     t, y, w = _weighted(trace)
-    dt = np.diff(t)
-    if dt.max() - dt.min() > GRID_TOL_NS:
-        raise ConfigError(
-            f"a damped-cosine fit needs uniformly spaced times; the steps span "
-            f"{dt.min():.6g} to {dt.max():.6g} ns"
-        )
-    f_seed, peak, median, nyquist = _periodogram_peak(trace)
-    window = trace.window_ns
-    if median <= 0 or peak < PEAK_OVER_MEDIAN * median:
-        raise FitError("oscillation not detected: no spectral peak above the noise floor")
-    if f_seed < MIN_PERIODS / window:
-        raise FitError(
-            f"oscillation not detected: fewer than {MIN_PERIODS:g} periods in the "
-            f"{window:.3g} ns window"
-        )
-    if f_seed >= nyquist:
-        raise FitError(f"oscillation cannot be resolved at the {nyquist:.4g} /ns Nyquist frequency")
-    tau0 = window  # weak-damping seed; the solver shrinks it as needed
-    e0, arg0 = np.exp(-(t - t[0]) / tau0), 2.0 * math.pi * f_seed * t
-    basis = np.stack([e0 * np.cos(arg0), e0 * np.sin(arg0), np.ones_like(t)]) * w
-    u, v, c0 = np.linalg.solve(basis @ basis.T, basis @ (y * w))
-
-    def rj(p):
-        a, f, phi, log_tau, c = p
-        # clamp the decay time: beyond ~e^30 ns the envelope is flat, below
-        # e^-10 ns the model is numerically dead anyway
-        tau = math.exp(min(max(log_tau, -10.0), 30.0))
-        e = np.exp(-(t - t[0]) / tau)
-        arg = 2.0 * math.pi * f * t + phi
-        cos_, sin_ = np.cos(arg), np.sin(arg)
-        model = a * e * cos_ + c
-        r = (model - y) * w
-        jac = np.empty((t.size, 5))
-        jac[:, 0] = e * cos_ * w
-        jac[:, 1] = -a * e * sin_ * 2.0 * math.pi * t * w
-        jac[:, 2] = -a * e * sin_ * w
-        jac[:, 3] = a * e * cos_ * (t - t[0]) / tau * w
-        jac[:, 4] = w
-        return r, jac
-
-    p0 = np.array([math.hypot(u, v), f_seed, math.atan2(-v, u), math.log(tau0), c0])
-    p, sig, rms, conv, it = _levenberg_marquardt(rj, p0)
-    a, f, phi, log_tau, c = p
-    f = abs(f)
-    if f > nyquist:
-        raise FitError(f"fit ended at {f:.4g} /ns, above the {nyquist:.4g} /ns Nyquist frequency")
-    log_tau = min(max(log_tau, -10.0), 30.0)
-    if a < 0:
-        a, phi = -a, phi + math.pi
-    phi = math.atan2(math.sin(phi), math.cos(phi))
-    return FitOutcome(
-        "damped_cosine",
-        {
-            "amplitude": float(a),
-            "frequency_per_ns": float(f),
-            "phase_rad": float(phi),
-            "decay_time_ns": float(math.exp(log_tau)),
-            "offset": float(c),
-        },
-        {
-            "amplitude": float(sig[0]),
-            "frequency_per_ns": float(sig[1]),
-            "phase_rad": float(sig[2]),
-            "decay_time_ns": float(sig[3] * math.exp(log_tau)),
-            "offset": float(sig[4]),
-        },
-        rms, conv, it,
-    )
+    out = _fit_damped_cosines(t, y[None], w[None])[0]
+    if isinstance(out, FitError):
+        raise out
+    return out
 
 
 @dataclass
@@ -340,6 +390,8 @@ class ChevronCouplingFit:
 
     When the chevron shows no usable oscillation the verdict is
     ``below_floor`` and only the sensitivity floor is meaningful.
+    ``rejected_columns`` gives, for each detuning without a usable
+    frequency, the reason its fit was rejected; it is not serialized.
     """
 
     g_mhz: float | None
@@ -348,6 +400,7 @@ class ChevronCouplingFit:
     floor_mhz: float
     n_detected: int
     column_freqs_mhz: dict[float, float] = field(default_factory=dict)
+    rejected_columns: dict[float, str] = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -366,31 +419,40 @@ class ChevronCouplingFit:
 
 MIN_DETECTED_COLUMNS = 5
 
+# a detected oscillation weaker than this is physically negligible ripple
+MIN_AMPLITUDE = 5e-3
+
 
 def geff_from_chevron(chevron: ChevronMap) -> ChevronCouplingFit:
     """Coupling magnitude from the frequency-versus-detuning hyperbola.
 
-    Each chevron column gets a damped-cosine fit; detected frequencies
-    are fit to f(Δ) = sqrt(4g² + (Δ - Δ0)²). Oscillations slower than
-    two periods per window are undetectable, which sets the sensitivity
-    floor g_floor = 1/window (so 2·g_floor periods just fit); a chevron
-    with fewer than 5 detected columns, or a fitted g below the floor,
-    is reported as below-floor rather than as a number.
+    All chevron columns get their damped-cosine fits as one batch;
+    detected frequencies are fit to f(Δ) = sqrt(4g² + (Δ - Δ0)²).
+    Oscillations slower than two periods per window are undetectable,
+    which sets the sensitivity floor g_floor = 1/window (so 2·g_floor
+    periods just fit); a chevron with fewer than 5 detected columns, or a
+    fitted g below the floor, is reported as below-floor rather than as
+    a number. Each column without a frequency has its reason in
+    ``rejected_columns``.
     """
-    window = float(chevron.taus_ns[-1] - chevron.taus_ns[0])
+    taus, p1 = chevron.taus_ns, chevron.p1
+    _check_samples(taus, p1)
+    window = float(taus[-1] - taus[0])
     floor_mhz = 1.0 / window * 1e3
     freqs: dict[float, float] = {}
-    for i, det in enumerate(chevron.detunings_mhz):
-        taus, col = chevron.column(i)
-        try:
-            out = fit_damped_cosine(TimeTrace(taus, col))
-        except FitError:
-            continue
-        if out.estimates["amplitude"] < 5e-3:
-            continue  # numerically detected but physically negligible ripple
-        freqs[float(det)] = out.estimates["frequency_per_ns"] * 1e3  # MHz
+    rejected: dict[float, str] = {}
+    outcomes = _fit_damped_cosines(taus, p1, np.ones_like(p1))
+    for det, out in zip(chevron.detunings_mhz.tolist(), outcomes):
+        if isinstance(out, FitError):
+            rejected[det] = str(out)
+        elif out.estimates["amplitude"] < MIN_AMPLITUDE:
+            rejected[det] = (
+                f"amplitude {out.estimates['amplitude']:.3g} below the {MIN_AMPLITUDE:g} cut"
+            )
+        else:
+            freqs[det] = out.estimates["frequency_per_ns"] * 1e3  # MHz
     if len(freqs) < MIN_DETECTED_COLUMNS:
-        return ChevronCouplingFit(None, None, True, floor_mhz, len(freqs), freqs)
+        return ChevronCouplingFit(None, None, True, floor_mhz, len(freqs), freqs, rejected)
 
     dets = np.array(sorted(freqs))
     f_mhz = np.array([freqs[d] for d in dets])
@@ -403,17 +465,13 @@ def geff_from_chevron(chevron: ChevronMap) -> ChevronCouplingFit:
     g0 = max(f_mhz[k_min] / 2.0, 0.25 * floor_mhz)
     d0 = float(dets[k_min])
 
-    def rj(p):
-        g, delta0 = p
+    def rj(p, rows):
+        g, delta0 = p[:, 0, None], p[:, 1, None]
         f_model = np.sqrt(4.0 * g * g + (dets - delta0) ** 2)
-        r = f_model - f_mhz
-        jac = np.empty((dets.size, 2))
-        jac[:, 0] = 4.0 * g / f_model
-        jac[:, 1] = -(dets - delta0) / f_model
-        return r, jac
+        return f_model - f_mhz, np.stack([4.0 * g / f_model, -(dets - delta0) / f_model], axis=1)
 
-    p, sig, rms, conv, it = _levenberg_marquardt(rj, np.array([g0, d0]))
+    p = _levenberg_marquardt(rj, [[g0, d0]])[0][0]
     g = abs(float(p[0]))
     if g < floor_mhz:
-        return ChevronCouplingFit(None, float(p[1]), True, floor_mhz, len(freqs), freqs)
-    return ChevronCouplingFit(g, float(p[1]), False, floor_mhz, len(freqs), freqs)
+        return ChevronCouplingFit(None, float(p[1]), True, floor_mhz, len(freqs), freqs, rejected)
+    return ChevronCouplingFit(g, float(p[1]), False, floor_mhz, len(freqs), freqs, rejected)

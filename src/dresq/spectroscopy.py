@@ -226,6 +226,8 @@ def qubit_qubit_gap(
     the squared separation through the grid minimum. Half the gap
     estimates the effective qubit-qubit coupling magnitude.
     """
+    if not math.isfinite(qubit2_freq):
+        raise ConfigError(f"qubit-2 setpoint must be finite, got {qubit2_freq}")
     if space is None:
         space = HilbertSpace((3, 3, 3, 3))
     _require_resonator_clearance(params, qubit2_freq, "qubit-2 setpoint")
@@ -282,8 +284,12 @@ def gap_vs_setpoint(
 
     Per-setpoint failures are collected, not fatal: the first return
     list holds a GapResult or None per setpoint, the second the error
-    message or None.
+    message or None. A NaN or infinite setpoint is malformed input and
+    raises ConfigError before any setpoint is scanned.
     """
+    bad = [f2 for f2 in setpoints if not math.isfinite(float(f2))]
+    if bad:
+        raise ConfigError(f"qubit-2 setpoints must be finite, got {bad[0]}")
     results: list[GapResult | None] = []
     errors: list[str | None] = []
     for f2 in setpoints:

@@ -215,6 +215,12 @@ def test_gapscan_error_text_round_trips(tmp_path, monkeypatch):
     assert line.count(",") == 3
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_gapscan_non_finite_setpoint_exit_2(tmp_path, bad):
+    assert run(["gapscan", "--setpoints", bad, 4.60, "--out", tmp_path / "g"]) == 2
+    assert not (tmp_path / "g").exists()
+
+
 def test_unknown_device_key_exit_2(tmp_path):
     device = tmp_path / "device.json"
     device.write_text(json.dumps({"coupling_strength": 1.0}))

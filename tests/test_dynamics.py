@@ -323,9 +323,10 @@ def test_chevron_corrupted_step_map_names_its_column(monkeypatch, factor):
     calls = []
 
     def corrupt_from_third(a):
-        calls.append(None)
+        calls.append(a.shape)
         m = _expm(a)
-        return factor * m if len(calls) >= 3 else m
+        m[2:] *= factor
+        return m
 
     monkeypatch.setattr(dynamics, "_expm", corrupt_from_third)
     with pytest.raises(IntegrationError, match="chevron column 2$"):
@@ -333,7 +334,24 @@ def test_chevron_corrupted_step_map_names_its_column(monkeypatch, factor):
             DeviceParams(), BIAS, 4.60, np.array([-3.0, 0.0, 3.0, 6.0]),
             np.linspace(0.0, 100.0, 11),
         )
-    assert len(calls) == 4
+    # one stack of step maps, one 25 x 25 member per column of the 5-state block
+    assert calls == [(4, 25, 25)]
+
+
+def test_chevron_refuses_a_step_stack_over_the_limit_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(dynamics, "build_hamiltonian", lambda *a, **k: built.append(a))
+    columns = EXPM_BYTES_LIMIT // _expm_bytes(5) + 1
+    offsets = np.linspace(-20.0, 20.0, columns)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="columns needs"):
+            vacuum_rabi_chevron(DeviceParams(), BIAS, 4.60, offsets, np.linspace(0, 2000, 201))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert built == []
 
 
 def test_evolve_stops_on_a_nan_stage_map(monkeypatch):
@@ -402,6 +420,40 @@ def test_expm_byte_estimate():
     finally:
         tracemalloc.stop()
     assert _expm_bytes(12) / 2 < peak <= _expm_bytes(12)
+    # a stack of m generators peaks at m times one
+    lossy = _dissipator([np.eye(6)], 6)
+    for m in (1, 4, 9):
+        stack = _superoperator(np.arange(m)[:, None, None] * np.diag(np.arange(6.0)), lossy)
+        tracemalloc.start()
+        try:
+            _expm(stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m * _expm_bytes(6) / 2 < peak <= m * _expm_bytes(6)
+
+
+def test_stacked_superoperator_and_expm_equal_each_member_alone():
+    # members scaled so that they need from 0 to 7 squarings
+    rng = np.random.default_rng(3)
+    n = 5
+    h = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+    h = h + np.swapaxes(h, 1, 2).conj()  # Hermitian, not symmetric: Hᵀ != H
+    collapse = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))]
+    dissipator = _dissipator(collapse, n)
+    stack = _superoperator(h, dissipator)
+    eye = np.eye(n)
+    for hk, sk in zip(h, stack):
+        assert np.array_equal(sk, dissipator - 1j * (np.kron(hk, eye) - np.kron(eye, hk.T)))
+    norms = np.abs(stack).sum(axis=1).max(axis=1)
+    generators = (np.array([2.0, 8.0, 20.0, 40.0, 150.0, 600.0]) / norms)[:, None, None] * stack
+    squarings = [max(math.ceil(math.log2(x / 5.371920351148152)), 0)
+                 for x in np.abs(generators).sum(axis=1).max(axis=1)]
+    assert squarings[0] == 0 and squarings[-1] >= 5
+    maps = _expm(generators)
+    for g, m in zip(generators, maps):
+        assert np.array_equal(m, _expm(g))
+        assert np.array_equal(m, _expm(g[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dresq.errors import ConfigError, FitError
 from dresq.device import DeviceParams, OperatingPoint
@@ -214,7 +214,7 @@ def test_damped_cosine_runs_one_levenberg_marquardt_fit(monkeypatch):
 
     def counted(rj, p0):
         out = real(rj, p0)
-        runs.append(out[4])
+        runs.append((len(p0), int(out[4][0])))
         return out
 
     real = fitting._levenberg_marquardt
@@ -222,8 +222,62 @@ def test_damped_cosine_runs_one_levenberg_marquardt_fit(monkeypatch):
     t = np.linspace(0, 1000, 200)
     y = 0.5 * np.exp(-t / 1000.0) * np.cos(2 * math.pi * 0.006 * t + 0.3) + 0.2
     out = fit_damped_cosine(TimeTrace(t, y))
-    assert len(runs) == 1
-    assert out.n_iterations == runs[0]
+    # one run of the batched core, on a batch of one
+    assert len(runs) == 1 and runs[0][0] == 1
+    assert out.n_iterations == runs[0][1]
+
+
+# a row of a stack: (kind, frequency / Nyquist, decay time / window, amplitude,
+# noise / amplitude, phase, offset, uncertainty or None)
+_row = st.tuples(
+    st.sampled_from(["cosine", "cosine", "cosine", "noise", "flat"]),
+    st.floats(0.02, 0.98), st.floats(0.05, 20.0), st.floats(0.02, 1.0),
+    st.floats(0.0, 0.6), st.floats(-3.2, 3.2), st.floats(-1.0, 1.0),
+    st.one_of(st.none(), st.floats(0.01, 1.0)),
+)
+
+
+def _same(x, y):
+    return (math.isnan(x) and math.isnan(y)) or math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_row, min_size=1, max_size=12), st.integers(40, 100), st.integers(0, 2**32 - 1))
+# a weakly damped noisy cosine whose decay time runs to the clamp (all 200
+# iterations), a strongly damped one (25 iterations), pure noise and a flat row
+@example([("cosine", 0.45, 10.71, 0.91, 0.43, -0.6, 0.0, None),
+          ("cosine", 0.47, 0.14, 0.13, 0.35, -1.8, 0.9, None),
+          ("noise", 0.5, 1.0, 0.5, 0.5, 0.0, 0.0, 0.1),
+          ("flat", 0.5, 1.0, 0.5, 0.0, 0.0, 0.3, None)], 80, 0)
+def test_stacked_damped_cosine_fits_equal_each_row_alone(rows, n, seed):
+    # each row of a lockstep batch must take the path it takes alone: the
+    # masks that freeze converged rows must not leak between rows
+    from dresq.fitting import _fit_damped_cosines
+
+    t = 2.0 * np.arange(n)
+    window, nyquist = t[-1], 0.25
+    ys, us = [], []
+    for k, (kind, f, tau, a, noise, phi, c, u) in enumerate(rows):
+        rng = np.random.default_rng([seed, k])
+        if kind == "cosine":
+            y = a * np.exp(-t / (tau * window)) * np.cos(2 * math.pi * f * nyquist * t + phi) + c
+            y += noise * a * rng.standard_normal(n)
+        else:
+            y = rng.standard_normal(n) if kind == "noise" else np.full(n, c)
+        ys.append(y)
+        us.append(np.full(n, u if u is not None else 1.0))
+    stacked = _fit_damped_cosines(t, np.array(ys), 1.0 / np.array(us))
+    for (*_, u), y, out in zip(rows, ys, stacked):
+        try:
+            alone = fit_damped_cosine(TimeTrace(t, y, None if u is None else np.full(n, u)))
+        except FitError as exc:
+            assert isinstance(out, FitError) and str(out) == str(exc)
+            continue
+        assert not isinstance(out, FitError), str(out)
+        assert (out.n_iterations, out.converged) == (alone.n_iterations, alone.converged)
+        for key, value in alone.estimates.items():
+            assert _same(out.estimates[key], value), key
+            assert _same(out.sigmas[key], alone.sigmas[key]), key
 
 
 @pytest.mark.parametrize("offset, decay_ns", [(0.0, math.inf), (0.2, 100.0)])
@@ -284,6 +338,38 @@ def test_geff_from_chevron_recovery():
     assert est.g_mhz == pytest.approx(3.0, rel=0.05)
     # hyperbola vertex at the true resonance, within one grid step
     assert abs(est.resonance_offset_mhz) < (offsets[1] - offsets[0])
+
+
+def test_geff_from_chevron_gives_every_column_a_frequency_or_a_reason():
+    chev = vacuum_rabi_chevron(
+        DeviceParams(), BIAS, 4.593, np.linspace(-20, 20, 41), np.linspace(0, 2000, 201),
+        prep_to_readout_ns=2500.0,
+    )
+    est = geff_from_chevron(chev)
+    detected, rejected = set(est.column_freqs_mhz), set(est.rejected_columns)
+    assert not detected & rejected
+    assert detected | rejected == set(chev.detunings_mhz.tolist())
+    assert est.n_detected == len(detected) >= 5
+    for reason in est.rejected_columns.values():
+        assert reason.startswith((
+            "oscillation not detected: no spectral peak",
+            "oscillation not detected: fewer than 2 periods",
+            "oscillation cannot be resolved at the",
+            "fit ended at",
+            "amplitude",
+        )), reason
+    assert "rejected" not in est.to_json()
+
+
+def test_geff_from_chevron_flat_column_is_not_detected():
+    taus = np.linspace(0, 1500, 151)
+    chev = vacuum_rabi_chevron(
+        synthetic_device(3.0), BIAS, 4.60, np.linspace(-12, 12, 25), taus, dissipation=False
+    )
+    chev.p1[0] = 0.25
+    est = geff_from_chevron(chev)
+    assert est.rejected_columns[-12.0].startswith("oscillation not detected")
+    assert -12.0 not in est.column_freqs_mhz
 
 
 def test_geff_from_chevron_even_in_detuning():
