@@ -140,7 +140,9 @@ class DeviceParams:
         return DeviceParams(**d)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        """Flat JSON that :meth:`from_json` reads back; an infinite lifetime is null."""
+        raw = {k: None if math.isinf(v) else v for k, v in asdict(self).items()}
+        return json.dumps(raw, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceParams":

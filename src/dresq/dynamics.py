@@ -8,9 +8,9 @@ approximant (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005); there is
 no step size.
 
 L acts on the d² entries of ρ, so its exponential costs d⁶ time and d⁴
-memory. Without collapse operators the map is ρ → UρU† with
-U = V e^{-iEt} V† from the eigendecomposition H = V E V† of the (real
-symmetric) device Hamiltonian, which costs d³ time and d² memory.
+memory. Without collapse operators the same exponential of the d×d
+generator -iHt gives U, applied as ρ → UρU†, which costs d³ time and d²
+memory. Every stage map, lossy or not, comes from that one exponential.
 
 Evolution runs on the smallest block of basis states the dynamics can
 reach. In the excitation-conserving (rotating-wave) model relaxation and
@@ -45,7 +45,6 @@ from .errors import ConfigError, IntegrationError
 from .fock import (
     HilbertSpace,
     OperatorMatrix,
-    eigendecompose_hermitian,
     embed_operator,
     lowering_operator,
     number_operator,
@@ -97,41 +96,15 @@ class Stage:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Ordered stages plus an optional fixed prep-to-readout interval.
-
-    When ``prep_to_readout_ns`` is set, the schedule is padded after the
-    last stage so the total time from the first stage to readout is
-    fixed; padding evolves at ``padding_point`` (default: the last
-    stage's operating point) with dissipation, mirroring a fixed-delay
-    measurement protocol.
-    """
+    """Ordered, non-empty stages. A delay before readout is one more stage
+    at the point where the state waits."""
 
     stages: tuple[Stage, ...]
-    prep_to_readout_ns: float | None = None
-    padding_point: OperatingPoint | None = None
 
-    def __init__(self, stages, prep_to_readout_ns=None, padding_point=None):
-        stages = tuple(stages)
-        if not stages:
+    def __post_init__(self):
+        object.__setattr__(self, "stages", tuple(self.stages))
+        if not self.stages:
             raise ConfigError("a schedule needs at least one stage")
-        total = sum(s.duration_ns for s in stages)
-        if prep_to_readout_ns is not None and prep_to_readout_ns < total - 1e-9:
-            raise ConfigError(
-                f"prep-to-readout interval {prep_to_readout_ns} ns is shorter than "
-                f"the stage total {total} ns"
-            )
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "prep_to_readout_ns", prep_to_readout_ns)
-        object.__setattr__(self, "padding_point", padding_point)
-
-    def resolved_stages(self) -> tuple[Stage, ...]:
-        """Stages with the fixed-interval padding stage appended if any."""
-        total = sum(s.duration_ns for s in self.stages)
-        if self.prep_to_readout_ns is None or self.prep_to_readout_ns <= total + 1e-9:
-            return self.stages
-        point = self.padding_point or self.stages[-1].point
-        pad = Stage(self.prep_to_readout_ns - total, point)
-        return self.stages + (pad,)
 
 
 @dataclass
@@ -160,9 +133,9 @@ class DensityState:
         rho[idx, idx] = 1.0
         return cls(space, rho)
 
-    def validate(self, trace_tol: float = TRACE_TOL) -> None:
+    def validate(self) -> None:
         tr = self.rho.trace()
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise IntegrationError(f"density-matrix trace drifted to {tr:.12f}")
         herm = np.abs(self.rho - self.rho.conj().T).max()
         if herm > 1e-10:
@@ -197,16 +170,13 @@ def collapse_operators(params: DeviceParams, space: HilbertSpace) -> list[Operat
     operator √(2/T_φ)·a†a with 1/T_φ = 1/T2 − 1/(2T1). Rates are per ns.
     Infinite lifetimes contribute nothing; with everything infinite the
     list is empty and evolution is unitary. The resonators have no
-    measured loss rate and get no collapse operator.
+    measured loss rate and get no collapse operator. ``DeviceParams``
+    has already refused non-positive times and T2 > 2·T1.
     """
     ops: list[OperatorMatrix] = []
     for qubit, mode in ((1, 2), (2, 3)):
         t1_us = getattr(params, f"t1_qubit{qubit}")
         t2_us = getattr(params, f"t2_qubit{qubit}")
-        if t1_us <= 0 or t2_us <= 0:
-            raise ConfigError(f"coherence times of qubit {qubit} must be positive")
-        if t2_us > 2.0 * t1_us + 1e-12:
-            raise ConfigError(f"t2_qubit{qubit} exceeds 2*t1_qubit{qubit}")
         gamma1 = 0.0 if math.isinf(t1_us) else 1.0 / (t1_us * 1e3)
         inv_t2 = 0.0 if math.isinf(t2_us) else 1.0 / (t2_us * 1e3)
         gamma_phi = inv_t2 - 0.5 * gamma1
@@ -282,25 +252,16 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _expm_bytes(dim: int) -> int:
-    """Peak bytes of exponentiating the generator of a dim-state block.
+def _expm_bytes(n: int) -> int:
+    """Peak bytes of exponentiating one complex n×n matrix.
 
-    The generator is a complex d²×d² matrix. :func:`_expm` peaks at
-    eleven matrices of that size, its input included (the powers, the
-    Padé sums and the solve); one more holds the map it returns. A stack
-    of m generators takes m times as much.
+    :func:`_expm` peaks at eleven matrices of that size, its input
+    included (the powers, the Padé sums and the solve); one more holds
+    the map it returns. A d-state block has n = d for a lossless
+    generator -iH and n = d² for a Lindblad generator on vec(ρ). A stack
+    of m matrices takes m times as much.
     """
-    return 12 * 16 * dim**4
-
-
-def _unitary_bytes(dim: int) -> int:
-    """Peak bytes of the lossless stage maps of a dim-state block.
-
-    Counts twelve complex d×d matrices: the Hamiltonian, its eigenvectors
-    and the eigensolver's workspace, the phased eigenvectors, U, and ρ with
-    the products and adjoint of U ρ U†.
-    """
-    return 12 * 16 * dim**2
+    return 12 * 16 * n**2
 
 
 def _closed_block(
@@ -308,7 +269,6 @@ def _closed_block(
     rho: np.ndarray,
     n_preps: int,
     operators: list[np.ndarray],
-    stage_bytes,
 ) -> np.ndarray:
     """Basis indices of the smallest excitation block evolution can reach.
 
@@ -318,9 +278,6 @@ def _closed_block(
     collapse operators L, and L†L for the anticommutator) maps it into
     itself, which holds in the excitation-conserving model; otherwise
     the full space is returned.
-    Raises ConfigError when ``stage_bytes`` of the block's size
-    (:func:`_expm_bytes` or :func:`_unitary_bytes`) exceeds
-    EXPM_BYTES_LIMIT.
     """
     n_exc = np.indices(space.dims).reshape(space.n_modes, -1).sum(axis=0)
     support = np.any(rho != 0, axis=1)
@@ -328,14 +285,7 @@ def _closed_block(
     leak = np.ix_(~inside, inside)
     idx = np.arange(space.size)
     if not any(np.any(op[leak]) or np.any((op.conj().T @ op)[leak]) for op in operators):
-        idx = idx[inside]
-    need = stage_bytes(idx.size)
-    if need > EXPM_BYTES_LIMIT:
-        raise ConfigError(
-            f"evolution needs a {idx.size}-state block, whose stage maps take "
-            f"{need / 2**20:.0f} MiB (limit {EXPM_BYTES_LIMIT / 2**20:.0f} MiB); use a "
-            "smaller truncation or the excitation-conserving model"
-        )
+        return idx[inside]
     return idx
 
 
@@ -346,13 +296,14 @@ def _pi_flip_matrix(space: HilbertSpace, mode_index: int) -> np.ndarray:
 
 
 def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_ghz,
-                 dissipation=True, unitary=True):
+                 dissipation=True):
     """Block indices, block Hamiltonians (one per point) and block collapse operators.
 
     Hamiltonians are in the frame rotating at ``frame_ghz`` times the total
     excitation number; collapse operators are built only with ``dissipation``.
-    The block is :func:`_closed_block`'s, with its memory guard sized for U ρ U†
-    maps if ``unitary`` is set and nothing decays, else for generator exponentials.
+    The block is :func:`_closed_block`'s. It is refused with ConfigError
+    when exponentiating one of its generators, d×d without collapse operators
+    and d²×d² with them, would take more than EXPM_BYTES_LIMIT.
     """
     ls = [c.elements for c in collapse_operators(params, space)] if dissipation else []
     hs = [
@@ -362,8 +313,14 @@ def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_g
     if frame_ghz:
         frame_shift = TWO_PI * frame_ghz * total_number_operator(space).elements
         hs = [h - frame_shift for h in hs]
-    stage_bytes = _unitary_bytes if unitary and not ls else _expm_bytes
-    idx = _closed_block(space, rho0, n_preps, hs + ls, stage_bytes)
+    idx = _closed_block(space, rho0, n_preps, hs + ls)
+    need = _expm_bytes(idx.size**2 if ls else idx.size)
+    if need > EXPM_BYTES_LIMIT:
+        raise ConfigError(
+            f"evolution needs a {idx.size}-state block, whose stage maps take "
+            f"{need / 2**20:.0f} MiB (limit {EXPM_BYTES_LIMIT / 2**20:.0f} MiB); use a "
+            "smaller truncation or the excitation-conserving model"
+        )
     sel = np.ix_(idx, idx)
     return idx, [h[sel] for h in hs], [l[sel] for l in ls]
 
@@ -402,8 +359,8 @@ def evolve(
     """Propagate the master equation exactly through a staged schedule.
 
     Observable expectations are sampled on a uniform grid of
-    ``n_samples`` points over the total schedule duration (padding
-    included). Dissipation comes from the device coherence times
+    ``n_samples`` points over the total schedule duration. Dissipation
+    comes from the device coherence times
     (:func:`collapse_operators`). ``frame_ghz`` subtracts that frequency
     times the total excitation number from every stage Hamiltonian; this
     is an exact frame change for the excitation-conserving model
@@ -411,9 +368,9 @@ def evolve(
 
     Evolution runs on the excitation block of :func:`_closed_block`, so a
     block whose stage maps would not fit in memory raises ConfigError
-    before anything of its size is built. With dissipation each stage map
-    is the exponential of the Lindblad generator; without, it is
-    ρ → UρU† from the eigendecomposition of H, which also makes a
+    before anything of its size is built. Each stage map is one
+    :func:`_expm`: with dissipation, of the Lindblad generator on vec(ρ);
+    without, of -iH·t on the block, giving U for ρ → UρU†, which keeps a
     lossless counter-rotating run on the full space affordable. Trace
     drift beyond 1e-8 (or a NaN) at any sample aborts with diagnostics.
     """
@@ -425,7 +382,7 @@ def evolve(
             "disable counter-rotating terms or use frame_ghz=0"
         )
     initial.validate()
-    stages = schedule.resolved_stages()
+    stages = schedule.stages
     total = sum(s.duration_ns for s in stages)
     if n_samples < 2:
         raise ConfigError("need at least 2 sample points")
@@ -447,7 +404,7 @@ def evolve(
         rho = initial.rho[sel].reshape(1, -1, 1)
         act = np.matmul
     else:
-        eigs = [eigendecompose_hermitian(OperatorMatrix(space, h, idx)) for h in hs]
+        generators = -1j * np.stack(hs)
         rho = initial.rho[sel][None]
 
         def act(u, rho):
@@ -460,11 +417,7 @@ def evolve(
             return []
         key = (k, round(duration, 12))  # uniform samples share one map
         if key not in maps:
-            if ls:
-                maps[key] = _expm(duration * generators[k])
-            else:
-                e, v = eigs[k]
-                maps[key] = (v * np.exp(-1j * duration * e)) @ v.conj().T
+            maps[key] = _expm(duration * generators[k])
         return [maps[key]]
 
     def prep(k: int) -> list[np.ndarray]:
@@ -602,8 +555,8 @@ def vacuum_rabi_chevron(
         )
 
     # the N <= 1 block has 5 states (ground, one excitation in each mode); each
-    # column costs one member of the step-map stack plus 3 floats per τ
-    need = offsets.size * (_expm_bytes(5) + 24 * taus.size)
+    # column costs one 25 x 25 member of the step-map stack plus 3 floats per τ
+    need = offsets.size * (_expm_bytes(25) + 24 * taus.size)
     if need > EXPM_BYTES_LIMIT:
         raise ConfigError(
             f"a chevron of {offsets.size} columns needs {need / 2**20:.0f} MiB for its step "
@@ -614,10 +567,11 @@ def vacuum_rabi_chevron(
     rho0 = DensityState.single_excitation(space, 3).rho
     holds = [OperatingPoint(q2_target + off * 1e-3, q2_target) for off in offsets]
     padded = prep_to_readout_ns is not None
-    # the readout rows are carried through generators even without dissipation
+    # the readout rows are carried through generators on vec(ρ) even without
+    # dissipation; the stack guard above covers their size
     idx, hs, ls = _block_model(
         params, space, holds + [bias] * padded, rho0, 0, False, q2_target,
-        dissipation=dissipation, unitary=False,
+        dissipation=dissipation,
     )
     d = idx.size
     generators = _superoperator(np.stack(hs), _dissipator(ls, d))

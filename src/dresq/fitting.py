@@ -130,11 +130,12 @@ class FitOutcome:
     n_iterations: int
 
     def to_json(self) -> str:
+        """JSON of the outcome; an unbounded (infinite) sigma is written as null."""
         return json.dumps(
             {
                 "model": self.model,
                 "estimates": self.estimates,
-                "sigmas": self.sigmas,
+                "sigmas": {k: v if math.isfinite(v) else None for k, v in self.sigmas.items()},
                 "residual_rms": self.residual_rms,
                 "converged": self.converged,
                 "n_iterations": self.n_iterations,
@@ -171,7 +172,9 @@ def _levenberg_marquardt(residual_jac, p0: np.ndarray):
     keeps its own damping and stops on its own test, after which it is
     no longer evaluated; so each takes the path it would take alone.
     Returns arrays (p, sigma, rms, converged, iterations), one row or
-    entry per problem.
+    entry per problem. A parameter the final residuals do not depend on
+    (a zero Jacobian row, as for a clamped one) is left out of the
+    covariance and gets an infinite sigma.
     """
     p = np.array(p0, dtype=float)
     m, k = p.shape
@@ -213,10 +216,19 @@ def _levenberg_marquardt(residual_jac, p0: np.ndarray):
     n = r.shape[1]
     dof = max(n - k, 1)
     rms = np.sqrt(cost / n)
-    inv, _ = _solve_each(jac @ np.swapaxes(jac, 1, 2), np.broadcast_to(np.eye(k), (m, k, k)))
+    jtj = jac @ np.swapaxes(jac, 1, 2)
+    dead = np.diagonal(jtj, axis1=1, axis2=2) == 0
+    jtj[:, diagonal, diagonal] += dead
+    inv, _ = _solve_each(jtj, np.broadcast_to(np.eye(k), (m, k, k)))
     cov = (cost / dof)[:, None, None] * inv
     sigma = np.sqrt(np.clip(np.diagonal(cov, axis1=1, axis2=2), 0.0, None))
-    return p, sigma, rms, converged, iterations
+    return p, np.where(dead, math.inf, sigma), rms, converged, iterations
+
+
+def _is_flat(y: np.ndarray) -> np.ndarray:
+    """Per trace (last axis of y): whether its span is rounding noise on a constant."""
+    span = y.max(axis=-1) - y.min(axis=-1)
+    return (span < 1e-12) | (span < 1e-6 * np.maximum(1.0, np.abs(y).max(axis=-1)))
 
 
 def _weighted(trace: TimeTrace):
@@ -227,9 +239,9 @@ def _weighted(trace: TimeTrace):
 def fit_exp_decay(trace: TimeTrace) -> FitOutcome:
     """Fit A·exp(-t/T) + c; the decay time is kept positive by fitting log T."""
     t, y, w = _weighted(trace)
-    span = y.max() - y.min()
-    if span < 1e-12 or span < 1e-6 * max(1.0, abs(y).max()):
+    if _is_flat(y):
         raise FitError("no decay detected: trace is constant")
+    span = y.max() - y.min()
     # crude seeds: assume decay toward the tail mean
     c0 = float(np.mean(y[-max(3, len(y) // 8):]))
     a0 = float(y[0] - c0)
@@ -299,7 +311,8 @@ def _fit_damped_cosines(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> list:
     f_seed, peak, median, nyquist = _periodogram_peaks(t, y)
     window = float(t[-1] - t[0])
     outcomes: list = [None] * len(y)
-    undetected = (median <= 0) | (peak < PEAK_OVER_MEDIAN * median)
+    # a constant trace has no peak, whatever its rounding noise shows
+    undetected = _is_flat(y) | (median <= 0) | (peak < PEAK_OVER_MEDIAN * median)
     too_slow = ~undetected & (f_seed < MIN_PERIODS / window)
     at_nyquist = ~undetected & ~too_slow & (f_seed >= nyquist)
     for mask, reason in (
@@ -335,8 +348,11 @@ def _fit_damped_cosines(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> list:
         ws = w[sub]
         ae = a * e
         aec, aes = ae * cos_, -ae * sin_
+        # the model does not move with log τ once the clamp holds it
+        free = (log_tau > -10.0) & (log_tau < 30.0)
         jac = np.stack(
-            [e * cos_, aes * (2.0 * math.pi) * t, aes, aec * elapsed / tau, np.ones_like(e)],
+            [e * cos_, aes * (2.0 * math.pi) * t, aes, aec * elapsed / tau * free,
+             np.ones_like(e)],
             axis=1,
         )
         jac *= ws[:, None]
@@ -432,8 +448,8 @@ def geff_from_chevron(chevron: ChevronMap) -> ChevronCouplingFit:
     which sets the sensitivity floor g_floor = 1/window (so 2·g_floor
     periods just fit); a chevron with fewer than 5 detected columns, or a
     fitted g below the floor, is reported as below-floor rather than as
-    a number. Each column without a frequency has its reason in
-    ``rejected_columns``.
+    a number. A column whose fit did not converge is not used. Each
+    column without a frequency has its reason in ``rejected_columns``.
     """
     taus, p1 = chevron.taus_ns, chevron.p1
     _check_samples(taus, p1)
@@ -445,6 +461,8 @@ def geff_from_chevron(chevron: ChevronMap) -> ChevronCouplingFit:
     for det, out in zip(chevron.detunings_mhz.tolist(), outcomes):
         if isinstance(out, FitError):
             rejected[det] = str(out)
+        elif not out.converged:
+            rejected[det] = f"fit did not converge in {out.n_iterations} iterations"
         elif out.estimates["amplitude"] < MIN_AMPLITUDE:
             rejected[det] = (
                 f"amplitude {out.estimates['amplitude']:.3g} below the {MIN_AMPLITUDE:g} cut"

@@ -114,6 +114,22 @@ def test_chevron_outputs_and_determinism(tmp_path):
     assert "device" in manifest["config"]
 
 
+def test_chevron_manifest_of_a_lossless_device_is_strict_json(tmp_path):
+    # null lifetimes in the device file stay null in the manifest, not Infinity
+    device = tmp_path / "device.json"
+    device.write_text(json.dumps({"t1_qubit1": None, "t2_qubit1": None}))
+    out = tmp_path / "chev"
+    assert run(["chevron", "--device", device, "--tau-max", 300, "--tau-points", 31,
+                "--detuning-points", 5, "--out", out]) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+    assert manifest["config"]["device"]["t1_qubit1"] is None
+    assert manifest["config"]["device"]["t2_qubit1"] is None
+
+
 def test_chevron_estimate_consistent_with_analytic(tmp_path):
     # clean synthetic device: the time-domain estimate closes the loop
     device = tmp_path / "device.json"

@@ -63,6 +63,19 @@ def test_json_round_trip():
     assert p == q
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_json_infinite_lifetimes_written_as_null():
+    inf = math.inf
+    p = DeviceParams(t1_qubit1=inf, t1_qubit2=inf, t2_qubit1=inf, t2_qubit2=inf)
+    text = p.to_json()
+    raw = json.loads(text, parse_constant=_refuse_constant)
+    assert all(raw[k] is None for k in ("t1_qubit1", "t1_qubit2", "t2_qubit1", "t2_qubit2"))
+    assert DeviceParams.from_json(text) == p
+
+
 def test_json_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown"):
         DeviceParams.from_json('{"resonator_freq_c": 5.0}')

@@ -23,7 +23,6 @@ from dresq.dynamics import (
     _expm,
     _expm_bytes,
     _superoperator,
-    _unitary_bytes,
 )
 
 SPACE2 = HilbertSpace((2, 2, 2, 2))
@@ -51,17 +50,12 @@ def test_stage_validation():
         Stage(10.0, BIAS, prep="pi_q3")
 
 
-def test_schedule_padding():
-    sched = PulseSchedule([Stage(100.0, BIAS)], prep_to_readout_ns=1200.0)
-    stages = sched.resolved_stages()
-    assert len(stages) == 2
-    assert stages[1].duration_ns == pytest.approx(1100.0)
-    assert stages[1].point == BIAS
-
-
-def test_schedule_interval_too_short():
-    with pytest.raises(ConfigError):
-        PulseSchedule([Stage(100.0, BIAS)], prep_to_readout_ns=50.0)
+def test_schedule_holds_its_stages_and_refuses_none():
+    stages = [Stage(0.0, BIAS, prep="pi_q2"), Stage(100.0, BIAS)]
+    assert PulseSchedule(stages).stages == tuple(stages)
+    for empty in ([], ()):
+        with pytest.raises(ConfigError, match="at least one stage"):
+            PulseSchedule(empty)
 
 
 def test_density_state_constructors():
@@ -217,17 +211,15 @@ def test_pi_prep_on_excited_state_reaches_two_excitations():
 
 
 def test_multi_stage_schedule_with_padding():
-    # excite q2, interact for a half swap, then pad at a far-detuned point:
-    # the transferred q1 population survives padding when lossless
+    # excite q2, interact for a half swap, then wait 100 ns at a far-detuned
+    # point: the transferred q1 population survives the wait when lossless
     g = 0.003
     p = decoupled(**lossless()).replace(g_12=g)
     t_swap = 1.0 / (4.0 * g)
     interact = OperatingPoint(4.60, 4.60)
     parked = OperatingPoint(4.40, 4.80)
     sched = PulseSchedule(
-        [Stage(0.0, parked, prep="pi_q2"), Stage(t_swap, interact)],
-        prep_to_readout_ns=t_swap + 100.0,
-        padding_point=parked,
+        [Stage(0.0, parked, prep="pi_q2"), Stage(t_swap, interact), Stage(100.0, parked)]
     )
     init = DensityState.ground(SPACE2)
     ts = evolve(
@@ -300,13 +292,12 @@ def test_chevron_column_matches_evolve():
     assert np.abs(chev.p1[0] - ts.expectations["n_q1"]).max() < 1e-10
 
     # lossy, with a fixed readout delay: each cell is one evolve run whose
-    # schedule is padded at the bias point up to the readout
+    # last stage waits at the bias point up to the readout
     readout_ns = 800.0
     chev = vacuum_rabi_chevron(p, BIAS, 4.60, np.array([3.0]), taus, readout_ns)
     for j, tau in enumerate(taus):
         sched = PulseSchedule(
-            [Stage(0.0, BIAS, prep="pi_q2"), Stage(tau, hold)],
-            prep_to_readout_ns=readout_ns, padding_point=BIAS,
+            [Stage(0.0, BIAS, prep="pi_q2"), Stage(tau, hold), Stage(readout_ns - tau, BIAS)]
         )
         ts = evolve(
             p, sched, DensityState.ground(SPACE3), SPACE3,
@@ -341,7 +332,8 @@ def test_chevron_corrupted_step_map_names_its_column(monkeypatch, factor):
 def test_chevron_refuses_a_step_stack_over_the_limit_before_building(monkeypatch):
     built = []
     monkeypatch.setattr(dynamics, "build_hamiltonian", lambda *a, **k: built.append(a))
-    columns = EXPM_BYTES_LIMIT // _expm_bytes(5) + 1
+    # each column's step map is a 25 x 25 generator exponential
+    columns = EXPM_BYTES_LIMIT // _expm_bytes(25) + 1
     offsets = np.linspace(-20.0, 20.0, columns)
     tracemalloc.start()
     try:
@@ -378,9 +370,9 @@ def test_lossy_counter_rotating_full_space_refused_before_allocating():
 
 
 def test_lossless_counter_rotating_full_space_runs():
-    # no collapse operators: the 81-state full space needs U, not the
-    # 6561 x 6561 generator exponential the lossy case is refused for
-    assert _unitary_bytes(81) == 12 * 16 * 81**2 < EXPM_BYTES_LIMIT < _expm_bytes(81)
+    # no collapse operators: the 81-state full space exponentiates the
+    # 81 x 81 generator -iH, not the 6561 x 6561 one the lossy case is refused for
+    assert _expm_bytes(81) == 12 * 16 * 81**2 < EXPM_BYTES_LIMIT < _expm_bytes(81**2)
     p = DeviceParams(**lossless())
     sched = PulseSchedule([Stage(0.5, BIAS, prep="pi_q2"), Stage(50.0, OperatingPoint(4.60, 4.60))])
     ts = evolve(
@@ -407,10 +399,35 @@ def test_lossless_evolution_matches_generator_exponential():
     assert np.abs(ts.final_state.rho - expected).max() < 1e-10
 
 
+def eigenbasis_propagator(h: np.ndarray, t: float) -> np.ndarray:
+    """U = V e^{-iEt} V† from H = V E V†: the reference for lossless stage maps."""
+    e, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * t * e)) @ v.conj().T
+
+
+def test_lossless_full_space_matches_eigenbasis_reference():
+    # lab frame, counter-rotating on, 3^4 space for 2 us: the squarings of
+    # -iHt must not cost accuracy against the eigenbasis propagator
+    p = DeviceParams(**lossless())
+    point = OperatingPoint(4.60, 4.60)
+    init = DensityState.single_excitation(SPACE3, 3)
+    n_q1 = number_operator(SPACE3, 2)
+    ts = evolve(p, PulseSchedule([Stage(2000.0, point)]), init, SPACE3, {"n_q1": n_q1},
+                n_samples=11)
+    h = build_hamiltonian(p, point, SPACE3).elements
+    for t, reading in zip(ts.times_ns, ts.expectations["n_q1"]):
+        u = eigenbasis_propagator(h, t)
+        rho = u @ init.rho @ u.conj().T
+        assert abs(reading - np.trace(n_q1.elements @ rho).real) <= 1e-9
+    assert np.abs(ts.final_state.rho - rho).max() <= 1e-9
+    assert abs(ts.final_state.purity() - 1.0) <= 1e-9
+
+
 def test_expm_byte_estimate():
-    # 81 states need a 6561 x 6561 generator: refused; 16 states fit
-    assert _expm_bytes(81) == 12 * 16 * 81**4 > EXPM_BYTES_LIMIT
-    assert _expm_bytes(16) < EXPM_BYTES_LIMIT
+    # a lossy 81-state block needs a 6561 x 6561 generator: refused;
+    # 16 states (a 256 x 256 generator) fit
+    assert _expm_bytes(81**2) == 12 * 16 * 81**4 > EXPM_BYTES_LIMIT
+    assert _expm_bytes(16**2) < EXPM_BYTES_LIMIT
     # the estimate bounds what exponentiating a generator really takes
     h = np.diag(np.arange(12.0))
     tracemalloc.start()
@@ -419,7 +436,7 @@ def test_expm_byte_estimate():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert _expm_bytes(12) / 2 < peak <= _expm_bytes(12)
+    assert _expm_bytes(144) / 2 < peak <= _expm_bytes(144)
     # a stack of m generators peaks at m times one
     lossy = _dissipator([np.eye(6)], 6)
     for m in (1, 4, 9):
@@ -430,7 +447,7 @@ def test_expm_byte_estimate():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert m * _expm_bytes(6) / 2 < peak <= m * _expm_bytes(6)
+        assert m * _expm_bytes(36) / 2 < peak <= m * _expm_bytes(36)
 
 
 def test_stacked_superoperator_and_expm_equal_each_member_alone():

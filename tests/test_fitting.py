@@ -207,6 +207,35 @@ def test_damped_cosine_slow_oscillation_rejected():
         fit_damped_cosine(TimeTrace(t, y))
 
 
+def test_undamped_cosine_fit_converges_with_its_decay_time_at_the_clamp():
+    # the envelope is flat, so log τ runs to its clamp; the clamped model no
+    # longer moves with τ, which must not keep the fit from converging
+    import json
+
+    t = np.linspace(0, 1500, 151)
+    out = fit_damped_cosine(TimeTrace(t, 0.45 * np.cos(2 * math.pi * 0.0063 * t) + 0.5))
+    assert out.converged and out.n_iterations < 200
+    assert out.estimates["frequency_per_ns"] == pytest.approx(0.0063, rel=1e-9)
+    assert out.estimates["decay_time_ns"] == pytest.approx(math.exp(30.0))
+    assert math.isinf(out.sigmas["decay_time_ns"])
+    assert all(math.isfinite(v) for k, v in out.sigmas.items() if k != "decay_time_ns")
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(out.to_json(), parse_constant=refuse)
+    assert doc["sigmas"]["decay_time_ns"] is None
+
+
+@pytest.mark.parametrize("n", [64, 201])
+@pytest.mark.parametrize("value", [0.1, 0.25, 0.3, 0.7])
+def test_damped_cosine_constant_trace_has_no_spectral_peak(value, n):
+    # rounding noise in y - mean must not pass for an oscillation
+    t = np.linspace(0, 1000, n)
+    with pytest.raises(FitError, match="not detected: no spectral peak above the noise floor"):
+        fit_damped_cosine(TimeTrace(t, np.full(n, value)))
+
+
 def test_damped_cosine_runs_one_levenberg_marquardt_fit(monkeypatch):
     from dresq import fitting
 
@@ -243,7 +272,7 @@ def _same(x, y):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_row, min_size=1, max_size=12), st.integers(40, 100), st.integers(0, 2**32 - 1))
-# a weakly damped noisy cosine whose decay time runs to the clamp (all 200
+# a weakly damped noisy cosine whose decay time runs to the clamp (11
 # iterations), a strongly damped one (25 iterations), pure noise and a flat row
 @example([("cosine", 0.45, 10.71, 0.91, 0.43, -0.6, 0.0, None),
           ("cosine", 0.47, 0.14, 0.13, 0.35, -1.8, 0.9, None),
@@ -356,9 +385,29 @@ def test_geff_from_chevron_gives_every_column_a_frequency_or_a_reason():
             "oscillation not detected: fewer than 2 periods",
             "oscillation cannot be resolved at the",
             "fit ended at",
+            "fit did not converge",
             "amplitude",
         )), reason
     assert "rejected" not in est.to_json()
+
+
+def test_geff_from_chevron_rejects_columns_whose_fit_did_not_converge(monkeypatch):
+    from dresq import fitting
+
+    chev = vacuum_rabi_chevron(
+        DeviceParams(), BIAS, 4.593, np.linspace(-20, 20, 41), np.linspace(0, 2000, 201),
+        prep_to_readout_ns=2500.0,
+    )
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 2)
+    outcomes = fitting._fit_damped_cosines(chev.taus_ns, chev.p1, np.ones_like(chev.p1))
+    fitted = [d for d, out in zip(chev.detunings_mhz.tolist(), outcomes)
+              if not isinstance(out, FitError)]
+    # enough columns reach the LM fit for a hyperbola had they been accepted
+    assert len(fitted) >= 5
+    est = geff_from_chevron(chev)
+    assert est.below_floor and est.n_detected == 0 and est.g_mhz is None
+    for det in fitted:
+        assert est.rejected_columns[det] == "fit did not converge in 2 iterations"
 
 
 def test_geff_from_chevron_flat_column_is_not_detected():
