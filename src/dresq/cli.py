@@ -121,18 +121,14 @@ def cmd_geff(args) -> int:
     space = HilbertSpace(args.dims)
     freqs = _grid(args.start, args.stop, args.points, "--points")
     switch_off = find_switch_off(params, (args.start, args.stop))
+    geffs = np.array([effective_coupling(params, OperatingPoint(f, f)) * 1e3 for f in freqs])
+    half_gaps = spectroscopy.cotuned_half_gap(params, freqs, space)
     rows = ["freq_ghz,geff_mhz,ed_half_gap_mhz"]
-    geffs, half_gaps = [], []
-    for f in freqs:
-        g_mhz = effective_coupling(params, OperatingPoint(f, f)) * 1e3
-        hg = spectroscopy.cotuned_half_gap(params, f, space)
-        geffs.append(g_mhz)
-        half_gaps.append(hg)
-        rows.append(f"{f:.9f},{g_mhz:.6f},{hg:.6f}")
+    rows += [f"{f:.9f},{g:.6f},{hg:.6f}" for f, g, hg in zip(freqs, geffs, half_gaps)]
     table = "\n".join(rows) + "\n"
     svg = svgplot.line_plot(
         freqs,
-        {"analytic g_eff (MHz)": np.array(geffs), "ED half gap (MHz)": np.array(half_gaps)},
+        {"analytic g_eff (MHz)": geffs, "ED half gap (MHz)": half_gaps},
         x_label="co-tuned qubit frequency (GHz)", y_label="coupling (MHz)",
         title="effective coupling vs. frequency",
         markers={f"switch-off {switch_off:.4f}": switch_off},

@@ -265,17 +265,60 @@ class DeviceModel:
         for a in (self.even, self.odd, self.n_q1, self.n_q2, self.h_static):
             a.flags.writeable = False
 
+    def hamiltonians(self, f1, f2, idx: np.ndarray | None = None) -> np.ndarray:
+        """The (k, n, n) stack of :meth:`hamiltonian` at the points (f1[k], f2[k]).
+
+        ``f1`` and ``f2`` are 1-d arrays of qubit frequencies in GHz, each
+        positive and finite. ``h_static`` is restricted to ``idx`` once and
+        only the diagonals differ between members, so every member is
+        bit-identical to the matrix :meth:`hamiltonian` builds for its point.
+        """
+        f1 = _frequency_array(f1, "qubit_freq_1")
+        f2 = _frequency_array(f2, "qubit_freq_2")
+        if f1.shape != f2.shape:
+            raise ConfigError(
+                f"need as many qubit-1 as qubit-2 frequencies, got {f1.size} and {f2.size}"
+            )
+        return self._stack(f1, f2, idx)
+
     def hamiltonian(self, point: OperatingPoint, idx: np.ndarray | None = None) -> OperatorMatrix:
         """H_static + 2π(f₁ N̂_q1 + f₂ N̂_q2), on the basis states ``idx`` if given."""
-        w1 = TWO_PI * point.qubit_freq_1
-        w2 = TWO_PI * point.qubit_freq_2
+        # OperatingPoint has checked both frequencies; a stack of one
+        h = self._stack(np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]), idx)
+        return OperatorMatrix(self.space, h[0], idx)
+
+    def _stack(self, f1: np.ndarray, f2: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
         if idx is None:
-            h = self.h_static.copy()
-            h.flat[:: h.shape[0] + 1] += w1 * self.n_q1 + w2 * self.n_q2
+            template, n_q1, n_q2 = self.h_static, self.n_q1, self.n_q2
         else:
-            h = self.h_static[np.ix_(idx, idx)]
-            h.flat[:: h.shape[0] + 1] += w1 * self.n_q1[idx] + w2 * self.n_q2[idx]
-        return OperatorMatrix(self.space, h, idx)
+            template = self.h_static[idx][:, idx]
+            n_q1, n_q2 = self.n_q1[idx], self.n_q2[idx]
+        n = template.shape[0]
+        h = np.empty((f1.size, n, n))
+        h[:] = template
+        h.reshape(f1.size, n * n)[:, :: n + 1] += (
+            (TWO_PI * f1)[:, None] * n_q1 + (TWO_PI * f2)[:, None] * n_q2
+        )
+        return h
+
+
+def _frequency_array(values, name: str) -> np.ndarray:
+    """``values`` as a 1-d float array; ConfigError unless each is positive and finite."""
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # a ragged nesting of sequences
+        raw = np.empty(0, dtype=object)
+    # a list holding a bool among numbers becomes a float array
+    mixed = isinstance(values, (list, tuple)) and any(
+        isinstance(v, (bool, np.bool_)) for v in values
+    )
+    if mixed or raw.ndim != 1 or raw.dtype.kind not in "iuf":
+        raise ConfigError(f"{name} must be a 1-d array of frequencies, got {values!r}")
+    freqs = raw.astype(float)
+    bad = freqs[~(np.isfinite(freqs) & (freqs > 0))]
+    if bad.size:
+        raise ConfigError(f"{name} must be positive and finite, got {float(bad[0])}")
+    return freqs
 
 
 def _static_hamiltonian(

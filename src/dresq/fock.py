@@ -200,10 +200,15 @@ def eigendecompose_hermitian(
     V†V = I to 1e-10; both bounds are enforced by the test suite rather
     than re-checked here on every call.
     """
+    _require_hermitian(op, tol)
+    evals, evecs = np.linalg.eigh(op.elements)
+    return evals, evecs
+
+
+def _require_hermitian(op: OperatorMatrix, tol: float = HERMITICITY_TOL) -> None:
+    """ConfigError, with the measured asymmetry, unless max|M - M†| < tol."""
     defect = op.hermiticity_defect()
     if defect >= tol:
         raise ConfigError(
             f"matrix is not Hermitian: max |M - M†| element is {defect:.3e} (tol {tol:.1e})"
         )
-    evals, evecs = np.linalg.eigh(op.elements)
-    return evals, evecs

@@ -1,11 +1,14 @@
 """Frequency-domain emulation: spectrum sweeps, labels, anti-crossing gaps.
 
-Every sweep point is an independent exact diagonalization of the device
-Hamiltonian, one real symmetric excitation-parity block at a time (no term
-couples the blocks); levels are reported relative to the ground state in
-GHz and tagged with the bare product state they overlap most, or "mixed"
-when no bare state dominates. The qubit-qubit anti-crossing lies in the
-odd block, so gap tracking diagonalizes that block alone.
+Every sweep point is an exact diagonalization of the device Hamiltonian,
+one real symmetric excitation-parity block at a time (no term couples the
+blocks); levels are reported relative to the ground state in GHz and
+tagged with the bare product state they overlap most, or "mixed" when no
+bare state dominates. A spectrum sweep diagonalizes its points one by one.
+The qubit-qubit anti-crossing lies in the odd block, so gap tracking and
+the co-tuned half gap diagonalize that block alone, and all their points
+at once: the model builds the stack of odd-block Hamiltonians and each
+slice of at most STACK_SLICE_BYTES of it is one ``eigh`` call.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PhysicsError
-from .fock import HilbertSpace, eigendecompose_hermitian
+from .fock import HilbertSpace, OperatorMatrix, _require_hermitian, eigendecompose_hermitian
 from .device import (
     TWO_PI,
     MODE_NAMES,
+    DeviceModel,
     DeviceParams,
     OperatingPoint,
+    _frequency_array,
     _require_resonator_clearance,
     build_hamiltonian,
     device_model,
@@ -33,6 +38,12 @@ SWEEP_AXES = ("flux_1", "flux_2", "freq_1", "freq_2")
 MIXED_LABEL = "mixed"
 
 DEFAULT_GAP_GRID = 201
+
+# most bytes of odd-block Hamiltonians plus their eigenvectors that gap
+# tracking diagonalizes in one eigh call: all 201 points of a 3^4 gap scan
+# (5 MB) fit in one slice, while a 6^4 scan (1.35 GB unsliced) goes 4
+# points at a time
+STACK_SLICE_BYTES = 32 * 2**20
 
 
 @dataclass
@@ -74,6 +85,11 @@ class GapResult:
     gap_mhz: float
     location_ghz: float
     level_pair: tuple[int, int]
+
+    def __post_init__(self):
+        self.gap_mhz = float(self.gap_mhz)
+        self.location_ghz = float(self.location_ghz)
+        self.level_pair = tuple(int(k) for k in self.level_pair)
 
 
 def _bare_labels(space: HilbertSpace) -> list[str]:
@@ -191,25 +207,80 @@ def _qubit_character_indices(space: HilbertSpace) -> tuple[int, int]:
     return idx[2], idx[3]
 
 
-def _tracked_separation(
-    params: DeviceParams, point: OperatingPoint, space: HilbertSpace
-) -> tuple[float, tuple[int, int]]:
-    """Separation (GHz) of the two dressed levels with dominant q1/q2 weight.
+def _tracked_separations(
+    params: DeviceParams, f1s, f2s, space: HilbertSpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """Separations (GHz) of the two dressed levels with dominant q1/q2 weight.
 
-    At a co-tuned degeneracy both dressed states carry half q1 and half
-    q2 character, so levels are ranked by their combined qubit weight and
-    the top two are taken; this stays stable through the anti-crossing.
-    Both single-qubit excitations are odd, so only the odd-parity block is
-    diagonalized, and the returned pair indexes its ascending levels.
+    One separation per point (f1s[k], f2s[k]). At a co-tuned degeneracy
+    both dressed states carry half q1 and half q2 character, so levels are
+    ranked by their combined qubit weight and the top two are taken; this
+    stays stable through the anti-crossing. Both single-qubit excitations
+    are odd, so only the odd-parity block is diagonalized, and row k of the
+    returned (k, 2) pairs indexes its ascending levels at point k. The
+    points are diagonalized a slice at a time, one ``eigh`` call per slice
+    of at most STACK_SLICE_BYTES of Hamiltonians and eigenvectors.
     """
-    odd = device_model(params, space, True).odd
-    s_q1, s_q2 = np.searchsorted(odd, _qubit_character_indices(space))
-    evals, evecs = eigendecompose_hermitian(build_hamiltonian(params, point, space, idx=odd))
-    weight = np.abs(evecs[s_q1, :]) ** 2 + np.abs(evecs[s_q2, :]) ** 2
-    order = np.argsort(weight)[::-1]
-    k1, k2 = sorted(int(k) for k in order[:2])
-    sep = abs(evals[k2] - evals[k1]) / TWO_PI
-    return sep, (k1, k2)
+    model = device_model(params, space, True)
+    s_q = np.searchsorted(model.odd, _qubit_character_indices(space))
+    per_slice = max(1, STACK_SLICE_BYTES // (2 * 8 * model.odd.size**2))
+    f1s, f2s = np.asarray(f1s), np.asarray(f2s)
+    seps = np.empty(len(f1s))
+    pairs = np.empty((len(f1s), 2), dtype=int)
+    for start in range(0, len(f1s), per_slice):
+        part = slice(start, start + per_slice)
+        seps[part], pairs[part] = _slice_separations(model, f1s[part], f2s[part], s_q)
+    return seps, pairs
+
+
+def _slice_separations(
+    model: DeviceModel, f1s: np.ndarray, f2s: np.ndarray, s_q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_tracked_separations` of one slice; its stack is freed on return."""
+    h = model.hamiltonians(f1s, f2s, model.odd)
+    # members differ from the restricted h_static only on the diagonal, so
+    # the first one's asymmetry is that of the whole stack
+    _require_hermitian(OperatorMatrix(model.space, h[0], model.odd))
+    evals, evecs = np.linalg.eigh(h)
+    weight = evecs[:, s_q[0], :] ** 2 + evecs[:, s_q[1], :] ** 2
+    pairs = np.sort(np.argsort(weight, axis=1)[:, :-3:-1], axis=1)
+    levels = np.take_along_axis(evals, pairs, axis=1)
+    return np.abs(levels[:, 1] - levels[:, 0]) / TWO_PI, pairs
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a float; ConfigError for a bool or anything not a finite number."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {number}")
+    return number
+
+
+def _gap_grid(sweep_1) -> tuple[float, float, int]:
+    """(start, stop, count) of a qubit-1 sweep; ConfigError unless usable.
+
+    The bounds must be finite and the count an integral number of at least
+    5 grid points.
+    """
+    try:
+        lo, hi, count = sweep_1
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"gap sweep must be (start, stop, count), got {sweep_1!r}"
+        ) from None
+    lo = _finite(lo, "gap sweep start")
+    hi = _finite(hi, "gap sweep stop")
+    n = _finite(count, "gap sweep count")
+    if n != int(n) or n < 5:
+        raise ConfigError(
+            f"gap sweep needs an integral count of at least 5 grid points, got {count!r}"
+        )
+    return lo, hi, int(n)
 
 
 def qubit_qubit_gap(
@@ -225,18 +296,21 @@ def qubit_qubit_gap(
     qubit character is returned, refined by parabolic interpolation of
     the squared separation through the grid minimum. Half the gap
     estimates the effective qubit-qubit coupling magnitude.
+
+    The whole grid is one stack of odd-block Hamiltonians, diagonalized
+    in slices of at most STACK_SLICE_BYTES; the refined point is a stack
+    of one. ``sweep_1`` is (start, stop, count) with finite bounds
+    bracketing the setpoint and an integral count of at least 5; a bool
+    or non-finite setpoint is refused with ConfigError.
     """
-    if not math.isfinite(qubit2_freq):
-        raise ConfigError(f"qubit-2 setpoint must be finite, got {qubit2_freq}")
+    qubit2_freq = _finite(qubit2_freq, "qubit-2 setpoint")
     if space is None:
         space = HilbertSpace((3, 3, 3, 3))
     _require_resonator_clearance(params, qubit2_freq, "qubit-2 setpoint")
     if sweep_1 is None:
         half_span = 0.020
         sweep_1 = (qubit2_freq - half_span, qubit2_freq + half_span, DEFAULT_GAP_GRID)
-    lo, hi, count = float(sweep_1[0]), float(sweep_1[1]), int(sweep_1[2])
-    if count < 5:
-        raise ConfigError("gap sweep needs at least 5 grid points")
+    lo, hi, count = _gap_grid(sweep_1)
     if not lo < qubit2_freq < hi:
         raise ConfigError(
             f"sweep interval ({lo}, {hi}) must bracket the qubit-2 setpoint {qubit2_freq}"
@@ -245,12 +319,7 @@ def qubit_qubit_gap(
     for f1 in (lo, hi):
         _require_resonator_clearance(params, f1, "sweep endpoint")
 
-    seps = np.empty(count)
-    pairs = []
-    for i, f1 in enumerate(grid):
-        sep, pair = _tracked_separation(params, OperatingPoint(f1, qubit2_freq), space)
-        seps[i] = sep
-        pairs.append(pair)
+    seps, pairs = _tracked_separations(params, grid, np.full(count, qubit2_freq), space)
 
     i_min = int(np.argmin(seps))
     if i_min in (0, count - 1):
@@ -262,17 +331,16 @@ def qubit_qubit_gap(
     x0, x1, x2 = grid[i_min - 1 : i_min + 2]
     y0, y1, y2 = seps[i_min - 1 : i_min + 2] ** 2
     denom = (y0 - 2 * y1 + y2)
+    loc, sep_min, pair = x1, seps[i_min], pairs[i_min]
     if denom > 0:
         step = grid[1] - grid[0]
         shift = 0.5 * (y0 - y2) / denom
         shift = max(-1.0, min(1.0, shift))
-        loc = x1 + shift * step
-        sep_min, pair = _tracked_separation(params, OperatingPoint(loc, qubit2_freq), space)
-        if sep_min > seps[i_min]:
-            loc, sep_min, pair = x1, seps[i_min], pairs[i_min]
-    else:
-        loc, sep_min, pair = x1, seps[i_min], pairs[i_min]
-    return GapResult(sep_min * 1e3, float(loc), pair)
+        refined = x1 + shift * step
+        sep, pair_refined = _tracked_separations(params, [refined], [qubit2_freq], space)
+        if not sep[0] > sep_min:
+            loc, sep_min, pair = refined, sep[0], pair_refined[0]
+    return GapResult(sep_min * 1e3, loc, pair)
 
 
 def gap_vs_setpoint(
@@ -284,17 +352,15 @@ def gap_vs_setpoint(
 
     Per-setpoint failures are collected, not fatal: the first return
     list holds a GapResult or None per setpoint, the second the error
-    message or None. A NaN or infinite setpoint is malformed input and
-    raises ConfigError before any setpoint is scanned.
+    message or None. A bool, NaN or infinite setpoint is malformed input
+    and raises ConfigError before any setpoint is scanned.
     """
-    bad = [f2 for f2 in setpoints if not math.isfinite(float(f2))]
-    if bad:
-        raise ConfigError(f"qubit-2 setpoints must be finite, got {bad[0]}")
+    setpoints = [_finite(f2, "qubit-2 setpoint") for f2 in setpoints]
     results: list[GapResult | None] = []
     errors: list[str | None] = []
     for f2 in setpoints:
         try:
-            results.append(qubit_qubit_gap(params, float(f2), space=space))
+            results.append(qubit_qubit_gap(params, f2, space=space))
             errors.append(None)
         except (PhysicsError, ConfigError) as exc:
             results.append(None)
@@ -303,14 +369,21 @@ def gap_vs_setpoint(
 
 
 def cotuned_half_gap(
-    params: DeviceParams, freq: float, space: HilbertSpace | None = None
-) -> float:
+    params: DeviceParams, freq, space: HilbertSpace | None = None
+) -> float | np.ndarray:
     """Half the dressed splitting with both qubits tuned to ``freq``, MHz.
 
     This is the exact-diagonalization counterpart of the analytic
-    effective-coupling magnitude.
+    effective-coupling magnitude. ``freq`` is a number (a float is
+    returned) or a 1-d array or list of them (an array of the same length
+    is returned), each positive and finite and none a bool; the points of
+    an array are one stack of odd-block Hamiltonians, diagonalized in
+    slices of at most STACK_SLICE_BYTES.
     """
     if space is None:
         space = HilbertSpace((3, 3, 3, 3))
-    sep, _ = _tracked_separation(params, OperatingPoint(freq, freq), space)
-    return 0.5 * sep * 1e3
+    scalar = not isinstance(freq, (list, tuple, np.ndarray))
+    points = _frequency_array([freq] if scalar else freq, "co-tuned frequency")
+    seps, _ = _tracked_separations(params, points, points, space)
+    half_gaps = 0.5 * seps * 1e3
+    return float(half_gaps[0]) if scalar else half_gaps

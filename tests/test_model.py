@@ -157,3 +157,45 @@ def test_oversized_model_refused_before_allocating():
         tracemalloc.stop()
     assert peak < 2**20
 
+
+
+stacks = st.tuples(
+    st.sampled_from([(2, 2, 2, 2), (3, 3, 3, 3), (4, 3, 4, 3)]),
+    st.sampled_from(["full", "even", "odd"]),
+    st.lists(st.tuples(st.floats(0.5, 9.0), st.floats(0.5, 9.0)), min_size=1, max_size=12),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacks)
+def test_stacked_hamiltonians_equal_each_point_alone(case):
+    dims, block, points = case
+    model = device_model(DeviceParams(), HilbertSpace(dims), True)
+    idx = None if block == "full" else getattr(model, block)
+    f1, f2 = (np.array(f) for f in zip(*points))
+    stack = model.hamiltonians(f1, f2, idx)
+    assert stack.shape == (len(points),) + (model.space.size if idx is None else idx.size,) * 2
+    rows = slice(None) if idx is None else idx
+    for k, h in enumerate(stack):
+        alone = model.hamiltonian(OperatingPoint(f1[k], f2[k]), idx).elements
+        assert np.array_equal(h, alone)
+        # the per-point assembly: restrict h_static, add 2π f n̂ to the diagonal
+        w1, w2 = TWO_PI * float(f1[k]), TWO_PI * float(f2[k])
+        direct = model.h_static[rows][:, rows].copy()
+        direct.flat[:: direct.shape[0] + 1] += w1 * model.n_q1[rows] + w2 * model.n_q2[rows]
+        assert np.array_equal(h, direct)
+
+
+@pytest.mark.parametrize("f1, f2", [
+    ([4.6, np.nan], [4.6, 4.6]),
+    ([4.6], [-4.6]),
+    ([4.6], [np.inf]),
+    ([True], [4.6]),
+    ([4.6, True], [4.6, 4.6]),
+    ([[4.6]], [[4.6]]),
+    ([4.6, 4.7], [4.6]),
+])
+def test_stacked_hamiltonians_refuse_bad_frequencies(f1, f2):
+    model = device_model(DeviceParams(), HilbertSpace((2, 2, 2, 2)), True)
+    with pytest.raises(ConfigError, match="qubit_freq|frequencies"):
+        model.hamiltonians(f1, f2)

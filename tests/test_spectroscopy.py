@@ -1,11 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dresq import spectroscopy
 from dresq.errors import ConfigError, PhysicsError
-from dresq.fock import HilbertSpace
-from dresq.device import DeviceParams, OperatingPoint, find_switch_off
+from dresq.fock import HilbertSpace, eigendecompose_hermitian
+from dresq.device import (
+    TWO_PI,
+    DeviceParams,
+    OperatingPoint,
+    build_hamiltonian,
+    device_model,
+    find_switch_off,
+)
 from dresq.spectroscopy import (
     GapResult,
+    _tracked_separations,
     cotuned_half_gap,
     gap_vs_setpoint,
     min_labeled_separation,
@@ -14,6 +25,18 @@ from dresq.spectroscopy import (
 )
 
 SPACE = HilbertSpace((3, 3, 3, 3))
+
+
+def reference_separation(params, point, space):
+    """Qubit-like level separation (GHz) and pair at one point, one eigh alone."""
+    odd = device_model(params, space, True).odd
+    qubit_states = space.single_excitation_indices()[2:]
+    s_q1, s_q2 = np.searchsorted(odd, qubit_states)
+    evals, evecs = eigendecompose_hermitian(build_hamiltonian(params, point, space, idx=odd))
+    weight = np.abs(evecs[s_q1, :]) ** 2 + np.abs(evecs[s_q2, :]) ** 2
+    order = np.argsort(weight)[::-1]
+    k1, k2 = sorted(int(k) for k in order[:2])
+    return abs(evals[k2] - evals[k1]) / TWO_PI, (k1, k2)
 
 
 def decoupled():
@@ -131,6 +154,8 @@ def test_gap_at_458_setpoint():
     # qubit-resonator detuning is not deeply dispersive here
     gap = qubit_qubit_gap(DeviceParams(), 4.58, space=SPACE)
     assert gap.gap_mhz == pytest.approx(5.72, abs=0.3)
+    assert type(gap.gap_mhz) is float and type(gap.location_ghz) is float
+    assert len(gap.level_pair) == 2 and all(type(k) is int for k in gap.level_pair)
 
 
 def test_gap_below_2mhz_near_462():
@@ -153,16 +178,86 @@ def test_level_repulsion_no_zero_gap():
 
 
 def test_gap_symmetry_near_minimum():
-    from dresq.spectroscopy import _tracked_separation
-
     p = decoupled().replace(g_12=0.003)
     space = HilbertSpace((2, 2, 2, 2))
     gap = qubit_qubit_gap(p, 4.60, sweep_1=(4.58, 4.62, 201), space=space)
     loc = gap.location_ghz
     for d in (0.002, 0.005):
-        up, _ = _tracked_separation(p, OperatingPoint(loc + d, 4.60), space)
-        down, _ = _tracked_separation(p, OperatingPoint(loc - d, 4.60), space)
+        up, _ = reference_separation(p, OperatingPoint(loc + d, 4.60), space)
+        down, _ = reference_separation(p, OperatingPoint(loc - d, 4.60), space)
         assert up == pytest.approx(down, rel=1e-6)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3, 3), (4, 3, 4, 3)])
+def test_sliced_separations_equal_each_point_alone(monkeypatch, dims):
+    # a budget of three members per slice splits the 11 points into 4 slices
+    space = HilbertSpace(dims)
+    p = DeviceParams()
+    n = device_model(p, space, True).odd.size
+    monkeypatch.setattr(spectroscopy, "STACK_SLICE_BYTES", 3 * 16 * n * n)
+    f1 = np.concatenate([np.linspace(4.57, 4.63, 8), [4.60, 4.62, 4.66]])
+    f2 = np.concatenate([np.full(8, 4.60), [4.60, 4.62, 4.66]])
+    seps, pairs = _tracked_separations(p, f1, f2, space)
+    for k in range(f1.size):
+        sep, pair = reference_separation(p, OperatingPoint(f1[k], f2[k]), space)
+        assert seps[k] == sep
+        assert tuple(pairs[k]) == pair
+
+
+def test_slice_budget_bounds_the_gap_scan_memory(monkeypatch):
+    # unsliced, the 202 odd-block matrices and eigenvectors of a 4^4 scan
+    # take 53 MB; a 1 MiB budget diagonalizes four points at a time
+    p = DeviceParams()
+    space = HilbertSpace((4, 4, 4, 4))
+    model = device_model(p, space, True)
+    unsliced = qubit_qubit_gap(p, 4.58, space=space)
+    budget = 2**20
+    monkeypatch.setattr(spectroscopy, "STACK_SLICE_BYTES", budget)
+    model_nbytes = sum(a.nbytes for a in (model.h_static, model.n_q1, model.n_q2,
+                                          model.even, model.odd))
+    tracemalloc.start()
+    try:
+        sliced = qubit_qubit_gap(p, 4.58, space=space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget + model_nbytes
+    assert sliced == unsliced
+
+
+@pytest.mark.parametrize("sweep_1", [
+    (4.58, 4.62, 7.9),
+    (4.58, 4.62, float("nan")),
+    (4.58, 4.62, float("inf")),
+    (4.58, 4.62, True),
+    (4.58, 4.62, 4),
+    (4.58, 4.62, "many"),
+    (float("nan"), 4.62, 201),
+    (4.58, float("inf"), 201),
+    (4.58, 4.62),
+    4.62,
+], ids=["fractional-count", "nan-count", "inf-count", "bool-count", "four-points",
+        "text-count", "nan-start", "inf-stop", "two-fields", "scalar"])
+def test_gap_sweep_refused_unless_finite_with_an_integral_count(sweep_1):
+    with pytest.raises(ConfigError, match="gap sweep"):
+        qubit_qubit_gap(DeviceParams(), 4.60, sweep_1=sweep_1, space=SPACE)
+
+
+def test_gap_sweep_integral_float_count_accepted():
+    assert (qubit_qubit_gap(DeviceParams(), 4.60, sweep_1=(4.58, 4.62, 51.0), space=SPACE)
+            == qubit_qubit_gap(DeviceParams(), 4.60, sweep_1=(4.58, 4.62, 51), space=SPACE))
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_bool_setpoints_refused_before_any_scan(monkeypatch, flag):
+    scanned = []
+    monkeypatch.setattr(spectroscopy, "_tracked_separations",
+                        lambda *a: scanned.append(a))
+    with pytest.raises(ConfigError, match="setpoint"):
+        gap_vs_setpoint(DeviceParams(), [4.58, flag], SPACE)
+    with pytest.raises(ConfigError, match="setpoint"):
+        qubit_qubit_gap(DeviceParams(), flag, space=SPACE)
+    assert scanned == []
 
 
 def test_gap_truncation_convergence():
@@ -239,3 +334,21 @@ def test_cotuned_half_gap_tracks_analytic_coupling_at_sweet_region():
         hg = cotuned_half_gap(p, f, SPACE)
         ga = abs(effective_coupling(p, OperatingPoint(f, f))) * 1e3
         assert hg == pytest.approx(ga, rel=0.12)
+
+
+def test_cotuned_half_gap_of_an_array_is_each_scalar():
+    p = DeviceParams()
+    freqs = np.linspace(4.52, 4.76, 7)
+    half_gaps = cotuned_half_gap(p, freqs, SPACE)
+    assert isinstance(half_gaps, np.ndarray) and half_gaps.shape == (7,)
+    scalars = [cotuned_half_gap(p, f, SPACE) for f in freqs]
+    assert all(type(hg) is float for hg in scalars)
+    assert half_gaps.tolist() == scalars
+    assert cotuned_half_gap(p, np.array([]), SPACE).shape == (0,)
+
+
+@pytest.mark.parametrize("freq", [True, np.True_, np.nan, -4.6, [[4.6]], [4.6, True],
+                                  [[4.6], [4.6, 4.7]]])
+def test_cotuned_half_gap_refuses_bad_frequencies(freq):
+    with pytest.raises(ConfigError):
+        cotuned_half_gap(DeviceParams(), freq, SPACE)
