@@ -1,7 +1,7 @@
 """dresq: circuit-QED simulator for a two-qubit double-resonator coupler.
 
 Modules:
-    fock          tensor-product Fock space, ladder operators, eigensolver
+    fock          Fock space occupation table, operators as plain arrays
     device        device parameters, cached Hamiltonian model, analytic coupling
     spectroscopy  eigenvalue sweeps, dressed-state labels, gap extraction
     dynamics      Lindblad evolution, pulse schedules, vacuum-Rabi chevrons
@@ -18,7 +18,7 @@ from .errors import (
     IntegrationError,
     FitError,
 )
-from .fock import HilbertSpace, OperatorMatrix
+from .fock import HilbertSpace
 from .device import DeviceParams, OperatingPoint
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "IntegrationError",
     "FitError",
     "HilbertSpace",
-    "OperatorMatrix",
     "DeviceParams",
     "OperatingPoint",
 ]

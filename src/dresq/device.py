@@ -29,7 +29,7 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from .errors import ConfigError, PhysicsError
-from .fock import HilbertSpace, OperatorMatrix, lowering_operator
+from .fock import HilbertSpace
 
 TWO_PI = 2.0 * math.pi
 
@@ -208,15 +208,16 @@ MODEL_BYTES_LIMIT = 512 * 2**20
 def model_bytes(dims) -> int:
     """Peak bytes of building a DeviceModel on ``dims`` and diagonalizing it.
 
-    Building peaks at eight float64 d×d matrices: H_static, the four
-    embedded lowering operators and the temporaries of one coupling term.
-    A real ``eigh`` of the largest excitation-parity block, ⌈d/2⌉ states,
-    takes six of its own size: the block, LAPACK's copy and 2n² workspace,
-    the eigenvectors and their squared weights.
+    Building holds the float64 d×d H_static, and its symmetry check two
+    temporaries of the same size (M − Mᵀ and its magnitude); every coupling
+    line is scattered onto its index pairs in O(d). A real ``eigh`` of the
+    largest excitation-parity block, ⌈d/2⌉ states, takes six of its own
+    size: the block, LAPACK's copy and 2n² workspace, the eigenvectors and
+    their squared weights.
     """
     d = math.prod(dims)
     n = (d + 1) // 2
-    return 8 * (8 * d * d + 6 * n * n)
+    return 8 * (3 * d * d + 6 * n * n)
 
 
 class DeviceModel:
@@ -250,15 +251,12 @@ class DeviceModel:
                 f"(limit {MODEL_BYTES_LIMIT / 2**20:.0f} MiB); use a smaller truncation"
             )
         self.space = space
-        occupations = np.indices(space.dims).reshape(4, -1)
-        parity = occupations.sum(axis=0) % 2
+        parity = space.quanta.sum(axis=0) % 2
         self.even = np.flatnonzero(parity == 0)
         self.odd = np.flatnonzero(parity == 1)
-        self.n_q1 = occupations[2].astype(float)
-        self.n_q2 = occupations[3].astype(float)
-        self.h_static = _static_hamiltonian(
-            params, space, occupations, include_counter_rotating
-        )
+        self.n_q1 = space.quanta[2].astype(float)
+        self.n_q2 = space.quanta[3].astype(float)
+        self.h_static = _static_hamiltonian(params, space, include_counter_rotating)
         asym = float(np.abs(self.h_static - self.h_static.T).max())
         if asym != 0.0:
             raise ConfigError(f"assembled Hamiltonian not symmetric (defect {asym:.2e})")
@@ -281,11 +279,10 @@ class DeviceModel:
             )
         return self._stack(f1, f2, idx)
 
-    def hamiltonian(self, point: OperatingPoint, idx: np.ndarray | None = None) -> OperatorMatrix:
+    def hamiltonian(self, point: OperatingPoint, idx: np.ndarray | None = None) -> np.ndarray:
         """H_static + 2π(f₁ N̂_q1 + f₂ N̂_q2), on the basis states ``idx`` if given."""
         # OperatingPoint has checked both frequencies; a stack of one
-        h = self._stack(np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]), idx)
-        return OperatorMatrix(self.space, h[0], idx)
+        return self._stack(np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]), idx)[0]
 
     def _stack(self, f1: np.ndarray, f2: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
         if idx is None:
@@ -302,8 +299,8 @@ class DeviceModel:
         return h
 
 
-def _frequency_array(values, name: str) -> np.ndarray:
-    """``values`` as a 1-d float array; ConfigError unless each is positive and finite."""
+def _number_array(values, name: str) -> np.ndarray:
+    """``values`` as a 1-d float array; ConfigError unless each is a number, none a bool."""
     try:
         raw = np.asarray(values)
     except ValueError:  # a ragged nesting of sequences
@@ -313,8 +310,13 @@ def _frequency_array(values, name: str) -> np.ndarray:
         isinstance(v, (bool, np.bool_)) for v in values
     )
     if mixed or raw.ndim != 1 or raw.dtype.kind not in "iuf":
-        raise ConfigError(f"{name} must be a 1-d array of frequencies, got {values!r}")
-    freqs = raw.astype(float)
+        raise ConfigError(f"{name} must be a 1-d array of numbers, got {values!r}")
+    return raw.astype(float)
+
+
+def _frequency_array(values, name: str) -> np.ndarray:
+    """``values`` as a 1-d float array; ConfigError unless each is positive and finite."""
+    freqs = _number_array(values, name)
     bad = freqs[~(np.isfinite(freqs) & (freqs > 0))]
     if bad.size:
         raise ConfigError(f"{name} must be positive and finite, got {float(bad[0])}")
@@ -322,17 +324,19 @@ def _frequency_array(values, name: str) -> np.ndarray:
 
 
 def _static_hamiltonian(
-    params: DeviceParams,
-    space: HilbertSpace,
-    occupations: np.ndarray,
-    include_counter_rotating: bool,
+    params: DeviceParams, space: HilbertSpace, include_counter_rotating: bool
 ) -> np.ndarray:
-    """The point-independent part of H, assembled from the ladder operators.
+    """The point-independent part of H, scattered from the occupation table.
 
-    ``occupations[m]`` is the number of quanta in mode m of each basis state.
+    A coupling line touches only the basis states whose occupations differ
+    by one quantum in each of its two modes, so it is written onto those
+    index pairs in O(d), with the products a matrix product of the ladder
+    operators forms: √(n_i+1)·√n_j for c_i†c_j and √n_i·√n_j for c_i c_j,
+    taken at the column state.
     """
-    lowers = [lowering_operator(space, m).elements for m in range(4)]
-    n_a, n_b, n_1, n_2 = occupations
+    n = space.quanta
+    n_a, n_b, n_1, n_2 = n
+    strides = space.strides
     h = np.diag(TWO_PI * (
         params.resonator_freq_a * n_a
         + params.resonator_freq_b * n_b
@@ -344,12 +348,20 @@ def _static_hamiltonian(
     for g_ghz, i, j in lines:
         if g_ghz == 0.0:
             continue
-        # c_i† c_j, minus c_i c_j when pair creation is kept; adding the
-        # transpose gives the Hermitian line
-        term = lowers[i].T @ lowers[j]
+        scale = TWO_PI * g_ghz
+        # c_i† c_j moves a quantum from mode j to mode i
+        col = np.flatnonzero((n[i] < space.dims[i] - 1) & (n[j] > 0))
+        pairs = [(col + strides[i] - strides[j], col,
+                  scale * (np.sqrt(n[i][col] + 1) * np.sqrt(n[j][col])))]
         if include_counter_rotating:
-            term -= lowers[i] @ lowers[j]
-        h += TWO_PI * g_ghz * (term + term.T)
+            # -c_i c_j removes one quantum from each
+            col = np.flatnonzero((n[i] > 0) & (n[j] > 0))
+            pairs.append((col - strides[i] - strides[j], col,
+                          scale * -(np.sqrt(n[i][col]) * np.sqrt(n[j][col]))))
+        # each line with its Hermitian conjugate
+        for row, col, value in pairs:
+            h[row, col] = value
+            h[col, row] = value
     return h
 
 
@@ -367,7 +379,7 @@ def build_hamiltonian(
     space: HilbertSpace,
     include_counter_rotating: bool = True,
     idx: np.ndarray | None = None,
-) -> OperatorMatrix:
+) -> np.ndarray:
     """H/ħ in rad/ns at ``point``, from the cached :class:`DeviceModel`.
 
     On the whole space, or on the basis states ``idx`` (such as the

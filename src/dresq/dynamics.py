@@ -42,14 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .fock import (
-    HilbertSpace,
-    OperatorMatrix,
-    embed_operator,
-    lowering_operator,
-    number_operator,
-    total_number_operator,
-)
+from .fock import HilbertSpace, lowering_operator, number_operator, total_number_operator
 from .device import (
     TWO_PI,
     DeviceParams,
@@ -163,7 +156,7 @@ class TraceSeries:
 # collapse operators
 
 
-def collapse_operators(params: DeviceParams, space: HilbertSpace) -> list[OperatorMatrix]:
+def collapse_operators(params: DeviceParams, space: HilbertSpace) -> list[np.ndarray]:
     """Standard open-system operators from the device coherence times.
 
     Per qubit: a relaxation operator √(1/T1)·a and a pure-dephasing
@@ -173,7 +166,7 @@ def collapse_operators(params: DeviceParams, space: HilbertSpace) -> list[Operat
     measured loss rate and get no collapse operator. ``DeviceParams``
     has already refused non-positive times and T2 > 2·T1.
     """
-    ops: list[OperatorMatrix] = []
+    ops: list[np.ndarray] = []
     for qubit, mode in ((1, 2), (2, 3)):
         t1_us = getattr(params, f"t1_qubit{qubit}")
         t2_us = getattr(params, f"t2_qubit{qubit}")
@@ -279,7 +272,7 @@ def _closed_block(
     itself, which holds in the excitation-conserving model; otherwise
     the full space is returned.
     """
-    n_exc = np.indices(space.dims).reshape(space.n_modes, -1).sum(axis=0)
+    n_exc = space.quanta.sum(axis=0)
     support = np.any(rho != 0, axis=1)
     inside = n_exc <= n_exc[support].max() + n_preps
     leak = np.ix_(~inside, inside)
@@ -290,9 +283,14 @@ def _closed_block(
 
 
 def _pi_flip_matrix(space: HilbertSpace, mode_index: int) -> np.ndarray:
-    """Unitary swapping levels 0 and 1 of one mode (identity elsewhere)."""
-    d = space.dims[mode_index]
-    return embed_operator(space, mode_index, np.eye(d)[[1, 0, *range(2, d)]]).elements
+    """Unitary swapping levels 0 and 1 of one mode (identity elsewhere).
+
+    It permutes the basis: a state with 0 quanta in the mode maps to the one
+    with 1, a stride up, and back; every other state stays.
+    """
+    n = space.quanta[mode_index]
+    step = np.select([n == 0, n == 1], [1, -1]) * space.strides[mode_index]
+    return np.eye(space.size)[np.arange(space.size) + step]
 
 
 def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_ghz,
@@ -305,13 +303,13 @@ def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_g
     when exponentiating one of its generators, d×d without collapse operators
     and d²×d² with them, would take more than EXPM_BYTES_LIMIT.
     """
-    ls = [c.elements for c in collapse_operators(params, space)] if dissipation else []
+    ls = collapse_operators(params, space) if dissipation else []
     hs = [
-        build_hamiltonian(params, p, space, include_counter_rotating=counter_rotating).elements
+        build_hamiltonian(params, p, space, include_counter_rotating=counter_rotating)
         for p in points
     ]
     if frame_ghz:
-        frame_shift = TWO_PI * frame_ghz * total_number_operator(space).elements
+        frame_shift = TWO_PI * frame_ghz * total_number_operator(space)
         hs = [h - frame_shift for h in hs]
     idx = _closed_block(space, rho0, n_preps, hs + ls)
     need = _expm_bytes(idx.size**2 if ls else idx.size)
@@ -346,12 +344,26 @@ def _sample(rho, steps, rows, act, where) -> tuple[np.ndarray, np.ndarray]:
     return readings, rho
 
 
+def _observable(op, space: HilbertSpace, name: str) -> np.ndarray:
+    """``op`` as an array; ConfigError unless it is a finite (d, d) numeric array on ``space``."""
+    try:
+        m = np.asarray(op)
+    except ValueError:  # a ragged nesting of sequences
+        m = np.empty(0, dtype=object)
+    if m.shape != (space.size,) * 2 or m.dtype.kind not in "iufc" or not np.isfinite(m).all():
+        raise ConfigError(
+            f"observable {name!r} must be a finite {space.size}x{space.size} numeric array, "
+            f"got shape {m.shape} and dtype {m.dtype}"
+        )
+    return m
+
+
 def evolve(
     params: DeviceParams,
     schedule: PulseSchedule,
     initial: DensityState,
     space: HilbertSpace,
-    observables: dict[str, OperatorMatrix],
+    observables: dict[str, np.ndarray],
     n_samples: int = 201,
     include_counter_rotating: bool = True,
     frame_ghz: float = 0.0,
@@ -359,8 +371,9 @@ def evolve(
     """Propagate the master equation exactly through a staged schedule.
 
     Observable expectations are sampled on a uniform grid of
-    ``n_samples`` points over the total schedule duration. Dissipation
-    comes from the device coherence times
+    ``n_samples`` points over the total schedule duration; each observable
+    must be a finite (d, d) numeric array on ``space``, or ConfigError is
+    raised. Dissipation comes from the device coherence times
     (:func:`collapse_operators`). ``frame_ghz`` subtracts that frequency
     times the total excitation number from every stage Hamiltonian; this
     is an exact frame change for the excitation-conserving model
@@ -382,6 +395,7 @@ def evolve(
             "disable counter-rotating terms or use frame_ghz=0"
         )
     initial.validate()
+    observables = {n: _observable(op, space, n) for n, op in observables.items()}
     stages = schedule.stages
     total = sum(s.duration_ns for s in stages)
     if n_samples < 2:
@@ -441,7 +455,7 @@ def evolve(
         pending, t_now = [], ts
 
     names = list(observables)
-    rows = np.stack([np.eye(idx.size)] + [observables[n].elements[sel].T for n in names])
+    rows = np.stack([np.eye(idx.size)] + [observables[n][sel].T for n in names])
     readings, rho = _sample(
         rho, steps, [rows.reshape(len(rows), -1)] * n_samples, act,
         lambda b, j: f"at t = {times[j]:.3f} ns (stage {stage_at[j]}, {idx.size}-state block)",

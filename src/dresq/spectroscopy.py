@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PhysicsError
-from .fock import HilbertSpace, OperatorMatrix, _require_hermitian, eigendecompose_hermitian
+from .fock import HilbertSpace, _require_hermitian
 from .device import (
     TWO_PI,
     MODE_NAMES,
@@ -28,6 +28,7 @@ from .device import (
     DeviceParams,
     OperatingPoint,
     _frequency_array,
+    _number_array,
     _require_resonator_clearance,
     build_hamiltonian,
     device_model,
@@ -95,15 +96,9 @@ class GapResult:
 def _bare_labels(space: HilbertSpace) -> list[str]:
     """Human tag for every basis state: '0', 'q1', 'a+q2', 'q1x2', ..."""
     tags = []
-    for idx in range(space.size):
-        occ = space.occupations(idx)
-        parts = []
-        for mode, n in enumerate(occ):
-            if n == 1:
-                parts.append(MODE_NAMES[mode])
-            elif n > 1:
-                parts.append(f"{MODE_NAMES[mode]}x{n}")
-        tags.append("+".join(parts) if parts else "0")
+    for occ in space.quanta.T.tolist():
+        parts = [MODE_NAMES[m] if n == 1 else f"{MODE_NAMES[m]}x{n}" for m, n in enumerate(occ) if n]
+        tags.append("+".join(parts) or "0")
     return tags
 
 
@@ -135,10 +130,12 @@ def sweep_spectrum(
     mapped through the tuning curve first. Levels are ground-referenced
     and converted to linear GHz. Each point diagonalizes the even and odd
     parity blocks and merges their levels with a stable sort; labels and
-    overlaps refer to the full product basis.
+    overlaps refer to the full product basis. ``values`` must be a
+    non-empty, strictly monotone 1-d array of numbers; a bool among them
+    is refused with ConfigError.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 1:
+    values = _number_array(values, "sweep values")
+    if values.size < 1:
         raise ConfigError("sweep values must be a non-empty 1-d array")
     diffs = np.diff(values)
     if values.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
@@ -158,7 +155,9 @@ def sweep_spectrum(
         point = _point_for(axis, value, fixed_other, params)
         evals, dominant, weight = [], [], []
         for idx in (model.even, model.odd):
-            e, v = eigendecompose_hermitian(build_hamiltonian(params, point, space, idx=idx))
+            h = build_hamiltonian(params, point, space, idx=idx)
+            _require_hermitian(h)
+            e, v = np.linalg.eigh(h)
             w = np.abs(v) ** 2
             evals.append(e)
             dominant.append(idx[np.argmax(w, axis=0)])
@@ -240,7 +239,7 @@ def _slice_separations(
     h = model.hamiltonians(f1s, f2s, model.odd)
     # members differ from the restricted h_static only on the diagonal, so
     # the first one's asymmetry is that of the whole stack
-    _require_hermitian(OperatorMatrix(model.space, h[0], model.odd))
+    _require_hermitian(h[0])
     evals, evecs = np.linalg.eigh(h)
     weight = evecs[:, s_q[0], :] ** 2 + evecs[:, s_q[1], :] ** 2
     pairs = np.sort(np.argsort(weight, axis=1)[:, :-3:-1], axis=1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dresq import dynamics
 from dresq.errors import ConfigError, IntegrationError, PhysicsError
-from dresq.fock import HilbertSpace, OperatorMatrix, number_operator, total_number_operator
+from dresq.fock import HilbertSpace, number_operator, total_number_operator
 from dresq.device import DeviceParams, OperatingPoint, build_hamiltonian
 from dresq.dynamics import (
     EXPM_BYTES_LIMIT,
@@ -89,7 +89,7 @@ def test_dephasing_rate_arithmetic():
     ops = collapse_operators(p, SPACE2)
     assert len(ops) == 4
     gamma_phi = 1.0 / 1.5e3 - 1.0 / 20e3  # per ns
-    n_q1 = ops[1].elements
+    n_q1 = ops[1]
     # dephasing operator is sqrt(2 gamma_phi) * number operator
     assert np.abs(n_q1).max() == pytest.approx(math.sqrt(2 * gamma_phi))
 
@@ -252,7 +252,7 @@ def test_evolve_sampling_trace_positivity_and_excitations(stages, n_samples, exc
     init = DensityState.ground(SPACE2)
     if excited is not None:
         init = DensityState.single_excitation(SPACE2, excited)
-    obs = {"tr": OperatorMatrix(SPACE2, np.eye(16)), "n": total_number_operator(SPACE2)}
+    obs = {"tr": np.eye(16), "n": total_number_operator(SPACE2)}
 
     def run(n):
         return evolve(
@@ -357,6 +357,23 @@ def test_evolve_stops_on_a_nan_stage_map(monkeypatch):
         )
 
 
+def test_evolve_refuses_malformed_observables():
+    # observables come from outside the program: each must be a finite
+    # (d, d) numeric array on the space
+    sched = PulseSchedule([Stage(1.0, OperatingPoint(4.60, 4.60))])
+    init = DensityState.ground(SPACE2)
+    malformed = [
+        np.zeros((3, 3)), np.zeros((16, 15)), np.zeros(16), np.eye(16, dtype=bool),
+        np.full((16, 16), np.nan), np.full((16, 16), np.inf), [[1.0] * 16] * 15 + [[1.0]],
+        "n", None,
+    ]
+    for op in malformed:
+        with pytest.raises(ConfigError, match="observable 'o' must be a finite 16x16"):
+            evolve(DeviceParams(), sched, init, SPACE2, {"o": op}, n_samples=2)
+    ts = evolve(DeviceParams(), sched, init, SPACE2, {"o": np.eye(16).tolist()}, n_samples=2)
+    assert np.allclose(ts.expectations["o"], 1.0)
+
+
 def test_lossy_counter_rotating_full_space_refused_before_allocating():
     sched = PulseSchedule([Stage(1.0, BIAS)])
     tracemalloc.start()
@@ -393,7 +410,7 @@ def test_lossless_evolution_matches_generator_exponential():
     duration = 37.0
     init = DensityState.single_excitation(SPACE2, 3)
     ts = evolve(p, PulseSchedule([Stage(duration, point)]), init, SPACE2, {}, n_samples=2)
-    h = build_hamiltonian(p, point, SPACE2).elements
+    h = build_hamiltonian(p, point, SPACE2)
     stage_map = _expm(duration * _superoperator(h, _dissipator([], 16)))
     expected = (stage_map @ init.rho.reshape(-1)).reshape(init.rho.shape)
     assert np.abs(ts.final_state.rho - expected).max() < 1e-10
@@ -414,11 +431,11 @@ def test_lossless_full_space_matches_eigenbasis_reference():
     n_q1 = number_operator(SPACE3, 2)
     ts = evolve(p, PulseSchedule([Stage(2000.0, point)]), init, SPACE3, {"n_q1": n_q1},
                 n_samples=11)
-    h = build_hamiltonian(p, point, SPACE3).elements
+    h = build_hamiltonian(p, point, SPACE3)
     for t, reading in zip(ts.times_ns, ts.expectations["n_q1"]):
         u = eigenbasis_propagator(h, t)
         rho = u @ init.rho @ u.conj().T
-        assert abs(reading - np.trace(n_q1.elements @ rho).real) <= 1e-9
+        assert abs(reading - np.trace(n_q1 @ rho).real) <= 1e-9
     assert np.abs(ts.final_state.rho - rho).max() <= 1e-9
     assert abs(ts.final_state.purity() - 1.0) <= 1e-9
 

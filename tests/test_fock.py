@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
+from dresq.dynamics import _pi_flip_matrix
 from dresq.errors import ConfigError
 from dresq.fock import (
-    HERMITICITY_TOL,
     HilbertSpace,
-    OperatorMatrix,
-    eigendecompose_hermitian,
-    embed_operator,
+    _require_hermitian,
     lowering_operator,
     number_operator,
-    raising_operator,
     total_number_operator,
 )
 
@@ -43,14 +40,14 @@ def test_dims_immutable():
 
 
 def test_lowering_single_qubit():
-    a = lowering_operator(HilbertSpace((2,)), 0).elements
+    a = lowering_operator(HilbertSpace((2,)), 0)
     expected = np.zeros((2, 2))
     expected[0, 1] = 1.0
     assert np.array_equal(a, expected)
 
 
 def test_lowering_three_levels():
-    a = lowering_operator(HilbertSpace((3,)), 0).elements
+    a = lowering_operator(HilbertSpace((3,)), 0)
     assert a[0, 1] == 1.0
     assert a[1, 2] == pytest.approx(np.sqrt(2))
     assert np.count_nonzero(a) == 2
@@ -58,16 +55,16 @@ def test_lowering_three_levels():
 
 def test_lowering_kron_embedding():
     # dims (2, 2), mode 1: identity(2) tensor lowering(2), all 16 entries
-    a = lowering_operator(HilbertSpace((2, 2)), 1).elements
+    a = lowering_operator(HilbertSpace((2, 2)), 1)
     single = np.array([[0.0, 1.0], [0.0, 0.0]])
     expected = np.kron(np.eye(2), single)
     assert np.array_equal(a, expected)
 
 
 def test_number_operator_diagonals():
-    n = number_operator(HilbertSpace((3,)), 0).elements
+    n = number_operator(HilbertSpace((3,)), 0)
     assert np.array_equal(np.diag(n).real, [0, 1, 2])
-    n2 = number_operator(HilbertSpace((2, 2)), 1).elements
+    n2 = number_operator(HilbertSpace((2, 2)), 1)
     assert np.array_equal(np.diag(n2).real, [0, 1, 0, 1])
 
 
@@ -76,14 +73,14 @@ def test_number_equals_raising_times_lowering():
     for mode in range(3):
         a = lowering_operator(space, mode)
         n = number_operator(space, mode)
-        assert np.allclose(n.elements, a.dagger().elements @ a.elements)
+        assert np.allclose(n, a.T @ a)
 
 
 def test_truncated_commutator():
     # [a, a+] = I except the (d-1, d-1) entry, which is 1 - d
     for d in (2, 3, 5):
         space = HilbertSpace((d,))
-        a = lowering_operator(space, 0).elements
+        a = lowering_operator(space, 0)
         comm = a @ a.conj().T - a.conj().T @ a
         expected = np.eye(d, dtype=complex)
         expected[d - 1, d - 1] = 1 - d
@@ -93,24 +90,44 @@ def test_truncated_commutator():
 
 def test_distinct_mode_operators_commute():
     space = HilbertSpace((3, 3))
-    a0 = lowering_operator(space, 0).elements
-    a1 = lowering_operator(space, 1).elements
+    a0 = lowering_operator(space, 0)
+    a1 = lowering_operator(space, 1)
     assert np.array_equal(a0 @ a1, a1 @ a0)
-    r1 = raising_operator(space, 1).elements
+    r1 = a1.T
     assert np.array_equal(a0 @ r1, r1 @ a0)
 
 
-def test_embedding_order_consistency():
-    # embedding a local operator on mode 0 of (2, 3) matches embedding it
-    # on mode 1 of (3, 2) after permuting the composite basis
-    local = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    sp_a = HilbertSpace((2, 3))
-    sp_b = HilbertSpace((3, 2))
-    m_a = embed_operator(sp_a, 0, local).elements
-    m_b = embed_operator(sp_b, 1, local).elements
-    perm = [sp_b.basis_index((occ[1], occ[0]))
-            for occ in (sp_a.occupations(i) for i in range(sp_a.size))]
-    assert np.array_equal(m_a, m_b[np.ix_(perm, perm)])
+def kron_embed(dims, mode, local):
+    """``local`` on one mode, identities on the others, by Kronecker products."""
+    out = np.ones((1, 1))
+    for i, d in enumerate(dims):
+        out = np.kron(out, local if i == mode else np.eye(d))
+    return out
+
+
+def test_operators_match_kron_reference():
+    # the operators gathered from the occupation table equal the Kronecker
+    # embeddings of the single-mode matrices bit for bit
+    for dims in ((2, 3), (3, 2), (3, 2, 4)):
+        space = HilbertSpace(dims)
+        for mode, d in enumerate(dims):
+            lowering = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+            number = np.diag(np.arange(float(d)))
+            flip = np.eye(d)[[1, 0, *range(2, d)]]
+            assert np.array_equal(lowering_operator(space, mode), kron_embed(dims, mode, lowering))
+            assert np.array_equal(number_operator(space, mode), kron_embed(dims, mode, number))
+            assert np.array_equal(_pi_flip_matrix(space, mode), kron_embed(dims, mode, flip))
+
+
+def test_occupation_table_decodes_every_index():
+    space = HilbertSpace((3, 2, 4))
+    assert space.strides == (8, 4, 1)
+    for i in range(space.size):
+        occ = space.occupations(i)
+        assert space.basis_index(occ) == i
+        assert occ == (i // 8, i // 4 % 2, i % 4)
+    with pytest.raises(ValueError):
+        space.quanta[0, 0] = 1
 
 
 def test_mode_index_out_of_range():
@@ -122,67 +139,12 @@ def test_single_excitation_indices():
     space = HilbertSpace((3, 3, 3, 3))
     idx = space.single_excitation_indices()
     assert idx == (27, 9, 3, 1)
-    n_tot = total_number_operator(space).elements
+    n_tot = total_number_operator(space)
     for i in idx:
         assert n_tot[i, i] == 1
 
 
-def test_eigendecompose_diagonal():
-    space = HilbertSpace((3,))
-    op = OperatorMatrix(space, np.diag([3.0, 1.0, 2.0]).astype(complex))
-    evals, _ = eigendecompose_hermitian(op)
-    assert np.allclose(evals, [1.0, 2.0, 3.0])
-
-
-def test_eigendecompose_anticrossing():
-    space = HilbertSpace((2,))
-    g = 0.005
-    op = OperatorMatrix(space, np.array([[0.0, g], [g, 0.0]], dtype=complex))
-    evals, _ = eigendecompose_hermitian(op)
-    assert evals[0] == pytest.approx(-g)
-    assert evals[1] == pytest.approx(+g)
-    assert evals[1] - evals[0] == pytest.approx(2 * g)
-
-
-def test_eigendecompose_reconstruction():
-    rng = np.random.default_rng(42)
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    m = m + m.conj().T
-
-    class _Six:
-        pass
-
-    space = HilbertSpace((6,))
-    op = OperatorMatrix(space, m)
-    evals, vecs = eigendecompose_hermitian(op)
-    recon = vecs @ np.diag(evals) @ vecs.conj().T
-    assert np.abs(recon - m).max() < 1e-9
-    # residual and orthonormality bounds
-    scale = np.abs(evals).max()
-    assert np.abs(m @ vecs - vecs * evals).max() < 1e-9 * scale
-    assert np.abs(vecs.conj().T @ vecs - np.eye(6)).max() < 1e-10
-
-
-def test_eigendecompose_rejects_non_hermitian():
-    space = HilbertSpace((2,))
-    op = OperatorMatrix(space, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+def test_hermiticity_check_reports_the_defect():
     with pytest.raises(ConfigError, match="1.0"):
-        eigendecompose_hermitian(op)
-
-
-def test_operator_matrix_shape_checks():
-    space = HilbertSpace((2, 2))
-    with pytest.raises(ConfigError):
-        OperatorMatrix(space, np.zeros((3, 3)))
-    with pytest.raises(ConfigError):
-        OperatorMatrix(space, np.zeros((4, 3)))
-
-
-def test_operator_algebra_helpers():
-    space = HilbertSpace((3,))
-    a = lowering_operator(space, 0)
-    n = a.dagger() @ a
-    assert np.allclose(n.elements, number_operator(space, 0).elements)
-    s = a + a.dagger()
-    assert s.hermiticity_defect() < HERMITICITY_TOL
-    assert (2.0 * a).elements[0, 1] == 2.0
+        _require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    _require_hermitian(np.array([[0.0, 1j], [-1j, 0.0]]))

@@ -5,7 +5,7 @@ import pytest
 
 from dresq import spectroscopy
 from dresq.errors import ConfigError, PhysicsError
-from dresq.fock import HilbertSpace, eigendecompose_hermitian
+from dresq.fock import HilbertSpace
 from dresq.device import (
     TWO_PI,
     DeviceParams,
@@ -32,7 +32,7 @@ def reference_separation(params, point, space):
     odd = device_model(params, space, True).odd
     qubit_states = space.single_excitation_indices()[2:]
     s_q1, s_q2 = np.searchsorted(odd, qubit_states)
-    evals, evecs = eigendecompose_hermitian(build_hamiltonian(params, point, space, idx=odd))
+    evals, evecs = np.linalg.eigh(build_hamiltonian(params, point, space, idx=odd))
     weight = np.abs(evecs[s_q1, :]) ** 2 + np.abs(evecs[s_q2, :]) ** 2
     order = np.argsort(weight)[::-1]
     k1, k2 = sorted(int(k) for k in order[:2])
@@ -62,6 +62,15 @@ def test_sweep_monotonicity_required():
             DeviceParams(), "freq_1", np.array([4.5, 4.4, 4.6]),
             OperatingPoint(4.6, 4.91), SPACE,
         )
+
+
+@pytest.mark.parametrize("axis", ["flux_1", "flux_2", "freq_1", "freq_2"])
+@pytest.mark.parametrize("values", [
+    True, [True], [True, 2.0], [0.1, np.True_], np.array([True]), np.array([False, True]),
+])
+def test_sweep_bool_values_refused(axis, values):
+    with pytest.raises(ConfigError, match="sweep values"):
+        sweep_spectrum(DeviceParams(), axis, values, OperatingPoint(4.6, 4.91), SPACE)
 
 
 def test_sweep_unknown_axis():
