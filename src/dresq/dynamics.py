@@ -102,7 +102,11 @@ class PulseSchedule:
 
 @dataclass
 class DensityState:
-    """Density matrix on a HilbertSpace."""
+    """Density matrix on a HilbertSpace.
+
+    A ρ of the wrong shape, or holding a NaN or an infinity, is refused with
+    ConfigError, both on construction and by :meth:`validate`.
+    """
 
     space: HilbertSpace
     rho: np.ndarray
@@ -112,6 +116,11 @@ class DensityState:
         if m.shape != (self.space.size, self.space.size):
             raise ConfigError("density matrix shape must match the space")
         self.rho = m
+        self._require_finite()
+
+    def _require_finite(self) -> None:
+        if not np.isfinite(self.rho).all():
+            raise ConfigError("density matrix must be finite, got a NaN or infinite element")
 
     @classmethod
     def ground(cls, space: HilbertSpace) -> "DensityState":
@@ -127,6 +136,7 @@ class DensityState:
         return cls(space, rho)
 
     def validate(self) -> None:
+        self._require_finite()
         tr = self.rho.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise IntegrationError(f"density-matrix trace drifted to {tr:.12f}")

@@ -6,9 +6,11 @@ blocks); levels are reported relative to the ground state in GHz and
 tagged with the bare product state they overlap most, or "mixed" when no
 bare state dominates. A spectrum sweep diagonalizes its points one by one.
 The qubit-qubit anti-crossing lies in the odd block, so gap tracking and
-the co-tuned half gap diagonalize that block alone, and all their points
-at once: the model builds the stack of odd-block Hamiltonians and each
-slice of at most STACK_SLICE_BYTES of it is one ``eigh`` call.
+the co-tuned half gap diagonalize that block alone, and each batch of
+points at once: the model builds the stack of odd-block Hamiltonians and
+each slice of at most STACK_SLICE_BYTES of it is one ``eigh`` call. A gap
+is located by a coarse grid, one such stack, and then by a few parabolic
+vertex steps on the squared separation, one point each.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .fock import HilbertSpace, _require_hermitian
 from .device import (
     TWO_PI,
     MODE_NAMES,
+    MODEL_BYTES_LIMIT,
     DeviceModel,
     DeviceParams,
     OperatingPoint,
@@ -38,12 +41,14 @@ SWEEP_AXES = ("flux_1", "flux_2", "freq_1", "freq_2")
 
 MIXED_LABEL = "mixed"
 
-DEFAULT_GAP_GRID = 201
+# coarse grid points of a default gap scan, and the most parabolic vertex
+# steps that follow it (the minimum is found to rounding after 4-5)
+DEFAULT_GAP_GRID = 21
+GAP_VERTEX_STEPS = 8
 
 # most bytes of odd-block Hamiltonians plus their eigenvectors that gap
-# tracking diagonalizes in one eigh call: all 201 points of a 3^4 gap scan
-# (5 MB) fit in one slice, while a 6^4 scan (1.35 GB unsliced) goes 4
-# points at a time
+# tracking diagonalizes in one eigh call: a 21-point 3^4 gap scan (0.5 MB)
+# fits in one slice, while a 6^4 scan goes 4 points at a time
 STACK_SLICE_BYTES = 32 * 2**20
 
 
@@ -264,7 +269,8 @@ def _gap_grid(sweep_1) -> tuple[float, float, int]:
     """(start, stop, count) of a qubit-1 sweep; ConfigError unless usable.
 
     The bounds must be finite and the count an integral number of at least
-    5 grid points.
+    5 grid points, few enough that the grid and its per-point results fit
+    in MODEL_BYTES_LIMIT; that is checked before anything is allocated.
     """
     try:
         lo, hi, count = sweep_1
@@ -279,6 +285,12 @@ def _gap_grid(sweep_1) -> tuple[float, float, int]:
         raise ConfigError(
             f"gap sweep needs an integral count of at least 5 grid points, got {count!r}"
         )
+    # five 8-byte words a point: grid, f2 fill, separation and level pair
+    if 5 * 8 * n > MODEL_BYTES_LIMIT:
+        raise ConfigError(
+            f"gap sweep of {count!r} points needs {5 * 8 * n / 2**20:.3g} MiB "
+            f"(limit {MODEL_BYTES_LIMIT / 2**20:.0f} MiB)"
+        )
     return lo, hi, int(n)
 
 
@@ -290,17 +302,24 @@ def qubit_qubit_gap(
 ) -> GapResult:
     """Anti-crossing gap between the two qubit-like dressed levels.
 
-    Qubit 2 is parked at ``qubit2_freq`` and qubit 1 swept across it;
-    the minimum separation of the two levels with dominant combined
-    qubit character is returned, refined by parabolic interpolation of
-    the squared separation through the grid minimum. Half the gap
-    estimates the effective qubit-qubit coupling magnitude.
+    Qubit 2 is parked at ``qubit2_freq`` and qubit 1 swept across it; the
+    minimum separation of the two levels with dominant combined qubit
+    character is returned. Half the gap estimates the effective qubit-qubit
+    coupling magnitude.
 
-    The whole grid is one stack of odd-block Hamiltonians, diagonalized
-    in slices of at most STACK_SLICE_BYTES; the refined point is a stack
-    of one. ``sweep_1`` is (start, stop, count) with finite bounds
-    bracketing the setpoint and an integral count of at least 5; a bool
-    or non-finite setpoint is refused with ConfigError.
+    A coarse grid brackets the minimum; it is one stack of odd-block
+    Hamiltonians, diagonalized in slices of at most STACK_SLICE_BYTES.
+    Near an anti-crossing sep² is very nearly a parabola in the swept
+    frequency, so from the grid minimum and its two neighbours at most
+    GAP_VERTEX_STEPS parabolic steps follow (Brent 1973): each evaluates the
+    vertex of the parabola through the three best points on sep², a stack
+    of one, and keeps the best three. The steps stop when the three points
+    do not open upwards, when the vertex leaves the sweep interval, or when
+    a step does not lower the separation; the best point found is returned.
+
+    ``sweep_1`` is (start, stop, count) with finite bounds bracketing the
+    setpoint and an integral coarse count of at least 5; a bool or
+    non-finite setpoint is refused with ConfigError.
     """
     qubit2_freq = _finite(qubit2_freq, "qubit-2 setpoint")
     if space is None:
@@ -314,10 +333,9 @@ def qubit_qubit_gap(
         raise ConfigError(
             f"sweep interval ({lo}, {hi}) must bracket the qubit-2 setpoint {qubit2_freq}"
         )
-    grid = np.linspace(lo, hi, count)
     for f1 in (lo, hi):
         _require_resonator_clearance(params, f1, "sweep endpoint")
-
+    grid = np.linspace(lo, hi, count)
     seps, pairs = _tracked_separations(params, grid, np.full(count, qubit2_freq), space)
 
     i_min = int(np.argmin(seps))
@@ -325,21 +343,33 @@ def qubit_qubit_gap(
         raise PhysicsError(
             "minimum separation sits at a sweep endpoint: bracket too narrow"
         )
-    # near an anti-crossing sep² is locally parabolic in the sweep value,
-    # so refine the vertex on sep² rather than sep
-    x0, x1, x2 = grid[i_min - 1 : i_min + 2]
-    y0, y1, y2 = seps[i_min - 1 : i_min + 2] ** 2
-    denom = (y0 - 2 * y1 + y2)
-    loc, sep_min, pair = x1, seps[i_min], pairs[i_min]
-    if denom > 0:
-        step = grid[1] - grid[0]
-        shift = 0.5 * (y0 - y2) / denom
-        shift = max(-1.0, min(1.0, shift))
-        refined = x1 + shift * step
-        sep, pair_refined = _tracked_separations(params, [refined], [qubit2_freq], space)
-        if not sep[0] > sep_min:
-            loc, sep_min, pair = refined, sep[0], pair_refined[0]
+    # (location, separation, pair) of the three best points, best first
+    best = sorted(zip(grid[i_min - 1 : i_min + 2], seps[i_min - 1 : i_min + 2],
+                      pairs[i_min - 1 : i_min + 2]), key=lambda p: p[1])
+    for _ in range(GAP_VERTEX_STEPS):
+        loc = _parabola_vertex(*((x, s * s) for x, s, _ in best))
+        if not lo < loc < hi:
+            break
+        sep, pair = _tracked_separations(params, [loc], [qubit2_freq], space)
+        if not sep[0] < best[0][1]:
+            break
+        best = [(loc, sep[0], pair[0])] + best[:2]
+    loc, sep_min, pair = best[0]
     return GapResult(sep_min * 1e3, loc, pair)
+
+
+def _parabola_vertex(a, b, c) -> float:
+    """Abscissa of the vertex of the parabola through three (x, y) points.
+
+    NaN unless the parabola opens upwards, so a caller comparing the result
+    with an interval sees it outside.
+    """
+    (xa, ya), (xb, yb), (xc, yc) = a, b, c
+    slope_ab = (yb - ya) / (xb - xa)
+    curvature = ((yc - yb) / (xc - xb) - slope_ab) / (xc - xa)
+    if not curvature > 0:
+        return math.nan
+    return 0.5 * (xa + xb) - 0.5 * slope_ab / curvature
 
 
 def gap_vs_setpoint(

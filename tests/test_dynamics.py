@@ -74,6 +74,23 @@ def test_density_state_validation_catches_bad_trace():
         rho.validate()
 
 
+@pytest.mark.parametrize("where, value", [
+    ((0, 0), np.nan), ((1, 1), np.nan), ((0, 0), np.inf), ((1, 1), -np.inf),
+], ids=["nan-00", "nan-11", "inf-00", "minus-inf-11"])
+def test_density_state_refuses_a_non_finite_rho(where, value):
+    rho = DensityState.ground(SPACE2).rho.copy()
+    rho[where] = value
+    with pytest.raises(ConfigError, match="finite"):
+        DensityState(SPACE2, rho)
+    # a state that was finite when built and broken afterwards reaches
+    # evolve, which refuses it before any propagation
+    state = DensityState.ground(SPACE2)
+    state.rho[where] = value
+    sched = PulseSchedule([Stage(10.0, BIAS)])
+    with pytest.raises(ConfigError, match="finite"):
+        evolve(decoupled(), sched, state, SPACE2, {}, n_samples=3)
+
+
 # ---------------------------------------------------------------------------
 # collapse operators
 

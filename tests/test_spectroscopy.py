@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -214,8 +215,8 @@ def test_sliced_separations_equal_each_point_alone(monkeypatch, dims):
 
 
 def test_slice_budget_bounds_the_gap_scan_memory(monkeypatch):
-    # unsliced, the 202 odd-block matrices and eigenvectors of a 4^4 scan
-    # take 53 MB; a 1 MiB budget diagonalizes four points at a time
+    # unsliced, the 21 odd-block matrices and eigenvectors of a 4^4 coarse
+    # scan take 5.5 MB; a 1 MiB budget diagonalizes four points at a time
     p = DeviceParams()
     space = HilbertSpace((4, 4, 4, 4))
     model = device_model(p, space, True)
@@ -252,6 +253,17 @@ def test_gap_sweep_refused_unless_finite_with_an_integral_count(sweep_1):
         qubit_qubit_gap(DeviceParams(), 4.60, sweep_1=sweep_1, space=SPACE)
 
 
+def test_gap_sweep_too_large_to_allocate_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="gap sweep .* MiB"):
+            qubit_qubit_gap(DeviceParams(), 4.60, sweep_1=(4.58, 4.62, 10**13), space=SPACE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_gap_sweep_integral_float_count_accepted():
     assert (qubit_qubit_gap(DeviceParams(), 4.60, sweep_1=(4.58, 4.62, 51.0), space=SPACE)
             == qubit_qubit_gap(DeviceParams(), 4.60, sweep_1=(4.58, 4.62, 51), space=SPACE))
@@ -280,6 +292,62 @@ def test_gap_converges_at_five_levels_per_mode():
             for d in (3, 4, 5)]
     # each added level shrinks the truncation error: 1.9e-6 then 4e-10 MHz
     assert abs(gaps[2] - gaps[1]) < abs(gaps[1] - gaps[0]) / 100
+
+
+def dense_reference_gap(params, setpoint, space):
+    """Gap (MHz) and location (GHz) from a 4001-point grid over the default
+    sweep, then a golden-section search of the bracket around its minimum
+    down to 1e-10 GHz, each search point one eigh alone."""
+    grid = np.linspace(setpoint - 0.020, setpoint + 0.020, 4001)
+    seps, _ = _tracked_separations(params, grid, np.full(grid.size, setpoint), space)
+    i = int(np.argmin(seps))
+    a, b = grid[i - 1], grid[i + 1]
+
+    def sep(f1):
+        return reference_separation(params, OperatingPoint(f1, setpoint), space)[0]
+
+    shrink = (math.sqrt(5) - 1) / 2
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    sep_c, sep_d = sep(c), sep(d)
+    while b - a > 1e-10:
+        if sep_c < sep_d:
+            b, d, sep_d = d, c, sep_c
+            c = b - shrink * (b - a)
+            sep_c = sep(c)
+        else:
+            a, c, sep_c = c, d, sep_d
+            d = a + shrink * (b - a)
+            sep_d = sep(d)
+    best_sep, best_loc = min((sep_c, c), (sep_d, d))
+    return best_sep * 1e3, best_loc
+
+
+@pytest.mark.parametrize("setpoint", [4.58, 4.60, 4.63, 4.68])
+def test_gap_agrees_with_a_dense_reference(setpoint):
+    # 4.63 GHz is next to the switch-off, where the gap is about 0.036 MHz
+    p = DeviceParams()
+    gap = qubit_qubit_gap(p, setpoint, space=SPACE)
+    ref_gap, ref_loc = dense_reference_gap(p, setpoint, SPACE)
+    assert abs(gap.gap_mhz - ref_gap) <= 1e-9
+    assert abs(gap.location_ghz - ref_loc) <= 5e-8
+
+
+def test_gap_work_is_the_coarse_grid_and_the_step_cap(monkeypatch):
+    members = []
+    tracked = spectroscopy._tracked_separations
+
+    def counting(params, f1s, f2s, space):
+        members.append(len(f1s))
+        return tracked(params, f1s, f2s, space)
+
+    monkeypatch.setattr(spectroscopy, "_tracked_separations", counting)
+    cap = spectroscopy.DEFAULT_GAP_GRID + spectroscopy.GAP_VERTEX_STEPS
+    qubit_qubit_gap(DeviceParams(), 4.60, space=SPACE)
+    assert members[0] == spectroscopy.DEFAULT_GAP_GRID
+    assert sum(members) <= cap
+    members.clear()
+    gap_vs_setpoint(DeviceParams(), [4.58, 4.63], SPACE)
+    assert sum(members) <= 2 * cap
 
 
 def test_gap_bracket_too_narrow():
