@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ConfigError, NumericsError, PhysicsError
 from .fock import HilbertSpace
 from .device import (
+    MODEL_BYTES_LIMIT,
     DeviceParams,
     OperatingPoint,
     effective_coupling,
@@ -71,8 +72,9 @@ def _load_device(path: Path | None) -> DeviceParams:
 
 
 def _grid(start: float, stop: float, points: int, flag: str) -> np.ndarray:
-    if points < 1:
-        raise ConfigError(f"{flag} must be at least 1, got {points}")
+    # the grid's 8-byte values must fit in MODEL_BYTES_LIMIT: checked before allocating
+    if not 1 <= points <= MODEL_BYTES_LIMIT // 8:
+        raise ConfigError(f"{flag} must be from 1 to {MODEL_BYTES_LIMIT // 8}, got {points}")
     return np.linspace(start, stop, points)
 
 

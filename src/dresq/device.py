@@ -230,7 +230,7 @@ class DeviceModel:
     excitation-conserving rotating-wave model. All elements are real, so
     H is stored as float64, and it is checked symmetric once, here.
     ``n_q1`` and ``n_q2`` are the qubit number diagonals that
-    :meth:`hamiltonian` scales by the operating point; ``even`` and
+    :meth:`hamiltonians` scales by the qubit frequencies; ``even`` and
     ``odd`` are the basis indices of the two excitation-parity blocks,
     which no term of H couples. Arrays are read-only: one model is shared
     by every caller of :func:`device_model`.
@@ -264,12 +264,14 @@ class DeviceModel:
             a.flags.writeable = False
 
     def hamiltonians(self, f1, f2, idx: np.ndarray | None = None) -> np.ndarray:
-        """The (k, n, n) stack of :meth:`hamiltonian` at the points (f1[k], f2[k]).
+        """The (k, n, n) stack H_static + 2π(f₁[k] N̂_q1 + f₂[k] N̂_q2).
 
         ``f1`` and ``f2`` are 1-d arrays of qubit frequencies in GHz, each
-        positive and finite. ``h_static`` is restricted to ``idx`` once and
-        only the diagonals differ between members, so every member is
-        bit-identical to the matrix :meth:`hamiltonian` builds for its point.
+        positive and finite. The stack is on the whole space, or on the
+        basis states ``idx`` (such as the ``even`` or ``odd`` parity block)
+        if given: ``h_static`` is restricted to ``idx`` once and only the
+        diagonals differ between members, so every member is bit-identical
+        to the stack of one built at its point alone.
         """
         f1 = _frequency_array(f1, "qubit_freq_1")
         f2 = _frequency_array(f2, "qubit_freq_2")
@@ -277,14 +279,6 @@ class DeviceModel:
             raise ConfigError(
                 f"need as many qubit-1 as qubit-2 frequencies, got {f1.size} and {f2.size}"
             )
-        return self._stack(f1, f2, idx)
-
-    def hamiltonian(self, point: OperatingPoint, idx: np.ndarray | None = None) -> np.ndarray:
-        """H_static + 2π(f₁ N̂_q1 + f₂ N̂_q2), on the basis states ``idx`` if given."""
-        # OperatingPoint has checked both frequencies; a stack of one
-        return self._stack(np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]), idx)[0]
-
-    def _stack(self, f1: np.ndarray, f2: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
         if idx is None:
             template, n_q1, n_q2 = self.h_static, self.n_q1, self.n_q2
         else:
@@ -371,21 +365,6 @@ def device_model(
 ) -> DeviceModel:
     """The DeviceModel of one (device, truncation, model), built on first use."""
     return DeviceModel(params, space, include_counter_rotating)
-
-
-def build_hamiltonian(
-    params: DeviceParams,
-    point: OperatingPoint,
-    space: HilbertSpace,
-    include_counter_rotating: bool = True,
-    idx: np.ndarray | None = None,
-) -> np.ndarray:
-    """H/ħ in rad/ns at ``point``, from the cached :class:`DeviceModel`.
-
-    On the whole space, or on the basis states ``idx`` (such as the
-    model's ``even`` or ``odd`` parity block) if given.
-    """
-    return device_model(params, space, include_counter_rotating).hamiltonian(point, idx)
 
 
 def effective_coupling(params: DeviceParams, point: OperatingPoint) -> float:

@@ -48,7 +48,7 @@ from .device import (
     DeviceParams,
     OperatingPoint,
     _require_resonator_clearance,
-    build_hamiltonian,
+    device_model,
 )
 
 TRACE_TOL = 1e-8
@@ -305,23 +305,22 @@ def _pi_flip_matrix(space: HilbertSpace, mode_index: int) -> np.ndarray:
 
 def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_ghz,
                  dissipation=True):
-    """Block indices, block Hamiltonians (one per point) and block collapse operators.
+    """Block indices, block Hamiltonians (a stack, one per point) and block collapse operators.
 
-    Hamiltonians are in the frame rotating at ``frame_ghz`` times the total
-    excitation number; collapse operators are built only with ``dissipation``.
+    The Hamiltonians are one stack of the cached device model's, in the frame
+    rotating at ``frame_ghz`` times the total excitation number; collapse
+    operators are built only with ``dissipation``.
     The block is :func:`_closed_block`'s. It is refused with ConfigError
     when exponentiating one of its generators, d×d without collapse operators
     and d²×d² with them, would take more than EXPM_BYTES_LIMIT.
     """
     ls = collapse_operators(params, space) if dissipation else []
-    hs = [
-        build_hamiltonian(params, p, space, include_counter_rotating=counter_rotating)
-        for p in points
-    ]
+    hs = device_model(params, space, counter_rotating).hamiltonians(
+        [p.qubit_freq_1 for p in points], [p.qubit_freq_2 for p in points]
+    )
     if frame_ghz:
-        frame_shift = TWO_PI * frame_ghz * total_number_operator(space)
-        hs = [h - frame_shift for h in hs]
-    idx = _closed_block(space, rho0, n_preps, hs + ls)
+        hs -= TWO_PI * frame_ghz * total_number_operator(space)
+    idx = _closed_block(space, rho0, n_preps, list(hs) + ls)
     need = _expm_bytes(idx.size**2 if ls else idx.size)
     if need > EXPM_BYTES_LIMIT:
         raise ConfigError(
@@ -330,7 +329,7 @@ def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_g
             "smaller truncation or the excitation-conserving model"
         )
     sel = np.ix_(idx, idx)
-    return idx, [h[sel] for h in hs], [l[sel] for l in ls]
+    return idx, hs[:, idx[:, None], idx], [l[sel] for l in ls]
 
 
 def _sample(rho, steps, rows, act, where) -> tuple[np.ndarray, np.ndarray]:
@@ -423,12 +422,12 @@ def evolve(
     }
     if ls:
         # maps act on vec(ρ); a prep P becomes P ⊗ P̄
-        generators = _superoperator(np.stack(hs), _dissipator(ls, idx.size))
+        generators = _superoperator(hs, _dissipator(ls, idx.size))
         flips = {tag: np.kron(p, p.conj()) for tag, p in flips.items()}
         rho = initial.rho[sel].reshape(1, -1, 1)
         act = np.matmul
     else:
-        generators = -1j * np.stack(hs)
+        generators = -1j * hs
         rho = initial.rho[sel][None]
 
         def act(u, rho):
@@ -598,7 +597,7 @@ def vacuum_rabi_chevron(
         dissipation=dissipation,
     )
     d = idx.size
-    generators = _superoperator(np.stack(hs), _dissipator(ls, d))
+    generators = _superoperator(hs, _dissipator(ls, d))
 
     # row 0 reads tr ρ, row 1 <q1|ρ|q1>
     readout = np.zeros((2, d * d))

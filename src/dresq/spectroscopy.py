@@ -4,19 +4,20 @@ Every sweep point is an exact diagonalization of the device Hamiltonian,
 one real symmetric excitation-parity block at a time (no term couples the
 blocks); levels are reported relative to the ground state in GHz and
 tagged with the bare product state they overlap most, or "mixed" when no
-bare state dominates. A spectrum sweep diagonalizes its points one by one.
-The qubit-qubit anti-crossing lies in the odd block, so gap tracking and
-the co-tuned half gap diagonalize that block alone, and each batch of
-points at once: the model builds the stack of odd-block Hamiltonians and
-each slice of at most STACK_SLICE_BYTES of it is one ``eigh`` call. A gap
-is located by a coarse grid, one such stack, and then by a few parabolic
-vertex steps on the squared separation, one point each.
+bare state dominates. Every diagonalization goes through one helper: the
+model builds the stack of block Hamiltonians of a batch of points, and
+each slice of at most STACK_SLICE_BYTES of it is one ``eigh`` call. The
+qubit-qubit anti-crossing lies in the odd block, so gap tracking and the
+co-tuned half gap diagonalize that block alone. A gap is located by a
+coarse grid, one such stack, and then by a few parabolic vertex steps on
+the squared separation, one point each.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ from .device import (
     _frequency_array,
     _number_array,
     _require_resonator_clearance,
-    build_hamiltonian,
     device_model,
+    flux_to_frequency,
 )
 
 SWEEP_AXES = ("flux_1", "flux_2", "freq_1", "freq_2")
@@ -46,10 +47,10 @@ MIXED_LABEL = "mixed"
 DEFAULT_GAP_GRID = 21
 GAP_VERTEX_STEPS = 8
 
-# most bytes of odd-block Hamiltonians plus their eigenvectors that gap
-# tracking diagonalizes in one eigh call: a 21-point 3^4 gap scan (0.5 MB)
-# fits in one slice, while a 6^4 scan goes 4 points at a time
-STACK_SLICE_BYTES = 32 * 2**20
+# most bytes of block Hamiltonians plus their eigenvectors in one eigh call:
+# a 21-point 3^4 gap scan (0.5 MB) is one slice, 4^4 parity blocks go 4
+# points at a time; larger slices save no time and raise a sweep's peak RSS
+STACK_SLICE_BYTES = 2**20
 
 
 @dataclass
@@ -107,18 +108,20 @@ def _bare_labels(space: HilbertSpace) -> list[str]:
     return tags
 
 
-def _point_for(axis: str, value: float, fixed: OperatingPoint, params: DeviceParams) -> OperatingPoint:
-    from .device import flux_to_frequency
+def _axis_frequencies(
+    axis: str, values: np.ndarray, fixed: OperatingPoint, params: DeviceParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """(f1s, f2s) along a sweep: one qubit follows ``values``, the other stays fixed.
 
-    if axis == "freq_1":
-        return OperatingPoint(value, fixed.qubit_freq_2)
-    if axis == "freq_2":
-        return OperatingPoint(fixed.qubit_freq_1, value)
-    if axis == "flux_1":
-        return OperatingPoint(flux_to_frequency(params, 1, value), fixed.qubit_freq_2)
-    if axis == "flux_2":
-        return OperatingPoint(fixed.qubit_freq_1, flux_to_frequency(params, 2, value))
-    raise ConfigError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
+    A flux axis maps each control value through the tuning curve first.
+    """
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
+    qubit = int(axis[-1])
+    if axis.startswith("flux"):
+        values = np.array([flux_to_frequency(params, qubit, v) for v in values])
+    held = np.full(values.size, fixed.qubit_freq_2 if qubit == 1 else fixed.qubit_freq_1)
+    return (values, held) if qubit == 1 else (held, values)
 
 
 def sweep_spectrum(
@@ -133,11 +136,12 @@ def sweep_spectrum(
 
     ``axis`` is one of flux_1, flux_2, freq_1, freq_2; flux axes are
     mapped through the tuning curve first. Levels are ground-referenced
-    and converted to linear GHz. Each point diagonalizes the even and odd
-    parity blocks and merges their levels with a stable sort; labels and
+    and converted to linear GHz. All points of the even, then the odd
+    parity block are diagonalized in slices of STACK_SLICE_BYTES, and each
+    point's levels of both blocks are merged with a stable sort; labels and
     overlaps refer to the full product basis. ``values`` must be a
-    non-empty, strictly monotone 1-d array of numbers; a bool among them
-    is refused with ConfigError.
+    non-empty, strictly monotone 1-d array of numbers; a bool among them is
+    refused with ConfigError, as is an ``n_levels`` not an integer ≥ 1.
     """
     values = _number_array(values, "sweep values")
     if values.size < 1:
@@ -147,34 +151,36 @@ def sweep_spectrum(
         raise ConfigError("sweep values must be strictly monotone")
     if n_levels is None:
         n_levels = space.size - 1
-    if n_levels < 1:
-        raise ConfigError(f"need at least one level above the ground state, got {n_levels}")
-    n_levels = min(n_levels, space.size - 1)
+    if isinstance(n_levels, bool) or not isinstance(n_levels, numbers.Integral) or n_levels < 1:
+        raise ConfigError(f"need an integer of at least one level above the ground state, "
+                          f"got {n_levels!r}")
+    n_levels = min(int(n_levels), space.size - 1)
+    f1s, f2s = _axis_frequencies(axis, values, fixed_other, params)
 
-    bare = _bare_labels(space)
     model = device_model(params, space, True)
-    levels = np.empty((values.size, n_levels))
-    overlaps = np.empty((values.size, n_levels))
-    labels = []
-    for i, value in enumerate(values):
-        point = _point_for(axis, value, fixed_other, params)
-        evals, dominant, weight = [], [], []
-        for idx in (model.even, model.odd):
-            h = build_hamiltonian(params, point, space, idx=idx)
-            _require_hermitian(h)
-            e, v = np.linalg.eigh(h)
-            w = np.abs(v) ** 2
-            evals.append(e)
-            dominant.append(idx[np.argmax(w, axis=0)])
-            weight.append(w.max(axis=0))
-        evals = np.concatenate(evals)
-        order = np.argsort(evals, kind="stable")[: n_levels + 1]
-        dominant = np.concatenate(dominant)[order[1:]]
-        weight = np.concatenate(weight)[order[1:]]
-        levels[i] = (evals[order[1:]] - evals[order[0]]) / TWO_PI
-        overlaps[i] = np.sqrt(weight)
-        labels.append([bare[j] if w > 0.5 else MIXED_LABEL for j, w in zip(dominant, weight)])
-    return SpectrumSweep(axis, values, levels, labels, overlaps)
+    # columns: the even block's eigenpairs, then the odd block's
+    evals = np.empty((values.size, space.size))
+    dominant = np.empty((values.size, space.size), dtype=int)
+    weight = np.empty((values.size, space.size))
+    n_even = model.even.size
+    for cols, idx in ((slice(None, n_even), model.even), (slice(n_even, None), model.odd)):
+
+        def store(part, e, v):
+            # w[k, j, i] = |<i|j>|² laid out per eigenvector, so that argmax
+            # reduces a contiguous axis rather than copying the stack
+            w = np.square(v.swapaxes(1, 2), order="C")
+            evals[part, cols] = e
+            dominant[part, cols] = idx[w.argmax(axis=2)]
+            weight[part, cols] = w.max(axis=2)
+
+        _block_eigh(model, f1s, f2s, idx, store)
+    order = np.argsort(evals, axis=1, kind="stable")[:, : n_levels + 1]
+    ground, upper = order[:, :1], order[:, 1:]
+    levels = (np.take_along_axis(evals, upper, 1) - np.take_along_axis(evals, ground, 1)) / TWO_PI
+    weight = np.take_along_axis(weight, upper, 1)
+    bare = np.array(_bare_labels(space))[np.take_along_axis(dominant, upper, 1)]
+    labels = np.where(weight > 0.5, bare, MIXED_LABEL).tolist()
+    return SpectrumSweep(axis, values, levels, labels, np.sqrt(weight))
 
 
 def min_labeled_separation(sweep: SpectrumSweep, label_a: str, label_b: str) -> GapResult:
@@ -211,6 +217,28 @@ def _qubit_character_indices(space: HilbertSpace) -> tuple[int, int]:
     return idx[2], idx[3]
 
 
+def _block_eigh(model: DeviceModel, f1s: np.ndarray, f2s: np.ndarray, idx: np.ndarray,
+                store) -> None:
+    """Diagonalize the block ``idx`` at every point (f1s[k], f2s[k]), a slice at a time.
+
+    A slice is as many points as fit, with their eigenvectors, in
+    STACK_SLICE_BYTES: one stack of the model's and one ``eigh`` call.
+    ``store(part, evals, evecs)`` keeps what it needs of the points ``part``
+    (a slice object), as each slice is freed before the next is built.
+    """
+    per_slice = max(1, STACK_SLICE_BYTES // (2 * 8 * idx.size**2))
+    for start in range(0, len(f1s), per_slice):
+        part = slice(start, start + per_slice)
+        h = model.hamiltonians(f1s[part], f2s[part], idx)
+        # members differ from the restricted h_static only on the diagonal, so
+        # the first one's asymmetry is that of the whole stack
+        _require_hermitian(h[0])
+        evals, evecs = np.linalg.eigh(h)
+        del h
+        store(part, evals, evecs)
+        del evals, evecs
+
+
 def _tracked_separations(
     params: DeviceParams, f1s, f2s, space: HilbertSpace
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -220,36 +248,24 @@ def _tracked_separations(
     both dressed states carry half q1 and half q2 character, so levels are
     ranked by their combined qubit weight and the top two are taken; this
     stays stable through the anti-crossing. Both single-qubit excitations
-    are odd, so only the odd-parity block is diagonalized, and row k of the
-    returned (k, 2) pairs indexes its ascending levels at point k. The
-    points are diagonalized a slice at a time, one ``eigh`` call per slice
-    of at most STACK_SLICE_BYTES of Hamiltonians and eigenvectors.
+    are odd, so only the odd-parity block is diagonalized (by
+    :func:`_block_eigh`), and row k of the returned (k, 2) pairs indexes its
+    ascending levels at point k.
     """
     model = device_model(params, space, True)
     s_q = np.searchsorted(model.odd, _qubit_character_indices(space))
-    per_slice = max(1, STACK_SLICE_BYTES // (2 * 8 * model.odd.size**2))
     f1s, f2s = np.asarray(f1s), np.asarray(f2s)
     seps = np.empty(len(f1s))
     pairs = np.empty((len(f1s), 2), dtype=int)
-    for start in range(0, len(f1s), per_slice):
-        part = slice(start, start + per_slice)
-        seps[part], pairs[part] = _slice_separations(model, f1s[part], f2s[part], s_q)
+
+    def store(part, evals, evecs):
+        weight = evecs[:, s_q[0], :] ** 2 + evecs[:, s_q[1], :] ** 2
+        pairs[part] = np.sort(np.argsort(weight, axis=1)[:, :-3:-1], axis=1)
+        levels = np.take_along_axis(evals, pairs[part], axis=1)
+        seps[part] = np.abs(levels[:, 1] - levels[:, 0]) / TWO_PI
+
+    _block_eigh(model, f1s, f2s, model.odd, store)
     return seps, pairs
-
-
-def _slice_separations(
-    model: DeviceModel, f1s: np.ndarray, f2s: np.ndarray, s_q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_tracked_separations` of one slice; its stack is freed on return."""
-    h = model.hamiltonians(f1s, f2s, model.odd)
-    # members differ from the restricted h_static only on the diagonal, so
-    # the first one's asymmetry is that of the whole stack
-    _require_hermitian(h[0])
-    evals, evecs = np.linalg.eigh(h)
-    weight = evecs[:, s_q[0], :] ** 2 + evecs[:, s_q[1], :] ** 2
-    pairs = np.sort(np.argsort(weight, axis=1)[:, :-3:-1], axis=1)
-    levels = np.take_along_axis(evals, pairs, axis=1)
-    return np.abs(levels[:, 1] - levels[:, 0]) / TWO_PI, pairs
 
 
 def _finite(value, what: str) -> float:

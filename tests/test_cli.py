@@ -54,6 +54,20 @@ def test_spectrum_paper_device_crossings(tmp_path):
     assert min_sep("b", "q2") < 80.0
 
 
+def test_spectrum_artifacts_do_not_depend_on_the_slice_budget(tmp_path, monkeypatch):
+    from dresq import spectroscopy
+
+    argv = ["spectrum", "--axis", "freq_2", "--start", 4.40, "--stop", 4.86,
+            "--points", 13, "--dims", 4, 4, 4, 4]
+    assert run(argv + ["--out", tmp_path / "default"]) == 0
+    # three members of a 128-state parity block per slice
+    monkeypatch.setattr(spectroscopy, "STACK_SLICE_BYTES", 3 * 16 * 128**2)
+    assert run(argv + ["--out", tmp_path / "sliced"]) == 0
+    artifacts = [json.loads((tmp_path / d / "manifest.json").read_text())["artifacts"]
+                 for d in ("default", "sliced")]
+    assert artifacts[0] == artifacts[1]
+
+
 def test_geff_outputs(tmp_path):
     out = tmp_path / "geff"
     code = run(["geff", "--out", out])
@@ -175,6 +189,7 @@ def test_chevron_below_floor_at_switch_off(tmp_path):
                  id="spectrum-points-negative"),
     pytest.param(["geff", "--points", "0"], id="geff-points-0"),
     pytest.param(["geff", "--points", "-3"], id="geff-points-negative"),
+    pytest.param(["geff", "--points", "10000000000000"], id="geff-points-beyond-memory"),
 ])
 def test_malformed_grid_exit_2(tmp_path, argv):
     assert run(argv + ["--out", tmp_path / "x"]) == 2

@@ -12,7 +12,7 @@ from dresq.device import (
     TWO_PI,
     DeviceParams,
     OperatingPoint,
-    build_hamiltonian,
+    device_model,
     effective_coupling,
     find_switch_off,
     flux_to_frequency,
@@ -22,6 +22,12 @@ from dresq.device import (
 
 def decoupled(**kw):
     return DeviceParams(g_a1=0, g_a2=0, g_b1=0, g_b2=0, g_ab=0, g_12=0, **kw)
+
+
+def hamiltonian(params, point, space, counter_rotating=True):
+    """H/ħ at one operating point: a stack of one from the cached model."""
+    model = device_model(params, space, counter_rotating)
+    return model.hamiltonians([point.qubit_freq_1], [point.qubit_freq_2])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +146,7 @@ def test_bools_are_not_numbers(key):
 
 def test_decoupled_hamiltonian_is_diagonal():
     space = HilbertSpace((2, 2, 2, 2))
-    h = build_hamiltonian(decoupled(), OperatingPoint(4.60, 4.70), space)
+    h = hamiltonian(decoupled(), OperatingPoint(4.60, 4.70), space)
     assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
     evals = np.sort(np.diag(h))
     singles = sorted(h[i, i] for i in space.single_excitation_indices())
@@ -150,7 +156,7 @@ def test_decoupled_hamiltonian_is_diagonal():
 
 def test_coupling_matrix_element_placement():
     space = HilbertSpace((3, 3, 3, 3))
-    h = build_hamiltonian(DeviceParams(), OperatingPoint(4.58, 4.58), space)
+    h = hamiltonian(DeviceParams(), OperatingPoint(4.58, 4.58), space)
     i_a = space.basis_index((1, 0, 0, 0))
     i_q1 = space.basis_index((0, 0, 1, 0))
     assert h[i_a, i_q1] == pytest.approx(TWO_PI * 0.027)
@@ -166,7 +172,7 @@ def test_coupling_matrix_element_placement():
 def test_anharmonic_shift():
     space = HilbertSpace((3, 3, 3, 3))
     p = decoupled()
-    h = build_hamiltonian(p, OperatingPoint(4.60, 4.70), space)
+    h = hamiltonian(p, OperatingPoint(4.60, 4.70), space)
     i_two = space.basis_index((0, 0, 2, 0))
     # two quanta in qubit 1: 2 omega_1 + 2 alpha (the a+a+aa term gives n(n-1))
     assert h[i_two, i_two].real == pytest.approx(TWO_PI * (2 * 4.60 + 2 * (-0.250)))
@@ -178,22 +184,20 @@ def test_hamiltonian_hermitian_at_random_points():
     p = DeviceParams()
     for _ in range(100):
         f1, f2 = rng.uniform(4.0, 5.2, size=2)
-        h = build_hamiltonian(p, OperatingPoint(f1, f2), space)
+        h = hamiltonian(p, OperatingPoint(f1, f2), space)
         _require_hermitian(h, tol=1e-12)
 
 
 def test_wrong_mode_count_rejected():
     with pytest.raises(ConfigError):
-        build_hamiltonian(DeviceParams(), OperatingPoint(4.6, 4.6), HilbertSpace((3, 3)))
+        hamiltonian(DeviceParams(), OperatingPoint(4.6, 4.6), HilbertSpace((3, 3)))
 
 
 def test_rotating_wave_variant_conserves_excitation():
     space = HilbertSpace((3, 3, 3, 3))
     from dresq.fock import total_number_operator
 
-    h = build_hamiltonian(
-        DeviceParams(), OperatingPoint(4.60, 4.60), space, include_counter_rotating=False
-    )
+    h = hamiltonian(DeviceParams(), OperatingPoint(4.60, 4.60), space, counter_rotating=False)
     n = total_number_operator(space)
     assert np.abs(h @ n - n @ h).max() < 1e-12
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dresq import dynamics
 from dresq.errors import ConfigError, IntegrationError, PhysicsError
 from dresq.fock import HilbertSpace, number_operator, total_number_operator
-from dresq.device import DeviceParams, OperatingPoint, build_hamiltonian
+from dresq.device import DeviceParams, OperatingPoint, device_model
 from dresq.dynamics import (
     EXPM_BYTES_LIMIT,
     ChevronMap,
@@ -348,7 +348,7 @@ def test_chevron_corrupted_step_map_names_its_column(monkeypatch, factor):
 
 def test_chevron_refuses_a_step_stack_over_the_limit_before_building(monkeypatch):
     built = []
-    monkeypatch.setattr(dynamics, "build_hamiltonian", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(dynamics, "device_model", lambda *a, **k: built.append(a))
     # each column's step map is a 25 x 25 generator exponential
     columns = EXPM_BYTES_LIMIT // _expm_bytes(25) + 1
     offsets = np.linspace(-20.0, 20.0, columns)
@@ -427,7 +427,7 @@ def test_lossless_evolution_matches_generator_exponential():
     duration = 37.0
     init = DensityState.single_excitation(SPACE2, 3)
     ts = evolve(p, PulseSchedule([Stage(duration, point)]), init, SPACE2, {}, n_samples=2)
-    h = build_hamiltonian(p, point, SPACE2)
+    h = device_model(p, SPACE2, True).hamiltonians([point.qubit_freq_1], [point.qubit_freq_2])[0]
     stage_map = _expm(duration * _superoperator(h, _dissipator([], 16)))
     expected = (stage_map @ init.rho.reshape(-1)).reshape(init.rho.shape)
     assert np.abs(ts.final_state.rho - expected).max() < 1e-10
@@ -448,7 +448,7 @@ def test_lossless_full_space_matches_eigenbasis_reference():
     n_q1 = number_operator(SPACE3, 2)
     ts = evolve(p, PulseSchedule([Stage(2000.0, point)]), init, SPACE3, {"n_q1": n_q1},
                 n_samples=11)
-    h = build_hamiltonian(p, point, SPACE3)
+    h = device_model(p, SPACE3, True).hamiltonians([point.qubit_freq_1], [point.qubit_freq_2])[0]
     for t, reading in zip(ts.times_ns, ts.expectations["n_q1"]):
         u = eigenbasis_propagator(h, t)
         rho = u @ init.rho @ u.conj().T

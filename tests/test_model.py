@@ -68,11 +68,16 @@ def build(case, counter_rotating):
     return model, params, OperatingPoint(f1, f2)
 
 
+def at(model, point, idx=None):
+    """The model's Hamiltonian at one point: its stack of one."""
+    return model.hamiltonians([point.qubit_freq_1], [point.qubit_freq_2], idx)[0]
+
+
 @settings(max_examples=30, deadline=None)
 @given(cases, st.booleans())
 def test_hamiltonian_real_symmetric_and_matches_reference(case, counter_rotating):
     model, params, point = build(case, counter_rotating)
-    h = model.hamiltonian(point)
+    h = at(model, point)
     assert h.dtype == np.float64
     assert np.array_equal(h, h.T)
     ref = reference_hamiltonian(params, point, case[0], counter_rotating)
@@ -90,7 +95,7 @@ def test_no_element_couples_the_parities(case, counter_rotating):
     parity = excitation_numbers(case[0]) % 2
     assert np.array_equal(model.even, np.flatnonzero(parity == 0))
     assert np.array_equal(model.odd, np.flatnonzero(parity == 1))
-    h = model.hamiltonian(point)
+    h = at(model, point)
     assert not np.any(h[np.ix_(model.even, model.odd)])
 
 
@@ -99,7 +104,7 @@ def test_no_element_couples_the_parities(case, counter_rotating):
 def test_rotating_wave_model_conserves_excitation_number(case):
     model, _, point = build(case, False)
     n = excitation_numbers(case[0])
-    h = model.hamiltonian(point)
+    h = at(model, point)
     assert not np.any(h[n[:, None] != n[None, :]])
 
 
@@ -107,8 +112,8 @@ def test_rotating_wave_model_conserves_excitation_number(case):
 @given(cases, st.booleans())
 def test_block_eigenvalues_equal_full_spectrum(case, counter_rotating):
     model, _, point = build(case, counter_rotating)
-    full = np.linalg.eigvalsh(model.hamiltonian(point))
-    blocks = [np.linalg.eigvalsh(model.hamiltonian(point, idx))
+    full = np.linalg.eigvalsh(at(model, point))
+    blocks = [np.linalg.eigvalsh(at(model, point, idx))
               for idx in (model.even, model.odd)]
     merged = np.sort(np.concatenate(blocks), kind="stable")
     assert np.abs(merged - full).max() <= 1e-12 * np.abs(full).max()
@@ -117,8 +122,8 @@ def test_block_eigenvalues_equal_full_spectrum(case, counter_rotating):
 def test_block_is_the_restriction_of_the_full_hamiltonian():
     model = DeviceModel(DeviceParams(g_ab=0.01), HilbertSpace((3, 3, 3, 3)), True)
     point = OperatingPoint(4.58, 4.61)
-    full = model.hamiltonian(point)
-    block = model.hamiltonian(point, model.odd)
+    full = at(model, point)
+    block = at(model, point, model.odd)
     assert np.array_equal(block, full[np.ix_(model.odd, model.odd)])
 
 
@@ -129,7 +134,7 @@ def test_model_cached_and_read_only():
     assert device_model(DeviceParams(), space, False) is not model
     with pytest.raises(ValueError):
         model.h_static[0, 0] = 1.0
-    h = model.hamiltonian(OperatingPoint(4.6, 4.6))
+    h = at(model, OperatingPoint(4.6, 4.6))
     h[0, 0] = 1.0  # each call returns its own matrix
     assert model.h_static[0, 0] == 0.0
 
@@ -180,8 +185,9 @@ def test_stacked_hamiltonians_equal_each_point_alone(case):
     assert stack.shape == (len(points),) + (model.space.size if idx is None else idx.size,) * 2
     rows = slice(None) if idx is None else idx
     for k, h in enumerate(stack):
-        alone = model.hamiltonian(OperatingPoint(f1[k], f2[k]), idx)
-        assert np.array_equal(h, alone)
+        alone = model.hamiltonians(f1[k : k + 1], f2[k : k + 1], idx)
+        assert alone.shape == (1,) + h.shape
+        assert np.array_equal(h, alone[0])
         # the per-point assembly: restrict h_static, add 2π f n̂ to the diagonal
         w1, w2 = TWO_PI * float(f1[k]), TWO_PI * float(f2[k])
         direct = model.h_static[rows][:, rows].copy()

@@ -11,7 +11,6 @@ from dresq.device import (
     TWO_PI,
     DeviceParams,
     OperatingPoint,
-    build_hamiltonian,
     device_model,
     find_switch_off,
 )
@@ -30,10 +29,11 @@ SPACE = HilbertSpace((3, 3, 3, 3))
 
 def reference_separation(params, point, space):
     """Qubit-like level separation (GHz) and pair at one point, one eigh alone."""
-    odd = device_model(params, space, True).odd
+    model = device_model(params, space, True)
     qubit_states = space.single_excitation_indices()[2:]
-    s_q1, s_q2 = np.searchsorted(odd, qubit_states)
-    evals, evecs = np.linalg.eigh(build_hamiltonian(params, point, space, idx=odd))
+    s_q1, s_q2 = np.searchsorted(model.odd, qubit_states)
+    h = model.hamiltonians([point.qubit_freq_1], [point.qubit_freq_2], model.odd)[0]
+    evals, evecs = np.linalg.eigh(h)
     weight = np.abs(evecs[s_q1, :]) ** 2 + np.abs(evecs[s_q2, :]) ** 2
     order = np.argsort(weight)[::-1]
     k1, k2 = sorted(int(k) for k in order[:2])
@@ -83,11 +83,12 @@ def test_sweep_unknown_axis():
 
 
 def test_sweep_needs_a_level():
-    with pytest.raises(ConfigError, match="level"):
-        sweep_spectrum(
-            DeviceParams(), "freq_1", np.linspace(4.4, 4.6, 5),
-            OperatingPoint(4.6, 4.91), SPACE, n_levels=-1,
-        )
+    for n_levels in (-1, 2.5, True, float("nan"), "3"):
+        with pytest.raises(ConfigError, match="level"):
+            sweep_spectrum(
+                DeviceParams(), "freq_1", np.linspace(4.4, 4.6, 5),
+                OperatingPoint(4.6, 4.91), SPACE, n_levels=n_levels,
+            )
 
 
 def test_levels_ascending_and_overlap_range():
@@ -214,13 +215,39 @@ def test_sliced_separations_equal_each_point_alone(monkeypatch, dims):
         assert tuple(pairs[k]) == pair
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3, 3), (4, 3, 4, 3)])
+@pytest.mark.parametrize("axis, values", [
+    ("freq_2", np.linspace(4.40, 4.86, 11)),
+    ("flux_1", np.linspace(0.0, 0.3, 11)),
+])
+def test_sliced_spectrum_equals_one_slice(monkeypatch, dims, axis, values):
+    # a budget of three members of the larger parity block splits the 11
+    # points into 4 slices
+    space = HilbertSpace(dims)
+    p = DeviceParams()
+    model = device_model(p, space, True)
+    whole = sweep_spectrum(p, axis, values, OperatingPoint(4.641, 4.91), space)
+    n = max(model.even.size, model.odd.size)
+    monkeypatch.setattr(spectroscopy, "STACK_SLICE_BYTES", 3 * 16 * n * n)
+    sliced = sweep_spectrum(p, axis, values, OperatingPoint(4.641, 4.91), space)
+    assert np.array_equal(sliced.levels, whole.levels)
+    assert np.array_equal(sliced.overlaps, whole.overlaps)
+    assert sliced.labels == whole.labels
+
+
 def test_slice_budget_bounds_the_gap_scan_memory(monkeypatch):
     # unsliced, the 21 odd-block matrices and eigenvectors of a 4^4 coarse
-    # scan take 5.5 MB; a 1 MiB budget diagonalizes four points at a time
+    # scan take 5.5 MB; a 1 MiB budget diagonalizes four points at a time,
+    # and the two 128-state parity blocks of a spectrum the same
     p = DeviceParams()
     space = HilbertSpace((4, 4, 4, 4))
     model = device_model(p, space, True)
-    unsliced = qubit_qubit_gap(p, 4.58, space=space)
+    values = np.linspace(4.40, 4.86, 13)
+    fixed = OperatingPoint(4.641, 4.91)
+    with monkeypatch.context() as unsliced_budget:
+        unsliced_budget.setattr(spectroscopy, "STACK_SLICE_BYTES", 2**40)
+        unsliced = qubit_qubit_gap(p, 4.58, space=space)
+        unsliced_sweep = sweep_spectrum(p, "freq_2", values, fixed, space)
     budget = 2**20
     monkeypatch.setattr(spectroscopy, "STACK_SLICE_BYTES", budget)
     model_nbytes = sum(a.nbytes for a in (model.h_static, model.n_q1, model.n_q2,
@@ -229,10 +256,16 @@ def test_slice_budget_bounds_the_gap_scan_memory(monkeypatch):
     try:
         sliced = qubit_qubit_gap(p, 4.58, space=space)
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        sweep = sweep_spectrum(p, "freq_2", values, fixed, space)
+        _, sweep_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < budget + model_nbytes
     assert sliced == unsliced
+    output_nbytes = sweep.levels.nbytes + sweep.overlaps.nbytes
+    assert sweep_peak < budget + model_nbytes + output_nbytes
+    assert np.array_equal(sweep.levels, unsliced_sweep.levels)
 
 
 @pytest.mark.parametrize("sweep_1", [
