@@ -8,9 +8,9 @@ bare state dominates. Every diagonalization goes through one helper: the
 model builds the stack of block Hamiltonians of a batch of points, and
 each slice of at most STACK_SLICE_BYTES of it is one ``eigh`` call. The
 qubit-qubit anti-crossing lies in the odd block, so gap tracking and the
-co-tuned half gap diagonalize that block alone. A gap is located by a
-coarse grid, one such stack, and then by a few parabolic vertex steps on
-the squared separation, one point each.
+co-tuned half gap diagonalize that block alone. A gap is bracketed by a
+5-point grid, one such stack, and then located by a few parabolic vertex
+steps on the squared separation, one point each.
 """
 
 from __future__ import annotations
@@ -42,13 +42,16 @@ SWEEP_AXES = ("flux_1", "flux_2", "freq_1", "freq_2")
 
 MIXED_LABEL = "mixed"
 
-# coarse grid points of a default gap scan, and the most parabolic vertex
-# steps that follow it (the minimum is found to rounding after 4-5)
-DEFAULT_GAP_GRID = 21
+# coarse grid points of a default gap scan, the most parabolic vertex steps
+# that follow it (2-7 at 3^4), and the distance (GHz) from a held point
+# within which a vertex counts as found: below the ~1e-8 GHz to which
+# rounding in eigh fixes the minimum of a 0.03-6 MHz gap
+DEFAULT_GAP_GRID = 5
 GAP_VERTEX_STEPS = 8
+GAP_LOCATION_RESOLUTION = 1e-9
 
 # most bytes of block Hamiltonians plus their eigenvectors in one eigh call:
-# a 21-point 3^4 gap scan (0.5 MB) is one slice, 4^4 parity blocks go 4
+# a 5-point 3^4 gap scan (0.13 MB) is one slice, 4^4 parity blocks go 4
 # points at a time; larger slices save no time and raise a sweep's peak RSS
 STACK_SLICE_BYTES = 2**20
 
@@ -269,9 +272,10 @@ def _tracked_separations(
 
 
 def _finite(value, what: str) -> float:
-    """``value`` as a float; ConfigError for a bool or anything not a finite number."""
+    """``value`` as a float; ConfigError for text, a bool or anything not a finite number."""
     try:
-        if isinstance(value, (bool, np.bool_)):
+        # float() would parse text and take a bool for 0 or 1
+        if isinstance(value, (str, bytes, bytearray, bool, np.bool_)):
             raise TypeError
         number = float(value)
     except (TypeError, ValueError):
@@ -323,19 +327,22 @@ def qubit_qubit_gap(
     character is returned. Half the gap estimates the effective qubit-qubit
     coupling magnitude.
 
-    A coarse grid brackets the minimum; it is one stack of odd-block
-    Hamiltonians, diagonalized in slices of at most STACK_SLICE_BYTES.
-    Near an anti-crossing sep² is very nearly a parabola in the swept
-    frequency, so from the grid minimum and its two neighbours at most
-    GAP_VERTEX_STEPS parabolic steps follow (Brent 1973): each evaluates the
-    vertex of the parabola through the three best points on sep², a stack
-    of one, and keeps the best three. The steps stop when the three points
-    do not open upwards, when the vertex leaves the sweep interval, or when
-    a step does not lower the separation; the best point found is returned.
+    A coarse grid (5 points by default) brackets the minimum; it is one
+    stack of odd-block Hamiltonians, diagonalized in slices of at most
+    STACK_SLICE_BYTES. Near an anti-crossing sep² is very nearly a parabola
+    in the swept frequency, so three points are held, the grid minimum and
+    its two neighbours, and at most GAP_VERTEX_STEPS parabolic steps follow
+    (Brent 1973). Each evaluates the vertex of the parabola through the
+    held points on sep², a stack of one, and its point replaces the worst
+    held point when it beats it, so the best three of four are kept. The
+    steps stop when the held points do not open upwards or their vertex
+    leaves the sweep interval, when the vertex lies within
+    GAP_LOCATION_RESOLUTION of a held point, or when a step beats none of
+    them; the best point held is returned.
 
     ``sweep_1`` is (start, stop, count) with finite bounds bracketing the
-    setpoint and an integral coarse count of at least 5; a bool or
-    non-finite setpoint is refused with ConfigError.
+    setpoint and an integral coarse count of at least 5 distinct points;
+    text, a bool or a non-finite setpoint is refused with ConfigError.
     """
     qubit2_freq = _finite(qubit2_freq, "qubit-2 setpoint")
     if space is None:
@@ -352,6 +359,8 @@ def qubit_qubit_gap(
     for f1 in (lo, hi):
         _require_resonator_clearance(params, f1, "sweep endpoint")
     grid = np.linspace(lo, hi, count)
+    if not np.all(np.diff(grid) > 0):
+        raise ConfigError(f"gap sweep ({lo}, {hi}) is too narrow for {count} distinct points")
     seps, pairs = _tracked_separations(params, grid, np.full(count, qubit2_freq), space)
 
     i_min = int(np.argmin(seps))
@@ -359,18 +368,20 @@ def qubit_qubit_gap(
         raise PhysicsError(
             "minimum separation sits at a sweep endpoint: bracket too narrow"
         )
-    # (location, separation, pair) of the three best points, best first
-    best = sorted(zip(grid[i_min - 1 : i_min + 2], seps[i_min - 1 : i_min + 2],
+    # (location, separation, pair) of the three held points, best first; no
+    # two share a location, so the parabola through them is always defined
+    held = sorted(zip(grid[i_min - 1 : i_min + 2], seps[i_min - 1 : i_min + 2],
                       pairs[i_min - 1 : i_min + 2]), key=lambda p: p[1])
     for _ in range(GAP_VERTEX_STEPS):
-        loc = _parabola_vertex(*((x, s * s) for x, s, _ in best))
-        if not lo < loc < hi:
+        loc = _parabola_vertex(*((x, s * s) for x, s, _ in held))
+        found = min(abs(loc - x) for x, _, _ in held) <= GAP_LOCATION_RESOLUTION
+        if found or not lo < loc < hi:
             break
         sep, pair = _tracked_separations(params, [loc], [qubit2_freq], space)
-        if not sep[0] < best[0][1]:
+        if not sep[0] < held[2][1]:
             break
-        best = [(loc, sep[0], pair[0])] + best[:2]
-    loc, sep_min, pair = best[0]
+        held = sorted(held[:2] + [(loc, sep[0], pair[0])], key=lambda p: p[1])
+    loc, sep_min, pair = held[0]
     return GapResult(sep_min * 1e3, loc, pair)
 
 
@@ -397,9 +408,19 @@ def gap_vs_setpoint(
 
     Per-setpoint failures are collected, not fatal: the first return
     list holds a GapResult or None per setpoint, the second the error
-    message or None. A bool, NaN or infinite setpoint is malformed input
-    and raises ConfigError before any setpoint is scanned.
+    message or None. Setpoints that are not a list of numbers (a single
+    number or a string), and a setpoint that is text, a bool, NaN or
+    infinite, are malformed input and raise ConfigError before any setpoint
+    is scanned.
     """
+    try:
+        if isinstance(setpoints, (str, bytes, bytearray)):
+            raise TypeError
+        setpoints = list(setpoints)
+    except TypeError:
+        raise ConfigError(
+            f"qubit-2 setpoints must be a list of numbers, got {setpoints!r}"
+        ) from None
     setpoints = [_finite(f2, "qubit-2 setpoint") for f2 in setpoints]
     results: list[GapResult | None] = []
     errors: list[str | None] = []

@@ -236,17 +236,18 @@ def test_sliced_spectrum_equals_one_slice(monkeypatch, dims, axis, values):
 
 
 def test_slice_budget_bounds_the_gap_scan_memory(monkeypatch):
-    # unsliced, the 21 odd-block matrices and eigenvectors of a 4^4 coarse
-    # scan take 5.5 MB; a 1 MiB budget diagonalizes four points at a time,
-    # and the two 128-state parity blocks of a spectrum the same
+    # unsliced, the 21 odd-block matrices and eigenvectors of a 21-point 4^4
+    # coarse scan take 5.5 MB; a 1 MiB budget diagonalizes four points at a
+    # time, and the two 128-state parity blocks of a spectrum the same
     p = DeviceParams()
     space = HilbertSpace((4, 4, 4, 4))
     model = device_model(p, space, True)
+    sweep_1 = (4.58 - 0.020, 4.58 + 0.020, 21)
     values = np.linspace(4.40, 4.86, 13)
     fixed = OperatingPoint(4.641, 4.91)
     with monkeypatch.context() as unsliced_budget:
         unsliced_budget.setattr(spectroscopy, "STACK_SLICE_BYTES", 2**40)
-        unsliced = qubit_qubit_gap(p, 4.58, space=space)
+        unsliced = qubit_qubit_gap(p, 4.58, sweep_1, space)
         unsliced_sweep = sweep_spectrum(p, "freq_2", values, fixed, space)
     budget = 2**20
     monkeypatch.setattr(spectroscopy, "STACK_SLICE_BYTES", budget)
@@ -254,7 +255,7 @@ def test_slice_budget_bounds_the_gap_scan_memory(monkeypatch):
                                           model.even, model.odd))
     tracemalloc.start()
     try:
-        sliced = qubit_qubit_gap(p, 4.58, space=space)
+        sliced = qubit_qubit_gap(p, 4.58, sweep_1, space)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         sweep = sweep_spectrum(p, "freq_2", values, fixed, space)
@@ -279,8 +280,13 @@ def test_slice_budget_bounds_the_gap_scan_memory(monkeypatch):
     (4.58, float("inf"), 201),
     (4.58, 4.62),
     4.62,
+    ("4.58", "4.62", "21"),
+    (4.58, b"4.62", 21),
+    (4.58, 4.62, np.str_("21")),
+    (4.60 - 1e-15, 4.60 + 1e-15, 5),
 ], ids=["fractional-count", "nan-count", "inf-count", "bool-count", "four-points",
-        "text-count", "nan-start", "inf-stop", "two-fields", "scalar"])
+        "text-count", "nan-start", "inf-stop", "two-fields", "scalar",
+        "text-fields", "bytes-stop", "numpy-text-count", "points-not-distinct"])
 def test_gap_sweep_refused_unless_finite_with_an_integral_count(sweep_1):
     with pytest.raises(ConfigError, match="gap sweep"):
         qubit_qubit_gap(DeviceParams(), 4.60, sweep_1=sweep_1, space=SPACE)
@@ -302,7 +308,11 @@ def test_gap_sweep_integral_float_count_accepted():
             == qubit_qubit_gap(DeviceParams(), 4.60, sweep_1=(4.58, 4.62, 51), space=SPACE))
 
 
-@pytest.mark.parametrize("flag", [True, np.True_])
+# text is refused like a bool: float() would parse it
+@pytest.mark.parametrize("flag", [
+    True, np.True_, pytest.param("4.60", id="str"), pytest.param(b"4.60", id="bytes"),
+    pytest.param(np.str_("4.6"), id="numpy-str"),
+])
 def test_bool_setpoints_refused_before_any_scan(monkeypatch, flag):
     scanned = []
     monkeypatch.setattr(spectroscopy, "_tracked_separations",
@@ -312,6 +322,13 @@ def test_bool_setpoints_refused_before_any_scan(monkeypatch, flag):
     with pytest.raises(ConfigError, match="setpoint"):
         qubit_qubit_gap(DeviceParams(), flag, space=SPACE)
     assert scanned == []
+
+
+@pytest.mark.parametrize("setpoints", [4.6, "4.6", b"4.6", np.float64(4.6)],
+                         ids=["float", "str", "bytes", "numpy-float"])
+def test_setpoints_that_are_not_a_list_refused(setpoints):
+    with pytest.raises(ConfigError, match="setpoints must be a list of numbers"):
+        gap_vs_setpoint(DeviceParams(), setpoints, SPACE)
 
 
 def test_gap_truncation_convergence():
@@ -355,10 +372,14 @@ def dense_reference_gap(params, setpoint, space):
     return best_sep * 1e3, best_loc
 
 
-@pytest.mark.parametrize("setpoint", [4.58, 4.60, 4.63, 4.68])
-def test_gap_agrees_with_a_dense_reference(setpoint):
-    # 4.63 GHz is next to the switch-off, where the gap is about 0.036 MHz
-    p = DeviceParams()
+@pytest.mark.parametrize("setpoint, g_ab", [
+    (4.58, 0.0), (4.60, 0.0), (4.63, 0.0), (4.68, 0.0), (4.62, 0.01), (4.65, -0.02),
+], ids=["4.58", "4.6", "4.63", "4.68", "g_ab+0.01-4.62", "g_ab-0.02-4.65"])
+def test_gap_agrees_with_a_dense_reference(setpoint, g_ab):
+    # 4.63 GHz is next to the switch-off, where the gap is about 0.036 MHz;
+    # with g_ab = +0.01 at 4.62 GHz and -0.02 at 4.65 GHz it is as narrow,
+    # and the 5-point grid alone misses the minimum there by about 5e-5 MHz
+    p = DeviceParams(g_ab=g_ab)
     gap = qubit_qubit_gap(p, setpoint, space=SPACE)
     ref_gap, ref_loc = dense_reference_gap(p, setpoint, SPACE)
     assert abs(gap.gap_mhz - ref_gap) <= 1e-9
