@@ -29,10 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError, PhysicsError
+from .errors import ConfigError, NumericsError, PhysicsError, require_count, require_memory
 from .fock import HilbertSpace
 from .device import (
-    MODEL_BYTES_LIMIT,
     DeviceParams,
     OperatingPoint,
     effective_coupling,
@@ -72,22 +71,27 @@ def _load_device(path: Path | None) -> DeviceParams:
 
 
 def _grid(start: float, stop: float, points: int, flag: str) -> np.ndarray:
-    # the grid's 8-byte values must fit in MODEL_BYTES_LIMIT: checked before allocating
-    if not 1 <= points <= MODEL_BYTES_LIMIT // 8:
-        raise ConfigError(f"{flag} must be from 1 to {MODEL_BYTES_LIMIT // 8}, got {points}")
+    points = require_count(points, flag, 1)
+    require_memory(8 * points, f"a {flag} grid of {points} points")
     return np.linspace(start, stop, points)
 
 
-def _write_outputs(out_dir: Path, config: dict, artifacts: dict[str, str]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_outputs(args, artifacts: dict[str, str], params: DeviceParams | None = None) -> None:
+    """Write the artifacts and a manifest of them. Its config is every parsed
+    option but ``out``, ``func`` and ``device`` (a path is written as text),
+    plus the resolved device parameters when the command has a device."""
+    config = {k: v for k, v in vars(args).items() if k not in ("out", "func", "device")}
+    if params is not None:
+        config["device"] = json.loads(params.to_json())
+    args.out.mkdir(parents=True, exist_ok=True)
     checksums = {}
     for name, content in artifacts.items():
         data = content.encode()
-        (out_dir / name).write_bytes(data)
+        (args.out / name).write_bytes(data)
         checksums[name] = hashlib.sha256(data).hexdigest()
     manifest = {"config": config, "artifacts": checksums}
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (args.out / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
     )
 
 
@@ -107,14 +111,7 @@ def cmd_spectrum(args) -> int:
         x_label=f"{args.axis}", y_label="transition frequency (GHz)",
         title="spectrum sweep",
     )
-    config = {
-        "command": "spectrum", "axis": args.axis, "start": args.start,
-        "stop": args.stop, "points": args.points, "levels": args.levels,
-        "fixed_q1": args.fixed_q1, "fixed_q2": args.fixed_q2,
-        "dims": list(args.dims),
-        "device": json.loads(params.to_json()),
-    }
-    _write_outputs(args.out, config, {"spectrum.csv": sweep.to_csv(), "spectrum.svg": svg})
+    _write_outputs(args, {"spectrum.csv": sweep.to_csv(), "spectrum.svg": svg}, params)
     return 0
 
 
@@ -136,14 +133,9 @@ def cmd_geff(args) -> int:
         markers={f"switch-off {switch_off:.4f}": switch_off},
     )
     summary = json.dumps({"switch_off_ghz": switch_off}, indent=2) + "\n"
-    config = {
-        "command": "geff", "start": args.start, "stop": args.stop,
-        "points": args.points, "dims": list(args.dims),
-        "device": json.loads(params.to_json()),
-    }
-    _write_outputs(args.out, config, {
+    _write_outputs(args, {
         "geff.csv": table, "geff.svg": svg, "switch_off.json": summary,
-    })
+    }, params)
     return 0
 
 
@@ -170,12 +162,7 @@ def cmd_gapscan(args) -> int:
     else:
         svg = svgplot.line_plot(np.array([0.0, 1.0]), {"no data": np.array([0.0, 0.0])},
                                 x_label="setpoint", y_label="gap (MHz)")
-    config = {
-        "command": "gapscan", "setpoints": list(args.setpoints),
-        "dims": list(args.dims),
-        "device": json.loads(params.to_json()),
-    }
-    _write_outputs(args.out, config, {"gaps.csv": buf.getvalue(), "gaps.svg": svg})
+    _write_outputs(args, {"gaps.csv": buf.getvalue(), "gaps.svg": svg}, params)
     return 0
 
 
@@ -187,7 +174,7 @@ def cmd_chevron(args) -> int:
     chev = dynamics.vacuum_rabi_chevron(
         params, bias, args.target, offsets, taus,
         prep_to_readout_ns=args.prep_to_readout,
-        dissipation=not args.no_dissipation,
+        dissipation=args.dissipation,
     )
     estimate = fitting.geff_from_chevron(chev)
     # the analytic formula has no g_ab path: report no value, not a wrong one
@@ -201,34 +188,23 @@ def cmd_chevron(args) -> int:
         x_label="detuning (MHz)", y_label="interaction time (ns)",
         title="vacuum-Rabi chevron (qubit-1 population)",
     )
-    config = {
-        "command": "chevron", "target": args.target,
-        "bias_q1": args.bias_q1, "bias_q2": args.bias_q2,
-        "span_mhz": args.span_mhz, "detuning_points": args.detuning_points,
-        "tau_max": args.tau_max, "tau_points": args.tau_points,
-        "prep_to_readout": args.prep_to_readout,
-        "dissipation": not args.no_dissipation,
-        "device": json.loads(params.to_json()),
-    }
-    _write_outputs(args.out, config, {
+    _write_outputs(args, {
         "chevron.csv": chev.to_csv(),
         "chevron.svg": svg,
         "geff_estimate.json": json.dumps(verdict, indent=2, sort_keys=True) + "\n",
-    })
+    }, params)
     return 0
 
 
 def cmd_fit(args) -> int:
-    trace_path = Path(args.trace)
-    if not trace_path.is_file():
-        raise ConfigError(f"trace file not found: {trace_path}")
-    trace = fitting.TimeTrace.from_csv(trace_path.read_text())
+    if not args.trace.is_file():
+        raise ConfigError(f"trace file not found: {args.trace}")
+    trace = fitting.TimeTrace.from_csv(args.trace.read_text())
     if args.model == "exp":
         outcome = fitting.fit_exp_decay(trace)
     else:
         outcome = fitting.fit_damped_cosine(trace)
-    config = {"command": "fit", "model": args.model, "trace": str(trace_path)}
-    _write_outputs(args.out, config, {"fit.json": outcome.to_json()})
+    _write_outputs(args, {"fit.json": outcome.to_json()})
     return 0
 
 
@@ -274,13 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-points", type=int, default=201)
     p.add_argument("--prep-to-readout", type=float, default=None,
                    help="fixed prep-to-readout delay, ns (padding at the bias point)")
-    p.add_argument("--no-dissipation", action="store_true")
+    p.add_argument("--no-dissipation", dest="dissipation", action="store_false")
     p.set_defaults(func=cmd_chevron)
 
     p = sub.add_parser("fit", help="fit a trace CSV")
     _add_out(p)
     p.add_argument("--model", choices=("exp", "cosine"), required=True)
-    p.add_argument("trace", help="CSV file with columns time_ns,value[,uncertainty]")
+    p.add_argument("trace", type=Path, help="CSV file with columns time_ns,value[,uncertainty]")
     p.set_defaults(func=cmd_fit)
 
     return parser

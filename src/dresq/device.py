@@ -22,13 +22,14 @@ from __future__ import annotations
 import functools
 import json
 import math
-import sys
 import warnings
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .errors import ConfigError, PhysicsError
+from .errors import (
+    ConfigError, PhysicsError, require_count, require_memory, require_number, require_numbers,
+)
 from .fock import HilbertSpace
 
 TWO_PI = 2.0 * math.pi
@@ -89,14 +90,13 @@ class DeviceParams:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
-                raise ConfigError(f"parameter {f.name} must be a number, got {v!r}")
-            if isinstance(v, int) and abs(v) > sys.float_info.max:
-                raise ConfigError(f"parameter {f.name} is an integer beyond the float range")
             # infinite coherence times mean "no dissipation"; everything else
-            # must be finite
-            if math.isinf(v) and not f.name.startswith(("t1_", "t2_")):
-                raise ConfigError(f"parameter {f.name} must be finite, got {v!r}")
+            # must be finite. An int or float is kept as given, so to_json
+            # keeps its bytes; another number type becomes a float.
+            if not (f.name.startswith(("t1_", "t2_")) and isinstance(v, float) and math.isinf(v)):
+                number = require_number(v, f"parameter {f.name}")
+                if not isinstance(v, (int, float)):
+                    object.__setattr__(self, f.name, number)
         if not self.resonator_freq_a < self.resonator_freq_b:
             raise ConfigError(
                 "resonator_freq_a must be below resonator_freq_b "
@@ -177,12 +177,8 @@ class OperatingPoint:
     qubit_freq_2: float
 
     def __post_init__(self):
-        for name in ("qubit_freq_1", "qubit_freq_2"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (
-                isinstance(v, (int, float)) and math.isfinite(v) and v > 0
-            ):
-                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
+        require_number(self.qubit_freq_1, "qubit_freq_1", positive=True)
+        require_number(self.qubit_freq_2, "qubit_freq_2", positive=True)
 
 
 def _require_resonator_clearance(params: DeviceParams, freq_ghz: float, what: str) -> None:
@@ -198,11 +194,6 @@ def _require_resonator_clearance(params: DeviceParams, freq_ghz: float, what: st
                 f"{what} {freq_ghz} GHz is {abs(freq_ghz - f_res) * 1e3:.1f} MHz from "
                 f"resonator {tag} (needs {clearance * 1e3:.1f} MHz clearance)"
             )
-
-
-# largest footprint a DeviceModel may need (see model_bytes); a bigger
-# space is refused with a ConfigError before anything of its size is built
-MODEL_BYTES_LIMIT = 512 * 2**20
 
 
 def model_bytes(dims) -> int:
@@ -236,7 +227,7 @@ class DeviceModel:
     by every caller of :func:`device_model`.
 
     Raises ConfigError when :func:`model_bytes` exceeds
-    MODEL_BYTES_LIMIT, before anything of the space's size is allocated.
+    ``errors.MEMORY_LIMIT``, before anything of the space's size is allocated.
     """
 
     def __init__(
@@ -244,12 +235,7 @@ class DeviceModel:
     ):
         if space.n_modes != 4:
             raise ConfigError(f"device Hamiltonian needs 4 modes, space has {space.n_modes}")
-        need = model_bytes(space.dims)
-        if need > MODEL_BYTES_LIMIT:
-            raise ConfigError(
-                f"a {space.size}-state device model takes {need / 2**20:.0f} MiB "
-                f"(limit {MODEL_BYTES_LIMIT / 2**20:.0f} MiB); use a smaller truncation"
-            )
+        require_memory(model_bytes(space.dims), f"a {space.size}-state device model")
         self.space = space
         parity = space.quanta.sum(axis=0) % 2
         self.even = np.flatnonzero(parity == 0)
@@ -273,8 +259,8 @@ class DeviceModel:
         diagonals differ between members, so every member is bit-identical
         to the stack of one built at its point alone.
         """
-        f1 = _frequency_array(f1, "qubit_freq_1")
-        f2 = _frequency_array(f2, "qubit_freq_2")
+        f1 = require_numbers(f1, "qubit_freq_1", positive=True)
+        f2 = require_numbers(f2, "qubit_freq_2", positive=True)
         if f1.shape != f2.shape:
             raise ConfigError(
                 f"need as many qubit-1 as qubit-2 frequencies, got {f1.size} and {f2.size}"
@@ -291,30 +277,6 @@ class DeviceModel:
             (TWO_PI * f1)[:, None] * n_q1 + (TWO_PI * f2)[:, None] * n_q2
         )
         return h
-
-
-def _number_array(values, name: str) -> np.ndarray:
-    """``values`` as a 1-d float array; ConfigError unless each is a number, none a bool."""
-    try:
-        raw = np.asarray(values)
-    except ValueError:  # a ragged nesting of sequences
-        raw = np.empty(0, dtype=object)
-    # a list holding a bool among numbers becomes a float array
-    mixed = isinstance(values, (list, tuple)) and any(
-        isinstance(v, (bool, np.bool_)) for v in values
-    )
-    if mixed or raw.ndim != 1 or raw.dtype.kind not in "iuf":
-        raise ConfigError(f"{name} must be a 1-d array of numbers, got {values!r}")
-    return raw.astype(float)
-
-
-def _frequency_array(values, name: str) -> np.ndarray:
-    """``values`` as a 1-d float array; ConfigError unless each is positive and finite."""
-    freqs = _number_array(values, name)
-    bad = freqs[~(np.isfinite(freqs) & (freqs > 0))]
-    if bad.size:
-        raise ConfigError(f"{name} must be positive and finite, got {float(bad[0])}")
-    return freqs
 
 
 def _static_hamiltonian(
@@ -417,18 +379,19 @@ def effective_coupling(params: DeviceParams, point: OperatingPoint) -> float:
 def find_switch_off(
     params: DeviceParams,
     search_interval: tuple[float, float] = (4.50, 4.77),
-    tol_ghz: float = SWITCH_OFF_TOL_GHZ,
 ) -> float:
     """Co-tuned qubit frequency where the effective coupling vanishes.
 
     Both qubits are swept together (ω_1 = ω_2 = ω). Each resonator term
     of the coupling formula is monotone in ω between the resonator poles,
     so plain bisection is reliable; the interval must sit strictly inside
-    (resonator_freq_a, resonator_freq_b). Through
+    (resonator_freq_a, resonator_freq_b), and the bisection stops once
+    |g_eff| < SWITCH_OFF_TOL_GHZ. Through
     :func:`effective_coupling` it raises ConfigError for a device with
     ``g_ab`` != 0.
     """
-    lo, hi = float(search_interval[0]), float(search_interval[1])
+    lo = require_number(search_interval[0], "search interval start")
+    hi = require_number(search_interval[1], "search interval stop")
     if not lo < hi:
         raise ConfigError(f"search interval must be increasing, got ({lo}, {hi})")
     if lo <= params.resonator_freq_a or hi >= params.resonator_freq_b:
@@ -454,7 +417,7 @@ def find_switch_off(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         g_mid = g(mid)
-        if abs(g_mid) < tol_ghz:
+        if abs(g_mid) < SWITCH_OFF_TOL_GHZ:
             return mid
         if g_lo * g_mid < 0:
             hi = mid
@@ -464,7 +427,8 @@ def find_switch_off(
 
 
 def _flux_params(params: DeviceParams, qubit_index: int) -> tuple[float, float, float]:
-    if qubit_index not in (1, 2):
+    qubit_index = require_count(qubit_index, "qubit index", 1)
+    if qubit_index > 2:
         raise ConfigError(f"qubit index must be 1 or 2, got {qubit_index}")
     return (
         getattr(params, f"qubit_max_freq_{qubit_index}"),
@@ -475,8 +439,7 @@ def _flux_params(params: DeviceParams, qubit_index: int) -> tuple[float, float, 
 
 def flux_to_frequency(params: DeviceParams, qubit_index: int, control_value: float) -> float:
     """Symmetric-junction tuning law ω(x) = ω_max √|cos(π(x−x0)/period)|."""
-    if not math.isfinite(control_value):
-        raise ConfigError("control value must be finite")
+    control_value = require_number(control_value, "control value")
     f_max, period, offset = _flux_params(params, qubit_index)
     phase = math.pi * (control_value - offset) / period
     return f_max * math.sqrt(abs(math.cos(phase)))
@@ -491,11 +454,12 @@ def frequency_to_flux(
     below); only the principal branch |x - offset| <= period/2 is used.
     """
     f_max, period, offset = _flux_params(params, qubit_index)
+    target = require_number(target, "target frequency")
     if not 0.0 < target <= f_max:
         raise ConfigError(
             f"target {target} GHz outside the reachable band (0, {f_max}] of qubit {qubit_index}"
         )
-    if branch not in (+1, -1):
+    if require_number(branch, "branch") not in (+1, -1):
         raise ConfigError("branch must be +1 or -1")
     u = math.acos((target / f_max) ** 2) / math.pi
     return offset + branch * period * u

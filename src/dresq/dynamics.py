@@ -41,7 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationError
+from .errors import (
+    ConfigError, IntegrationError, require_count, require_memory, require_number, require_numbers,
+)
 from .fock import HilbertSpace, lowering_operator, number_operator, total_number_operator
 from .device import (
     TWO_PI,
@@ -57,11 +59,6 @@ POSITIVITY_TOL = 1e-8
 
 # largest spread of the steps of a time grid that still counts as uniform
 GRID_TOL_NS = 1e-9
-
-# largest workspace the stage maps may take; a bigger block is refused
-# with a ConfigError before anything of its size is built
-EXPM_BYTES_LIMIT = 512 * 2**20
-
 
 # ---------------------------------------------------------------------------
 # schedule and state types
@@ -81,7 +78,7 @@ class Stage:
     prep: str | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration_ns) and self.duration_ns >= 0):
+        if require_number(self.duration_ns, "stage duration") < 0:
             raise ConfigError(f"stage duration must be >= 0 ns, got {self.duration_ns}")
         if self.prep not in (None, "pi_q1", "pi_q2"):
             raise ConfigError(f"unknown prep tag {self.prep!r}")
@@ -115,12 +112,9 @@ class DensityState:
         m = np.asarray(self.rho, dtype=complex)
         if m.shape != (self.space.size, self.space.size):
             raise ConfigError("density matrix shape must match the space")
-        self.rho = m
-        self._require_finite()
-
-    def _require_finite(self) -> None:
-        if not np.isfinite(self.rho).all():
+        if not np.isfinite(m).all():
             raise ConfigError("density matrix must be finite, got a NaN or infinite element")
+        self.rho = m
 
     @classmethod
     def ground(cls, space: HilbertSpace) -> "DensityState":
@@ -136,7 +130,8 @@ class DensityState:
         return cls(space, rho)
 
     def validate(self) -> None:
-        self._require_finite()
+        if not np.isfinite(self.rho).all():
+            raise ConfigError("density matrix must be finite, got a NaN or infinite element")
         tr = self.rho.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise IntegrationError(f"density-matrix trace drifted to {tr:.12f}")
@@ -312,7 +307,7 @@ def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_g
     operators are built only with ``dissipation``.
     The block is :func:`_closed_block`'s. It is refused with ConfigError
     when exponentiating one of its generators, d×d without collapse operators
-    and d²×d² with them, would take more than EXPM_BYTES_LIMIT.
+    and d²×d² with them, would take more than ``errors.MEMORY_LIMIT``.
     """
     ls = collapse_operators(params, space) if dissipation else []
     hs = device_model(params, space, counter_rotating).hamiltonians(
@@ -321,13 +316,8 @@ def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_g
     if frame_ghz:
         hs -= TWO_PI * frame_ghz * total_number_operator(space)
     idx = _closed_block(space, rho0, n_preps, list(hs) + ls)
-    need = _expm_bytes(idx.size**2 if ls else idx.size)
-    if need > EXPM_BYTES_LIMIT:
-        raise ConfigError(
-            f"evolution needs a {idx.size}-state block, whose stage maps take "
-            f"{need / 2**20:.0f} MiB (limit {EXPM_BYTES_LIMIT / 2**20:.0f} MiB); use a "
-            "smaller truncation or the excitation-conserving model"
-        )
+    require_memory(_expm_bytes(idx.size**2 if ls else idx.size),
+                   f"a stage map of a {idx.size}-state evolution block")
     sel = np.ix_(idx, idx)
     return idx, hs[:, idx[:, None], idx], [l[sel] for l in ls]
 
@@ -380,13 +370,14 @@ def evolve(
     """Propagate the master equation exactly through a staged schedule.
 
     Observable expectations are sampled on a uniform grid of
-    ``n_samples`` points over the total schedule duration; each observable
-    must be a finite (d, d) numeric array on ``space``, or ConfigError is
-    raised. Dissipation comes from the device coherence times
-    (:func:`collapse_operators`). ``frame_ghz`` subtracts that frequency
-    times the total excitation number from every stage Hamiltonian; this
-    is an exact frame change for the excitation-conserving model
-    (counter-rotating off) and invalid with counter-rotating terms on.
+    ``n_samples`` points (an integral count of at least 2) over the total
+    schedule duration; each observable must be a finite (d, d) numeric
+    array on ``space``, or ConfigError is raised. Dissipation comes from
+    the device coherence times (:func:`collapse_operators`). ``frame_ghz``
+    subtracts that finite frequency times the total excitation number from
+    every stage Hamiltonian; this is an exact frame change for the
+    excitation-conserving model (counter-rotating off) and invalid with
+    counter-rotating terms on.
 
     Evolution runs on the excitation block of :func:`_closed_block`, so a
     block whose stage maps would not fit in memory raises ConfigError
@@ -398,6 +389,8 @@ def evolve(
     """
     if initial.space.size != space.size:
         raise ConfigError("initial state lives on a different space")
+    n_samples = require_count(n_samples, "number of sample points", 2)
+    frame_ghz = require_number(frame_ghz, "frame frequency")
     if frame_ghz != 0.0 and include_counter_rotating:
         raise ConfigError(
             "a rotating frame is only exact for the excitation-conserving model; "
@@ -407,8 +400,6 @@ def evolve(
     observables = {n: _observable(op, space, n) for n, op in observables.items()}
     stages = schedule.stages
     total = sum(s.duration_ns for s in stages)
-    if n_samples < 2:
-        raise ConfigError("need at least 2 sample points")
 
     n_preps = sum(st.prep is not None for st in stages)
     idx, hs, ls = _block_model(
@@ -552,39 +543,36 @@ def vacuum_rabi_chevron(
     trace drift beyond 1e-8 (or a NaN) in any cell raises
     IntegrationError naming the first such column.
 
-    τ values must form a finite uniform ascending grid from 0, and a readout
-    delay must be finite. All columns' step maps are exponentiated as one
-    stack, so a grid whose stack (with its readings) would exceed
-    EXPM_BYTES_LIMIT is refused before any column is built.
+    ``q2_target``, the offsets, the τ values and a readout delay must be
+    finite numbers, and the τ values a uniform ascending grid from 0. All
+    columns' step maps are exponentiated as one stack, so a grid whose
+    stack (with its readings) would exceed ``errors.MEMORY_LIMIT`` is
+    refused before any column is built.
     """
+    q2_target = require_number(q2_target, "interaction point", positive=True)
     _require_resonator_clearance(params, q2_target, "interaction point")
-    taus = np.asarray(taus_ns, dtype=float)
-    if taus.ndim != 1 or taus.size < 2:
+    taus = require_numbers(taus_ns, "interaction times")
+    if taus.size < 2:
         raise ConfigError("chevron needs at least 2 interaction times")
     dt = np.diff(taus)
-    if (not np.isfinite(taus).all() or abs(taus[0]) > 1e-12 or dt.min() <= 0
-            or (dt.max() - dt.min()) > GRID_TOL_NS):
+    if abs(taus[0]) > 1e-12 or dt.min() <= 0 or (dt.max() - dt.min()) > GRID_TOL_NS:
         raise ConfigError("interaction times must be a finite uniform ascending grid from 0")
     dtau = float(dt[0])
-    offsets = np.asarray(q1_offsets_mhz, dtype=float)
-    if offsets.ndim != 1 or offsets.size < 1:
+    offsets = require_numbers(q1_offsets_mhz, "detuning offsets")
+    if offsets.size < 1:
         raise ConfigError("need at least one detuning offset")
-    if prep_to_readout_ns is not None and not np.isfinite(prep_to_readout_ns):
-        raise ConfigError(f"prep-to-readout interval must be finite, got {prep_to_readout_ns}")
-    if prep_to_readout_ns is not None and prep_to_readout_ns < taus[-1] - 1e-9:
-        raise ConfigError(
-            f"prep-to-readout interval {prep_to_readout_ns} ns shorter than the "
-            f"longest interaction time {taus[-1]} ns"
-        )
+    if prep_to_readout_ns is not None:
+        prep_to_readout_ns = require_number(prep_to_readout_ns, "prep-to-readout interval")
+        if prep_to_readout_ns < taus[-1] - 1e-9:
+            raise ConfigError(
+                f"prep-to-readout interval {prep_to_readout_ns} ns shorter than the "
+                f"longest interaction time {taus[-1]} ns"
+            )
 
     # the N <= 1 block has 5 states (ground, one excitation in each mode); each
     # column costs one 25 x 25 member of the step-map stack plus 3 floats per τ
-    need = offsets.size * (_expm_bytes(25) + 24 * taus.size)
-    if need > EXPM_BYTES_LIMIT:
-        raise ConfigError(
-            f"a chevron of {offsets.size} columns needs {need / 2**20:.0f} MiB for its step "
-            f"maps and readings (limit {EXPM_BYTES_LIMIT / 2**20:.0f} MiB)"
-        )
+    require_memory(offsets.size * (_expm_bytes(25) + 24 * taus.size),
+                   f"a chevron of {offsets.size} columns")
     # two levels per mode hold the N <= 1 block, where the anharmonic term vanishes
     space = HilbertSpace((2, 2, 2, 2))
     rho0 = DensityState.single_excitation(space, 3).rho

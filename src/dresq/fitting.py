@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FitError
+from .errors import ConfigError, FitError, require_numbers
 from .dynamics import GRID_TOL_NS, ChevronMap
 
 MAX_ITERATIONS = 200
@@ -50,18 +50,16 @@ class TimeTrace:
     uncertainty: np.ndarray | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.times_ns, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or v.shape != t.shape:
+        t = require_numbers(self.times_ns, "trace times")
+        v = require_numbers(self.values, "trace values")
+        if v.shape != t.shape:
             raise ConfigError("trace times and values must be 1-d and equal length")
         _check_samples(t, v)
         self.times_ns, self.values = t, v
         if self.uncertainty is not None:
-            u = np.asarray(self.uncertainty, dtype=float)
-            if u.shape != t.shape or not np.all(np.isfinite(u) & (u > 0)):
-                raise ConfigError(
-                    "uncertainties must be positive, finite and match the trace length"
-                )
+            u = require_numbers(self.uncertainty, "uncertainties", positive=True)
+            if u.shape != t.shape:
+                raise ConfigError("uncertainties must match the trace length")
             self.uncertainty = u
 
     @property

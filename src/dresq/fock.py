@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_count
 
 DEFAULT_DIMENSION_CAP = 4096
 
@@ -31,18 +31,17 @@ HERMITICITY_TOL = 1e-10
 class HilbertSpace:
     """Ordered list of per-mode truncation dimensions.
 
-    Immutable; the composite dimension is the product of the per-mode
-    dimensions and may not exceed DEFAULT_DIMENSION_CAP.
+    Immutable; each dimension is an integral count of at least 2, and the
+    composite dimension is their product and may not exceed
+    DEFAULT_DIMENSION_CAP.
     """
 
     dims: tuple[int, ...]
 
     def __init__(self, dims: Iterable[int]):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(require_count(d, "mode dimension", 2) for d in dims)
         if len(dims) < 1:
             raise ConfigError("a Hilbert space needs at least one mode")
-        if any(d < 2 for d in dims):
-            raise ConfigError(f"every mode needs dimension >= 2, got {dims}")
         if prod(dims) > DEFAULT_DIMENSION_CAP:
             raise ConfigError(
                 f"total dimension {prod(dims)} exceeds cap {DEFAULT_DIMENSION_CAP}"

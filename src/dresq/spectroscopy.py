@@ -17,22 +17,20 @@ from __future__ import annotations
 
 import io
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PhysicsError
+from .errors import (
+    ConfigError, PhysicsError, require_count, require_memory, require_number, require_numbers,
+)
 from .fock import HilbertSpace, _require_hermitian
 from .device import (
     TWO_PI,
     MODE_NAMES,
-    MODEL_BYTES_LIMIT,
     DeviceModel,
     DeviceParams,
     OperatingPoint,
-    _frequency_array,
-    _number_array,
     _require_resonator_clearance,
     device_model,
     flux_to_frequency,
@@ -143,10 +141,11 @@ def sweep_spectrum(
     parity block are diagonalized in slices of STACK_SLICE_BYTES, and each
     point's levels of both blocks are merged with a stable sort; labels and
     overlaps refer to the full product basis. ``values`` must be a
-    non-empty, strictly monotone 1-d array of numbers; a bool among them is
-    refused with ConfigError, as is an ``n_levels`` not an integer ≥ 1.
+    non-empty, strictly monotone 1-d array of finite numbers; a bool among
+    them is refused with ConfigError, as is an ``n_levels`` not an integer
+    ≥ 1.
     """
-    values = _number_array(values, "sweep values")
+    values = require_numbers(values, "sweep values")
     if values.size < 1:
         raise ConfigError("sweep values must be a non-empty 1-d array")
     diffs = np.diff(values)
@@ -154,10 +153,8 @@ def sweep_spectrum(
         raise ConfigError("sweep values must be strictly monotone")
     if n_levels is None:
         n_levels = space.size - 1
-    if isinstance(n_levels, bool) or not isinstance(n_levels, numbers.Integral) or n_levels < 1:
-        raise ConfigError(f"need an integer of at least one level above the ground state, "
-                          f"got {n_levels!r}")
-    n_levels = min(int(n_levels), space.size - 1)
+    n_levels = min(require_count(n_levels, "number of levels above the ground state", 1),
+                   space.size - 1)
     f1s, f2s = _axis_frequencies(axis, values, fixed_other, params)
 
     model = device_model(params, space, True)
@@ -271,26 +268,12 @@ def _tracked_separations(
     return seps, pairs
 
 
-def _finite(value, what: str) -> float:
-    """``value`` as a float; ConfigError for text, a bool or anything not a finite number."""
-    try:
-        # float() would parse text and take a bool for 0 or 1
-        if isinstance(value, (str, bytes, bytearray, bool, np.bool_)):
-            raise TypeError
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{what} must be finite, got {number}")
-    return number
-
-
 def _gap_grid(sweep_1) -> tuple[float, float, int]:
     """(start, stop, count) of a qubit-1 sweep; ConfigError unless usable.
 
     The bounds must be finite and the count an integral number of at least
     5 grid points, few enough that the grid and its per-point results fit
-    in MODEL_BYTES_LIMIT; that is checked before anything is allocated.
+    in ``errors.MEMORY_LIMIT``; that is checked before anything is allocated.
     """
     try:
         lo, hi, count = sweep_1
@@ -298,20 +281,12 @@ def _gap_grid(sweep_1) -> tuple[float, float, int]:
         raise ConfigError(
             f"gap sweep must be (start, stop, count), got {sweep_1!r}"
         ) from None
-    lo = _finite(lo, "gap sweep start")
-    hi = _finite(hi, "gap sweep stop")
-    n = _finite(count, "gap sweep count")
-    if n != int(n) or n < 5:
-        raise ConfigError(
-            f"gap sweep needs an integral count of at least 5 grid points, got {count!r}"
-        )
+    lo = require_number(lo, "gap sweep start")
+    hi = require_number(hi, "gap sweep stop")
+    n = require_count(count, "gap sweep count", 5)
     # five 8-byte words a point: grid, f2 fill, separation and level pair
-    if 5 * 8 * n > MODEL_BYTES_LIMIT:
-        raise ConfigError(
-            f"gap sweep of {count!r} points needs {5 * 8 * n / 2**20:.3g} MiB "
-            f"(limit {MODEL_BYTES_LIMIT / 2**20:.0f} MiB)"
-        )
-    return lo, hi, int(n)
+    require_memory(5 * 8 * n, f"gap sweep of {n} points")
+    return lo, hi, n
 
 
 def qubit_qubit_gap(
@@ -344,7 +319,7 @@ def qubit_qubit_gap(
     setpoint and an integral coarse count of at least 5 distinct points;
     text, a bool or a non-finite setpoint is refused with ConfigError.
     """
-    qubit2_freq = _finite(qubit2_freq, "qubit-2 setpoint")
+    qubit2_freq = require_number(qubit2_freq, "qubit-2 setpoint")
     if space is None:
         space = HilbertSpace((3, 3, 3, 3))
     _require_resonator_clearance(params, qubit2_freq, "qubit-2 setpoint")
@@ -421,7 +396,7 @@ def gap_vs_setpoint(
         raise ConfigError(
             f"qubit-2 setpoints must be a list of numbers, got {setpoints!r}"
         ) from None
-    setpoints = [_finite(f2, "qubit-2 setpoint") for f2 in setpoints]
+    setpoints = [require_number(f2, "qubit-2 setpoint") for f2 in setpoints]
     results: list[GapResult | None] = []
     errors: list[str | None] = []
     for f2 in setpoints:
@@ -449,7 +424,7 @@ def cotuned_half_gap(
     if space is None:
         space = HilbertSpace((3, 3, 3, 3))
     scalar = not isinstance(freq, (list, tuple, np.ndarray))
-    points = _frequency_array([freq] if scalar else freq, "co-tuned frequency")
+    points = require_numbers([freq] if scalar else freq, "co-tuned frequency", positive=True)
     seps, _ = _tracked_separations(params, points, points, space)
     half_gaps = 0.5 * seps * 1e3
     return float(half_gaps[0]) if scalar else half_gaps

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dresq import dynamics
-from dresq.errors import ConfigError, IntegrationError, PhysicsError
+from dresq.errors import MEMORY_LIMIT, ConfigError, IntegrationError, PhysicsError
 from dresq.fock import HilbertSpace, number_operator, total_number_operator
 from dresq.device import DeviceParams, OperatingPoint, device_model
 from dresq.dynamics import (
-    EXPM_BYTES_LIMIT,
     ChevronMap,
     DensityState,
     PulseSchedule,
@@ -350,7 +349,7 @@ def test_chevron_refuses_a_step_stack_over_the_limit_before_building(monkeypatch
     built = []
     monkeypatch.setattr(dynamics, "device_model", lambda *a, **k: built.append(a))
     # each column's step map is a 25 x 25 generator exponential
-    columns = EXPM_BYTES_LIMIT // _expm_bytes(25) + 1
+    columns = MEMORY_LIMIT // _expm_bytes(25) + 1
     offsets = np.linspace(-20.0, 20.0, columns)
     tracemalloc.start()
     try:
@@ -406,7 +405,7 @@ def test_lossy_counter_rotating_full_space_refused_before_allocating():
 def test_lossless_counter_rotating_full_space_runs():
     # no collapse operators: the 81-state full space exponentiates the
     # 81 x 81 generator -iH, not the 6561 x 6561 one the lossy case is refused for
-    assert _expm_bytes(81) == 12 * 16 * 81**2 < EXPM_BYTES_LIMIT < _expm_bytes(81**2)
+    assert _expm_bytes(81) == 12 * 16 * 81**2 < MEMORY_LIMIT < _expm_bytes(81**2)
     p = DeviceParams(**lossless())
     sched = PulseSchedule([Stage(0.5, BIAS, prep="pi_q2"), Stage(50.0, OperatingPoint(4.60, 4.60))])
     ts = evolve(
@@ -460,8 +459,8 @@ def test_lossless_full_space_matches_eigenbasis_reference():
 def test_expm_byte_estimate():
     # a lossy 81-state block needs a 6561 x 6561 generator: refused;
     # 16 states (a 256 x 256 generator) fit
-    assert _expm_bytes(81**2) == 12 * 16 * 81**4 > EXPM_BYTES_LIMIT
-    assert _expm_bytes(16**2) < EXPM_BYTES_LIMIT
+    assert _expm_bytes(81**2) == 12 * 16 * 81**4 > MEMORY_LIMIT
+    assert _expm_bytes(16**2) < MEMORY_LIMIT
     # the estimate bounds what exponentiating a generator really takes
     h = np.diag(np.arange(12.0))
     tracemalloc.start()

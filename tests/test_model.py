@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dresq.errors import ConfigError
+from dresq.errors import MEMORY_LIMIT, ConfigError
 from dresq.fock import HilbertSpace
 from dresq.device import (
-    MODEL_BYTES_LIMIT,
     TWO_PI,
     DeviceModel,
     DeviceParams,
@@ -142,8 +141,8 @@ def test_model_cached_and_read_only():
 def test_model_byte_estimate():
     # 4096 states: 3 d² for H_static and its symmetry check, and 6 n² for an
     # eigh of the 2048-state parity block, refused; 5⁴ fits
-    assert model_bytes((8, 8, 8, 8)) == 8 * (3 * 4096**2 + 6 * 2048**2) > MODEL_BYTES_LIMIT
-    assert model_bytes((5, 5, 5, 5)) == 8 * (3 * 625**2 + 6 * 313**2) < MODEL_BYTES_LIMIT
+    assert model_bytes((8, 8, 8, 8)) == 8 * (3 * 4096**2 + 6 * 2048**2) > MEMORY_LIMIT
+    assert model_bytes((5, 5, 5, 5)) == 8 * (3 * 625**2 + 6 * 313**2) < MEMORY_LIMIT
     # the estimate bounds what building a model really takes
     space = HilbertSpace((4, 4, 4, 4))
     tracemalloc.start()
