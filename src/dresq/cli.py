@@ -24,12 +24,15 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError, PhysicsError, require_count, require_memory
+from .errors import (
+    ConfigError, NumericsError, PhysicsError, require_count, require_memory, require_number,
+)
 from .fock import HilbertSpace
 from .device import (
     DeviceParams,
@@ -70,9 +73,11 @@ def _load_device(path: Path | None) -> DeviceParams:
     return DeviceParams.from_json(path.read_text())
 
 
-def _grid(start: float, stop: float, points: int, flag: str) -> np.ndarray:
-    points = require_count(points, flag, 1)
-    require_memory(8 * points, f"a {flag} grid of {points} points")
+def _grid(start: float, stop: float, points: int, flags: tuple[str, str, str]) -> np.ndarray:
+    """Evenly spaced values; ``flags`` names the options of start, stop and points."""
+    start, stop = (require_number(v, f) for v, f in zip((start, stop), flags))
+    points = require_count(points, flags[2], 1)
+    require_memory(8 * points, f"a {flags[2]} grid of {points} points")
     return np.linspace(start, stop, points)
 
 
@@ -98,7 +103,7 @@ def _write_outputs(args, artifacts: dict[str, str], params: DeviceParams | None 
 def cmd_spectrum(args) -> int:
     params = _load_device(args.device)
     space = HilbertSpace(args.dims)
-    values = _grid(args.start, args.stop, args.points, "--points")
+    values = _grid(args.start, args.stop, args.points, ("--start", "--stop", "--points"))
     fixed = OperatingPoint(args.fixed_q1, args.fixed_q2)
     sweep = spectroscopy.sweep_spectrum(
         params, args.axis, values, fixed, space, n_levels=args.levels
@@ -118,7 +123,7 @@ def cmd_spectrum(args) -> int:
 def cmd_geff(args) -> int:
     params = _load_device(args.device)
     space = HilbertSpace(args.dims)
-    freqs = _grid(args.start, args.stop, args.points, "--points")
+    freqs = _grid(args.start, args.stop, args.points, ("--start", "--stop", "--points"))
     switch_off = find_switch_off(params, (args.start, args.stop))
     geffs = np.array([effective_coupling(params, OperatingPoint(f, f)) * 1e3 for f in freqs])
     half_gaps = spectroscopy.cotuned_half_gap(params, freqs, space)
@@ -168,13 +173,15 @@ def cmd_gapscan(args) -> int:
 
 def cmd_chevron(args) -> int:
     params = _load_device(args.device)
-    taus = _grid(0.0, args.tau_max, args.tau_points, "--tau-points")
-    offsets = _grid(-args.span_mhz, args.span_mhz, args.detuning_points, "--detuning-points")
+    taus = _grid(0.0, args.tau_max, args.tau_points, ("--tau-max", "--tau-max", "--tau-points"))
+    offsets = _grid(-args.span_mhz, args.span_mhz, args.detuning_points,
+                    ("--span-mhz", "--span-mhz", "--detuning-points"))
     bias = OperatingPoint(args.bias_q1, args.bias_q2)
+    # a lossless run is one with infinite lifetimes; the manifest keeps the device as given
+    lifetimes = {f"t{k}_qubit{q}": math.inf for k in (1, 2) for q in (1, 2)}
     chev = dynamics.vacuum_rabi_chevron(
-        params, bias, args.target, offsets, taus,
-        prep_to_readout_ns=args.prep_to_readout,
-        dissipation=args.dissipation,
+        params if args.dissipation else params.replace(**lifetimes),
+        bias, args.target, offsets, taus, prep_to_readout_ns=args.prep_to_readout,
     )
     estimate = fitting.geff_from_chevron(chev)
     # the analytic formula has no g_ab path: report no value, not a wrong one

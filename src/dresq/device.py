@@ -426,40 +426,13 @@ def find_switch_off(
     raise PhysicsError("bisection failed to converge to the switch-off tolerance")
 
 
-def _flux_params(params: DeviceParams, qubit_index: int) -> tuple[float, float, float]:
-    qubit_index = require_count(qubit_index, "qubit index", 1)
-    if qubit_index > 2:
-        raise ConfigError(f"qubit index must be 1 or 2, got {qubit_index}")
-    return (
-        getattr(params, f"qubit_max_freq_{qubit_index}"),
-        getattr(params, f"flux_period_{qubit_index}"),
-        getattr(params, f"flux_offset_{qubit_index}"),
-    )
-
-
 def flux_to_frequency(params: DeviceParams, qubit_index: int, control_value: float) -> float:
     """Symmetric-junction tuning law ω(x) = ω_max √|cos(π(x−x0)/period)|."""
     control_value = require_number(control_value, "control value")
-    f_max, period, offset = _flux_params(params, qubit_index)
+    qubit_index = require_count(qubit_index, "qubit index", 1)
+    if qubit_index > 2:
+        raise ConfigError(f"qubit index must be 1 or 2, got {qubit_index}")
+    f_max, period, offset = (getattr(params, f"{name}_{qubit_index}")
+                             for name in ("qubit_max_freq", "flux_period", "flux_offset"))
     phase = math.pi * (control_value - offset) / period
     return f_max * math.sqrt(abs(math.cos(phase)))
-
-
-def frequency_to_flux(
-    params: DeviceParams, qubit_index: int, target: float, branch: int = +1
-) -> float:
-    """Control value producing a given qubit frequency.
-
-    ``branch`` picks the side of the sweet spot (+1 above the offset, -1
-    below); only the principal branch |x - offset| <= period/2 is used.
-    """
-    f_max, period, offset = _flux_params(params, qubit_index)
-    target = require_number(target, "target frequency")
-    if not 0.0 < target <= f_max:
-        raise ConfigError(
-            f"target {target} GHz outside the reachable band (0, {f_max}] of qubit {qubit_index}"
-        )
-    if require_number(branch, "branch") not in (+1, -1):
-        raise ConfigError("branch must be +1 or -1")
-    u = math.acos((target / f_max) ** 2) / math.pi
-    return offset + branch * period * u

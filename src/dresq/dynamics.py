@@ -298,18 +298,17 @@ def _pi_flip_matrix(space: HilbertSpace, mode_index: int) -> np.ndarray:
     return np.eye(space.size)[np.arange(space.size) + step]
 
 
-def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_ghz,
-                 dissipation=True):
+def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_ghz):
     """Block indices, block Hamiltonians (a stack, one per point) and block collapse operators.
 
     The Hamiltonians are one stack of the cached device model's, in the frame
-    rotating at ``frame_ghz`` times the total excitation number; collapse
-    operators are built only with ``dissipation``.
+    rotating at ``frame_ghz`` times the total excitation number; the collapse
+    operators are :func:`collapse_operators`, none when every lifetime is infinite.
     The block is :func:`_closed_block`'s. It is refused with ConfigError
     when exponentiating one of its generators, d×d without collapse operators
     and d²×d² with them, would take more than ``errors.MEMORY_LIMIT``.
     """
-    ls = collapse_operators(params, space) if dissipation else []
+    ls = collapse_operators(params, space)
     hs = device_model(params, space, counter_rotating).hamiltonians(
         [p.qubit_freq_1 for p in points], [p.qubit_freq_2 for p in points]
     )
@@ -528,7 +527,6 @@ def vacuum_rabi_chevron(
     q1_offsets_mhz,
     taus_ns,
     prep_to_readout_ns: float | None = None,
-    dissipation: bool = True,
 ) -> ChevronMap:
     """Vacuum-Rabi population map under the staged flux protocol.
 
@@ -539,7 +537,8 @@ def vacuum_rabi_chevron(
     is recorded. With ``prep_to_readout_ns`` set, the state is further
     evolved at the bias point until that fixed total delay before
     readout. Runs in the excitation-conserving model on the exact N ≤ 1
-    block, through the block set-up and sample loop of :func:`evolve`. A
+    block, through the block set-up and sample loop of :func:`evolve`, and
+    is lossless on a device whose coherence times are all infinite. A
     trace drift beyond 1e-8 (or a NaN) in any cell raises
     IntegrationError naming the first such column.
 
@@ -578,12 +577,9 @@ def vacuum_rabi_chevron(
     rho0 = DensityState.single_excitation(space, 3).rho
     holds = [OperatingPoint(q2_target + off * 1e-3, q2_target) for off in offsets]
     padded = prep_to_readout_ns is not None
-    # the readout rows are carried through generators on vec(ρ) even without
-    # dissipation; the stack guard above covers their size
-    idx, hs, ls = _block_model(
-        params, space, holds + [bias] * padded, rho0, 0, False, q2_target,
-        dissipation=dissipation,
-    )
+    # the readout rows are carried through generators on vec(ρ) even on a
+    # lossless device; the stack guard above covers their size
+    idx, hs, ls = _block_model(params, space, holds + [bias] * padded, rho0, 0, False, q2_target)
     d = idx.size
     generators = _superoperator(hs, _dissipator(ls, d))
 

@@ -40,6 +40,10 @@ PEAK_OVER_MEDIAN = 10.0
 # at least this many oscillation periods must fit in the window
 MIN_PERIODS = 2.0
 
+# largest |value| / uncertainty of a trace: the fits square sums of such
+# terms, which overflow a float from about 1e150 on
+MAX_WEIGHTED_VALUE = 1e100
+
 
 @dataclass
 class TimeTrace:
@@ -61,6 +65,11 @@ class TimeTrace:
             if u.shape != t.shape:
                 raise ConfigError("uncertainties must match the trace length")
             self.uncertainty = u
+        with np.errstate(over="ignore"):  # an overflowing ratio is refused too
+            worst = (np.abs(v) / (1.0 if self.uncertainty is None else self.uncertainty)).max()
+        if worst > MAX_WEIGHTED_VALUE:
+            raise ConfigError(f"trace |value| / uncertainty reaches {worst:.3g}, "
+                              f"above the {MAX_WEIGHTED_VALUE:g} the fits can square")
 
     @property
     def window_ns(self) -> float:

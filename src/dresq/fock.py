@@ -16,15 +16,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, require_count
 
 DEFAULT_DIMENSION_CAP = 4096
-
-HERMITICITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,19 +67,6 @@ class HilbertSpace:
         """Basis-index step of one quantum in each mode."""
         return tuple(prod(self.dims[m + 1 :]) for m in range(self.n_modes))
 
-    def basis_index(self, occupations: Sequence[int]) -> int:
-        """Composite basis index of a product state |n_0, n_1, ...>."""
-        if len(occupations) != self.n_modes:
-            raise ConfigError("occupation list length must match mode count")
-        for d, n in zip(self.dims, occupations):
-            if not 0 <= n < d:
-                raise ConfigError(f"occupation {n} outside truncation {d}")
-        return sum(n * s for n, s in zip(occupations, self.strides))
-
-    def occupations(self, index: int) -> tuple[int, ...]:
-        """Inverse of :meth:`basis_index`."""
-        return tuple(self.quanta[:, index].tolist())
-
     def single_excitation_indices(self) -> tuple[int, ...]:
         """Basis indices of the states with exactly one quantum in one mode."""
         return self.strides
@@ -109,15 +94,5 @@ def number_operator(space: HilbertSpace, mode_index: int) -> np.ndarray:
     _check_mode(space, mode_index)
     return np.diag(space.quanta[mode_index].astype(float))
 
-
 def total_number_operator(space: HilbertSpace) -> np.ndarray:
     return np.diag(space.quanta.sum(axis=0).astype(float))
-
-
-def _require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    """ConfigError, with the measured asymmetry, unless max|M - M†| < tol."""
-    defect = float(np.abs(m - m.conj().T).max())
-    if defect >= tol:
-        raise ConfigError(
-            f"matrix is not Hermitian: max |M - M†| element is {defect:.3e} (tol {tol:.1e})"
-        )

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (
     ConfigError, PhysicsError, require_count, require_memory, require_number, require_numbers,
 )
-from .fock import HilbertSpace, _require_hermitian
+from .fock import HilbertSpace
 from .device import (
     TWO_PI,
     MODE_NAMES,
@@ -230,9 +230,6 @@ def _block_eigh(model: DeviceModel, f1s: np.ndarray, f2s: np.ndarray, idx: np.nd
     for start in range(0, len(f1s), per_slice):
         part = slice(start, start + per_slice)
         h = model.hamiltonians(f1s[part], f2s[part], idx)
-        # members differ from the restricted h_static only on the diagonal, so
-        # the first one's asymmetry is that of the whole stack
-        _require_hermitian(h[0])
         evals, evecs = np.linalg.eigh(h)
         del h
         store(part, evals, evecs)

@@ -69,6 +69,11 @@ def synthetic_device(g_mhz, **kw):
     return DeviceParams(g_a1=0, g_a2=0, g_b1=0, g_b2=0, g_ab=0, g_12=g_mhz * 1e-3, **kw)
 
 
+def lossless(**kw):
+    inf = float("inf")
+    return dict(t1_qubit1=inf, t1_qubit2=inf, t2_qubit1=inf, t2_qubit2=inf) | kw
+
+
 def test_criterion_1_analytic_vs_exact_gap():
     """Analytic coupling vs. half the exact co-tuned splitting, 50 points.
 
@@ -159,10 +164,10 @@ def test_criterion_3_anti_crossing_magnitudes():
 
 def test_criterion_4_dynamics_vs_closed_form():
     # clause 1: on-resonance oscillation period vs 1 / (2 g_eff)
-    p = DeviceParams()
+    p = DeviceParams(**lossless())
     g_eff = effective_coupling(p, OperatingPoint(4.60, 4.60)) * 1e3  # MHz
     taus = np.linspace(0, 2000, 401)
-    chev = vacuum_rabi_chevron(p, BIAS, 4.60, np.array([0.0]), taus, dissipation=False)
+    chev = vacuum_rabi_chevron(p, BIAS, 4.60, np.array([0.0]), taus)
     fit = fit_damped_cosine(TimeTrace(taus, chev.p1[0]))
     period_ns = 1.0 / fit.estimates["frequency_per_ns"]
     expected_ns = 1.0 / (2.0 * g_eff * 1e-3)
@@ -170,15 +175,13 @@ def test_criterion_4_dynamics_vs_closed_form():
 
     # clause 2: detuned peak populations on a clean exchange device
     g = 3.0
-    ps = synthetic_device(g)
+    ps = synthetic_device(g, **lossless())
     peak_errs = []
     for mult in (1, 2, 4):
         delta = mult * g
         f_osc = math.sqrt(4 * g * g + delta * delta) * 1e-3  # 1/ns
         t_peak = 1.0 / (2.0 * f_osc)
-        c = vacuum_rabi_chevron(
-            ps, BIAS, 4.60, np.array([delta]), np.array([0.0, t_peak]), dissipation=False
-        )
+        c = vacuum_rabi_chevron(ps, BIAS, 4.60, np.array([delta]), np.array([0.0, t_peak]))
         expected = 4 * g * g / (delta * delta + 4 * g * g)
         peak_errs.append(abs(c.p1[0, 1] - expected))
     ok = period_rel <= 0.05 and max(peak_errs) <= 1e-3

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dresq.cli import main
+from dresq.device import DeviceParams
 
 
 def run(args):
@@ -144,6 +145,23 @@ def test_chevron_manifest_of_a_lossless_device_is_strict_json(tmp_path):
     assert manifest["config"]["device"]["t2_qubit1"] is None
 
 
+def test_no_dissipation_is_a_device_with_infinite_lifetimes(tmp_path):
+    args = ["chevron", "--tau-max", 600, "--tau-points", 61, "--detuning-points", 9,
+            "--prep-to-readout", 800]
+    lifetimes = ("t1_qubit1", "t1_qubit2", "t2_qubit1", "t2_qubit2")
+    device = tmp_path / "device.json"
+    device.write_text(json.dumps(dict.fromkeys(lifetimes)))
+    flag, lossless = tmp_path / "flag", tmp_path / "lossless"
+    assert run(args + ["--no-dissipation", "--out", flag]) == 0
+    assert run(args + ["--device", device, "--out", lossless]) == 0
+    for name in ("chevron.csv", "geff_estimate.json"):
+        assert (flag / name).read_bytes() == (lossless / name).read_bytes()
+    config = json.loads((flag / "manifest.json").read_text())["config"]
+    assert config["dissipation"] is False
+    assert config["device"] == json.loads(DeviceParams().to_json())
+    assert config["device"]["t1_qubit1"] == 10.0
+
+
 def test_chevron_estimate_consistent_with_analytic(tmp_path):
     # clean synthetic device: the time-domain estimate closes the loop
     device = tmp_path / "device.json"
@@ -185,6 +203,10 @@ def test_chevron_below_floor_at_switch_off(tmp_path):
     pytest.param(["chevron", "--tau-points", "1"], id="chevron-tau-points-1"),
     pytest.param(["chevron", "--tau-max", "nan"], id="chevron-tau-max-nan"),
     pytest.param(["chevron", "--prep-to-readout", "nan"], id="chevron-prep-to-readout-nan"),
+    pytest.param(["chevron", "--tau-max", "inf"], id="chevron-tau-max-inf"),
+    pytest.param(["chevron", "--span-mhz", "inf"], id="chevron-span-mhz-inf"),
+    pytest.param(["geff", "--stop", "inf"], id="geff-stop-inf"),
+    pytest.param(["spectrum", "--start", "4.4", "--stop", "inf"], id="spectrum-stop-inf"),
     pytest.param(["spectrum", "--start", "4.4", "--stop", "4.5", "--points", "-1"],
                  id="spectrum-points-negative"),
     pytest.param(["geff", "--points", "0"], id="geff-points-0"),
@@ -205,6 +227,15 @@ def test_fit_command(tmp_path):
     assert run(["fit", "--model", "cosine", "--out", out, trace]) == 0
     doc = json.loads((out / "fit.json").read_text())
     assert doc["estimates"]["frequency_per_ns"] == pytest.approx(0.006, rel=0.01)
+
+
+@pytest.mark.parametrize("model", ["exp", "cosine"])
+def test_fit_huge_trace_values_exit_2(tmp_path, model):
+    # unrefused, the exp fit overflows here and writes "residual_rms": Infinity
+    trace = tmp_path / "trace.csv"
+    trace.write_text("".join(f"{t},{1e300 * math.exp(-t / 5)}\n" for t in range(40)))
+    assert run(["fit", "--model", model, "--out", tmp_path / "f", trace]) == 2
+    assert not (tmp_path / "f").exists()
 
 
 def test_fit_missing_trace_exit_2(tmp_path):

@@ -543,7 +543,7 @@ def test_chevron_symmetric_in_detuning():
     p = decoupled(**lossless()).replace(g_12=g)
     taus = np.linspace(0, 500, 51)
     offsets = np.array([-8.0, -4.0, 0.0, 4.0, 8.0])
-    chev = vacuum_rabi_chevron(p, BIAS, 4.60, offsets, taus, dissipation=False)
+    chev = vacuum_rabi_chevron(p, BIAS, 4.60, offsets, taus)
     assert np.abs(chev.p1[0] - chev.p1[4]).max() < 1e-4
     assert np.abs(chev.p1[1] - chev.p1[3]).max() < 1e-4
 
@@ -552,7 +552,7 @@ def test_chevron_on_resonance_column_matches_closed_form():
     g = 0.003
     p = decoupled(**lossless()).replace(g_12=g)
     taus = np.linspace(0, 500, 101)
-    chev = vacuum_rabi_chevron(p, BIAS, 4.60, np.array([0.0]), taus, dissipation=False)
+    chev = vacuum_rabi_chevron(p, BIAS, 4.60, np.array([0.0]), taus)
     expected = two_level_transfer(g * 1e3, 0.0, taus)
     assert np.abs(chev.p1[0] - expected).max() < 1e-6
 

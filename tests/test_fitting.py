@@ -23,6 +23,11 @@ def synthetic_device(g_mhz, **kw):
     return DeviceParams(g_a1=0, g_a2=0, g_b1=0, g_b2=0, g_ab=0, g_12=g_mhz * 1e-3, **kw)
 
 
+def lossless(**kw):
+    inf = float("inf")
+    return dict(t1_qubit1=inf, t1_qubit2=inf, t2_qubit1=inf, t2_qubit2=inf) | kw
+
+
 # ---------------------------------------------------------------------------
 # TimeTrace
 
@@ -82,6 +87,32 @@ def test_trace_rejects_non_finite(column, bad):
     cols[column][4] = bad
     with pytest.raises(ConfigError, match="finite"):
         TimeTrace(cols["times"], cols["values"], cols["uncertainty"])
+
+
+def _signal(model, t):
+    if model is fit_exp_decay:
+        return np.exp(-t / 5.0)
+    return np.exp(-t / 50.0) * np.cos(2 * math.pi * 0.1 * t)
+
+
+@pytest.mark.parametrize("model", [fit_exp_decay, fit_damped_cosine])
+@pytest.mark.parametrize("scale, sigma", [(1e300, None), (1e101, None), (1.0, 1e-101)])
+def test_trace_refuses_values_the_fits_cannot_square(model, scale, sigma):
+    # |value| / σ above 1e100 is refused before any fit squares it
+    t = np.arange(40.0)
+    u = None if sigma is None else np.full(t.size, sigma)
+    with pytest.raises(ConfigError, match="uncertainty"):
+        model(TimeTrace(t, scale * _signal(model, t), u))
+
+
+@pytest.mark.parametrize("model", [fit_exp_decay, fit_damped_cosine])
+@pytest.mark.parametrize("scale, sigma", [(1e99, None), (1.0, 1e-99)])
+def test_fits_stay_finite_just_below_the_value_bound(model, scale, sigma):
+    t = np.arange(40.0)
+    u = None if sigma is None else np.full(t.size, sigma)
+    out = model(TimeTrace(t, scale * _signal(model, t), u))
+    assert out.converged and math.isfinite(out.residual_rms)
+    assert all(math.isfinite(v) for v in out.estimates.values())
 
 
 def test_trace_csv_first_row_is_data_when_it_parses():
@@ -335,9 +366,9 @@ def test_time_shift_changes_only_phase():
 
 def test_vacuum_rabi_trace_frequency():
     # simulated resonant exchange at 3 MHz oscillates at 2 g = 6 MHz
-    p = synthetic_device(3.0)
+    p = synthetic_device(3.0, **lossless())
     taus = np.linspace(0, 1000, 201)
-    chev = vacuum_rabi_chevron(p, BIAS, 4.60, np.array([0.0]), taus, dissipation=False)
+    chev = vacuum_rabi_chevron(p, BIAS, 4.60, np.array([0.0]), taus)
     out = fit_damped_cosine(TimeTrace(taus, chev.p1[0]))
     assert out.estimates["frequency_per_ns"] * 1e3 == pytest.approx(6.0, rel=0.005)
 
@@ -413,7 +444,7 @@ def test_geff_from_chevron_rejects_columns_whose_fit_did_not_converge(monkeypatc
 def test_geff_from_chevron_flat_column_is_not_detected():
     taus = np.linspace(0, 1500, 151)
     chev = vacuum_rabi_chevron(
-        synthetic_device(3.0), BIAS, 4.60, np.linspace(-12, 12, 25), taus, dissipation=False
+        synthetic_device(3.0, **lossless()), BIAS, 4.60, np.linspace(-12, 12, 25), taus
     )
     chev.p1[0] = 0.25
     est = geff_from_chevron(chev)
@@ -422,10 +453,10 @@ def test_geff_from_chevron_flat_column_is_not_detected():
 
 
 def test_geff_from_chevron_even_in_detuning():
-    p = synthetic_device(3.0)
+    p = synthetic_device(3.0, **lossless())
     taus = np.linspace(0, 1500, 151)
     offsets = np.linspace(-12, 12, 25)
-    chev = vacuum_rabi_chevron(p, BIAS, 4.60, offsets, taus, dissipation=False)
+    chev = vacuum_rabi_chevron(p, BIAS, 4.60, offsets, taus)
     est = geff_from_chevron(chev)
     for d, f in est.column_freqs_mhz.items():
         if -d in est.column_freqs_mhz:
@@ -448,10 +479,10 @@ def test_geff_from_chevron_below_floor_at_switch_off():
 
 def test_geff_from_chevron_edge_resonance_rejected():
     # detuning axis entirely to one side of the resonance
-    p = synthetic_device(3.0)
+    p = synthetic_device(3.0, **lossless())
     taus = np.linspace(0, 1500, 151)
     offsets = np.linspace(2.0, 20.0, 19)
-    chev = vacuum_rabi_chevron(p, BIAS, 4.60, offsets, taus, dissipation=False)
+    chev = vacuum_rabi_chevron(p, BIAS, 4.60, offsets, taus)
     with pytest.raises(FitError, match="resonance"):
         geff_from_chevron(chev)
 

@@ -13,7 +13,7 @@ import pytest
 from dresq.errors import MEMORY_LIMIT, ConfigError, require_count, require_memory
 from dresq.fock import HilbertSpace
 from dresq.device import (
-    DeviceParams, OperatingPoint, find_switch_off, flux_to_frequency, frequency_to_flux,
+    DeviceParams, OperatingPoint, find_switch_off, flux_to_frequency,
 )
 from dresq.dynamics import DensityState, PulseSchedule, Stage, evolve, vacuum_rabi_chevron
 from dresq.fitting import TimeTrace
@@ -40,7 +40,6 @@ def _evolve(**changes):
     pytest.param(lambda: find_switch_off(PARAMS, ("4.50", "4.77")), id="switch-off-text"),
     pytest.param(lambda: flux_to_frequency(PARAMS, 1, "0.1"), id="flux-text"),
     pytest.param(lambda: flux_to_frequency(PARAMS, True, 0.1), id="flux-bool-qubit"),
-    pytest.param(lambda: frequency_to_flux(PARAMS, 1, 4.6, branch=True), id="flux-bool-branch"),
     pytest.param(lambda: Stage("5", POINT), id="stage-text"),
     pytest.param(lambda: Stage(True, POINT), id="stage-bool"),
     pytest.param(lambda: _chevron(q1_offsets_mhz=["-1", "1"]), id="chevron-text-offsets"),

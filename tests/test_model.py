@@ -138,6 +138,31 @@ def test_model_cached_and_read_only():
     assert model.h_static[0, 0] == 0.0
 
 
+def test_model_refuses_an_asymmetric_static_part(monkeypatch):
+    # the one symmetry check of H: every stack differs from h_static only on
+    # the diagonal, so no diagonalization checks it again
+    from dresq import device
+
+    build = device._static_hamiltonian
+
+    def skewed(*args):
+        h = build(*args)
+        h[0, 1] += 1e-15
+        return h
+
+    monkeypatch.setattr(device, "_static_hamiltonian", skewed)
+    with pytest.raises(ConfigError, match="not symmetric"):
+        DeviceModel(DeviceParams(), HilbertSpace((2, 2, 2, 2)), True)
+
+
+def test_model_arrays_are_read_only():
+    model = DeviceModel(DeviceParams(), HilbertSpace((3, 3, 3, 3)), True)
+    for name in ("h_static", "n_q1", "n_q2", "even", "odd"):
+        array = getattr(model, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+
+
 def test_model_byte_estimate():
     # 4096 states: 3 d² for H_static and its symmetry check, and 6 n² for an
     # eigh of the 2048-state parity block, refused; 5⁴ fits
