@@ -328,15 +328,22 @@ def test_flux_symmetry():
         assert up == pytest.approx(down, rel=1e-12)
 
 
-def test_flux_to_frequency_special_points():
-    # on each side of the offset x0: the sweet spot at x0, f_max/√2 a third of
-    # a period away, and the frequencies the inverse law x0 ± period·acos((f/f_max)²)/π gives
+def test_flux_to_frequency_on_both_branches():
+    # the flux the inverse law x0 ± period·acos((f/f_max)²)/π gives for f, on
+    # each side of the offset x0, maps back to f
     p = DeviceParams(flux_offset_1=0.2, flux_period_1=1.5)
     f_max = p.qubit_max_freq_1
-    assert flux_to_frequency(p, 1, 0.2) == f_max
-    for branch in (+1, -1):
-        x = 0.2 + branch * 1.5 / 3.0
-        assert flux_to_frequency(p, 1, x) == pytest.approx(f_max / math.sqrt(2), abs=1e-12)
-        for target in (4.641, 4.5, 4.0, 2.0):
+    for target in (4.641, 4.5, 4.0, 2.0):
+        for branch in (+1, -1):
             x = 0.2 + branch * 1.5 * math.acos((target / f_max) ** 2) / math.pi
             assert flux_to_frequency(p, 1, x) == pytest.approx(target, abs=1e-9)
+
+
+def test_flux_to_frequency_special_points():
+    # the sweet spot at the offset, and f_max/√2 a third of a period away on each side
+    p = DeviceParams()
+    f_max = p.qubit_max_freq_1
+    assert flux_to_frequency(p, 1, 0.0) == f_max
+    for branch in (+1, -1):
+        x = branch * 1.0 / 3.0
+        assert flux_to_frequency(p, 1, x) == pytest.approx(f_max / math.sqrt(2), abs=1e-12)
