@@ -6,11 +6,12 @@ blocks); levels are reported relative to the ground state in GHz and
 tagged with the bare product state they overlap most, or "mixed" when no
 bare state dominates. Every diagonalization goes through one helper: the
 model builds the stack of block Hamiltonians of a batch of points, and
-each slice of at most STACK_SLICE_BYTES of it is one ``eigh`` call. The
-qubit-qubit anti-crossing lies in the odd block, so gap tracking and the
-co-tuned half gap diagonalize that block alone. A gap is bracketed by a
-5-point grid, one such stack, and then located by a few parabolic vertex
-steps on the squared separation, one point each.
+each slice of at most STACK_SLICE_BYTES of it is one call of ``eigh`` (a
+spectrum, whose labels read eigenvectors) or ``eigvalsh``. Gap tracking and
+the co-tuned half gap need only the odd block, which holds the qubit-qubit
+anti-crossing, and its eigenvalues: the mode order fixes the qubit pair. A
+gap is bracketed by a 5-point grid, one such stack, and then located by a
+few parabolic vertex steps on the squared separation, one point each.
 """
 
 from __future__ import annotations
@@ -43,14 +44,15 @@ MIXED_LABEL = "mixed"
 # coarse grid points of a default gap scan, the most parabolic vertex steps
 # that follow it (2-7 at 3^4), and the distance (GHz) from a held point
 # within which a vertex counts as found: below the ~1e-8 GHz to which
-# rounding in eigh fixes the minimum of a 0.03-6 MHz gap
+# eigenvalue rounding fixes the minimum of a 0.03-6 MHz gap
 DEFAULT_GAP_GRID = 5
 GAP_VERTEX_STEPS = 8
 GAP_LOCATION_RESOLUTION = 1e-9
 
-# most bytes of block Hamiltonians plus their eigenvectors in one eigh call:
-# a 5-point 3^4 gap scan (0.13 MB) is one slice, 4^4 parity blocks go 4
-# points at a time; larger slices save no time and raise a sweep's peak RSS
+# most bytes of one slice at two n x n arrays a member, what an eigh call
+# holds (block and eigenvectors); an eigvalsh slice holds half of it. A
+# 5-point 3^4 gap scan (0.13 MB) is one slice, 4^4 parity blocks go 4 points
+# at a time; larger slices save no time and raise a sweep's peak RSS
 STACK_SLICE_BYTES = 2**20
 
 
@@ -165,15 +167,16 @@ def sweep_spectrum(
     n_even = model.even.size
     for cols, idx in ((slice(None, n_even), model.even), (slice(n_even, None), model.odd)):
 
-        def store(part, e, v):
+        def store(part, eig):
             # w[k, j, i] = |<i|j>|² laid out per eigenvector, so that argmax
             # reduces a contiguous axis rather than copying the stack
+            e, v = eig
             w = np.square(v.swapaxes(1, 2), order="C")
             evals[part, cols] = e
             dominant[part, cols] = idx[w.argmax(axis=2)]
             weight[part, cols] = w.max(axis=2)
 
-        _block_eigh(model, f1s, f2s, idx, store)
+        _block_slices(model, f1s, f2s, idx, np.linalg.eigh, store)
     order = np.argsort(evals, axis=1, kind="stable")[:, : n_levels + 1]
     ground, upper = order[:, :1], order[:, 1:]
     levels = (np.take_along_axis(evals, upper, 1) - np.take_along_axis(evals, ground, 1)) / TWO_PI
@@ -212,56 +215,52 @@ def min_labeled_separation(sweep: SpectrumSweep, label_a: str, label_b: str) -> 
     return GapResult(best_gap * 1e3, best_loc, best_pair)
 
 
-def _qubit_character_indices(space: HilbertSpace) -> tuple[int, int]:
-    idx = space.single_excitation_indices()
-    return idx[2], idx[3]
-
-
-def _block_eigh(model: DeviceModel, f1s: np.ndarray, f2s: np.ndarray, idx: np.ndarray,
-                store) -> None:
+def _block_slices(model: DeviceModel, f1s: np.ndarray, f2s: np.ndarray, idx: np.ndarray,
+                  solve, store) -> None:
     """Diagonalize the block ``idx`` at every point (f1s[k], f2s[k]), a slice at a time.
 
-    A slice is as many points as fit, with their eigenvectors, in
-    STACK_SLICE_BYTES: one stack of the model's and one ``eigh`` call.
-    ``store(part, evals, evecs)`` keeps what it needs of the points ``part``
-    (a slice object), as each slice is freed before the next is built.
+    A slice is as many points as fit in STACK_SLICE_BYTES: one stack of the
+    model's and one ``solve`` call (``np.linalg.eigh`` or ``eigvalsh``).
+    ``store(part, solved)`` keeps what it needs of the points ``part`` (a
+    slice object), as each slice is freed before the next is built.
     """
     per_slice = max(1, STACK_SLICE_BYTES // (2 * 8 * idx.size**2))
     for start in range(0, len(f1s), per_slice):
         part = slice(start, start + per_slice)
-        h = model.hamiltonians(f1s[part], f2s[part], idx)
-        evals, evecs = np.linalg.eigh(h)
-        del h
-        store(part, evals, evecs)
-        del evals, evecs
+        store(part, solve(model.hamiltonians(f1s[part], f2s[part], idx)))
 
 
 def _tracked_separations(
     params: DeviceParams, f1s, f2s, space: HilbertSpace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Separations (GHz) of the two dressed levels with dominant q1/q2 weight.
+    """Separations (GHz) of the two qubit-like dressed levels, and their pairs.
 
-    One separation per point (f1s[k], f2s[k]). At a co-tuned degeneracy
-    both dressed states carry half q1 and half q2 character, so levels are
-    ranked by their combined qubit weight and the top two are taken; this
-    stays stable through the anti-crossing. Both single-qubit excitations
-    are odd, so only the odd-parity block is diagonalized (by
-    :func:`_block_eigh`), and row k of the returned (k, 2) pairs indexes its
-    ascending levels at point k.
+    One separation per point (f1s[k], f2s[k]). Both single-qubit excitations
+    are odd, so only the eigenvalues of the odd-parity block are found (by
+    :func:`_block_slices`), and row k of the returned (k, 2) pairs indexes
+    its ascending levels at point k. Its four lowest levels are the
+    one-excitation dressed states (three-excitation ones lie above 13 GHz
+    in the band; they fall below a qubit only under 3|α|, 0.75 GHz by
+    default), and anti-crossings keep their order, so the qubit pair is the
+    sorted ranks of f₁ and f₂ among (ω_a, ω_b, f₁, f₂), a tie broken by
+    qubit index: (resonators below the lower qubit, resonators below the
+    higher one + 1), or (r, r + 1) with no resonator between the qubits.
+    Co-tuned within about 5 MHz inside the band of a resonator, the two
+    levels of largest qubit weight are a dark qubit state and a resonator
+    hybrid instead; the pair keeps to the ranks.
     """
     model = device_model(params, space, True)
-    s_q = np.searchsorted(model.odd, _qubit_character_indices(space))
     f1s, f2s = np.asarray(f1s), np.asarray(f2s)
+    resonators = np.sort([params.resonator_freq_a, params.resonator_freq_b])
+    pairs = np.stack([np.searchsorted(resonators, np.minimum(f1s, f2s)),
+                      np.searchsorted(resonators, np.maximum(f1s, f2s)) + 1], axis=1)
     seps = np.empty(len(f1s))
-    pairs = np.empty((len(f1s), 2), dtype=int)
 
-    def store(part, evals, evecs):
-        weight = evecs[:, s_q[0], :] ** 2 + evecs[:, s_q[1], :] ** 2
-        pairs[part] = np.sort(np.argsort(weight, axis=1)[:, :-3:-1], axis=1)
+    def store(part, evals):
         levels = np.take_along_axis(evals, pairs[part], axis=1)
         seps[part] = np.abs(levels[:, 1] - levels[:, 0]) / TWO_PI
 
-    _block_eigh(model, f1s, f2s, model.odd, store)
+    _block_slices(model, f1s, f2s, model.odd, np.linalg.eigvalsh, store)
     return seps, pairs
 
 
@@ -295,9 +294,9 @@ def qubit_qubit_gap(
     """Anti-crossing gap between the two qubit-like dressed levels.
 
     Qubit 2 is parked at ``qubit2_freq`` and qubit 1 swept across it; the
-    minimum separation of the two levels with dominant combined qubit
-    character is returned. Half the gap estimates the effective qubit-qubit
-    coupling magnitude.
+    minimum separation of the qubit pair of odd-block levels (ranked by the
+    mode order, see :func:`_tracked_separations`) is returned. Half the gap
+    estimates the effective qubit-qubit coupling magnitude.
 
     A coarse grid (5 points by default) brackets the minimum; it is one
     stack of odd-block Hamiltonians, diagonalized in slices of at most
@@ -415,8 +414,9 @@ def cotuned_half_gap(
     effective-coupling magnitude. ``freq`` is a number (a float is
     returned) or a 1-d array or list of them (an array of the same length
     is returned), each positive and finite and none a bool; the points of
-    an array are one stack of odd-block Hamiltonians, diagonalized in
-    slices of at most STACK_SLICE_BYTES.
+    an array are one stack of odd-block Hamiltonians (eigenvalues only, in
+    slices of at most STACK_SLICE_BYTES), and each half gap is that of the
+    levels (r, r + 1) of the block, r the resonators below ``freq``.
     """
     if space is None:
         space = HilbertSpace((3, 3, 3, 3))

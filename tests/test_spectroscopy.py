@@ -28,7 +28,11 @@ SPACE = HilbertSpace((3, 3, 3, 3))
 
 
 def reference_separation(params, point, space):
-    """Qubit-like level separation (GHz) and pair at one point, one eigh alone."""
+    """Qubit-like level separation (GHz) and pair at one point, one eigh alone.
+
+    The pair is the two odd-block levels of largest combined q1 and q2
+    weight: an oracle for the pair that gap tracking takes from the mode order.
+    """
     model = device_model(params, space, True)
     qubit_states = space.single_excitation_indices()[2:]
     s_q1, s_q2 = np.searchsorted(model.odd, qubit_states)
@@ -38,6 +42,16 @@ def reference_separation(params, point, space):
     order = np.argsort(weight)[::-1]
     k1, k2 = sorted(int(k) for k in order[:2])
     return abs(evals[k2] - evals[k1]) / TWO_PI, (k1, k2)
+
+
+def rank_pair(params, f1, f2):
+    """Sorted ranks of f1 and f2 among the bare one-excitation frequencies
+    (resonator a, resonator b, f1, f2), a tie broken by qubit index."""
+    def resonators_below(f):
+        return int(params.resonator_freq_a < f) + int(params.resonator_freq_b < f)
+
+    return tuple(sorted((resonators_below(f1) + int(f2 < f1),
+                         resonators_below(f2) + int(f1 <= f2))))
 
 
 def decoupled():
@@ -209,10 +223,37 @@ def test_sliced_separations_equal_each_point_alone(monkeypatch, dims):
     f1 = np.concatenate([np.linspace(4.57, 4.63, 8), [4.60, 4.62, 4.66]])
     f2 = np.concatenate([np.full(8, 4.60), [4.60, 4.62, 4.66]])
     seps, pairs = _tracked_separations(p, f1, f2, space)
+    model = device_model(p, space, True)
     for k in range(f1.size):
-        sep, pair = reference_separation(p, OperatingPoint(f1[k], f2[k]), space)
-        assert seps[k] == sep
+        evals = np.linalg.eigvalsh(model.hamiltonians([f1[k]], [f2[k]], model.odd)[0])
+        pair = rank_pair(p, f1[k], f2[k])
+        assert seps[k] == abs(evals[pair[1]] - evals[pair[0]]) / TWO_PI
         assert tuple(pairs[k]) == pair
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3, 3), (4, 4, 4, 4), (4, 3, 4, 3)])
+@pytest.mark.parametrize("device", [
+    DeviceParams(), DeviceParams(g_ab=0.01), DeviceParams(g_ab=-0.02),
+    DeviceParams(anharmonicity_1=-0.2),
+], ids=["default", "g_ab+0.01", "g_ab-0.02", "alpha_1-0.2"])
+def test_rank_pair_is_the_pair_of_largest_qubit_weight(dims, device):
+    # co-tuned points across the band, the 5-point windows of two gap scans,
+    # and random points clear of both resonators, below, between and above
+    # them, so that the qubits often sit on opposite sides of a resonator
+    space = HilbertSpace(dims)
+    rng = np.random.default_rng(sum(dims))
+    cotuned = np.linspace(4.50, 4.78, 6)
+    windows = np.concatenate([np.linspace(f - 0.020, f + 0.020, 5) for f in (4.58, 4.68)])
+    clear = [(4.20, 4.38), (4.56, 4.71), (4.89, 5.05)]
+    random_1, random_2 = (np.array([rng.uniform(*clear[i]) for i in rng.integers(0, 3, 8)])
+                          for _ in range(2))
+    f1 = np.concatenate([cotuned, windows, random_1])
+    f2 = np.concatenate([cotuned, np.repeat([4.58, 4.68], 5), random_2])
+    seps, pairs = _tracked_separations(device, f1, f2, space)
+    for k in range(f1.size):
+        sep, pair = reference_separation(device, OperatingPoint(f1[k], f2[k]), space)
+        assert tuple(pairs[k]) == pair == rank_pair(device, f1[k], f2[k])
+        assert abs(seps[k] - sep) <= 1e-13
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3, 3), (4, 3, 4, 3)])
@@ -236,9 +277,10 @@ def test_sliced_spectrum_equals_one_slice(monkeypatch, dims, axis, values):
 
 
 def test_slice_budget_bounds_the_gap_scan_memory(monkeypatch):
-    # unsliced, the 21 odd-block matrices and eigenvectors of a 21-point 4^4
-    # coarse scan take 5.5 MB; a 1 MiB budget diagonalizes four points at a
-    # time, and the two 128-state parity blocks of a spectrum the same
+    # unsliced, the 21 odd-block matrices of a 21-point 4^4 coarse scan take
+    # 2.8 MB (only their eigenvalues are found); a 1 MiB budget diagonalizes
+    # four points at a time, and the two 128-state parity blocks of a
+    # spectrum, with their eigenvectors, the same
     p = DeviceParams()
     space = HilbertSpace((4, 4, 4, 4))
     model = device_model(p, space, True)
@@ -384,6 +426,32 @@ def test_gap_agrees_with_a_dense_reference(setpoint, g_ab):
     ref_gap, ref_loc = dense_reference_gap(p, setpoint, SPACE)
     assert abs(gap.gap_mhz - ref_gap) <= 1e-9
     assert abs(gap.location_ghz - ref_loc) <= 5e-8
+
+
+def test_gap_sweep_straddling_a_resonator_finds_the_default_gap():
+    # from 4.35 GHz qubit 1 passes resonator a at 4.47 GHz, where the pair
+    # is (0, 2) by rank, before it meets qubit 2; the minimum is the same
+    default = qubit_qubit_gap(DeviceParams(), 4.58)
+    straddling = qubit_qubit_gap(DeviceParams(), 4.58, sweep_1=(4.35, 4.60, 41))
+    assert default.gap_mhz == pytest.approx(5.721648, abs=1e-6)
+    assert default.location_ghz == pytest.approx(4.580426, abs=1e-6)
+    assert default.level_pair == straddling.level_pair == (1, 2)
+    assert abs(straddling.gap_mhz - default.gap_mhz) <= 1e-9
+    assert abs(straddling.location_ghz - default.location_ghz) <= 5e-8
+
+
+def test_gaps_and_cotuned_half_gaps_need_no_eigenvectors(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise RuntimeError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    p = DeviceParams()
+    assert qubit_qubit_gap(p, 4.58, space=SPACE).gap_mhz > 0
+    results, errors = gap_vs_setpoint(p, [4.58, 4.63], SPACE)
+    assert errors == [None, None] and all(r.gap_mhz > 0 for r in results)
+    assert np.all(cotuned_half_gap(p, np.linspace(4.52, 4.76, 7), SPACE) > 0)
+    with pytest.raises(RuntimeError, match="eigh called"):
+        sweep_spectrum(p, "freq_1", np.linspace(4.55, 4.61, 3), OperatingPoint(4.6, 4.91), SPACE)
 
 
 def test_gap_work_is_the_coarse_grid_and_the_step_cap(monkeypatch):
