@@ -9,7 +9,7 @@ model builds the stack of block Hamiltonians of a batch of points, and
 each slice of at most STACK_SLICE_BYTES of it is one call of ``eigh`` (a
 spectrum, whose labels read eigenvectors) or ``eigvalsh``. Gap tracking and
 the co-tuned half gap need only the odd block, which holds the qubit-qubit
-anti-crossing, and its eigenvalues: the mode order fixes the qubit pair. A
+anti-crossing, and its eigenvalues: the bare energies fix the qubit pair. A
 gap is bracketed by a 5-point grid, one such stack, and then located by a
 few parabolic vertex steps on the squared separation, one point each.
 """
@@ -236,31 +236,31 @@ def _tracked_separations(
     """Separations (GHz) of the two qubit-like dressed levels, and their pairs.
 
     One separation per point (f1s[k], f2s[k]). Both single-qubit excitations
-    are odd, so only the eigenvalues of the odd-parity block are found (by
-    :func:`_block_slices`), and row k of the returned (k, 2) pairs indexes
-    its ascending levels at point k. Its four lowest levels are the
-    one-excitation dressed states (three-excitation ones lie above 13 GHz
-    in the band; they fall below a qubit only under 3|α|, 0.75 GHz by
-    default), and anti-crossings keep their order, so the qubit pair is the
-    sorted ranks of f₁ and f₂ among (ω_a, ω_b, f₁, f₂), a tie broken by
-    qubit index: (resonators below the lower qubit, resonators below the
-    higher one + 1), or (r, r + 1) with no resonator between the qubits.
-    Co-tuned within about 5 MHz inside the band of a resonator, the two
-    levels of largest qubit weight are a dark qubit state and a resonator
-    hybrid instead; the pair keeps to the ranks.
+    are odd, so only the odd block's eigenvalues are found (by
+    :func:`_block_slices`); row k of the (k, 2) pairs indexes its ascending
+    levels at point k. Anti-crossings keep the level order, so the pair is
+    the sorted ranks of the bare q1 and q2 states among the block's bare
+    energies, its diagonal, a qubit below any other state of its energy and
+    q1 below q2: in the band, the ranks of f₁ and f₂ among (ω_a, ω_b, f₁, f₂),
+    but three-excitation states fall below a qubit under 3|α| (0.75 GHz) at 4⁴.
+    Co-tuned within about 5 MHz inside a resonator's band, the two levels of
+    largest qubit weight are instead a dark qubit state and a resonator hybrid.
     """
     model = device_model(params, space, True)
-    f1s, f2s = np.asarray(f1s), np.asarray(f2s)
-    resonators = np.sort([params.resonator_freq_a, params.resonator_freq_b])
-    pairs = np.stack([np.searchsorted(resonators, np.minimum(f1s, f2s)),
-                      np.searchsorted(resonators, np.maximum(f1s, f2s)) + 1], axis=1)
+    s_q1, s_q2 = np.searchsorted(model.odd, space.single_excitation_indices()[2:])
     seps = np.empty(len(f1s))
+    pairs = np.empty((len(f1s), 2), dtype=int)
 
-    def store(part, evals):
+    def store(part, solved):
+        bare, evals = solved
+        qubits = np.sort(bare[:, [s_q1, s_q2]], axis=1)
+        pairs[part] = np.count_nonzero(bare[:, None, :] < qubits[:, :, None], axis=2)
+        pairs[part, 1] += qubits[:, 0] == qubits[:, 1]
         levels = np.take_along_axis(evals, pairs[part], axis=1)
         seps[part] = np.abs(levels[:, 1] - levels[:, 0]) / TWO_PI
 
-    _block_slices(model, f1s, f2s, model.odd, np.linalg.eigvalsh, store)
+    _block_slices(model, f1s, f2s, model.odd,
+                  lambda h: (np.diagonal(h, axis1=1, axis2=2), np.linalg.eigvalsh(h)), store)
     return seps, pairs
 
 
@@ -295,7 +295,7 @@ def qubit_qubit_gap(
 
     Qubit 2 is parked at ``qubit2_freq`` and qubit 1 swept across it; the
     minimum separation of the qubit pair of odd-block levels (ranked by the
-    mode order, see :func:`_tracked_separations`) is returned. Half the gap
+    bare energies, see :func:`_tracked_separations`) is returned. Half the gap
     estimates the effective qubit-qubit coupling magnitude.
 
     A coarse grid (5 points by default) brackets the minimum; it is one
@@ -416,7 +416,7 @@ def cotuned_half_gap(
     is returned), each positive and finite and none a bool; the points of
     an array are one stack of odd-block Hamiltonians (eigenvalues only, in
     slices of at most STACK_SLICE_BYTES), and each half gap is that of the
-    levels (r, r + 1) of the block, r the resonators below ``freq``.
+    levels (r, r + 1) of the block, r its bare states below ``freq``.
     """
     if space is None:
         space = HilbertSpace((3, 3, 3, 3))

@@ -44,14 +44,16 @@ def reference_separation(params, point, space):
     return abs(evals[k2] - evals[k1]) / TWO_PI, (k1, k2)
 
 
-def rank_pair(params, f1, f2):
-    """Sorted ranks of f1 and f2 among the bare one-excitation frequencies
-    (resonator a, resonator b, f1, f2), a tie broken by qubit index."""
-    def resonators_below(f):
-        return int(params.resonator_freq_a < f) + int(params.resonator_freq_b < f)
-
-    return tuple(sorted((resonators_below(f1) + int(f2 < f1),
-                         resonators_below(f2) + int(f1 <= f2))))
+def rank_pair(params, f1, f2, space):
+    """Sorted ranks of the bare q1 and q2 states among the bare odd-block
+    energies at (f1, f2), a qubit below any other state of its energy and q1
+    below q2; in the band, the ranks of f1 and f2 among (ω_a, ω_b, f1, f2)."""
+    model = device_model(params, space, True)
+    bare = np.diag(model.hamiltonians([f1], [f2], model.odd)[0])
+    s_q1, s_q2 = np.searchsorted(model.odd, space.single_excitation_indices()[2:])
+    order = sorted(range(bare.size),
+                   key=lambda j: (bare[j], j not in (s_q1, s_q2), j != s_q1))
+    return tuple(sorted((order.index(s_q1), order.index(s_q2))))
 
 
 def decoupled():
@@ -226,7 +228,7 @@ def test_sliced_separations_equal_each_point_alone(monkeypatch, dims):
     model = device_model(p, space, True)
     for k in range(f1.size):
         evals = np.linalg.eigvalsh(model.hamiltonians([f1[k]], [f2[k]], model.odd)[0])
-        pair = rank_pair(p, f1[k], f2[k])
+        pair = rank_pair(p, f1[k], f2[k], space)
         assert seps[k] == abs(evals[pair[1]] - evals[pair[0]]) / TWO_PI
         assert tuple(pairs[k]) == pair
 
@@ -237,12 +239,14 @@ def test_sliced_separations_equal_each_point_alone(monkeypatch, dims):
     DeviceParams(anharmonicity_1=-0.2),
 ], ids=["default", "g_ab+0.01", "g_ab-0.02", "alpha_1-0.2"])
 def test_rank_pair_is_the_pair_of_largest_qubit_weight(dims, device):
-    # co-tuned points across the band, the 5-point windows of two gap scans,
-    # and random points clear of both resonators, below, between and above
-    # them, so that the qubits often sit on opposite sides of a resonator
+    # co-tuned points across the band and below 1 GHz, where at 4^4 states
+    # of three and five excitations fall under the qubits (q1x3 at 3f + 6α,
+    # below 3|α|), the 5-point windows of two gap scans, and random points
+    # clear of both resonators, below, between and above them, so that the
+    # qubits often sit on opposite sides of a resonator
     space = HilbertSpace(dims)
     rng = np.random.default_rng(sum(dims))
-    cotuned = np.linspace(4.50, 4.78, 6)
+    cotuned = np.concatenate([[0.35, 0.65, 0.9], np.linspace(4.50, 4.78, 6)])
     windows = np.concatenate([np.linspace(f - 0.020, f + 0.020, 5) for f in (4.58, 4.68)])
     clear = [(4.20, 4.38), (4.56, 4.71), (4.89, 5.05)]
     random_1, random_2 = (np.array([rng.uniform(*clear[i]) for i in rng.integers(0, 3, 8)])
@@ -252,7 +256,7 @@ def test_rank_pair_is_the_pair_of_largest_qubit_weight(dims, device):
     seps, pairs = _tracked_separations(device, f1, f2, space)
     for k in range(f1.size):
         sep, pair = reference_separation(device, OperatingPoint(f1[k], f2[k]), space)
-        assert tuple(pairs[k]) == pair == rank_pair(device, f1[k], f2[k])
+        assert tuple(pairs[k]) == pair == rank_pair(device, f1[k], f2[k], space)
         assert abs(seps[k] - sep) <= 1e-13
 
 
@@ -438,6 +442,36 @@ def test_gap_sweep_straddling_a_resonator_finds_the_default_gap():
     assert default.level_pair == straddling.level_pair == (1, 2)
     assert abs(straddling.gap_mhz - default.gap_mhz) <= 1e-9
     assert abs(straddling.location_ghz - default.location_ghz) <= 5e-8
+
+
+def test_gap_under_three_excitation_states_agrees_with_a_dense_reference():
+    # at 4^4 and 0.6 GHz, under 3|α|, the bare q1x3 and q2x3 states lie near
+    # 0.3 GHz, below both qubits, so the qubit pair is (2, 3); ranking the
+    # qubits among the resonators alone took (0, 1), a gap of 5.4e-6 MHz
+    p = DeviceParams()
+    space = HilbertSpace((4, 4, 4, 4))
+    gap = qubit_qubit_gap(p, 0.6, space=space)
+    ref_gap, ref_loc = dense_reference_gap(p, 0.6, space)
+    _, ref_pair = reference_separation(p, OperatingPoint(gap.location_ghz, 0.6), space)
+    assert gap.level_pair == ref_pair == (2, 3)
+    assert gap.gap_mhz == pytest.approx(0.334466, abs=1e-6)
+    assert abs(gap.gap_mhz - ref_gap) <= 1e-9
+    assert abs(gap.location_ghz - ref_loc) <= 5e-8
+
+
+def test_cotuned_half_gap_inside_a_resonator_band_keeps_the_rank_pair():
+    # co-tuned 1 MHz above resonator a (4.47 GHz) the two levels of largest
+    # qubit weight are a dark qubit state and a resonator hybrid, (0, 1), with
+    # a half gap of 20.050224 MHz; the rank pair stays (1, 2)
+    p = DeviceParams()
+    model = device_model(p, SPACE, True)
+    _, pairs = _tracked_separations(p, [4.471], [4.471], SPACE)
+    evals = np.linalg.eigvalsh(model.hamiltonians([4.471], [4.471], model.odd)[0])
+    half_gap = cotuned_half_gap(p, 4.471, SPACE)
+    assert tuple(pairs[0]) == (1, 2)
+    assert reference_separation(p, OperatingPoint(4.471, 4.471), SPACE)[1] == (0, 1)
+    assert half_gap == 0.5 * (evals[2] - evals[1]) / TWO_PI * 1e3
+    assert half_gap == pytest.approx(17.891066, abs=1e-6)
 
 
 def test_gaps_and_cotuned_half_gaps_need_no_eigenvectors(monkeypatch):
