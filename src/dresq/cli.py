@@ -65,12 +65,18 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, required=True, help="output directory")
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of the input file ``path``; ConfigError if it cannot be read."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
 def _load_device(path: Path | None) -> DeviceParams:
     if path is None:
         return DeviceParams()
-    if not path.is_file():
-        raise ConfigError(f"device file not found: {path}")
-    return DeviceParams.from_json(path.read_text())
+    return DeviceParams.from_json(_read_text(path, "device file"))
 
 
 def _grid(start: float, stop: float, points: int, flags: tuple[str, str, str]) -> np.ndarray:
@@ -204,9 +210,7 @@ def cmd_chevron(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if not args.trace.is_file():
-        raise ConfigError(f"trace file not found: {args.trace}")
-    trace = fitting.TimeTrace.from_csv(args.trace.read_text())
+    trace = fitting.TimeTrace.from_csv(_read_text(args.trace, "trace file"))
     if args.model == "exp":
         outcome = fitting.fit_exp_decay(trace)
     else:

@@ -376,16 +376,14 @@ def effective_coupling(params: DeviceParams, point: OperatingPoint) -> float:
     return total + params.g_12
 
 
-def find_switch_off(
-    params: DeviceParams,
-    search_interval: tuple[float, float] = (4.50, 4.77),
-) -> float:
+def find_switch_off(params: DeviceParams, search_interval: tuple[float, float]) -> float:
     """Co-tuned qubit frequency where the effective coupling vanishes.
 
-    Both qubits are swept together (ω_1 = ω_2 = ω). Each resonator term
-    of the coupling formula is monotone in ω between the resonator poles,
-    so plain bisection is reliable; the interval must sit strictly inside
-    (resonator_freq_a, resonator_freq_b), and the bisection stops once
+    Both qubits are swept together (ω_1 = ω_2 = ω) over ``search_interval``,
+    (start, stop) in GHz. Each resonator term of the coupling formula is
+    monotone in ω between the resonator poles, so plain bisection is
+    reliable; the interval must sit strictly inside (resonator_freq_a,
+    resonator_freq_b), and the bisection stops once
     |g_eff| < SWITCH_OFF_TOL_GHZ. Through
     :func:`effective_coupling` it raises ConfigError for a device with
     ``g_ab`` != 0.

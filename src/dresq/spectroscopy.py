@@ -10,8 +10,9 @@ each slice of at most STACK_SLICE_BYTES of it is one call of ``eigh`` (a
 spectrum, whose labels read eigenvectors) or ``eigvalsh``. Gap tracking and
 the co-tuned half gap need only the odd block, which holds the qubit-qubit
 anti-crossing, and its eigenvalues: the bare energies fix the qubit pair. A
-gap is bracketed by a 5-point grid, one such stack, and then located by a
-few parabolic vertex steps on the squared separation, one point each.
+gap is scanned over its setpoint ± 20 MHz, bracketed by a 5-point grid, one
+such stack, and then located by a few parabolic vertex steps on the squared
+separation, one point each. The co-tuned half gap takes an array of points.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ SWEEP_AXES = ("flux_1", "flux_2", "freq_1", "freq_2")
 
 MIXED_LABEL = "mixed"
 
-# coarse grid points of a default gap scan, the most parabolic vertex steps
-# that follow it (2-7 at 3^4), and the distance (GHz) from a held point
-# within which a vertex counts as found: below the ~1e-8 GHz to which
-# eigenvalue rounding fixes the minimum of a 0.03-6 MHz gap
-DEFAULT_GAP_GRID = 5
+# coarse grid points of a gap scan, its half width (GHz) about the qubit-2
+# setpoint, the most parabolic vertex steps that follow it (2-7 at 3^4), and
+# the distance (GHz) from a held point within which a vertex counts as
+# found: below the ~1e-8 GHz to which eigenvalue rounding fixes the minimum
+# of a 0.03-6 MHz gap
+GAP_GRID = 5
+GAP_HALF_SPAN = 0.020
 GAP_VERTEX_STEPS = 8
 GAP_LOCATION_RESOLUTION = 1e-9
 
@@ -145,11 +148,13 @@ def sweep_spectrum(
     overlaps refer to the full product basis. ``values`` must be a
     non-empty, strictly monotone 1-d array of finite numbers; a bool among
     them is refused with ConfigError, as is an ``n_levels`` not an integer
-    ≥ 1.
+    ≥ 1, or a sweep whose per-point results exceed ``errors.MEMORY_LIMIT``.
     """
     values = require_numbers(values, "sweep values")
     if values.size < 1:
         raise ConfigError("sweep values must be a non-empty 1-d array")
+    # eigenvalue, dominant state and weight: three 8-byte words an eigenpair a point
+    require_memory(3 * 8 * space.size * values.size, f"a spectrum of {values.size} points")
     diffs = np.diff(values)
     if values.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError("sweep values must be strictly monotone")
@@ -245,6 +250,9 @@ def _tracked_separations(
     but three-excitation states fall below a qubit under 3|α| (0.75 GHz) at 4⁴.
     Co-tuned within about 5 MHz inside a resonator's band, the two levels of
     largest qubit weight are instead a dark qubit state and a resonator hybrid.
+    With 6·g_max under 20 MHz a resonator can lie inside a gap scan's window,
+    3·g_max clear of its setpoint and its ends, and the ranks follow qubit 1
+    past it.
     """
     model = device_model(params, space, True)
     s_q1, s_q2 = np.searchsorted(model.odd, space.single_excitation_indices()[2:])
@@ -264,42 +272,29 @@ def _tracked_separations(
     return seps, pairs
 
 
-def _gap_grid(sweep_1) -> tuple[float, float, int]:
-    """(start, stop, count) of a qubit-1 sweep; ConfigError unless usable.
-
-    The bounds must be finite and the count an integral number of at least
-    5 grid points, few enough that the grid and its per-point results fit
-    in ``errors.MEMORY_LIMIT``; that is checked before anything is allocated.
-    """
-    try:
-        lo, hi, count = sweep_1
-    except (TypeError, ValueError):
+def _require_gap_setpoint(qubit2_freq) -> float:
+    """The qubit-2 setpoint as a float; ConfigError unless it is a usable number
+    whose scan window, the setpoint ± GAP_HALF_SPAN, lies above 0 GHz."""
+    qubit2_freq = require_number(qubit2_freq, "qubit-2 setpoint")
+    if not qubit2_freq - GAP_HALF_SPAN > 0:
         raise ConfigError(
-            f"gap sweep must be (start, stop, count), got {sweep_1!r}"
-        ) from None
-    lo = require_number(lo, "gap sweep start")
-    hi = require_number(hi, "gap sweep stop")
-    n = require_count(count, "gap sweep count", 5)
-    # five 8-byte words a point: grid, f2 fill, separation and level pair
-    require_memory(5 * 8 * n, f"gap sweep of {n} points")
-    return lo, hi, n
+            f"qubit-2 setpoint {qubit2_freq} GHz is too low: the gap scan sweeps qubit 1 "
+            f"over the setpoint ± {GAP_HALF_SPAN * 1e3:g} MHz, which must lie above 0 GHz"
+        )
+    return qubit2_freq
 
 
-def qubit_qubit_gap(
-    params: DeviceParams,
-    qubit2_freq: float,
-    sweep_1: tuple[float, float, int] = None,
-    space: HilbertSpace | None = None,
-) -> GapResult:
+def qubit_qubit_gap(params: DeviceParams, qubit2_freq: float, space: HilbertSpace) -> GapResult:
     """Anti-crossing gap between the two qubit-like dressed levels.
 
-    Qubit 2 is parked at ``qubit2_freq`` and qubit 1 swept across it; the
-    minimum separation of the qubit pair of odd-block levels (ranked by the
-    bare energies, see :func:`_tracked_separations`) is returned. Half the gap
-    estimates the effective qubit-qubit coupling magnitude.
+    Qubit 2 is parked at ``qubit2_freq`` and qubit 1 swept over the setpoint
+    ± GAP_HALF_SPAN; the minimum separation of the qubit pair of odd-block
+    levels (ranked by the bare energies, see :func:`_tracked_separations`)
+    is returned. Half the gap estimates the effective qubit-qubit coupling
+    magnitude.
 
-    A coarse grid (5 points by default) brackets the minimum; it is one
-    stack of odd-block Hamiltonians, diagonalized in slices of at most
+    A coarse grid of GAP_GRID points brackets the minimum; it is one stack
+    of odd-block Hamiltonians, diagonalized in slices of at most
     STACK_SLICE_BYTES. Near an anti-crossing sep² is very nearly a parabola
     in the swept frequency, so three points are held, the grid minimum and
     its two neighbours, and at most GAP_VERTEX_STEPS parabolic steps follow
@@ -307,40 +302,31 @@ def qubit_qubit_gap(
     held points on sep², a stack of one, and its point replaces the worst
     held point when it beats it, so the best three of four are kept. The
     steps stop when the held points do not open upwards or their vertex
-    leaves the sweep interval, when the vertex lies within
+    leaves the scan window, when the vertex lies within
     GAP_LOCATION_RESOLUTION of a held point, or when a step beats none of
     them; the best point held is returned.
 
-    ``sweep_1`` is (start, stop, count) with finite bounds bracketing the
-    setpoint and an integral coarse count of at least 5 distinct points;
-    text, a bool or a non-finite setpoint is refused with ConfigError.
+    A setpoint that is text, a bool or not finite, or whose window reaches
+    0 GHz, is refused with ConfigError; one within 3·g_max of a resonator,
+    or whose window ends there, and a minimum on the window's edge with
+    PhysicsError.
     """
-    qubit2_freq = require_number(qubit2_freq, "qubit-2 setpoint")
-    if space is None:
-        space = HilbertSpace((3, 3, 3, 3))
+    qubit2_freq = _require_gap_setpoint(qubit2_freq)
     _require_resonator_clearance(params, qubit2_freq, "qubit-2 setpoint")
-    if sweep_1 is None:
-        half_span = 0.020
-        sweep_1 = (qubit2_freq - half_span, qubit2_freq + half_span, DEFAULT_GAP_GRID)
-    lo, hi, count = _gap_grid(sweep_1)
-    if not lo < qubit2_freq < hi:
-        raise ConfigError(
-            f"sweep interval ({lo}, {hi}) must bracket the qubit-2 setpoint {qubit2_freq}"
-        )
+    lo, hi = qubit2_freq - GAP_HALF_SPAN, qubit2_freq + GAP_HALF_SPAN
     for f1 in (lo, hi):
         _require_resonator_clearance(params, f1, "sweep endpoint")
-    grid = np.linspace(lo, hi, count)
-    if not np.all(np.diff(grid) > 0):
-        raise ConfigError(f"gap sweep ({lo}, {hi}) is too narrow for {count} distinct points")
-    seps, pairs = _tracked_separations(params, grid, np.full(count, qubit2_freq), space)
+    grid = np.linspace(lo, hi, GAP_GRID)
+    seps, pairs = _tracked_separations(params, grid, np.full(GAP_GRID, qubit2_freq), space)
 
     i_min = int(np.argmin(seps))
-    if i_min in (0, count - 1):
+    if i_min in (0, GAP_GRID - 1):
         raise PhysicsError(
             "minimum separation sits at a sweep endpoint: bracket too narrow"
         )
-    # (location, separation, pair) of the three held points, best first; no
-    # two share a location, so the parabola through them is always defined
+    # (location, separation, pair) of the three held points, best first; at
+    # any setpoint under 1e13 GHz no two share a location, so the parabola
+    # through them is defined
     held = sorted(zip(grid[i_min - 1 : i_min + 2], seps[i_min - 1 : i_min + 2],
                       pairs[i_min - 1 : i_min + 2]), key=lambda p: p[1])
     for _ in range(GAP_VERTEX_STEPS):
@@ -371,18 +357,16 @@ def _parabola_vertex(a, b, c) -> float:
 
 
 def gap_vs_setpoint(
-    params: DeviceParams,
-    setpoints,
-    space: HilbertSpace | None = None,
+    params: DeviceParams, setpoints, space: HilbertSpace
 ) -> tuple[list[GapResult | None], list[str | None]]:
     """Map qubit_qubit_gap over a list of qubit-2 setpoints.
 
     Per-setpoint failures are collected, not fatal: the first return
     list holds a GapResult or None per setpoint, the second the error
     message or None. Setpoints that are not a list of numbers (a single
-    number or a string), and a setpoint that is text, a bool, NaN or
-    infinite, are malformed input and raise ConfigError before any setpoint
-    is scanned.
+    number or a string), and a setpoint that qubit_qubit_gap refuses as
+    malformed (text, a bool, NaN, infinite, or a scan window reaching
+    0 GHz), raise ConfigError before any setpoint is scanned.
     """
     try:
         if isinstance(setpoints, (str, bytes, bytearray)):
@@ -392,12 +376,12 @@ def gap_vs_setpoint(
         raise ConfigError(
             f"qubit-2 setpoints must be a list of numbers, got {setpoints!r}"
         ) from None
-    setpoints = [require_number(f2, "qubit-2 setpoint") for f2 in setpoints]
+    setpoints = [_require_gap_setpoint(f2) for f2 in setpoints]
     results: list[GapResult | None] = []
     errors: list[str | None] = []
     for f2 in setpoints:
         try:
-            results.append(qubit_qubit_gap(params, f2, space=space))
+            results.append(qubit_qubit_gap(params, f2, space))
             errors.append(None)
         except (PhysicsError, ConfigError) as exc:
             results.append(None)
@@ -405,23 +389,20 @@ def gap_vs_setpoint(
     return results, errors
 
 
-def cotuned_half_gap(
-    params: DeviceParams, freq, space: HilbertSpace | None = None
-) -> float | np.ndarray:
-    """Half the dressed splitting with both qubits tuned to ``freq``, MHz.
+def cotuned_half_gap(params: DeviceParams, freqs, space: HilbertSpace) -> np.ndarray:
+    """Half the dressed splitting with both qubits tuned to each of ``freqs``, MHz.
 
     This is the exact-diagonalization counterpart of the analytic
-    effective-coupling magnitude. ``freq`` is a number (a float is
-    returned) or a 1-d array or list of them (an array of the same length
-    is returned), each positive and finite and none a bool; the points of
-    an array are one stack of odd-block Hamiltonians (eigenvalues only, in
-    slices of at most STACK_SLICE_BYTES), and each half gap is that of the
-    levels (r, r + 1) of the block, r its bare states below ``freq``.
+    effective-coupling magnitude. ``freqs`` is a 1-d array or list of
+    positive finite numbers, none a bool, and an array of the same length
+    is returned. Its points are one stack of odd-block Hamiltonians
+    (eigenvalues only, in slices of at most STACK_SLICE_BYTES), and each
+    half gap is that of the levels (r, r + 1) of the block, r its bare
+    states below the point. ConfigError is raised, before any result is
+    allocated, when the per-point results would exceed ``errors.MEMORY_LIMIT``.
     """
-    if space is None:
-        space = HilbertSpace((3, 3, 3, 3))
-    scalar = not isinstance(freq, (list, tuple, np.ndarray))
-    points = require_numbers([freq] if scalar else freq, "co-tuned frequency", positive=True)
+    points = require_numbers(freqs, "co-tuned frequencies", positive=True)
+    # separation, level pair and half gap: four 8-byte words a point
+    require_memory(4 * 8 * points.size, f"co-tuned half gaps at {points.size} points")
     seps, _ = _tracked_separations(params, points, points, space)
-    half_gaps = 0.5 * seps * 1e3
-    return float(half_gaps[0]) if scalar else half_gaps
+    return 0.5 * seps * 1e3

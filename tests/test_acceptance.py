@@ -97,7 +97,7 @@ def test_criterion_1_analytic_vs_exact_gap():
         )
 
     def residual(params, f):
-        half_gap = cotuned_half_gap(params, f, SPACE)
+        half_gap = cotuned_half_gap(params, [f], SPACE)[0]
         analytic = abs(effective_coupling(params, OperatingPoint(f, f))) * 1e3
         return half_gap - analytic
 
@@ -127,7 +127,7 @@ def test_criterion_1_analytic_vs_exact_gap():
 def test_criterion_2_switch_off_location():
     p = DeviceParams()
     root = find_switch_off(p, (4.50, 4.77))
-    gap_mhz = 2.0 * cotuned_half_gap(p, root, SPACE)
+    gap_mhz = 2.0 * cotuned_half_gap(p, [root], SPACE)[0]
     ok = 4.60 <= root <= 4.66 and gap_mhz < 0.5
     report(2, ok, f"switch-off at {root:.4f} GHz, exact gap there {gap_mhz:.3f} MHz")
     assert 4.60 <= root <= 4.66

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,10 +278,43 @@ def test_gapscan_error_text_round_trips(tmp_path, monkeypatch):
     assert line.count(",") == 3
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_gapscan_non_finite_setpoint_exit_2(tmp_path, bad):
-    assert run(["gapscan", "--setpoints", bad, 4.60, "--out", tmp_path / "g"]) == 2
+# a setpoint that is not finite, or whose scan window (± 20 MHz) reaches 0 GHz
+@pytest.mark.parametrize("bad", ["nan", "inf", "-4.6", "0.01"])
+def test_gapscan_non_finite_setpoint_exit_2(tmp_path, capsys, bad):
+    assert run(["gapscan", "--setpoints", 4.60, bad, "--out", tmp_path / "g"]) == 2
+    err = capsys.readouterr().err
+    assert "qubit-2 setpoint" in err and bad in err
     assert not (tmp_path / "g").exists()
+
+
+def test_spectrum_beyond_the_memory_limit_exit_2_before_allocating(tmp_path, capsys):
+    # 300,000 points at 3^4 need 556 MiB of eigenvalues, dominant states and weights
+    tracemalloc.start()
+    try:
+        code = run(["spectrum", "--start", 4.40, "--stop", 4.86, "--points", 300_000,
+                    "--out", tmp_path / "s"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "a spectrum of 300000 points needs 556 MiB" in capsys.readouterr().err
+    assert peak < 8 * 2**20
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe" + "time_ns,value\n".encode("utf-16-le"), None],
+                         ids=["not-utf8", "directory"])
+@pytest.mark.parametrize("what, argv", [("trace", ["fit", "--model", "exp"]),
+                                        ("device", ["geff", "--device"])], ids=["fit", "device"])
+def test_unreadable_input_file_exit_2(tmp_path, capsys, content, what, argv):
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert run(argv + [path, "--out", tmp_path / "x"]) == 2
+    assert f"cannot read {what} file" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_device_key_exit_2(tmp_path):

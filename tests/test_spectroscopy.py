@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dresq import spectroscopy
+from dresq import errors, spectroscopy
 from dresq.errors import ConfigError, PhysicsError
 from dresq.fock import HilbertSpace
 from dresq.device import (
@@ -170,7 +170,7 @@ def test_two_level_oracle_direct_coupling_only():
     g = 0.003
     p = decoupled().replace(g_12=g)
     space = HilbertSpace((2, 2, 2, 2))
-    gap = qubit_qubit_gap(p, 4.60, sweep_1=(4.58, 4.62, 201), space=space)
+    gap = qubit_qubit_gap(p, 4.60, space)
     assert gap.gap_mhz == pytest.approx(2 * g * 1e3, abs=1e-6)
     assert gap.location_ghz == pytest.approx(4.60, abs=1e-6)
 
@@ -207,7 +207,7 @@ def test_level_repulsion_no_zero_gap():
 def test_gap_symmetry_near_minimum():
     p = decoupled().replace(g_12=0.003)
     space = HilbertSpace((2, 2, 2, 2))
-    gap = qubit_qubit_gap(p, 4.60, sweep_1=(4.58, 4.62, 201), space=space)
+    gap = qubit_qubit_gap(p, 4.60, space)
     loc = gap.location_ghz
     for d in (0.002, 0.005):
         up, _ = reference_separation(p, OperatingPoint(loc + d, 4.60), space)
@@ -281,27 +281,26 @@ def test_sliced_spectrum_equals_one_slice(monkeypatch, dims, axis, values):
 
 
 def test_slice_budget_bounds_the_gap_scan_memory(monkeypatch):
-    # unsliced, the 21 odd-block matrices of a 21-point 4^4 coarse scan take
-    # 2.8 MB (only their eigenvalues are found); a 1 MiB budget diagonalizes
-    # four points at a time, and the two 128-state parity blocks of a
-    # spectrum, with their eigenvectors, the same
+    # unsliced, the 5 odd-block matrices of a 4^4 coarse scan take 655 kB
+    # (only their eigenvalues are found); a budget of two members, 512 kiB,
+    # diagonalizes two points at a time, and the two 128-state parity blocks
+    # of a spectrum, with their eigenvectors, the same
     p = DeviceParams()
     space = HilbertSpace((4, 4, 4, 4))
     model = device_model(p, space, True)
-    sweep_1 = (4.58 - 0.020, 4.58 + 0.020, 21)
     values = np.linspace(4.40, 4.86, 13)
     fixed = OperatingPoint(4.641, 4.91)
     with monkeypatch.context() as unsliced_budget:
         unsliced_budget.setattr(spectroscopy, "STACK_SLICE_BYTES", 2**40)
-        unsliced = qubit_qubit_gap(p, 4.58, sweep_1, space)
+        unsliced = qubit_qubit_gap(p, 4.58, space)
         unsliced_sweep = sweep_spectrum(p, "freq_2", values, fixed, space)
-    budget = 2**20
+    budget = 2 * (2 * 8 * model.odd.size**2)
     monkeypatch.setattr(spectroscopy, "STACK_SLICE_BYTES", budget)
     model_nbytes = sum(a.nbytes for a in (model.h_static, model.n_q1, model.n_q2,
                                           model.even, model.odd))
     tracemalloc.start()
     try:
-        sliced = qubit_qubit_gap(p, 4.58, sweep_1, space)
+        sliced = qubit_qubit_gap(p, 4.58, space)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         sweep = sweep_spectrum(p, "freq_2", values, fixed, space)
@@ -315,49 +314,13 @@ def test_slice_budget_bounds_the_gap_scan_memory(monkeypatch):
     assert np.array_equal(sweep.levels, unsliced_sweep.levels)
 
 
-@pytest.mark.parametrize("sweep_1", [
-    (4.58, 4.62, 7.9),
-    (4.58, 4.62, float("nan")),
-    (4.58, 4.62, float("inf")),
-    (4.58, 4.62, True),
-    (4.58, 4.62, 4),
-    (4.58, 4.62, "many"),
-    (float("nan"), 4.62, 201),
-    (4.58, float("inf"), 201),
-    (4.58, 4.62),
-    4.62,
-    ("4.58", "4.62", "21"),
-    (4.58, b"4.62", 21),
-    (4.58, 4.62, np.str_("21")),
-    (4.60 - 1e-15, 4.60 + 1e-15, 5),
-], ids=["fractional-count", "nan-count", "inf-count", "bool-count", "four-points",
-        "text-count", "nan-start", "inf-stop", "two-fields", "scalar",
-        "text-fields", "bytes-stop", "numpy-text-count", "points-not-distinct"])
-def test_gap_sweep_refused_unless_finite_with_an_integral_count(sweep_1):
-    with pytest.raises(ConfigError, match="gap sweep"):
-        qubit_qubit_gap(DeviceParams(), 4.60, sweep_1=sweep_1, space=SPACE)
-
-
-def test_gap_sweep_too_large_to_allocate_refused_before_allocating():
-    tracemalloc.start()
-    try:
-        with pytest.raises(ConfigError, match="gap sweep .* MiB"):
-            qubit_qubit_gap(DeviceParams(), 4.60, sweep_1=(4.58, 4.62, 10**13), space=SPACE)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
-def test_gap_sweep_integral_float_count_accepted():
-    assert (qubit_qubit_gap(DeviceParams(), 4.60, sweep_1=(4.58, 4.62, 51.0), space=SPACE)
-            == qubit_qubit_gap(DeviceParams(), 4.60, sweep_1=(4.58, 4.62, 51), space=SPACE))
-
-
-# text is refused like a bool: float() would parse it
+# text is refused like a bool: float() would parse it; so is a setpoint
+# whose scan window, the setpoint ± 20 MHz, reaches 0 GHz
 @pytest.mark.parametrize("flag", [
     True, np.True_, pytest.param("4.60", id="str"), pytest.param(b"4.60", id="bytes"),
-    pytest.param(np.str_("4.6"), id="numpy-str"),
+    pytest.param(np.str_("4.6"), id="numpy-str"), pytest.param(-4.6, id="negative"),
+    pytest.param(0.0, id="zero"), pytest.param(0.01, id="window-below-zero"),
+    pytest.param(0.02, id="window-ends-at-zero"),
 ])
 def test_bool_setpoints_refused_before_any_scan(monkeypatch, flag):
     scanned = []
@@ -432,18 +395,6 @@ def test_gap_agrees_with_a_dense_reference(setpoint, g_ab):
     assert abs(gap.location_ghz - ref_loc) <= 5e-8
 
 
-def test_gap_sweep_straddling_a_resonator_finds_the_default_gap():
-    # from 4.35 GHz qubit 1 passes resonator a at 4.47 GHz, where the pair
-    # is (0, 2) by rank, before it meets qubit 2; the minimum is the same
-    default = qubit_qubit_gap(DeviceParams(), 4.58)
-    straddling = qubit_qubit_gap(DeviceParams(), 4.58, sweep_1=(4.35, 4.60, 41))
-    assert default.gap_mhz == pytest.approx(5.721648, abs=1e-6)
-    assert default.location_ghz == pytest.approx(4.580426, abs=1e-6)
-    assert default.level_pair == straddling.level_pair == (1, 2)
-    assert abs(straddling.gap_mhz - default.gap_mhz) <= 1e-9
-    assert abs(straddling.location_ghz - default.location_ghz) <= 5e-8
-
-
 def test_gap_under_three_excitation_states_agrees_with_a_dense_reference():
     # at 4^4 and 0.6 GHz, under 3|α|, the bare q1x3 and q2x3 states lie near
     # 0.3 GHz, below both qubits, so the qubit pair is (2, 3); ranking the
@@ -467,7 +418,7 @@ def test_cotuned_half_gap_inside_a_resonator_band_keeps_the_rank_pair():
     model = device_model(p, SPACE, True)
     _, pairs = _tracked_separations(p, [4.471], [4.471], SPACE)
     evals = np.linalg.eigvalsh(model.hamiltonians([4.471], [4.471], model.odd)[0])
-    half_gap = cotuned_half_gap(p, 4.471, SPACE)
+    half_gap = cotuned_half_gap(p, [4.471], SPACE)[0]
     assert tuple(pairs[0]) == (1, 2)
     assert reference_separation(p, OperatingPoint(4.471, 4.471), SPACE)[1] == (0, 1)
     assert half_gap == 0.5 * (evals[2] - evals[1]) / TWO_PI * 1e3
@@ -497,9 +448,9 @@ def test_gap_work_is_the_coarse_grid_and_the_step_cap(monkeypatch):
         return tracked(params, f1s, f2s, space)
 
     monkeypatch.setattr(spectroscopy, "_tracked_separations", counting)
-    cap = spectroscopy.DEFAULT_GAP_GRID + spectroscopy.GAP_VERTEX_STEPS
+    cap = spectroscopy.GAP_GRID + spectroscopy.GAP_VERTEX_STEPS
     qubit_qubit_gap(DeviceParams(), 4.60, space=SPACE)
-    assert members[0] == spectroscopy.DEFAULT_GAP_GRID
+    assert members[0] == spectroscopy.GAP_GRID
     assert sum(members) <= cap
     members.clear()
     gap_vs_setpoint(DeviceParams(), [4.58, 4.63], SPACE)
@@ -507,12 +458,12 @@ def test_gap_work_is_the_coarse_grid_and_the_step_cap(monkeypatch):
 
 
 def test_gap_bracket_too_narrow():
-    # sweep stops essentially at the anti-crossing itself, so the minimum
+    # qubit 2 alone couples to resonator a, 100 MHz strong, whose push moves
+    # the anti-crossing above the 4.78-4.82 GHz window, so the minimum
     # separation lands on the last grid point
-    p = decoupled().replace(g_12=0.003)
+    p = DeviceParams(g_a1=0, g_a2=0.1, g_b1=0, g_b2=0, g_12=0.003, resonator_freq_b=6.0)
     with pytest.raises(PhysicsError, match="bracket too narrow"):
-        qubit_qubit_gap(p, 4.60, sweep_1=(4.58, 4.600001, 51),
-                        space=HilbertSpace((2, 2, 2, 2)))
+        qubit_qubit_gap(p, 4.80, HilbertSpace((2, 2, 2, 2)))
 
 
 def test_gap_setpoint_too_close_to_resonator():
@@ -524,7 +475,7 @@ def test_gap_sweep_endpoint_too_close_to_resonator():
     # the setpoint clears resonator a by 95 MHz, but the default sweep's
     # lower endpoint 4.545 GHz is 75 MHz from it, inside the 90 MHz clearance
     with pytest.raises(PhysicsError, match=r"sweep endpoint .* resonator a .*90\.0 MHz"):
-        qubit_qubit_gap(DeviceParams(), 4.565)
+        qubit_qubit_gap(DeviceParams(), 4.565, SPACE)
 
 
 def test_gap_vs_setpoint_decreasing():
@@ -538,13 +489,13 @@ def test_gap_fifty_mhz_below_switch_off():
     # the dispersive formula predicts ~3.2 MHz coupling 50 MHz below the
     # switch-off, i.e. a 6.5 MHz gap; exact diagonalization gives less
     # because the expansion degrades at this detuning from resonator a.
-    # The exact value is pinned here so the discrepancy stays visible.
+    # The exact value is pinned here so the discrepancy stays visible. The
+    # setpoint is 49 MHz below: 50 MHz below, the scan window's lower end
+    # (4.5594 GHz) is 89.4 MHz from resonator a, inside its 90 MHz clearance.
     p = DeviceParams()
     root = find_switch_off(p, (4.50, 4.77))
-    setpoint = root - 0.050
-    result = qubit_qubit_gap(p, setpoint,
-                             sweep_1=(setpoint - 0.015, setpoint + 0.015, 201),
-                             space=SPACE)
+    setpoint = root - 0.049
+    result = qubit_qubit_gap(p, setpoint, SPACE)
     assert result.gap_mhz == pytest.approx(5.7, abs=0.4)
 
 
@@ -564,19 +515,19 @@ def test_cotuned_half_gap_tracks_analytic_coupling_at_sweet_region():
 
     p = DeviceParams()
     for f in (4.60, 4.62):
-        hg = cotuned_half_gap(p, f, SPACE)
+        hg = cotuned_half_gap(p, [f], SPACE)[0]
         ga = abs(effective_coupling(p, OperatingPoint(f, f))) * 1e3
         assert hg == pytest.approx(ga, rel=0.12)
 
 
-def test_cotuned_half_gap_of_an_array_is_each_scalar():
+def test_cotuned_half_gap_of_an_array_is_each_one_point_call():
     p = DeviceParams()
     freqs = np.linspace(4.52, 4.76, 7)
     half_gaps = cotuned_half_gap(p, freqs, SPACE)
     assert isinstance(half_gaps, np.ndarray) and half_gaps.shape == (7,)
-    scalars = [cotuned_half_gap(p, f, SPACE) for f in freqs]
-    assert all(type(hg) is float for hg in scalars)
-    assert half_gaps.tolist() == scalars
+    singles = [cotuned_half_gap(p, [f], SPACE) for f in freqs]
+    assert all(hg.shape == (1,) for hg in singles)
+    assert half_gaps.tolist() == [hg[0] for hg in singles]
     assert cotuned_half_gap(p, np.array([]), SPACE).shape == (0,)
 
 
@@ -585,3 +536,17 @@ def test_cotuned_half_gap_of_an_array_is_each_scalar():
 def test_cotuned_half_gap_refuses_bad_frequencies(freq):
     with pytest.raises(ConfigError):
         cotuned_half_gap(DeviceParams(), freq, SPACE)
+
+
+def test_cotuned_half_gaps_beyond_the_memory_limit_refused_before_allocating(monkeypatch):
+    # 40,000 points need 1.2 MiB of separations, level pairs and half gaps
+    freqs = np.linspace(4.52, 4.76, 40_000)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="co-tuned half gaps at 40000 points"):
+            cotuned_half_gap(DeviceParams(), freqs, SPACE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
