@@ -44,8 +44,6 @@ _RESONATOR_QUBIT_PAIRS = {
     "g_b2": (1, 3),
 }
 
-SWITCH_OFF_TOL_GHZ = 1e-7
-
 DEGENERACY_TOL_GHZ = 1e-6
 
 
@@ -380,13 +378,12 @@ def find_switch_off(params: DeviceParams, search_interval: tuple[float, float]) 
     """Co-tuned qubit frequency where the effective coupling vanishes.
 
     Both qubits are swept together (ω_1 = ω_2 = ω) over ``search_interval``,
-    (start, stop) in GHz. Each resonator term of the coupling formula is
-    monotone in ω between the resonator poles, so plain bisection is
-    reliable; the interval must sit strictly inside (resonator_freq_a,
-    resonator_freq_b), and the bisection stops once
-    |g_eff| < SWITCH_OFF_TOL_GHZ. Through
-    :func:`effective_coupling` it raises ConfigError for a device with
-    ``g_ab`` != 0.
+    (start, stop) in GHz, strictly inside (resonator_freq_a, resonator_freq_b).
+    There g = g_12 + Σ_λ 2 g_λ1 g_λ2 ω_λ / (ω² − ω_λ²), times the nonzero
+    (ω² − ω_a²)(ω² − ω_b²), is a quadratic in ω², so where g changes sign on
+    the interval exactly one root lies in it: returned in closed form, the
+    same float for every interval that holds it. Through
+    :func:`effective_coupling` it raises ConfigError if ``g_ab`` != 0.
     """
     lo = require_number(search_interval[0], "search interval start")
     hi = require_number(search_interval[1], "search interval stop")
@@ -412,16 +409,15 @@ def find_switch_off(params: DeviceParams, search_interval: tuple[float, float]) 
             "no sign change of the effective coupling on the interval: "
             f"g({lo}) = {g_lo * 1e3:.4f} MHz, g({hi}) = {g_hi * 1e3:.4f} MHz"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if abs(g_mid) < SWITCH_OFF_TOL_GHZ:
-            return mid
-        if g_lo * g_mid < 0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-    raise PhysicsError("bisection failed to converge to the switch-off tolerance")
+    # g (ω² − ω_a²)(ω² − ω_b²) = c2 x² + c1 x + c0 in x = ω², solved without cancellation
+    a2, b2 = params.resonator_freq_a**2, params.resonator_freq_b**2
+    pa = 2.0 * params.g_a1 * params.g_a2 * params.resonator_freq_a
+    pb = 2.0 * params.g_b1 * params.g_b2 * params.resonator_freq_b
+    c2, c1 = params.g_12, pa + pb - params.g_12 * (a2 + b2)
+    c0 = c2 * a2 * b2 - pa * b2 - pb * a2
+    q = -0.5 * (c1 + math.copysign(math.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0)), c1))
+    x = min([c0 / q] + ([q / c2] if c2 else []), key=lambda r: max(lo * lo - r, r - hi * hi))
+    return min(max(math.sqrt(x), lo), hi)
 
 
 def flux_to_frequency(params: DeviceParams, qubit_index: int, control_value: float) -> float:

@@ -13,21 +13,21 @@ generator -iHt gives U, applied as ρ → UρU†, which costs d³ time and d²
 memory. Every stage map, lossy or not, comes from that one exponential.
 
 Evolution runs on the smallest block of basis states the dynamics can
-reach. In the excitation-conserving (rotating-wave) model relaxation and
-dephasing never raise the total excitation number N and each π-prep
-raises it by at most one, so the states with
-N ≤ N₀ + (number of π-preps) hold the whole evolution and the
-projection is exact, not an approximation. Where counter-rotating terms
-connect the blocks the full space is used, and a stage map that would not
-fit in memory is refused before it is built.
+reach. The qubit and frame terms are diagonal, collapse operators lower or
+count quanta and a π-prep raises the total excitation number N by at most
+one, so unless a static coupling leads out of the states with
+N ≤ N₀ + (number of π-preps), as counter-rotating terms do, they hold the
+whole evolution exactly and every operator is built on them alone;
+otherwise the full space is used, and a stage map that would not fit in
+memory is refused before it is built.
 
-:func:`evolve` and :func:`vacuum_rabi_chevron` share one block set-up
-and one sample loop, which applies each sample's stage and π-prep maps
-to a batch of block states and reads rows · vec(ρ), row 0 being the
-trace. ``evolve`` is a batch of one; an observable O is the row vec(Oᵀ).
-The chevron is a batch of detuning columns on the 5-state N ≤ 1 block
-that share one τ grid; a fixed readout delay carries the readout rows
-backwards through the padding rather than every state forwards.
+:func:`evolve` and :func:`vacuum_rabi_chevron` share one block set-up,
+readout-row builder and sample loop, which applies each sample's stage
+and π-prep maps to a batch of block states and reads rows · vec(ρ), row 0
+being the trace. ``evolve`` is a batch of one; an observable O is the row
+vec(Oᵀ). The chevron is a batch of detuning columns on the 5-state N ≤ 1
+block that share one τ grid; a fixed readout delay carries the readout
+rows backwards through the padding rather than every state forwards.
 
 Units at the interface: linear GHz for frequencies, MHz for detunings
 and couplings where noted, ns for times, µs for coherence times.
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import (
     ConfigError, IntegrationError, require_count, require_memory, require_number, require_numbers,
 )
-from .fock import HilbertSpace, lowering_operator, number_operator, total_number_operator
+from .fock import HilbertSpace, lowering_operator, number_operator
 from .device import (
     TWO_PI,
     DeviceParams,
@@ -138,7 +138,9 @@ class DensityState:
         herm = np.abs(self.rho - self.rho.conj().T).max()
         if herm > 1e-10:
             raise IntegrationError(f"density matrix not Hermitian (defect {herm:.2e})")
-        evals = np.linalg.eigvalsh(self.rho)
+        # rows and columns off the support are zero and add only zero eigenvalues
+        s = np.flatnonzero(np.any(self.rho != 0, axis=0) | np.any(self.rho != 0, axis=1))
+        evals = np.linalg.eigvalsh(self.rho[np.ix_(s, s)])
         if evals.min() < -POSITIVITY_TOL:
             raise IntegrationError(
                 f"density matrix lost positivity (min eigenvalue {evals.min():.2e})"
@@ -262,31 +264,6 @@ def _expm_bytes(n: int) -> int:
     return 12 * 16 * n**2
 
 
-def _closed_block(
-    space: HilbertSpace,
-    rho: np.ndarray,
-    n_preps: int,
-    operators: list[np.ndarray],
-) -> np.ndarray:
-    """Basis indices of the smallest excitation block evolution can reach.
-
-    Takes the states with total excitation number N ≤ (largest N on the
-    support of ρ) + ``n_preps``, since a π-prep raises N by at most one.
-    That block is used only if every operator (stage Hamiltonians and
-    collapse operators L, and L†L for the anticommutator) maps it into
-    itself, which holds in the excitation-conserving model; otherwise
-    the full space is returned.
-    """
-    n_exc = space.quanta.sum(axis=0)
-    support = np.any(rho != 0, axis=1)
-    inside = n_exc <= n_exc[support].max() + n_preps
-    leak = np.ix_(~inside, inside)
-    idx = np.arange(space.size)
-    if not any(np.any(op[leak]) or np.any((op.conj().T @ op)[leak]) for op in operators):
-        return idx[inside]
-    return idx
-
-
 def _pi_flip_matrix(space: HilbertSpace, mode_index: int) -> np.ndarray:
     """Unitary swapping levels 0 and 1 of one mode (identity elsewhere).
 
@@ -301,24 +278,35 @@ def _pi_flip_matrix(space: HilbertSpace, mode_index: int) -> np.ndarray:
 def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_ghz):
     """Block indices, block Hamiltonians (a stack, one per point) and block collapse operators.
 
-    The Hamiltonians are one stack of the cached device model's, in the frame
-    rotating at ``frame_ghz`` times the total excitation number; the collapse
-    operators are :func:`collapse_operators`, none when every lifetime is infinite.
-    The block is :func:`_closed_block`'s. It is refused with ConfigError
-    when exponentiating one of its generators, d×d without collapse operators
-    and d²×d² with them, would take more than ``errors.MEMORY_LIMIT``.
+    The block is the states with N ≤ (largest N on the support of ``rho0``) +
+    ``n_preps``, or the full space if a static coupling of the cached device
+    model leads out of them. It is refused with ConfigError when exponentiating
+    one of its generators, d×d without collapse operators and d²×d² with them,
+    would take more than ``errors.MEMORY_LIMIT``; only then are the model's
+    Hamiltonians built on it, in the frame rotating at ``frame_ghz`` times N.
+    The collapse operators are those of :func:`collapse_operators` on the
+    block, none when every lifetime is infinite.
     """
+    model = device_model(params, space, counter_rotating)
+    n_exc = space.quanta.sum(axis=0)
+    inside = n_exc <= n_exc[np.any(rho0 != 0, axis=1)].max() + n_preps
+    if np.any(model.h_static[np.ix_(~inside, inside)]):
+        inside[:] = True
+    idx = np.flatnonzero(inside)
     ls = collapse_operators(params, space)
-    hs = device_model(params, space, counter_rotating).hamiltonians(
-        [p.qubit_freq_1 for p in points], [p.qubit_freq_2 for p in points]
-    )
-    if frame_ghz:
-        hs -= TWO_PI * frame_ghz * total_number_operator(space)
-    idx = _closed_block(space, rho0, n_preps, list(hs) + ls)
     require_memory(_expm_bytes(idx.size**2 if ls else idx.size),
                    f"a stage map of a {idx.size}-state evolution block")
+    hs = model.hamiltonians([p.qubit_freq_1 for p in points], [p.qubit_freq_2 for p in points], idx)
+    if frame_ghz:
+        hs.reshape(len(hs), -1)[:, :: idx.size + 1] -= TWO_PI * frame_ghz * n_exc[idx]
     sel = np.ix_(idx, idx)
-    return idx, hs[:, idx[:, None], idx], [l[sel] for l in ls]
+    return idx, hs, [l[sel] for l in ls]
+
+
+def _readout_rows(idx: np.ndarray, observables) -> np.ndarray:
+    """Rows reading tr ρ, then each observable O as vec(Oᵀ), from row-major vec(ρ) on ``idx``."""
+    rows = np.stack([np.eye(idx.size)] + [o[np.ix_(idx, idx)].T for o in observables])
+    return rows.reshape(len(rows), -1)
 
 
 def _sample(rho, steps, rows, act, where) -> tuple[np.ndarray, np.ndarray]:
@@ -378,9 +366,9 @@ def evolve(
     excitation-conserving model (counter-rotating off) and invalid with
     counter-rotating terms on.
 
-    Evolution runs on the excitation block of :func:`_closed_block`, so a
-    block whose stage maps would not fit in memory raises ConfigError
-    before anything of its size is built. Each stage map is one
+    Evolution runs on the excitation block of :func:`_block_model`, where
+    every stage Hamiltonian is built, so a block whose stage maps would not
+    fit in memory raises ConfigError before anything of its size is built. Each stage map is one
     :func:`_expm`: with dissipation, of the Lindblad generator on vec(ρ);
     without, of -iH·t on the block, giving U for ρ → UρU†, which keeps a
     lossless counter-rotating run on the full space affordable. Trace
@@ -454,9 +442,9 @@ def evolve(
         pending, t_now = [], ts
 
     names = list(observables)
-    rows = np.stack([np.eye(idx.size)] + [observables[n][sel].T for n in names])
+    rows = _readout_rows(idx, [observables[n] for n in names])
     readings, rho = _sample(
-        rho, steps, [rows.reshape(len(rows), -1)] * n_samples, act,
+        rho, steps, [rows] * n_samples, act,
         lambda b, j: f"at t = {times[j]:.3f} ns (stage {stage_at[j]}, {idx.size}-state block)",
     )
     final = np.zeros((space.size, space.size), dtype=complex)
@@ -580,13 +568,9 @@ def vacuum_rabi_chevron(
     # the readout rows are carried through generators on vec(ρ) even on a
     # lossless device; the stack guard above covers their size
     idx, hs, ls = _block_model(params, space, holds + [bias] * padded, rho0, 0, False, q2_target)
-    d = idx.size
-    generators = _superoperator(hs, _dissipator(ls, d))
+    generators = _superoperator(hs, _dissipator(ls, idx.size))
 
-    # row 0 reads tr ρ, row 1 <q1|ρ|q1>
-    readout = np.zeros((2, d * d))
-    readout[0, :: d + 1] = 1.0
-    readout[1, np.searchsorted(idx, space.single_excitation_indices()[2]) * (d + 1)] = 1.0
+    readout = _readout_rows(idx, [number_operator(space, 2)])
     # rows[j] reads the state at the end of τ_j; with a fixed readout delay
     # it is carried backwards through the padding, one step map per τ step
     rows = [readout] * taus.size

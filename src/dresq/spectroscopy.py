@@ -105,13 +105,14 @@ class GapResult:
         self.level_pair = tuple(int(k) for k in self.level_pair)
 
 
-def _bare_labels(space: HilbertSpace) -> list[str]:
-    """Human tag for every basis state: '0', 'q1', 'a+q2', 'q1x2', ..."""
+def _label_table(space: HilbertSpace) -> np.ndarray:
+    """Object array of the human tag of every basis state ('0', 'q1', 'a+q2',
+    'q1x2', ...), then MIXED_LABEL at index ``space.size``."""
     tags = []
     for occ in space.quanta.T.tolist():
         parts = [MODE_NAMES[m] if n == 1 else f"{MODE_NAMES[m]}x{n}" for m, n in enumerate(occ) if n]
         tags.append("+".join(parts) or "0")
-    return tags
+    return np.array(tags + [MIXED_LABEL], dtype=object)
 
 
 def _axis_frequencies(
@@ -128,6 +129,14 @@ def _axis_frequencies(
         values = np.array([flux_to_frequency(params, qubit, v) for v in values])
     held = np.full(values.size, fixed.qubit_freq_2 if qubit == 1 else fixed.qubit_freq_1)
     return (values, held) if qubit == 1 else (held, values)
+
+
+def _spectrum_bytes(n_points: int, size: int, n_levels: int) -> int:
+    """Peak bytes of a spectrum's per-point results: 8-byte words, four an
+    eigenpair (eigenvalue, dominant state, weight, sort rank) and five a
+    reported level (frequency, weight, state, two label references), and a
+    64-byte header of each point's label list."""
+    return 8 * n_points * (4 * size + 5 * n_levels + 8)
 
 
 def sweep_spectrum(
@@ -153,15 +162,15 @@ def sweep_spectrum(
     values = require_numbers(values, "sweep values")
     if values.size < 1:
         raise ConfigError("sweep values must be a non-empty 1-d array")
-    # eigenvalue, dominant state and weight: three 8-byte words an eigenpair a point
-    require_memory(3 * 8 * space.size * values.size, f"a spectrum of {values.size} points")
-    diffs = np.diff(values)
-    if values.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise ConfigError("sweep values must be strictly monotone")
     if n_levels is None:
         n_levels = space.size - 1
     n_levels = min(require_count(n_levels, "number of levels above the ground state", 1),
                    space.size - 1)
+    require_memory(_spectrum_bytes(values.size, space.size, n_levels),
+                   f"a spectrum of {values.size} points")
+    diffs = np.diff(values)
+    if values.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ConfigError("sweep values must be strictly monotone")
     f1s, f2s = _axis_frequencies(axis, values, fixed_other, params)
 
     model = device_model(params, space, True)
@@ -186,9 +195,10 @@ def sweep_spectrum(
     ground, upper = order[:, :1], order[:, 1:]
     levels = (np.take_along_axis(evals, upper, 1) - np.take_along_axis(evals, ground, 1)) / TWO_PI
     weight = np.take_along_axis(weight, upper, 1)
-    bare = np.array(_bare_labels(space))[np.take_along_axis(dominant, upper, 1)]
-    labels = np.where(weight > 0.5, bare, MIXED_LABEL).tolist()
-    return SpectrumSweep(axis, values, levels, labels, np.sqrt(weight))
+    # each label is a reference into one table, not a string of its own
+    state = np.take_along_axis(dominant, upper, 1)
+    state[weight <= 0.5] = space.size
+    return SpectrumSweep(axis, values, levels, _label_table(space)[state].tolist(), np.sqrt(weight))
 
 
 def min_labeled_separation(sweep: SpectrumSweep, label_a: str, label_b: str) -> GapResult:
@@ -274,12 +284,18 @@ def _tracked_separations(
 
 def _require_gap_setpoint(qubit2_freq) -> float:
     """The qubit-2 setpoint as a float; ConfigError unless it is a usable number
-    whose scan window, the setpoint ± GAP_HALF_SPAN, lies above 0 GHz."""
+    whose scan window, the setpoint ± GAP_HALF_SPAN, lies above 0 GHz and
+    where float64 resolves GAP_LOCATION_RESOLUTION (below 2²³ GHz)."""
     qubit2_freq = require_number(qubit2_freq, "qubit-2 setpoint")
     if not qubit2_freq - GAP_HALF_SPAN > 0:
         raise ConfigError(
             f"qubit-2 setpoint {qubit2_freq} GHz is too low: the gap scan sweeps qubit 1 "
             f"over the setpoint ± {GAP_HALF_SPAN * 1e3:g} MHz, which must lie above 0 GHz"
+        )
+    if np.spacing(qubit2_freq + GAP_HALF_SPAN) > GAP_LOCATION_RESOLUTION:
+        raise ConfigError(
+            f"qubit-2 setpoint {qubit2_freq} GHz is too high: float64 spaces the scan "
+            f"window's frequencies more than {GAP_LOCATION_RESOLUTION:g} GHz apart there"
         )
     return qubit2_freq
 
@@ -306,10 +322,11 @@ def qubit_qubit_gap(params: DeviceParams, qubit2_freq: float, space: HilbertSpac
     GAP_LOCATION_RESOLUTION of a held point, or when a step beats none of
     them; the best point held is returned.
 
-    A setpoint that is text, a bool or not finite, or whose window reaches
-    0 GHz, is refused with ConfigError; one within 3·g_max of a resonator,
-    or whose window ends there, and a minimum on the window's edge with
-    PhysicsError.
+    A setpoint that is text, a bool or not finite, whose window reaches
+    0 GHz, or too large for float64 to resolve GAP_LOCATION_RESOLUTION in
+    its window, is refused with ConfigError; one within 3·g_max of a
+    resonator, or whose window ends there, and a minimum on the window's
+    edge with PhysicsError.
     """
     qubit2_freq = _require_gap_setpoint(qubit2_freq)
     _require_resonator_clearance(params, qubit2_freq, "qubit-2 setpoint")
@@ -325,8 +342,8 @@ def qubit_qubit_gap(params: DeviceParams, qubit2_freq: float, space: HilbertSpac
             "minimum separation sits at a sweep endpoint: bracket too narrow"
         )
     # (location, separation, pair) of the three held points, best first; at
-    # any setpoint under 1e13 GHz no two share a location, so the parabola
-    # through them is defined
+    # an admitted setpoint no two share a location, so the parabola through
+    # them is defined
     held = sorted(zip(grid[i_min - 1 : i_min + 2], seps[i_min - 1 : i_min + 2],
                       pairs[i_min - 1 : i_min + 2]), key=lambda p: p[1])
     for _ in range(GAP_VERTEX_STEPS):
@@ -365,8 +382,8 @@ def gap_vs_setpoint(
     list holds a GapResult or None per setpoint, the second the error
     message or None. Setpoints that are not a list of numbers (a single
     number or a string), and a setpoint that qubit_qubit_gap refuses as
-    malformed (text, a bool, NaN, infinite, or a scan window reaching
-    0 GHz), raise ConfigError before any setpoint is scanned.
+    malformed (text, a bool, NaN, infinite, a scan window reaching 0 GHz,
+    or above 2²³ GHz), raise ConfigError before any setpoint is scanned.
     """
     try:
         if isinstance(setpoints, (str, bytes, bytearray)):

@@ -278,8 +278,9 @@ def test_gapscan_error_text_round_trips(tmp_path, monkeypatch):
     assert line.count(",") == 3
 
 
-# a setpoint that is not finite, or whose scan window (± 20 MHz) reaches 0 GHz
-@pytest.mark.parametrize("bad", ["nan", "inf", "-4.6", "0.01"])
+# a setpoint that is not finite, whose scan window (± 20 MHz) reaches 0 GHz,
+# or too large for float64 to resolve 1e-9 GHz in that window (1e7 and 1e12 GHz)
+@pytest.mark.parametrize("bad", ["nan", "inf", "-4.6", "0.01", "10000000", "1000000000000"])
 def test_gapscan_non_finite_setpoint_exit_2(tmp_path, capsys, bad):
     assert run(["gapscan", "--setpoints", 4.60, bad, "--out", tmp_path / "g"]) == 2
     err = capsys.readouterr().err
@@ -288,7 +289,8 @@ def test_gapscan_non_finite_setpoint_exit_2(tmp_path, capsys, bad):
 
 
 def test_spectrum_beyond_the_memory_limit_exit_2_before_allocating(tmp_path, capsys):
-    # 300,000 points at 3^4 need 556 MiB of eigenvalues, dominant states and weights
+    # 300,000 points at 3^4 need 829 MiB: four words an eigenpair (eigenvalue,
+    # dominant state, weight, rank) and five for each of the 6 reported levels
     tracemalloc.start()
     try:
         code = run(["spectrum", "--start", 4.40, "--stop", 4.86, "--points", 300_000,
@@ -297,7 +299,7 @@ def test_spectrum_beyond_the_memory_limit_exit_2_before_allocating(tmp_path, cap
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "a spectrum of 300000 points needs 556 MiB" in capsys.readouterr().err
+    assert "a spectrum of 300000 points needs 829 MiB" in capsys.readouterr().err
     assert peak < 8 * 2**20
     assert not (tmp_path / "s").exists()
 

@@ -275,7 +275,47 @@ def test_switch_off_location():
     p = DeviceParams()
     root = find_switch_off(p, (4.50, 4.77))
     assert 4.60 < root < 4.66
-    assert abs(effective_coupling(p, OperatingPoint(root, root))) < 1e-7
+    assert abs(effective_coupling(p, OperatingPoint(root, root))) < 1e-15
+    assert find_switch_off(p, (4.52, 4.76)) == root
+
+
+def bisected_switch_off(params, lo, hi):
+    """Bisection of the co-tuned coupling on (lo, hi) until |g| < 1e-15 GHz."""
+    def g(f):
+        return effective_coupling(params, OperatingPoint(f, f))
+
+    g_lo = g(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if abs(g_mid) < 1e-15 or mid in (lo, hi):
+            break
+        if g_lo * g_mid < 0:
+            hi = mid
+        else:
+            lo, g_lo = mid, g_mid
+    return mid
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(4.0, 5.0), st.floats(0.2, 1.0),
+       st.lists(st.floats(0.01, 0.06), min_size=4, max_size=4), st.sampled_from([1.0, -1.0]),
+       st.floats(-0.003, 0.003), st.lists(st.floats(0.0, 0.99), min_size=4, max_size=4))
+def test_switch_off_is_the_root_in_every_band_that_holds_it(f_a, spread, g, sign, g_12, cuts):
+    # with the qubit-1 and qubit-2 couplings of either relative sign the
+    # coupling runs from one infinity to the other between the resonators
+    # and crosses zero once; any band that brackets the crossing gives the
+    # same float
+    p = DeviceParams(resonator_freq_a=f_a, resonator_freq_b=f_a + spread,
+                     g_a1=g[0], g_b1=g[1], g_a2=sign * g[2], g_b2=sign * g[3], g_12=g_12)
+    lo, hi = f_a + 1e-3, f_a + spread - 1e-3
+    root = find_switch_off(p, (lo, hi))
+    assert lo <= root <= hi
+    assert abs(effective_coupling(p, OperatingPoint(root, root))) <= 1e-12
+    assert abs(root - bisected_switch_off(p, lo, hi)) <= 1e-9
+    for a, b in (cuts[:2], cuts[2:]):
+        band = (lo + a * (root - lo), hi - b * (hi - root))
+        assert find_switch_off(p, band) == root
 
 
 def test_switch_off_without_direct_coupling():
@@ -296,7 +336,7 @@ def test_switch_off_no_sign_change_reports_endpoints():
 
 
 def test_analytic_coupling_rejects_resonator_resonator_coupling():
-    # the formula has no g_ab path: the bisected root would stay at 4.6294 GHz,
+    # the formula has no g_ab path: its root would stay at 4.6294 GHz,
     # where the exact gap with g_ab = 10 MHz is ten times that without
     p = DeviceParams(g_ab=0.01)
     with pytest.raises(ConfigError, match="g_ab"):

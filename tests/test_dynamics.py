@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dresq import dynamics
 from dresq.errors import MEMORY_LIMIT, ConfigError, IntegrationError, PhysicsError
 from dresq.fock import HilbertSpace, number_operator, total_number_operator
-from dresq.device import DeviceParams, OperatingPoint, device_model
+from dresq.device import DeviceModel, DeviceParams, OperatingPoint, device_model
 from dresq.dynamics import (
     ChevronMap,
     DensityState,
@@ -18,6 +18,7 @@ from dresq.dynamics import (
     evolve,
     two_level_transfer,
     vacuum_rabi_chevron,
+    _block_model,
     _dissipator,
     _expm,
     _expm_bytes,
@@ -71,6 +72,22 @@ def test_density_state_validation_catches_bad_trace():
     rho.rho[0, 0] = 0.9
     with pytest.raises(IntegrationError):
         rho.validate()
+
+
+def test_validate_diagonalizes_only_the_support(monkeypatch):
+    shapes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or real(a))
+    DensityState.ground(SPACE3).validate()
+    assert shapes == [(1, 1)]
+
+
+def test_validate_refuses_a_negative_eigenvalue_on_a_two_state_support():
+    # trace 1 and Hermitian, but the 2-state support has eigenvalues 1.5 and -0.5
+    rho = np.zeros((16, 16), dtype=complex)
+    rho[np.ix_([1, 6], [1, 6])] = [[0.5, 1.0], [1.0, 0.5]]
+    with pytest.raises(IntegrationError, match=r"min eigenvalue -5.00e-01"):
+        DensityState(SPACE2, rho).validate()
 
 
 @pytest.mark.parametrize("where, value", [
@@ -283,6 +300,86 @@ def test_evolve_sampling_trace_positivity_and_excitations(stages, n_samples, exc
     assert np.linalg.eigvalsh(ts.final_state.rho).min() > -1e-8
     n_preps = sum(prep is not None for _, _, prep in stages)
     assert ts.expectations["n"].max() <= (excited is not None) + n_preps + 1e-8
+
+
+def leak_rule_block(space, rho, n_preps, operators):
+    """The block by the operator-leak rule: the states with N up to the largest
+    on the support of rho plus n_preps, unless an operator, or L†L for one,
+    maps one of them outside; then the full space."""
+    n_exc = space.quanta.sum(axis=0)
+    inside = n_exc <= n_exc[np.any(rho != 0, axis=1)].max() + n_preps
+    leak = np.ix_(~inside, inside)
+    if any(np.any(op[leak]) or np.any((op.conj().T @ op)[leak]) for op in operators):
+        return np.arange(space.size)
+    return np.flatnonzero(inside)
+
+
+coupling_draws = st.fixed_dictionaries(
+    {name: st.sampled_from([0.0, value]) for name, value in
+     (("g_a1", 0.027), ("g_a2", 0.027), ("g_b1", 0.030), ("g_b2", 0.030),
+      ("g_ab", 0.010), ("g_12", 0.00088))}
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupling_draws, st.booleans(), st.booleans(),
+       st.sampled_from([(2, 2, 2, 2), (2, 3, 2, 3), (3, 3, 3, 3)]),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3),
+       st.integers(0, 2), st.lists(st.floats(-0.02, 0.02), min_size=1, max_size=2))
+def test_block_from_static_couplings_matches_the_leak_rule(
+    couplings, lossy, counter_rotating, dims, support, n_preps, detunings
+):
+    # the block rule reads only h_static: the frame and qubit terms are
+    # diagonal and collapse operators lower or count quanta, so it must pick
+    # the block that checking every operator of the evolution picks
+    p = DeviceParams(**couplings) if lossy else DeviceParams(**lossless(**couplings))
+    space = HilbertSpace(dims)
+    states = sorted({int(u * space.size) for u in support})
+    psi = np.zeros(space.size)
+    psi[states] = 1.0 / math.sqrt(len(states))
+    rho = np.outer(psi, psi).astype(complex)
+    points = [OperatingPoint(4.60 + d, 4.60) for d in detunings]
+    frame = 0.0 if counter_rotating else 4.60
+
+    hs = device_model(p, space, counter_rotating).hamiltonians(
+        [pt.qubit_freq_1 for pt in points], [pt.qubit_freq_2 for pt in points]
+    )
+    hs -= dynamics.TWO_PI * frame * total_number_operator(space)
+    ls = collapse_operators(p, space)
+    expected = leak_rule_block(space, rho, n_preps, list(hs) + ls)
+    if _expm_bytes(expected.size**2 if ls else expected.size) > MEMORY_LIMIT:
+        with pytest.raises(ConfigError, match="evolution block"):
+            _block_model(p, space, points, rho, n_preps, counter_rotating, frame)
+        return
+    idx, block_hs, block_ls = _block_model(p, space, points, rho, n_preps, counter_rotating, frame)
+    assert np.array_equal(idx, expected)
+    sel = np.ix_(idx, idx)
+    assert np.array_equal(block_hs, hs[:, idx[:, None], idx])
+    assert len(block_ls) == len(ls)
+    assert all(np.array_equal(b, l[sel]) for b, l in zip(block_ls, ls))
+
+
+def test_evolution_builds_its_stage_stack_on_the_excitation_block(monkeypatch):
+    blocks = []
+    real = DeviceModel.hamiltonians
+
+    def spy(self, f1, f2, idx=None):
+        blocks.append(None if idx is None else np.array(idx))
+        return real(self, f1, f2, idx)
+
+    monkeypatch.setattr(DeviceModel, "hamiltonians", spy)
+    # a lossy rotating-wave run at 3^4 from the ground state with one prep:
+    # the N <= 1 block, ground and one quantum in each of the four modes
+    hold = OperatingPoint(4.601, 4.60)
+    sched = PulseSchedule([Stage(0.5, BIAS, prep="pi_q2"), Stage(2.0, hold)])
+    observables = {f"n{m}": number_operator(SPACE3, m) for m in range(4)}
+    evolve(DeviceParams(), sched, DensityState.ground(SPACE3), SPACE3, observables,
+           n_samples=21, include_counter_rotating=False, frame_ghz=4.60)
+    assert len(blocks) == 1 and blocks[0].tolist() == [0, 1, 3, 9, 27]
+    # the chevron's N <= 1 block at 2^4
+    vacuum_rabi_chevron(DeviceParams(), BIAS, 4.60, np.array([0.0, 3.0]),
+                        np.linspace(0.0, 100.0, 11), 200.0)
+    assert len(blocks) == 2 and blocks[1].tolist() == [0, 1, 2, 4, 8]
 
 
 def test_frame_with_counter_rotating_rejected():

@@ -314,13 +314,41 @@ def test_slice_budget_bounds_the_gap_scan_memory(monkeypatch):
     assert np.array_equal(sweep.levels, unsliced_sweep.levels)
 
 
+def test_spectrum_labels_share_one_tag_table_and_fit_the_memory_count():
+    # 2,000 points and 80 levels at 3^4: each label is a reference into one
+    # table of tags, so the peak stays within the bytes the guard counts
+    # plus one slice and the model's arrays
+    p = DeviceParams()
+    model = device_model(p, SPACE, True)
+    values = np.linspace(4.40, 4.86, 2000)
+    fixed = OperatingPoint(4.641, 4.91)
+    sweep_spectrum(p, "freq_2", values[:3], fixed, SPACE)
+    model_nbytes = sum(a.nbytes for a in (model.h_static, model.n_q1, model.n_q2,
+                                          model.even, model.odd))
+    tracemalloc.start()
+    try:
+        sweep = sweep_spectrum(p, "freq_2", values, fixed, SPACE, n_levels=80)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    counted = spectroscopy._spectrum_bytes(values.size, SPACE.size, 80)
+    assert peak < counted + spectroscopy.STACK_SLICE_BYTES + model_nbytes
+    tags = {}
+    for row in sweep.labels:
+        for label in row:
+            assert tags.setdefault(label, label) is label
+    assert len(tags) <= SPACE.size + 1 and "mixed" in tags
+
+
 # text is refused like a bool: float() would parse it; so is a setpoint
-# whose scan window, the setpoint ± 20 MHz, reaches 0 GHz
+# whose scan window, the setpoint ± 20 MHz, reaches 0 GHz, or lies above
+# 2^23 GHz, where float64 spaces its frequencies wider than 1e-9 GHz
 @pytest.mark.parametrize("flag", [
     True, np.True_, pytest.param("4.60", id="str"), pytest.param(b"4.60", id="bytes"),
     pytest.param(np.str_("4.6"), id="numpy-str"), pytest.param(-4.6, id="negative"),
     pytest.param(0.0, id="zero"), pytest.param(0.01, id="window-below-zero"),
     pytest.param(0.02, id="window-ends-at-zero"),
+    pytest.param(1e7, id="above-float64-resolution"), pytest.param(1e12, id="far-above"),
 ])
 def test_bool_setpoints_refused_before_any_scan(monkeypatch, flag):
     scanned = []
