@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -55,7 +56,7 @@ def _add_common(parser: argparse.ArgumentParser, dims: bool = True) -> None:
     parser.add_argument("--device", type=Path, default=None,
                         help="device JSON file (defaults to the built-in device)")
     if dims:
-        parser.add_argument("--dims", type=int, nargs=4, default=list(DEFAULT_DIMS),
+        parser.add_argument("--dims", type=int, nargs=4, default=DEFAULT_DIMS,
                             metavar=("DA", "DB", "D1", "D2"),
                             help="per-mode truncation dimensions")
     _add_out(parser)
@@ -89,9 +90,9 @@ def _grid(start: float, stop: float, points: int, flags: tuple[str, str, str]) -
 
 def _write_outputs(args, artifacts: dict[str, str], params: DeviceParams | None = None) -> None:
     """Write the artifacts and a manifest of them. Its config is every parsed
-    option but ``out``, ``func`` and ``device`` (a path is written as text),
-    plus the resolved device parameters when the command has a device."""
-    config = {k: v for k, v in vars(args).items() if k not in ("out", "func", "device")}
+    option but ``out`` and ``device`` (a path is written as text), plus the
+    resolved device parameters when the command has a device."""
+    config = {k: v for k, v in vars(args).items() if k not in ("out", "device")}
     if params is not None:
         config["device"] = json.loads(params.to_json())
     args.out.mkdir(parents=True, exist_ok=True)
@@ -219,7 +220,9 @@ def cmd_fit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dresq",
         description="two-qubit double-resonator tunable-coupler simulator",
@@ -235,19 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=6)
     p.add_argument("--fixed-q1", type=float, default=DEFAULT_BIAS_Q1)
     p.add_argument("--fixed-q2", type=float, default=DEFAULT_BIAS_Q2)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("geff", help="analytic coupling vs. co-tuned frequency")
     _add_common(p)
     p.add_argument("--start", type=float, default=4.52)
     p.add_argument("--stop", type=float, default=4.76)
     p.add_argument("--points", type=int, default=50)
-    p.set_defaults(func=cmd_geff)
 
     p = sub.add_parser("gapscan", help="anti-crossing gap at a list of setpoints")
     _add_common(p)
     p.add_argument("--setpoints", type=float, nargs="+", required=True)
-    p.set_defaults(func=cmd_gapscan)
 
     p = sub.add_parser("chevron", help="vacuum-Rabi chevron plus coupling estimate")
     _add_common(p, dims=False)
@@ -262,22 +262,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prep-to-readout", type=float, default=None,
                    help="fixed prep-to-readout delay, ns (padding at the bias point)")
     p.add_argument("--no-dissipation", dest="dissipation", action="store_false")
-    p.set_defaults(func=cmd_chevron)
 
     p = sub.add_parser("fit", help="fit a trace CSV")
     _add_out(p)
     p.add_argument("--model", choices=("exp", "cosine"), required=True)
     p.add_argument("trace", type=Path, help="CSV file with columns time_ns,value[,uncertainty]")
-    p.set_defaults(func=cmd_fit)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a command patched on the module is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,8 @@ exponential is computed by scaling and squaring with the degree-13 Padé
 approximant (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005); there is
 no step size.
 
-L acts on the d² entries of ρ, so its exponential costs d⁶ time and d⁴
+L acts on the d² entries of ρ, or on the fewer of them that the evolution
+can reach (below), so its exponential costs at most d⁶ time and d⁴
 memory. Without collapse operators the same exponential of the d×d
 generator -iHt gives U, applied as ρ → UρU†, which costs d³ time and d²
 memory. Every stage map, lossy or not, comes from that one exponential.
@@ -21,13 +22,20 @@ whole evolution exactly and every operator is built on them alone;
 otherwise the full space is used, and a stage map that would not fit in
 memory is refused before it is built.
 
+Within the block, a lossy evolution keeps only the entries of vec(ρ) that
+its maps can carry the support of ρ₀ to (:func:`_reachable`); no map feeds
+the others, so they stay exactly 0 and every map is restricted to the kept
+ones. In the rotating-wave model the maps conserve N(ket) − N(bra), so from
+a population of the N ≤ 1 block 17 of its 25 entries are kept.
+
 :func:`evolve` and :func:`vacuum_rabi_chevron` share one block set-up,
 readout-row builder and sample loop, which applies each sample's stage
 and π-prep maps to a batch of block states and reads rows · vec(ρ), row 0
 being the trace. ``evolve`` is a batch of one; an observable O is the row
-vec(Oᵀ). The chevron is a batch of detuning columns on the 5-state N ≤ 1
-block that share one τ grid; a fixed readout delay carries the readout
-rows backwards through the padding rather than every state forwards.
+vec(Oᵀ). The chevron is a batch of detuning columns on the kept entries
+of the 5-state N ≤ 1 block that share one τ grid; a fixed readout delay
+carries the readout rows backwards through the padding rather than every
+state forwards.
 
 Units at the interface: linear GHz for frequencies, MHz for detunings
 and couplings where noted, ns for times, µs for coherence times.
@@ -130,17 +138,21 @@ class DensityState:
         return cls(space, rho)
 
     def validate(self) -> None:
-        if not np.isfinite(self.rho).all():
+        # rows and columns off the support are zero: they hold no NaN or
+        # infinity, add nothing to the trace or the Hermiticity defect and
+        # only zero eigenvalues, so every check runs on the support alone
+        nonzero = self.rho != 0
+        s = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        rho = self.rho[np.ix_(s, s)]
+        if not np.isfinite(rho).all():
             raise ConfigError("density matrix must be finite, got a NaN or infinite element")
-        tr = self.rho.trace()
+        tr = rho.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise IntegrationError(f"density-matrix trace drifted to {tr:.12f}")
-        herm = np.abs(self.rho - self.rho.conj().T).max()
+        herm = np.abs(rho - rho.conj().T).max()
         if herm > 1e-10:
             raise IntegrationError(f"density matrix not Hermitian (defect {herm:.2e})")
-        # rows and columns off the support are zero and add only zero eigenvalues
-        s = np.flatnonzero(np.any(self.rho != 0, axis=0) | np.any(self.rho != 0, axis=1))
-        evals = np.linalg.eigvalsh(self.rho[np.ix_(s, s)])
+        evals = np.linalg.eigvalsh(rho)
         if evals.min() < -POSITIVITY_TOL:
             raise IntegrationError(
                 f"density matrix lost positivity (min eigenvalue {evals.min():.2e})"
@@ -196,23 +208,50 @@ def collapse_operators(params: DeviceParams, space: HilbertSpace) -> list[np.nda
 def _dissipator(collapse: list[np.ndarray], n: int) -> np.ndarray:
     """Σ_k D[L_k] on row-major vec(ρ) of an n-state block.
 
-    Row-major vectorization gives vec(AρB) = (A⊗Bᵀ)vec(ρ). The dissipator
-    does not depend on H, so every stage of a schedule shares one.
+    Row-major vectorization gives vec(AρB) = (A⊗Bᵀ)vec(ρ), and each A⊗B is
+    the broadcast outer product A[i, j]·B[k, l] at ((i, k), (j, l)). The
+    dissipator does not depend on H, so every stage of a schedule shares one.
     """
     eye = np.eye(n, dtype=complex)
-    d = np.zeros((n * n, n * n), dtype=complex)
+    d = np.zeros((n, n, n, n), dtype=complex)
     for l in collapse:
         ldl = l.conj().T @ l
-        d += np.kron(l, l.conj())
-        d -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
-    return d
+        d += l[:, None, :, None] * l.conj()[None, :, None, :]
+        d -= 0.5 * (ldl[:, None, :, None] * eye[None, :, None, :]
+                    + eye[:, None, :, None] * ldl.T[None, :, None, :])
+    return d.reshape(n * n, n * n)
 
 
 def _superoperator(h: np.ndarray, dissipator: np.ndarray) -> np.ndarray:
     """Lindblad generators -i[H, ·] plus a :func:`_dissipator` on vec(ρ), for a
-    (…, n, n) stack of Hamiltonians (``np.kron`` pairs the stack members)."""
-    eye = np.eye(h.shape[-1])
-    return dissipator - 1j * (np.kron(h, eye) - np.kron(eye, np.swapaxes(h, -1, -2)))
+    (…, n, n) stack of Hamiltonians (H⊗1 − 1⊗Hᵀ of each stack member)."""
+    n = h.shape[-1]
+    eye = np.eye(n)
+    ht = np.swapaxes(h, -1, -2)
+    commutator = (h[..., :, None, :, None] * eye[None, :, None, :]
+                  - eye[:, None, :, None] * ht[..., None, :, None, :])
+    return dissipator - 1j * commutator.reshape(*h.shape[:-2], n * n, n * n)
+
+
+def _reachable(vec0: np.ndarray, maps) -> np.ndarray:
+    """Mask of the entries of vec(ρ) that ``maps`` can carry the support of ``vec0`` to.
+
+    ``maps`` are (…, m, m) arrays acting on an m-entry ``vec0``; the mask is
+    its support closed under the nonzero pattern of every one of them. No
+    map leads from an entry inside the mask to one outside it, so the entries
+    outside stay exactly 0 and each map can be restricted to the mask, for
+    any device, model or initial state.
+    """
+    m = vec0.size
+    links = np.zeros((m, m), dtype=bool)
+    for a in maps:
+        links |= np.any(a.reshape(-1, m, m) != 0, axis=0)
+    reach = vec0 != 0
+    while True:
+        grown = reach | links[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
 
 
 # numerator coefficients of the degree-13 Padé approximant to exp and the
@@ -285,7 +324,10 @@ def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_g
     would take more than ``errors.MEMORY_LIMIT``; only then are the model's
     Hamiltonians built on it, in the frame rotating at ``frame_ghz`` times N.
     The collapse operators are those of :func:`collapse_operators` on the
-    block, none when every lifetime is infinite.
+    block, none when every lifetime is infinite. Each lowers or counts the
+    quanta of one mode, so they are built after the guard on the product
+    space truncated above the block's largest N in every mode, not on
+    ``space``.
     """
     model = device_model(params, space, counter_rotating)
     n_exc = space.quanta.sum(axis=0)
@@ -293,14 +335,21 @@ def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_g
     if np.any(model.h_static[np.ix_(~inside, inside)]):
         inside[:] = True
     idx = np.flatnonzero(inside)
-    ls = collapse_operators(params, space)
-    require_memory(_expm_bytes(idx.size**2 if ls else idx.size),
+    # whether there are collapse operators does not depend on the space, so
+    # the two-level one answers it before the guard
+    lossy = bool(collapse_operators(params, HilbertSpace([2] * space.n_modes)))
+    require_memory(_expm_bytes(idx.size**2 if lossy else idx.size),
                    f"a stage map of a {idx.size}-state evolution block")
+    # a mode keeps at least two levels; the product order of the truncated
+    # space lists the block's states in the order of ``space``
+    top = max(n_exc[idx].max(), 1)
+    sub = HilbertSpace([min(d, top + 1) for d in space.dims])
+    at = np.ravel_multi_index(space.quanta[:, idx], sub.dims)
+    ls = [l[np.ix_(at, at)] for l in collapse_operators(params, sub)]
     hs = model.hamiltonians([p.qubit_freq_1 for p in points], [p.qubit_freq_2 for p in points], idx)
     if frame_ghz:
         hs.reshape(len(hs), -1)[:, :: idx.size + 1] -= TWO_PI * frame_ghz * n_exc[idx]
-    sel = np.ix_(idx, idx)
-    return idx, hs, [l[sel] for l in ls]
+    return idx, hs, ls
 
 
 def _readout_rows(idx: np.ndarray, observables) -> np.ndarray:
@@ -369,10 +418,12 @@ def evolve(
     Evolution runs on the excitation block of :func:`_block_model`, where
     every stage Hamiltonian is built, so a block whose stage maps would not
     fit in memory raises ConfigError before anything of its size is built. Each stage map is one
-    :func:`_expm`: with dissipation, of the Lindblad generator on vec(ρ);
-    without, of -iH·t on the block, giving U for ρ → UρU†, which keeps a
-    lossless counter-rotating run on the full space affordable. Trace
-    drift beyond 1e-8 (or a NaN) at any sample aborts with diagnostics.
+    :func:`_expm`: with dissipation, of the Lindblad generator on the
+    entries of vec(ρ) that the stage and π-prep maps can reach from ρ₀
+    (:func:`_reachable`; the others stay exactly 0); without, of -iH·t on
+    the block, giving U for ρ → UρU†, which keeps a lossless counter-rotating
+    run on the full space affordable. Trace drift beyond 1e-8 (or a NaN) at
+    any sample aborts with diagnostics.
     """
     if initial.space.size != space.size:
         raise ConfigError("initial state lives on a different space")
@@ -399,12 +450,17 @@ def evolve(
         for tag in {st.prep for st in stages} - {None}
     }
     if ls:
-        # maps act on vec(ρ); a prep P becomes P ⊗ P̄
+        # maps act on the entries of vec(ρ) they can reach; a prep P becomes P ⊗ P̄
         generators = _superoperator(hs, _dissipator(ls, idx.size))
         flips = {tag: np.kron(p, p.conj()) for tag, p in flips.items()}
-        rho = initial.rho[sel].reshape(1, -1, 1)
+        vec0 = initial.rho[sel].reshape(-1)
+        keep = _reachable(vec0, [generators, *flips.values()])
+        generators = generators[:, keep][:, :, keep]
+        flips = {tag: f[np.ix_(keep, keep)] for tag, f in flips.items()}
+        rho = vec0[keep].reshape(1, -1, 1)
         act = np.matmul
     else:
+        keep = slice(None)
         generators = -1j * hs
         rho = initial.rho[sel][None]
 
@@ -442,13 +498,15 @@ def evolve(
         pending, t_now = [], ts
 
     names = list(observables)
-    rows = _readout_rows(idx, [observables[n] for n in names])
+    rows = _readout_rows(idx, [observables[n] for n in names])[:, keep]
     readings, rho = _sample(
         rho, steps, [rows] * n_samples, act,
         lambda b, j: f"at t = {times[j]:.3f} ns (stage {stage_at[j]}, {idx.size}-state block)",
     )
+    block = np.zeros(idx.size**2, dtype=complex)
+    block[keep] = rho.reshape(-1)
     final = np.zeros((space.size, space.size), dtype=complex)
-    final[sel] = rho.reshape(idx.size, idx.size)
+    final[sel] = block.reshape(idx.size, idx.size)
     records = {n: readings[0, i + 1] for i, n in enumerate(names)}
     return TraceSeries(times, records, DensityState(space, final))
 
@@ -526,7 +584,10 @@ def vacuum_rabi_chevron(
     evolved at the bias point until that fixed total delay before
     readout. Runs in the excitation-conserving model on the exact N ≤ 1
     block, through the block set-up and sample loop of :func:`evolve`, and
-    is lossless on a device whose coherence times are all infinite. A
+    is lossless on a device whose coherence times are all infinite. The
+    maps act on the entries of vec(ρ) they can reach from qubit 2's excited
+    population (:func:`_reachable`): its 16 one-excitation entries, and the
+    ground population too with dissipation. A
     trace drift beyond 1e-8 (or a NaN) in any cell raises
     IntegrationError naming the first such column.
 
@@ -557,7 +618,8 @@ def vacuum_rabi_chevron(
             )
 
     # the N <= 1 block has 5 states (ground, one excitation in each mode); each
-    # column costs one 25 x 25 member of the step-map stack plus 3 floats per τ
+    # column costs at most one 25 x 25 member of the step-map stack (fewer
+    # entries of vec(ρ) are reachable) plus 3 floats per τ
     require_memory(offsets.size * (_expm_bytes(25) + 24 * taus.size),
                    f"a chevron of {offsets.size} columns")
     # two levels per mode hold the N <= 1 block, where the anharmonic term vanishes
@@ -569,8 +631,11 @@ def vacuum_rabi_chevron(
     # lossless device; the stack guard above covers their size
     idx, hs, ls = _block_model(params, space, holds + [bias] * padded, rho0, 0, False, q2_target)
     generators = _superoperator(hs, _dissipator(ls, idx.size))
+    vec0 = rho0[np.ix_(idx, idx)].reshape(-1)
+    keep = _reachable(vec0, [generators])
+    generators = generators[:, keep][:, :, keep]
 
-    readout = _readout_rows(idx, [number_operator(space, 2)])
+    readout = _readout_rows(idx, [number_operator(space, 2)])[:, keep]
     # rows[j] reads the state at the end of τ_j; with a fixed readout delay
     # it is carried backwards through the padding, one step map per τ step
     rows = [readout] * taus.size
@@ -582,7 +647,7 @@ def vacuum_rabi_chevron(
 
     # every column advances in lockstep, one batched product per τ step
     step = _expm(dtau * generators[: offsets.size])
-    vecs = np.repeat(rho0[np.ix_(idx, idx)].reshape(1, -1, 1), offsets.size, axis=0)
+    vecs = np.repeat(vec0[keep].reshape(1, -1, 1), offsets.size, axis=0)
     readings, _ = _sample(
         vecs, [[]] + [[step]] * (taus.size - 1), rows, np.matmul,
         lambda i, j: f"in chevron column {i}",

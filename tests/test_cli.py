@@ -3,7 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,32 @@ from dresq.device import DeviceParams
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def test_a_second_call_in_one_process_writes_a_fresh_process_manifest(tmp_path):
+    # the parser is built once per process: the --dims of one call must not
+    # leak into the default of the next
+    assert run(["geff", "--points", 5, "--dims", 2, 2, 2, 2, "--out", tmp_path / "first"]) == 0
+    assert run(["geff", "--points", 5, "--out", tmp_path / "second"]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, "-m", "dresq.cli", "geff", "--points", "5", "--out", str(tmp_path / "fresh")],
+        check=True, env=env, timeout=120,
+    )
+    second = (tmp_path / "second" / "manifest.json").read_bytes()
+    assert json.loads(second)["config"]["dims"] == [3, 3, 3, 3]
+    assert second == (tmp_path / "fresh" / "manifest.json").read_bytes()
+
+
+def test_main_runs_the_command_bound_on_the_module_at_call_time(tmp_path, monkeypatch):
+    from dresq import cli
+
+    assert run(["geff", "--points", 2, "--out", tmp_path / "a"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_geff", lambda args: seen.append(args.points) or 7)
+    assert run(["geff", "--points", 3, "--out", tmp_path / "b"]) == 7
+    assert seen == [3]
 
 
 def test_spectrum_decoupled_straight_lines(tmp_path):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dresq import dynamics
 from dresq.errors import MEMORY_LIMIT, ConfigError, IntegrationError, PhysicsError
@@ -22,6 +22,8 @@ from dresq.dynamics import (
     _dissipator,
     _expm,
     _expm_bytes,
+    _pi_flip_matrix,
+    _reachable,
     _superoperator,
 )
 
@@ -105,6 +107,35 @@ def test_density_state_refuses_a_non_finite_rho(where, value):
     sched = PulseSchedule([Stage(10.0, BIAS)])
     with pytest.raises(ConfigError, match="finite"):
         evolve(decoupled(), sched, state, SPACE2, {}, n_samples=3)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_validate_refuses_a_non_finite_element_off_the_support(value):
+    # a NaN or an infinity is nonzero, so it joins the support the checks run on
+    state = DensityState.ground(SPACE3)
+    state.rho[5, 7] = value
+    with pytest.raises(ConfigError, match="finite"):
+        state.validate()
+
+
+def test_evolve_at_seven_levels_a_mode_peaks_near_its_final_state():
+    # every operator of the run is built on its 5-state block, and validate
+    # reads rho only on its support: what remains of the space's size is the
+    # final rho (16 d^2 bytes) and a boolean d x d mask or two
+    space = HilbertSpace((7, 7, 7, 7))
+    params = DeviceParams()
+    device_model(params, space, False)
+    initial = DensityState.ground(space)
+    sched = PulseSchedule([Stage(0.5, BIAS, prep="pi_q2"), Stage(2.0, OperatingPoint(4.601, 4.60))])
+    tracemalloc.start()
+    try:
+        ts = evolve(params, sched, initial, space, {}, n_samples=3,
+                    include_counter_rotating=False, frame_ghz=4.60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * space.size**2 + 16 * 2**20
+    ts.final_state.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +469,123 @@ def test_chevron_corrupted_step_map_names_its_column(monkeypatch, factor):
             DeviceParams(), BIAS, 4.60, np.array([-3.0, 0.0, 3.0, 6.0]),
             np.linspace(0.0, 100.0, 11),
         )
-    # one stack of step maps, one 25 x 25 member per column of the 5-state block
-    assert calls == [(4, 25, 25)]
+    # one stack of step maps, one member per column on the 17 entries of vec(ρ)
+    # of the 5-state block that the lossy maps reach
+    assert calls == [(4, 17, 17)]
+
+
+def full_vec_oracle(params, sched, initial, space, counter_rotating, frame, times):
+    """Block vec(ρ) at each sample time on every entry of the block, each
+    stage's prep and hold applied afresh from t = 0 (a sample at a stage
+    boundary is read before the next stage's prep, as in evolve), together
+    with the block indices and the reachable-entry mask."""
+    stages = sched.stages
+    n_preps = sum(st.prep is not None for st in stages)
+    idx, hs, ls = _block_model(params, space, [st.point for st in stages], initial.rho,
+                               n_preps, counter_rotating, frame)
+    generators = _superoperator(hs, _dissipator(ls, idx.size))
+    sel = np.ix_(idx, idx)
+    flips = {}
+    for tag, mode in (("pi_q1", 2), ("pi_q2", 3)):
+        p = _pi_flip_matrix(space, mode)[sel]
+        flips[tag] = np.kron(p, p.conj())
+    vec0 = initial.rho[sel].reshape(-1)
+    used = [flips[st.prep] for st in stages if st.prep]
+    keep = _reachable(vec0, [generators, *used])
+    vecs = []
+    for t in times:
+        v, start = vec0, 0.0
+        for k, st in enumerate(stages):
+            if k and t <= start + 1e-9:
+                break
+            if st.prep:
+                v = flips[st.prep] @ v
+            hold = min(st.duration_ns, t - start) if k + 1 < len(stages) else t - start
+            if hold > 0:
+                v = _expm(hold * generators[k]) @ v
+            start += st.duration_ns
+        vecs.append(v)
+    return idx, keep, vecs
+
+
+@st.composite
+def coherent_states(draw, space):
+    """ρ = |ψ><ψ| of a ψ with complex amplitudes on 1-3 basis states, so its
+    support holds coherences between them (of any excitation numbers)."""
+    states = draw(st.lists(st.integers(0, space.size - 1), min_size=1, max_size=3, unique=True))
+    amps = np.array([complex(draw(st.floats(0.1, 1.0)), draw(st.floats(-1.0, 1.0)))
+                     for _ in states])
+    psi = np.zeros(space.size, dtype=complex)
+    psi[states] = amps / np.linalg.norm(amps)
+    return DensityState(space, np.outer(psi, psi.conj()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coupling_draws, st.booleans(), st.booleans(), coherent_states(SPACE2),
+       st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.1, 40.0)), st.floats(-0.01, 0.01),
+                          st.sampled_from([None, "pi_q1", "pi_q2"])), min_size=1, max_size=3),
+       st.integers(2, 5))
+def test_evolve_on_reachable_entries_matches_full_vec_propagation(
+    couplings, lossy, counter_rotating, initial, stages, n_samples
+):
+    # the lossy branch propagates only the entries of vec(ρ) in _reachable;
+    # the oracle propagates all of them: its other entries stay exactly 0 and
+    # every reading and the final ρ agree with evolve's
+    assume(sum(prep is not None for *_, prep in stages) <= 2)
+    p = DeviceParams(**couplings) if lossy else DeviceParams(**lossless(**couplings))
+    sched = PulseSchedule(
+        [Stage(t, OperatingPoint(4.60 + dq, 4.60), prep) for t, dq, prep in stages]
+    )
+    frame = 0.0 if counter_rotating else 4.60
+    obs = {"n_q1": number_operator(SPACE2, 2), "n_a": number_operator(SPACE2, 0)}
+    ts = evolve(p, sched, initial, SPACE2, obs, n_samples=n_samples,
+                include_counter_rotating=counter_rotating, frame_ghz=frame)
+    idx, keep, vecs = full_vec_oracle(p, sched, initial, SPACE2, counter_rotating, frame,
+                                      ts.times_ns)
+    for j, v in enumerate(vecs):
+        assert not np.any(v[~keep])
+        rho = v.reshape(idx.size, idx.size)
+        for name, op in obs.items():
+            expected = np.trace(op[np.ix_(idx, idx)] @ rho).real
+            assert abs(ts.expectations[name][j] - expected) <= 1e-12
+    final = np.zeros((16, 16), dtype=complex)
+    final[np.ix_(idx, idx)] = vecs[-1].reshape(idx.size, idx.size)
+    assert np.abs(ts.final_state.rho - final).max() <= 1e-12
+
+
+def test_lossy_maps_are_exponentiated_on_the_reachable_entries(monkeypatch):
+    shapes = []
+    real = _expm
+    monkeypatch.setattr(dynamics, "_expm", lambda a: shapes.append(a.shape) or real(a))
+    offsets, taus = np.array([-3.0, 0.0, 3.0]), np.linspace(0.0, 100.0, 11)
+    # lossy chevron: qubit 2's population feeds the 16 one-excitation entries
+    # and, by relaxation, the ground population
+    vacuum_rabi_chevron(DeviceParams(), BIAS, 4.60, offsets, taus, 200.0)
+    assert shapes[-1] == (3, 17, 17) and all(s[-2:] == (17, 17) for s in shapes)
+    # lossless chevron: nothing feeds the ground population
+    shapes.clear()
+    vacuum_rabi_chevron(DeviceParams(**lossless()), BIAS, 4.60, offsets, taus, 200.0)
+    assert shapes[-1] == (3, 16, 16) and all(s[-2:] == (16, 16) for s in shapes)
+    # an evolve_lossy-shaped run: 3^4, ground state, a pi-prep of qubit 2
+    shapes.clear()
+    sched = PulseSchedule([Stage(0.5, BIAS, prep="pi_q2"), Stage(2.0, OperatingPoint(4.601, 4.60))])
+    evolve(DeviceParams(), sched, DensityState.ground(SPACE3), SPACE3,
+           {"n_q1": number_operator(SPACE3, 2)}, n_samples=21,
+           include_counter_rotating=False, frame_ghz=4.60)
+    assert shapes and all(s == (17, 17) for s in shapes)
+
+
+def test_reachable_closes_the_support_under_every_map():
+    # 0 -> 1 -> 2 by the first map, 3 -> 0 by the second: from entry 0 only
+    # 0, 1 and 2 are reachable; entry 3 feeds them but nothing feeds it
+    a = np.zeros((2, 4, 4))
+    a[0, 1, 0] = a[1, 2, 1] = 1.0
+    b = np.zeros((4, 4))
+    b[0, 3] = 1.0
+    vec0 = np.array([1.0, 0, 0, 0])
+    assert _reachable(vec0, [a, b]).tolist() == [True, True, True, False]
+    assert _reachable(vec0, []).tolist() == [True, False, False, False]
+    assert _reachable(np.array([0, 0, 0, 1j]), [a, b]).all()
 
 
 def test_chevron_refuses_a_step_stack_over_the_limit_before_building(monkeypatch):
@@ -497,6 +643,23 @@ def test_lossy_counter_rotating_full_space_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2**20
+
+
+def test_lossy_full_space_at_seven_levels_a_mode_refused_before_its_operators():
+    # the refusal needs only whether there are collapse operators: none of
+    # the four 2401 x 2401 ones (44 MiB each) is built
+    space = HilbertSpace((7, 7, 7, 7))
+    device_model(DeviceParams(), space, True)
+    initial = DensityState.ground(space)
+    sched = PulseSchedule([Stage(1.0, BIAS)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="2401-state evolution block needs"):
+            evolve(DeviceParams(), sched, initial, space, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_lossless_counter_rotating_full_space_runs():
@@ -586,8 +749,17 @@ def test_stacked_superoperator_and_expm_equal_each_member_alone():
     n = 5
     h = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
     h = h + np.swapaxes(h, 1, 2).conj()  # Hermitian, not symmetric: Hᵀ != H
-    collapse = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))]
+    collapse = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                rng.standard_normal((n, n))]
     dissipator = _dissipator(collapse, n)
+    # the broadcast outer products are bitwise the Kronecker products
+    ceye = np.eye(n, dtype=complex)
+    expected = np.zeros((n * n, n * n), dtype=complex)
+    for l in collapse:
+        ldl = l.conj().T @ l
+        expected += np.kron(l, l.conj())
+        expected -= 0.5 * (np.kron(ldl, ceye) + np.kron(ceye, ldl.T))
+    assert np.array_equal(dissipator, expected)
     stack = _superoperator(h, dissipator)
     eye = np.eye(n)
     for hk, sk in zip(h, stack):
