@@ -303,15 +303,22 @@ def _expm_bytes(n: int) -> int:
     return 12 * 16 * n**2
 
 
-def _pi_flip_matrix(space: HilbertSpace, mode_index: int) -> np.ndarray:
-    """Unitary swapping levels 0 and 1 of one mode (identity elsewhere).
+def _pi_flip_matrix(space: HilbertSpace, mode_index: int, idx: np.ndarray) -> np.ndarray:
+    """Unitary swapping levels 0 and 1 of one mode (identity elsewhere), on the
+    ascending basis indices ``idx``.
 
     It permutes the basis: a state with 0 quanta in the mode maps to the one
-    with 1, a stride up, and back; every other state stays.
+    with 1, a stride up, and back; every other state stays. A state whose
+    image is not in ``idx`` gets a zero row, as slicing the full-space flip
+    to ``idx`` would give.
     """
-    n = space.quanta[mode_index]
-    step = np.select([n == 0, n == 1], [1, -1]) * space.strides[mode_index]
-    return np.eye(space.size)[np.arange(space.size) + step]
+    n = space.quanta[mode_index, idx]
+    target = idx + np.select([n == 0, n == 1], [1, -1]) * space.strides[mode_index]
+    at = np.minimum(np.searchsorted(idx, target), idx.size - 1)
+    hit = idx[at] == target
+    flip = np.zeros((idx.size, idx.size))
+    flip[hit, at[hit]] = 1.0
+    return flip
 
 
 def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_ghz):
@@ -446,7 +453,7 @@ def evolve(
     )
     sel = np.ix_(idx, idx)
     flips = {
-        tag: _pi_flip_matrix(space, 2 if tag == "pi_q1" else 3)[sel]
+        tag: _pi_flip_matrix(space, 2 if tag == "pi_q1" else 3, idx)
         for tag in {st.prep for st in stages} - {None}
     }
     if ls:
@@ -592,7 +599,8 @@ def vacuum_rabi_chevron(
     IntegrationError naming the first such column.
 
     ``q2_target``, the offsets, the τ values and a readout delay must be
-    finite numbers, and the τ values a uniform ascending grid from 0. All
+    finite numbers, the offsets strictly ascending (a single offset is
+    one), and the τ values a uniform ascending grid from 0. All
     columns' step maps are exponentiated as one stack, so a grid whose
     stack (with its readings) would exceed ``errors.MEMORY_LIMIT`` is
     refused before any column is built.
@@ -609,6 +617,8 @@ def vacuum_rabi_chevron(
     offsets = require_numbers(q1_offsets_mhz, "detuning offsets")
     if offsets.size < 1:
         raise ConfigError("need at least one detuning offset")
+    if (np.diff(offsets) <= 0).any():
+        raise ConfigError("detuning offsets must be strictly ascending")
     if prep_to_readout_ns is not None:
         prep_to_readout_ns = require_number(prep_to_readout_ns, "prep-to-readout interval")
         if prep_to_readout_ns < taus[-1] - 1e-9:

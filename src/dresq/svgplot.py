@@ -158,15 +158,19 @@ def _heat_channels(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def heatmap(x, y, z, x_label: str, y_label: str, title: str = "") -> str:
     """Cell-per-pixel-block heatmap; z indexed as z[i, j] = z(x[i], y[j]).
 
-    Each row's y and height are formatted once. The cells of one x column
-    are then joined from those pieces, the column's x and width and the
-    cells' colours, and written as one string.
+    Both axes must be strictly ascending, or ValueError is raised. Each
+    column's x and width and each row's y and height are formatted once;
+    the cells are an (nx, ny, 8) array of string pieces, filled from those
+    and the cells' colour channels by broadcasting, and written as one join.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("heatmap values must be finite")
+    for name, axis in (("x", x), ("y", y)):
+        if not (np.diff(axis) > 0).all():
+            raise ValueError(f"heatmap {name} axis must be strictly ascending")
     z_lo, z_hi = float(z.min()), float(z.max())
     span = z_hi - z_lo or 1.0
     cv = _Canvas(
@@ -175,18 +179,17 @@ def heatmap(x, y, z, x_label: str, y_label: str, title: str = "") -> str:
     )
     half_x = 0.5 * (x[1] - x[0]) if len(x) > 1 else 0.5
     half_y = 0.5 * (y[1] - y[0]) if len(y) > 1 else 0.5
-    y_at = np.empty(len(y), dtype=object)
-    height = np.empty_like(y_at)
-    for j, yj in enumerate(y):
-        py1, py0 = cv.py(max(yj - half_y, cv.y_lo)), cv.py(min(yj + half_y, cv.y_hi))
-        y_at[j] = f"{py0:.2f}"
-        height[j] = f'{py1 - py0:.2f}" fill="#'
-    r, g, b = _heat_channels((z - z_lo) / span)
-    for i, xi in enumerate(x):
-        px0, px1 = cv.px(max(xi - half_x, cv.x_lo)), cv.px(min(xi + half_x, cv.x_hi))
-        cells = (
-            f'<rect x="{px0:.2f}" y="' + y_at + f'" width="{px1 - px0:.2f}" height="'
-            + height + _HEX[r[i]] + _HEX[g[i]] + _HEX[b[i]] + '"/>\n'
-        )
-        cv.buf.write("".join(cells.tolist()))
+    px0, px1 = cv.px(np.maximum(x - half_x, cv.x_lo)), cv.px(np.minimum(x + half_x, cv.x_hi))
+    py1, py0 = cv.py(np.maximum(y - half_y, cv.y_lo)), cv.py(np.minimum(y + half_y, cv.y_hi))
+    cols = [(f'<rect x="{a:.2f}', f"{b - a:.2f}") for a, b in zip(px0.tolist(), px1.tolist())]
+    rows = [(f'" y="{a:.2f}" width="', f'" height="{b - a:.2f}" fill="#')
+            for a, b in zip(py0.tolist(), py1.tolist())]
+    # a cell's pieces: x and width from its column (0, 2) interleaved with
+    # y and height from its row (1, 3), then its r, g, b and the close
+    pieces = np.empty((len(x), len(y), 8), dtype=object)
+    pieces[:, :, 0:4:2] = np.array(cols, dtype=object)[:, None]
+    pieces[:, :, 1:4:2] = np.array(rows, dtype=object)[None]
+    pieces[:, :, 4:7] = _HEX[np.stack(_heat_channels((z - z_lo) / span), axis=-1)]
+    pieces[:, :, 7] = '"/>\n'
+    cv.buf.write("".join(pieces.ravel().tolist()))
     return cv.finish()

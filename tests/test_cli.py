@@ -236,6 +236,10 @@ def test_chevron_below_floor_at_switch_off(tmp_path):
     pytest.param(["chevron", "--prep-to-readout", "nan"], id="chevron-prep-to-readout-nan"),
     pytest.param(["chevron", "--tau-max", "inf"], id="chevron-tau-max-inf"),
     pytest.param(["chevron", "--span-mhz", "inf"], id="chevron-span-mhz-inf"),
+    pytest.param(["chevron", "--span-mhz", "-20", "--detuning-points", "11",
+                  "--tau-points", "51"], id="chevron-span-mhz-negative"),
+    pytest.param(["chevron", "--span-mhz", "0", "--detuning-points", "3"],
+                 id="chevron-span-mhz-zero"),
     pytest.param(["geff", "--stop", "inf"], id="geff-stop-inf"),
     pytest.param(["spectrum", "--start", "4.4", "--stop", "inf"], id="spectrum-stop-inf"),
     pytest.param(["spectrum", "--start", "4.4", "--stop", "4.5", "--points", "-1"],

@@ -487,7 +487,7 @@ def full_vec_oracle(params, sched, initial, space, counter_rotating, frame, time
     sel = np.ix_(idx, idx)
     flips = {}
     for tag, mode in (("pi_q1", 2), ("pi_q2", 3)):
-        p = _pi_flip_matrix(space, mode)[sel]
+        p = _pi_flip_matrix(space, mode, idx)
         flips[tag] = np.kron(p, p.conj())
     vec0 = initial.rho[sel].reshape(-1)
     used = [flips[st.prep] for st in stages if st.prep]
@@ -881,6 +881,17 @@ def test_chevron_rejects_interaction_point_near_resonator():
         vacuum_rabi_chevron(
             DeviceParams(), BIAS, 4.49, np.array([0.0]), np.linspace(0, 10, 3)
         )
+
+
+@pytest.mark.parametrize("offsets", [[1.0, 0.0, -1.0], [0.0, 0.0]])
+def test_chevron_requires_strictly_ascending_offsets(offsets):
+    with pytest.raises(ConfigError, match="strictly ascending"):
+        vacuum_rabi_chevron(DeviceParams(), BIAS, 4.60, np.array(offsets), np.linspace(0, 10, 3))
+
+
+def test_chevron_accepts_a_single_offset():
+    chev = vacuum_rabi_chevron(DeviceParams(), BIAS, 4.60, np.array([0.0]), np.linspace(0, 10, 3))
+    assert chev.p1.shape == (1, 3)
 
 
 def test_chevron_requires_uniform_tau_grid():

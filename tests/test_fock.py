@@ -119,7 +119,20 @@ def test_operators_match_kron_reference():
             flip = np.eye(d)[[1, 0, *range(2, d)]]
             assert np.array_equal(lowering_operator(space, mode), kron_embed(dims, mode, lowering))
             assert np.array_equal(number_operator(space, mode), kron_embed(dims, mode, number))
-            assert np.array_equal(_pi_flip_matrix(space, mode), kron_embed(dims, mode, flip))
+            full = _pi_flip_matrix(space, mode, np.arange(space.size))
+            assert np.array_equal(full, kron_embed(dims, mode, flip))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3, 3), (2, 3, 2, 3)])
+@pytest.mark.parametrize("n_max", [1, 2, None])
+def test_pi_flip_on_a_block_is_the_sliced_full_flip(dims, n_max):
+    # a state whose partner lies outside the block gets a zero row
+    space = HilbertSpace(dims)
+    n_exc = space.quanta.sum(axis=0)
+    idx = np.flatnonzero(n_exc <= (n_exc.max() if n_max is None else n_max))
+    for mode in range(space.n_modes):
+        full = _pi_flip_matrix(space, mode, np.arange(space.size))
+        assert np.array_equal(_pi_flip_matrix(space, mode, idx), full[np.ix_(idx, idx)])
 
 
 def test_occupation_table_decodes_every_index():

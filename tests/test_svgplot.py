@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,35 @@ def test_heat_colors_use_the_float_pow_of_each_cell():
     expected = [reference_heat_color(a) for a in v]
     r, g, b = svgplot._heat_channels(v)
     assert [f"#{c[0]:02x}{c[1]:02x}{c[2]:02x}" for c in zip(r, g, b)] == expected
+
+
+CELL = re.compile(
+    r'<rect x="([-\d.]+)" y="([-\d.]+)" width="([-\d.]+)" height="([-\d.]+)" fill="#[0-9a-f]{6}"/>'
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids())
+def test_heatmap_cells_have_positive_size_inside_the_frame(grid):
+    x, y, z = grid
+    cells = [tuple(map(float, m)) for m in CELL.findall(heatmap(x, y, z, "x", "y"))]
+    assert len(cells) == x.size * y.size
+    left, right = svgplot.MARGIN_LEFT, svgplot.WIDTH - svgplot.MARGIN_RIGHT
+    top, bottom = svgplot.MARGIN_TOP, svgplot.HEIGHT - svgplot.MARGIN_BOTTOM
+    # each of x, y, width and height is rounded to 0.01 on its own
+    for px, py, w, h in cells:
+        assert w > 0 and h > 0
+        assert left - 0.005 <= px and px + w <= right + 0.01
+        assert top - 0.005 <= py and py + h <= bottom + 0.01
+
+
+@pytest.mark.parametrize("axis", [[1.0, 0.0, -1.0], [0.0, 0.0], [0.0, math.nan]])
+def test_heatmap_rejects_axes_not_strictly_ascending(axis):
+    z = np.zeros((len(axis), len(axis)))
+    with pytest.raises(ValueError, match="x axis must be strictly ascending"):
+        heatmap(axis, np.arange(len(axis)), z, "x", "y")
+    with pytest.raises(ValueError, match="y axis must be strictly ascending"):
+        heatmap(np.arange(len(axis)), axis, z, "x", "y")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
