@@ -22,20 +22,19 @@ whole evolution exactly and every operator is built on them alone;
 otherwise the full space is used, and a stage map that would not fit in
 memory is refused before it is built.
 
-Within the block, a lossy evolution keeps only the entries of vec(ρ) that
-its maps can carry the support of ρ₀ to (:func:`_reachable`); no map feeds
-the others, so they stay exactly 0 and every map is restricted to the kept
-ones. In the rotating-wave model the maps conserve N(ket) − N(bra), so from
-a population of the N ≤ 1 block 17 of its 25 entries are kept.
+Within the block, an evolution on vec(ρ) keeps only the entries of vec(ρ)
+that its maps can carry the support of ρ₀ to (:func:`_reachable`); no map
+feeds the others, so they stay exactly 0 and every map is restricted to the
+kept ones. In the rotating-wave model the maps conserve N(ket) − N(bra), so
+from a population of the N ≤ 1 block 17 of its 25 entries are kept.
 
-:func:`evolve` and :func:`vacuum_rabi_chevron` share one block set-up,
-readout-row builder and sample loop, which applies each sample's stage
-and π-prep maps to a batch of block states and reads rows · vec(ρ), row 0
-being the trace. ``evolve`` is a batch of one; an observable O is the row
-vec(Oᵀ). The chevron is a batch of detuning columns on the kept entries
-of the 5-state N ≤ 1 block that share one τ grid; a fixed readout delay
-carries the readout rows backwards through the padding rather than every
-state forwards.
+:func:`evolve` and :func:`vacuum_rabi_chevron` run on one propagation core,
+:func:`_propagate`, for a batch of schedules that differ only in their
+operating points. It reads each sample as rows · vec(ρ), row 0 being the
+trace and an observable O the row vec(Oᵀ). ``evolve`` is a batch of one; the
+chevron is one single-stage schedule per detuning column on the N ≤ 1 block,
+read after a fixed readout delay on vec(ρ), even without loss, by rows
+carried backwards through the padding rather than every state forwards.
 
 Units at the interface: linear GHz for frequencies, MHz for detunings
 and couplings where noted, ns for times, µs for coherence times.
@@ -359,33 +358,6 @@ def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_g
     return idx, hs, ls
 
 
-def _readout_rows(idx: np.ndarray, observables) -> np.ndarray:
-    """Rows reading tr ρ, then each observable O as vec(Oᵀ), from row-major vec(ρ) on ``idx``."""
-    rows = np.stack([np.eye(idx.size)] + [o[np.ix_(idx, idx)].T for o in observables])
-    return rows.reshape(len(rows), -1)
-
-
-def _sample(rho, steps, rows, act, where) -> tuple[np.ndarray, np.ndarray]:
-    """Readings (batch, row, sample) of a batch of block states, and the final states.
-
-    Sample j applies each map of ``steps[j]`` by ``act(map, rho)``, then
-    reads ``rows[j] · vec(ρ)``; row 0 is the trace row. Trace drift beyond
-    TRACE_TOL (or a NaN) raises IntegrationError, located by ``where(b, j)``
-    at the first failing batch member b and sample j.
-    """
-    readings = np.empty((len(rho), len(rows[0]), len(steps)))
-    for j, (maps, r) in enumerate(zip(steps, rows)):
-        for m in maps:
-            rho = act(m, rho)
-        readings[:, :, j] = (r @ rho.reshape(len(rho), -1, 1))[:, :, 0].real
-    tr = readings[:, 0]
-    bad = ~(np.abs(tr - 1.0) <= TRACE_TOL)  # a NaN trace counts as drift
-    if bad.any():
-        b, j = np.argwhere(bad)[0]
-        raise IntegrationError(f"trace drifted to {tr[b, j]:.12f} {where(b, j)}")
-    return readings, rho
-
-
 def _observable(op, space: HilbertSpace, name: str) -> np.ndarray:
     """``op`` as an array; ConfigError unless it is a finite (d, d) numeric array on ``space``."""
     try:
@@ -398,6 +370,123 @@ def _observable(op, space: HilbertSpace, name: str) -> np.ndarray:
             f"got shape {m.shape} and dtype {m.dtype}"
         )
     return m
+
+
+def _propagate(params, space, schedules, rho0, observables, n_samples, counter_rotating,
+               frame_ghz, readout=None, member=None):
+    """Sample times, readings (member, row, sample) and final states of a batch of schedules.
+
+    The schedules share stage durations and preps and differ only in their
+    points; each member starts from ``rho0``. Row 0 reads the trace and row
+    i + 1 observable i, as vec(Oᵢᵀ) · vec(ρ). With a fixed ``readout``
+    (point, t_ns), each sample is read after waiting at that point until
+    t_ns, its rows carried backwards from the readout one grid step at a time.
+    Maps act on the reachable entries of vec(ρ) with collapse operators or a
+    readout, and as ρ → UρU† otherwise; each hold or padding map is one
+    :func:`_expm` stack, with one member per batch member on a stage whose
+    point varies. Memory beyond ``errors.MEMORY_LIMIT`` (per member a stage
+    map being exponentiated, its readings and final state; per sample its
+    time, stage and readout rows) is refused before it is allocated. Trace
+    drift beyond TRACE_TOL (or a NaN) raises IntegrationError at the first
+    failing member and sample, the member named as ``member`` and its index.
+    """
+    stages = schedules[0].stages
+    batch, n_rows, n_stages = len(schedules), 1 + len(observables), len(stages)
+    points = [st.point for sch in schedules for st in sch.stages]
+    if readout is not None:
+        points.append(readout[0])
+    n_preps = sum(st.prep is not None for st in stages)
+    idx, hs, ls = _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_ghz)
+    vec = bool(ls) or readout is not None
+    m = idx.size**2 if vec else idx.size
+    # a sample's time is a float64 and a Python float, its stage and row slot 8 bytes each
+    require_memory(batch * (_expm_bytes(m) + 8 * n_rows * n_samples + 16 * space.size**2)
+                   + n_samples * (56 + 16 * n_rows * m * (readout is not None)),
+                   f"{n_samples} samples of {batch} evolution(s) on a {idx.size}-state block")
+    sel = np.ix_(idx, idx)
+    flips = {tag: _pi_flip_matrix(space, 2 if tag == "pi_q1" else 3, idx)
+             for tag in {st.prep for st in stages} - {None}}
+    if vec:
+        # maps act on the entries of vec(ρ) they can reach; a prep P becomes P ⊗ P̄
+        generators = _superoperator(hs, _dissipator(ls, idx.size))
+        flips = {tag: np.kron(p, p.conj()) for tag, p in flips.items()}
+        vec0 = rho0[sel].reshape(-1)
+        keep = _reachable(vec0, [generators, *flips.values()])
+        generators = generators[:, keep][:, :, keep]
+        flips = {tag: f[np.ix_(keep, keep)] for tag, f in flips.items()}
+        rho = np.repeat(vec0[keep].reshape(1, -1, 1), batch, axis=0)
+        act = np.matmul
+    else:
+        keep = slice(None)
+        generators = -1j * hs
+        rho = np.repeat(rho0[sel][None], batch, axis=0)
+
+        def act(u, rho):
+            return u @ rho @ np.swapaxes(u, -1, -2).conj()
+
+    # stage k's generators (one for all when every member holds one point), then the padding's
+    per_stage = generators[: batch * n_stages].reshape(batch, n_stages, *generators.shape[1:])
+    generators = [
+        g if len({sch.stages[k].point for sch in schedules}) > 1 else g[0]
+        for k, g in enumerate(per_stage.swapaxes(0, 1))
+    ] + list(generators[batch * n_stages:])
+    maps = {}
+
+    def hold(k: int, duration: float) -> list[np.ndarray]:
+        if duration <= 0:
+            return []
+        key = (k, duration)
+        if key not in maps:  # uniform samples share one map, whatever their float noise
+            near = (k, round(duration, 12))
+            maps[key] = maps[near] = maps.get(near) or [_expm(duration * generators[k])]
+        return maps[key]
+
+    def prep(k: int) -> list[np.ndarray]:
+        return [flips[stages[k].prep]] if stages[k].prep else []
+
+    rows = np.stack([np.eye(idx.size)] + [o[sel].T for o in observables]).reshape(n_rows, -1)
+    rows = rows[:, keep]
+    times = np.linspace(0.0, sum(st.duration_ns for st in stages), n_samples)
+    t = times.tolist()
+    sample_rows = [rows] * n_samples
+    if readout is not None:
+        # sample j waits at the readout point until the readout: its rows are
+        # those of sample j + 1 carried back through one step of the uniform grid
+        pad, step = hold(n_stages, readout[1] - t[-1]), hold(n_stages, t[1] - t[0])
+        for j in range(n_samples - 1, -1, -1):
+            for u in pad if j == n_samples - 1 else step:
+                rows = rows @ u
+            sample_rows[j] = rows
+
+    # each sample applies the stage boundaries crossed since the last sample,
+    # with the preps they bring, then the hold up to the sample time
+    readings = np.empty((batch, n_rows, n_samples))
+    stage_at = []
+    pending = prep(0)
+    k, t_now, stage_end = 0, 0.0, stages[0].duration_ns
+    for j, ts in enumerate(t):
+        while ts > stage_end + 1e-9 and k + 1 < n_stages:
+            pending += hold(k, stage_end - t_now)
+            t_now = stage_end
+            k += 1
+            stage_end += stages[k].duration_ns
+            pending += prep(k)
+        for u in pending + hold(k, ts - t_now):
+            rho = act(u, rho)
+        readings[:, :, j] = (sample_rows[j] @ rho.reshape(batch, -1, 1))[:, :, 0].real
+        stage_at.append(k)
+        pending, t_now = [], ts
+    tr = readings[:, 0]
+    bad = ~(np.abs(tr - 1.0) <= TRACE_TOL)  # a NaN trace counts as drift
+    if bad.any():
+        b, j = np.argwhere(bad)[0]
+        where = f" in {member} {b}" if member else ""
+        raise IntegrationError(f"trace drifted to {tr[b, j]:.12f} at t = {t[j]:.3f} ns "
+                               f"(stage {stage_at[j]}, {idx.size}-state block){where}")
+    at = (idx[:, None] * space.size + idx).reshape(-1)[keep]  # flat indices in the full ρ
+    final = np.zeros((batch, space.size, space.size), dtype=complex)
+    final.reshape(batch, -1)[:, at] = rho.reshape(batch, -1)
+    return times, readings, final
 
 
 def evolve(
@@ -422,18 +511,14 @@ def evolve(
     excitation-conserving model (counter-rotating off) and invalid with
     counter-rotating terms on.
 
-    Evolution runs on the excitation block of :func:`_block_model`, where
-    every stage Hamiltonian is built, so a block whose stage maps would not
-    fit in memory raises ConfigError before anything of its size is built. Each stage map is one
-    :func:`_expm`: with dissipation, of the Lindblad generator on the
-    entries of vec(ρ) that the stage and π-prep maps can reach from ρ₀
-    (:func:`_reachable`; the others stay exactly 0); without, of -iH·t on
-    the block, giving U for ρ → UρU†, which keeps a lossless counter-rotating
-    run on the full space affordable. Trace drift beyond 1e-8 (or a NaN) at
-    any sample aborts with diagnostics.
+    ``initial`` must live on ``space`` itself. The run is a batch of one of
+    :func:`_propagate`, with the exact stage maps the module docstring
+    describes; stage maps or readings that would not fit in memory raise
+    ConfigError before anything of their size is built, and a trace drift
+    beyond 1e-8 (or a NaN) at any sample aborts with diagnostics.
     """
-    if initial.space.size != space.size:
-        raise ConfigError("initial state lives on a different space")
+    if initial.space != space:
+        raise ConfigError(f"initial state lives on {initial.space}, not on {space}")
     n_samples = require_count(n_samples, "number of sample points", 2)
     frame_ghz = require_number(frame_ghz, "frame frequency")
     if frame_ghz != 0.0 and include_counter_rotating:
@@ -443,79 +528,12 @@ def evolve(
         )
     initial.validate()
     observables = {n: _observable(op, space, n) for n, op in observables.items()}
-    stages = schedule.stages
-    total = sum(s.duration_ns for s in stages)
-
-    n_preps = sum(st.prep is not None for st in stages)
-    idx, hs, ls = _block_model(
-        params, space, [st.point for st in stages], initial.rho, n_preps,
+    times, readings, final = _propagate(
+        params, space, [schedule], initial.rho, list(observables.values()), n_samples,
         include_counter_rotating, frame_ghz,
     )
-    sel = np.ix_(idx, idx)
-    flips = {
-        tag: _pi_flip_matrix(space, 2 if tag == "pi_q1" else 3, idx)
-        for tag in {st.prep for st in stages} - {None}
-    }
-    if ls:
-        # maps act on the entries of vec(ρ) they can reach; a prep P becomes P ⊗ P̄
-        generators = _superoperator(hs, _dissipator(ls, idx.size))
-        flips = {tag: np.kron(p, p.conj()) for tag, p in flips.items()}
-        vec0 = initial.rho[sel].reshape(-1)
-        keep = _reachable(vec0, [generators, *flips.values()])
-        generators = generators[:, keep][:, :, keep]
-        flips = {tag: f[np.ix_(keep, keep)] for tag, f in flips.items()}
-        rho = vec0[keep].reshape(1, -1, 1)
-        act = np.matmul
-    else:
-        keep = slice(None)
-        generators = -1j * hs
-        rho = initial.rho[sel][None]
-
-        def act(u, rho):
-            return u @ rho @ u.conj().T
-
-    maps = {}
-
-    def hold(k: int, duration: float) -> list[np.ndarray]:
-        if duration <= 0:
-            return []
-        key = (k, round(duration, 12))  # uniform samples share one map
-        if key not in maps:
-            maps[key] = _expm(duration * generators[k])
-        return [maps[key]]
-
-    def prep(k: int) -> list[np.ndarray]:
-        return [flips[stages[k].prep]] if stages[k].prep else []
-
-    # each sample's maps: stage boundaries crossed since the last sample,
-    # with the preps they bring, then the hold up to the sample time
-    times = np.linspace(0.0, total, n_samples)
-    steps, stage_at = [], []
-    pending = prep(0)
-    k, t_now, stage_end = 0, 0.0, stages[0].duration_ns
-    for ts in times:
-        while ts > stage_end + 1e-9 and k + 1 < len(stages):
-            pending += hold(k, stage_end - t_now)
-            t_now = stage_end
-            k += 1
-            stage_end += stages[k].duration_ns
-            pending += prep(k)
-        steps.append(pending + hold(k, ts - t_now))
-        stage_at.append(k)
-        pending, t_now = [], ts
-
-    names = list(observables)
-    rows = _readout_rows(idx, [observables[n] for n in names])[:, keep]
-    readings, rho = _sample(
-        rho, steps, [rows] * n_samples, act,
-        lambda b, j: f"at t = {times[j]:.3f} ns (stage {stage_at[j]}, {idx.size}-state block)",
-    )
-    block = np.zeros(idx.size**2, dtype=complex)
-    block[keep] = rho.reshape(-1)
-    final = np.zeros((space.size, space.size), dtype=complex)
-    final[sel] = block.reshape(idx.size, idx.size)
-    records = {n: readings[0, i + 1] for i, n in enumerate(names)}
-    return TraceSeries(times, records, DensityState(space, final))
+    records = {n: readings[0, i + 1] for i, n in enumerate(observables)}
+    return TraceSeries(times, records, DensityState(space, final[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +607,13 @@ def vacuum_rabi_chevron(
     column's detuning), held for τ, and the qubit-1 excited population
     is recorded. With ``prep_to_readout_ns`` set, the state is further
     evolved at the bias point until that fixed total delay before
-    readout. Runs in the excitation-conserving model on the exact N ≤ 1
-    block, through the block set-up and sample loop of :func:`evolve`, and
-    is lossless on a device whose coherence times are all infinite. The
-    maps act on the entries of vec(ρ) they can reach from qubit 2's excited
-    population (:func:`_reachable`): its 16 one-excitation entries, and the
-    ground population too with dissipation. A
-    trace drift beyond 1e-8 (or a NaN) in any cell raises
-    IntegrationError naming the first such column.
+    readout. Each column is one single-stage schedule at its interaction
+    point, in the excitation-conserving model on the exact N ≤ 1 block, and
+    all columns are one batch of :func:`_propagate`, the core of
+    :func:`evolve`: on 17 reachable entries of vec(ρ) with dissipation, 16
+    with only a readout delay, and as U on the block otherwise. A trace drift
+    beyond 1e-8 (or a NaN) in any cell raises IntegrationError naming the
+    first such column.
 
     ``q2_target``, the offsets, the τ values and a readout delay must be
     finite numbers, the offsets strictly ascending (a single offset is
@@ -613,7 +630,6 @@ def vacuum_rabi_chevron(
     dt = np.diff(taus)
     if abs(taus[0]) > 1e-12 or dt.min() <= 0 or (dt.max() - dt.min()) > GRID_TOL_NS:
         raise ConfigError("interaction times must be a finite uniform ascending grid from 0")
-    dtau = float(dt[0])
     offsets = require_numbers(q1_offsets_mhz, "detuning offsets")
     if offsets.size < 1:
         raise ConfigError("need at least one detuning offset")
@@ -634,32 +650,11 @@ def vacuum_rabi_chevron(
                    f"a chevron of {offsets.size} columns")
     # two levels per mode hold the N <= 1 block, where the anharmonic term vanishes
     space = HilbertSpace((2, 2, 2, 2))
-    rho0 = DensityState.single_excitation(space, 3).rho
     holds = [OperatingPoint(q2_target + off * 1e-3, q2_target) for off in offsets]
-    padded = prep_to_readout_ns is not None
-    # the readout rows are carried through generators on vec(ρ) even on a
-    # lossless device; the stack guard above covers their size
-    idx, hs, ls = _block_model(params, space, holds + [bias] * padded, rho0, 0, False, q2_target)
-    generators = _superoperator(hs, _dissipator(ls, idx.size))
-    vec0 = rho0[np.ix_(idx, idx)].reshape(-1)
-    keep = _reachable(vec0, [generators])
-    generators = generators[:, keep][:, :, keep]
-
-    readout = _readout_rows(idx, [number_operator(space, 2)])[:, keep]
-    # rows[j] reads the state at the end of τ_j; with a fixed readout delay
-    # it is carried backwards through the padding, one step map per τ step
-    rows = [readout] * taus.size
-    if padded:
-        step_pad = _expm(dtau * generators[-1])
-        rows[-1] = readout @ _expm(max(prep_to_readout_ns - taus[-1], 0.0) * generators[-1])
-        for j in range(taus.size - 2, -1, -1):
-            rows[j] = rows[j + 1] @ step_pad
-
-    # every column advances in lockstep, one batched product per τ step
-    step = _expm(dtau * generators[: offsets.size])
-    vecs = np.repeat(vec0[keep].reshape(1, -1, 1), offsets.size, axis=0)
-    readings, _ = _sample(
-        vecs, [[]] + [[step]] * (taus.size - 1), rows, np.matmul,
-        lambda i, j: f"in chevron column {i}",
+    readout = None if prep_to_readout_ns is None else (bias, prep_to_readout_ns)
+    _, readings, _ = _propagate(
+        params, space, [PulseSchedule([Stage(float(taus[-1]), h)]) for h in holds],
+        DensityState.single_excitation(space, 3).rho, [number_operator(space, 2)], taus.size,
+        False, q2_target, readout, "chevron column",
     )
     return ChevronMap(offsets, taus, np.clip(readings[:, 1], 0.0, 1.0))

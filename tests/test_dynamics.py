@@ -413,6 +413,38 @@ def test_evolution_builds_its_stage_stack_on_the_excitation_block(monkeypatch):
     assert len(blocks) == 2 and blocks[1].tolist() == [0, 1, 2, 4, 8]
 
 
+def test_evolve_refuses_a_state_on_another_space_of_the_same_size():
+    # 9 x 9 and 3^4 both have 81 states, but basis state i means different
+    # occupations on each: the state is refused, not read as another one
+    initial = DensityState.single_excitation(HilbertSpace((9, 9)), 1)
+    sched = PulseSchedule([Stage(1.0, BIAS)])
+    with pytest.raises(ConfigError, match="initial state lives on"):
+        evolve(DeviceParams(**lossless()), sched, initial, SPACE3, {}, n_samples=2,
+               include_counter_rotating=False)
+
+
+def test_evolve_refuses_readings_over_the_limit_before_allocating(monkeypatch):
+    # one trace row and three observable rows of 8-byte readings per sample:
+    # the readings alone of one more sample than fits are refused before the
+    # time grid, the readings or any stage map is built
+    def built(*args):
+        raise AssertionError("the lossy generators were built past the guard")
+
+    monkeypatch.setattr(dynamics, "_dissipator", built)
+    observables = {f"n{m}": number_operator(SPACE2, m) for m in range(3)}
+    n_samples = MEMORY_LIMIT // (8 * 4) + 1
+    sched = PulseSchedule([Stage(1.0, BIAS)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"{n_samples} samples of 1 evolution"):
+            evolve(DeviceParams(), sched, DensityState.ground(SPACE2), SPACE2, observables,
+                   n_samples=n_samples, include_counter_rotating=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_frame_with_counter_rotating_rejected():
     p = DeviceParams()
     sched = PulseSchedule([Stage(1.0, BIAS)])
@@ -421,10 +453,12 @@ def test_frame_with_counter_rotating_rejected():
         evolve(p, sched, init, SPACE2, {}, frame_ghz=4.6, include_counter_rotating=True)
 
 
-def test_chevron_column_matches_evolve():
+@pytest.mark.parametrize("p", [DeviceParams(), DeviceParams(**lossless())],
+                         ids=["lossy", "lossless"])
+def test_chevron_column_matches_evolve(p):
     # the chevron and evolve share the stage exponentials: a column without
     # a readout delay is evolve on the same pi-prep, step and hold protocol
-    p = DeviceParams()
+    # (on a lossless device both propagate U on their block)
     taus = np.linspace(0.0, 500.0, 26)
     chev = vacuum_rabi_chevron(p, BIAS, 4.60, np.array([3.0]), taus)
     hold = OperatingPoint(4.603, 4.60)
@@ -435,8 +469,8 @@ def test_chevron_column_matches_evolve():
     )
     assert np.abs(chev.p1[0] - ts.expectations["n_q1"]).max() < 1e-10
 
-    # lossy, with a fixed readout delay: each cell is one evolve run whose
-    # last stage waits at the bias point up to the readout
+    # with a fixed readout delay: each cell is one evolve run whose last
+    # stage waits at the bias point up to the readout
     readout_ns = 800.0
     chev = vacuum_rabi_chevron(p, BIAS, 4.60, np.array([3.0]), taus, readout_ns)
     for j, tau in enumerate(taus):
