@@ -19,8 +19,9 @@ count quanta and a π-prep raises the total excitation number N by at most
 one, so unless a static coupling leads out of the states with
 N ≤ N₀ + (number of π-preps), as counter-rotating terms do, they hold the
 whole evolution exactly and every operator is built on them alone;
-otherwise the full space is used, and a stage map that would not fit in
-memory is refused before it is built.
+otherwise the full space is used. A run whose stage map, block
+Hamiltonians, readings or readout rows would not fit in memory is refused
+by one guard, before anything of the block's size is built.
 
 Within the block, an evolution on vec(ρ) keeps only the entries of vec(ρ)
 that its maps can carry the support of ρ₀ to (:func:`_reachable`); no map
@@ -30,11 +31,15 @@ from a population of the N ≤ 1 block 17 of its 25 entries are kept.
 
 :func:`evolve` and :func:`vacuum_rabi_chevron` run on one propagation core,
 :func:`_propagate`, for a batch of schedules that differ only in their
-operating points. It reads each sample as rows · vec(ρ), row 0 being the
-trace and an observable O the row vec(Oᵀ). ``evolve`` is a batch of one; the
-chevron is one single-stage schedule per detuning column on the N ≤ 1 block,
-read after a fixed readout delay on vec(ρ), even without loss, by rows
-carried backwards through the padding rather than every state forwards.
+operating points. It walks the schedule stage by stage: a stage's generators
+are built when it is entered, its maps as its samples need them, and both
+are dropped when it is left, so memory does not grow with the number of
+stages. It reads each sample as rows · vec(ρ), row 0 being the trace and an
+observable O the row vec(Oᵀ). ``evolve`` is a batch of one; the chevron is
+one single-stage schedule per detuning column on the N ≤ 1 block, read after
+a fixed readout delay on vec(ρ), even without loss, by rows carried
+backwards through the padding (one more stage) rather than every state
+forwards.
 
 Units at the interface: linear GHz for frequencies, MHz for detunings
 and couplings where noted, ns for times, µs for coherence times.
@@ -320,44 +325,6 @@ def _pi_flip_matrix(space: HilbertSpace, mode_index: int, idx: np.ndarray) -> np
     return flip
 
 
-def _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_ghz):
-    """Block indices, block Hamiltonians (a stack, one per point) and block collapse operators.
-
-    The block is the states with N ≤ (largest N on the support of ``rho0``) +
-    ``n_preps``, or the full space if a static coupling of the cached device
-    model leads out of them. It is refused with ConfigError when exponentiating
-    one of its generators, d×d without collapse operators and d²×d² with them,
-    would take more than ``errors.MEMORY_LIMIT``; only then are the model's
-    Hamiltonians built on it, in the frame rotating at ``frame_ghz`` times N.
-    The collapse operators are those of :func:`collapse_operators` on the
-    block, none when every lifetime is infinite. Each lowers or counts the
-    quanta of one mode, so they are built after the guard on the product
-    space truncated above the block's largest N in every mode, not on
-    ``space``.
-    """
-    model = device_model(params, space, counter_rotating)
-    n_exc = space.quanta.sum(axis=0)
-    inside = n_exc <= n_exc[np.any(rho0 != 0, axis=1)].max() + n_preps
-    if np.any(model.h_static[np.ix_(~inside, inside)]):
-        inside[:] = True
-    idx = np.flatnonzero(inside)
-    # whether there are collapse operators does not depend on the space, so
-    # the two-level one answers it before the guard
-    lossy = bool(collapse_operators(params, HilbertSpace([2] * space.n_modes)))
-    require_memory(_expm_bytes(idx.size**2 if lossy else idx.size),
-                   f"a stage map of a {idx.size}-state evolution block")
-    # a mode keeps at least two levels; the product order of the truncated
-    # space lists the block's states in the order of ``space``
-    top = max(n_exc[idx].max(), 1)
-    sub = HilbertSpace([min(d, top + 1) for d in space.dims])
-    at = np.ravel_multi_index(space.quanta[:, idx], sub.dims)
-    ls = [l[np.ix_(at, at)] for l in collapse_operators(params, sub)]
-    hs = model.hamiltonians([p.qubit_freq_1 for p in points], [p.qubit_freq_2 for p in points], idx)
-    if frame_ghz:
-        hs.reshape(len(hs), -1)[:, :: idx.size + 1] -= TWO_PI * frame_ghz * n_exc[idx]
-    return idx, hs, ls
-
-
 def _observable(op, space: HilbertSpace, name: str) -> np.ndarray:
     """``op`` as an array; ConfigError unless it is a finite (d, d) numeric array on ``space``."""
     try:
@@ -381,101 +348,145 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
     i + 1 observable i, as vec(Oᵢᵀ) · vec(ρ). With a fixed ``readout``
     (point, t_ns), each sample is read after waiting at that point until
     t_ns, its rows carried backwards from the readout one grid step at a time.
-    Maps act on the reachable entries of vec(ρ) with collapse operators or a
-    readout, and as ρ → UρU† otherwise; each hold or padding map is one
-    :func:`_expm` stack, with one member per batch member on a stage whose
-    point varies. Memory beyond ``errors.MEMORY_LIMIT`` (per member a stage
-    map being exponentiated, its readings and final state; per sample its
-    time, stage and readout rows) is refused before it is allocated. Trace
-    drift beyond TRACE_TOL (or a NaN) raises IntegrationError at the first
-    failing member and sample, the member named as ``member`` and its index.
+
+    The evolution block is the states with N ≤ (largest N on the support of
+    ``rho0``) + the number of preps, or the full space if a static coupling of
+    the cached device model leads out of them. Maps act on the reachable
+    entries of vec(ρ) with collapse operators or a readout, and as ρ → UρU†
+    otherwise. One guard refuses, before anything of the block's size is
+    built, a run that would take more than ``errors.MEMORY_LIMIT``: per member
+    a stage map being exponentiated, its readings and final state; per point
+    its block Hamiltonian, built in the frame rotating at ``frame_ghz`` times
+    N; per sample its time, stage and readout rows.
+
+    The schedule is walked stage by stage; the readout padding is one more
+    stage, walked before the backward row pass. A stage's generators (one per
+    member where its point varies, one for all otherwise) are built when it is
+    entered and its hold maps as its samples need them, each map one
+    :func:`_expm` stack; both are dropped when it is left, and stages after
+    the last sample are not entered. Trace drift beyond TRACE_TOL (or a NaN)
+    raises IntegrationError at the first failing member and sample, the
+    member named as ``member`` and its index.
     """
     stages = schedules[0].stages
     batch, n_rows, n_stages = len(schedules), 1 + len(observables), len(stages)
-    points = [st.point for sch in schedules for st in sch.stages]
+    model = device_model(params, space, counter_rotating)
+    n_exc = space.quanta.sum(axis=0)
+    n_preps = sum(st.prep is not None for st in stages)
+    inside = n_exc <= n_exc[np.any(rho0 != 0, axis=1)].max() + n_preps
+    if np.any(model.h_static[np.ix_(~inside, inside)]):
+        inside[:] = True
+    idx = np.flatnonzero(inside)
+    # whether there are collapse operators does not depend on the space, so
+    # the two-level one answers it before the guard
+    vec = bool(collapse_operators(params, HilbertSpace([2] * space.n_modes))) or readout is not None
+    m = idx.size**2 if vec else idx.size
+    # stage k's points are points[k * batch:(k + 1) * batch], the readout's last
+    points = [sch.stages[k].point for k in range(n_stages) for sch in schedules]
     if readout is not None:
         points.append(readout[0])
-    n_preps = sum(st.prep is not None for st in stages)
-    idx, hs, ls = _block_model(params, space, points, rho0, n_preps, counter_rotating, frame_ghz)
-    vec = bool(ls) or readout is not None
-    m = idx.size**2 if vec else idx.size
     # a sample's time is a float64 and a Python float, its stage and row slot 8 bytes each
     require_memory(batch * (_expm_bytes(m) + 8 * n_rows * n_samples + 16 * space.size**2)
+                   + 8 * idx.size**2 * len(points)
                    + n_samples * (56 + 16 * n_rows * m * (readout is not None)),
-                   f"{n_samples} samples of {batch} evolution(s) on a {idx.size}-state block")
+                   f"{n_samples} samples of {batch} evolution(s) on a "
+                   f"{idx.size}-state evolution block")
+    hs = model.hamiltonians([p.qubit_freq_1 for p in points], [p.qubit_freq_2 for p in points], idx)
+    if frame_ghz:
+        hs.reshape(len(hs), -1)[:, :: idx.size + 1] -= TWO_PI * frame_ghz * n_exc[idx]
     sel = np.ix_(idx, idx)
     flips = {tag: _pi_flip_matrix(space, 2 if tag == "pi_q1" else 3, idx)
              for tag in {st.prep for st in stages} - {None}}
+    rows = np.stack([np.eye(idx.size)] + [o[sel].T for o in observables]).reshape(n_rows, -1)
+    at = (idx[:, None] * space.size + idx).reshape(-1)  # flat indices in the full ρ
     if vec:
-        # maps act on the entries of vec(ρ) they can reach; a prep P becomes P ⊗ P̄
-        generators = _superoperator(hs, _dissipator(ls, idx.size))
+        # collapse operators lower or count the quanta of one mode, so they are
+        # built on the product space truncated above the block's largest N in
+        # every mode; it keeps two levels a mode at least and lists the block's
+        # states in the order of ``space``
+        sub = HilbertSpace([min(d, max(n_exc[idx].max(), 1) + 1) for d in space.dims])
+        on = np.ravel_multi_index(space.quanta[:, idx], sub.dims)
+        dissipator = _dissipator([l[np.ix_(on, on)] for l in collapse_operators(params, sub)],
+                                 idx.size)
+        # maps act on the entries of vec(ρ) they can reach; a prep P becomes
+        # P ⊗ P̄, and a point changes only H's diagonal, so one point's
+        # generator links the same entries as every other's
         flips = {tag: np.kron(p, p.conj()) for tag, p in flips.items()}
         vec0 = rho0[sel].reshape(-1)
-        keep = _reachable(vec0, [generators, *flips.values()])
-        generators = generators[:, keep][:, :, keep]
+        keep = np.flatnonzero(_reachable(vec0, [_superoperator(hs[0], dissipator),
+                                                *flips.values()]))
         flips = {tag: f[np.ix_(keep, keep)] for tag, f in flips.items()}
         rho = np.repeat(vec0[keep].reshape(1, -1, 1), batch, axis=0)
+        rows, at = rows[:, keep], at[keep]
         act = np.matmul
+
+        def generator(h):
+            return _superoperator(h, dissipator).take(keep, -2).take(keep, -1)
     else:
-        keep = slice(None)
-        generators = -1j * hs
         rho = np.repeat(rho0[sel][None], batch, axis=0)
 
         def act(u, rho):
             return u @ rho @ np.swapaxes(u, -1, -2).conj()
 
-    # stage k's generators (one for all when every member holds one point), then the padding's
-    per_stage = generators[: batch * n_stages].reshape(batch, n_stages, *generators.shape[1:])
-    generators = [
-        g if len({sch.stages[k].point for sch in schedules}) > 1 else g[0]
-        for k, g in enumerate(per_stage.swapaxes(0, 1))
-    ] + list(generators[batch * n_stages:])
-    maps = {}
+        def generator(h):
+            return -1j * h
 
-    def hold(k: int, duration: float) -> list[np.ndarray]:
-        if duration <= 0:
-            return []
-        key = (k, duration)
-        if key not in maps:  # uniform samples share one map, whatever their float noise
-            near = (k, round(duration, 12))
-            maps[key] = maps[near] = maps.get(near) or [_expm(duration * generators[k])]
-        return maps[key]
+    def stage(k):
+        """Stage k's hold (k = n_stages: the readout's), which returns the maps
+        of a hold for ``duration``, none or one. The stage's generators (a stack
+        of one per member where its point varies, one for all otherwise) are
+        built here and each map when first asked for; uniform samples share one
+        map, whatever their float noise."""
+        h = hs[k * batch:(k + 1) * batch]
+        g = generator(h if len(set(points[k * batch:(k + 1) * batch])) > 1 else h[0])
+        maps = {}
 
-    def prep(k: int) -> list[np.ndarray]:
-        return [flips[stages[k].prep]] if stages[k].prep else []
+        def hold(duration: float) -> list[np.ndarray]:
+            if duration <= 0:
+                return []
+            if duration not in maps:
+                near = round(duration, 12)
+                if near not in maps:
+                    maps[near] = [_expm(duration * g)]
+                maps[duration] = maps[near]
+            return maps[duration]
 
-    rows = np.stack([np.eye(idx.size)] + [o[sel].T for o in observables]).reshape(n_rows, -1)
-    rows = rows[:, keep]
+        return hold
+
     times = np.linspace(0.0, sum(st.duration_ns for st in stages), n_samples)
     t = times.tolist()
     sample_rows = [rows] * n_samples
     if readout is not None:
         # sample j waits at the readout point until the readout: its rows are
         # those of sample j + 1 carried back through one step of the uniform grid
-        pad, step = hold(n_stages, readout[1] - t[-1]), hold(n_stages, t[1] - t[0])
+        hold = stage(n_stages)
         for j in range(n_samples - 1, -1, -1):
-            for u in pad if j == n_samples - 1 else step:
+            for u in hold(readout[1] - t[-1] if j == n_samples - 1 else t[1] - t[0]):
                 rows = rows @ u
             sample_rows[j] = rows
 
-    # each sample applies the stage boundaries crossed since the last sample,
-    # with the preps they bring, then the hold up to the sample time
+    # each stage applies its prep, then holds up to each of its samples and on
+    # to its end; a sample on a boundary is read before the next stage's prep
     readings = np.empty((batch, n_rows, n_samples))
     stage_at = []
-    pending = prep(0)
-    k, t_now, stage_end = 0, 0.0, stages[0].duration_ns
-    for j, ts in enumerate(t):
-        while ts > stage_end + 1e-9 and k + 1 < n_stages:
-            pending += hold(k, stage_end - t_now)
-            t_now = stage_end
-            k += 1
-            stage_end += stages[k].duration_ns
-            pending += prep(k)
-        for u in pending + hold(k, ts - t_now):
+    j, t_now, stage_end = 0, 0.0, 0.0
+    for k, st in enumerate(stages):
+        if j == n_samples:
+            break
+        hold = stage(k)
+        stage_end += st.duration_ns
+        if st.prep:
+            rho = act(flips[st.prep], rho)
+        while j < n_samples and (t[j] <= stage_end + 1e-9 or k + 1 == n_stages):
+            for u in hold(t[j] - t_now):
+                rho = act(u, rho)
+            t_now = t[j]
+            readings[:, :, j] = (sample_rows[j] @ rho.reshape(batch, -1, 1))[:, :, 0].real
+            stage_at.append(k)
+            j += 1
+        for u in hold(stage_end - t_now):
             rho = act(u, rho)
-        readings[:, :, j] = (sample_rows[j] @ rho.reshape(batch, -1, 1))[:, :, 0].real
-        stage_at.append(k)
-        pending, t_now = [], ts
+        t_now = stage_end
     tr = readings[:, 0]
     bad = ~(np.abs(tr - 1.0) <= TRACE_TOL)  # a NaN trace counts as drift
     if bad.any():
@@ -483,7 +494,6 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
         where = f" in {member} {b}" if member else ""
         raise IntegrationError(f"trace drifted to {tr[b, j]:.12f} at t = {t[j]:.3f} ns "
                                f"(stage {stage_at[j]}, {idx.size}-state block){where}")
-    at = (idx[:, None] * space.size + idx).reshape(-1)[keep]  # flat indices in the full ρ
     final = np.zeros((batch, space.size, space.size), dtype=complex)
     final.reshape(batch, -1)[:, at] = rho.reshape(batch, -1)
     return times, readings, final
@@ -513,9 +523,11 @@ def evolve(
 
     ``initial`` must live on ``space`` itself. The run is a batch of one of
     :func:`_propagate`, with the exact stage maps the module docstring
-    describes; stage maps or readings that would not fit in memory raise
-    ConfigError before anything of their size is built, and a trace drift
-    beyond 1e-8 (or a NaN) at any sample aborts with diagnostics.
+    describes, built one stage at a time and dropped after it, so memory
+    does not grow with the number of stages. A stage map, stage
+    Hamiltonians or readings that would not fit in memory raise ConfigError
+    from one guard, before anything of the block's size is built, and a
+    trace drift beyond 1e-8 (or a NaN) at any sample aborts with diagnostics.
     """
     if initial.space != space:
         raise ConfigError(f"initial state lives on {initial.space}, not on {space}")

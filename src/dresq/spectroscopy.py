@@ -378,12 +378,15 @@ def gap_vs_setpoint(
 ) -> tuple[list[GapResult | None], list[str | None]]:
     """Map qubit_qubit_gap over a list of qubit-2 setpoints.
 
-    Per-setpoint failures are collected, not fatal: the first return
-    list holds a GapResult or None per setpoint, the second the error
-    message or None. Setpoints that are not a list of numbers (a single
-    number or a string), and a setpoint that qubit_qubit_gap refuses as
-    malformed (text, a bool, NaN, infinite, a scan window reaching 0 GHz,
-    or above 2²³ GHz), raise ConfigError before any setpoint is scanned.
+    A setpoint's PhysicsError (a resonator too close, a bracket too
+    narrow) is collected, not fatal: the first return list holds a
+    GapResult or None per setpoint, the second the error message or None.
+    Setpoints that are not a list of numbers (a single number or a string),
+    and a setpoint that qubit_qubit_gap refuses as malformed (text, a bool,
+    NaN, infinite, a scan window reaching 0 GHz, or above 2²³ GHz), raise
+    ConfigError before any setpoint is scanned. Every setpoint is checked
+    by then, so a ConfigError while scanning (a model too large for memory)
+    is the configuration's fault and is raised, not collected.
     """
     try:
         if isinstance(setpoints, (str, bytes, bytearray)):
@@ -400,7 +403,7 @@ def gap_vs_setpoint(
         try:
             results.append(qubit_qubit_gap(params, f2, space))
             errors.append(None)
-        except (PhysicsError, ConfigError) as exc:
+        except PhysicsError as exc:
             results.append(None)
             errors.append(str(exc))
     return results, errors

@@ -322,6 +322,15 @@ def test_gapscan_non_finite_setpoint_exit_2(tmp_path, capsys, bad):
     assert not (tmp_path / "g").exists()
 
 
+def test_gapscan_model_beyond_the_memory_limit_exit_2(tmp_path, capsys):
+    # every setpoint is admitted, so a refused 8^4 model is the configuration's
+    # fault: it exits 2, not 0 with the refusal written into each gaps.csv row
+    out = tmp_path / "g"
+    assert run(["gapscan", "--setpoints", 4.58, 4.60, "--dims", 8, 8, 8, 8, "--out", out]) == 2
+    assert "4096-state device model needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_beyond_the_memory_limit_exit_2_before_allocating(tmp_path, capsys):
     # 300,000 points at 3^4 need 829 MiB: four words an eigenpair (eigenvalue,
     # dominant state, weight, rank) and five for each of the 6 reported levels

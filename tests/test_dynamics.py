@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dresq import dynamics
+from dresq import dynamics, errors
 from dresq.errors import MEMORY_LIMIT, ConfigError, IntegrationError, PhysicsError
 from dresq.fock import HilbertSpace, number_operator, total_number_operator
 from dresq.device import DeviceModel, DeviceParams, OperatingPoint, device_model
@@ -18,7 +18,6 @@ from dresq.dynamics import (
     evolve,
     two_level_transfer,
     vacuum_rabi_chevron,
-    _block_model,
     _dissipator,
     _expm,
     _expm_bytes,
@@ -372,20 +371,57 @@ def test_block_from_static_couplings_matches_the_leak_rule(
     points = [OperatingPoint(4.60 + d, 4.60) for d in detunings]
     frame = 0.0 if counter_rotating else 4.60
 
+    # a zero-length stage per prep, then a hold at each point
+    sched = PulseSchedule([Stage(0.0, points[0], "pi_q2")] * n_preps
+                          + [Stage(1.0, pt) for pt in points])
+    stage_points = [st.point for st in sched.stages]
     hs = device_model(p, space, counter_rotating).hamiltonians(
-        [pt.qubit_freq_1 for pt in points], [pt.qubit_freq_2 for pt in points]
+        [pt.qubit_freq_1 for pt in stage_points], [pt.qubit_freq_2 for pt in stage_points]
     )
     hs -= dynamics.TWO_PI * frame * total_number_operator(space)
     ls = collapse_operators(p, space)
     expected = leak_rule_block(space, rho, n_preps, list(hs) + ls)
-    if _expm_bytes(expected.size**2 if ls else expected.size) > MEMORY_LIMIT:
-        with pytest.raises(ConfigError, match="evolution block"):
-            _block_model(p, space, points, rho, n_preps, counter_rotating, frame)
-        return
-    idx, block_hs, block_ls = _block_model(p, space, points, rho, n_preps, counter_rotating, frame)
+
+    # the core's block Hamiltonians are the stack it builds (the frame is taken
+    # off in place) and its collapse operators what it builds the dissipator
+    # from; the run stops at the first of _dissipator and _expm, before any map
+    class Built(Exception):
+        pass
+
+    seen = {}
+    real = DeviceModel.hamiltonians
+
+    def hamiltonians(self, f1, f2, idx=None):
+        seen["idx"], seen["hs"] = idx, real(self, f1, f2, idx)
+        return seen["hs"]
+
+    def dissipator(collapse, n):
+        seen["ls"] = collapse
+        raise Built
+
+    def expm(a):
+        raise Built
+
+    def run():
+        evolve(p, sched, DensityState(space, rho), space, {}, n_samples=2,
+               include_counter_rotating=counter_rotating, frame_ghz=frame)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DeviceModel, "hamiltonians", hamiltonians)
+        mp.setattr(dynamics, "_dissipator", dissipator)
+        mp.setattr(dynamics, "_expm", expm)
+        if _expm_bytes(expected.size**2 if ls else expected.size) > MEMORY_LIMIT:
+            with pytest.raises(ConfigError, match="evolution block"):
+                run()
+            assert seen == {}
+            return
+        with pytest.raises(Built):
+            run()
+    idx = seen["idx"]
     assert np.array_equal(idx, expected)
     sel = np.ix_(idx, idx)
-    assert np.array_equal(block_hs, hs[:, idx[:, None], idx])
+    assert np.array_equal(seen["hs"], hs[:, idx[:, None], idx])
+    block_ls = seen.get("ls", [])
     assert len(block_ls) == len(ls)
     assert all(np.array_equal(b, l[sel]) for b, l in zip(block_ls, ls))
 
@@ -411,6 +447,65 @@ def test_evolution_builds_its_stage_stack_on_the_excitation_block(monkeypatch):
     vacuum_rabi_chevron(DeviceParams(), BIAS, 4.60, np.array([0.0, 3.0]),
                         np.linspace(0.0, 100.0, 11), 200.0)
     assert len(blocks) == 2 and blocks[1].tolist() == [0, 1, 2, 4, 8]
+
+
+def stepped_schedule(n_stages, preps=("pi_q2", "pi_q1")):
+    """n_stages stages of 0.1 ns, each at its own point near 4.60 GHz, the first
+    ones opening with the given preps."""
+    preps = list(preps) + [None] * n_stages
+    return PulseSchedule([Stage(0.1, OperatingPoint(4.600 + 0.001 * (k % 5), 4.60), preps[k])
+                          for k in range(n_stages)])
+
+
+def test_memory_does_not_grow_with_the_number_of_stages(monkeypatch):
+    # a lossy rotating-wave run at 3^4 from the ground state with preps on
+    # both qubits (the 15-state N <= 2 block): each stage's generators and
+    # maps are built when it is entered and dropped when it is left
+    members = []
+    real = _superoperator
+
+    def spy(h, dissipator):
+        members.append(int(np.prod(h.shape[:-2])))
+        return real(h, dissipator)
+
+    monkeypatch.setattr(dynamics, "_superoperator", spy)
+    params = DeviceParams()
+    device_model(params, SPACE3, False)
+    peaks = []
+    for n_stages in (4, 20):
+        tracemalloc.start()
+        try:
+            evolve(params, stepped_schedule(n_stages), DensityState.ground(SPACE3), SPACE3, {},
+                   n_samples=2, include_counter_rotating=False, frame_ghz=4.60)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+    # no generator stack holds more members than the batch: one for evolve,
+    # one per column for the chevron
+    assert members and max(members) == 1
+    members.clear()
+    vacuum_rabi_chevron(params, BIAS, 4.60, np.array([-3.0, 0.0, 3.0]),
+                        np.linspace(0.0, 100.0, 11), 200.0)
+    assert members and max(members) == 3
+
+
+def test_stage_hamiltonians_over_the_limit_refused_before_allocating(monkeypatch):
+    # 600 stages of a lossless counter-rotating run at 3^4 need 600 Hamiltonians
+    # on the 81-state full space (8 * 81^2 bytes each, 31 MiB in all), built
+    # before the first stage: over a 16 MiB limit they are refused first
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", 16 * 2**20)
+    params = DeviceParams(**lossless())
+    device_model(params, SPACE3, True)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="81-state evolution block needs 31 MiB"):
+            evolve(params, stepped_schedule(600, ["pi_q2"]), DensityState.ground(SPACE3),
+                   SPACE3, {}, n_samples=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_evolve_refuses_a_state_on_another_space_of_the_same_size():
@@ -515,8 +610,14 @@ def full_vec_oracle(params, sched, initial, space, counter_rotating, frame, time
     with the block indices and the reachable-entry mask."""
     stages = sched.stages
     n_preps = sum(st.prep is not None for st in stages)
-    idx, hs, ls = _block_model(params, space, [st.point for st in stages], initial.rho,
-                               n_preps, counter_rotating, frame)
+    hs = device_model(params, space, counter_rotating).hamiltonians(
+        [st.point.qubit_freq_1 for st in stages], [st.point.qubit_freq_2 for st in stages]
+    )
+    hs -= dynamics.TWO_PI * frame * total_number_operator(space)
+    ls = collapse_operators(params, space)
+    idx = leak_rule_block(space, initial.rho, n_preps, list(hs) + ls)
+    hs = hs[:, idx[:, None], idx]
+    ls = [l[np.ix_(idx, idx)] for l in ls]
     generators = _superoperator(hs, _dissipator(ls, idx.size))
     sel = np.ix_(idx, idx)
     flips = {}
