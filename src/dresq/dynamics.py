@@ -355,7 +355,8 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
     entries of vec(ρ) with collapse operators or a readout, and as ρ → UρU†
     otherwise. One guard refuses, before anything of the block's size is
     built, a run that would take more than ``errors.MEMORY_LIMIT``: per member
-    a stage map being exponentiated, its readings and final state; per point
+    a stage map being exponentiated with the generator and maps held beside
+    it, its readings and final state; the dissipator; per point
     its block Hamiltonian, built in the frame rotating at ``frame_ghz`` times
     N; per sample its time, stage and readout rows.
 
@@ -385,9 +386,14 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
     points = [sch.stages[k].point for k in range(n_stages) for sch in schedules]
     if readout is not None:
         points.append(readout[0])
-    # a sample's time is a float64 and a Python float, its stage and row slot 8 bytes each
-    require_memory(batch * (_expm_bytes(m) + 8 * n_rows * n_samples + 16 * space.size**2)
-                   + 8 * idx.size**2 * len(points)
+    # besides a map being exponentiated, a member holds its stage generator,
+    # the superoperator it was restricted from, the scaled duration · g and
+    # the stage's other two maps at most, each of the map's size, and all
+    # members the dissipator; a sample's time is a float64 and a Python
+    # float, its stage and row slot 8 bytes each
+    require_memory(batch * (_expm_bytes(m) + 5 * 16 * m**2 + 8 * n_rows * n_samples
+                            + 16 * space.size**2)
+                   + 16 * m**2 * vec + 8 * idx.size**2 * len(points)
                    + n_samples * (56 + 16 * n_rows * m * (readout is not None)),
                    f"{n_samples} samples of {batch} evolution(s) on a "
                    f"{idx.size}-state evolution block")

@@ -1,14 +1,20 @@
 """Minimal deterministic SVG emission: line plots and heatmaps.
 
 No external plotting dependency and no timestamps or random ids, so a
-given dataset always serializes to the same bytes. CSV stays the
-authoritative output; these figures are for eyeballing.
+given dataset always serializes to the same bytes on every machine. Line
+plots are vector graphics; a heatmap's cells are raster, one embedded PNG
+with a pixel per cell, whose stored (uncompressed) deflate blocks are
+written here. CSV stays the authoritative output; these figures are for
+eyeballing.
 """
 
 from __future__ import annotations
 
+import binascii
 import io
 import math
+import struct
+import zlib
 
 import numpy as np
 
@@ -20,6 +26,11 @@ MARGIN_TOP = 24
 MARGIN_BOTTOM = 56
 
 PALETTE = ("#1f6fb2", "#d1495b", "#3e8e41", "#8d5fd3", "#c98a1c", "#4a4a4a")
+
+
+def _text(s: str) -> str:
+    """``s`` as SVG character data, with ``&``, ``<`` and ``>`` escaped."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(x: float) -> str:
@@ -85,13 +96,13 @@ class _Canvas:
             b.write(f'<text x="{x0 - 8}" y="{py + 4:.1f}" font-size="11" '
                     f'text-anchor="end" font-family="sans-serif">{_fmt(ty)}</text>\n')
         b.write(f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 16}" font-size="13" '
-                f'text-anchor="middle" font-family="sans-serif">{x_label}</text>\n')
+                f'text-anchor="middle" font-family="sans-serif">{_text(x_label)}</text>\n')
         b.write(f'<text x="18" y="{(y0 + y1) / 2:.1f}" font-size="13" text-anchor="middle" '
                 f'font-family="sans-serif" transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">'
-                f'{y_label}</text>\n')
+                f'{_text(y_label)}</text>\n')
         if title:
             b.write(f'<text x="{(x0 + x1) / 2:.1f}" y="16" font-size="14" '
-                    f'text-anchor="middle" font-family="sans-serif">{title}</text>\n')
+                    f'text-anchor="middle" font-family="sans-serif">{_text(title)}</text>\n')
 
     def finish(self) -> str:
         self.buf.write("</svg>\n")
@@ -126,7 +137,7 @@ def line_plot(
         cv.buf.write(
             f'<text x="{WIDTH - MARGIN_RIGHT - 6}" y="{MARGIN_TOP + 16 + 14 * si}" '
             f'font-size="11" text-anchor="end" font-family="sans-serif" '
-            f'fill="{color}">{name}</text>\n'
+            f'fill="{color}">{_text(name)}</text>\n'
         )
     for name, xv in (markers or {}).items():
         px = cv.px(xv)
@@ -136,32 +147,61 @@ def line_plot(
         )
         cv.buf.write(
             f'<text x="{px + 4:.2f}" y="{MARGIN_TOP + 12}" font-size="10" '
-            f'font-family="sans-serif" fill="#555">{name}</text>\n'
+            f'font-family="sans-serif" fill="#555">{_text(name)}</text>\n'
         )
     return cv.finish()
-
-
-_HEX = np.array([f"{k:02x}" for k in range(256)], dtype=object)
 
 
 def _heat_channels(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map [0, 1] to the 8-bit channels of a dark-blue to yellow ramp."""
     v = np.clip(v, 0.0, 1.0)
     r = (255 * np.minimum(1.0, 1.8 * v)).astype(int)
-    # Python's float pow, not numpy's: the two differ in the last ulp of
-    # some values, which can move a channel by one step
-    g = (255 * np.array([c ** 1.3 for c in v.ravel().tolist()])).astype(int).reshape(v.shape)
+    # green is Python's float pow, not numpy's: the two differ in the last
+    # ulp of some values, which moves a channel by one step only where
+    # 255·v^1.3 sits at an integer, so numpy's power is recomputed there
+    g = 255 * np.power(v, 1.3)
+    near = np.flatnonzero(np.abs(g - np.rint(g)) <= 1e-9)
+    g.flat[near] = [255 * c ** 1.3 for c in v.flat[near].tolist()]
     b = (255 * np.maximum(0.0, 0.55 - 0.55 * v) + 60 * (1 - v)).astype(int)
-    return r, g, np.minimum(b, 255)
+    return r, g.astype(int), np.minimum(b, 255)
+
+
+def _png(rgb: np.ndarray) -> bytes:
+    """An (rows, columns, 3) uint8 array as an 8-bit RGB PNG.
+
+    The image data is zlib-wrapped stored deflate blocks, written here
+    rather than by a compressor, so its bytes depend on no zlib version or
+    buffer size; each row opens with filter byte 0.
+    """
+    rows, cols = rgb.shape[:2]
+    raw = np.zeros((rows, 1 + 3 * cols), dtype=np.uint8)
+    raw[:, 1:] = rgb.reshape(rows, -1)
+    raw = raw.tobytes()
+    blocks = [b"\x78\x01"]
+    for at in range(0, len(raw), 0xFFFF):
+        block = raw[at:at + 0xFFFF]
+        blocks.append(struct.pack("<BHH", at + 0xFFFF >= len(raw), len(block), 0xFFFF ^ len(block)))
+        blocks.append(block)
+    blocks.append(struct.pack(">I", zlib.adler32(raw)))
+
+    def chunk(tag: bytes, data: bytes) -> bytes:
+        return struct.pack(">I", len(data)) + tag + data + struct.pack(">I", zlib.crc32(tag + data))
+
+    return (b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", cols, rows, 8, 2, 0, 0, 0))
+            + chunk(b"IDAT", b"".join(blocks)) + chunk(b"IEND", b""))
 
 
 def heatmap(x, y, z, x_label: str, y_label: str, title: str = "") -> str:
-    """Cell-per-pixel-block heatmap; z indexed as z[i, j] = z(x[i], y[j]).
+    """Heatmap of z[i, j] = z(x[i], y[j]) as one embedded raster image.
 
-    Both axes must be strictly ascending, or ValueError is raised. Each
-    column's x and width and each row's y and height are formatted once;
-    the cells are an (nx, ny, 8) array of string pieces, filled from those
-    and the cells' colour channels by broadcasting, and written as one join.
+    Both axes must be strictly ascending and uniform to rounding (steps
+    within 1e-9 of the first), or ValueError is raised: one pixel per cell
+    cannot show unequal cells. The cells are an nx × ny RGB PNG, largest y
+    on top, stretched over the cells' extent and clipped to their union
+    (the plot frame when each axis has two points or more), so every cell
+    keeps its place and colour. The PNG holds stored deflate blocks, so the
+    figure has the same bytes on every machine.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -169,8 +209,11 @@ def heatmap(x, y, z, x_label: str, y_label: str, title: str = "") -> str:
     if not np.isfinite(z).all():
         raise ValueError("heatmap values must be finite")
     for name, axis in (("x", x), ("y", y)):
-        if not (np.diff(axis) > 0).all():
+        step = np.diff(axis)
+        if not (step > 0).all():
             raise ValueError(f"heatmap {name} axis must be strictly ascending")
+        if (np.abs(step - step[:1]) > 1e-9 * step[:1]).any():
+            raise ValueError(f"heatmap {name} axis must be uniform")
     z_lo, z_hi = float(z.min()), float(z.max())
     span = z_hi - z_lo or 1.0
     cv = _Canvas(
@@ -179,17 +222,20 @@ def heatmap(x, y, z, x_label: str, y_label: str, title: str = "") -> str:
     )
     half_x = 0.5 * (x[1] - x[0]) if len(x) > 1 else 0.5
     half_y = 0.5 * (y[1] - y[0]) if len(y) > 1 else 0.5
-    px0, px1 = cv.px(np.maximum(x - half_x, cv.x_lo)), cv.px(np.minimum(x + half_x, cv.x_hi))
-    py1, py0 = cv.py(np.maximum(y - half_y, cv.y_lo)), cv.py(np.minimum(y + half_y, cv.y_hi))
-    cols = [(f'<rect x="{a:.2f}', f"{b - a:.2f}") for a, b in zip(px0.tolist(), px1.tolist())]
-    rows = [(f'" y="{a:.2f}" width="', f'" height="{b - a:.2f}" fill="#')
-            for a, b in zip(py0.tolist(), py1.tolist())]
-    # a cell's pieces: x and width from its column (0, 2) interleaved with
-    # y and height from its row (1, 3), then its r, g, b and the close
-    pieces = np.empty((len(x), len(y), 8), dtype=object)
-    pieces[:, :, 0:4:2] = np.array(cols, dtype=object)[:, None]
-    pieces[:, :, 1:4:2] = np.array(rows, dtype=object)[None]
-    pieces[:, :, 4:7] = _HEX[np.stack(_heat_channels((z - z_lo) / span), axis=-1)]
-    pieces[:, :, 7] = '"/>\n'
-    cv.buf.write("".join(pieces.ravel().tolist()))
+    rgb = np.stack(_heat_channels((z - z_lo) / span), axis=-1).astype(np.uint8)
+    png = binascii.b2a_base64(_png(rgb.transpose(1, 0, 2)[::-1]), newline=False).decode()
+    # the image spans every cell whole; the clip keeps the part of each
+    # edge cell inside the frame
+    left, right = cv.px(x[0] - half_x), cv.px(x[-1] + half_x)
+    top, bottom = cv.py(y[-1] + half_y), cv.py(y[0] - half_y)
+    clip_l, clip_r = cv.px(max(x[0] - half_x, cv.x_lo)), cv.px(min(x[-1] + half_x, cv.x_hi))
+    clip_t, clip_b = cv.py(min(y[-1] + half_y, cv.y_hi)), cv.py(max(y[0] - half_y, cv.y_lo))
+    cv.buf.write(
+        f'<clipPath id="heatmap-cells"><rect x="{clip_l:.2f}" y="{clip_t:.2f}" '
+        f'width="{clip_r - clip_l:.2f}" height="{clip_b - clip_t:.2f}"/></clipPath>\n'
+        f'<image xmlns:xlink="http://www.w3.org/1999/xlink" x="{left:.2f}" y="{top:.2f}" '
+        f'width="{right - left:.2f}" height="{bottom - top:.2f}" preserveAspectRatio="none" '
+        f'style="image-rendering:pixelated" clip-path="url(#heatmap-cells)" '
+        f'xlink:href="data:image/png;base64,{png}"/>\n'
+    )
     return cv.finish()

@@ -1,12 +1,15 @@
+import base64
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +161,22 @@ def test_chevron_outputs_and_determinism(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["artifacts"]["chevron.csv"] == hashlib.sha256(b1).hexdigest()
     assert "device" in manifest["config"]
+
+
+def test_every_svg_is_well_formed_xml_and_the_chevron_one_image(tmp_path):
+    runs = [["spectrum", "--start", 4.40, "--stop", 4.55, "--points", 11],
+            ["geff", "--points", 5], ["gapscan", "--setpoints", 4.58, 4.60], ["chevron"]]
+    for argv in runs:
+        assert run(argv + ["--out", tmp_path / argv[0]]) == 0
+    svgs = sorted(tmp_path.glob("*/*.svg"))
+    assert [p.name for p in svgs] == ["chevron.svg", "gaps.svg", "geff.svg", "spectrum.svg"]
+    trees = {p.name: ET.parse(p).getroot() for p in svgs}
+    images = trees["chevron.svg"].findall("{http://www.w3.org/2000/svg}image")
+    assert len(images) == 1
+    href = images[0].get("{http://www.w3.org/1999/xlink}href")
+    png = base64.b64decode(href.removeprefix("data:image/png;base64,"))
+    # IHDR is the first chunk: 41 detuning columns by 201 interaction times
+    assert png[12:16] == b"IHDR" and struct.unpack(">II", png[16:24]) == (41, 201)
 
 
 def test_chevron_manifest_of_a_lossless_device_is_strict_json(tmp_path):

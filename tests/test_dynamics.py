@@ -490,16 +490,38 @@ def test_memory_does_not_grow_with_the_number_of_stages(monkeypatch):
     assert members and max(members) == 3
 
 
+def test_memory_guard_counts_the_peak_of_a_lossy_run(monkeypatch):
+    # preps on both qubits make all 225 entries of vec(rho) on the 15-state
+    # block reachable: each stage map is a 225 x 225 exponential, held next
+    # to the stage generator, the dissipator and the stage's other maps
+    counted = []
+    real = dynamics.require_memory
+    monkeypatch.setattr(dynamics, "require_memory", lambda need, what: (
+        counted.append(need), real(need, what)))
+    params = DeviceParams()
+    device_model(params, SPACE3, False)
+    tracemalloc.start()
+    try:
+        evolve(params, stepped_schedule(4), DensityState.ground(SPACE3), SPACE3, {},
+               n_samples=2, include_counter_rotating=False, frame_ghz=4.60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    assert _expm_bytes(225) < peak <= counted[0]
+
+
 def test_stage_hamiltonians_over_the_limit_refused_before_allocating(monkeypatch):
     # 600 stages of a lossless counter-rotating run at 3^4 need 600 Hamiltonians
-    # on the 81-state full space (8 * 81^2 bytes each, 31 MiB in all), built
-    # before the first stage: over a 16 MiB limit they are refused first
+    # on the 81-state full space (8 * 81^2 bytes each, 31 MiB in all, 32 with
+    # a stage's maps), built before the first stage: over a 16 MiB limit they
+    # are refused first
     monkeypatch.setattr(errors, "MEMORY_LIMIT", 16 * 2**20)
     params = DeviceParams(**lossless())
     device_model(params, SPACE3, True)
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match="81-state evolution block needs 31 MiB"):
+        with pytest.raises(ConfigError, match="81-state evolution block needs 32 MiB"):
             evolve(params, stepped_schedule(600, ["pi_q2"]), DensityState.ground(SPACE3),
                    SPACE3, {}, n_samples=2)
         _, peak = tracemalloc.get_traced_memory()

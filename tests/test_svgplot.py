@@ -1,5 +1,9 @@
+import base64
 import math
 import re
+import struct
+import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 import pytest
@@ -19,7 +23,8 @@ def reference_heat_color(v):
 
 
 def reference_heatmap(x, y, z, x_label, y_label, title=""):
-    """The cell-by-cell loop the heatmap must reproduce byte for byte."""
+    """The cell-by-cell loop of rects whose places and colours the heatmap's
+    pixels must reproduce."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -63,19 +68,109 @@ def grids(draw):
     return x, y, z
 
 
+RECT = re.compile(
+    r'<rect x="([-\d.]+)" y="([-\d.]+)" width="([-\d.]+)" height="([-\d.]+)"'
+    r'(?: fill="#([0-9a-f]{6})")?/>'
+)
+IMAGE = re.compile(
+    r'<image xmlns:xlink="http://www.w3.org/1999/xlink" x="([-\d.]+)" y="([-\d.]+)" '
+    r'width="([-\d.]+)" height="([-\d.]+)" .*xlink:href="data:image/png;base64,([^"]+)"/>'
+)
+
+
+def png_pixels(png):
+    """The (rows, columns, 3) pixels of an 8-bit RGB PNG whose rows all use filter 0."""
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, at = {}, 8
+    while at < len(png):
+        (size,) = struct.unpack(">I", png[at:at + 4])
+        tag, data = png[at + 4:at + 8], png[at + 8:at + 8 + size]
+        assert struct.unpack(">I", png[at + 8 + size:at + 12 + size])[0] == zlib.crc32(tag + data)
+        chunks[tag] = data
+        at += 12 + size
+    cols, rows, depth, colour, *_ = struct.unpack(">IIBBBBB", chunks[b"IHDR"])
+    assert (depth, colour) == (8, 2)
+    raw = np.frombuffer(zlib.decompress(chunks[b"IDAT"]), dtype=np.uint8).reshape(rows, -1)
+    assert (raw[:, 0] == 0).all()
+    return raw[:, 1:].reshape(rows, cols, 3)
+
+
+def decoded_heatmap(svg):
+    """The heatmap's clip rect, image rect and pixels (largest y on the top row)."""
+    clip = re.search(r'<clipPath id="heatmap-cells">(<rect [^>]*/>)</clipPath>', svg).group(1)
+    *place, data = IMAGE.search(svg).groups()
+    return (tuple(map(float, RECT.match(clip).groups()[:4])), tuple(map(float, place)),
+            png_pixels(base64.b64decode(data)))
+
+
+def check_against_reference(x, y, z):
+    """The heatmap draws each reference cell's colour in its place, and the
+    rest of the figure is the reference's byte for byte."""
+    svg = heatmap(x, y, z, "x", "y", "t")
+    ref = reference_heatmap(x, y, z, "x", "y", "t")
+    ref_cells = RECT.findall(ref)
+    assert len(ref_cells) == x.size * y.size
+    cells = np.array([c[:4] for c in ref_cells], dtype=float).reshape(x.size, y.size, 4)
+    fills = np.array([[int(c[4][k:k + 2], 16) for k in (0, 2, 4)] for c in ref_cells])
+    (cx, cy, cw, ch), (ix, iy, iw, ih), pixels = decoded_heatmap(svg)
+    # cell (i, j) is pixel (ny - 1 - j, i)
+    assert pixels.shape == (y.size, x.size, 3)
+    assert np.array_equal(pixels[::-1].transpose(1, 0, 2).reshape(-1, 3), fills)
+    # the clip is the union of the cells; each of x, y, width and height is
+    # rounded to 0.01 on its own
+    assert (cx, cy) == (cells[..., 0].min(), cells[..., 1].min())
+    assert abs(cx + cw - (cells[..., 0] + cells[..., 2]).max()) <= 0.0101
+    assert abs(cy + ch - (cells[..., 1] + cells[..., 3]).max()) <= 0.0101
+    left, right = svgplot.MARGIN_LEFT, svgplot.WIDTH - svgplot.MARGIN_RIGHT
+    top, bottom = svgplot.MARGIN_TOP, svgplot.HEIGHT - svgplot.MARGIN_BOTTOM
+    assert min(cw, ch, iw, ih) > 0
+    assert left - 0.005 <= cx and cx + cw <= right + 0.01
+    assert top - 0.005 <= cy and cy + ch <= bottom + 0.01
+    # the image's pixels are the size of a cell not cut by the frame
+    if x.size > 2:
+        assert abs(iw / x.size - cells[1, 0, 2]) <= 0.0101
+    if y.size > 2:
+        assert abs(ih / y.size - cells[0, 1, 3]) <= 0.0101
+    # pixel i's centre is column i's centre, and row j's is row j's
+    pitch_x, pitch_y = iw / x.size, ih / y.size
+    centres_x = cells[:, 0, 0] + cells[:, 0, 2] / 2
+    centres_y = cells[0, :, 1] + cells[0, :, 3] / 2
+    inner = slice(1, -1)  # the edge cells are cut by the frame
+    assert np.allclose(ix + pitch_x * (np.arange(x.size) + 0.5)[inner], centres_x[inner],
+                       atol=0.02)
+    assert np.allclose(iy + pitch_y * (y.size - np.arange(y.size) - 0.5)[inner],
+                       centres_y[inner], atol=0.02)
+    head = svg[:svg.index('<clipPath id="heatmap-cells">')]
+    assert ref.startswith(head) and svg.endswith("/>\n</svg>\n")
+    return svg
+
+
 @settings(max_examples=150, deadline=None)
 @given(grids())
-def test_heatmap_matches_cell_loop(grid):
-    x, y, z = grid
-    assert heatmap(x, y, z, "x", "y", "t") == reference_heatmap(x, y, z, "x", "y", "t")
+def test_heatmap_pixels_match_the_reference_cells(grid):
+    check_against_reference(*grid)
 
 
-def test_heatmap_matches_cell_loop_on_chevron_grid():
+def test_heatmap_pixels_match_the_reference_cells_on_chevron_grid():
     rng = np.random.default_rng(7)
     x = np.linspace(-20, 20, 41)
     y = np.linspace(0, 2000, 201)
-    z = rng.random((41, 201)) ** 3
-    assert heatmap(x, y, z, "d", "t") == reference_heatmap(x, y, z, "d", "t")
+    svg = check_against_reference(x, y, rng.random((41, 201)) ** 3)
+    assert len(svg) < 40_000
+    ET.fromstring(svg)
+
+
+def test_heatmap_image_and_clip_stay_inside_the_frame():
+    # one column on an axis one unit long: its cell, a unit wide around the
+    # point, keeps its right half, from the frame's left edge to its middle,
+    # and the clip cuts the image's left half away
+    x, y = np.array([3.0]), np.linspace(0.0, 10.0, 11)
+    (cx, cy, cw, ch), (ix, iy, iw, ih), pixels = decoded_heatmap(
+        check_against_reference(x, y, np.arange(11.0)[None]))
+    left, right = svgplot.MARGIN_LEFT, svgplot.WIDTH - svgplot.MARGIN_RIGHT
+    top, bottom = svgplot.MARGIN_TOP, svgplot.HEIGHT - svgplot.MARGIN_BOTTOM
+    assert (cx, cy, ch) == (left, top, bottom - top) and cw == (right - left) / 2
+    assert ix == left - cw and ix + iw == cx + cw and pixels.shape == (11, 1, 3)
 
 
 def test_heat_colors_use_the_float_pow_of_each_cell():
@@ -88,26 +183,6 @@ def test_heat_colors_use_the_float_pow_of_each_cell():
     assert [f"#{c[0]:02x}{c[1]:02x}{c[2]:02x}" for c in zip(r, g, b)] == expected
 
 
-CELL = re.compile(
-    r'<rect x="([-\d.]+)" y="([-\d.]+)" width="([-\d.]+)" height="([-\d.]+)" fill="#[0-9a-f]{6}"/>'
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(grids())
-def test_heatmap_cells_have_positive_size_inside_the_frame(grid):
-    x, y, z = grid
-    cells = [tuple(map(float, m)) for m in CELL.findall(heatmap(x, y, z, "x", "y"))]
-    assert len(cells) == x.size * y.size
-    left, right = svgplot.MARGIN_LEFT, svgplot.WIDTH - svgplot.MARGIN_RIGHT
-    top, bottom = svgplot.MARGIN_TOP, svgplot.HEIGHT - svgplot.MARGIN_BOTTOM
-    # each of x, y, width and height is rounded to 0.01 on its own
-    for px, py, w, h in cells:
-        assert w > 0 and h > 0
-        assert left - 0.005 <= px and px + w <= right + 0.01
-        assert top - 0.005 <= py and py + h <= bottom + 0.01
-
-
 @pytest.mark.parametrize("axis", [[1.0, 0.0, -1.0], [0.0, 0.0], [0.0, math.nan]])
 def test_heatmap_rejects_axes_not_strictly_ascending(axis):
     z = np.zeros((len(axis), len(axis)))
@@ -115,6 +190,33 @@ def test_heatmap_rejects_axes_not_strictly_ascending(axis):
         heatmap(axis, np.arange(len(axis)), z, "x", "y")
     with pytest.raises(ValueError, match="y axis must be strictly ascending"):
         heatmap(np.arange(len(axis)), axis, z, "x", "y")
+
+
+@pytest.mark.parametrize("axis", [[0.0, 1.0, 3.0], [0.0, 2.0, 3.0], [0.0, 1.0, 2.0 + 1e-8]])
+def test_heatmap_rejects_axes_not_uniform(axis):
+    # one pixel a cell cannot show cells of unequal size
+    z = np.zeros((len(axis), len(axis)))
+    with pytest.raises(ValueError, match="x axis must be uniform"):
+        heatmap(axis, np.arange(len(axis)), z, "x", "y")
+    with pytest.raises(ValueError, match="y axis must be uniform"):
+        heatmap(np.arange(len(axis)), axis, z, "x", "y")
+
+
+def test_heatmap_accepts_axes_uniform_to_rounding():
+    # the chevron's grids, and steps that differ in their last bits or by
+    # less than 1e-9 of the step
+    for axis in (np.linspace(0.0, 2000.0, 201), np.linspace(-20.0, 20.0, 41),
+                 2999.0 + 0.01 * np.arange(9), np.array([0.0, 1.0, 2.0 + 1e-10])):
+        heatmap(axis, axis, np.zeros((axis.size, axis.size)), "x", "y")
+
+
+def test_text_is_escaped():
+    name = "a < b & c > d"
+    for svg in (svgplot.line_plot([0.0, 1.0], {name: [0.0, 1.0]}, name, name, name,
+                                  markers={name: 0.5}),
+                heatmap([0.0, 1.0], [0.0, 1.0], np.eye(2), name, name, name)):
+        texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert texts.count(name) == (5 if "polyline" in svg else 3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
