@@ -29,17 +29,26 @@ feeds the others, so they stay exactly 0 and every map is restricted to the
 kept ones. In the rotating-wave model the maps conserve N(ket) − N(bra), so
 from a population of the N ≤ 1 block 17 of its 25 entries are kept.
 
+ρ is Hermitian and every map keeps it so, so the kept entries come in
+transposed pairs and the evolution runs in real coordinates on them
+(:func:`_hermitian_basis`): ρ_ii, and √2·Re ρ_ij, √2·Im ρ_ij for each pair
+i < j. That change of basis T is unitary, so each map T A T† is a real
+matrix acting on a real vector: generators, stage maps, π-preps and readout
+rows are float64, half the bytes of the complex maps, and their exponentials
+run in real arithmetic. The final ρ is rebuilt from the real coordinates, its
+transposed entries conjugates bit for bit.
+
 :func:`evolve` and :func:`vacuum_rabi_chevron` run on one propagation core,
 :func:`_propagate`, for a batch of schedules that differ only in their
 operating points. It walks the schedule stage by stage: a stage's generators
 are built when it is entered, its maps as its samples need them, and both
 are dropped when it is left, so memory does not grow with the number of
 stages. It reads each sample as rows · vec(ρ), row 0 being the trace and an
-observable O the row vec(Oᵀ). ``evolve`` is a batch of one; the chevron is
-one single-stage schedule per detuning column on the N ≤ 1 block, read after
-a fixed readout delay on vec(ρ), even without loss, by rows carried
-backwards through the padding (one more stage) rather than every state
-forwards.
+observable O the row vec(Oᵀ). ``evolve`` is a batch of one, on U when it is
+lossless; the chevron is one single-stage schedule per detuning column on the
+N ≤ 1 block, on real vec(ρ) coordinates whenever it has more than one
+column, read after a fixed readout delay by rows carried backwards through
+the padding (one more stage) rather than every state forwards.
 
 Units at the interface: linear GHz for frequencies, MHz for detunings
 and couplings where noted, ns for times, µs for coherence times.
@@ -189,7 +198,14 @@ def collapse_operators(params: DeviceParams, space: HilbertSpace) -> list[np.nda
     measured loss rate and get no collapse operator. ``DeviceParams``
     has already refused non-positive times and T2 > 2·T1.
     """
-    ops: list[np.ndarray] = []
+    return [amplitude * operator(space, mode)
+            for amplitude, operator, mode in _collapse_terms(params)]
+
+
+def _collapse_terms(params: DeviceParams) -> list:
+    """(amplitude, operator function, mode) of each :func:`collapse_operators`
+    member, so whether there are any is known without building one."""
+    terms = []
     for qubit, mode in ((1, 2), (2, 3)):
         t1_us = getattr(params, f"t1_qubit{qubit}")
         t2_us = getattr(params, f"t2_qubit{qubit}")
@@ -199,10 +215,10 @@ def collapse_operators(params: DeviceParams, space: HilbertSpace) -> list[np.nda
         if gamma_phi < -1e-15:
             raise ConfigError(f"negative dephasing rate for qubit {qubit}")
         if gamma1 > 0:
-            ops.append(math.sqrt(gamma1) * lowering_operator(space, mode))
+            terms.append((math.sqrt(gamma1), lowering_operator, mode))
         if gamma_phi > 1e-15:
-            ops.append(math.sqrt(2.0 * gamma_phi) * number_operator(space, mode))
-    return ops
+            terms.append((math.sqrt(2.0 * gamma_phi), number_operator, mode))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +251,51 @@ def _superoperator(h: np.ndarray, dissipator: np.ndarray) -> np.ndarray:
     commutator = (h[..., :, None, :, None] * eye[None, :, None, :]
                   - eye[:, None, :, None] * ht[..., None, :, None, :])
     return dissipator - 1j * commutator.reshape(*h.shape[:-2], n * n, n * n)
+
+
+_SQRT_HALF = math.sqrt(0.5)
+# the weights of a row of T on a diagonal entry, an (i, j) and a (j, i) entry,
+# from the entry itself and its transpose (columns 0, 1 and -1)
+_PAIR_WEIGHTS = np.array([[1.0, _SQRT_HALF, -1j * _SQRT_HALF], [0.0, _SQRT_HALF, 1j * _SQRT_HALF]])
+
+
+def _hermitian_basis(keep: np.ndarray, n: int):
+    """The map T from an n-state block's vec(ρ) to real coordinates on its
+    kept entries ``keep`` (ascending flat indices, closed under transposition).
+
+    Each kept diagonal entry ρ_ii stays; each kept pair (i, j), (j, i) with
+    i < j becomes √2·Re ρ_ij in the place of (i, j) and √2·Im ρ_ij in that of
+    (j, i). On the kept entries T is unitary. Returns ``up`` and ``lo``, the
+    places of the pairs' (i, j) and (j, i) entries, and ``p``, ``w``: entry r
+    of T·vec(ρ) is w[0, r]·vec(ρ)[p[0, r]] + w[1, r]·vec(ρ)[p[1, r]], so T is
+    applied by gathers and never built as a matrix.
+    """
+    place = np.arange(keep.size)
+    partner = np.full(n * n, -1)
+    partner[keep] = place
+    i, j = np.divmod(keep, n)
+    partner = partner[j * n + i]  # the place of each entry's transpose
+    assert (partner >= 0).all(), "kept entries are not closed under transposition"
+    # (i, j) with i < j comes first in row-major order: side is 0 on the
+    # diagonal, 1 for (i, j) and -1 for (j, i)
+    side = np.sign(partner - place)
+    up = np.flatnonzero(side > 0)
+    p = np.empty((2, keep.size), dtype=int)
+    np.minimum(place, partner, out=p[0])
+    np.maximum(place, partner, out=p[1])
+    return up, partner[up], keep[p], _PAIR_WEIGHTS[:, side]
+
+
+def _real_map(a: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """T a T† as float64 for a (…, M, M) stack of maps on vec(ρ) that preserve
+    Hermiticity and keep the kept entries among themselves, whose imaginary
+    part is then rounding alone (``p``, ``w`` from :func:`_hermitian_basis`)."""
+    ta = w[0, :, None] * a.take(p[0], -2)
+    ta += w[1, :, None] * a.take(p[1], -2)
+    w = w.conj()
+    tat = ta.take(p[0], -1) * w[0]
+    tat += ta.take(p[1], -1) * w[1]
+    return tat.real.copy()
 
 
 def _reachable(vec0: np.ndarray, maps) -> np.ndarray:
@@ -295,16 +356,18 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _expm_bytes(n: int) -> int:
-    """Peak bytes of exponentiating one complex n×n matrix.
+def _expm_bytes(n: int, itemsize: int = 16) -> int:
+    """Peak bytes of exponentiating one n×n matrix of ``itemsize``-byte
+    entries, 16 for complex and 8 for real.
 
     :func:`_expm` peaks at eleven matrices of that size, its input
     included (the powers, the Padé sums and the solve); one more holds
     the map it returns. A d-state block has n = d for a lossless
-    generator -iH and n = d² for a Lindblad generator on vec(ρ). A stack
+    generator -iH, complex, and n ≤ d² for a Lindblad generator on the
+    reachable entries of vec(ρ), real in Hermitian coordinates. A stack
     of m matrices takes m times as much.
     """
-    return 12 * 16 * n**2
+    return 12 * itemsize * n**2
 
 
 def _pi_flip_matrix(space: HilbertSpace, mode_index: int, idx: np.ndarray) -> np.ndarray:
@@ -351,14 +414,18 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
 
     The evolution block is the states with N ≤ (largest N on the support of
     ``rho0``) + the number of preps, or the full space if a static coupling of
-    the cached device model leads out of them. Maps act on the reachable
-    entries of vec(ρ) with collapse operators or a readout, and as ρ → UρU†
-    otherwise. One guard refuses, before anything of the block's size is
-    built, a run that would take more than ``errors.MEMORY_LIMIT``: per member
-    a stage map being exponentiated with the generator and maps held beside
-    it, its readings and final state; the dissipator; per point
-    its block Hamiltonian, built in the frame rotating at ``frame_ghz`` times
-    N; per sample its time, stage and readout rows.
+    the cached device model leads out of them. With collapse operators, a
+    readout or more than one schedule, maps act on the real Hermitian
+    coordinates of the reachable entries of vec(ρ) (``rho0`` enters by its
+    Hermitian part): each generator, stage map and π-prep is the real matrix
+    T A T†, the readout rows Re(rows · T†) and the state real, and the final ρ
+    is T† x. A lone lossless schedule propagates ρ → UρU† with a complex U.
+    One guard refuses, before anything of the block's size is built, a run
+    that would take more than ``errors.MEMORY_LIMIT``: per member a stage map
+    being exponentiated (8-byte entries on vec(ρ), 16 for U) with the
+    generator and maps held beside it, its readings and final state; the
+    dissipator; per point its block Hamiltonian, built in the frame rotating
+    at ``frame_ghz`` times N; per sample its time, stage and readout rows.
 
     The schedule is walked stage by stage; the readout padding is one more
     stage, walked before the backward row pass. A stage's generators (one per
@@ -378,23 +445,25 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
     if np.any(model.h_static[np.ix_(~inside, inside)]):
         inside[:] = True
     idx = np.flatnonzero(inside)
-    # whether there are collapse operators does not depend on the space, so
-    # the two-level one answers it before the guard
-    vec = bool(collapse_operators(params, HilbertSpace([2] * space.n_modes))) or readout is not None
+    # a batch of schedules, a readout or collapse operators (known before the
+    # guard without building any) put the evolution on vec(ρ)
+    vec = bool(_collapse_terms(params)) or readout is not None or batch > 1
     m = idx.size**2 if vec else idx.size
     # stage k's points are points[k * batch:(k + 1) * batch], the readout's last
     points = [sch.stages[k].point for k in range(n_stages) for sch in schedules]
     if readout is not None:
         points.append(readout[0])
     # besides a map being exponentiated, a member holds its stage generator,
-    # the superoperator it was restricted from, the scaled duration · g and
-    # the stage's other two maps at most, each of the map's size, and all
-    # members the dissipator; a sample's time is a float64 and a Python
-    # float, its stage and row slot 8 bytes each
-    require_memory(batch * (_expm_bytes(m) + 5 * 16 * m**2 + 8 * n_rows * n_samples
+    # the scaled duration · g and the stage's other two maps at most, each of
+    # the map's size (real entries of 8 bytes on vec(ρ), complex ones of 16
+    # for U), and all members the complex dissipator; building a real
+    # generator from its complex superoperator peaks lower. A sample's time is
+    # a float64 and a Python float, its stage and row slot 8 bytes each
+    item = 8 if vec else 16
+    require_memory(batch * (_expm_bytes(m, item) + 5 * item * m**2 + 8 * n_rows * n_samples
                             + 16 * space.size**2)
                    + 16 * m**2 * vec + 8 * idx.size**2 * len(points)
-                   + n_samples * (56 + 16 * n_rows * m * (readout is not None)),
+                   + n_samples * (56 + item * n_rows * m * (readout is not None)),
                    f"{n_samples} samples of {batch} evolution(s) on a "
                    f"{idx.size}-state evolution block")
     hs = model.hamiltonians([p.qubit_freq_1 for p in points], [p.qubit_freq_2 for p in points], idx)
@@ -416,18 +485,28 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
                                  idx.size)
         # maps act on the entries of vec(ρ) they can reach; a prep P becomes
         # P ⊗ P̄, and a point changes only H's diagonal, so one point's
-        # generator links the same entries as every other's
+        # generator links the same entries as every other's. Every map keeps
+        # ρ Hermitian, so from the support of ρ₀ closed under transposition
+        # the kept entries come in transposed pairs
         flips = {tag: np.kron(p, p.conj()) for tag, p in flips.items()}
-        vec0 = rho0[sel].reshape(-1)
-        keep = np.flatnonzero(_reachable(vec0, [_superoperator(hs[0], dissipator),
-                                                *flips.values()]))
-        flips = {tag: f[np.ix_(keep, keep)] for tag, f in flips.items()}
-        rho = np.repeat(vec0[keep].reshape(1, -1, 1), batch, axis=0)
-        rows, at = rows[:, keep], at[keep]
+        block0 = rho0[sel]
+        vec0, support = block0.reshape(-1), block0 != 0
+        keep = np.flatnonzero(_reachable((support | support.T).reshape(-1),
+                                         [_superoperator(hs[0], dissipator), *flips.values()]))
+        # real Hermitian coordinates x = T vec(ρ) on the kept entries, in which
+        # every map T A T† is real
+        up, lo, pick, weight = _hermitian_basis(keep, idx.size)
+        flips = {tag: _real_map(f, pick, weight) for tag, f in flips.items()}
+        x0 = (weight[0] * vec0[pick[0]] + weight[1] * vec0[pick[1]]).real
+        rho = np.repeat(x0.reshape(1, -1, 1), batch, axis=0)
+        # a reading keeps only the real part, so Re(rows · T†) reads x exactly
+        rows = np.ascontiguousarray((rows.take(pick[0], -1) * weight[0].conj()
+                                     + rows.take(pick[1], -1) * weight[1].conj()).real)
+        at = at[keep]
         act = np.matmul
 
         def generator(h):
-            return _superoperator(h, dissipator).take(keep, -2).take(keep, -1)
+            return _real_map(_superoperator(h, dissipator), pick, weight)
     else:
         rho = np.repeat(rho0[sel][None], batch, axis=0)
 
@@ -500,8 +579,14 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
         where = f" in {member} {b}" if member else ""
         raise IntegrationError(f"trace drifted to {tr[b, j]:.12f} at t = {t[j]:.3f} ns "
                                f"(stage {stage_at[j]}, {idx.size}-state block){where}")
+    rho = rho.reshape(batch, -1)
+    if vec:
+        # vec(ρ) = T† x, whose transposed entries are conjugates bit for bit
+        x, rho = rho, rho.astype(complex)
+        rho[:, up] = (x[:, up] + 1j * x[:, lo]) * _SQRT_HALF
+        rho[:, lo] = rho[:, up].conj()
     final = np.zeros((batch, space.size, space.size), dtype=complex)
-    final.reshape(batch, -1)[:, at] = rho.reshape(batch, -1)
+    final.reshape(batch, -1)[:, at] = rho
     return times, readings, final
 
 
@@ -599,13 +684,19 @@ class ChevronMap:
             )
 
     def to_csv(self) -> str:
-        """One line per cell, detuning-major, built one detuning at a time."""
+        """One line per cell, detuning-major, one ``%`` format per detuning.
+
+        The τ text is fixed once in a template of a column's lines; each
+        detuning fills it from its (detuning, p1) pairs.
+        """
         buf = io.StringIO()
         buf.write("detuning_mhz,tau_ns,p1\n")
-        taus = [f",{t:.9g}," for t in self.taus_ns]
+        template = "".join([f"%s,{t:.9g},%.9f\n" for t in self.taus_ns])
+        cells = [None] * (2 * len(self.taus_ns))
         for d, row in zip(self.detunings_mhz, self.p1.tolist()):
-            lead = f"{d:.9g}"
-            buf.write("".join([f"{lead}{t}{p:.9f}\n" for t, p in zip(taus, row)]))
+            cells[0::2] = [f"{d:.9g}"] * len(row)
+            cells[1::2] = row
+            buf.write(template % tuple(cells))
         return buf.getvalue()
 
 
@@ -628,10 +719,12 @@ def vacuum_rabi_chevron(
     readout. Each column is one single-stage schedule at its interaction
     point, in the excitation-conserving model on the exact N ≤ 1 block, and
     all columns are one batch of :func:`_propagate`, the core of
-    :func:`evolve`: on 17 reachable entries of vec(ρ) with dissipation, 16
-    with only a readout delay, and as U on the block otherwise. A trace drift
-    beyond 1e-8 (or a NaN) in any cell raises IntegrationError naming the
-    first such column.
+    :func:`evolve`, in real Hermitian coordinates on the reachable entries of
+    vec(ρ): 17 with dissipation, 16 without, so every step map is a real
+    17 × 17 or 16 × 16 matrix (a lone lossless column without a readout
+    delay runs as U on the block, as ``evolve`` does). A trace drift beyond
+    1e-8 (or a NaN) in any cell raises IntegrationError naming the first
+    such column.
 
     ``q2_target``, the offsets, the τ values and a readout delay must be
     finite numbers, the offsets strictly ascending (a single offset is
@@ -662,8 +755,9 @@ def vacuum_rabi_chevron(
             )
 
     # the N <= 1 block has 5 states (ground, one excitation in each mode); each
-    # column costs at most one 25 x 25 member of the step-map stack (fewer
-    # entries of vec(ρ) are reachable) plus 3 floats per τ
+    # column costs at most the exponential of one complex 25 x 25 generator
+    # (its real step map on the fewer reachable entries of vec(ρ) takes less)
+    # plus 3 floats per τ
     require_memory(offsets.size * (_expm_bytes(25) + 24 * taus.size),
                    f"a chevron of {offsets.size} columns")
     # two levels per mode hold the N <= 1 block, where the anharmonic term vanishes

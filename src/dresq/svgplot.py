@@ -192,16 +192,25 @@ def _png(rgb: np.ndarray) -> bytes:
             + chunk(b"IDAT", b"".join(blocks)) + chunk(b"IEND", b""))
 
 
+def _cell_range(axis: np.ndarray) -> tuple[float, float]:
+    """The plotted range of a heatmap axis: its first to last point, or for a
+    single point the unit-wide cell around it."""
+    if axis.size == 1:
+        return float(axis[0]) - 0.5, float(axis[0]) + 0.5
+    return float(axis.min()), float(axis.max())
+
+
 def heatmap(x, y, z, x_label: str, y_label: str, title: str = "") -> str:
     """Heatmap of z[i, j] = z(x[i], y[j]) as one embedded raster image.
 
     Both axes must be strictly ascending and uniform to rounding (steps
     within 1e-9 of the first), or ValueError is raised: one pixel per cell
     cannot show unequal cells. The cells are an nx × ny RGB PNG, largest y
-    on top, stretched over the cells' extent and clipped to their union
-    (the plot frame when each axis has two points or more), so every cell
-    keeps its place and colour. The PNG holds stored deflate blocks, so the
-    figure has the same bytes on every machine.
+    on top, stretched over the cells' extent and clipped to the plot frame.
+    The frame spans an axis from its first to its last point, or over the
+    unit-wide cell around its one point, so every cell keeps its place and
+    colour and the cells fill the frame. The PNG holds stored deflate
+    blocks, so the figure has the same bytes on every machine.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -216,10 +225,7 @@ def heatmap(x, y, z, x_label: str, y_label: str, title: str = "") -> str:
             raise ValueError(f"heatmap {name} axis must be uniform")
     z_lo, z_hi = float(z.min()), float(z.max())
     span = z_hi - z_lo or 1.0
-    cv = _Canvas(
-        (float(x.min()), float(x.max())), (float(y.min()), float(y.max())),
-        x_label, y_label, title,
-    )
+    cv = _Canvas(_cell_range(x), _cell_range(y), x_label, y_label, title)
     half_x = 0.5 * (x[1] - x[0]) if len(x) > 1 else 0.5
     half_y = 0.5 * (y[1] - y[0]) if len(y) > 1 else 0.5
     rgb = np.stack(_heat_channels((z - z_lo) / span), axis=-1).astype(np.uint8)
@@ -228,11 +234,10 @@ def heatmap(x, y, z, x_label: str, y_label: str, title: str = "") -> str:
     # edge cell inside the frame
     left, right = cv.px(x[0] - half_x), cv.px(x[-1] + half_x)
     top, bottom = cv.py(y[-1] + half_y), cv.py(y[0] - half_y)
-    clip_l, clip_r = cv.px(max(x[0] - half_x, cv.x_lo)), cv.px(min(x[-1] + half_x, cv.x_hi))
-    clip_t, clip_b = cv.py(min(y[-1] + half_y, cv.y_hi)), cv.py(max(y[0] - half_y, cv.y_lo))
     cv.buf.write(
-        f'<clipPath id="heatmap-cells"><rect x="{clip_l:.2f}" y="{clip_t:.2f}" '
-        f'width="{clip_r - clip_l:.2f}" height="{clip_b - clip_t:.2f}"/></clipPath>\n'
+        f'<clipPath id="heatmap-cells"><rect x="{MARGIN_LEFT:.2f}" y="{MARGIN_TOP:.2f}" '
+        f'width="{WIDTH - MARGIN_LEFT - MARGIN_RIGHT:.2f}" '
+        f'height="{HEIGHT - MARGIN_TOP - MARGIN_BOTTOM:.2f}"/></clipPath>\n'
         f'<image xmlns:xlink="http://www.w3.org/1999/xlink" x="{left:.2f}" y="{top:.2f}" '
         f'width="{right - left:.2f}" height="{bottom - top:.2f}" preserveAspectRatio="none" '
         f'style="image-rendering:pixelated" clip-path="url(#heatmap-cells)" '

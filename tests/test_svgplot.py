@@ -30,8 +30,10 @@ def reference_heatmap(x, y, z, x_label, y_label, title=""):
     z = np.asarray(z, dtype=float)
     z_lo, z_hi = float(z.min()), float(z.max())
     span = z_hi - z_lo or 1.0
+    # an axis of one point is drawn over the unit-wide cell around it
     cv = _Canvas(
-        (float(x.min()), float(x.max())), (float(y.min()), float(y.max())),
+        *[(float(a.min()), float(a.max())) if a.size > 1 else (a[0] - 0.5, a[0] + 0.5)
+          for a in (x, y)],
         x_label, y_label, title,
     )
     half_x = 0.5 * (x[1] - x[0]) if len(x) > 1 else 0.5
@@ -161,16 +163,22 @@ def test_heatmap_pixels_match_the_reference_cells_on_chevron_grid():
 
 
 def test_heatmap_image_and_clip_stay_inside_the_frame():
-    # one column on an axis one unit long: its cell, a unit wide around the
-    # point, keeps its right half, from the frame's left edge to its middle,
-    # and the clip cuts the image's left half away
+    # one column: its axis spans the unit-wide cell around the point, so the
+    # column's image covers the frame from edge to edge and the clip is the
+    # frame; along the other axis the edge cells are cut at the frame
     x, y = np.array([3.0]), np.linspace(0.0, 10.0, 11)
     (cx, cy, cw, ch), (ix, iy, iw, ih), pixels = decoded_heatmap(
         check_against_reference(x, y, np.arange(11.0)[None]))
     left, right = svgplot.MARGIN_LEFT, svgplot.WIDTH - svgplot.MARGIN_RIGHT
     top, bottom = svgplot.MARGIN_TOP, svgplot.HEIGHT - svgplot.MARGIN_BOTTOM
-    assert (cx, cy, ch) == (left, top, bottom - top) and cw == (right - left) / 2
-    assert ix == left - cw and ix + iw == cx + cw and pixels.shape == (11, 1, 3)
+    assert (cx, cy, cw, ch) == (left, top, right - left, bottom - top)
+    assert (ix, iw) == (left, right - left) and pixels.shape == (11, 1, 3)
+    assert iy < top and iy + ih > bottom
+    # one point on both axes: the one cell is the frame
+    (cx, cy, cw, ch), (ix, iy, iw, ih), pixels = decoded_heatmap(
+        check_against_reference(np.array([-2.0]), np.array([40.0]), np.array([[0.3]])))
+    assert (cx, cy, cw, ch) == (ix, iy, iw, ih) == (left, top, right - left, bottom - top)
+    assert pixels.shape == (1, 1, 3)
 
 
 def test_heat_colors_use_the_float_pow_of_each_cell():
