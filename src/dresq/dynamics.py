@@ -171,9 +171,6 @@ class DensityState:
                 f"density matrix lost positivity (min eigenvalue {evals.min():.2e})"
             )
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.rho @ self.rho)))
-
 
 @dataclass
 class TraceSeries:
@@ -637,30 +634,6 @@ def evolve(
     )
     records = {n: readings[0, i + 1] for i, n in enumerate(observables)}
     return TraceSeries(times, records, DensityState(space, final[0]))
-
-
-# ---------------------------------------------------------------------------
-# closed-form two-level reference
-
-
-def two_level_transfer(g_eff_mhz: float, delta12_mhz: float, t_ns) -> np.ndarray | float:
-    """Excitation-transfer probability of the resonant exchange model.
-
-    P(t) = [4g² / (Δ² + 4g²)] · sin²(π √(4g² + Δ²) t) with g and Δ in
-    linear frequency and t in matching time units. Peak value
-    4g²/(Δ²+4g²); on resonance the first full transfer is at
-    t = 1/(4g).
-    """
-    g = g_eff_mhz * 1e-3  # GHz, pairs with t in ns
-    d = delta12_mhz * 1e-3
-    denom = d * d + 4.0 * g * g
-    if denom == 0.0:
-        return np.zeros_like(np.asarray(t_ns, dtype=float)) if np.ndim(t_ns) else 0.0
-    amp = 4.0 * g * g / denom
-    f = math.sqrt(denom)
-    t = np.asarray(t_ns, dtype=float)
-    p = amp * np.sin(math.pi * f * t) ** 2
-    return p if np.ndim(t_ns) else float(p)
 
 
 # ---------------------------------------------------------------------------

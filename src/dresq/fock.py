@@ -93,6 +93,3 @@ def number_operator(space: HilbertSpace, mode_index: int) -> np.ndarray:
     """Photon-number operator a†a of one mode (diagonal, integer spectrum)."""
     _check_mode(space, mode_index)
     return np.diag(space.quanta[mode_index].astype(float))
-
-def total_number_operator(space: HilbertSpace) -> np.ndarray:
-    return np.diag(space.quanta.sum(axis=0).astype(float))

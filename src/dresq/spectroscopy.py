@@ -7,12 +7,13 @@ tagged with the bare product state they overlap most, or "mixed" when no
 bare state dominates. Every diagonalization goes through one helper: the
 model builds the stack of block Hamiltonians of a batch of points, and
 each slice of at most STACK_SLICE_BYTES of it is one call of ``eigh`` (a
-spectrum, whose labels read eigenvectors) or ``eigvalsh``. Gap tracking and
-the co-tuned half gap need only the odd block, which holds the qubit-qubit
-anti-crossing, and its eigenvalues: the bare energies fix the qubit pair. A
-gap is scanned over its setpoint ± 20 MHz, bracketed by a 5-point grid, one
-such stack, and then located by a few parabolic vertex steps on the squared
-separation, one point each. The co-tuned half gap takes an array of points.
+spectrum, whose labels read eigenvectors) or ``eigvalsh``. A gap of any
+two modes needs only the odd block, which holds every single excitation,
+and its eigenvalues: the bare energies fix the level pair. One scan locates
+every gap: a qubit is swept over the qubit-2 setpoint ± 20 MHz or a
+resonator ± 50 MHz, bracketed by a 5-point grid, one such stack, and the
+minimum located by a few parabolic vertex steps on the squared separation,
+one point each. The co-tuned half gap takes an array of points.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ GAP_HALF_SPAN = 0.020
 GAP_VERTEX_STEPS = 8
 GAP_LOCATION_RESOLUTION = 1e-9
 
+# half width (GHz) of a qubit-resonator gap scan about the resonator: 3 vertex
+# steps for the default 54-60 MHz gaps at 3^4, where ± 90 MHz took 5-8
+RESONATOR_GAP_HALF_SPAN = 0.050
+
 # most bytes of one slice at two n x n arrays a member, what an eigh call
 # holds (block and eigenvectors); an eigvalsh slice holds half of it. A
 # 5-point 3^4 gap scan (0.13 MB) is one slice, 4^4 parity blocks go 4 points
@@ -90,9 +95,8 @@ class SpectrumSweep:
 class GapResult:
     """Minimum separation of two tracked dressed levels along a sweep.
 
-    ``level_pair`` indexes the ascending levels the separation was taken
-    from: those of the whole sweep for :func:`min_labeled_separation`, and
-    those of the odd-parity block for :func:`qubit_qubit_gap`.
+    ``level_pair`` indexes the ascending levels of the odd-parity block the
+    separation was taken from.
     """
 
     gap_mhz: float
@@ -201,35 +205,6 @@ def sweep_spectrum(
     return SpectrumSweep(axis, values, levels, _label_table(space)[state].tolist(), np.sqrt(weight))
 
 
-def min_labeled_separation(sweep: SpectrumSweep, label_a: str, label_b: str) -> GapResult:
-    """Smallest distance between the levels tagged label_a and label_b.
-
-    Works on sweeps where both tags stay identifiable (away from deep
-    mixing); at each sweep point the best-overlap representative of each
-    tag is used.
-    """
-    best_gap = math.inf
-    best_loc = None
-    best_pair = (0, 0)
-    for i, sv in enumerate(sweep.sweep_values):
-        idx = {}
-        for k, lab in enumerate(sweep.labels[i]):
-            if lab in (label_a, label_b):
-                if lab not in idx or sweep.overlaps[i, k] > sweep.overlaps[i, idx[lab]]:
-                    idx[lab] = k
-        if label_a in idx and label_b in idx:
-            gap = abs(sweep.levels[i, idx[label_a]] - sweep.levels[i, idx[label_b]])
-            if gap < best_gap:
-                best_gap = gap
-                best_loc = float(sv)
-                best_pair = (idx[label_a], idx[label_b])
-    if best_loc is None:
-        raise PhysicsError(
-            f"labels {label_a!r} and {label_b!r} never simultaneously identifiable"
-        )
-    return GapResult(best_gap * 1e3, best_loc, best_pair)
-
-
 def _block_slices(model: DeviceModel, f1s: np.ndarray, f2s: np.ndarray, idx: np.ndarray,
                   solve, store) -> None:
     """Diagonalize the block ``idx`` at every point (f1s[k], f2s[k]), a slice at a time.
@@ -246,40 +221,91 @@ def _block_slices(model: DeviceModel, f1s: np.ndarray, f2s: np.ndarray, idx: np.
 
 
 def _tracked_separations(
-    params: DeviceParams, f1s, f2s, space: HilbertSpace
+    params: DeviceParams, f1s, f2s, space: HilbertSpace, modes=(2, 3)
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Separations (GHz) of the two qubit-like dressed levels, and their pairs.
+    """Separations (GHz) of the dressed levels of two modes, and their pairs.
 
-    One separation per point (f1s[k], f2s[k]). Both single-qubit excitations
-    are odd, so only the odd block's eigenvalues are found (by
-    :func:`_block_slices`); row k of the (k, 2) pairs indexes its ascending
-    levels at point k. Anti-crossings keep the level order, so the pair is
-    the sorted ranks of the bare q1 and q2 states among the block's bare
-    energies, its diagonal, a qubit below any other state of its energy and
-    q1 below q2: in the band, the ranks of f₁ and f₂ among (ω_a, ω_b, f₁, f₂),
-    but three-excitation states fall below a qubit under 3|α| (0.75 GHz) at 4⁴.
-    Co-tuned within about 5 MHz inside a resonator's band, the two levels of
-    largest qubit weight are instead a dark qubit state and a resonator hybrid.
-    With 6·g_max under 20 MHz a resonator can lie inside a gap scan's window,
-    3·g_max clear of its setpoint and its ends, and the ranks follow qubit 1
-    past it.
+    One separation per point (f1s[k], f2s[k]); ``modes`` are two indices
+    into MODE_NAMES, the qubits by default. Every single excitation is odd,
+    so only the odd block's eigenvalues are found (by :func:`_block_slices`);
+    row k of the (k, 2) pairs indexes its ascending levels at point k.
+    Anti-crossings keep the level order, so the pair is the sorted ranks of
+    the two modes' bare single-excitation states among the block's bare
+    energies, its diagonal, a tracked state below any other state of its
+    energy: for the qubits in the band, the ranks of f₁ and f₂ among
+    (ω_a, ω_b, f₁, f₂), but three-excitation states fall below a qubit under
+    3|α| (0.75 GHz) at 4⁴. Co-tuned within about 5 MHz inside a resonator's
+    band, the two levels of largest qubit weight are instead a dark qubit
+    state and a resonator hybrid. With 6·g_max under 20 MHz a resonator can
+    lie inside a gap scan's window, 3·g_max clear of its setpoint and its
+    ends, and the ranks follow qubit 1 past it.
     """
     model = device_model(params, space, True)
-    s_q1, s_q2 = np.searchsorted(model.odd, space.single_excitation_indices()[2:])
+    tracked = np.searchsorted(model.odd, np.take(space.single_excitation_indices(), modes))
     seps = np.empty(len(f1s))
     pairs = np.empty((len(f1s), 2), dtype=int)
 
     def store(part, solved):
         bare, evals = solved
-        qubits = np.sort(bare[:, [s_q1, s_q2]], axis=1)
-        pairs[part] = np.count_nonzero(bare[:, None, :] < qubits[:, :, None], axis=2)
-        pairs[part, 1] += qubits[:, 0] == qubits[:, 1]
+        states = np.sort(bare[:, tracked], axis=1)
+        pairs[part] = np.count_nonzero(bare[:, None, :] < states[:, :, None], axis=2)
+        pairs[part, 1] += states[:, 0] == states[:, 1]
         levels = np.take_along_axis(evals, pairs[part], axis=1)
         seps[part] = np.abs(levels[:, 1] - levels[:, 0]) / TWO_PI
 
     _block_slices(model, f1s, f2s, model.odd,
                   lambda h: (np.diagonal(h, axis1=1, axis2=2), np.linalg.eigvalsh(h)), store)
     return seps, pairs
+
+
+def _min_separation(params: DeviceParams, space: HilbertSpace, modes, swept_qubit: int,
+                    parked_ghz: float, lo: float, hi: float) -> GapResult:
+    """Minimum separation of the levels of ``modes`` as qubit ``swept_qubit``
+    sweeps (lo, hi), the other parked at ``parked_ghz``.
+
+    A coarse grid of GAP_GRID points brackets the minimum; it is one stack of
+    odd-block Hamiltonians, diagonalized in slices of at most
+    STACK_SLICE_BYTES. Near an anti-crossing sep² is very nearly a parabola
+    in the swept frequency, so three points are held, the grid minimum and
+    its two neighbours, and at most GAP_VERTEX_STEPS parabolic steps follow
+    (Brent 1973). Each evaluates the vertex of the parabola through the held
+    points on sep², a stack of one, and its point replaces the worst held
+    point when it beats it, so the best three of four are kept. The steps
+    stop when the held points do not open upwards or their vertex leaves the
+    window, when the vertex lies within GAP_LOCATION_RESOLUTION of a held
+    point, or when a step beats none of them; the best point held is
+    returned, its location the swept qubit's frequency. A minimum on the
+    window's edge raises PhysicsError.
+    """
+
+    def separations(swept):
+        parked = np.full(len(swept), parked_ghz)
+        f1s, f2s = (swept, parked) if swept_qubit == 1 else (parked, swept)
+        return _tracked_separations(params, f1s, f2s, space, modes)
+
+    grid = np.linspace(lo, hi, GAP_GRID)
+    seps, pairs = separations(grid)
+    i_min = int(np.argmin(seps))
+    if i_min in (0, GAP_GRID - 1):
+        raise PhysicsError(
+            "minimum separation sits at a sweep endpoint: bracket too narrow"
+        )
+    # (location, separation, pair) of the three held points, best first; in
+    # an admitted window no two share a location, so the parabola through
+    # them is defined
+    held = sorted(zip(grid[i_min - 1 : i_min + 2], seps[i_min - 1 : i_min + 2],
+                      pairs[i_min - 1 : i_min + 2]), key=lambda p: p[1])
+    for _ in range(GAP_VERTEX_STEPS):
+        loc = _parabola_vertex(*((x, s * s) for x, s, _ in held))
+        found = min(abs(loc - x) for x, _, _ in held) <= GAP_LOCATION_RESOLUTION
+        if found or not lo < loc < hi:
+            break
+        sep, pair = separations([loc])
+        if not sep[0] < held[2][1]:
+            break
+        held = sorted(held[:2] + [(loc, sep[0], pair[0])], key=lambda p: p[1])
+    loc, sep_min, pair = held[0]
+    return GapResult(sep_min * 1e3, loc, pair)
 
 
 def _require_gap_setpoint(qubit2_freq) -> float:
@@ -305,22 +331,9 @@ def qubit_qubit_gap(params: DeviceParams, qubit2_freq: float, space: HilbertSpac
 
     Qubit 2 is parked at ``qubit2_freq`` and qubit 1 swept over the setpoint
     ± GAP_HALF_SPAN; the minimum separation of the qubit pair of odd-block
-    levels (ranked by the bare energies, see :func:`_tracked_separations`)
-    is returned. Half the gap estimates the effective qubit-qubit coupling
-    magnitude.
-
-    A coarse grid of GAP_GRID points brackets the minimum; it is one stack
-    of odd-block Hamiltonians, diagonalized in slices of at most
-    STACK_SLICE_BYTES. Near an anti-crossing sep² is very nearly a parabola
-    in the swept frequency, so three points are held, the grid minimum and
-    its two neighbours, and at most GAP_VERTEX_STEPS parabolic steps follow
-    (Brent 1973). Each evaluates the vertex of the parabola through the
-    held points on sep², a stack of one, and its point replaces the worst
-    held point when it beats it, so the best three of four are kept. The
-    steps stop when the held points do not open upwards or their vertex
-    leaves the scan window, when the vertex lies within
-    GAP_LOCATION_RESOLUTION of a held point, or when a step beats none of
-    them; the best point held is returned.
+    levels (ranked by the bare energies, see :func:`_tracked_separations`) is
+    located by :func:`_min_separation`. Half the gap estimates the effective
+    qubit-qubit coupling magnitude.
 
     A setpoint that is text, a bool or not finite, whose window reaches
     0 GHz, or too large for float64 to resolve GAP_LOCATION_RESOLUTION in
@@ -333,30 +346,30 @@ def qubit_qubit_gap(params: DeviceParams, qubit2_freq: float, space: HilbertSpac
     lo, hi = qubit2_freq - GAP_HALF_SPAN, qubit2_freq + GAP_HALF_SPAN
     for f1 in (lo, hi):
         _require_resonator_clearance(params, f1, "sweep endpoint")
-    grid = np.linspace(lo, hi, GAP_GRID)
-    seps, pairs = _tracked_separations(params, grid, np.full(GAP_GRID, qubit2_freq), space)
+    return _min_separation(params, space, (2, 3), 1, qubit2_freq, lo, hi)
 
-    i_min = int(np.argmin(seps))
-    if i_min in (0, GAP_GRID - 1):
-        raise PhysicsError(
-            "minimum separation sits at a sweep endpoint: bracket too narrow"
-        )
-    # (location, separation, pair) of the three held points, best first; at
-    # an admitted setpoint no two share a location, so the parabola through
-    # them is defined
-    held = sorted(zip(grid[i_min - 1 : i_min + 2], seps[i_min - 1 : i_min + 2],
-                      pairs[i_min - 1 : i_min + 2]), key=lambda p: p[1])
-    for _ in range(GAP_VERTEX_STEPS):
-        loc = _parabola_vertex(*((x, s * s) for x, s, _ in held))
-        found = min(abs(loc - x) for x, _, _ in held) <= GAP_LOCATION_RESOLUTION
-        if found or not lo < loc < hi:
-            break
-        sep, pair = _tracked_separations(params, [loc], [qubit2_freq], space)
-        if not sep[0] < held[2][1]:
-            break
-        held = sorted(held[:2] + [(loc, sep[0], pair[0])], key=lambda p: p[1])
-    loc, sep_min, pair = held[0]
-    return GapResult(sep_min * 1e3, loc, pair)
+
+def qubit_resonator_gap(params: DeviceParams, qubit: int, resonator: str,
+                        space: HilbertSpace) -> GapResult:
+    """Anti-crossing gap, about twice their coupling, of qubit 1 or 2 and resonator 'a' or 'b'.
+
+    The qubit is swept over the resonator ± RESONATOR_GAP_HALF_SPAN, the other
+    parked at its sweet spot ``qubit_max_freq_*``, and :func:`_min_separation`
+    locates the gap of the two modes' levels. Another qubit or resonator is
+    refused with ConfigError; a parked qubit within 3·g_max of a resonator,
+    and a minimum on the window's edge, with PhysicsError.
+    """
+    qubit = require_count(qubit, "qubit", 1)
+    if qubit > 2:
+        raise ConfigError(f"qubit must be 1 or 2, got {qubit}")
+    if not isinstance(resonator, str) or resonator not in ("a", "b"):
+        raise ConfigError(f"resonator must be 'a' or 'b', got {resonator!r}")
+    parked = getattr(params, f"qubit_max_freq_{3 - qubit}")
+    _require_resonator_clearance(params, parked, f"parked qubit {3 - qubit}")
+    f_res = getattr(params, f"resonator_freq_{resonator}")
+    modes = (MODE_NAMES.index(resonator), MODE_NAMES.index(f"q{qubit}"))
+    return _min_separation(params, space, modes, qubit, parked,
+                           f_res - RESONATOR_GAP_HALF_SPAN, f_res + RESONATOR_GAP_HALF_SPAN)
 
 
 def _parabola_vertex(a, b, c) -> float:

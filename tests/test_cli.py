@@ -145,6 +145,23 @@ def test_gapscan(tmp_path):
     assert rows[0] == "setpoint_ghz,gap_mhz,location_ghz,error"
     gaps = [float(r.split(",")[1]) for r in rows[1:]]
     assert gaps[0] > gaps[1] > gaps[2]
+    # setpoints across the switch-off, and two refused 80 MHz from a
+    # resonator: every row is pinned byte for byte
+    out = tmp_path / "pinned"
+    setpoints = [4.55, 4.58, 4.60, 4.62, 4.625, 4.64, 4.66, 4.70]
+    assert run(["gapscan", "--setpoints", *setpoints, "--out", out]) == 0
+    assert (out / "gaps.csv").read_text().splitlines()[1:] == [
+        "4.550000000,,,qubit-2 setpoint 4.55 GHz is 80.0 MHz from resonator a "
+        "(needs 90.0 MHz clearance)",
+        "4.580000000,5.721648,4.580425935,",
+        "4.600000000,3.302859,4.600212904,",
+        "4.620000000,1.102294,4.620066175,",
+        "4.625000000,0.568160,4.625033885,",
+        "4.640000000,1.030179,4.639938149,",
+        "4.660000000,3.229740,4.659792189,",
+        "4.700000000,,,sweep endpoint 4.72 GHz is 80.0 MHz from resonator b "
+        "(needs 90.0 MHz clearance)",
+    ]
 
 
 def test_chevron_outputs_and_determinism(tmp_path):

@@ -17,6 +17,7 @@ from dresq.device import (
     find_switch_off,
     flux_to_frequency,
 )
+from oracles import total_number_operator
 
 
 def decoupled(**kw):
@@ -199,8 +200,6 @@ def test_wrong_mode_count_rejected():
 
 def test_rotating_wave_variant_conserves_excitation():
     space = HilbertSpace((3, 3, 3, 3))
-    from dresq.fock import total_number_operator
-
     h = hamiltonian(DeviceParams(), OperatingPoint(4.60, 4.60), space, counter_rotating=False)
     n = total_number_operator(space)
     assert np.abs(h @ n - n @ h).max() < 1e-12

@@ -7,8 +7,8 @@ from dresq.fock import (
     HilbertSpace,
     lowering_operator,
     number_operator,
-    total_number_operator,
 )
+from oracles import total_number_operator
 
 
 def test_space_size_and_indexing():

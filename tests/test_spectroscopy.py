@@ -19,26 +19,27 @@ from dresq.spectroscopy import (
     _tracked_separations,
     cotuned_half_gap,
     gap_vs_setpoint,
-    min_labeled_separation,
     qubit_qubit_gap,
+    qubit_resonator_gap,
     sweep_spectrum,
 )
 
 SPACE = HilbertSpace((3, 3, 3, 3))
 
 
-def reference_separation(params, point, space):
-    """Qubit-like level separation (GHz) and pair at one point, one eigh alone.
+def reference_separation(params, point, space, modes=(2, 3)):
+    """Level separation (GHz) and pair of two modes at one point, one eigh alone.
 
-    The pair is the two odd-block levels of largest combined q1 and q2
-    weight: an oracle for the pair that gap tracking takes from the mode order.
+    The pair is the two odd-block levels of largest combined weight on the
+    bare single-excitation states of ``modes``, q1 and q2 by default: an
+    oracle for the pair that gap tracking takes from the mode order.
     """
     model = device_model(params, space, True)
-    qubit_states = space.single_excitation_indices()[2:]
-    s_q1, s_q2 = np.searchsorted(model.odd, qubit_states)
+    states = np.take(space.single_excitation_indices(), modes)
+    s_1, s_2 = np.searchsorted(model.odd, states)
     h = model.hamiltonians([point.qubit_freq_1], [point.qubit_freq_2], model.odd)[0]
     evals, evecs = np.linalg.eigh(h)
-    weight = np.abs(evecs[s_q1, :]) ** 2 + np.abs(evecs[s_q2, :]) ** 2
+    weight = np.abs(evecs[s_1, :]) ** 2 + np.abs(evecs[s_2, :]) ** 2
     order = np.argsort(weight)[::-1]
     k1, k2 = sorted(int(k) for k in order[:2])
     return abs(evals[k2] - evals[k1]) / TWO_PI, (k1, k2)
@@ -118,33 +119,60 @@ def test_levels_ascending_and_overlap_range():
         assert np.all(sweep.overlaps[i] <= 1 + 1e-12)
 
 
-def test_qubit1_resonator_a_gap():
-    # qubit 1 swept through resonator a: minimum splitting is twice the
-    # 27 MHz coupling
-    values = np.linspace(4.42, 4.52, 201)
-    sweep = sweep_spectrum(
-        DeviceParams(), "freq_1", values, OperatingPoint(4.637, 4.91), SPACE, n_levels=6
-    )
-    gap = min_labeled_separation(sweep, "a", "q1")
-    assert gap.gap_mhz == pytest.approx(54.0, rel=0.02)
+@pytest.mark.parametrize("qubit, resonator, expected", [
+    (1, "a", 54.0), (2, "a", 54.0), (2, "b", 60.0),
+])
+def test_qubit_resonator_gap_agrees_with_a_dense_reference(qubit, resonator, expected):
+    # a qubit swept through a resonator splits by about twice their coupling
+    # (27, 27 and 30 MHz); the 20,001-point reference spaces its points
+    # 5e-6 GHz apart over the same ± 50 MHz window, the other qubit parked
+    # at its sweet spot
+    p = DeviceParams()
+    gap = qubit_resonator_gap(p, qubit, resonator, SPACE)
+    assert gap.gap_mhz == pytest.approx(expected, rel=0.02)
+    f_res = getattr(p, f"resonator_freq_{resonator}")
+    grid = np.linspace(f_res - 0.050, f_res + 0.050, 20001)
+    parked = np.full(grid.size, getattr(p, f"qubit_max_freq_{3 - qubit}"))
+    f1, f2 = (grid, parked) if qubit == 1 else (parked, grid)
+    modes = ("ab".index(resonator), 1 + qubit)
+    seps, _ = _tracked_separations(p, f1, f2, SPACE, modes)
+    i = int(np.argmin(seps))
+    assert abs(gap.gap_mhz - seps[i] * 1e3) <= 1e-4
+    assert abs(gap.location_ghz - grid[i]) <= 1e-5
+    # at the minimum the rank pair is the pair of largest weight on the two
+    # bare states, both levels near half qubit and half resonator
+    point = OperatingPoint(*((gap.location_ghz, parked[0]) if qubit == 1
+                             else (parked[0], gap.location_ghz)))
+    sep, pair = reference_separation(p, point, SPACE, modes)
+    assert gap.level_pair == pair
+    assert abs(gap.gap_mhz - sep * 1e3) <= 1e-9
+    gap4 = qubit_resonator_gap(p, qubit, resonator, HilbertSpace((4, 4, 4, 4)))
+    assert abs(gap4.gap_mhz - gap.gap_mhz) <= 1e-5
 
 
-def test_qubit2_resonator_b_gap():
-    values = np.linspace(4.75, 4.85, 201)
-    sweep = sweep_spectrum(
-        DeviceParams(), "freq_2", values, OperatingPoint(4.641, 4.91), SPACE, n_levels=6
-    )
-    gap = min_labeled_separation(sweep, "b", "q2")
-    assert gap.gap_mhz == pytest.approx(60.0, rel=0.02)
+@pytest.mark.parametrize("qubit, resonator", [
+    (0, "a"), (3, "b"), (1.5, "a"), (True, "a"), pytest.param("1", "a", id="text-a"),
+    (float("nan"), "a"),
+    (1, "c"), (2, "q1"), (1, 0), (2, None), (1, "A"),
+])
+def test_qubit_resonator_gap_refuses_an_unknown_qubit_or_resonator(monkeypatch, qubit, resonator):
+    scanned = []
+    monkeypatch.setattr(spectroscopy, "_tracked_separations", lambda *a: scanned.append(a))
+    with pytest.raises(ConfigError, match="qubit|resonator"):
+        qubit_resonator_gap(DeviceParams(), qubit, resonator, SPACE)
+    assert scanned == []
 
 
-def test_qubit2_resonator_a_gap():
-    values = np.linspace(4.42, 4.52, 201)
-    sweep = sweep_spectrum(
-        DeviceParams(), "freq_2", values, OperatingPoint(4.641, 4.91), SPACE, n_levels=6
-    )
-    gap = min_labeled_separation(sweep, "a", "q2")
-    assert gap.gap_mhz == pytest.approx(54.0, rel=0.02)
+@pytest.mark.parametrize("qubit, resonator, park", [
+    (2, "a", {"qubit_max_freq_1": 4.50}), (2, "b", {"qubit_max_freq_1": 4.75}),
+    (1, "a", {"qubit_max_freq_2": 4.85}),
+])
+def test_qubit_resonator_gap_refuses_a_parked_qubit_near_a_resonator(qubit, resonator, park):
+    # the parked qubit sits 30, 50 and 50 MHz from a resonator, inside the
+    # 90 MHz clearance of 3·g_max
+    p = DeviceParams(**park)
+    with pytest.raises(PhysicsError, match=rf"parked qubit {3 - qubit} .* resonator"):
+        qubit_resonator_gap(p, qubit, resonator, SPACE)
 
 
 def test_csv_format():
@@ -471,9 +499,9 @@ def test_gap_work_is_the_coarse_grid_and_the_step_cap(monkeypatch):
     members = []
     tracked = spectroscopy._tracked_separations
 
-    def counting(params, f1s, f2s, space):
+    def counting(params, f1s, f2s, space, *modes):
         members.append(len(f1s))
-        return tracked(params, f1s, f2s, space)
+        return tracked(params, f1s, f2s, space, *modes)
 
     monkeypatch.setattr(spectroscopy, "_tracked_separations", counting)
     cap = spectroscopy.GAP_GRID + spectroscopy.GAP_VERTEX_STEPS
