@@ -20,8 +20,8 @@ one, so unless a static coupling leads out of the states with
 N ≤ N₀ + (number of π-preps), as counter-rotating terms do, they hold the
 whole evolution exactly and every operator is built on them alone;
 otherwise the full space is used. A run whose stage map, block
-Hamiltonians, readings or readout rows would not fit in memory is refused
-by one guard, before anything of the block's size is built.
+Hamiltonians, states, readings or readout rows would not fit in memory is
+refused by one guard, before anything of the block's size is built.
 
 Within the block, an evolution on vec(ρ) keeps only the entries of vec(ρ)
 that its maps can carry the support of ρ₀ to (:func:`_reachable`); no map
@@ -36,19 +36,25 @@ i < j. That change of basis T is unitary, so each map T A T† is a real
 matrix acting on a real vector: generators, stage maps, π-preps and readout
 rows are float64, half the bytes of the complex maps, and their exponentials
 run in real arithmetic. The final ρ is rebuilt from the real coordinates, its
-transposed entries conjugates bit for bit.
+transposed entries conjugates bit for bit. Operating points change only H's
+diagonal, and a diagonal change only rotates the two coordinates of each
+pair, so one generator is built per run and every point's is that one plus
+the rotations (:func:`_rotated`).
 
 :func:`evolve` and :func:`vacuum_rabi_chevron` run on one propagation core,
 :func:`_propagate`, for a batch of schedules that differ only in their
 operating points. It walks the schedule stage by stage: a stage's generators
 are built when it is entered, its maps as its samples need them, and both
 are dropped when it is left, so memory does not grow with the number of
-stages. It reads each sample as rows · vec(ρ), row 0 being the trace and an
-observable O the row vec(Oᵀ). ``evolve`` is a batch of one, on U when it is
-lossless; the chevron is one single-stage schedule per detuning column on the
-N ≤ 1 block, on real vec(ρ) coordinates whenever it has more than one
-column, read after a fixed readout delay by rows carried backwards through
-the padding (one more stage) rather than every state forwards.
+stages. A stage's samples lie one grid step apart, so they are found by
+repeated squaring of the one step map (:func:`_walk`: r samples in ⌈log₂ r⌉
+batched products), in slices of at most STACK_SLICE_BYTES of states. Each
+sample is read as rows · vec(ρ), row 0 being the trace and an observable O
+the row vec(Oᵀ). ``evolve`` is a batch of one, on U when it is lossless; the
+chevron is one single-stage schedule per detuning column on the N ≤ 1 block,
+on real vec(ρ) coordinates whenever it has more than one column, read after
+a fixed readout delay by rows carried backwards through the padding (one
+more stage, walked the same way) rather than every state forwards.
 
 Units at the interface: linear GHz for frequencies, MHz for detunings
 and couplings where noted, ns for times, µs for coherence times.
@@ -80,6 +86,10 @@ POSITIVITY_TOL = 1e-8
 
 # largest spread of the steps of a time grid that still counts as uniform
 GRID_TOL_NS = 1e-9
+
+# most bytes of states one propagation holds at a time: the states of a run of
+# equal steps are found and read in slices of at most this size
+STACK_SLICE_BYTES = 2**21
 
 # ---------------------------------------------------------------------------
 # schedule and state types
@@ -399,6 +409,47 @@ def _observable(op, space: HilbertSpace, name: str) -> np.ndarray:
     return m
 
 
+def _rotated(g0: np.ndarray, shift: np.ndarray, up, lo, i, j) -> np.ndarray:
+    """Real Lindblad generators for a (…, n) stack of shifts of H's diagonal,
+    from the generator ``g0`` of the unshifted H (coordinates of
+    :func:`_hermitian_basis`).
+
+    A diagonal shift δ changes -i[H, ρ]_ij by -i(δ_i − δ_j)ρ_ij and nothing
+    else, which on the coordinates up = √2·Re ρ_ij and lo = √2·Im ρ_ij of a
+    kept pair (i, j) is the rotation G[up, lo] += ω, G[lo, up] −= ω at
+    ω = δ_i − δ_j; the dissipator and every other entry stay those of ``g0``.
+    """
+    omega = shift[..., i] - shift[..., j]
+    g = np.empty(omega.shape[:-1] + g0.shape)
+    g[...] = g0
+    g[..., up, lo] += omega
+    g[..., lo, up] -= omega
+    return g
+
+
+def _walk(out: np.ndarray, powers: list, act) -> np.ndarray:
+    """``out`` from its first state x on: u·x, u²·x, … by repeated squaring.
+
+    ``powers`` starts as [u] and gains the u², u⁴, … the rounds need; without
+    a map, [], every state is x. act(a, states, into) writes the images of a
+    stack of states under the map a and broadcasts over the stack's leading
+    axis. Round k applies u^(2^k) to the 2^k states found so far, so r states
+    take ⌈log₂ r⌉ products and ⌈log₂ r⌉ − 1 squarings.
+    """
+    if not powers:
+        out[1:] = out[:1]
+        return out
+    found = 1
+    while found < len(out):
+        k = found.bit_length() - 1
+        if k == len(powers):
+            powers.append(powers[-1] @ powers[-1])
+        n = min(found, len(out) - found)
+        act(powers[k], out[:n], out[found:found + n])
+        found += n
+    return out
+
+
 def _propagate(params, space, schedules, rho0, observables, n_samples, counter_rotating,
                frame_ghz, readout=None, member=None):
     """Sample times, readings (member, row, sample) and final states of a batch of schedules.
@@ -407,31 +458,38 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
     points; each member starts from ``rho0``. Row 0 reads the trace and row
     i + 1 observable i, as vec(Oᵢᵀ) · vec(ρ). With a fixed ``readout``
     (point, t_ns), each sample is read after waiting at that point until
-    t_ns, its rows carried backwards from the readout one grid step at a time.
+    t_ns, by rows carried backwards from the readout through powers of the
+    grid-step map.
 
     The evolution block is the states with N ≤ (largest N on the support of
     ``rho0``) + the number of preps, or the full space if a static coupling of
     the cached device model leads out of them. With collapse operators, a
     readout or more than one schedule, maps act on the real Hermitian
     coordinates of the reachable entries of vec(ρ) (``rho0`` enters by its
-    Hermitian part): each generator, stage map and π-prep is the real matrix
-    T A T†, the readout rows Re(rows · T†) and the state real, and the final ρ
-    is T† x. A lone lossless schedule propagates ρ → UρU† with a complex U.
+    Hermitian part): the first point's generator G₀ is the real matrix
+    T(D − i[H₀, ·])T†, every other point's is G₀ plus the rotations
+    :func:`_rotated` gives for its diagonal, each stage map and π-prep is real,
+    the readout rows Re(rows · T†) and the state real, and the final ρ is
+    T† x. A lone lossless schedule propagates ρ → UρU† with a complex U.
+
+    The schedule is walked stage by stage; the readout padding is one more
+    stage, walked first for the rows. A stage's generators (one per member
+    where its point varies, one for all otherwise) are built when it is
+    entered and its maps, each one :func:`_expm` stack, as its samples need
+    them; both are dropped when it is left, and stages after the last sample
+    are not entered. A stage applies its prep and holds up to its first
+    sample; its samples lie one grid step apart, so :func:`_walk` finds them
+    in slices of at most STACK_SLICE_BYTES, each read with one product.
+
     One guard refuses, before anything of the block's size is built, a run
     that would take more than ``errors.MEMORY_LIMIT``: per member a stage map
     being exponentiated (8-byte entries on vec(ρ), 16 for U) with the
-    generator and maps held beside it, its readings and final state; the
-    dissipator; per point its block Hamiltonian, built in the frame rotating
-    at ``frame_ghz`` times N; per sample its time, stage and readout rows.
-
-    The schedule is walked stage by stage; the readout padding is one more
-    stage, walked before the backward row pass. A stage's generators (one per
-    member where its point varies, one for all otherwise) are built when it is
-    entered and its hold maps as its samples need them, each map one
-    :func:`_expm` stack; both are dropped when it is left, and stages after
-    the last sample are not entered. Trace drift beyond TRACE_TOL (or a NaN)
-    raises IntegrationError at the first failing member and sample, the
-    member named as ``member`` and its index.
+    generator, the stage's other maps and the step map's powers held beside
+    it, a slice of states, its readings and final state; the dissipator; per
+    point its block Hamiltonian, built in the frame rotating at ``frame_ghz``
+    times N; per sample its time, stage and readout rows. Trace drift beyond
+    TRACE_TOL (or a NaN) raises IntegrationError at the first failing member
+    and sample, the member named as ``member`` and its index.
     """
     stages = schedules[0].stages
     batch, n_rows, n_stages = len(schedules), 1 + len(observables), len(stages)
@@ -450,17 +508,26 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
     points = [sch.stages[k].point for k in range(n_stages) for sch in schedules]
     if readout is not None:
         points.append(readout[0])
-    # besides a map being exponentiated, a member holds its stage generator,
-    # the scaled duration · g and the stage's other two maps at most, each of
-    # the map's size (real entries of 8 bytes on vec(ρ), complex ones of 16
-    # for U), and all members the complex dissipator; building a real
-    # generator from its complex superoperator peaks lower. A sample's time is
-    # a float64 and a Python float, its stage and row slot 8 bytes each
+    # a state has at most idx.size² entries, real ones of 8 bytes on vec(ρ) and
+    # complex ones of 16 for ρ; a slice holds as many states of the batch as
+    # fit in STACK_SLICE_BYTES, one at least and no more than a run can use
     item = 8 if vec else 16
-    require_memory(batch * (_expm_bytes(m, item) + 5 * item * m**2 + 8 * n_rows * n_samples
+    per_slice = max(1, min(n_samples, STACK_SLICE_BYTES // (batch * item * idx.size**2)))
+    # besides a map being exponentiated, a member holds its stage generator,
+    # the scaled duration · g, the stage's other two maps and the step map's
+    # ⌈log₂ per_slice⌉ powers, each of the map's size, and a slice of states
+    # with one more being formed (U ρ of ρ → UρU†); all members share the
+    # complex dissipator, and building a real generator from its complex
+    # superoperator peaks lower. A sample's time is a float64 and a Python
+    # float, its stage 8 bytes, its readings 8 a row and member, and its
+    # readout rows come with the readout step map's powers
+    n_powers = (per_slice - 1).bit_length()
+    require_memory(batch * (_expm_bytes(m, item) + (5 + n_powers) * item * m**2
+                            + 2 * per_slice * item * idx.size**2 + 8 * n_rows * n_samples
                             + 16 * space.size**2)
                    + 16 * m**2 * vec + 8 * idx.size**2 * len(points)
-                   + n_samples * (56 + item * n_rows * m * (readout is not None)),
+                   + n_samples * 56 + (readout is not None) * item * m
+                   * (n_samples * n_rows + (n_samples - 1).bit_length() * m),
                    f"{n_samples} samples of {batch} evolution(s) on a "
                    f"{idx.size}-state evolution block")
     hs = model.hamiltonians([p.qubit_freq_1 for p in points], [p.qubit_freq_2 for p in points], idx)
@@ -478,10 +545,10 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
         # states in the order of ``space``
         sub = HilbertSpace([min(d, max(n_exc[idx].max(), 1) + 1) for d in space.dims])
         on = np.ravel_multi_index(space.quanta[:, idx], sub.dims)
-        dissipator = _dissipator([l[np.ix_(on, on)] for l in collapse_operators(params, sub)],
-                                 idx.size)
+        g0 = _superoperator(hs[0], _dissipator(
+            [l[np.ix_(on, on)] for l in collapse_operators(params, sub)], idx.size))
         # maps act on the entries of vec(ρ) they can reach; a prep P becomes
-        # P ⊗ P̄, and a point changes only H's diagonal, so one point's
+        # P ⊗ P̄, and a point changes only H's diagonal, so the first point's
         # generator links the same entries as every other's. Every map keeps
         # ρ Hermitian, so from the support of ρ₀ closed under transposition
         # the kept entries come in transposed pairs
@@ -489,29 +556,35 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
         block0 = rho0[sel]
         vec0, support = block0.reshape(-1), block0 != 0
         keep = np.flatnonzero(_reachable((support | support.T).reshape(-1),
-                                         [_superoperator(hs[0], dissipator), *flips.values()]))
+                                         [g0, *flips.values()]))
         # real Hermitian coordinates x = T vec(ρ) on the kept entries, in which
-        # every map T A T† is real
+        # every map T A T† is real; a state is a row x, mapped by A as x Aᵀ
         up, lo, pick, weight = _hermitian_basis(keep, idx.size)
+        pair = np.divmod(keep[up], idx.size)
+        g0 = _real_map(g0, pick, weight)
+        diagonal = hs.diagonal(0, 1, 2)
         flips = {tag: _real_map(f, pick, weight) for tag, f in flips.items()}
         x0 = (weight[0] * vec0[pick[0]] + weight[1] * vec0[pick[1]]).real
-        rho = np.repeat(x0.reshape(1, -1, 1), batch, axis=0)
+        rho = np.repeat(x0[None, None], batch, axis=1)
         # a reading keeps only the real part, so Re(rows · T†) reads x exactly
         rows = np.ascontiguousarray((rows.take(pick[0], -1) * weight[0].conj()
                                      + rows.take(pick[1], -1) * weight[1].conj()).real)
         at = at[keep]
-        act = np.matmul
 
-        def generator(h):
-            return _real_map(_superoperator(h, dissipator), pick, weight)
+        def act(u, x, out):
+            np.matmul(x.swapaxes(0, 1), np.swapaxes(u, -1, -2), out=out.swapaxes(0, 1))
+            return out
+
+        def generator(k):
+            return _rotated(g0, diagonal[k] - diagonal[0], up, lo, *pair)
     else:
-        rho = np.repeat(rho0[sel][None], batch, axis=0)
+        rho = np.repeat(rho0[sel][None, None], batch, axis=1)
 
-        def act(u, rho):
-            return u @ rho @ np.swapaxes(u, -1, -2).conj()
+        def act(u, x, out):
+            return np.matmul(u @ x, np.swapaxes(u, -1, -2).conj(), out=out)
 
-        def generator(h):
-            return -1j * h
+        def generator(k):
+            return -1j * hs[k]
 
     def stage(k):
         """Stage k's hold (k = n_stages: the readout's), which returns the maps
@@ -519,8 +592,8 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
         of one per member where its point varies, one for all otherwise) are
         built here and each map when first asked for; uniform samples share one
         map, whatever their float noise."""
-        h = hs[k * batch:(k + 1) * batch]
-        g = generator(h if len(set(points[k * batch:(k + 1) * batch])) > 1 else h[0])
+        at_k = slice(k * batch, (k + 1) * batch)
+        g = generator(at_k if len(set(points[at_k])) > 1 else k * batch)
         maps = {}
 
         def hold(duration: float) -> list[np.ndarray]:
@@ -537,20 +610,32 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
 
     times = np.linspace(0.0, sum(st.duration_ns for st in stages), n_samples)
     t = times.tolist()
-    sample_rows = [rows] * n_samples
+    sample_rows = rows
     if readout is not None:
         # sample j waits at the readout point until the readout: its rows are
-        # those of sample j + 1 carried back through one step of the uniform grid
+        # those of the readout carried back through the padding, then n - 1 - j
+        # grid steps, all found by one walk
         hold = stage(n_stages)
-        for j in range(n_samples - 1, -1, -1):
-            for u in hold(readout[1] - t[-1] if j == n_samples - 1 else t[1] - t[0]):
-                rows = rows @ u
-            sample_rows[j] = rows
+        back = np.empty((n_samples, *rows.shape))
+        back[0] = rows
+        for u in hold(readout[1] - t[-1]):
+            back[0] = rows @ u
+        sample_rows = _walk(back, list(hold(t[1] - t[0])),
+                            lambda u, q, into: np.matmul(q, u, out=into))[::-1]
 
-    # each stage applies its prep, then holds up to each of its samples and on
-    # to its end; a sample on a boundary is read before the next stage's prep
-    readings = np.empty((batch, n_rows, n_samples))
-    stage_at = []
+    readings = np.empty((n_samples, batch, n_rows))
+
+    def read(j, stack):
+        """Readings of samples j, j + 1, … from a stack of their states."""
+        rows_j = sample_rows if readout is None else sample_rows[j:j + len(stack)]
+        readings[j:j + len(stack)] = (stack.reshape(len(stack), batch, -1)
+                                      @ np.swapaxes(rows_j, -1, -2)).real
+
+    # each stage applies its prep, holds up to its first sample, walks its
+    # samples and holds on to its end; a sample on a boundary is read before
+    # the next stage's prep
+    buffer = np.empty((per_slice, *rho.shape[1:]), dtype=rho.dtype)
+    stage_at = np.empty(n_samples, dtype=int)
     j, t_now, stage_end = 0, 0.0, 0.0
     for k, st in enumerate(stages):
         if j == n_samples:
@@ -558,17 +643,28 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
         hold = stage(k)
         stage_end += st.duration_ns
         if st.prep:
-            rho = act(flips[st.prep], rho)
-        while j < n_samples and (t[j] <= stage_end + 1e-9 or k + 1 == n_stages):
+            rho = act(flips[st.prep], rho, np.empty_like(rho))
+        end = j
+        while end < n_samples and (t[end] <= stage_end + 1e-9 or k + 1 == n_stages):
+            end += 1
+        if end > j:
+            stage_at[j:end] = k
             for u in hold(t[j] - t_now):
-                rho = act(u, rho)
-            t_now = t[j]
-            readings[:, :, j] = (sample_rows[j] @ rho.reshape(batch, -1, 1))[:, :, 0].real
-            stage_at.append(k)
-            j += 1
+                rho = act(u, rho, np.empty_like(rho))
+            step = list(hold(t[j + 1] - t[j])) if end > j + 1 else []
+            for s in range(j, end, per_slice):
+                run = buffer[:min(per_slice, end - s)]
+                if s == j or not step:
+                    run[:1] = rho
+                else:  # one grid step on from the last slice
+                    act(step[0], rho, run[:1])
+                read(s, _walk(run, step, act))
+                rho = run[-1:].copy()
+            j, t_now = end, t[end - 1]
         for u in hold(stage_end - t_now):
-            rho = act(u, rho)
+            rho = act(u, rho, np.empty_like(rho))
         t_now = stage_end
+    readings = np.ascontiguousarray(np.moveaxis(readings, 0, -1))
     tr = readings[:, 0]
     bad = ~(np.abs(tr - 1.0) <= TRACE_TOL)  # a NaN trace counts as drift
     if bad.any():
@@ -695,16 +791,19 @@ def vacuum_rabi_chevron(
     :func:`evolve`, in real Hermitian coordinates on the reachable entries of
     vec(ρ): 17 with dissipation, 16 without, so every step map is a real
     17 × 17 or 16 × 16 matrix (a lone lossless column without a readout
-    delay runs as U on the block, as ``evolve`` does). A trace drift beyond
-    1e-8 (or a NaN) in any cell raises IntegrationError naming the first
-    such column.
+    delay runs as U on the block, as ``evolve`` does). The columns differ
+    only on H's diagonal, so each column's generator is the first one's plus
+    a rotation of each pair of coordinates; the τ grid is reached by
+    repeated squaring of each column's one step map, and the readout rows
+    by powers of the padding's. A trace drift beyond 1e-8 (or a NaN) in any
+    cell raises IntegrationError naming the first such column.
 
     ``q2_target``, the offsets, the τ values and a readout delay must be
     finite numbers, the offsets strictly ascending (a single offset is
-    one), and the τ values a uniform ascending grid from 0. All
-    columns' step maps are exponentiated as one stack, so a grid whose
-    stack (with its readings) would exceed ``errors.MEMORY_LIMIT`` is
-    refused before any column is built.
+    one), and the τ values a uniform ascending grid from 0. The core's one
+    memory guard refuses a grid whose stack of step maps, states and
+    readings would exceed ``errors.MEMORY_LIMIT`` before any column's map
+    is built.
     """
     q2_target = require_number(q2_target, "interaction point", positive=True)
     _require_resonator_clearance(params, q2_target, "interaction point")
@@ -727,12 +826,6 @@ def vacuum_rabi_chevron(
                 f"longest interaction time {taus[-1]} ns"
             )
 
-    # the N <= 1 block has 5 states (ground, one excitation in each mode); each
-    # column costs at most the exponential of one complex 25 x 25 generator
-    # (its real step map on the fewer reachable entries of vec(ρ) takes less)
-    # plus 3 floats per τ
-    require_memory(offsets.size * (_expm_bytes(25) + 24 * taus.size),
-                   f"a chevron of {offsets.size} columns")
     # two levels per mode hold the N <= 1 block, where the anharmonic term vanishes
     space = HilbertSpace((2, 2, 2, 2))
     holds = [OperatingPoint(q2_target + off * 1e-3, q2_target) for off in offsets]

@@ -24,7 +24,9 @@ from dresq.dynamics import (
     _hermitian_basis,
     _reachable,
     _real_map,
+    _rotated,
     _superoperator,
+    _walk,
 )
 from oracles import purity, total_number_operator, two_level_transfer
 
@@ -466,13 +468,13 @@ def test_memory_does_not_grow_with_the_number_of_stages(monkeypatch):
     # both qubits (the 15-state N <= 2 block): each stage's generators and
     # maps are built when it is entered and dropped when it is left
     members = []
-    real = _superoperator
+    real = _rotated
 
-    def spy(h, dissipator):
-        members.append(int(np.prod(h.shape[:-2])))
-        return real(h, dissipator)
+    def spy(g0, shift, *pair):
+        members.append(int(np.prod(shift.shape[:-1])))
+        return real(g0, shift, *pair)
 
-    monkeypatch.setattr(dynamics, "_superoperator", spy)
+    monkeypatch.setattr(dynamics, "_rotated", spy)
     params = DeviceParams()
     device_model(params, SPACE3, False)
     peaks = []
@@ -820,6 +822,257 @@ def test_hermitian_basis_refuses_entries_without_their_transposes():
         _hermitian_basis(np.array([1, 3]), 2)
 
 
+@settings(max_examples=40, deadline=None)
+@given(coupling_draws, st.booleans(), st.booleans(), st.sampled_from([0.0, 4.60]),
+       coherent_states(SPACE2),
+       st.lists(st.tuples(st.floats(4.55, 4.65), st.floats(4.55, 4.65)), min_size=1, max_size=4))
+def test_rotated_generators_match_each_point_built_alone(
+    couplings, lossy, counter_rotating, frame, initial, freqs
+):
+    # points differ only on H's diagonal: the generator of the first point
+    # plus the rotations of each kept pair equals each point's generator
+    # built from its own superoperator, on the block and the reachable
+    # entries a run would use, couplings, losses, model and frame drawn
+    p = DeviceParams(**couplings) if lossy else DeviceParams(**lossless(**couplings))
+    hs = device_model(p, SPACE2, counter_rotating).hamiltonians(*np.array(freqs).T)
+    hs -= dynamics.TWO_PI * frame * total_number_operator(SPACE2)
+    ls = collapse_operators(p, SPACE2)
+    idx = leak_rule_block(SPACE2, initial.rho, 0, list(hs) + ls)
+    n = idx.size
+    hs = hs[:, idx[:, None], idx]
+    dissipator = _dissipator([l[np.ix_(idx, idx)] for l in ls], n)
+    s0 = _superoperator(hs[0], dissipator)
+    support = initial.rho[np.ix_(idx, idx)] != 0
+    keep = np.flatnonzero(_reachable(support.reshape(-1), [s0]))
+    up, lo, pick, weight = _hermitian_basis(keep, n)
+    g0 = _real_map(s0, pick, weight)
+    diagonal = hs.diagonal(0, 1, 2)
+    rotated = _rotated(g0, diagonal - diagonal[0], up, lo, *np.divmod(keep[up], n))
+    direct = _real_map(_superoperator(hs, dissipator), pick, weight)
+    scale = np.abs(direct).max()
+    assert rotated.shape == direct.shape
+    assert np.abs(rotated - direct).max() <= 1e-14 * scale
+    # one shift gives one generator, the stack's member
+    last = _rotated(g0, diagonal[-1] - diagonal[0], up, lo, *np.divmod(keep[up], n))
+    assert np.array_equal(last, rotated[-1])
+
+
+def test_superoperator_is_built_once_per_propagation(monkeypatch):
+    calls = []
+    real = _superoperator
+    monkeypatch.setattr(dynamics, "_superoperator",
+                        lambda h, d: calls.append(h.shape) or real(h, d))
+    # 41 columns and a readout: one superoperator, of the first column's H
+    vacuum_rabi_chevron(DeviceParams(), BIAS, 4.60, np.linspace(-20.0, 20.0, 41),
+                        np.linspace(0.0, 2000.0, 201), 2500.0)
+    assert calls == [(5, 5)]
+    calls.clear()
+    evolve(DeviceParams(), stepped_schedule(6), DensityState.ground(SPACE3), SPACE3, {},
+           n_samples=2, include_counter_rotating=False, frame_ghz=4.60)
+    assert calls == [(15, 15)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 64, 65, 201])
+def test_walk_finds_r_states_in_a_logarithmic_number_of_products(r):
+    rng = np.random.default_rng(r)
+    u = rng.standard_normal((3, 4, 4)) / 4.0
+    x = rng.standard_normal((3, 4))
+    products = []
+
+    def act(a, states, into):
+        products.append(len(states))
+        return np.matmul(states.swapaxes(0, 1), np.swapaxes(a, -1, -2), out=into.swapaxes(0, 1))
+
+    out = np.empty((r, 3, 4))
+    out[0] = x
+    powers = [u]
+    _walk(out, powers, act)
+    assert len(products) == math.ceil(math.log2(r))
+    assert len(powers) == max(1, math.ceil(math.log2(r)))
+    assert sum(products) == r - 1
+    state = x
+    for image in out:
+        assert np.abs(image - state).max() <= 1e-13 * max(1.0, np.abs(state).max())
+        state = np.einsum("bij,bj->bi", u, state)
+    # without a map every state is the first
+    assert np.array_equal(_walk(out, [], act), np.repeat(out[:1], r, axis=0))
+
+
+def test_chevron_walks_its_taus_and_readout_rows_in_logarithmically_many_products(monkeypatch):
+    # 201 τ values: the columns' 200 steps and the readout rows' 200 steps
+    # take 8 products each
+    products = []
+    real = _walk
+
+    def counted(out, powers, act):
+        return real(out, powers, lambda *a: products.append(len(a[1])) or act(*a))
+
+    monkeypatch.setattr(dynamics, "_walk", counted)
+    vacuum_rabi_chevron(DeviceParams(), BIAS, 4.60, np.linspace(-20.0, 20.0, 41),
+                        np.linspace(0.0, 2000.0, 201), 2500.0)
+    assert len(products) == 2 * 8 and sum(products) == 2 * 200
+
+
+def stepwise_oracle(params, space, schedules, rho0, observables, n_samples, counter_rotating,
+                    frame, readout=None):
+    """Readings (member, row, sample) and final block states of a batch of
+    schedules, propagated on complex vec(ρ) of the whole block one sample at a
+    time: a stage's prep when it is entered, then exp(Δt·L) of the stage's own
+    superoperator from sample to sample, a sample on a boundary read before the
+    next stage's prep. With a ``readout`` (point, t_ns) the rows are carried
+    back from the readout one grid step at a time."""
+    stages = schedules[0].stages
+    points = [st.point for sch in schedules for st in sch.stages]
+    if readout is not None:
+        points.append(readout[0])
+    hs = device_model(params, space, counter_rotating).hamiltonians(
+        [pt.qubit_freq_1 for pt in points], [pt.qubit_freq_2 for pt in points])
+    hs -= dynamics.TWO_PI * frame * total_number_operator(space)
+    ls = collapse_operators(params, space)
+    n_preps = sum(st.prep is not None for st in stages)
+    idx = leak_rule_block(space, rho0, n_preps, list(hs) + ls)
+    sel = np.ix_(idx, idx)
+    generators = _superoperator(hs[:, idx[:, None], idx], _dissipator([l[sel] for l in ls],
+                                                                       idx.size))
+    flips = {}
+    for tag, mode in (("pi_q1", 2), ("pi_q2", 3)):
+        f = _pi_flip_matrix(space, mode, idx)
+        flips[tag] = np.kron(f, f)
+    rows = np.stack([np.eye(idx.size)] + [o[sel].T for o in observables]).reshape(
+        1 + len(observables), -1)
+    times = np.linspace(0.0, sum(st.duration_ns for st in stages), n_samples)
+    sample_rows = [rows] * n_samples
+    if readout is not None:
+        rows = rows @ _expm((readout[1] - times[-1]) * generators[-1])
+        step = _expm((times[1] - times[0]) * generators[-1])
+        for j in range(n_samples - 1, -1, -1):
+            sample_rows[j] = rows
+            rows = rows @ step
+    readings = np.empty((len(schedules), len(sample_rows[0]), n_samples))
+    finals = []
+    for b in range(len(schedules)):
+        g = generators[b * len(stages):(b + 1) * len(stages)]
+        v = rho0[sel].reshape(-1)
+        k, start, t_now = 0, 0.0, 0.0
+        if stages[0].prep:
+            v = flips[stages[0].prep] @ v
+        for j, t in enumerate(times):
+            while k + 1 < len(stages) and t > start + stages[k].duration_ns + 1e-9:
+                start += stages[k].duration_ns
+                if start > t_now:
+                    v = _expm((start - t_now) * g[k]) @ v
+                t_now, k = start, k + 1
+                if stages[k].prep:
+                    v = flips[stages[k].prep] @ v
+            if t > t_now:
+                v = _expm((t - t_now) * g[k]) @ v
+            t_now = t
+            readings[b, :, j] = (sample_rows[j] @ v).real
+        finals.append(v.reshape(idx.size, idx.size))
+    return idx, readings, finals
+
+
+def boundary_schedule(n_samples, points, dt=0.25):
+    """Three stages after a zero-length π-prep of qubit 2, whose boundaries lie
+    on the uniform grid of ``n_samples`` samples dt apart, a π-prep of qubit 1
+    opening the third."""
+    steps = n_samples - 1
+    cuts = [0, steps // 3, (2 * steps) // 3, steps]
+    return PulseSchedule([Stage(0.0, BIAS, "pi_q2")] + [
+        Stage(dt * (cuts[s + 1] - cuts[s]), points[s], "pi_q1" if s == 2 else None)
+        for s in range(3)])
+
+
+WALK_POINTS = [OperatingPoint(4.60 + d, 4.60) for d in (0.004, -0.002, 0.001)]
+
+
+@pytest.mark.parametrize("slice_states", [None, 3])
+@pytest.mark.parametrize("n_samples", [2, 3, 4, 5, 64, 65, 201])
+@pytest.mark.parametrize("case", ["lossy", "lossless U", "batch with readout"])
+def test_walk_matches_a_one_step_at_a_time_oracle(monkeypatch, case, n_samples, slice_states):
+    # readings and final states of staged runs with preps and samples on
+    # stage boundaries equal the oracle's; with a slice of 3 states the runs
+    # of equal steps are walked in several slices
+    lossy = case != "lossless U"
+    p = DeviceParams() if lossy else DeviceParams(**lossless())
+    initial = DensityState.ground(SPACE2).rho
+    a2 = lowering_operator(SPACE2, 3)
+    observables = [number_operator(SPACE2, 2), number_operator(SPACE2, 3), a2, 1j * a2]
+    if case == "batch with readout":
+        schedules = [boundary_schedule(n_samples, WALK_POINTS[s:] + WALK_POINTS[:s])
+                     for s in range(3)]
+        readout = (BIAS, 0.25 * (n_samples - 1) + 3.0)
+    else:
+        schedules, readout = [boundary_schedule(n_samples, WALK_POINTS)], None
+    if slice_states:
+        # the block has 5 states, the slice 3 states of every member
+        monkeypatch.setattr(dynamics, "STACK_SLICE_BYTES",
+                            slice_states * len(schedules) * (8 if lossy else 16) * 5**2)
+    walks, rows_walk = [], []
+    real = _walk
+
+    def spy(out, powers, act):
+        walks.append(len(out))
+        if readout and not rows_walk:
+            rows_walk.extend([out, powers[0]])
+        return real(out, powers, act)
+
+    monkeypatch.setattr(dynamics, "_walk", spy)
+    times, readings, final = dynamics._propagate(
+        p, SPACE2, schedules, initial, observables, n_samples, False, 4.60, readout)
+    idx, expected, finals = stepwise_oracle(p, SPACE2, schedules, initial, observables,
+                                            n_samples, False, 4.60, readout)
+    assert np.abs(readings - expected).max() <= 1e-12
+    for f, e in zip(final, finals):
+        assert np.abs(f[np.ix_(idx, idx)] - e).max() <= 1e-12
+        assert np.count_nonzero(f) == np.count_nonzero(f[np.ix_(idx, idx)])
+    # the readout rows are one walk, before the stages' runs of equal steps
+    runs = walks[1:] if readout else walks
+    if slice_states:
+        assert all(w <= slice_states for w in runs)
+    elif n_samples >= 64:
+        # a stage's samples are one walk
+        assert max(runs) >= (n_samples - 1) // 3
+    if readout:
+        # the readout rows are one walk, equal to the rows carried back one
+        # grid step at a time
+        back, step = rows_walk
+        assert walks[0] == n_samples
+        rows = back[0]
+        for found in back[1:]:
+            rows = rows @ step
+            assert np.abs(found - rows).max() <= 1e-13
+
+
+@pytest.mark.parametrize("run", ["lossy chevron", "lossless 3^4 evolve"])
+def test_memory_guard_bounds_the_peak_of_a_walked_run(monkeypatch, run):
+    # the guard counts the slice of states and the step map's powers next to
+    # the stage maps: a 201-sample lossy chevron with a readout, and a
+    # lossless counter-rotating evolve on the 81-state full space (complex U)
+    counted = []
+    real = dynamics.require_memory
+    monkeypatch.setattr(dynamics, "require_memory", lambda need, what: (
+        counted.append(need), real(need, what)))
+    lossy = run == "lossy chevron"
+    p = DeviceParams() if lossy else DeviceParams(**lossless())
+    space = SPACE2 if lossy else SPACE3
+    device_model(p, space, not lossy)
+    sched = PulseSchedule([Stage(0.5, BIAS, prep="pi_q2"), Stage(200.0, OperatingPoint(4.60, 4.60))])
+    tracemalloc.start()
+    try:
+        if lossy:
+            vacuum_rabi_chevron(p, BIAS, 4.60, np.linspace(-20.0, 20.0, 41),
+                                np.linspace(0.0, 2000.0, 201), 2500.0)
+        else:
+            evolve(p, sched, DensityState.ground(SPACE3), SPACE3,
+                   {"n_q1": number_operator(SPACE3, 2)}, n_samples=201)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    assert peak <= counted[0]
+
+
 def test_lossy_maps_are_exponentiated_on_the_reachable_entries(monkeypatch):
     shapes = []
     real = _expm
@@ -864,14 +1117,19 @@ def test_reachable_closes_the_support_under_every_map():
 
 
 def test_chevron_refuses_a_step_stack_over_the_limit_before_building(monkeypatch):
+    # the core's one guard counts at least the exponential of a real map on
+    # the 25 entries of vec(ρ) of the 5-state block per column: over a 16 MiB
+    # limit (so that the columns' schedules stay small) the stack is refused
+    # before any block Hamiltonian is built
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", 16 * 2**20)
     built = []
-    monkeypatch.setattr(dynamics, "device_model", lambda *a, **k: built.append(a))
-    # each column's step map is a 25 x 25 generator exponential
-    columns = MEMORY_LIMIT // _expm_bytes(25) + 1
+    monkeypatch.setattr(DeviceModel, "hamiltonians", lambda *a: built.append(a))
+    columns = errors.MEMORY_LIMIT // _expm_bytes(25, 8) + 1
     offsets = np.linspace(-20.0, 20.0, columns)
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match="columns needs"):
+        with pytest.raises(ConfigError, match=rf"^201 samples of {columns} evolution\(s\) on a "
+                                              r"5-state evolution block needs \d+ MiB"):
             vacuum_rabi_chevron(DeviceParams(), BIAS, 4.60, offsets, np.linspace(0, 2000, 201))
         _, peak = tracemalloc.get_traced_memory()
     finally:
