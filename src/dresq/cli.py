@@ -80,10 +80,12 @@ def _load_device(path: Path | None) -> DeviceParams:
     return DeviceParams.from_json(_read_text(path, "device file"))
 
 
-def _grid(start: float, stop: float, points: int, flags: tuple[str, str, str]) -> np.ndarray:
-    """Evenly spaced values; ``flags`` names the options of start, stop and points."""
+def _grid(start: float, stop: float, points: int, flags: tuple[str, str, str],
+          minimum: int = 1) -> np.ndarray:
+    """At least ``minimum`` evenly spaced values; ``flags`` names the options
+    of start, stop and points."""
     start, stop = (require_number(v, f) for v, f in zip((start, stop), flags))
-    points = require_count(points, flags[2], 1)
+    points = require_count(points, flags[2], minimum)
     require_memory(8 * points, f"a {flags[2]} grid of {points} points")
     return np.linspace(start, stop, points)
 
@@ -180,7 +182,9 @@ def cmd_gapscan(args) -> int:
 
 def cmd_chevron(args) -> int:
     params = _load_device(args.device)
-    taus = _grid(0.0, args.tau_max, args.tau_points, ("--tau-max", "--tau-max", "--tau-points"))
+    # every column's trace is fitted, so the grid needs the points a fit needs
+    taus = _grid(0.0, args.tau_max, args.tau_points, ("--tau-max", "--tau-max", "--tau-points"),
+                 fitting.MIN_POINTS)
     offsets = _grid(-args.span_mhz, args.span_mhz, args.detuning_points,
                     ("--span-mhz", "--span-mhz", "--detuning-points"))
     bias = OperatingPoint(args.bias_q1, args.bias_q2)

@@ -1,11 +1,11 @@
 """Time-domain simulation: Lindblad evolution, staged flux pulses, chevrons.
 
 Each pulse stage holds H constant, so the master equation
-dρ/dt = -i[H, ρ] + Σ_k D[L_k]ρ has a constant generator L on it and the
-map across the stage is exactly exp(t·L) acting on vec(ρ). That
-exponential is computed by scaling and squaring with the degree-13 Padé
-approximant (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005); there is
-no step size.
+dρ/dt = -i[H, ρ] + Σ_k D[L_k]ρ has a constant generator L on it,
+−i(H̃⊗1 − 1⊗H̃*) + Σ_k L_k⊗L̄_k on vec(ρ) with H̃ = H − (i/2)Σ_k L_k†L_k, and
+the map across the stage is exactly exp(t·L), computed by scaling and
+squaring with the degree-13 Padé approximant (Higham, SIAM J. Matrix Anal.
+Appl. 26:1179, 2005); there is no step size.
 
 L acts on the d² entries of ρ, or on the fewer of them that the evolution
 can reach (below), so its exponential costs at most d⁶ time and d⁴
@@ -14,12 +14,12 @@ generator -iHt gives U, applied as ρ → UρU†, which costs d³ time and d²
 memory. Every stage map, lossy or not, comes from that one exponential.
 
 Evolution runs on the smallest block of basis states the dynamics can
-reach. The qubit and frame terms are diagonal, collapse operators lower or
-count quanta and a π-prep raises the total excitation number N by at most
-one, so unless a static coupling leads out of the states with
-N ≤ N₀ + (number of π-preps), as counter-rotating terms do, they hold the
-whole evolution exactly and every operator is built on them alone;
-otherwise the full space is used. A run whose stage map, block
+reach. The qubit and frame terms are diagonal and collapse operators lower
+or count quanta, so unless a static coupling leads out of the states with
+N ≤ N₀ (the largest N on the support of ρ₀, after its π-preps: a prep acts
+at 0 ns only, as a permutation of the basis), as counter-rotating terms do,
+they hold the whole evolution exactly and every operator is built on them
+alone; otherwise the full space is used. A run whose stage map, block
 Hamiltonians, states, readings or readout rows would not fit in memory is
 refused by one guard, before anything of the block's size is built.
 
@@ -33,28 +33,29 @@ from a population of the N ≤ 1 block 17 of its 25 entries are kept.
 transposed pairs and the evolution runs in real coordinates on them
 (:func:`_hermitian_basis`): ρ_ii, and √2·Re ρ_ij, √2·Im ρ_ij for each pair
 i < j. That change of basis T is unitary, so each map T A T† is a real
-matrix acting on a real vector: generators, stage maps, π-preps and readout
-rows are float64, half the bytes of the complex maps, and their exponentials
-run in real arithmetic. The final ρ is rebuilt from the real coordinates, its
+matrix acting on a real vector: generators, stage maps and readout rows are
+float64, half the bytes of the complex maps, and their exponentials run in
+real arithmetic. The final ρ is rebuilt from the real coordinates, its
 transposed entries conjugates bit for bit. Operating points change only H's
 diagonal, and a diagonal change only rotates the two coordinates of each
 pair, so one generator is built per run and every point's is that one plus
 the rotations (:func:`_rotated`).
 
 :func:`evolve` and :func:`vacuum_rabi_chevron` run on one propagation core,
-:func:`_propagate`, for a batch of schedules that differ only in their
-operating points. It walks the schedule stage by stage: a stage's generators
-are built when it is entered, its maps as its samples need them, and both
-are dropped when it is left, so memory does not grow with the number of
-stages. A stage's samples lie one grid step apart, so they are found by
-repeated squaring of the one step map (:func:`_walk`: r samples in ⌈log₂ r⌉
-batched products), in slices of at most STACK_SLICE_BYTES of states. Each
-sample is read as rows · vec(ρ), row 0 being the trace and an observable O
-the row vec(Oᵀ). ``evolve`` is a batch of one, on U when it is lossless; the
-chevron is one single-stage schedule per detuning column on the N ≤ 1 block,
-on real vec(ρ) coordinates whenever it has more than one column, read after
-a fixed readout delay by rows carried backwards through the padding (one
-more stage, walked the same way) rather than every state forwards.
+:func:`_propagate`, for stage durations and a table of qubit frequencies,
+one row of it per member of a batch. It walks the stages one by one: a
+stage's generators are built when it is entered, its maps as its samples
+need them, and both are dropped when it is left, so memory does not grow
+with the number of stages. A stage's samples lie one grid step apart, so
+they are found by repeated squaring of the one step map (:func:`_walk`: r
+samples in ⌈log₂ r⌉ batched products), in slices of at most
+STACK_SLICE_BYTES of states. Each sample is read as rows · vec(ρ), row 0
+being the trace and an observable O the row vec(Oᵀ). ``evolve`` is a batch
+of one, on U when it is lossless; the chevron is one single-stage member per
+detuning column on the N ≤ 1 block, on real vec(ρ) coordinates whenever it
+has more than one column, read after a fixed readout delay by rows carried
+backwards through the padding (one more stage, walked the same way) rather
+than every state forwards.
 
 Units at the interface: linear GHz for frequencies, MHz for detunings
 and couplings where noted, ns for times, µs for coherence times.
@@ -71,7 +72,7 @@ import numpy as np
 from .errors import (
     ConfigError, IntegrationError, require_count, require_memory, require_number, require_numbers,
 )
-from .fock import HilbertSpace, lowering_operator, number_operator
+from .fock import HilbertSpace, _check_mode, lowering_operator, number_operator
 from .device import (
     TWO_PI,
     DeviceParams,
@@ -99,9 +100,9 @@ STACK_SLICE_BYTES = 2**21
 class Stage:
     """One piecewise-constant segment of a pulse schedule.
 
-    ``prep`` of "pi_q1" or "pi_q2" applies an instantaneous ideal
-    population flip of that qubit's lowest two levels at the start of
-    the stage (drive parameters are not modeled).
+    ``prep`` of "pi_q1" or "pi_q2" swaps that qubit's lowest two levels,
+    an instantaneous ideal flip (drive parameters are not modeled). It acts
+    on ρ₀, so only a stage that starts at 0 ns may have one.
     """
 
     duration_ns: float
@@ -232,32 +233,23 @@ def _collapse_terms(params: DeviceParams) -> list:
 # exact stage propagation
 
 
-def _dissipator(collapse: list[np.ndarray], n: int) -> np.ndarray:
-    """Σ_k D[L_k] on row-major vec(ρ) of an n-state block.
+def _superoperator(h: np.ndarray, collapse) -> np.ndarray:
+    """Lindblad generators on row-major vec(ρ) for a (…, n, n) stack of
+    Hamiltonians and the n×n collapse operators ``collapse``.
 
-    Row-major vectorization gives vec(AρB) = (A⊗Bᵀ)vec(ρ), and each A⊗B is
-    the broadcast outer product A[i, j]·B[k, l] at ((i, k), (j, l)). The
-    dissipator does not depend on H, so every stage of a schedule shares one.
+    With H̃ = H − (i/2)Σ_k L_k†L_k the generator is
+    −i(H̃⊗1 − 1⊗H̃*) + Σ_k L_k⊗L̄_k: row-major vectorization gives
+    vec(AρB) = (A⊗Bᵀ)vec(ρ), and each A⊗B is the broadcast outer product
+    A[i, j]·B[k, l] at ((i, k), (j, l)).
     """
-    eye = np.eye(n, dtype=complex)
-    d = np.zeros((n, n, n, n), dtype=complex)
-    for l in collapse:
-        ldl = l.conj().T @ l
-        d += l[:, None, :, None] * l.conj()[None, :, None, :]
-        d -= 0.5 * (ldl[:, None, :, None] * eye[None, :, None, :]
-                    + eye[:, None, :, None] * ldl.T[None, :, None, :])
-    return d.reshape(n * n, n * n)
-
-
-def _superoperator(h: np.ndarray, dissipator: np.ndarray) -> np.ndarray:
-    """Lindblad generators -i[H, ·] plus a :func:`_dissipator` on vec(ρ), for a
-    (…, n, n) stack of Hamiltonians (H⊗1 − 1⊗Hᵀ of each stack member)."""
     n = h.shape[-1]
+    ls = np.reshape(collapse, (-1, n, n))
     eye = np.eye(n)
-    ht = np.swapaxes(h, -1, -2)
-    commutator = (h[..., :, None, :, None] * eye[None, :, None, :]
-                  - eye[:, None, :, None] * ht[..., None, :, None, :])
-    return dissipator - 1j * commutator.reshape(*h.shape[:-2], n * n, n * n)
+    heff = h - 0.5j * np.einsum("kji,kjl->il", ls.conj(), ls)
+    jumps = np.einsum("kij,kab->iajb", ls, ls.conj())
+    return (jumps - 1j * (heff[..., :, None, :, None] * eye[None, :, None, :]
+                          - eye[:, None, :, None] * heff.conj()[..., None, :, None, :])
+            ).reshape(*h.shape[:-2], n * n, n * n)
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -305,19 +297,16 @@ def _real_map(a: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
     return tat.real.copy()
 
 
-def _reachable(vec0: np.ndarray, maps) -> np.ndarray:
+def _reachable(vec0: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """Mask of the entries of vec(ρ) that ``maps`` can carry the support of ``vec0`` to.
 
-    ``maps`` are (…, m, m) arrays acting on an m-entry ``vec0``; the mask is
-    its support closed under the nonzero pattern of every one of them. No
-    map leads from an entry inside the mask to one outside it, so the entries
+    ``maps`` is an (…, m, m) stack acting on an m-entry ``vec0``; the mask is
+    its support closed under the nonzero pattern of every member. No map
+    leads from an entry inside the mask to one outside it, so the entries
     outside stay exactly 0 and each map can be restricted to the mask, for
     any device, model or initial state.
     """
-    m = vec0.size
-    links = np.zeros((m, m), dtype=bool)
-    for a in maps:
-        links |= np.any(a.reshape(-1, m, m) != 0, axis=0)
+    links = np.any(maps.reshape(-1, vec0.size, vec0.size) != 0, axis=0)
     reach = vec0 != 0
     while True:
         grown = reach | links[:, reach].any(axis=1)
@@ -377,24 +366,6 @@ def _expm_bytes(n: int, itemsize: int = 16) -> int:
     return 12 * itemsize * n**2
 
 
-def _pi_flip_matrix(space: HilbertSpace, mode_index: int, idx: np.ndarray) -> np.ndarray:
-    """Unitary swapping levels 0 and 1 of one mode (identity elsewhere), on the
-    ascending basis indices ``idx``.
-
-    It permutes the basis: a state with 0 quanta in the mode maps to the one
-    with 1, a stride up, and back; every other state stays. A state whose
-    image is not in ``idx`` gets a zero row, as slicing the full-space flip
-    to ``idx`` would give.
-    """
-    n = space.quanta[mode_index, idx]
-    target = idx + np.select([n == 0, n == 1], [1, -1]) * space.strides[mode_index]
-    at = np.minimum(np.searchsorted(idx, target), idx.size - 1)
-    hit = idx[at] == target
-    flip = np.zeros((idx.size, idx.size))
-    flip[hit, at[hit]] = 1.0
-    return flip
-
-
 def _observable(op, space: HilbertSpace, name: str) -> np.ndarray:
     """``op`` as an array; ConfigError unless it is a finite (d, d) numeric array on ``space``."""
     try:
@@ -417,7 +388,7 @@ def _rotated(g0: np.ndarray, shift: np.ndarray, up, lo, i, j) -> np.ndarray:
     A diagonal shift δ changes -i[H, ρ]_ij by -i(δ_i − δ_j)ρ_ij and nothing
     else, which on the coordinates up = √2·Re ρ_ij and lo = √2·Im ρ_ij of a
     kept pair (i, j) is the rotation G[up, lo] += ω, G[lo, up] −= ω at
-    ω = δ_i − δ_j; the dissipator and every other entry stay those of ``g0``.
+    ω = δ_i − δ_j; every other entry stays that of ``g0``.
     """
     omega = shift[..., i] - shift[..., j]
     g = np.empty(omega.shape[:-1] + g0.shape)
@@ -450,64 +421,64 @@ def _walk(out: np.ndarray, powers: list, act) -> np.ndarray:
     return out
 
 
-def _propagate(params, space, schedules, rho0, observables, n_samples, counter_rotating,
-               frame_ghz, readout=None, member=None):
-    """Sample times, readings (member, row, sample) and final states of a batch of schedules.
+def _propagate(params, space, durations, freqs, rho0, order, observables, n_samples,
+               counter_rotating, frame_ghz, readout=None, member=None):
+    """Sample times, readings (member, row, sample) and final states of a batch
+    of evolutions through stages of ``durations``, member b holding the qubit
+    frequencies ``freqs[k, b]`` on stage k ((stages, members, 2) GHz).
 
-    The schedules share stage durations and preps and differ only in their
-    points; each member starts from ``rho0``. Row 0 reads the trace and row
-    i + 1 observable i, as vec(Oᵢᵀ) · vec(ρ). With a fixed ``readout``
-    (point, t_ns), each sample is read after waiting at that point until
-    t_ns, by rows carried backwards from the readout through powers of the
+    Each member starts from ``rho0`` read in the basis order ``order``,
+    rho0[order][:, order]. Row 0 reads the trace and row i + 1
+    observable i, as vec(Oᵢᵀ) · vec(ρ). With a fixed ``readout`` ((f₁, f₂),
+    t_ns), each sample is read after waiting at those frequencies until t_ns,
+    by rows carried backwards from the readout through powers of the
     grid-step map.
 
     The evolution block is the states with N ≤ (largest N on the support of
-    ``rho0``) + the number of preps, or the full space if a static coupling of
-    the cached device model leads out of them. With collapse operators, a
-    readout or more than one schedule, maps act on the real Hermitian
-    coordinates of the reachable entries of vec(ρ) (``rho0`` enters by its
-    Hermitian part): the first point's generator G₀ is the real matrix
-    T(D − i[H₀, ·])T†, every other point's is G₀ plus the rotations
-    :func:`_rotated` gives for its diagonal, each stage map and π-prep is real,
-    the readout rows Re(rows · T†) and the state real, and the final ρ is
-    T† x. A lone lossless schedule propagates ρ → UρU† with a complex U.
+    the state), or the full space if a static coupling of the cached device
+    model leads out of them. With collapse operators, a readout or more than
+    one member, maps act on the real Hermitian coordinates of the reachable
+    entries of vec(ρ) (the state enters by its Hermitian part): the first
+    point's generator G₀ is the real matrix T L₀ T† of its
+    :func:`_superoperator`, every other point's is G₀ plus the rotations
+    :func:`_rotated` gives for its diagonal, each stage map is real, the
+    readout rows Re(rows · T†) and the state real, and the final ρ is T† x. A
+    lone lossless member propagates ρ → UρU† with a complex U.
 
-    The schedule is walked stage by stage; the readout padding is one more
-    stage, walked first for the rows. A stage's generators (one per member
-    where its point varies, one for all otherwise) are built when it is
-    entered and its maps, each one :func:`_expm` stack, as its samples need
-    them; both are dropped when it is left, and stages after the last sample
-    are not entered. A stage applies its prep and holds up to its first
-    sample; its samples lie one grid step apart, so :func:`_walk` finds them
-    in slices of at most STACK_SLICE_BYTES, each read with one product.
+    The stages are walked one by one; the readout padding is one more stage,
+    walked first for the rows. A stage's generators (one per member where its
+    frequencies vary, one for all otherwise) are built when it is entered and
+    its maps, each one :func:`_expm` stack, as its samples need them; both are
+    dropped when it is left, and stages after the last sample are not entered.
+    A stage holds up to its first sample; its samples lie one grid step
+    apart, so :func:`_walk` finds them in slices of at most STACK_SLICE_BYTES,
+    each read with one product.
 
     One guard refuses, before anything of the block's size is built, a run
     that would take more than ``errors.MEMORY_LIMIT``: per member a stage map
     being exponentiated (8-byte entries on vec(ρ), 16 for U) with the
     generator, the stage's other maps and the step map's powers held beside
-    it, a slice of states, its readings and final state; the dissipator; per
-    point its block Hamiltonian, built in the frame rotating at ``frame_ghz``
-    times N; per sample its time, stage and readout rows. Trace drift beyond
-    TRACE_TOL (or a NaN) raises IntegrationError at the first failing member
-    and sample, the member named as ``member`` and its index.
+    it, a slice of states, its readings and final state; the complex
+    generator; per point its block Hamiltonian, built in the frame rotating at
+    ``frame_ghz`` times N; per sample its time, stage and readout rows. Trace
+    drift beyond TRACE_TOL (or a NaN) raises IntegrationError at the first
+    failing member and sample, the member named as ``member`` and its index.
     """
-    stages = schedules[0].stages
-    batch, n_rows, n_stages = len(schedules), 1 + len(observables), len(stages)
+    (n_stages, batch), n_rows = np.shape(freqs)[:2], 1 + len(observables)
     model = device_model(params, space, counter_rotating)
     n_exc = space.quanta.sum(axis=0)
-    n_preps = sum(st.prep is not None for st in stages)
-    inside = n_exc <= n_exc[np.any(rho0 != 0, axis=1)].max() + n_preps
+    inside = n_exc <= n_exc[np.any(rho0 != 0, axis=1)[order]].max()
     if np.any(model.h_static[np.ix_(~inside, inside)]):
         inside[:] = True
     idx = np.flatnonzero(inside)
-    # a batch of schedules, a readout or collapse operators (known before the
+    # more than one member, a readout or collapse operators (known before the
     # guard without building any) put the evolution on vec(ρ)
     vec = bool(_collapse_terms(params)) or readout is not None or batch > 1
     m = idx.size**2 if vec else idx.size
     # stage k's points are points[k * batch:(k + 1) * batch], the readout's last
-    points = [sch.stages[k].point for k in range(n_stages) for sch in schedules]
+    points = np.reshape(freqs, (-1, 2))
     if readout is not None:
-        points.append(readout[0])
+        points = np.vstack([points, readout[0]])
     # a state has at most idx.size² entries, real ones of 8 bytes on vec(ρ) and
     # complex ones of 16 for ρ; a slice holds as many states of the batch as
     # fit in STACK_SLICE_BYTES, one at least and no more than a run can use
@@ -517,10 +488,10 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
     # the scaled duration · g, the stage's other two maps and the step map's
     # ⌈log₂ per_slice⌉ powers, each of the map's size, and a slice of states
     # with one more being formed (U ρ of ρ → UρU†); all members share the
-    # complex dissipator, and building a real generator from its complex
-    # superoperator peaks lower. A sample's time is a float64 and a Python
-    # float, its stage 8 bytes, its readings 8 a row and member, and its
-    # readout rows come with the readout step map's powers
+    # complex generator, and building a real generator from it peaks lower. A
+    # sample's time is a float64 and a Python float, its stage 8 bytes, its
+    # readings 8 a row and member, and its readout rows come with the readout
+    # step map's powers
     n_powers = (per_slice - 1).bit_length()
     require_memory(batch * (_expm_bytes(m, item) + (5 + n_powers) * item * m**2
                             + 2 * per_slice * item * idx.size**2 + 8 * n_rows * n_samples
@@ -530,12 +501,11 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
                    * (n_samples * n_rows + (n_samples - 1).bit_length() * m),
                    f"{n_samples} samples of {batch} evolution(s) on a "
                    f"{idx.size}-state evolution block")
-    hs = model.hamiltonians([p.qubit_freq_1 for p in points], [p.qubit_freq_2 for p in points], idx)
+    hs = model.hamiltonians(points[:, 0], points[:, 1], idx)
     if frame_ghz:
         hs.reshape(len(hs), -1)[:, :: idx.size + 1] -= TWO_PI * frame_ghz * n_exc[idx]
     sel = np.ix_(idx, idx)
-    flips = {tag: _pi_flip_matrix(space, 2 if tag == "pi_q1" else 3, idx)
-             for tag in {st.prep for st in stages} - {None}}
+    block0 = rho0[np.ix_(order[idx], order[idx])]
     rows = np.stack([np.eye(idx.size)] + [o[sel].T for o in observables]).reshape(n_rows, -1)
     at = (idx[:, None] * space.size + idx).reshape(-1)  # flat indices in the full ρ
     if vec:
@@ -545,25 +515,19 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
         # states in the order of ``space``
         sub = HilbertSpace([min(d, max(n_exc[idx].max(), 1) + 1) for d in space.dims])
         on = np.ravel_multi_index(space.quanta[:, idx], sub.dims)
-        g0 = _superoperator(hs[0], _dissipator(
-            [l[np.ix_(on, on)] for l in collapse_operators(params, sub)], idx.size))
-        # maps act on the entries of vec(ρ) they can reach; a prep P becomes
-        # P ⊗ P̄, and a point changes only H's diagonal, so the first point's
-        # generator links the same entries as every other's. Every map keeps
-        # ρ Hermitian, so from the support of ρ₀ closed under transposition
-        # the kept entries come in transposed pairs
-        flips = {tag: np.kron(p, p.conj()) for tag, p in flips.items()}
-        block0 = rho0[sel]
+        g0 = _superoperator(hs[0], [l[np.ix_(on, on)] for l in collapse_operators(params, sub)])
+        # maps act on the entries of vec(ρ) they can reach; a point changes only
+        # H's diagonal, so the first point's generator links the same entries as
+        # every other's. Every map keeps ρ Hermitian, so from the support of ρ₀
+        # closed under transposition the kept entries come in transposed pairs
         vec0, support = block0.reshape(-1), block0 != 0
-        keep = np.flatnonzero(_reachable((support | support.T).reshape(-1),
-                                         [g0, *flips.values()]))
+        keep = np.flatnonzero(_reachable((support | support.T).reshape(-1), g0))
         # real Hermitian coordinates x = T vec(ρ) on the kept entries, in which
         # every map T A T† is real; a state is a row x, mapped by A as x Aᵀ
         up, lo, pick, weight = _hermitian_basis(keep, idx.size)
         pair = np.divmod(keep[up], idx.size)
         g0 = _real_map(g0, pick, weight)
         diagonal = hs.diagonal(0, 1, 2)
-        flips = {tag: _real_map(f, pick, weight) for tag, f in flips.items()}
         x0 = (weight[0] * vec0[pick[0]] + weight[1] * vec0[pick[1]]).real
         rho = np.repeat(x0[None, None], batch, axis=1)
         # a reading keeps only the real part, so Re(rows · T†) reads x exactly
@@ -578,7 +542,7 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
         def generator(k):
             return _rotated(g0, diagonal[k] - diagonal[0], up, lo, *pair)
     else:
-        rho = np.repeat(rho0[sel][None, None], batch, axis=1)
+        rho = np.repeat(block0[None, None], batch, axis=1)
 
         def act(u, x, out):
             return np.matmul(u @ x, np.swapaxes(u, -1, -2).conj(), out=out)
@@ -589,11 +553,11 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
     def stage(k):
         """Stage k's hold (k = n_stages: the readout's), which returns the maps
         of a hold for ``duration``, none or one. The stage's generators (a stack
-        of one per member where its point varies, one for all otherwise) are
-        built here and each map when first asked for; uniform samples share one
-        map, whatever their float noise."""
+        of one per member where its frequencies vary, one for all otherwise)
+        are built here and each map when first asked for; uniform samples share
+        one map, whatever their float noise."""
         at_k = slice(k * batch, (k + 1) * batch)
-        g = generator(at_k if len(set(points[at_k])) > 1 else k * batch)
+        g = generator(at_k if (points[at_k] != points[k * batch]).any() else k * batch)
         maps = {}
 
         def hold(duration: float) -> list[np.ndarray]:
@@ -608,7 +572,7 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
 
         return hold
 
-    times = np.linspace(0.0, sum(st.duration_ns for st in stages), n_samples)
+    times = np.linspace(0.0, sum(durations), n_samples)
     t = times.tolist()
     sample_rows = rows
     if readout is not None:
@@ -631,19 +595,16 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
         readings[j:j + len(stack)] = (stack.reshape(len(stack), batch, -1)
                                       @ np.swapaxes(rows_j, -1, -2)).real
 
-    # each stage applies its prep, holds up to its first sample, walks its
-    # samples and holds on to its end; a sample on a boundary is read before
-    # the next stage's prep
+    # each stage holds up to its first sample, walks its samples and holds on
+    # to its end; a sample on a boundary is read in the stage it ends
     buffer = np.empty((per_slice, *rho.shape[1:]), dtype=rho.dtype)
     stage_at = np.empty(n_samples, dtype=int)
     j, t_now, stage_end = 0, 0.0, 0.0
-    for k, st in enumerate(stages):
+    for k, duration in enumerate(durations):
         if j == n_samples:
             break
         hold = stage(k)
-        stage_end += st.duration_ns
-        if st.prep:
-            rho = act(flips[st.prep], rho, np.empty_like(rho))
+        stage_end += duration
         end = j
         while end < n_samples and (t[end] <= stage_end + 1e-9 or k + 1 == n_stages):
             end += 1
@@ -683,6 +644,24 @@ def _propagate(params, space, schedules, rho0, observables, n_samples, counter_r
     return times, readings, final
 
 
+def _prep_order(space: HilbertSpace, stages) -> np.ndarray:
+    """The basis order of ρ₀ after the π-preps of ``stages``: the prepared
+    state is ρ₀[order][:, order]. Each prep swaps levels 0 and 1 of a qubit, a
+    permutation that is its own inverse and commutes with the others; a prep
+    on a stage that starts after 0 ns is a ConfigError."""
+    order, start = np.arange(space.size), 0.0
+    for st in stages:
+        if st.prep:
+            if start > 0:
+                raise ConfigError(f"a prep acts at 0 ns only, got {st.prep!r} at {start} ns")
+            mode = 2 if st.prep == "pi_q1" else 3
+            _check_mode(space, mode)
+            n = space.quanta[mode, order]
+            order = order + np.select([n == 0, n == 1], [1, -1]) * space.strides[mode]
+        start += st.duration_ns
+    return order
+
+
 def evolve(
     params: DeviceParams,
     schedule: PulseSchedule,
@@ -705,16 +684,20 @@ def evolve(
     excitation-conserving model (counter-rotating off) and invalid with
     counter-rotating terms on.
 
-    ``initial`` must live on ``space`` itself. The run is a batch of one of
-    :func:`_propagate`, with the exact stage maps the module docstring
-    describes, built one stage at a time and dropped after it, so memory
-    does not grow with the number of stages. A stage map, stage
-    Hamiltonians or readings that would not fit in memory raise ConfigError
-    from one guard, before anything of the block's size is built, and a
-    trace drift beyond 1e-8 (or a NaN) at any sample aborts with diagnostics.
+    ``initial`` must live on ``space`` itself. The preps of the stages that
+    start at 0 ns act on it as one basis permutation (:func:`_prep_order`);
+    a prep on a later stage raises ConfigError before anything is built. The
+    run is a batch of one of :func:`_propagate`, with the exact stage maps
+    the module docstring describes, built one stage at a time and dropped
+    after it, so memory does not grow with the number of stages. A stage
+    map, stage Hamiltonians or readings that would not fit in memory raise
+    ConfigError from one guard, before anything of the block's size is
+    built, and a trace drift beyond 1e-8 (or a NaN) at any sample aborts
+    with diagnostics.
     """
     if initial.space != space:
         raise ConfigError(f"initial state lives on {initial.space}, not on {space}")
+    order = _prep_order(space, schedule.stages)
     n_samples = require_count(n_samples, "number of sample points", 2)
     frame_ghz = require_number(frame_ghz, "frame frequency")
     if frame_ghz != 0.0 and include_counter_rotating:
@@ -725,8 +708,10 @@ def evolve(
     initial.validate()
     observables = {n: _observable(op, space, n) for n, op in observables.items()}
     times, readings, final = _propagate(
-        params, space, [schedule], initial.rho, list(observables.values()), n_samples,
-        include_counter_rotating, frame_ghz,
+        params, space, [st.duration_ns for st in schedule.stages],
+        [[(st.point.qubit_freq_1, st.point.qubit_freq_2)] for st in schedule.stages],
+        initial.rho, order, list(observables.values()), n_samples, include_counter_rotating,
+        frame_ghz,
     )
     records = {n: readings[0, i + 1] for i, n in enumerate(observables)}
     return TraceSeries(times, records, DensityState(space, final[0]))
@@ -785,18 +770,19 @@ def vacuum_rabi_chevron(
     column's detuning), held for τ, and the qubit-1 excited population
     is recorded. With ``prep_to_readout_ns`` set, the state is further
     evolved at the bias point until that fixed total delay before
-    readout. Each column is one single-stage schedule at its interaction
-    point, in the excitation-conserving model on the exact N ≤ 1 block, and
-    all columns are one batch of :func:`_propagate`, the core of
-    :func:`evolve`, in real Hermitian coordinates on the reachable entries of
-    vec(ρ): 17 with dissipation, 16 without, so every step map is a real
-    17 × 17 or 16 × 16 matrix (a lone lossless column without a readout
-    delay runs as U on the block, as ``evolve`` does). The columns differ
-    only on H's diagonal, so each column's generator is the first one's plus
-    a rotation of each pair of coordinates; the τ grid is reached by
-    repeated squaring of each column's one step map, and the readout rows
-    by powers of the padding's. A trace drift beyond 1e-8 (or a NaN) in any
-    cell raises IntegrationError naming the first such column.
+    readout. The columns are one batch of :func:`_propagate`, the core of
+    :func:`evolve`: one stage of τ_max whose frequency table holds each
+    column's interaction point, in the excitation-conserving model on the
+    exact N ≤ 1 block, in real Hermitian coordinates on the reachable entries
+    of vec(ρ): 17 with dissipation, 16 without (a lone lossless column
+    without a readout delay runs as U on the block, as ``evolve`` does). The
+    columns differ only on H's diagonal, so each column's generator is the
+    first one's plus a rotation of each pair of coordinates; the τ grid is
+    reached by repeated squaring of each column's one step map, and the
+    readout rows by powers of the padding's. A trace drift beyond 1e-8 (or a
+    NaN) in any cell raises IntegrationError naming the first such column,
+    and a population outside [0, 1] beyond rounding raises IntegrationError
+    before the rounding is clipped.
 
     ``q2_target``, the offsets, the τ values and a readout delay must be
     finite numbers, the offsets strictly ascending (a single offset is
@@ -828,11 +814,14 @@ def vacuum_rabi_chevron(
 
     # two levels per mode hold the N <= 1 block, where the anharmonic term vanishes
     space = HilbertSpace((2, 2, 2, 2))
-    holds = [OperatingPoint(q2_target + off * 1e-3, q2_target) for off in offsets]
-    readout = None if prep_to_readout_ns is None else (bias, prep_to_readout_ns)
+    holds = np.stack([q2_target + offsets * 1e-3, np.full(offsets.size, q2_target)], axis=-1)
+    readout = None if prep_to_readout_ns is None else (
+        (bias.qubit_freq_1, bias.qubit_freq_2), prep_to_readout_ns)
     _, readings, _ = _propagate(
-        params, space, [PulseSchedule([Stage(float(taus[-1]), h)]) for h in holds],
-        DensityState.single_excitation(space, 3).rho, [number_operator(space, 2)], taus.size,
-        False, q2_target, readout, "chevron column",
+        params, space, [float(taus[-1])], holds[None],
+        DensityState.single_excitation(space, 3).rho, np.arange(space.size),
+        [number_operator(space, 2)], taus.size, False, q2_target, readout, "chevron column",
     )
-    return ChevronMap(offsets, taus, np.clip(readings[:, 1], 0.0, 1.0))
+    chevron = ChevronMap(offsets, taus, readings[:, 1])  # checks the raw range
+    chevron.p1 = np.clip(chevron.p1, 0.0, 1.0)
+    return chevron

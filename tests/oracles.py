@@ -1,13 +1,18 @@
 """Reference quantities the tests check the library against.
 
-None of these is on a program path: each is a closed form or a textbook
-definition, kept beside the tests that use it.
+None of these is on a program path: each is a closed form, a textbook
+definition or a slow reference built from one term by term, kept beside the
+tests that use it. :func:`vec_oracle` takes the device Hamiltonians, the
+collapse operators and the matrix exponential from the library and builds
+everything else itself.
 """
 
 import math
 
 import numpy as np
 
+from dresq.device import TWO_PI, device_model
+from dresq.dynamics import _expm, collapse_operators
 from dresq.fock import HilbertSpace
 
 
@@ -39,3 +44,104 @@ def two_level_transfer(g_eff_mhz: float, delta12_mhz: float, t_ns) -> np.ndarray
     t = np.asarray(t_ns, dtype=float)
     p = amp * np.sin(math.pi * f * t) ** 2
     return p if np.ndim(t_ns) else float(p)
+
+
+def pi_flip(space: HilbertSpace, mode: int) -> np.ndarray:
+    """Swap of levels 0 and 1 of one mode on the whole space: the one-mode
+    swap embedded by Kronecker products with identities."""
+    out = np.ones((1, 1))
+    for m, d in enumerate(space.dims):
+        out = np.kron(out, np.eye(d)[[1, 0, *range(2, d)]] if m == mode else np.eye(d))
+    return out
+
+
+def lindblad_superoperator(h: np.ndarray, collapse) -> np.ndarray:
+    """-i[H, ·] + Σ_k D[L_k] on row-major vec(ρ), vec(AρB) = (A⊗Bᵀ)vec(ρ), for
+    a (…, n, n) stack of H, term by term as Kronecker products:
+    -i(H⊗1 − 1⊗Hᵀ) + Σ_k (L_k⊗L̄_k − ½ L_k†L_k⊗1 − ½ 1⊗(L_k†L_k)ᵀ)."""
+    n = h.shape[-1]
+    eye = np.eye(n)
+    dissipator = np.zeros((n * n, n * n), dtype=complex)
+    for l in collapse:
+        ldl = l.conj().T @ l
+        dissipator += np.kron(l, l.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    members = [dissipator - 1j * (np.kron(hk, eye) - np.kron(eye, hk.T))
+               for hk in h.reshape(-1, n, n)]
+    return np.reshape(members, (*h.shape[:-2], n * n, n * n))
+
+
+def leak_rule_block(space: HilbertSpace, rho: np.ndarray, operators) -> np.ndarray:
+    """The block by the operator-leak rule: the states with N up to the largest
+    on the support of rho, unless an operator, or L†L for one, maps one of
+    them outside; then the full space."""
+    n_exc = space.quanta.sum(axis=0)
+    inside = n_exc <= n_exc[np.any(rho != 0, axis=1)].max()
+    leak = np.ix_(~inside, inside)
+    if any(np.any(op[leak]) or np.any((op.conj().T @ op)[leak]) for op in operators):
+        return np.arange(space.size)
+    return np.flatnonzero(inside)
+
+
+def vec_oracle(params, space, durations, freqs, rho0, observables, n_samples, counter_rotating,
+               frame, readout=None, preps=()):
+    """A batch of staged evolutions on complex vec(ρ) of the whole block, one
+    sample at a time.
+
+    The π-preps ``preps`` ("pi_q1", "pi_q2") act on ``rho0`` as full-space
+    flips P ρ₀ P†. Member b holds the qubit frequencies ``freqs[k, b]`` on
+    stage k, whose generator is :func:`lindblad_superoperator` of its H (in
+    the frame rotating at ``frame`` times N) and the collapse operators, on
+    the block of :func:`leak_rule_block`. Each member goes from sample to
+    sample by exp(Δt·L) of the stage it is in, across stage boundaries on the
+    way. With a ``readout`` ((f₁, f₂), t_ns) each sample's rows are those of
+    the readout carried back one grid step at a time.
+
+    Returns the block indices, the mask of the entries of vec(ρ) on the block
+    that the generators can carry the support of ρ₀ to, the readings
+    (member, row, sample) and the block states (member, sample, n, n).
+    """
+    for tag in preps:
+        flip = pi_flip(space, 2 if tag == "pi_q1" else 3)
+        rho0 = flip @ rho0 @ flip.T
+    n_stages, batch = np.shape(freqs)[:2]
+    points = np.reshape(freqs, (-1, 2))
+    if readout is not None:
+        points = np.vstack([points, readout[0]])
+    hs = device_model(params, space, counter_rotating).hamiltonians(points[:, 0], points[:, 1])
+    hs -= TWO_PI * frame * total_number_operator(space)
+    ls = collapse_operators(params, space)
+    idx = leak_rule_block(space, rho0, list(hs) + ls)
+    sel = np.ix_(idx, idx)
+    generators = lindblad_superoperator(hs[:, idx[:, None], idx], [l[sel] for l in ls])
+    vec0 = rho0[sel].reshape(-1)
+    links = np.any(generators != 0, axis=0)
+    reach = vec0 != 0
+    for _ in range(vec0.size):
+        reach = reach | links[:, reach].any(axis=1)
+    rows = np.stack([np.eye(idx.size)] + [o[sel].T for o in observables]).reshape(
+        1 + len(observables), -1)
+    times = np.linspace(0.0, sum(durations), n_samples)
+    sample_rows = [rows] * n_samples
+    if readout is not None:
+        rows = rows @ _expm((readout[1] - times[-1]) * generators[-1])
+        step = _expm((times[1] - times[0]) * generators[-1])
+        for j in range(n_samples - 1, -1, -1):
+            sample_rows[j] = rows
+            rows = rows @ step
+    readings = np.empty((batch, len(rows), n_samples))
+    states = np.empty((batch, n_samples, idx.size, idx.size), dtype=complex)
+    for b in range(batch):
+        g = generators[b:n_stages * batch:batch]
+        v, k, start, t_now = vec0, 0, 0.0, 0.0
+        for j, t in enumerate(times):
+            while k + 1 < n_stages and t > start + durations[k] + 1e-9:
+                start += durations[k]
+                if start > t_now:
+                    v = _expm((start - t_now) * g[k]) @ v
+                t_now, k = start, k + 1
+            if t > t_now:
+                v = _expm((t - t_now) * g[k]) @ v
+            t_now = t
+            readings[b, :, j] = (sample_rows[j] @ v).real
+            states[b, j] = v.reshape(idx.size, idx.size)
+    return idx, reach, readings, states

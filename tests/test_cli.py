@@ -289,6 +289,40 @@ def test_malformed_grid_exit_2(tmp_path, argv):
     assert not (tmp_path / "x").exists()
 
 
+def test_chevron_tau_points_below_a_fit_exit_2_before_propagating(tmp_path, monkeypatch, capsys):
+    # every column is fitted, and a fit needs MIN_POINTS points: a shorter τ
+    # grid is refused naming its flag, before the chevron is propagated
+    from dresq import dynamics, fitting
+
+    calls = []
+    monkeypatch.setattr(dynamics, "vacuum_rabi_chevron", lambda *a, **k: calls.append(a))
+    for points in (2, fitting.MIN_POINTS - 1):
+        assert run(["chevron", "--tau-points", points, "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert f"--tau-points must be an integer of at least {fitting.MIN_POINTS}" in err
+    assert calls == []
+    assert not (tmp_path / "x").exists()
+
+
+def test_chevron_population_out_of_range_exit_4(tmp_path, monkeypatch, capsys):
+    # a cell reading 1.2 with its trace intact is a numerical failure, not a
+    # population to clip
+    from dresq import dynamics
+
+    real = dynamics._propagate
+
+    def broken(*args, **kwargs):
+        times, readings, final = real(*args, **kwargs)
+        readings[2, 1, 5] = 1.2
+        return times, readings, final
+
+    monkeypatch.setattr(dynamics, "_propagate", broken)
+    assert run(["chevron", "--tau-points", 21, "--detuning-points", 5,
+                "--out", tmp_path / "x"]) == 4
+    assert "population outside [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_fit_command(tmp_path):
     t = np.linspace(0, 1000, 200)
     y = 0.5 * np.exp(-t / 800.0) * np.cos(2 * math.pi * 0.006 * t + 0.3) + 0.2

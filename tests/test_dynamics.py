@@ -17,10 +17,8 @@ from dresq.dynamics import (
     collapse_operators,
     evolve,
     vacuum_rabi_chevron,
-    _dissipator,
     _expm,
     _expm_bytes,
-    _pi_flip_matrix,
     _hermitian_basis,
     _reachable,
     _real_map,
@@ -28,7 +26,10 @@ from dresq.dynamics import (
     _superoperator,
     _walk,
 )
-from oracles import purity, total_number_operator, two_level_transfer
+from oracles import (
+    leak_rule_block, lindblad_superoperator, pi_flip, purity, total_number_operator,
+    two_level_transfer, vec_oracle,
+)
 
 SPACE2 = HilbertSpace((2, 2, 2, 2))
 SPACE3 = HilbertSpace((3, 3, 3, 3))
@@ -296,27 +297,91 @@ def test_multi_stage_schedule_with_padding():
     assert ts.expectations["n_q1"][-1] == pytest.approx(1.0, abs=1e-4)
 
 
+def test_a_prep_after_0_ns_is_refused_before_anything_is_built(monkeypatch):
+    # preps act on the initial state only: one on a stage that starts at
+    # 12.5 ns is refused, naming that time, before any Hamiltonian is built
+    built = []
+    monkeypatch.setattr(DeviceModel, "hamiltonians", lambda *a: built.append(a))
+    sched = PulseSchedule([Stage(0.0, BIAS, prep="pi_q2"), Stage(12.5, BIAS),
+                           Stage(10.0, BIAS, prep="pi_q1")])
+    with pytest.raises(ConfigError, match=r"'pi_q1' at 12.5 ns"):
+        evolve(DeviceParams(), sched, DensityState.ground(SPACE2), SPACE2, {}, n_samples=3,
+               include_counter_rotating=False)
+    # a space without the qubit modes has nothing to prep
+    two_modes = HilbertSpace((2, 2))
+    with pytest.raises(ConfigError, match="mode index 3 out of range for 2 modes"):
+        evolve(DeviceParams(), PulseSchedule([Stage(1.0, BIAS, prep="pi_q2")]),
+               DensityState.ground(two_modes), two_modes, {}, n_samples=2,
+               include_counter_rotating=False)
+    assert built == []
+
+
+def test_two_opening_preps_of_one_qubit_cancel():
+    # each prep is its own inverse: two of qubit 2 leave the ground state
+    hold = OperatingPoint(4.601, 4.60)
+    obs = {"n_q2": number_operator(SPACE3, 3), "n_tot": total_number_operator(SPACE3)}
+
+    def run(stages):
+        return evolve(DeviceParams(), PulseSchedule(stages), DensityState.ground(SPACE3), SPACE3,
+                      obs, n_samples=11, include_counter_rotating=False, frame_ghz=4.60)
+
+    twice = run([Stage(0.0, BIAS, "pi_q2"), Stage(0.0, BIAS, "pi_q2"), Stage(50.0, hold)])
+    none = run([Stage(50.0, hold)])
+    for name in obs:
+        assert np.abs(twice.expectations[name] - none.expectations[name]).max() <= 1e-12
+    assert np.abs(twice.final_state.rho - none.final_state.rho).max() <= 1e-12
+    assert twice.final_state.rho[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_preps_of_both_qubits_run_on_the_two_excitation_block(monkeypatch):
+    # pi_q1 and pi_q2 from the ground state at 3^4 start from |q1 q2>: the
+    # evolution runs on the 15 states with N <= 2 and matches the complex
+    # vec(ρ) reference, which flips ρ₀ on the full space
+    blocks = []
+    real = DeviceModel.hamiltonians
+    monkeypatch.setattr(DeviceModel, "hamiltonians",
+                        lambda self, f1, f2, idx=None: blocks.append(idx) or real(self, f1, f2, idx))
+    sched = PulseSchedule([Stage(0.0, BIAS, "pi_q1"), Stage(0.0, BIAS, "pi_q2"),
+                           Stage(30.0, OperatingPoint(4.601, 4.60)), Stage(20.0, BIAS)])
+    obs = {"n_q1": number_operator(SPACE3, 2), "n_q2": number_operator(SPACE3, 3),
+           "n_a": number_operator(SPACE3, 0)}
+    initial = DensityState.ground(SPACE3)
+    ts = evolve(DeviceParams(), sched, initial, SPACE3, obs, n_samples=6,
+                include_counter_rotating=False, frame_ghz=4.60)
+    assert len(blocks) == 1 and blocks[0].size == 15
+    monkeypatch.undo()
+    idx, _, readings, states = oracle_run(DeviceParams(), sched, initial, SPACE3, obs, 6,
+                                          False, 4.60)
+    assert np.array_equal(idx, blocks[0])
+    assert readings[0, 1, 0] == readings[0, 2, 0] == 1.0
+    for i, name in enumerate(obs):
+        assert np.abs(ts.expectations[name] - readings[0, i + 1]).max() <= 1e-12
+    assert np.abs(ts.final_state.rho[np.ix_(idx, idx)] - states[0, -1]).max() <= 1e-12
+
+
 stage_draws = st.lists(
-    st.tuples(
-        st.one_of(st.just(0.0), st.floats(0.1, 60.0)),
-        st.floats(-0.01, 0.01),
-        st.sampled_from([None, "pi_q1", "pi_q2"]),
-    ),
+    st.tuples(st.one_of(st.just(0.0), st.floats(0.1, 60.0)), st.floats(-0.01, 0.01)),
     min_size=1,
     max_size=3,
 )
+prep_draws = st.lists(st.sampled_from(["pi_q1", "pi_q2"]), max_size=2)
+
+
+def opening_schedule(preps, stages):
+    """A zero-length stage at the first stage's point per prep, then holds of
+    (duration, qubit-1 offset from 4.60 GHz) with qubit 2 at 4.60 GHz."""
+    points = [OperatingPoint(4.60 + dq, 4.60) for _, dq in stages]
+    return PulseSchedule([Stage(0.0, points[0], prep) for prep in preps]
+                         + [Stage(t, pt) for (t, _), pt in zip(stages, points)])
 
 
 @settings(max_examples=25, deadline=None)
-@given(stage_draws, st.integers(3, 14), st.sampled_from([None, 2, 3]))
-def test_evolve_sampling_trace_positivity_and_excitations(stages, n_samples, excited):
-    # lossy rotating-wave evolution with preps on random stages: the sample
-    # grid must not change the final state, and rho keeps its trace, stays
-    # positive and Hermitian bit for bit and gains at most one excitation per
-    # prep
-    sched = PulseSchedule(
-        [Stage(t, OperatingPoint(4.60 + dq, 4.60), prep) for t, dq, prep in stages]
-    )
+@given(prep_draws, stage_draws, st.integers(3, 14), st.sampled_from([None, 2, 3]))
+def test_evolve_sampling_trace_positivity_and_excitations(preps, stages, n_samples, excited):
+    # lossy rotating-wave evolution after opening preps: the sample grid must
+    # not change the final state, and rho keeps its trace, stays positive and
+    # Hermitian bit for bit and gains at most one excitation per prep
+    sched = opening_schedule(preps, stages)
     init = DensityState.ground(SPACE2)
     if excited is not None:
         init = DensityState.single_excitation(SPACE2, excited)
@@ -334,20 +399,7 @@ def test_evolve_sampling_trace_positivity_and_excitations(stages, n_samples, exc
     assert np.abs(ts.expectations["tr"] - 1.0).max() < 1e-8
     assert np.linalg.eigvalsh(ts.final_state.rho).min() > -1e-8
     assert np.array_equal(ts.final_state.rho, ts.final_state.rho.conj().T)
-    n_preps = sum(prep is not None for _, _, prep in stages)
-    assert ts.expectations["n"].max() <= (excited is not None) + n_preps + 1e-8
-
-
-def leak_rule_block(space, rho, n_preps, operators):
-    """The block by the operator-leak rule: the states with N up to the largest
-    on the support of rho plus n_preps, unless an operator, or L†L for one,
-    maps one of them outside; then the full space."""
-    n_exc = space.quanta.sum(axis=0)
-    inside = n_exc <= n_exc[np.any(rho != 0, axis=1)].max() + n_preps
-    leak = np.ix_(~inside, inside)
-    if any(np.any(op[leak]) or np.any((op.conj().T @ op)[leak]) for op in operators):
-        return np.arange(space.size)
-    return np.flatnonzero(inside)
+    assert ts.expectations["n"].max() <= (excited is not None) + len(preps) + 1e-8
 
 
 coupling_draws = st.fixed_dictionaries(
@@ -377,7 +429,8 @@ def test_block_from_static_couplings_matches_the_leak_rule(
     points = [OperatingPoint(4.60 + d, 4.60) for d in detunings]
     frame = 0.0 if counter_rotating else 4.60
 
-    # a zero-length stage per prep, then a hold at each point
+    # a zero-length stage per prep, then a hold at each point: the preps act
+    # on rho, and two of qubit 2 cancel
     sched = PulseSchedule([Stage(0.0, points[0], "pi_q2")] * n_preps
                           + [Stage(1.0, pt) for pt in points])
     stage_points = [st.point for st in sched.stages]
@@ -386,11 +439,12 @@ def test_block_from_static_couplings_matches_the_leak_rule(
     )
     hs -= dynamics.TWO_PI * frame * total_number_operator(space)
     ls = collapse_operators(p, space)
-    expected = leak_rule_block(space, rho, n_preps, list(hs) + ls)
+    flip = pi_flip(space, 3) if n_preps % 2 else np.eye(space.size)
+    expected = leak_rule_block(space, flip @ rho @ flip.T, list(hs) + ls)
 
     # the core's block Hamiltonians are the stack it builds (the frame is taken
-    # off in place) and its collapse operators what it builds the dissipator
-    # from; the run stops at the first of _dissipator and _expm, before any map
+    # off in place) and its collapse operators what it builds the generator
+    # from; the run stops at the first of _superoperator and _expm, before any map
     class Built(Exception):
         pass
 
@@ -401,7 +455,7 @@ def test_block_from_static_couplings_matches_the_leak_rule(
         seen["idx"], seen["hs"] = idx, real(self, f1, f2, idx)
         return seen["hs"]
 
-    def dissipator(collapse, n):
+    def superoperator(h, collapse):
         seen["ls"] = collapse
         raise Built
 
@@ -414,7 +468,7 @@ def test_block_from_static_couplings_matches_the_leak_rule(
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DeviceModel, "hamiltonians", hamiltonians)
-        mp.setattr(dynamics, "_dissipator", dissipator)
+        mp.setattr(dynamics, "_superoperator", superoperator)
         mp.setattr(dynamics, "_expm", expm)
         if _expm_bytes(expected.size**2 if ls else expected.size) > MEMORY_LIMIT:
             with pytest.raises(ConfigError, match="evolution block"):
@@ -456,11 +510,11 @@ def test_evolution_builds_its_stage_stack_on_the_excitation_block(monkeypatch):
 
 
 def stepped_schedule(n_stages, preps=("pi_q2", "pi_q1")):
-    """n_stages stages of 0.1 ns, each at its own point near 4.60 GHz, the first
-    ones opening with the given preps."""
-    preps = list(preps) + [None] * n_stages
-    return PulseSchedule([Stage(0.1, OperatingPoint(4.600 + 0.001 * (k % 5), 4.60), preps[k])
-                          for k in range(n_stages)])
+    """A zero-length opening stage per prep, then n_stages stages of 0.1 ns,
+    each at its own point near 4.60 GHz."""
+    return PulseSchedule([Stage(0.0, BIAS, prep) for prep in preps]
+                         + [Stage(0.1, OperatingPoint(4.600 + 0.001 * (k % 5), 4.60))
+                            for k in range(n_stages)])
 
 
 def test_memory_does_not_grow_with_the_number_of_stages(monkeypatch):
@@ -497,9 +551,11 @@ def test_memory_does_not_grow_with_the_number_of_stages(monkeypatch):
 
 
 def test_memory_guard_counts_the_peak_of_a_lossy_run(monkeypatch):
-    # preps on both qubits make all 225 entries of vec(rho) on the 15-state
-    # block reachable: each stage map is a real 225 x 225 exponential, held
-    # next to the stage generator, the dissipator and the stage's other maps
+    # preps on both qubits start the run from |q1 q2>, on the 15-state N <= 2
+    # block; the rotating-wave maps conserve N(ket) - N(bra), so 117 of its
+    # 225 entries of vec(rho) are reachable (100 + 16 + 1): each stage map is
+    # a real 117 x 117 exponential, held next to the stage generator, the
+    # complex generator and the stage's other maps
     counted = []
     real = dynamics.require_memory
     monkeypatch.setattr(dynamics, "require_memory", lambda need, what: (
@@ -514,7 +570,7 @@ def test_memory_guard_counts_the_peak_of_a_lossy_run(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(counted) == 1
-    assert _expm_bytes(225, 8) < peak <= counted[0]
+    assert _expm_bytes(117, 8) < peak <= counted[0]
 
 
 def test_stage_hamiltonians_over_the_limit_refused_before_allocating(monkeypatch):
@@ -553,7 +609,7 @@ def test_evolve_refuses_readings_over_the_limit_before_allocating(monkeypatch):
     def built(*args):
         raise AssertionError("the lossy generators were built past the guard")
 
-    monkeypatch.setattr(dynamics, "_dissipator", built)
+    monkeypatch.setattr(dynamics, "_superoperator", built)
     observables = {f"n{m}": number_operator(SPACE2, m) for m in range(3)}
     n_samples = MEMORY_LIMIT // (8 * 4) + 1
     sched = PulseSchedule([Stage(1.0, BIAS)])
@@ -631,46 +687,6 @@ def test_chevron_corrupted_step_map_names_its_column(monkeypatch, factor):
     assert calls == [(4, 17, 17)]
 
 
-def full_vec_oracle(params, sched, initial, space, counter_rotating, frame, times):
-    """Block vec(ρ) at each sample time on every entry of the block, each
-    stage's prep and hold applied afresh from t = 0 (a sample at a stage
-    boundary is read before the next stage's prep, as in evolve), together
-    with the block indices and the reachable-entry mask."""
-    stages = sched.stages
-    n_preps = sum(st.prep is not None for st in stages)
-    hs = device_model(params, space, counter_rotating).hamiltonians(
-        [st.point.qubit_freq_1 for st in stages], [st.point.qubit_freq_2 for st in stages]
-    )
-    hs -= dynamics.TWO_PI * frame * total_number_operator(space)
-    ls = collapse_operators(params, space)
-    idx = leak_rule_block(space, initial.rho, n_preps, list(hs) + ls)
-    hs = hs[:, idx[:, None], idx]
-    ls = [l[np.ix_(idx, idx)] for l in ls]
-    generators = _superoperator(hs, _dissipator(ls, idx.size))
-    sel = np.ix_(idx, idx)
-    flips = {}
-    for tag, mode in (("pi_q1", 2), ("pi_q2", 3)):
-        p = _pi_flip_matrix(space, mode, idx)
-        flips[tag] = np.kron(p, p.conj())
-    vec0 = initial.rho[sel].reshape(-1)
-    used = [flips[st.prep] for st in stages if st.prep]
-    keep = _reachable(vec0, [generators, *used])
-    vecs = []
-    for t in times:
-        v, start = vec0, 0.0
-        for k, st in enumerate(stages):
-            if k and t <= start + 1e-9:
-                break
-            if st.prep:
-                v = flips[st.prep] @ v
-            hold = min(st.duration_ns, t - start) if k + 1 < len(stages) else t - start
-            if hold > 0:
-                v = _expm(hold * generators[k]) @ v
-            start += st.duration_ns
-        vecs.append(v)
-    return idx, keep, vecs
-
-
 @st.composite
 def coherent_states(draw, space, basis=None):
     """ρ = |ψ><ψ| of a ψ with complex amplitudes on 1-3 basis states (drawn
@@ -685,36 +701,40 @@ def coherent_states(draw, space, basis=None):
     return DensityState(space, np.outer(psi, psi.conj()))
 
 
+def oracle_run(params, sched, initial, space, observables, n_samples, counter_rotating, frame):
+    """:func:`vec_oracle` of one evolve schedule: its opening preps act on the
+    initial state, the rest are holds."""
+    stages = sched.stages
+    freqs = [[(st.point.qubit_freq_1, st.point.qubit_freq_2)] for st in stages]
+    return vec_oracle(params, space, [st.duration_ns for st in stages], freqs, initial.rho,
+                      list(observables.values()), n_samples, counter_rotating, frame,
+                      preps=[st.prep for st in stages if st.prep])
+
+
 @settings(max_examples=40, deadline=None)
-@given(coupling_draws, st.booleans(), st.booleans(), coherent_states(SPACE2),
-       st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.1, 40.0)), st.floats(-0.01, 0.01),
-                          st.sampled_from([None, "pi_q1", "pi_q2"])), min_size=1, max_size=3),
+@given(coupling_draws, st.booleans(), st.booleans(), coherent_states(SPACE2), prep_draws,
+       st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.1, 40.0)), st.floats(-0.01, 0.01)),
+                min_size=1, max_size=3),
        st.integers(2, 5))
 def test_evolve_on_reachable_entries_matches_full_vec_propagation(
-    couplings, lossy, counter_rotating, initial, stages, n_samples
+    couplings, lossy, counter_rotating, initial, preps, stages, n_samples
 ):
     # the lossy branch propagates only the entries of vec(ρ) in _reachable;
-    # the oracle propagates all of them: its other entries stay exactly 0 and
-    # every reading and the final ρ agree with evolve's
-    assume(sum(prep is not None for *_, prep in stages) <= 2)
+    # the oracle propagates all of them: those its generators cannot reach
+    # stay exactly 0, and every reading and the final ρ agree with evolve's
     p = DeviceParams(**couplings) if lossy else DeviceParams(**lossless(**couplings))
-    sched = PulseSchedule(
-        [Stage(t, OperatingPoint(4.60 + dq, 4.60), prep) for t, dq, prep in stages]
-    )
+    sched = opening_schedule(preps, stages)
     frame = 0.0 if counter_rotating else 4.60
     obs = {"n_q1": number_operator(SPACE2, 2), "n_a": number_operator(SPACE2, 0)}
     ts = evolve(p, sched, initial, SPACE2, obs, n_samples=n_samples,
                 include_counter_rotating=counter_rotating, frame_ghz=frame)
-    idx, keep, vecs = full_vec_oracle(p, sched, initial, SPACE2, counter_rotating, frame,
-                                      ts.times_ns)
-    for j, v in enumerate(vecs):
-        assert not np.any(v[~keep])
-        rho = v.reshape(idx.size, idx.size)
-        for name, op in obs.items():
-            expected = np.trace(op[np.ix_(idx, idx)] @ rho).real
-            assert abs(ts.expectations[name][j] - expected) <= 1e-12
+    idx, keep, readings, states = oracle_run(p, sched, initial, SPACE2, obs, n_samples,
+                                             counter_rotating, frame)
+    assert not np.any(states.reshape(n_samples, -1)[:, ~keep])
+    for i, name in enumerate(obs):
+        assert np.abs(ts.expectations[name] - readings[0, i + 1]).max() <= 1e-12
     final = np.zeros((16, 16), dtype=complex)
-    final[np.ix_(idx, idx)] = vecs[-1].reshape(idx.size, idx.size)
+    final[np.ix_(idx, idx)] = states[0, -1]
     assert np.abs(ts.final_state.rho - final).max() <= 1e-12
 
 
@@ -722,38 +742,33 @@ def test_evolve_on_reachable_entries_matches_full_vec_propagation(
 @given(st.sampled_from([SPACE2, SPACE3]).flatmap(
            lambda space: st.tuples(st.just(space), coherent_states(
                space, [0, *space.single_excitation_indices()]))),
-       st.sampled_from(["pi_q1", "pi_q2"]),
-       st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.1, 40.0)), st.floats(-0.01, 0.01),
-                          st.sampled_from([None, "pi_q1", "pi_q2"])), min_size=1, max_size=3),
+       st.sampled_from(["pi_q1", "pi_q2"]), prep_draws,
+       st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.1, 40.0)), st.floats(-0.01, 0.01)),
+                min_size=1, max_size=3),
        st.integers(2, 5))
-def test_real_coordinates_match_complex_vec_propagation(space_and_state, first_prep, stages,
-                                                        n_samples):
+def test_real_coordinates_match_complex_vec_propagation(space_and_state, first_prep, more_preps,
+                                                        stages, n_samples):
     # lossy rotating-wave runs propagate real Hermitian coordinates of vec(ρ);
     # the oracle propagates complex vec(ρ) on the whole block: readings, of
     # non-Hermitian and complex observables too, and the final ρ agree, and
     # the final ρ is Hermitian bit for bit
     space, initial = space_and_state
-    stages[0] = (*stages[0][:2], first_prep)
+    preps = [first_prep, *more_preps]
     n_exc = space.quanta.sum(axis=0)
     n0 = n_exc[np.any(initial.rho != 0, axis=1)].max()
-    assume(n0 + sum(prep is not None for *_, prep in stages) <= 2)
+    assume(n0 + len(preps) <= 2)
     p = DeviceParams()
-    sched = PulseSchedule(
-        [Stage(t, OperatingPoint(4.60 + dq, 4.60), prep) for t, dq, prep in stages]
-    )
+    sched = opening_schedule(preps, stages)
     a1 = lowering_operator(space, 2)
     obs = {"n_q1": number_operator(space, 2), "n_q2": number_operator(space, 3),
            "a_q2": lowering_operator(space, 3), "ia_q1": 1j * a1, "y_q1": 1j * (a1 - a1.T)}
     ts = evolve(p, sched, initial, space, obs, n_samples=n_samples,
                 include_counter_rotating=False, frame_ghz=4.60)
-    idx, keep, vecs = full_vec_oracle(p, sched, initial, space, False, 4.60, ts.times_ns)
-    sel = np.ix_(idx, idx)
-    for j, v in enumerate(vecs):
-        rho = v.reshape(idx.size, idx.size)
-        for name, op in obs.items():
-            assert abs(ts.expectations[name][j] - np.trace(op[sel] @ rho).real) <= 1e-12
+    idx, _, readings, states = oracle_run(p, sched, initial, space, obs, n_samples, False, 4.60)
+    for i, name in enumerate(obs):
+        assert np.abs(ts.expectations[name] - readings[0, i + 1]).max() <= 1e-12
     final = np.zeros_like(initial.rho)
-    final[sel] = vecs[-1].reshape(idx.size, idx.size)
+    final[np.ix_(idx, idx)] = states[0, -1]
     assert np.abs(ts.final_state.rho - final).max() <= 1e-12
     assert np.array_equal(ts.final_state.rho, ts.final_state.rho.conj().T)
 
@@ -787,16 +802,16 @@ def test_hermitian_coordinates_make_lindblad_generators_real():
     h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     collapse = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
                 np.diag(rng.standard_normal(n))]
-    random_generator = _superoperator(h + h.conj().T, _dissipator(collapse, n))
+    random_generator = _superoperator(h + h.conj().T, collapse)
     p = DeviceParams()
     idx = np.flatnonzero(SPACE3.quanta.sum(axis=0) <= 1)
     hd = device_model(p, SPACE3, False).hamiltonians([4.603], [4.60], idx)[0]
     hd -= dynamics.TWO_PI * 4.60 * np.diag(SPACE3.quanta.sum(axis=0)[idx])
     device_generator = _superoperator(
-        hd, _dissipator([l[np.ix_(idx, idx)] for l in collapse_operators(p, SPACE3)], n))
+        hd, [l[np.ix_(idx, idx)] for l in collapse_operators(p, SPACE3)])
     start = np.zeros((n, n))
     start[4, 4] = 1.0
-    reach = np.flatnonzero(_reachable(start.ravel(), [device_generator]))
+    reach = np.flatnonzero(_reachable(start.ravel(), device_generator))
     assert reach.size == 17
     for gen, keep in ((random_generator, np.arange(n * n)), (device_generator, reach)):
         t = dense_hermitian_basis(keep, n)
@@ -837,18 +852,18 @@ def test_rotated_generators_match_each_point_built_alone(
     hs = device_model(p, SPACE2, counter_rotating).hamiltonians(*np.array(freqs).T)
     hs -= dynamics.TWO_PI * frame * total_number_operator(SPACE2)
     ls = collapse_operators(p, SPACE2)
-    idx = leak_rule_block(SPACE2, initial.rho, 0, list(hs) + ls)
+    idx = leak_rule_block(SPACE2, initial.rho, list(hs) + ls)
     n = idx.size
     hs = hs[:, idx[:, None], idx]
-    dissipator = _dissipator([l[np.ix_(idx, idx)] for l in ls], n)
-    s0 = _superoperator(hs[0], dissipator)
+    block_ls = [l[np.ix_(idx, idx)] for l in ls]
+    s0 = _superoperator(hs[0], block_ls)
     support = initial.rho[np.ix_(idx, idx)] != 0
-    keep = np.flatnonzero(_reachable(support.reshape(-1), [s0]))
+    keep = np.flatnonzero(_reachable(support.reshape(-1), s0))
     up, lo, pick, weight = _hermitian_basis(keep, n)
     g0 = _real_map(s0, pick, weight)
     diagonal = hs.diagonal(0, 1, 2)
     rotated = _rotated(g0, diagonal - diagonal[0], up, lo, *np.divmod(keep[up], n))
-    direct = _real_map(_superoperator(hs, dissipator), pick, weight)
+    direct = _real_map(_superoperator(hs, block_ls), pick, weight)
     scale = np.abs(direct).max()
     assert rotated.shape == direct.shape
     assert np.abs(rotated - direct).max() <= 1e-14 * scale
@@ -913,101 +928,44 @@ def test_chevron_walks_its_taus_and_readout_rows_in_logarithmically_many_product
     assert len(products) == 2 * 8 and sum(products) == 2 * 200
 
 
-def stepwise_oracle(params, space, schedules, rho0, observables, n_samples, counter_rotating,
-                    frame, readout=None):
-    """Readings (member, row, sample) and final block states of a batch of
-    schedules, propagated on complex vec(ρ) of the whole block one sample at a
-    time: a stage's prep when it is entered, then exp(Δt·L) of the stage's own
-    superoperator from sample to sample, a sample on a boundary read before the
-    next stage's prep. With a ``readout`` (point, t_ns) the rows are carried
-    back from the readout one grid step at a time."""
-    stages = schedules[0].stages
-    points = [st.point for sch in schedules for st in sch.stages]
-    if readout is not None:
-        points.append(readout[0])
-    hs = device_model(params, space, counter_rotating).hamiltonians(
-        [pt.qubit_freq_1 for pt in points], [pt.qubit_freq_2 for pt in points])
-    hs -= dynamics.TWO_PI * frame * total_number_operator(space)
-    ls = collapse_operators(params, space)
-    n_preps = sum(st.prep is not None for st in stages)
-    idx = leak_rule_block(space, rho0, n_preps, list(hs) + ls)
-    sel = np.ix_(idx, idx)
-    generators = _superoperator(hs[:, idx[:, None], idx], _dissipator([l[sel] for l in ls],
-                                                                       idx.size))
-    flips = {}
-    for tag, mode in (("pi_q1", 2), ("pi_q2", 3)):
-        f = _pi_flip_matrix(space, mode, idx)
-        flips[tag] = np.kron(f, f)
-    rows = np.stack([np.eye(idx.size)] + [o[sel].T for o in observables]).reshape(
-        1 + len(observables), -1)
-    times = np.linspace(0.0, sum(st.duration_ns for st in stages), n_samples)
-    sample_rows = [rows] * n_samples
-    if readout is not None:
-        rows = rows @ _expm((readout[1] - times[-1]) * generators[-1])
-        step = _expm((times[1] - times[0]) * generators[-1])
-        for j in range(n_samples - 1, -1, -1):
-            sample_rows[j] = rows
-            rows = rows @ step
-    readings = np.empty((len(schedules), len(sample_rows[0]), n_samples))
-    finals = []
-    for b in range(len(schedules)):
-        g = generators[b * len(stages):(b + 1) * len(stages)]
-        v = rho0[sel].reshape(-1)
-        k, start, t_now = 0, 0.0, 0.0
-        if stages[0].prep:
-            v = flips[stages[0].prep] @ v
-        for j, t in enumerate(times):
-            while k + 1 < len(stages) and t > start + stages[k].duration_ns + 1e-9:
-                start += stages[k].duration_ns
-                if start > t_now:
-                    v = _expm((start - t_now) * g[k]) @ v
-                t_now, k = start, k + 1
-                if stages[k].prep:
-                    v = flips[stages[k].prep] @ v
-            if t > t_now:
-                v = _expm((t - t_now) * g[k]) @ v
-            t_now = t
-            readings[b, :, j] = (sample_rows[j] @ v).real
-        finals.append(v.reshape(idx.size, idx.size))
-    return idx, readings, finals
-
-
-def boundary_schedule(n_samples, points, dt=0.25):
-    """Three stages after a zero-length π-prep of qubit 2, whose boundaries lie
-    on the uniform grid of ``n_samples`` samples dt apart, a π-prep of qubit 1
-    opening the third."""
+def boundary_durations(n_samples, dt=0.25):
+    """Three stages whose boundaries lie on the uniform grid of ``n_samples``
+    samples dt apart."""
     steps = n_samples - 1
     cuts = [0, steps // 3, (2 * steps) // 3, steps]
-    return PulseSchedule([Stage(0.0, BIAS, "pi_q2")] + [
-        Stage(dt * (cuts[s + 1] - cuts[s]), points[s], "pi_q1" if s == 2 else None)
-        for s in range(3)])
+    return [dt * (cuts[s + 1] - cuts[s]) for s in range(3)]
 
 
-WALK_POINTS = [OperatingPoint(4.60 + d, 4.60) for d in (0.004, -0.002, 0.001)]
+WALK_FREQS = [(4.60 + d, 4.60) for d in (0.004, -0.002, 0.001)]
 
 
 @pytest.mark.parametrize("slice_states", [None, 3])
 @pytest.mark.parametrize("n_samples", [2, 3, 4, 5, 64, 65, 201])
 @pytest.mark.parametrize("case", ["lossy", "lossless U", "batch with readout"])
 def test_walk_matches_a_one_step_at_a_time_oracle(monkeypatch, case, n_samples, slice_states):
-    # readings and final states of staged runs with preps and samples on
-    # stage boundaries equal the oracle's; with a slice of 3 states the runs
-    # of equal steps are walked in several slices
+    # readings and final states of staged runs with samples on stage
+    # boundaries equal the oracle's; with a slice of 3 states the runs of
+    # equal steps are walked in several slices. The state holds a coherence
+    # between the ground state and |q2>, so the complex observables read it
     lossy = case != "lossless U"
     p = DeviceParams() if lossy else DeviceParams(**lossless())
-    initial = DensityState.ground(SPACE2).rho
+    psi = np.zeros(16, dtype=complex)
+    psi[[0, 1]] = [0.6, 0.8j]
+    initial = np.outer(psi, psi.conj())
     a2 = lowering_operator(SPACE2, 3)
     observables = [number_operator(SPACE2, 2), number_operator(SPACE2, 3), a2, 1j * a2]
+    durations = boundary_durations(n_samples)
     if case == "batch with readout":
-        schedules = [boundary_schedule(n_samples, WALK_POINTS[s:] + WALK_POINTS[:s])
-                     for s in range(3)]
-        readout = (BIAS, 0.25 * (n_samples - 1) + 3.0)
+        # member s holds the frequencies rotated by s
+        freqs = [[WALK_FREQS[(k + s) % 3] for s in range(3)] for k in range(3)]
+        readout = ((BIAS.qubit_freq_1, BIAS.qubit_freq_2), 0.25 * (n_samples - 1) + 3.0)
     else:
-        schedules, readout = [boundary_schedule(n_samples, WALK_POINTS)], None
+        freqs, readout = [[f] for f in WALK_FREQS], None
+    batch = len(freqs[0])
     if slice_states:
         # the block has 5 states, the slice 3 states of every member
         monkeypatch.setattr(dynamics, "STACK_SLICE_BYTES",
-                            slice_states * len(schedules) * (8 if lossy else 16) * 5**2)
+                            slice_states * batch * (8 if lossy else 16) * 5**2)
     walks, rows_walk = [], []
     real = _walk
 
@@ -1019,11 +977,13 @@ def test_walk_matches_a_one_step_at_a_time_oracle(monkeypatch, case, n_samples, 
 
     monkeypatch.setattr(dynamics, "_walk", spy)
     times, readings, final = dynamics._propagate(
-        p, SPACE2, schedules, initial, observables, n_samples, False, 4.60, readout)
-    idx, expected, finals = stepwise_oracle(p, SPACE2, schedules, initial, observables,
-                                            n_samples, False, 4.60, readout)
+        p, SPACE2, durations, freqs, initial, np.arange(16), observables, n_samples, False,
+        4.60, readout)
+    idx, _, expected, states = vec_oracle(p, SPACE2, durations, freqs, initial, observables,
+                                          n_samples, False, 4.60, readout)
+    assert idx.size == 5
     assert np.abs(readings - expected).max() <= 1e-12
-    for f, e in zip(final, finals):
+    for f, e in zip(final, states[:, -1]):
         assert np.abs(f[np.ix_(idx, idx)] - e).max() <= 1e-12
         assert np.count_nonzero(f) == np.count_nonzero(f[np.ix_(idx, idx)])
     # the readout rows are one walk, before the stages' runs of equal steps
@@ -1104,24 +1064,22 @@ def test_lossy_maps_are_exponentiated_on_the_reachable_entries(monkeypatch):
 
 
 def test_reachable_closes_the_support_under_every_map():
-    # 0 -> 1 -> 2 by the first map, 3 -> 0 by the second: from entry 0 only
-    # 0, 1 and 2 are reachable; entry 3 feeds them but nothing feeds it
-    a = np.zeros((2, 4, 4))
-    a[0, 1, 0] = a[1, 2, 1] = 1.0
-    b = np.zeros((4, 4))
-    b[0, 3] = 1.0
+    # 0 -> 1 -> 2 by the first two maps, 3 -> 0 by the third: from entry 0
+    # only 0, 1 and 2 are reachable; entry 3 feeds them but nothing feeds it
+    a = np.zeros((3, 4, 4))
+    a[0, 1, 0] = a[1, 2, 1] = a[2, 0, 3] = 1.0
     vec0 = np.array([1.0, 0, 0, 0])
-    assert _reachable(vec0, [a, b]).tolist() == [True, True, True, False]
-    assert _reachable(vec0, []).tolist() == [True, False, False, False]
-    assert _reachable(np.array([0, 0, 0, 1j]), [a, b]).all()
+    assert _reachable(vec0, a).tolist() == [True, True, True, False]
+    assert _reachable(vec0, a[2]).tolist() == [True, False, False, False]
+    assert _reachable(vec0, np.zeros((0, 4, 4))).tolist() == [True, False, False, False]
+    assert _reachable(np.array([0, 0, 0, 1j]), a).all()
 
 
 def test_chevron_refuses_a_step_stack_over_the_limit_before_building(monkeypatch):
     # the core's one guard counts at least the exponential of a real map on
-    # the 25 entries of vec(ρ) of the 5-state block per column: over a 16 MiB
-    # limit (so that the columns' schedules stay small) the stack is refused
-    # before any block Hamiltonian is built
-    monkeypatch.setattr(errors, "MEMORY_LIMIT", 16 * 2**20)
+    # the 25 entries of vec(ρ) of the 5-state block per column: one column
+    # more than fits is refused before any block Hamiltonian is built, with
+    # nothing per column held but its row of the frequency table
     built = []
     monkeypatch.setattr(DeviceModel, "hamiltonians", lambda *a: built.append(a))
     columns = errors.MEMORY_LIMIT // _expm_bytes(25, 8) + 1
@@ -1220,7 +1178,7 @@ def test_lossless_evolution_matches_generator_exponential():
     init = DensityState.single_excitation(SPACE2, 3)
     ts = evolve(p, PulseSchedule([Stage(duration, point)]), init, SPACE2, {}, n_samples=2)
     h = device_model(p, SPACE2, True).hamiltonians([point.qubit_freq_1], [point.qubit_freq_2])[0]
-    stage_map = _expm(duration * _superoperator(h, _dissipator([], 16)))
+    stage_map = _expm(duration * _superoperator(h, []))
     expected = (stage_map @ init.rho.reshape(-1)).reshape(init.rho.shape)
     assert np.abs(ts.final_state.rho - expected).max() < 1e-10
 
@@ -1258,15 +1216,14 @@ def test_expm_byte_estimate():
     h = np.diag(np.arange(12.0))
     tracemalloc.start()
     try:
-        _expm(_superoperator(h, _dissipator([np.eye(12)], 12)))
+        _expm(_superoperator(h, [np.eye(12)]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert _expm_bytes(144) / 2 < peak <= _expm_bytes(144)
     # a stack of m generators peaks at m times one
-    lossy = _dissipator([np.eye(6)], 6)
     for m in (1, 4, 9):
-        stack = _superoperator(np.arange(m)[:, None, None] * np.diag(np.arange(6.0)), lossy)
+        stack = _superoperator(np.arange(m)[:, None, None] * np.diag(np.arange(6.0)), [np.eye(6)])
         tracemalloc.start()
         try:
             _expm(stack)
@@ -1274,6 +1231,27 @@ def test_expm_byte_estimate():
         finally:
             tracemalloc.stop()
         assert m * _expm_bytes(36) / 2 < peak <= m * _expm_bytes(36)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coupling_draws, st.booleans(), st.booleans(),
+       st.lists(st.tuples(st.floats(4.55, 4.65), st.floats(4.55, 4.65)), min_size=1, max_size=3),
+       st.booleans())
+def test_superoperator_matches_the_term_by_term_lindblad_reference(
+    couplings, lossy, counter_rotating, freqs, stacked
+):
+    # −i(H̃⊗1 − 1⊗H̃*) + Σ L⊗L̄ with H̃ = H − (i/2)ΣL†L equals the commutator
+    # plus the dissipator built term by term, for a stack of device
+    # Hamiltonians or one, with the device's collapse operators or none
+    p = DeviceParams(**couplings) if lossy else DeviceParams(**lossless(**couplings))
+    hs = device_model(p, SPACE2, counter_rotating).hamiltonians(*np.array(freqs).T)
+    h = hs if stacked else hs[0]
+    collapse = collapse_operators(p, SPACE2)
+    assert bool(collapse) == lossy
+    built = _superoperator(h, collapse)
+    expected = lindblad_superoperator(h, collapse)
+    assert built.shape == expected.shape
+    assert np.abs(built - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_stacked_superoperator_and_expm_equal_each_member_alone():
@@ -1284,19 +1262,13 @@ def test_stacked_superoperator_and_expm_equal_each_member_alone():
     h = h + np.swapaxes(h, 1, 2).conj()  # Hermitian, not symmetric: Hᵀ != H
     collapse = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
                 rng.standard_normal((n, n))]
-    dissipator = _dissipator(collapse, n)
-    # the broadcast outer products are bitwise the Kronecker products
-    ceye = np.eye(n, dtype=complex)
-    expected = np.zeros((n * n, n * n), dtype=complex)
-    for l in collapse:
-        ldl = l.conj().T @ l
-        expected += np.kron(l, l.conj())
-        expected -= 0.5 * (np.kron(ldl, ceye) + np.kron(ceye, ldl.T))
-    assert np.array_equal(dissipator, expected)
-    stack = _superoperator(h, dissipator)
-    eye = np.eye(n)
-    for hk, sk in zip(h, stack):
-        assert np.array_equal(sk, dissipator - 1j * (np.kron(hk, eye) - np.kron(eye, hk.T)))
+    # each member of the stack is the member built alone, bit for bit, and
+    # the term-by-term Kronecker reference to rounding
+    stack = _superoperator(h, collapse)
+    expected = lindblad_superoperator(h, collapse)
+    for hk, sk, ek in zip(h, stack, expected):
+        assert np.array_equal(sk, _superoperator(hk, collapse))
+        assert np.abs(sk - ek).max() <= 1e-14 * np.abs(ek).max()
     norms = np.abs(stack).sum(axis=1).max(axis=1)
     generators = (np.array([2.0, 8.0, 20.0, 40.0, 150.0, 600.0]) / norms)[:, None, None] * stack
     squarings = [max(math.ceil(math.log2(x / 5.371920351148152)), 0)
@@ -1423,6 +1395,28 @@ def test_chevron_fixed_readout_delay_attenuates():
     # at the detuned bias point keeps this from holding pointwise
     assert fixed.p1.max() < free.p1.max()
     assert fixed.p1.mean() < free.p1.mean()
+
+
+def test_chevron_checks_the_raw_populations_before_clipping(monkeypatch):
+    # a cell reading 1.2 with its trace intact comes from broken numerics:
+    # it raises, where clipping first would have hidden it; rounding just
+    # outside [0, 1] is clipped
+    real = dynamics._propagate
+    cell = {}
+
+    def propagate(*args, **kwargs):
+        times, readings, final = real(*args, **kwargs)
+        readings[1, 1, 3] = cell["value"]
+        return times, readings, final
+
+    monkeypatch.setattr(dynamics, "_propagate", propagate)
+    taus = np.linspace(0.0, 100.0, 11)
+    cell["value"] = 1.2
+    with pytest.raises(IntegrationError, match=r"population outside \[0, 1\]"):
+        vacuum_rabi_chevron(DeviceParams(), BIAS, 4.60, np.array([-3.0, 0.0, 3.0]), taus)
+    cell["value"] = 1.0 + 1e-9
+    chev = vacuum_rabi_chevron(DeviceParams(), BIAS, 4.60, np.array([-3.0, 0.0, 3.0]), taus)
+    assert chev.p1[1, 3] == 1.0 and chev.p1.flags.c_contiguous
 
 
 def test_chevron_rejects_interaction_point_near_resonator():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dresq.dynamics import _pi_flip_matrix
+from dresq.device import OperatingPoint
+from dresq.dynamics import Stage, _prep_order
 from dresq.errors import ConfigError
 from dresq.fock import (
     HilbertSpace,
@@ -116,23 +117,31 @@ def test_operators_match_kron_reference():
         for mode, d in enumerate(dims):
             lowering = np.diag(np.sqrt(np.arange(1.0, d)), 1)
             number = np.diag(np.arange(float(d)))
-            flip = np.eye(d)[[1, 0, *range(2, d)]]
             assert np.array_equal(lowering_operator(space, mode), kron_embed(dims, mode, lowering))
             assert np.array_equal(number_operator(space, mode), kron_embed(dims, mode, number))
-            full = _pi_flip_matrix(space, mode, np.arange(space.size))
-            assert np.array_equal(full, kron_embed(dims, mode, flip))
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3, 3), (2, 3, 2, 3)])
 @pytest.mark.parametrize("n_max", [1, 2, None])
 def test_pi_flip_on_a_block_is_the_sliced_full_flip(dims, n_max):
-    # a state whose partner lies outside the block gets a zero row
+    # π-preps permute the basis: a state read through their order on a block
+    # is the block of P ρ P†, P the Kronecker-embedded swap of levels 0 and 1
+    # of each prepped qubit (modes 2 and 3)
     space = HilbertSpace(dims)
     n_exc = space.quanta.sum(axis=0)
     idx = np.flatnonzero(n_exc <= (n_exc.max() if n_max is None else n_max))
-    for mode in range(space.n_modes):
-        full = _pi_flip_matrix(space, mode, np.arange(space.size))
-        assert np.array_equal(_pi_flip_matrix(space, mode, idx), full[np.ix_(idx, idx)])
+    rng = np.random.default_rng(space.size)
+    rho = rng.standard_normal((space.size, space.size)) * 1j + rng.standard_normal(
+        (space.size, space.size))
+    point = OperatingPoint(4.6, 4.7)
+    for preps in (["pi_q1"], ["pi_q2"], ["pi_q1", "pi_q2"], ["pi_q2", "pi_q1", "pi_q2"]):
+        flip = np.eye(space.size)
+        for prep in preps:
+            mode = 2 if prep == "pi_q1" else 3
+            flip = kron_embed(dims, mode, np.eye(dims[mode])[[1, 0, *range(2, dims[mode])]]) @ flip
+        order = _prep_order(space, [Stage(0.0, point, prep) for prep in preps])
+        read = rho[np.ix_(order[idx], order[idx])]
+        assert np.array_equal(read, (flip @ rho @ flip.T)[np.ix_(idx, idx)])
 
 
 def test_occupation_table_decodes_every_index():
