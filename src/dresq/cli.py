@@ -96,7 +96,7 @@ def _write_outputs(args, artifacts: dict[str, str], params: DeviceParams | None 
     resolved device parameters when the command has a device."""
     config = {k: v for k, v in vars(args).items() if k not in ("out", "device")}
     if params is not None:
-        config["device"] = json.loads(params.to_json())
+        config["device"] = params.to_dict()
     args.out.mkdir(parents=True, exist_ok=True)
     checksums = {}
     for name, content in artifacts.items():
@@ -134,7 +134,7 @@ def cmd_geff(args) -> int:
     space = HilbertSpace(args.dims)
     freqs = _grid(args.start, args.stop, args.points, ("--start", "--stop", "--points"))
     switch_off = find_switch_off(params, (args.start, args.stop))
-    geffs = np.array([effective_coupling(params, OperatingPoint(f, f)) * 1e3 for f in freqs])
+    geffs = effective_coupling(params, freqs) * 1e3
     half_gaps = spectroscopy.cotuned_half_gap(params, freqs, space)
     rows = ["freq_ghz,geff_mhz,ed_half_gap_mhz"]
     rows += [f"{f:.9f},{g:.6f},{hg:.6f}" for f, g, hg in zip(freqs, geffs, half_gaps)]

@@ -137,10 +137,13 @@ class DeviceParams:
         d.update(changes)
         return DeviceParams(**d)
 
+    def to_dict(self) -> dict:
+        """Every field by name, an infinite lifetime as None, as :meth:`to_json` writes it."""
+        return {k: None if math.isinf(v) else v for k, v in vars(self).items()}
+
     def to_json(self) -> str:
         """Flat JSON that :meth:`from_json` reads back; an infinite lifetime is null."""
-        raw = {k: None if math.isinf(v) else v for k, v in asdict(self).items()}
-        return json.dumps(raw, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceParams":
@@ -222,7 +225,7 @@ class DeviceModel:
     :meth:`hamiltonians` scales by the qubit frequencies; ``even`` and
     ``odd`` are the basis indices of the two excitation-parity blocks,
     which no term of H couples. Arrays are read-only: one model is shared
-    by every caller of :func:`device_model`.
+    by every caller of :func:`device_model`, as are the blocks it keeps.
 
     Raises ConfigError when :func:`model_bytes` exceeds
     ``errors.MEMORY_LIMIT``, before anything of the space's size is allocated.
@@ -244,8 +247,17 @@ class DeviceModel:
         asym = float(np.abs(self.h_static - self.h_static.T).max())
         if asym != 0.0:
             raise ConfigError(f"assembled Hamiltonian not symmetric (defect {asym:.2e})")
+        self._blocks = {}
         for a in (self.even, self.odd, self.n_q1, self.n_q2, self.h_static):
             a.flags.writeable = False
+
+    def _restrict(self, key, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``h_static``, ``n_q1`` and ``n_q2`` on the basis states ``idx``, kept under
+        ``key``; the kept blocks are dropped first if they would exceed d² entries."""
+        if sum(n.size**2 for _, n, _ in self._blocks.values()) + len(idx)**2 > self.h_static.size:
+            self._blocks.clear()
+        self._blocks[key] = (self.h_static[np.ix_(idx, idx)], self.n_q1[idx], self.n_q2[idx])
+        return self._blocks[key]
 
     def hamiltonians(self, f1, f2, idx: np.ndarray | None = None) -> np.ndarray:
         """The (k, n, n) stack H_static + 2π(f₁[k] N̂_q1 + f₂[k] N̂_q2).
@@ -253,9 +265,9 @@ class DeviceModel:
         ``f1`` and ``f2`` are 1-d arrays of qubit frequencies in GHz, each
         positive and finite. The stack is on the whole space, or on the
         basis states ``idx`` (such as the ``even`` or ``odd`` parity block)
-        if given: ``h_static`` is restricted to ``idx`` once and only the
-        diagonals differ between members, so every member is bit-identical
-        to the stack of one built at its point alone.
+        if given, whose restriction the model keeps: a call copies it and
+        adds the diagonals, so every member is bit-identical to the stack
+        of one built at its point alone.
         """
         f1 = require_numbers(f1, "qubit_freq_1", positive=True)
         f2 = require_numbers(f2, "qubit_freq_2", positive=True)
@@ -266,8 +278,8 @@ class DeviceModel:
         if idx is None:
             template, n_q1, n_q2 = self.h_static, self.n_q1, self.n_q2
         else:
-            template = self.h_static[idx][:, idx]
-            n_q1, n_q2 = self.n_q1[idx], self.n_q2[idx]
+            key = (np.asarray(idx).dtype.str, np.asarray(idx).tobytes())
+            template, n_q1, n_q2 = self._blocks.get(key) or self._restrict(key, idx)
         n = template.shape[0]
         h = np.empty((f1.size, n, n))
         h[:] = template
@@ -327,7 +339,7 @@ def device_model(
     return DeviceModel(params, space, include_counter_rotating)
 
 
-def effective_coupling(params: DeviceParams, point: OperatingPoint) -> float:
+def effective_coupling(params: DeviceParams, point) -> float | np.ndarray:
     """Analytic net qubit-qubit exchange strength, signed, in GHz.
 
     Sums the virtual-photon paths through both resonators plus the direct
@@ -337,7 +349,9 @@ def effective_coupling(params: DeviceParams, point: OperatingPoint) -> float:
 
     with Δ_λβ = ω_β − ω_λ and Σ_λβ = ω_β + ω_λ. The expression is
     homogeneous of degree zero in the overall frequency scale, so linear
-    GHz inputs give the answer directly in GHz.
+    GHz inputs give the answer directly in GHz. ``point`` is an OperatingPoint,
+    giving a float, or a 1-d array of co-tuned qubit frequencies in GHz,
+    giving an array bit-identical to the floats.
 
     This is the second-order dispersive result (Yan et al., Phys. Rev.
     Applied 10, 054062 (2018)), valid to leading order in g/|Δ|: its
@@ -356,22 +370,23 @@ def effective_coupling(params: DeviceParams, point: OperatingPoint) -> float:
             "resonator-resonator path through g_ab; use exact diagonalization "
             "(cotuned_half_gap, qubit_qubit_gap) for such a device"
         )
-    q_freqs = (point.qubit_freq_1, point.qubit_freq_2)
-    res = (("a", params.resonator_freq_a, params.g_a1, params.g_a2),
-           ("b", params.resonator_freq_b, params.g_b1, params.g_b2))
-    total = 0.0
-    for name, f_res, g1, g2 in res:
-        product = g1 * g2
-        for beta, f_q in enumerate(q_freqs, start=1):
-            delta = f_q - f_res
-            if abs(delta) <= DEGENERACY_TOL_GHZ:
-                raise PhysicsError(
-                    f"qubit {beta} is degenerate with resonator {name} "
-                    f"(|Δ| = {abs(delta):.2e} GHz); the dispersive formula diverges"
-                )
-            sigma = f_q + f_res
-            total += 0.5 * (product / delta - product / sigma)
-    return total + params.g_12
+    scalar = isinstance(point, OperatingPoint)
+    f_q = (np.array([[point.qubit_freq_1], [point.qubit_freq_2]]) if scalar else
+           np.array([require_numbers(point, "co-tuned frequencies", positive=True)] * 2))
+    # [λ, β - 1, k] is resonator λ (a, b) and qubit β at point k, summed path by path
+    f_res = np.array([params.resonator_freq_a, params.resonator_freq_b])[:, None, None]
+    product = np.array([params.g_a1 * params.g_a2, params.g_b1 * params.g_b2])[:, None, None]
+    delta, sigma = f_q - f_res, f_q + f_res
+    degenerate = np.abs(delta) <= DEGENERACY_TOL_GHZ
+    if degenerate.any():
+        lam, beta = np.argwhere(degenerate.any(axis=2))[0]
+        raise PhysicsError(
+            f"qubit {beta + 1} is degenerate with resonator {'ab'[lam]} "
+            f"(|Δ| = {np.abs(delta[lam, beta]).min():.2e} GHz); the dispersive formula diverges"
+        )
+    paths = 0.5 * (product / delta - product / sigma)
+    total = functools.reduce(np.add, paths.reshape(4, -1), 0.0) + params.g_12
+    return float(total[0]) if scalar else total
 
 
 def find_switch_off(params: DeviceParams, search_interval: tuple[float, float]) -> float:
@@ -396,10 +411,7 @@ def find_switch_off(params: DeviceParams, search_interval: tuple[float, float]) 
             f"{params.resonator_freq_b}) for the coupling to change sign"
         )
 
-    def g(freq: float) -> float:
-        return effective_coupling(params, OperatingPoint(freq, freq))
-
-    g_lo, g_hi = g(lo), g(hi)
+    g_lo, g_hi = effective_coupling(params, [lo, hi]).tolist()
     if g_lo == 0.0:
         return lo
     if g_hi == 0.0:

@@ -9,15 +9,17 @@ model builds the stack of block Hamiltonians of a batch of points, and
 each slice of at most STACK_SLICE_BYTES of it is one call of ``eigh`` (a
 spectrum, whose labels read eigenvectors) or ``eigvalsh``. A gap of any
 two modes needs only the odd block, which holds every single excitation,
-and its eigenvalues: the bare energies fix the level pair. One scan locates
-every gap: a qubit is swept over the qubit-2 setpoint ± 20 MHz or a
-resonator ± 50 MHz, bracketed by a 5-point grid, one such stack, and the
+and its eigenvalues: the bare energies fix the level pair. One scan, with
+one solver that fixes the model, its odd block and the tracked states,
+locates every gap: a qubit is swept over the qubit-2 setpoint ± 20 MHz or
+a resonator ± 50 MHz, bracketed by a 5-point grid, one such stack, and the
 minimum located by a few parabolic vertex steps on the squared separation,
 one point each. The co-tuned half gap takes an array of points.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -109,14 +111,17 @@ class GapResult:
         self.level_pair = tuple(int(k) for k in self.level_pair)
 
 
+@functools.lru_cache(maxsize=4)
 def _label_table(space: HilbertSpace) -> np.ndarray:
-    """Object array of the human tag of every basis state ('0', 'q1', 'a+q2',
-    'q1x2', ...), then MIXED_LABEL at index ``space.size``."""
+    """Read-only object array of the human tag of every basis state ('0', 'q1',
+    'a+q2', 'q1x2', ...), then MIXED_LABEL at index ``space.size``."""
     tags = []
     for occ in space.quanta.T.tolist():
         parts = [MODE_NAMES[m] if n == 1 else f"{MODE_NAMES[m]}x{n}" for m, n in enumerate(occ) if n]
         tags.append("+".join(parts) or "0")
-    return np.array(tags + [MIXED_LABEL], dtype=object)
+    table = np.array(tags + [MIXED_LABEL], dtype=object)
+    table.flags.writeable = False
+    return table
 
 
 def _axis_frequencies(
@@ -178,21 +183,21 @@ def sweep_spectrum(
     f1s, f2s = _axis_frequencies(axis, values, fixed_other, params)
 
     model = device_model(params, space, True)
-    # columns: the even block's eigenpairs, then the odd block's
+    # even, then odd eigenpairs; only each block's lowest n_levels + 1 can be reported
     evals = np.empty((values.size, space.size))
     dominant = np.empty((values.size, space.size), dtype=int)
     weight = np.empty((values.size, space.size))
-    n_even = model.even.size
-    for cols, idx in ((slice(None, n_even), model.even), (slice(n_even, None), model.odd)):
+    for start, idx in ((0, model.even), (model.even.size, model.odd)):
 
         def store(part, eig):
             # w[k, j, i] = |<i|j>|² laid out per eigenvector, so that argmax
             # reduces a contiguous axis rather than copying the stack
             e, v = eig
-            w = np.square(v.swapaxes(1, 2), order="C")
-            evals[part, cols] = e
-            dominant[part, cols] = idx[w.argmax(axis=2)]
-            weight[part, cols] = w.max(axis=2)
+            w = np.square(v[:, :, : n_levels + 1].swapaxes(1, 2), order="C")
+            low = slice(start, start + w.shape[1])
+            evals[part, start : start + idx.size] = e
+            dominant[part, low] = idx[w.argmax(axis=2)]
+            weight[part, low] = w.max(axis=2)
 
         _block_slices(model, f1s, f2s, idx, np.linalg.eigh, store)
     order = np.argsort(evals, axis=1, kind="stable")[:, : n_levels + 1]
@@ -220,42 +225,45 @@ def _block_slices(model: DeviceModel, f1s: np.ndarray, f2s: np.ndarray, idx: np.
         store(part, solve(model.hamiltonians(f1s[part], f2s[part], idx)))
 
 
-def _tracked_separations(
-    params: DeviceParams, f1s, f2s, space: HilbertSpace, modes=(2, 3)
-) -> tuple[np.ndarray, np.ndarray]:
-    """Separations (GHz) of the dressed levels of two modes, and their pairs.
+def _separation_solver(params: DeviceParams, space: HilbertSpace, modes=(2, 3)):
+    """Separations (GHz) of the dressed levels of two modes, and their pairs,
+    by a solver that fixes the model, its odd block and the tracked states.
 
-    One separation per point (f1s[k], f2s[k]); ``modes`` are two indices
-    into MODE_NAMES, the qubits by default. Every single excitation is odd,
-    so only the odd block's eigenvalues are found (by :func:`_block_slices`);
-    row k of the (k, 2) pairs indexes its ascending levels at point k.
-    Anti-crossings keep the level order, so the pair is the sorted ranks of
-    the two modes' bare single-excitation states among the block's bare
-    energies, its diagonal, a tracked state below any other state of its
-    energy: for the qubits in the band, the ranks of f₁ and f₂ among
-    (ω_a, ω_b, f₁, f₂), but three-excitation states fall below a qubit under
-    3|α| (0.75 GHz) at 4⁴. Co-tuned within about 5 MHz inside a resonator's
-    band, the two levels of largest qubit weight are instead a dark qubit
-    state and a resonator hybrid. With 6·g_max under 20 MHz a resonator can
-    lie inside a gap scan's window, 3·g_max clear of its setpoint and its
-    ends, and the ranks follow qubit 1 past it.
+    ``solve(f1s, f2s)`` gives one separation per point (f1s[k], f2s[k]);
+    ``modes`` are two indices into MODE_NAMES, the qubits by default. Every
+    single excitation is odd, so only the odd block's eigenvalues are found
+    (by :func:`_block_slices`); row k of the (k, 2) pairs indexes its
+    ascending levels at point k. Anti-crossings keep the level order, so the
+    pair is the sorted ranks of the two modes' bare single-excitation states
+    among the block's bare energies, its diagonal, a tracked state below any
+    other state of its energy: for the qubits in the band, the ranks of f₁
+    and f₂ among (ω_a, ω_b, f₁, f₂), but three-excitation states fall below
+    a qubit under 3|α| (0.75 GHz) at 4⁴. Co-tuned within about 5 MHz inside
+    a resonator's band, the two levels of largest qubit weight are instead a
+    dark qubit state and a resonator hybrid. With 6·g_max under 20 MHz a
+    resonator can lie inside a gap scan's window, 3·g_max clear of its
+    setpoint and its ends, and the ranks follow qubit 1 past it.
     """
     model = device_model(params, space, True)
     tracked = np.searchsorted(model.odd, np.take(space.single_excitation_indices(), modes))
-    seps = np.empty(len(f1s))
-    pairs = np.empty((len(f1s), 2), dtype=int)
 
-    def store(part, solved):
-        bare, evals = solved
-        states = np.sort(bare[:, tracked], axis=1)
-        pairs[part] = np.count_nonzero(bare[:, None, :] < states[:, :, None], axis=2)
-        pairs[part, 1] += states[:, 0] == states[:, 1]
-        levels = np.take_along_axis(evals, pairs[part], axis=1)
-        seps[part] = np.abs(levels[:, 1] - levels[:, 0]) / TWO_PI
+    def solve(f1s, f2s) -> tuple[np.ndarray, np.ndarray]:
+        seps = np.empty(len(f1s))
+        pairs = np.empty((len(f1s), 2), dtype=int)
 
-    _block_slices(model, f1s, f2s, model.odd,
-                  lambda h: (np.diagonal(h, axis1=1, axis2=2), np.linalg.eigvalsh(h)), store)
-    return seps, pairs
+        def store(part, solved):
+            bare, evals = solved
+            states = np.sort(bare[:, tracked], axis=1)
+            pairs[part] = np.count_nonzero(bare[:, None, :] < states[:, :, None], axis=2)
+            pairs[part, 1] += states[:, 0] == states[:, 1]
+            levels = evals[np.arange(len(evals))[:, None], pairs[part]]
+            seps[part] = np.abs(levels[:, 1] - levels[:, 0]) / TWO_PI
+
+        _block_slices(model, f1s, f2s, model.odd,
+                      lambda h: (np.diagonal(h, axis1=1, axis2=2), np.linalg.eigvalsh(h)), store)
+        return seps, pairs
+
+    return solve
 
 
 def _min_separation(params: DeviceParams, space: HilbertSpace, modes, swept_qubit: int,
@@ -277,11 +285,11 @@ def _min_separation(params: DeviceParams, space: HilbertSpace, modes, swept_qubi
     returned, its location the swept qubit's frequency. A minimum on the
     window's edge raises PhysicsError.
     """
+    solve = _separation_solver(params, space, modes)
 
     def separations(swept):
         parked = np.full(len(swept), parked_ghz)
-        f1s, f2s = (swept, parked) if swept_qubit == 1 else (parked, swept)
-        return _tracked_separations(params, f1s, f2s, space, modes)
+        return solve(*((swept, parked) if swept_qubit == 1 else (parked, swept)))
 
     grid = np.linspace(lo, hi, GAP_GRID)
     seps, pairs = separations(grid)
@@ -331,7 +339,7 @@ def qubit_qubit_gap(params: DeviceParams, qubit2_freq: float, space: HilbertSpac
 
     Qubit 2 is parked at ``qubit2_freq`` and qubit 1 swept over the setpoint
     ± GAP_HALF_SPAN; the minimum separation of the qubit pair of odd-block
-    levels (ranked by the bare energies, see :func:`_tracked_separations`) is
+    levels (ranked by the bare energies, see :func:`_separation_solver`) is
     located by :func:`_min_separation`. Half the gap estimates the effective
     qubit-qubit coupling magnitude.
 
@@ -437,5 +445,5 @@ def cotuned_half_gap(params: DeviceParams, freqs, space: HilbertSpace) -> np.nda
     points = require_numbers(freqs, "co-tuned frequencies", positive=True)
     # separation, level pair and half gap: four 8-byte words a point
     require_memory(4 * 8 * points.size, f"co-tuned half gaps at {points.size} points")
-    seps, _ = _tracked_separations(params, points, points, space)
+    seps, _ = _separation_solver(params, space)(points, points)
     return 0.5 * seps * 1e3

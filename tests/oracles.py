@@ -4,7 +4,7 @@ None of these is on a program path: each is a closed form, a textbook
 definition or a slow reference built from one term by term, kept beside the
 tests that use it. :func:`vec_oracle` takes the device Hamiltonians, the
 collapse operators and the matrix exponential from the library and builds
-everything else itself.
+everything else itself; :func:`separations_alone` takes the Hamiltonians.
 """
 
 import math
@@ -14,6 +14,47 @@ import numpy as np
 from dresq.device import TWO_PI, device_model
 from dresq.dynamics import _expm, collapse_operators
 from dresq.fock import HilbertSpace
+
+
+def dispersive_coupling(params, f1: float, f2: float) -> float:
+    """Second-order qubit-qubit coupling (GHz) at one point, in Python floats:
+    g_12 + Σ ½ g_λ1 g_λ2 (1/Δ_λβ − 1/Σ_λβ), summed from 0.0 over resonator
+    λ = a, b and, within each, qubit β = 1, 2."""
+    total = 0.0
+    for f_res, g1, g2 in ((params.resonator_freq_a, params.g_a1, params.g_a2),
+                          (params.resonator_freq_b, params.g_b1, params.g_b2)):
+        product = g1 * g2
+        for f_q in (f1, f2):
+            total += 0.5 * (product / (f_q - f_res) - product / (f_q + f_res))
+    return total + params.g_12
+
+
+def separations_alone(params, space: HilbertSpace, modes=(2, 3)):
+    """A stand-in for ``spectroscopy._separation_solver``: its ``solve(f1s,
+    f2s)`` builds each point alone, on the whole space, and restricts it to
+    the odd block, where one ``eigvalsh`` gives its levels. The pair is the
+    sorted ranks of the two modes' single-excitation states in the block's
+    bare energies sorted in Python, a tracked state before any other of its
+    energy and the first mode's before the second's."""
+    model = device_model(params, space, True)
+    odd = np.ix_(model.odd, model.odd)
+    tracked = np.searchsorted(model.odd, np.take(space.single_excitation_indices(), modes))
+    tracked = [int(t) for t in tracked]
+
+    def solve(f1s, f2s):
+        seps, pairs = [], []
+        for f1, f2 in zip(f1s, f2s):
+            h = model.hamiltonians([f1], [f2])[0][odd]
+            bare = np.diag(h).tolist()
+            order = sorted(range(len(bare)),
+                           key=lambda j: (bare[j], j not in tracked, j != tracked[0]))
+            low, high = sorted(order.index(t) for t in tracked)
+            evals = np.linalg.eigvalsh(h)
+            seps.append(abs(evals[high] - evals[low]) / TWO_PI)
+            pairs.append((low, high))
+        return np.array(seps), np.array(pairs, dtype=int)
+
+    return solve
 
 
 def total_number_operator(space: HilbertSpace) -> np.ndarray:

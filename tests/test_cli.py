@@ -212,6 +212,23 @@ def test_chevron_manifest_of_a_lossless_device_is_strict_json(tmp_path):
     assert manifest["config"]["device"]["t2_qubit1"] is None
 
 
+@pytest.mark.parametrize("device", [
+    {}, {"t1_qubit1": None, "t2_qubit1": None, "resonator_freq_a": 4, "g_ab": 0, "g_12": 1e-3},
+], ids=["default", "null-lifetimes-and-ints"])
+def test_manifest_device_is_the_device_json_read_back(tmp_path, device):
+    # the manifest writes the fields as they are, byte for byte what parsing
+    # the device's own JSON back would give: ints stay ints, null stays null
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps(device))
+    out = tmp_path / "gap"
+    assert run(["gapscan", "--setpoints", 4.58, "--device", path, "--out", out]) == 0
+    text = (out / "manifest.json").read_text()
+    manifest = json.loads(text)
+    manifest["config"]["device"] = json.loads(DeviceParams.from_json(json.dumps(device)).to_json())
+    assert json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n" == text
+    assert manifest["config"]["device"]["resonator_freq_a"] == device.get("resonator_freq_a", 4.47)
+
+
 def test_no_dissipation_is_a_device_with_infinite_lifetimes(tmp_path):
     args = ["chevron", "--tau-max", 600, "--tau-points", 61, "--detuning-points", 9,
             "--prep-to-readout", 800]

@@ -17,7 +17,7 @@ from dresq.device import (
     find_switch_off,
     flux_to_frequency,
 )
-from oracles import total_number_operator
+from oracles import dispersive_coupling, total_number_operator
 
 
 def decoupled(**kw):
@@ -228,6 +228,58 @@ def test_effective_coupling_degeneracy_identified():
         effective_coupling(DeviceParams(), OperatingPoint(4.47, 4.60))
     with pytest.raises(PhysicsError, match="qubit 2"):
         effective_coupling(DeviceParams(), OperatingPoint(4.60, 4.80))
+
+
+@pytest.mark.parametrize("params", [
+    DeviceParams(), decoupled(), DeviceParams(g_a2=-0.02, g_12=-0.002),
+    DeviceParams(resonator_freq_a=4, g_b1=0.03125, g_12=0),
+], ids=["default", "decoupled", "signs", "int-fields"])
+def test_effective_coupling_on_an_array_equals_the_path_sum_at_each_point(params):
+    # bit for bit, zero signs included, co-tuned across and beyond the band,
+    # and at uncorrelated points for the float form
+    rng = np.random.default_rng(11)
+    freqs = np.concatenate([np.linspace(4.3, 5.0, 41), rng.uniform(0.5, 9.0, 40)])
+    ref = np.array([dispersive_coupling(params, f, f) for f in freqs])
+    assert effective_coupling(params, freqs).tobytes() == ref.tobytes()
+    assert effective_coupling(params, list(freqs)).tobytes() == ref.tobytes()
+    scalars = np.array([effective_coupling(params, OperatingPoint(f, f)) for f in freqs])
+    assert scalars.tobytes() == ref.tobytes()
+    for f1, f2 in rng.uniform(0.5, 9.0, (40, 2)):
+        g = effective_coupling(params, OperatingPoint(f1, f2))
+        assert type(g) is float
+        assert np.float64(g).tobytes() == np.float64(dispersive_coupling(params, f1, f2)).tobytes()
+
+
+def test_effective_coupling_on_an_array_keeps_both_refusals():
+    g_ab = DeviceParams(g_ab=0.01)
+    omits = ("g_ab = 0.01 GHz: the analytic effective coupling omits the resonator-resonator "
+             "path through g_ab; use exact diagonalization (cotuned_half_gap, qubit_qubit_gap) "
+             "for such a device")
+    for point in (OperatingPoint(4.6, 4.6), np.linspace(4.5, 4.7, 5)):
+        with pytest.raises(ConfigError) as refused:
+            effective_coupling(g_ab, point)
+        assert str(refused.value) == omits
+
+    def degenerate(qubit, resonator, delta):
+        return (f"qubit {qubit} is degenerate with resonator {resonator} (|Δ| = {delta} GHz); "
+                "the dispersive formula diverges")
+
+    for f, message in ((4.47, degenerate(1, "a", "0.00e+00")),
+                       (4.8 + 5e-7, degenerate(1, "b", "5.00e-07"))):
+        for point in (OperatingPoint(f, f), [4.6, f, 4.7]):
+            with pytest.raises(PhysicsError) as refused:
+                effective_coupling(DeviceParams(), point)
+            assert str(refused.value) == message
+    with pytest.raises(PhysicsError) as refused:
+        effective_coupling(DeviceParams(), OperatingPoint(4.60, 4.80))
+    assert str(refused.value) == degenerate(2, "b", "0.00e+00")
+
+
+@pytest.mark.parametrize("freqs", [[4.6, True], [4.6, float("nan")], [-4.6], [0.0], "4.6",
+                                   [[4.6, 4.7]], [4.6, float("inf")]])
+def test_effective_coupling_refuses_unusable_cotuned_frequencies(freqs):
+    with pytest.raises(ConfigError, match="co-tuned frequencies"):
+        effective_coupling(DeviceParams(), freqs)
 
 
 def test_effective_coupling_monotone_decreasing():

@@ -219,6 +219,35 @@ def test_stacked_hamiltonians_equal_each_point_alone(case):
         assert np.array_equal(h, direct)
 
 
+def test_model_keeps_each_block_it_restricts_within_the_space_squared(monkeypatch):
+    # both parity blocks (3281 of 6561 entries at 3^4) are restricted once and
+    # kept; the whole space as a block (6561) would exceed d² beside them, so
+    # they go, and a block asked for again is restricted again
+    restricted = []
+    restrict = DeviceModel._restrict
+
+    def spy(self, key, idx):
+        restricted.append(len(idx))
+        return restrict(self, key, idx)
+
+    monkeypatch.setattr(DeviceModel, "_restrict", spy)
+    model = DeviceModel(DeviceParams(), HilbertSpace((3, 3, 3, 3)), True)
+    every = np.arange(model.space.size)
+    for idx in (model.even, model.odd, model.even, list(model.odd), model.odd):
+        model.hamiltonians([4.6], [4.62], idx)
+    assert restricted == [41, 40]
+    for idx in (every, every, model.odd, model.even, model.odd):
+        model.hamiltonians([4.6], [4.62], idx)
+    assert restricted == [41, 40, 81, 40, 41]
+    # at 2^4 the 16-state mask of state 0 has the bytes of the indices (1, 0)
+    small = DeviceModel(DeviceParams(), HilbertSpace((2, 2, 2, 2)), True)
+    mask = np.arange(small.space.size) == 0
+    assert mask.tobytes() == np.array([1, 0]).tobytes()
+    pair = small.hamiltonians([4.6], [4.62], np.array([1, 0]))
+    assert small.hamiltonians([4.6], [4.62], mask).shape == (1, 1, 1)
+    assert np.array_equal(pair[0], small.hamiltonians([4.6], [4.62])[0][np.ix_([1, 0], [1, 0])])
+
+
 @pytest.mark.parametrize("f1, f2", [
     ([4.6, np.nan], [4.6, 4.6]),
     ([4.6], [-4.6]),

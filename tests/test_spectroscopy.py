@@ -9,6 +9,7 @@ from dresq.errors import ConfigError, PhysicsError
 from dresq.fock import HilbertSpace
 from dresq.device import (
     TWO_PI,
+    DeviceModel,
     DeviceParams,
     OperatingPoint,
     device_model,
@@ -16,13 +17,15 @@ from dresq.device import (
 )
 from dresq.spectroscopy import (
     GapResult,
-    _tracked_separations,
+    _separation_solver,
     cotuned_half_gap,
     gap_vs_setpoint,
     qubit_qubit_gap,
     qubit_resonator_gap,
     sweep_spectrum,
 )
+
+from oracles import separations_alone
 
 SPACE = HilbertSpace((3, 3, 3, 3))
 
@@ -135,7 +138,7 @@ def test_qubit_resonator_gap_agrees_with_a_dense_reference(qubit, resonator, exp
     parked = np.full(grid.size, getattr(p, f"qubit_max_freq_{3 - qubit}"))
     f1, f2 = (grid, parked) if qubit == 1 else (parked, grid)
     modes = ("ab".index(resonator), 1 + qubit)
-    seps, _ = _tracked_separations(p, f1, f2, SPACE, modes)
+    seps, _ = _separation_solver(p, SPACE, modes)(f1, f2)
     i = int(np.argmin(seps))
     assert abs(gap.gap_mhz - seps[i] * 1e3) <= 1e-4
     assert abs(gap.location_ghz - grid[i]) <= 1e-5
@@ -157,7 +160,7 @@ def test_qubit_resonator_gap_agrees_with_a_dense_reference(qubit, resonator, exp
 ])
 def test_qubit_resonator_gap_refuses_an_unknown_qubit_or_resonator(monkeypatch, qubit, resonator):
     scanned = []
-    monkeypatch.setattr(spectroscopy, "_tracked_separations", lambda *a: scanned.append(a))
+    monkeypatch.setattr(spectroscopy, "_separation_solver", lambda *a: scanned.append(a))
     with pytest.raises(ConfigError, match="qubit|resonator"):
         qubit_resonator_gap(DeviceParams(), qubit, resonator, SPACE)
     assert scanned == []
@@ -252,7 +255,7 @@ def test_sliced_separations_equal_each_point_alone(monkeypatch, dims):
     monkeypatch.setattr(spectroscopy, "STACK_SLICE_BYTES", 3 * 16 * n * n)
     f1 = np.concatenate([np.linspace(4.57, 4.63, 8), [4.60, 4.62, 4.66]])
     f2 = np.concatenate([np.full(8, 4.60), [4.60, 4.62, 4.66]])
-    seps, pairs = _tracked_separations(p, f1, f2, space)
+    seps, pairs = _separation_solver(p, space)(f1, f2)
     model = device_model(p, space, True)
     for k in range(f1.size):
         evals = np.linalg.eigvalsh(model.hamiltonians([f1[k]], [f2[k]], model.odd)[0])
@@ -281,7 +284,7 @@ def test_rank_pair_is_the_pair_of_largest_qubit_weight(dims, device):
                           for _ in range(2))
     f1 = np.concatenate([cotuned, windows, random_1])
     f2 = np.concatenate([cotuned, np.repeat([4.58, 4.68], 5), random_2])
-    seps, pairs = _tracked_separations(device, f1, f2, space)
+    seps, pairs = _separation_solver(device, space)(f1, f2)
     for k in range(f1.size):
         sep, pair = reference_separation(device, OperatingPoint(f1[k], f2[k]), space)
         assert tuple(pairs[k]) == pair == rank_pair(device, f1[k], f2[k], space)
@@ -306,6 +309,27 @@ def test_sliced_spectrum_equals_one_slice(monkeypatch, dims, axis, values):
     assert np.array_equal(sliced.levels, whole.levels)
     assert np.array_equal(sliced.overlaps, whole.overlaps)
     assert sliced.labels == whole.labels
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3, 3), (4, 3, 4, 3)])
+@pytest.mark.parametrize("values, fixed", [
+    (np.linspace(4.40, 4.86, 24), OperatingPoint(4.637, 4.691)),
+    (np.linspace(0.2, 0.45, 11), OperatingPoint(0.3, 4.691)),
+], ids=["band", "below-2alpha"])
+def test_fewer_levels_are_the_first_columns_of_all_levels(dims, values, fixed):
+    # all levels weigh every eigenvector of both blocks; fewer weigh only each
+    # block's lowest n_levels + 1, and report the same bits: across both bus
+    # anti-crossings, where the two blocks' levels interleave, and with the
+    # qubits under 2|α|, where q1x2 and q2x2 lie below every single excitation
+    # and the lowest levels all come from the even block
+    space = HilbertSpace(dims)
+    p = DeviceParams()
+    full = sweep_spectrum(p, "freq_2", values, fixed, space)
+    for n_levels in (1, 2, 6, 20, space.size // 2, space.size - 2):
+        sweep = sweep_spectrum(p, "freq_2", values, fixed, space, n_levels=n_levels)
+        assert np.array_equal(sweep.levels, full.levels[:, :n_levels])
+        assert np.array_equal(sweep.overlaps, full.overlaps[:, :n_levels])
+        assert sweep.labels == [row[:n_levels] for row in full.labels]
 
 
 def test_slice_budget_bounds_the_gap_scan_memory(monkeypatch):
@@ -380,8 +404,7 @@ def test_spectrum_labels_share_one_tag_table_and_fit_the_memory_count():
 ])
 def test_bool_setpoints_refused_before_any_scan(monkeypatch, flag):
     scanned = []
-    monkeypatch.setattr(spectroscopy, "_tracked_separations",
-                        lambda *a: scanned.append(a))
+    monkeypatch.setattr(spectroscopy, "_separation_solver", lambda *a: scanned.append(a))
     with pytest.raises(ConfigError, match="setpoint"):
         gap_vs_setpoint(DeviceParams(), [4.58, flag], SPACE)
     with pytest.raises(ConfigError, match="setpoint"):
@@ -414,7 +437,7 @@ def dense_reference_gap(params, setpoint, space):
     sweep, then a golden-section search of the bracket around its minimum
     down to 1e-10 GHz, each search point one eigh alone."""
     grid = np.linspace(setpoint - 0.020, setpoint + 0.020, 4001)
-    seps, _ = _tracked_separations(params, grid, np.full(grid.size, setpoint), space)
+    seps, _ = _separation_solver(params, space)(grid, np.full(grid.size, setpoint))
     i = int(np.argmin(seps))
     a, b = grid[i - 1], grid[i + 1]
 
@@ -472,7 +495,7 @@ def test_cotuned_half_gap_inside_a_resonator_band_keeps_the_rank_pair():
     # a half gap of 20.050224 MHz; the rank pair stays (1, 2)
     p = DeviceParams()
     model = device_model(p, SPACE, True)
-    _, pairs = _tracked_separations(p, [4.471], [4.471], SPACE)
+    _, pairs = _separation_solver(p, SPACE)([4.471], [4.471])
     evals = np.linalg.eigvalsh(model.hamiltonians([4.471], [4.471], model.odd)[0])
     half_gap = cotuned_half_gap(p, [4.471], SPACE)[0]
     assert tuple(pairs[0]) == (1, 2)
@@ -497,13 +520,18 @@ def test_gaps_and_cotuned_half_gaps_need_no_eigenvectors(monkeypatch):
 
 def test_gap_work_is_the_coarse_grid_and_the_step_cap(monkeypatch):
     members = []
-    tracked = spectroscopy._tracked_separations
+    make = spectroscopy._separation_solver
 
-    def counting(params, f1s, f2s, space, *modes):
-        members.append(len(f1s))
-        return tracked(params, f1s, f2s, space, *modes)
+    def counting(*args):
+        solve = make(*args)
 
-    monkeypatch.setattr(spectroscopy, "_tracked_separations", counting)
+        def counted(f1s, f2s):
+            members.append(len(f1s))
+            return solve(f1s, f2s)
+
+        return counted
+
+    monkeypatch.setattr(spectroscopy, "_separation_solver", counting)
     cap = spectroscopy.GAP_GRID + spectroscopy.GAP_VERTEX_STEPS
     qubit_qubit_gap(DeviceParams(), 4.60, space=SPACE)
     assert members[0] == spectroscopy.GAP_GRID
@@ -511,6 +539,58 @@ def test_gap_work_is_the_coarse_grid_and_the_step_cap(monkeypatch):
     members.clear()
     gap_vs_setpoint(DeviceParams(), [4.58, 4.63], SPACE)
     assert sum(members) <= 2 * cap
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3, 3), (4, 4, 4, 4)])
+def test_gap_scans_equal_each_point_diagonalized_alone(monkeypatch, dims):
+    # every scan, its grid and its vertex steps, and the co-tuned half gaps
+    # give the same bits when each point is built and diagonalized alone
+    space = HilbertSpace(dims)
+    p = DeviceParams()
+    freqs = np.linspace(4.52, 4.76, 13)
+
+    def scans():
+        return (qubit_qubit_gap(p, 4.60, space), qubit_resonator_gap(p, 2, "b", space),
+                qubit_resonator_gap(p, 1, "a", space),
+                gap_vs_setpoint(p, [4.58, 4.63, 4.49, 4.68], space),
+                cotuned_half_gap(p, freqs, space))
+
+    def fields(gap):
+        return None if gap is None else (gap.gap_mhz, gap.location_ghz, gap.level_pair)
+
+    prepared = scans()
+    made = []
+    monkeypatch.setattr(spectroscopy, "_separation_solver",
+                        lambda *args: made.append(args) or separations_alone(*args))
+    alone = scans()
+    assert len(made) == 7  # three scans, three of the four setpoints, the half gaps
+    for mine, ref in zip(prepared[:3], alone[:3]):
+        assert fields(mine) == fields(ref)
+    assert [fields(g) for g in prepared[3][0]] == [fields(g) for g in alone[3][0]]
+    assert prepared[3][1] == alone[3][1] and prepared[3][1][2] is not None
+    assert prepared[4].tobytes() == alone[4].tobytes()
+
+
+def test_a_gap_scan_restricts_the_odd_block_once_per_model(monkeypatch):
+    restricted = []
+    restrict = DeviceModel._restrict
+
+    def spy(self, key, idx):
+        restricted.append(len(idx))
+        return restrict(self, key, idx)
+
+    monkeypatch.setattr(DeviceModel, "_restrict", spy)
+    device_model.cache_clear()
+    p = DeviceParams()
+    for space in (SPACE, HilbertSpace((4, 4, 4, 4))):
+        restricted.clear()
+        results, errors = gap_vs_setpoint(p, [4.58, 4.60, 4.63, 4.68], space)
+        assert errors == [None] * 4
+        assert restricted == [device_model(p, space, True).odd.size]
+        # the model keeps the block for the next scan and the half gaps
+        qubit_resonator_gap(p, 1, "a", space)
+        cotuned_half_gap(p, [4.55, 4.65], space)
+        assert len(restricted) == 1
 
 
 def test_gap_bracket_too_narrow():
