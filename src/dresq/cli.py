@@ -51,6 +51,11 @@ DEFAULT_BIAS_Q1 = 4.637
 DEFAULT_BIAS_Q2 = 4.691
 DEFAULT_INTERACTION_GHZ = 4.60
 
+# peak bytes a point of geff: its three float64 arrays (24) and the text of its
+# CSV rows and SVG polylines, which peaks at 313-317 bytes a point (measured at
+# 1,000-200,000 points) and widens by at most 12 with the widest numbers
+GEFF_POINT_BYTES = 352
+
 
 def _add_common(parser: argparse.ArgumentParser, dims: bool = True) -> None:
     parser.add_argument("--device", type=Path, default=None,
@@ -81,32 +86,38 @@ def _load_device(path: Path | None) -> DeviceParams:
 
 
 def _grid(start: float, stop: float, points: int, flags: tuple[str, str, str],
-          minimum: int = 1) -> np.ndarray:
+          minimum: int = 1, point_bytes: int = 8) -> np.ndarray:
     """At least ``minimum`` evenly spaced values; ``flags`` names the options
-    of start, stop and points."""
+    of start, stop and points. ConfigError, before the grid is built, if
+    ``point_bytes`` a point, the grid's own 8 or what a command holds per
+    point, would exceed ``errors.MEMORY_LIMIT``."""
     start, stop = (require_number(v, f) for v, f in zip((start, stop), flags))
     points = require_count(points, flags[2], minimum)
-    require_memory(8 * points, f"a {flags[2]} grid of {points} points")
+    require_memory(point_bytes * points, f"a {flags[2]} grid of {points} points")
     return np.linspace(start, stop, points)
 
 
 def _write_outputs(args, artifacts: dict[str, str], params: DeviceParams | None = None) -> None:
     """Write the artifacts and a manifest of them. Its config is every parsed
     option but ``out`` and ``device`` (a path is written as text), plus the
-    resolved device parameters when the command has a device."""
+    resolved device parameters when the command has a device. An output
+    directory that cannot be made or written is a ConfigError naming it."""
     config = {k: v for k, v in vars(args).items() if k not in ("out", "device")}
     if params is not None:
         config["device"] = params.to_dict()
-    args.out.mkdir(parents=True, exist_ok=True)
-    checksums = {}
-    for name, content in artifacts.items():
-        data = content.encode()
-        (args.out / name).write_bytes(data)
-        checksums[name] = hashlib.sha256(data).hexdigest()
-    manifest = {"config": config, "artifacts": checksums}
-    (args.out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
-    )
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        checksums = {}
+        for name, content in artifacts.items():
+            data = content.encode()
+            (args.out / name).write_bytes(data)
+            checksums[name] = hashlib.sha256(data).hexdigest()
+        manifest = {"config": config, "artifacts": checksums}
+        (args.out / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
+        )
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {args.out}: {exc}") from None
 
 
 def cmd_spectrum(args) -> int:
@@ -132,7 +143,8 @@ def cmd_spectrum(args) -> int:
 def cmd_geff(args) -> int:
     params = _load_device(args.device)
     space = HilbertSpace(args.dims)
-    freqs = _grid(args.start, args.stop, args.points, ("--start", "--stop", "--points"))
+    freqs = _grid(args.start, args.stop, args.points, ("--start", "--stop", "--points"),
+                  point_bytes=GEFF_POINT_BYTES)
     switch_off = find_switch_off(params, (args.start, args.stop))
     geffs = effective_coupling(params, freqs) * 1e3
     half_gaps = spectroscopy.cotuned_half_gap(params, freqs, space)

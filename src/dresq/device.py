@@ -46,6 +46,11 @@ _RESONATOR_QUBIT_PAIRS = {
 
 DEGENERACY_TOL_GHZ = 1e-6
 
+# peak bytes a point of effective_coupling on an array: the frequencies checked
+# and stacked twice (24), Δ and Σ of the four paths (64) and at most three more
+# arrays of them (96); 148 measured
+ANALYTIC_POINT_BYTES = 184
+
 
 @dataclass(frozen=True)
 class DeviceParams:
@@ -351,7 +356,9 @@ def effective_coupling(params: DeviceParams, point) -> float | np.ndarray:
     homogeneous of degree zero in the overall frequency scale, so linear
     GHz inputs give the answer directly in GHz. ``point`` is an OperatingPoint,
     giving a float, or a 1-d array of co-tuned qubit frequencies in GHz,
-    giving an array bit-identical to the floats.
+    giving an array bit-identical to the floats; an array whose
+    ANALYTIC_POINT_BYTES a point would exceed ``errors.MEMORY_LIMIT`` is
+    refused with ConfigError.
 
     This is the second-order dispersive result (Yan et al., Phys. Rev.
     Applied 10, 054062 (2018)), valid to leading order in g/|Δ|: its
@@ -371,8 +378,13 @@ def effective_coupling(params: DeviceParams, point) -> float | np.ndarray:
             "(cotuned_half_gap, qubit_qubit_gap) for such a device"
         )
     scalar = isinstance(point, OperatingPoint)
-    f_q = (np.array([[point.qubit_freq_1], [point.qubit_freq_2]]) if scalar else
-           np.array([require_numbers(point, "co-tuned frequencies", positive=True)] * 2))
+    if scalar:
+        f_q = np.array([[point.qubit_freq_1], [point.qubit_freq_2]])
+    else:
+        f_q = require_numbers(point, "co-tuned frequencies", positive=True)
+        require_memory(ANALYTIC_POINT_BYTES * f_q.size,
+                       f"the analytic coupling at {f_q.size} points")
+        f_q = np.array([f_q] * 2)
     # [λ, β - 1, k] is resonator λ (a, b) and qubit β at point k, summed path by path
     f_res = np.array([params.resonator_freq_a, params.resonator_freq_b])[:, None, None]
     product = np.array([params.g_a1 * params.g_a2, params.g_b1 * params.g_b2])[:, None, None]

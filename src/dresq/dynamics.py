@@ -50,19 +50,21 @@ with the number of stages. A stage's samples lie one grid step apart, so
 they are found by repeated squaring of the one step map (:func:`_walk`: r
 samples in ⌈log₂ r⌉ batched products), in slices of at most
 STACK_SLICE_BYTES of states. Each sample is read as rows · vec(ρ), row 0
-being the trace and an observable O the row vec(Oᵀ). ``evolve`` is a batch
-of one, on U when it is lossless; the chevron is one single-stage member per
-detuning column on the N ≤ 1 block, on real vec(ρ) coordinates whenever it
-has more than one column, read after a fixed readout delay by rows carried
-backwards through the padding (one more stage, walked the same way) rather
-than every state forwards.
+being the trace, checked for drift as it is read, and an observable O the
+row vec(Oᵀ). ``evolve`` is a batch of one, on U when it is lossless; the
+chevron is one single-stage member per detuning column on the N ≤ 1 block,
+on real vec(ρ) coordinates whenever it has more than one column, read after
+a fixed readout delay by rows carried backwards through the padding (one
+more stage, walked the same way) rather than every state forwards.
 
 Units at the interface: linear GHz for frequencies, MHz for detunings
-and couplings where noted, ns for times, µs for coherence times.
+and couplings where noted, ns for times, µs for coherence times, which
+``DeviceParams`` alone judges: every device it admits runs here.
 """
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 from dataclasses import dataclass
@@ -91,6 +93,10 @@ GRID_TOL_NS = 1e-9
 # most bytes of states one propagation holds at a time: the states of a run of
 # equal steps are found and read in slices of at most this size
 STACK_SLICE_BYTES = 2**21
+
+# peak bytes a cell of ChevronMap.to_csv: lines of at most 46 characters, in the
+# buffer and the result (53-84 measured)
+CSV_CELL_BYTES = 112
 
 # ---------------------------------------------------------------------------
 # schedule and state types
@@ -201,10 +207,11 @@ def collapse_operators(params: DeviceParams, space: HilbertSpace) -> list[np.nda
 
     Per qubit: a relaxation operator √(1/T1)·a and a pure-dephasing
     operator √(2/T_φ)·a†a with 1/T_φ = 1/T2 − 1/(2T1). Rates are per ns.
-    Infinite lifetimes contribute nothing; with everything infinite the
-    list is empty and evolution is unitary. The resonators have no
-    measured loss rate and get no collapse operator. ``DeviceParams``
-    has already refused non-positive times and T2 > 2·T1.
+    An infinite lifetime (rate 1/∞ = 0) contributes nothing; with everything
+    infinite the list is empty and evolution is unitary. The resonators have
+    no measured loss rate and get no collapse operator. ``DeviceParams`` is
+    the one judge of the times (positive, T2 ≤ 2·T1 + 1e-12 µs); a dephasing
+    rate of at most 1e-15 /ns, negative within that margin, adds no operator.
     """
     return [amplitude * operator(space, mode)
             for amplitude, operator, mode in _collapse_terms(params)]
@@ -215,13 +222,8 @@ def _collapse_terms(params: DeviceParams) -> list:
     member, so whether there are any is known without building one."""
     terms = []
     for qubit, mode in ((1, 2), (2, 3)):
-        t1_us = getattr(params, f"t1_qubit{qubit}")
-        t2_us = getattr(params, f"t2_qubit{qubit}")
-        gamma1 = 0.0 if math.isinf(t1_us) else 1.0 / (t1_us * 1e3)
-        inv_t2 = 0.0 if math.isinf(t2_us) else 1.0 / (t2_us * 1e3)
-        gamma_phi = inv_t2 - 0.5 * gamma1
-        if gamma_phi < -1e-15:
-            raise ConfigError(f"negative dephasing rate for qubit {qubit}")
+        gamma1 = 1.0 / (getattr(params, f"t1_qubit{qubit}") * 1e3)
+        gamma_phi = 1.0 / (getattr(params, f"t2_qubit{qubit}") * 1e3) - 0.5 * gamma1
         if gamma1 > 0:
             terms.append((math.sqrt(gamma1), lowering_operator, mode))
         if gamma_phi > 1e-15:
@@ -450,9 +452,12 @@ def _propagate(params, space, durations, freqs, rho0, order, observables, n_samp
     frequencies vary, one for all otherwise) are built when it is entered and
     its maps, each one :func:`_expm` stack, as its samples need them; both are
     dropped when it is left, and stages after the last sample are not entered.
-    A stage holds up to its first sample; its samples lie one grid step
-    apart, so :func:`_walk` finds them in slices of at most STACK_SLICE_BYTES,
-    each read with one product.
+    :func:`_walk` finds a stage's samples in slices of at most
+    STACK_SLICE_BYTES, each opened by one map from the carried state: the hold
+    to the stage's first sample, or one grid step. A slice is read with one
+    product into the readings returned and its trace checked: a drift beyond
+    TRACE_TOL (or a NaN) raises IntegrationError at the first failing member,
+    then sample, of that slice, the member named as ``member`` and its index.
 
     One guard refuses, before anything of the block's size is built, a run
     that would take more than ``errors.MEMORY_LIMIT``: per member a stage map
@@ -460,9 +465,7 @@ def _propagate(params, space, durations, freqs, rho0, order, observables, n_samp
     generator, the stage's other maps and the step map's powers held beside
     it, a slice of states, its readings and final state; the complex
     generator; per point its block Hamiltonian, built in the frame rotating at
-    ``frame_ghz`` times N; per sample its time, stage and readout rows. Trace
-    drift beyond TRACE_TOL (or a NaN) raises IntegrationError at the first
-    failing member and sample, the member named as ``member`` and its index.
+    ``frame_ghz`` times N; per sample its time and readout rows.
     """
     (n_stages, batch), n_rows = np.shape(freqs)[:2], 1 + len(observables)
     model = device_model(params, space, counter_rotating)
@@ -489,9 +492,10 @@ def _propagate(params, space, durations, freqs, rho0, order, observables, n_samp
     # ⌈log₂ per_slice⌉ powers, each of the map's size, and a slice of states
     # with one more being formed (U ρ of ρ → UρU†); all members share the
     # complex generator, and building a real generator from it peaks lower. A
-    # sample's time is a float64 and a Python float, its stage 8 bytes, its
-    # readings 8 a row and member, and its readout rows come with the readout
-    # step map's powers
+    # sample's time is a float64 and a Python float in a list (40 bytes), and a
+    # caller may hold two float64 grids of the samples (the chevron's checked τ
+    # values and their steps); its readings take 8 bytes a row and member, and
+    # its readout rows come with the readout step map's powers
     n_powers = (per_slice - 1).bit_length()
     require_memory(batch * (_expm_bytes(m, item) + (5 + n_powers) * item * m**2
                             + 2 * per_slice * item * idx.size**2 + 8 * n_rows * n_samples
@@ -554,8 +558,8 @@ def _propagate(params, space, durations, freqs, rho0, order, observables, n_samp
         """Stage k's hold (k = n_stages: the readout's), which returns the maps
         of a hold for ``duration``, none or one. The stage's generators (a stack
         of one per member where its frequencies vary, one for all otherwise)
-        are built here and each map when first asked for; uniform samples share
-        one map, whatever their float noise."""
+        are built here and each map when first asked for, keyed by its duration
+        to 1e-12 ns: uniform samples share one map, whatever their float noise."""
         at_k = slice(k * batch, (k + 1) * batch)
         g = generator(at_k if (points[at_k] != points[k * batch]).any() else k * batch)
         maps = {}
@@ -563,12 +567,10 @@ def _propagate(params, space, durations, freqs, rho0, order, observables, n_samp
         def hold(duration: float) -> list[np.ndarray]:
             if duration <= 0:
                 return []
-            if duration not in maps:
-                near = round(duration, 12)
-                if near not in maps:
-                    maps[near] = [_expm(duration * g)]
-                maps[duration] = maps[near]
-            return maps[duration]
+            key = round(duration, 12)
+            if key not in maps:
+                maps[key] = [_expm(duration * g)]
+            return maps[key]
 
         return hold
 
@@ -581,58 +583,52 @@ def _propagate(params, space, durations, freqs, rho0, order, observables, n_samp
         # grid steps, all found by one walk
         hold = stage(n_stages)
         back = np.empty((n_samples, *rows.shape))
-        back[0] = rows
-        for u in hold(readout[1] - t[-1]):
-            back[0] = rows @ u
+        pad = hold(readout[1] - t[-1])
+        back[0] = rows @ pad[0] if pad else rows
         sample_rows = _walk(back, list(hold(t[1] - t[0])),
                             lambda u, q, into: np.matmul(q, u, out=into))[::-1]
 
-    readings = np.empty((n_samples, batch, n_rows))
+    readings = np.empty((batch, n_rows, n_samples))
 
-    def read(j, stack):
-        """Readings of samples j, j + 1, … from a stack of their states."""
-        rows_j = sample_rows if readout is None else sample_rows[j:j + len(stack)]
-        readings[j:j + len(stack)] = (stack.reshape(len(stack), batch, -1)
-                                      @ np.swapaxes(rows_j, -1, -2)).real
+    def read(k, j, stack):
+        """Read samples j, j + 1, … of stage k from a stack of their states."""
+        at_j = slice(j, j + len(stack))
+        rows_j = sample_rows if readout is None else sample_rows[at_j]
+        readings[..., at_j] = (stack.reshape(len(stack), batch, -1)
+                               @ np.swapaxes(rows_j, -1, -2)).real.transpose(1, 2, 0)
+        bad = ~(np.abs(readings[:, 0, at_j] - 1.0) <= TRACE_TOL)  # a NaN trace counts as drift
+        if bad.any():
+            b, i = np.argwhere(bad)[0]
+            where = f" in {member} {b}" if member else ""
+            raise IntegrationError(f"trace drifted to {readings[b, 0, j + i]:.12f} at t = "
+                                   f"{t[j + i]:.3f} ns (stage {k}, {idx.size}-state block){where}")
 
-    # each stage holds up to its first sample, walks its samples and holds on
-    # to its end; a sample on a boundary is read in the stage it ends
+    # each stage walks its samples slice by slice, then holds on to its end; a
+    # sample on a boundary is read in the stage it ends
     buffer = np.empty((per_slice, *rho.shape[1:]), dtype=rho.dtype)
-    stage_at = np.empty(n_samples, dtype=int)
     j, t_now, stage_end = 0, 0.0, 0.0
     for k, duration in enumerate(durations):
         if j == n_samples:
             break
         hold = stage(k)
         stage_end += duration
-        end = j
-        while end < n_samples and (t[end] <= stage_end + 1e-9 or k + 1 == n_stages):
-            end += 1
+        end = n_samples if k + 1 == n_stages else bisect.bisect_right(
+            t, stage_end + GRID_TOL_NS, j)
         if end > j:
-            stage_at[j:end] = k
-            for u in hold(t[j] - t_now):
-                rho = act(u, rho, np.empty_like(rho))
+            opening = hold(t[j] - t_now)
             step = list(hold(t[j + 1] - t[j])) if end > j + 1 else []
             for s in range(j, end, per_slice):
                 run = buffer[:min(per_slice, end - s)]
-                if s == j or not step:
+                if opening:
+                    act(opening[0], rho, run[:1])
+                else:
                     run[:1] = rho
-                else:  # one grid step on from the last slice
-                    act(step[0], rho, run[:1])
-                read(s, _walk(run, step, act))
-                rho = run[-1:].copy()
+                read(k, s, _walk(run, step, act))
+                rho, opening = run[-1:].copy(), step
             j, t_now = end, t[end - 1]
         for u in hold(stage_end - t_now):
             rho = act(u, rho, np.empty_like(rho))
         t_now = stage_end
-    readings = np.ascontiguousarray(np.moveaxis(readings, 0, -1))
-    tr = readings[:, 0]
-    bad = ~(np.abs(tr - 1.0) <= TRACE_TOL)  # a NaN trace counts as drift
-    if bad.any():
-        b, j = np.argwhere(bad)[0]
-        where = f" in {member} {b}" if member else ""
-        raise IntegrationError(f"trace drifted to {tr[b, j]:.12f} at t = {t[j]:.3f} ns "
-                               f"(stage {stage_at[j]}, {idx.size}-state block){where}")
     rho = rho.reshape(batch, -1)
     if vec:
         # vec(ρ) = T† x, whose transposed entries are conjugates bit for bit
@@ -692,8 +688,8 @@ def evolve(
     after it, so memory does not grow with the number of stages. A stage
     map, stage Hamiltonians or readings that would not fit in memory raise
     ConfigError from one guard, before anything of the block's size is
-    built, and a trace drift beyond 1e-8 (or a NaN) at any sample aborts
-    with diagnostics.
+    built, and a trace drift beyond 1e-8 (or a NaN), checked as each sample
+    is read, aborts there with diagnostics.
     """
     if initial.space != space:
         raise ConfigError(f"initial state lives on {initial.space}, not on {space}")
@@ -741,8 +737,10 @@ class ChevronMap:
         """One line per cell, detuning-major, one ``%`` format per detuning.
 
         The τ text is fixed once in a template of a column's lines; each
-        detuning fills it from its (detuning, p1) pairs.
+        detuning fills it from its (detuning, p1) pairs. ConfigError first if
+        CSV_CELL_BYTES a cell would exceed ``errors.MEMORY_LIMIT``.
         """
+        require_memory(CSV_CELL_BYTES * self.p1.size, f"the CSV of a {self.p1.shape} chevron")
         buf = io.StringIO()
         buf.write("detuning_mhz,tau_ns,p1\n")
         template = "".join([f"%s,{t:.9g},%.9f\n" for t in self.taus_ns])
@@ -780,9 +778,10 @@ def vacuum_rabi_chevron(
     first one's plus a rotation of each pair of coordinates; the τ grid is
     reached by repeated squaring of each column's one step map, and the
     readout rows by powers of the padding's. A trace drift beyond 1e-8 (or a
-    NaN) in any cell raises IntegrationError naming the first such column,
-    and a population outside [0, 1] beyond rounding raises IntegrationError
-    before the rounding is clipped.
+    NaN), checked as each slice of τ values is read, raises IntegrationError
+    naming the first such column of that slice, and a population outside
+    [0, 1] beyond rounding raises IntegrationError before the rounding is
+    clipped. Every device ``DeviceParams`` admits runs.
 
     ``q2_target``, the offsets, the τ values and a readout delay must be
     finite numbers, the offsets strictly ascending (a single offset is
@@ -806,7 +805,7 @@ def vacuum_rabi_chevron(
         raise ConfigError("detuning offsets must be strictly ascending")
     if prep_to_readout_ns is not None:
         prep_to_readout_ns = require_number(prep_to_readout_ns, "prep-to-readout interval")
-        if prep_to_readout_ns < taus[-1] - 1e-9:
+        if prep_to_readout_ns < taus[-1] - GRID_TOL_NS:
             raise ConfigError(
                 f"prep-to-readout interval {prep_to_readout_ns} ns shorter than the "
                 f"longest interaction time {taus[-1]} ns"

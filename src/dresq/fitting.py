@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FitError, require_numbers
+from .errors import ConfigError, FitError, require_memory, require_numbers
 from .dynamics import GRID_TOL_NS, ChevronMap
 
 MAX_ITERATIONS = 200
@@ -32,6 +32,11 @@ MAX_ITERATIONS = 200
 STEP_TOL = 1e-10
 
 MIN_POINTS = 8
+
+# peak bytes a sample of a batch of damped-cosine fits: the periodogram's 8×
+# zero-padded spectrum, then the lockstep solver's residuals, Jacobians and
+# their temporaries; 320-352 measured with every trace fitted (16-20,000 points)
+FIT_SAMPLE_BYTES = 384
 
 # periodogram peak must beat the median spectral power by this factor
 # for an oscillation to count as detected
@@ -307,8 +312,12 @@ def _fit_damped_cosines(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> list:
     """Damped-cosine fits of the rows of y (traces on the grid t, weights w), in lockstep.
 
     Each row gets what :func:`fit_damped_cosine` gives that trace alone:
-    a FitOutcome, or the FitError that rejects it.
+    a FitOutcome, or the FitError that rejects it. A batch whose
+    FIT_SAMPLE_BYTES a sample would exceed ``errors.MEMORY_LIMIT`` is a
+    ConfigError before anything of its size is built.
     """
+    require_memory(FIT_SAMPLE_BYTES * y.size,
+                   f"damped-cosine fits of {len(y)} trace(s) of {t.size} points")
     dt = np.diff(t)
     if dt.max() - dt.min() > GRID_TOL_NS:
         raise ConfigError(

@@ -127,11 +127,13 @@ def line_plot(
     y_lo, y_hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
     pad = 0.05 * (y_hi - y_lo or 1.0)
     cv = _Canvas((float(x.min()), float(x.max())), (y_lo - pad, y_hi + pad), x_label, y_label, title)
+    # points are mapped as Python floats: the same text as numpy scalars, faster
+    xs = x.tolist()
     for si, (name, y) in enumerate(series.items()):
-        y = np.asarray(y, dtype=float)
+        y = np.asarray(y, dtype=float).tolist()
         color = PALETTE[si % len(PALETTE)]
         pts = " ".join(
-            f"{cv.px(xi):.2f},{cv.py(yi):.2f}" for xi, yi in zip(x, y) if math.isfinite(yi)
+            f"{cv.px(xi):.2f},{cv.py(yi):.2f}" for xi, yi in zip(xs, y) if math.isfinite(yi)
         )
         cv.buf.write(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
         cv.buf.write(

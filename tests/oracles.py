@@ -4,7 +4,9 @@ None of these is on a program path: each is a closed form, a textbook
 definition or a slow reference built from one term by term, kept beside the
 tests that use it. :func:`vec_oracle` takes the device Hamiltonians, the
 collapse operators and the matrix exponential from the library and builds
-everything else itself; :func:`separations_alone` takes the Hamiltonians.
+everything else itself, or with ``extended`` takes only the Hamiltonians and
+the collapse operators and computes in extended precision
+(:func:`expm_extended`); :func:`separations_alone` takes the Hamiltonians.
 """
 
 import math
@@ -102,13 +104,46 @@ def lindblad_superoperator(h: np.ndarray, collapse) -> np.ndarray:
     -i(H⊗1 − 1⊗Hᵀ) + Σ_k (L_k⊗L̄_k − ½ L_k†L_k⊗1 − ½ 1⊗(L_k†L_k)ᵀ)."""
     n = h.shape[-1]
     eye = np.eye(n)
-    dissipator = np.zeros((n * n, n * n), dtype=complex)
+    dissipator = np.zeros((n * n, n * n), dtype=np.result_type(h, complex))
     for l in collapse:
         ldl = l.conj().T @ l
         dissipator += np.kron(l, l.conj()) - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
     members = [dissipator - 1j * (np.kron(hk, eye) - np.kron(eye, hk.T))
                for hk in h.reshape(-1, n, n)]
     return np.reshape(members, (*h.shape[:-2], n * n, n * n))
+
+
+def expm_extended(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square matrix in extended precision (``np.clongdouble``, a
+    64-bit significand on x86), a reference for double-precision exponentials.
+
+    The indices fall apart into classes that no nonzero entry of a links, and
+    exp(a) is block diagonal on them, so each block is exponentiated alone:
+    scaled by 2^-s to a 1-norm of at most 1/2, summed as a Taylor series to
+    degree 24 (a remainder below 1e-31 of the norm), and squared s times.
+    """
+    a = np.asarray(a, dtype=np.clongdouble)
+    links = (a != 0) | (a != 0).T
+    out = np.zeros_like(a)
+    free = np.ones(len(a), dtype=bool)
+    while free.any():
+        block = np.arange(len(a)) == np.argmax(free)
+        while not np.array_equal(grown := block | links[:, block].any(axis=1), block):
+            block = grown
+        free &= ~block
+        at = np.ix_(block, block)
+        b = a[at]
+        norm = float(np.abs(b).sum(axis=0).max())
+        s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0 else 0
+        b = b / np.clongdouble(2.0**s)
+        term = total = np.eye(len(b), dtype=np.clongdouble)
+        for k in range(1, 25):
+            term = term @ b / k
+            total = total + term
+        for _ in range(s):
+            total = total @ total
+        out[at] = total
+    return out
 
 
 def leak_rule_block(space: HilbertSpace, rho: np.ndarray, operators) -> np.ndarray:
@@ -124,7 +159,7 @@ def leak_rule_block(space: HilbertSpace, rho: np.ndarray, operators) -> np.ndarr
 
 
 def vec_oracle(params, space, durations, freqs, rho0, observables, n_samples, counter_rotating,
-               frame, readout=None, preps=()):
+               frame, readout=None, preps=(), extended=False):
     """A batch of staged evolutions on complex vec(ρ) of the whole block, one
     sample at a time.
 
@@ -137,10 +172,15 @@ def vec_oracle(params, space, durations, freqs, rho0, observables, n_samples, co
     way. With a ``readout`` ((f₁, f₂), t_ns) each sample's rows are those of
     the readout carried back one grid step at a time.
 
+    With ``extended`` the generators are built from the double-precision H
+    and collapse operators in extended precision and exponentiated by
+    :func:`expm_extended`; the readings and states are rounded to double.
+
     Returns the block indices, the mask of the entries of vec(ρ) on the block
     that the generators can carry the support of ρ₀ to, the readings
     (member, row, sample) and the block states (member, sample, n, n).
     """
+    dtype, expm = (np.clongdouble, expm_extended) if extended else (float, _expm)
     for tag in preps:
         flip = pi_flip(space, 2 if tag == "pi_q1" else 3)
         rho0 = flip @ rho0 @ flip.T
@@ -153,7 +193,8 @@ def vec_oracle(params, space, durations, freqs, rho0, observables, n_samples, co
     ls = collapse_operators(params, space)
     idx = leak_rule_block(space, rho0, list(hs) + ls)
     sel = np.ix_(idx, idx)
-    generators = lindblad_superoperator(hs[:, idx[:, None], idx], [l[sel] for l in ls])
+    generators = lindblad_superoperator(hs[:, idx[:, None], idx].astype(dtype),
+                                        [l[sel].astype(dtype) for l in ls])
     vec0 = rho0[sel].reshape(-1)
     links = np.any(generators != 0, axis=0)
     reach = vec0 != 0
@@ -164,8 +205,8 @@ def vec_oracle(params, space, durations, freqs, rho0, observables, n_samples, co
     times = np.linspace(0.0, sum(durations), n_samples)
     sample_rows = [rows] * n_samples
     if readout is not None:
-        rows = rows @ _expm((readout[1] - times[-1]) * generators[-1])
-        step = _expm((times[1] - times[0]) * generators[-1])
+        rows = rows @ expm((readout[1] - times[-1]) * generators[-1])
+        step = expm((times[1] - times[0]) * generators[-1])
         for j in range(n_samples - 1, -1, -1):
             sample_rows[j] = rows
             rows = rows @ step
@@ -178,10 +219,10 @@ def vec_oracle(params, space, durations, freqs, rho0, observables, n_samples, co
             while k + 1 < n_stages and t > start + durations[k] + 1e-9:
                 start += durations[k]
                 if start > t_now:
-                    v = _expm((start - t_now) * g[k]) @ v
+                    v = expm((start - t_now) * g[k]) @ v
                 t_now, k = start, k + 1
             if t > t_now:
-                v = _expm((t - t_now) * g[k]) @ v
+                v = expm((t - t_now) * g[k]) @ v
             t_now = t
             readings[b, :, j] = (sample_rows[j] @ v).real
             states[b, j] = v.reshape(idx.size, idx.size)

@@ -472,3 +472,91 @@ def test_removed_flags_rejected_by_argparse(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--out", tmp_path / "x"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("where", ["an existing file", "a path under a file"])
+def test_an_unusable_output_path_exit_2_naming_it(tmp_path, capsys, where):
+    # the run is done before the outputs are written: a path that cannot be a
+    # directory is a configuration error naming it, not a traceback
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me\n")
+    out = blocker if where == "an existing file" else blocker / "sub"
+    assert run(["geff", "--points", 3, "--out", out]) == 2
+    assert f"cannot write output directory {out}" in capsys.readouterr().err
+    assert blocker.read_text() == "keep me\n"
+
+
+def test_a_device_at_the_t2_margin_runs_every_command(tmp_path):
+    # DeviceParams admits T2 = 2·T1 + 1e-12 µs, and the chevron runs it too
+    device = tmp_path / "device.json"
+    device.write_text(json.dumps({"t1_qubit1": 0.1, "t2_qubit1": 0.200000000001}))
+    assert run(["geff", "--device", device, "--points", 3, "--out", tmp_path / "g"]) == 0
+    assert run(["chevron", "--device", device, "--tau-max", 600, "--tau-points", 121,
+                "--out", tmp_path / "c"]) == 0
+
+
+def test_geff_peaks_within_its_count_and_is_refused_before_allocating(tmp_path, monkeypatch,
+                                                                      capsys):
+    # the count is each point's three arrays and the text of its CSV row and
+    # SVG points; the exact half gaps (their own guard) are stood in for
+    from dresq import cli, errors, spectroscopy
+
+    halves = []
+    monkeypatch.setattr(spectroscopy, "cotuned_half_gap", lambda params, freqs, space: (
+        halves.append(freqs.size), np.full(freqs.size, 12.345678))[1])
+    points = 50_000
+    tracemalloc.start()
+    try:
+        assert run(["geff", "--points", points, "--out", tmp_path / "g"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert halves == [points]
+    assert peak <= cli.GEFF_POINT_BYTES * points
+    # one point more than the limit holds is refused before anything is computed
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", cli.GEFF_POINT_BYTES * points)
+    tracemalloc.start()
+    try:
+        assert run(["geff", "--points", points + 1, "--out", tmp_path / "h"]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f"a --points grid of {points + 1} points needs" in capsys.readouterr().err
+    assert halves == [points] and peak < 2**20
+    assert not (tmp_path / "h").exists()
+
+
+def test_chevron_fits_over_the_limit_exit_2(tmp_path, monkeypatch, capsys):
+    # 11 columns of 4,001 τ values: the propagation's own count fits in 10 MiB,
+    # the fits' 384 bytes a cell (16 MiB) do not, and nothing is written
+    from dresq import errors
+
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", 10 * 2**20)
+    out = tmp_path / "c"
+    assert run(["chevron", "--detuning-points", 11, "--tau-points", 4001, "--out", out]) == 2
+    assert "damped-cosine fits of 11 trace(s) of 4001 points needs 16 MiB" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_gapscan_where_every_setpoint_fails_plots_no_data(tmp_path):
+    # both setpoints are refused within 90 MHz of a resonator: the rows keep
+    # the reasons and the figure is the placeholder series
+    out = tmp_path / "g"
+    assert run(["gapscan", "--setpoints", 4.471, 4.79, "--out", out]) == 0
+    rows = (out / "gaps.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:3] for r in rows] == [["4.471000000", "", ""], ["4.790000000", "", ""]]
+    assert all("needs 90.0 MHz clearance" in r for r in rows)
+    assert "no data" in (out / "gaps.svg").read_text()
+
+
+def test_fit_command_exp_model(tmp_path):
+    t = np.linspace(0, 1000, 200)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time_ns,value\n" + "\n".join(
+        f"{a},{0.7 * math.exp(-a / 250.0) + 0.1}" for a in t))
+    out = tmp_path / "fit"
+    assert run(["fit", "--model", "exp", "--out", out, trace]) == 0
+    doc = json.loads((out / "fit.json").read_text())
+    assert doc["model"] == "exp_decay"
+    assert doc["estimates"]["decay_time_ns"] == pytest.approx(250.0, rel=1e-6)

@@ -1,14 +1,18 @@
 import dataclasses
+import fractions
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dresq import errors
 from dresq.errors import ConfigError, PhysicsError
 from dresq.fock import HilbertSpace
 from dresq.device import (
+    ANALYTIC_POINT_BYTES,
     TWO_PI,
     DeviceParams,
     OperatingPoint,
@@ -282,6 +286,27 @@ def test_effective_coupling_refuses_unusable_cotuned_frequencies(freqs):
         effective_coupling(DeviceParams(), freqs)
 
 
+def test_effective_coupling_peaks_within_its_count_and_is_refused_before_allocating(monkeypatch):
+    freqs = np.linspace(4.52, 4.76, 100_000)
+    tracemalloc.start()
+    try:
+        effective_coupling(DeviceParams(), freqs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ANALYTIC_POINT_BYTES * freqs.size
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", ANALYTIC_POINT_BYTES * freqs.size - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="analytic coupling at 100000 points needs"):
+            effective_coupling(DeviceParams(), freqs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # only the input was checked: a float64 copy and three boolean masks
+    assert peak <= 11 * freqs.size + 2**12
+
+
 def test_effective_coupling_monotone_decreasing():
     p = DeviceParams()
     freqs = np.linspace(4.53, 4.74, 60)
@@ -438,3 +463,47 @@ def test_flux_to_frequency_special_points():
     for branch in (+1, -1):
         x = branch * 1.0 / 3.0
         assert flux_to_frequency(p, 1, x) == pytest.approx(f_max / math.sqrt(2), abs=1e-12)
+
+
+def test_a_real_parameter_of_another_number_type_is_stored_as_a_float():
+    # ints and floats are kept as given; a Fraction or a numpy float32 becomes
+    # the float it equals
+    p = DeviceParams(g_12=fractions.Fraction(1, 1000), g_a1=np.float32(0.03125), t1_qubit1=12)
+    assert type(p.g_12) is float and p.g_12 == 0.001
+    assert type(p.g_a1) is float and p.g_a1 == 0.03125
+    assert type(p.t1_qubit1) is int
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_a_zero_flux_period_is_refused(q):
+    with pytest.raises(ConfigError, match="flux periods must be nonzero"):
+        DeviceParams(**{f"flux_period_{q}": 0})
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"device"', "3.5", "null"])
+def test_device_json_that_is_not_an_object_is_refused(text):
+    with pytest.raises(ConfigError, match="device file must be a JSON object"):
+        DeviceParams.from_json(text)
+
+
+@pytest.mark.parametrize("interval", [(4.70, 4.55), (4.60, 4.60)])
+def test_switch_off_search_interval_must_increase(interval):
+    with pytest.raises(ConfigError, match="search interval must be increasing"):
+        find_switch_off(DeviceParams(), interval)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_switch_off_at_an_end_of_the_interval_is_that_end(end):
+    # g_12 cancels the resonator paths exactly at one end, so g is 0.0 there
+    # and that end is the root itself; the closed form puts it an ulp or two
+    # away at both of these ends
+    interval = (4.58, 4.70)
+    paths = effective_coupling(DeviceParams(g_12=0.0), [interval[end]])[0]
+    p = DeviceParams(g_12=-paths)
+    assert effective_coupling(p, [interval[end]])[0] == 0.0
+    assert find_switch_off(p, interval) == interval[end]
+
+
+def test_flux_qubit_index_beyond_two_is_refused():
+    with pytest.raises(ConfigError, match="qubit index must be 1 or 2, got 3"):
+        flux_to_frequency(DeviceParams(), 3, 0.0)

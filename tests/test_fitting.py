@@ -1,19 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dresq import errors, fitting
 from dresq.errors import ConfigError, FitError
 from dresq.device import DeviceParams, OperatingPoint
 from dresq.dynamics import ChevronMap, vacuum_rabi_chevron
 from dresq.fitting import (
+    FIT_SAMPLE_BYTES,
     MIN_POINTS,
     ChevronCouplingFit,
     TimeTrace,
     fit_damped_cosine,
     fit_exp_decay,
     geff_from_chevron,
+    _solve_each,
 )
 
 BIAS = OperatingPoint(4.637, 4.691)
@@ -500,3 +504,102 @@ def test_geff_from_chevron_stable_under_tiny_perturbation(target):
     est, est_nudged = geff_from_chevron(chev), geff_from_chevron(nudged)
     assert not est.below_floor and not est_nudged.below_floor
     assert est_nudged.g_mhz == pytest.approx(est.g_mhz, rel=1e-6)
+
+
+def test_chevron_fits_peak_within_their_count_and_are_refused_before_allocating(monkeypatch):
+    # a lossless 41 x 2001 chevron fits every column, so the lockstep solver
+    # holds residuals and Jacobians of every cell: its peak stays within
+    # FIT_SAMPLE_BYTES a cell, and a limit one byte lower refuses the batch
+    # before its periodogram, with no more built than the unit weights and
+    # the finiteness check of the cells
+    chev = vacuum_rabi_chevron(DeviceParams(**lossless()), BIAS, 4.60,
+                               np.linspace(-20.0, 20.0, 41), np.linspace(0.0, 2000.0, 2001))
+    tracemalloc.start()
+    try:
+        fit = geff_from_chevron(chev)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.n_detected == 41
+    assert peak <= FIT_SAMPLE_BYTES * chev.p1.size
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", FIT_SAMPLE_BYTES * chev.p1.size - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="damped-cosine fits of 41 trace"):
+            geff_from_chevron(chev)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * chev.p1.size + 2**12
+
+
+def test_trace_uncertainties_must_match_its_length():
+    t = np.arange(10.0)
+    with pytest.raises(ConfigError, match="uncertainties must match the trace length"):
+        TimeTrace(t, np.sin(t), np.full(9, 0.1))
+
+
+def test_trace_csv_refuses_an_unparsable_number():
+    text = "".join(f"{k},{0.5 * k}\n" for k in range(8)) + "8,half\n"
+    with pytest.raises(ConfigError, match="trace line 9: could not convert string to float"):
+        TimeTrace.from_csv(text)
+
+
+def test_trace_csv_refuses_uncertainties_on_only_some_rows():
+    text = "time_ns,value,sigma\n" + "".join(
+        f"{k},{0.5 * k}" + (",0.1" if k % 2 else "") + "\n" for k in range(10))
+    with pytest.raises(ConfigError, match="uncertainty column present on only some rows"):
+        TimeTrace.from_csv(text)
+
+
+def test_geff_from_chevron_refuses_non_finite_cells():
+    # a NaN cell passes the map's range check (no comparison holds for NaN)
+    # and is refused by the fits' sample check
+    p1 = np.full((3, 11), 0.5)
+    p1[1, 4] = np.nan
+    chev = ChevronMap(np.array([-1.0, 0.0, 1.0]), np.linspace(0.0, 100.0, 11), p1)
+    with pytest.raises(ConfigError, match="trace times and values must be finite"):
+        geff_from_chevron(chev)
+
+
+def test_solve_each_leaves_a_singular_member_nan_and_solves_the_others():
+    a = np.stack([2.0 * np.eye(2), np.zeros((2, 2)), np.diag([1.0, 4.0])])
+    b = np.ones((3, 2, 1))
+    x, ok = _solve_each(a, b)
+    assert ok.tolist() == [True, False, True]
+    assert x[0, :, 0].tolist() == [0.5, 0.5] and x[2, :, 0].tolist() == [1.0, 0.25]
+    assert np.isnan(x[1]).all()
+
+
+def test_exp_decay_seed_when_the_first_value_equals_the_tail_mean():
+    # the seed amplitude y0 - tail mean is 0: it is taken as the trace's span,
+    # signed by y0 against the tail, instead of dividing by it
+    t = np.arange(100.0)
+    y = 0.3 + 0.5 * np.exp(-t / 20.0)
+    y[0] = float(np.mean(y[-12:]))
+    out = fit_exp_decay(TimeTrace(t, y))
+    assert out.converged and 10.0 < out.estimates["decay_time_ns"] < 40.0
+
+
+def test_exp_decay_without_a_decay_in_the_window_is_rejected():
+    # a cubic rise: the best decay time is over 1000 windows
+    t = np.arange(8.0)
+    with pytest.raises(FitError, match="no decay detected: fitted time constant .* far beyond "
+                                       "the 7 ns window"):
+        fit_exp_decay(TimeTrace(t, t**3))
+
+
+def test_damped_cosine_fit_ending_above_nyquist_is_rejected(monkeypatch):
+    # a fit that walks to 0.6 /ns on a 1 ns grid (Nyquist 0.5 /ns) has found
+    # an alias, not the trace's frequency
+    real = fitting._levenberg_marquardt
+
+    def beyond(residual_jac, p0):
+        p, *rest = real(residual_jac, p0)
+        p[:, 1] = 0.6
+        return (p, *rest)
+
+    monkeypatch.setattr(fitting, "_levenberg_marquardt", beyond)
+    t = np.arange(64.0)
+    with pytest.raises(FitError, match="fit ended at 0.6 /ns, above the 0.5 /ns Nyquist"):
+        fit_damped_cosine(TimeTrace(t, np.cos(2 * math.pi * 0.05 * t)))

@@ -686,3 +686,28 @@ def test_cotuned_half_gaps_beyond_the_memory_limit_refused_before_allocating(mon
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("values", [[], np.array([])])
+def test_sweep_of_no_points_is_refused(values):
+    with pytest.raises(ConfigError, match="sweep values must be a non-empty 1-d array"):
+        sweep_spectrum(DeviceParams(), "freq_1", values, OperatingPoint(4.637, 4.691), SPACE)
+
+
+def test_a_vertex_step_that_beats_no_held_point_ends_the_steps(monkeypatch):
+    # the first step is sent beyond the grid's outer neighbour of the minimum,
+    # which beats none of the three held points: the steps end there, and the
+    # gap is the grid minimum
+    lo, hi = 4.60 - spectroscopy.GAP_HALF_SPAN, 4.60 + spectroscopy.GAP_HALF_SPAN
+    grid = np.linspace(lo, hi, spectroscopy.GAP_GRID)
+    seps, _ = spectroscopy._separation_solver(DeviceParams(), SPACE, (2, 3))(
+        grid, np.full(grid.size, 4.60))
+    i_min = int(np.argmin(seps))
+    assert 1 <= i_min <= grid.size - 2
+    far = (grid[0] + 0.1 * (grid[1] - grid[0]) if i_min >= 2
+           else grid[-1] - 0.1 * (grid[-1] - grid[-2]))
+    steps = []
+    monkeypatch.setattr(spectroscopy, "_parabola_vertex", lambda *held: steps.append(held) or far)
+    gap = qubit_qubit_gap(DeviceParams(), 4.60, SPACE)
+    assert len(steps) == 1
+    assert gap.location_ghz == grid[i_min] and gap.gap_mhz == seps[i_min] * 1e3

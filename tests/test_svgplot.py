@@ -233,3 +233,16 @@ def test_heatmap_rejects_non_finite_values(bad):
     z[1, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         heatmap([0.0, 1.0], [0.0, 1.0], z, "x", "y")
+
+
+def test_ticks_of_an_empty_range_are_its_one_end():
+    assert svgplot._ticks(2.5, 2.5) == [2.5]
+    assert svgplot._ticks(3.0, 1.0) == [3.0]
+
+
+def test_canvas_widens_a_flat_range_to_one_unit():
+    # a flat axis would divide by its zero width when a value is placed
+    cv = _Canvas((1.0, 1.0), (2.0, 2.0), "x", "y", "")
+    assert (cv.x_hi, cv.y_hi) == (2.0, 3.0)
+    assert cv.px(1.0) == svgplot.MARGIN_LEFT
+    assert cv.py(2.0) == svgplot.HEIGHT - svgplot.MARGIN_BOTTOM
