@@ -11,7 +11,10 @@ One subcommand per reproducible figure-style artifact:
 Every run writes its artifacts plus a manifest.json holding the fully
 resolved configuration and a sha256 per artifact. Identical
 configuration produces byte-identical CSV/JSON output; SVG
-carries no timestamps.
+carries no timestamps. An artifact that already exists is overwritten in
+place and then cut to its new length, and the manifest is written last:
+an interrupted run can leave a file, new bytes over an old tail among
+them, whose sha256 does not match the manifest.
 
 Exit codes: 0 success, 2 configuration error, 3 physics-domain error,
 4 numerical failure.
@@ -26,6 +29,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -56,6 +60,16 @@ DEFAULT_INTERACTION_GHZ = 4.60
 # 1,000-200,000 points) and widens by at most 12 with the widest numbers
 GEFF_POINT_BYTES = 352
 
+# peak bytes a line of a trace file adds to `dresq fit` beyond three copies of
+# its text (the text, its lines and their stripped fields): 131-168 for the
+# parse's line, field and float objects, then 16-24 for the parsed arrays and
+# 168-171 for the exp fit or 352 for the cosine one (tracemalloc, 20,000-200,000
+# lines of 17-59 bytes)
+TRACE_LINE_BYTES = 384
+
+# the characters str.splitlines breaks at, so their count bounds a text's lines
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 def _add_common(parser: argparse.ArgumentParser, dims: bool = True) -> None:
     parser.add_argument("--device", type=Path, default=None,
@@ -72,9 +86,15 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
 
 
 def _read_text(path: Path, what: str) -> str:
-    """The UTF-8 text of the input file ``path``; ConfigError if it cannot be read."""
+    """The UTF-8 text of the input file ``path``; ConfigError if it cannot be
+    read or, before it is read, if its bytes and their text would exceed
+    ``errors.MEMORY_LIMIT``."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            size = os.fstat(f.fileno()).st_size
+            # reading holds the bytes and their text, as long as the bytes when ASCII
+            require_memory(2 * size, f"{what} {path} of {size} bytes")
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
@@ -83,6 +103,17 @@ def _load_device(path: Path | None) -> DeviceParams:
     if path is None:
         return DeviceParams()
     return DeviceParams.from_json(_read_text(path, "device file"))
+
+
+def _load_trace(path: Path) -> fitting.TimeTrace:
+    """The trace in the CSV file ``path``; ConfigError, before it is parsed,
+    if three copies of its text and TRACE_LINE_BYTES a line would exceed
+    ``errors.MEMORY_LIMIT``."""
+    text = _read_text(path, "trace file")
+    lines = 1 + sum(map(text.count, LINE_BREAKS))
+    require_memory(3 * sys.getsizeof(text) + TRACE_LINE_BYTES * lines,
+                   f"a trace file of {lines} lines")
+    return fitting.TimeTrace.from_csv(text)
 
 
 def _grid(start: float, stop: float, points: int, flags: tuple[str, str, str],
@@ -97,11 +128,28 @@ def _grid(start: float, stop: float, points: int, flags: tuple[str, str, str],
     return np.linspace(start, stop, points)
 
 
+def _write_file(path: Path, data: bytes) -> None:
+    """Write ``data`` over the bytes of the file ``path``, then cut it to
+    their length; a new file gets the mode ``Path.write_bytes`` gives it.
+    Rewritten this way, a 3 KB file on ext4 (2-core VM) takes about 7 µs,
+    against about 100 µs when the open truncates it: ext4 flushes a file
+    its open truncated when it is closed."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _write_outputs(args, artifacts: dict[str, str], params: DeviceParams | None = None) -> None:
-    """Write the artifacts and a manifest of them. Its config is every parsed
-    option but ``out`` and ``device`` (a path is written as text), plus the
-    resolved device parameters when the command has a device. An output
-    directory that cannot be made or written is a ConfigError naming it."""
+    """Write the artifacts and then a manifest of them, each through
+    :func:`_write_file`. Its config is every parsed option but ``out`` and
+    ``device`` (a path is written as text), plus the resolved device
+    parameters when the command has a device. An output directory that
+    cannot be made or written is a ConfigError naming it."""
     config = {k: v for k, v in vars(args).items() if k not in ("out", "device")}
     if params is not None:
         config["device"] = params.to_dict()
@@ -110,12 +158,11 @@ def _write_outputs(args, artifacts: dict[str, str], params: DeviceParams | None 
         checksums = {}
         for name, content in artifacts.items():
             data = content.encode()
-            (args.out / name).write_bytes(data)
+            _write_file(args.out / name, data)
             checksums[name] = hashlib.sha256(data).hexdigest()
         manifest = {"config": config, "artifacts": checksums}
-        (args.out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
-        )
+        _write_file(args.out / "manifest.json",
+                    (json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n").encode())
     except OSError as exc:
         raise ConfigError(f"cannot write output directory {args.out}: {exc}") from None
 
@@ -227,7 +274,7 @@ def cmd_chevron(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    trace = fitting.TimeTrace.from_csv(_read_text(args.trace, "trace file"))
+    trace = _load_trace(args.trace)
     if args.model == "exp":
         outcome = fitting.fit_exp_decay(trace)
     else:

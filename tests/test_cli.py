@@ -560,3 +560,125 @@ def test_fit_command_exp_model(tmp_path):
     doc = json.loads((out / "fit.json").read_text())
     assert doc["model"] == "exp_decay"
     assert doc["estimates"]["decay_time_ns"] == pytest.approx(250.0, rel=1e-6)
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
+
+
+@pytest.mark.parametrize("first, second", [
+    (["geff", "--points", 50], ["geff", "--points", 3]),
+    (["geff", "--points", 3], ["geff", "--points", 50]),
+    (["spectrum", "--start", 4.40, "--stop", 4.55, "--points", 21],
+     ["spectrum", "--start", 4.40, "--stop", 4.55, "--points", 3, "--levels", 2]),
+    (["chevron", "--tau-max", 600, "--tau-points", 61, "--span-mhz", 12, "--detuning-points", 13],
+     ["chevron", "--tau-max", 300, "--tau-points", 9, "--detuning-points", 3]),
+], ids=["geff-shorter", "geff-longer", "spectrum", "chevron"])
+def test_a_rewrite_leaves_the_bytes_of_a_fresh_run(tmp_path, first, second):
+    # artifacts are written over the old ones and cut to length: every file of
+    # a run into a used directory equals that of the run into an empty one,
+    # and the manifest's checksums are those of the files on disk
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    assert run(first + ["--out", shared]) == 0
+    assert run(second + ["--out", shared]) == 0
+    assert run(second + ["--out", fresh]) == 0
+    rewritten = _files(shared)
+    assert rewritten == _files(fresh)
+    checksums = json.loads(rewritten.pop("manifest.json"))["artifacts"]
+    assert checksums == {name: hashlib.sha256(data).hexdigest() for name, data in rewritten.items()}
+
+
+def test_an_artifact_path_taken_by_a_directory_exit_2_leaving_the_other_files(tmp_path, capsys):
+    # geff.csv is the first file written, so the refusal comes before any other
+    out = tmp_path / "g"
+    assert run(["geff", "--points", 5, "--out", out]) == 0
+    (out / "geff.csv").unlink()
+    (out / "geff.csv").mkdir()
+    before = _files(out)
+    assert sorted(before) == ["geff.svg", "manifest.json", "switch_off.json"]
+    assert run(["geff", "--points", 3, "--out", out]) == 2
+    assert f"cannot write output directory {out}" in capsys.readouterr().err
+    assert (out / "geff.csv").is_dir()
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_artifact_has_the_mode_write_bytes_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        assert run(["geff", "--points", 3, "--out", tmp_path / "g"]) == 0
+        (tmp_path / "reference").write_bytes(b"")
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "reference").stat().st_mode
+    assert {p.name: p.stat().st_mode for p in (tmp_path / "g").iterdir()} == {
+        name: mode for name in ("geff.csv", "geff.svg", "switch_off.json", "manifest.json")}
+
+
+def _write_trace(path, n, model="cosine"):
+    """A trace of n samples the model fits; the fit command's memory count of it."""
+    from dresq import cli
+
+    t = np.arange(n) * (2000.0 / n)
+    if model == "exp":
+        y = 0.7 * np.exp(-t / 250.0) + 0.1
+    else:
+        y = 0.5 * np.exp(-t / 800.0) * np.cos(2 * math.pi * 0.006 * t + 0.3) + 0.2
+    path.write_text("time_ns,value\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), y.tolist())))
+    text = path.read_text()
+    return 3 * sys.getsizeof(text) + cli.TRACE_LINE_BYTES * (text.count("\n") + 1)
+
+
+def test_fit_of_200000_samples_runs_under_the_memory_limit(tmp_path):
+    trace = tmp_path / "trace.csv"
+    _write_trace(trace, 200_000, "exp")
+    assert run(["fit", "--model", "exp", "--out", tmp_path / "f", trace]) == 0
+
+
+@pytest.mark.parametrize("model", ["exp", "cosine"])
+def test_fit_peaks_within_its_count(tmp_path, model):
+    trace = tmp_path / "trace.csv"
+    count = _write_trace(trace, 20_000, model)
+    tracemalloc.start()
+    try:
+        assert run(["fit", "--model", model, "--out", tmp_path / "f", trace]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= count
+
+
+@pytest.mark.parametrize("limit, message", [
+    (lambda size, count: 2 * size - 1, "trace file {trace} of {size} bytes needs"),
+    (lambda size, count: count - 1, "a trace file of 20002 lines needs"),
+    (lambda size, count: count, None),
+], ids=["size", "lines", "at-the-count"])
+def test_fit_refuses_a_trace_over_the_limit_before_parsing(tmp_path, monkeypatch, capsys,
+                                                           limit, message):
+    # the file's size is counted before it is read and its lines before they
+    # are parsed; a limit of the count itself runs the fit
+    from dresq import errors, fitting
+
+    trace = tmp_path / "trace.csv"
+    count = _write_trace(trace, 20_000)
+    size = trace.stat().st_size
+    parsed = []
+    from_csv = fitting.TimeTrace.from_csv
+    monkeypatch.setattr(fitting.TimeTrace, "from_csv",
+                        staticmethod(lambda text: parsed.append(1) or from_csv(text)))
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", limit(size, count))
+    out = tmp_path / "f"
+    tracemalloc.start()
+    try:
+        code = run(["fit", "--model", "cosine", "--out", out, trace])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if message is None:
+        assert code == 0 and parsed == [1]
+        return
+    assert code == 2 and parsed == [] and not out.exists()
+    assert message.format(trace=trace, size=size) in capsys.readouterr().err
+    if "bytes" in message:
+        # refused by its size, the file is never read
+        assert peak < size / 4
