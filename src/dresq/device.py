@@ -177,14 +177,14 @@ class DeviceParams:
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """Instantaneous qubit transition frequencies, linear GHz."""
+    """Instantaneous qubit transition frequencies, linear GHz, kept as checked floats."""
 
     qubit_freq_1: float
     qubit_freq_2: float
 
     def __post_init__(self):
-        require_number(self.qubit_freq_1, "qubit_freq_1", positive=True)
-        require_number(self.qubit_freq_2, "qubit_freq_2", positive=True)
+        for name in ("qubit_freq_1", "qubit_freq_2"):
+            object.__setattr__(self, name, require_number(getattr(self, name), name, positive=True))
 
 
 def _require_resonator_clearance(params: DeviceParams, freq_ghz: float, what: str) -> None:
@@ -264,27 +264,18 @@ class DeviceModel:
         self._blocks[key] = (self.h_static[np.ix_(idx, idx)], self.n_q1[idx], self.n_q2[idx])
         return self._blocks[key]
 
-    def hamiltonians(self, f1, f2, idx: np.ndarray | None = None) -> np.ndarray:
-        """The (k, n, n) stack H_static + 2π(f₁[k] N̂_q1 + f₂[k] N̂_q2).
+    def hamiltonians(self, f1: np.ndarray, f2: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """The (k, n, n) stack H_static + 2π(f₁[k] N̂_q1 + f₂[k] N̂_q2) on the block ``idx``.
 
-        ``f1`` and ``f2`` are 1-d arrays of qubit frequencies in GHz, each
-        positive and finite. The stack is on the whole space, or on the
-        basis states ``idx`` (such as the ``even`` or ``odd`` parity block)
-        if given, whose restriction the model keeps: a call copies it and
-        adds the diagonals, so every member is bit-identical to the stack
-        of one built at its point alone.
+        It trusts its callers: ``f1`` and ``f2`` are equal-length 1-d float64
+        arrays of qubit frequencies (GHz) already checked positive and finite,
+        and ``idx`` an index array of basis states (``even``, ``odd``, or
+        ``np.arange(d)`` for the whole space), whose restriction the model
+        keeps: a call copies it and adds the diagonals, so every member is
+        bit-identical to the stack of one built at its point alone.
         """
-        f1 = require_numbers(f1, "qubit_freq_1", positive=True)
-        f2 = require_numbers(f2, "qubit_freq_2", positive=True)
-        if f1.shape != f2.shape:
-            raise ConfigError(
-                f"need as many qubit-1 as qubit-2 frequencies, got {f1.size} and {f2.size}"
-            )
-        if idx is None:
-            template, n_q1, n_q2 = self.h_static, self.n_q1, self.n_q2
-        else:
-            key = (np.asarray(idx).dtype.str, np.asarray(idx).tobytes())
-            template, n_q1, n_q2 = self._blocks.get(key) or self._restrict(key, idx)
+        key = (idx.dtype.str, idx.tobytes())
+        template, n_q1, n_q2 = self._blocks.get(key) or self._restrict(key, idx)
         n = template.shape[0]
         h = np.empty((f1.size, n, n))
         h[:] = template

@@ -72,7 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError, IntegrationError, require_count, require_memory, require_number, require_numbers,
+    GRID_TOL_NS, ConfigError, IntegrationError, require_count, require_memory, require_number,
+    require_numbers, uneven_steps,
 )
 from .fock import HilbertSpace, _check_mode, lowering_operator, number_operator
 from .device import (
@@ -86,9 +87,6 @@ from .device import (
 TRACE_TOL = 1e-8
 
 POSITIVITY_TOL = 1e-8
-
-# largest spread of the steps of a time grid that still counts as uniform
-GRID_TOL_NS = 1e-9
 
 # most bytes of states one propagation holds at a time: the states of a run of
 # equal steps are found and read in slices of at most this size
@@ -785,10 +783,10 @@ def vacuum_rabi_chevron(
 
     ``q2_target``, the offsets, the τ values and a readout delay must be
     finite numbers, the offsets strictly ascending (a single offset is
-    one), and the τ values a uniform ascending grid from 0. The core's one
-    memory guard refuses a grid whose stack of step maps, states and
-    readings would exceed ``errors.MEMORY_LIMIT`` before any column's map
-    is built.
+    one) and every qubit-1 hold positive, and the τ values a uniform
+    ascending grid from 0. The core's one memory guard refuses a grid whose
+    stack of step maps, states and readings would exceed
+    ``errors.MEMORY_LIMIT`` before any column's map is built.
     """
     q2_target = require_number(q2_target, "interaction point", positive=True)
     _require_resonator_clearance(params, q2_target, "interaction point")
@@ -796,7 +794,7 @@ def vacuum_rabi_chevron(
     if taus.size < 2:
         raise ConfigError("chevron needs at least 2 interaction times")
     dt = np.diff(taus)
-    if abs(taus[0]) > 1e-12 or dt.min() <= 0 or (dt.max() - dt.min()) > GRID_TOL_NS:
+    if abs(taus[0]) > 1e-12 or dt.min() <= 0 or uneven_steps(dt):
         raise ConfigError("interaction times must be a finite uniform ascending grid from 0")
     offsets = require_numbers(q1_offsets_mhz, "detuning offsets")
     if offsets.size < 1:
@@ -814,6 +812,7 @@ def vacuum_rabi_chevron(
     # two levels per mode hold the N <= 1 block, where the anharmonic term vanishes
     space = HilbertSpace((2, 2, 2, 2))
     holds = np.stack([q2_target + offsets * 1e-3, np.full(offsets.size, q2_target)], axis=-1)
+    require_numbers(holds[:, 0], "qubit-1 interaction frequency", positive=True)
     readout = None if prep_to_readout_ns is None else (
         (bias.qubit_freq_1, bias.qubit_freq_2), prep_to_readout_ns)
     _, readings, _ = _propagate(

@@ -7,10 +7,14 @@ exit 4.
 
 A usable number is a finite real number that is neither a bool nor text
 (``float()`` would parse text and take a bool for 0 or 1); a usable count
-is such a number with an integral value; and no request may need more than
+is such a number with an integral value; a time grid is uniform when its
+steps spread by at most GRID_TOL_NS; and no request may need more than
 MEMORY_LIMIT bytes. Every module checks its input and its allocations with
-the four helpers below, so that decision is made here alone, and each
-raises ConfigError before anything of the refused size is allocated.
+the helpers below, so that decision is made here alone, and each refusal
+is a ConfigError raised before anything of the refused size is allocated.
+Each input is checked once, where it enters: a public function checks its
+inputs before it builds anything, and the Hamiltonian stack builder
+(``DeviceModel.hamiltonians``) and the private helpers trust them.
 """
 
 import math
@@ -20,6 +24,9 @@ import numpy as np
 
 # largest footprint one request (a model, a stack of stage maps, a grid) may take
 MEMORY_LIMIT = 512 * 2**20
+
+# largest spread of the steps of a time grid that still counts as uniform
+GRID_TOL_NS = 1e-9
 
 
 class DresqError(Exception):
@@ -107,3 +114,8 @@ def require_count(value, what: str, minimum: int) -> int:
     if count is None or count < minimum:
         raise ConfigError(f"{what} must be an integer of at least {minimum}, got {value!r}")
     return count
+
+
+def uneven_steps(steps: np.ndarray) -> bool:
+    """Whether the steps (ns) of a time grid spread by more than GRID_TOL_NS."""
+    return steps.max() - steps.min() > GRID_TOL_NS

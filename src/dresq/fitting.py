@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FitError, require_memory, require_numbers
-from .dynamics import GRID_TOL_NS, ChevronMap
+from .errors import ConfigError, FitError, require_memory, require_numbers, uneven_steps
 
 MAX_ITERATIONS = 200
 
@@ -37,6 +36,14 @@ MIN_POINTS = 8
 # zero-padded spectrum, then the lockstep solver's residuals, Jacobians and
 # their temporaries; 320-352 measured with every trace fitted (16-20,000 points)
 FIT_SAMPLE_BYTES = 384
+
+# peak bytes a batch adds once: numpy loads numpy.fft on a process's first
+# periodogram, 1.19-1.30 MB above the samples' count (16-2,000 points measured)
+FIT_FIXED_BYTES = 3 * 2**19
+
+# bounds of a fitted log decay time (log ns): beyond ~e^30 ns the envelope is
+# flat, below e^-10 ns the model is numerically dead anyway
+LOG_TAU_MIN, LOG_TAU_MAX = -10.0, 30.0
 
 # periodogram peak must beat the median spectral power by this factor
 # for an oscillation to count as detected
@@ -268,7 +275,7 @@ def fit_exp_decay(trace: TimeTrace) -> FitOutcome:
 
     def rj(p, rows):
         a, log_t, c = p.T[:, :, None]
-        tau = np.exp(np.clip(log_t, -10.0, 30.0))
+        tau = np.exp(np.clip(log_t, LOG_TAU_MIN, LOG_TAU_MAX))
         e = np.exp(-elapsed / tau)
         r = (a * e + c - y) * w
         # d/d(logT) by the chain rule
@@ -276,7 +283,7 @@ def fit_exp_decay(trace: TimeTrace) -> FitOutcome:
 
     p, sig, rms, conv, it = _levenberg_marquardt(rj, [[a0, math.log(t0_seed), c0]])
     a, log_t, c = p[0]
-    tau = math.exp(min(max(log_t, -10.0), 30.0))
+    tau = math.exp(min(max(log_t, LOG_TAU_MIN), LOG_TAU_MAX))
     if tau > 1e3 * trace.window_ns:
         raise FitError(
             f"no decay detected: fitted time constant {tau:.3g} ns is far beyond "
@@ -313,13 +320,14 @@ def _fit_damped_cosines(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> list:
 
     Each row gets what :func:`fit_damped_cosine` gives that trace alone:
     a FitOutcome, or the FitError that rejects it. A batch whose
-    FIT_SAMPLE_BYTES a sample would exceed ``errors.MEMORY_LIMIT`` is a
-    ConfigError before anything of its size is built.
+    FIT_SAMPLE_BYTES a sample and FIT_FIXED_BYTES would exceed
+    ``errors.MEMORY_LIMIT`` is a ConfigError before anything of its size is
+    built.
     """
-    require_memory(FIT_SAMPLE_BYTES * y.size,
+    require_memory(FIT_SAMPLE_BYTES * y.size + FIT_FIXED_BYTES,
                    f"damped-cosine fits of {len(y)} trace(s) of {t.size} points")
     dt = np.diff(t)
-    if dt.max() - dt.min() > GRID_TOL_NS:
+    if uneven_steps(dt):
         raise ConfigError(
             f"a damped-cosine fit needs uniformly spaced times; the steps span "
             f"{dt.min():.6g} to {dt.max():.6g} ns"
@@ -355,9 +363,7 @@ def _fit_damped_cosines(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> list:
 
     def rj(p, sub):
         a, f, phi, log_tau, c = p.T[:, :, None]
-        # clamp the decay time: beyond ~e^30 ns the envelope is flat, below
-        # e^-10 ns the model is numerically dead anyway
-        tau = np.exp(np.clip(log_tau, -10.0, 30.0))
+        tau = np.exp(np.clip(log_tau, LOG_TAU_MIN, LOG_TAU_MAX))
         e = np.exp(-elapsed / tau)
         arg = 2.0 * math.pi * f * t + phi
         cos_, sin_ = np.cos(arg), np.sin(arg)
@@ -365,7 +371,7 @@ def _fit_damped_cosines(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> list:
         ae = a * e
         aec, aes = ae * cos_, -ae * sin_
         # the model does not move with log τ once the clamp holds it
-        free = (log_tau > -10.0) & (log_tau < 30.0)
+        free = (log_tau > LOG_TAU_MIN) & (log_tau < LOG_TAU_MAX)
         jac = np.stack(
             [e * cos_, aes * (2.0 * math.pi) * t, aes, aec * elapsed / tau * free,
              np.ones_like(e)],
@@ -379,7 +385,7 @@ def _fit_damped_cosines(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> list:
     p, sig, rms, conv, its = _levenberg_marquardt(rj, p0)
     a, f, phi, log_tau, c = p.T
     f = np.abs(f)
-    tau = np.exp(np.clip(log_tau, -10.0, 30.0))
+    tau = np.exp(np.clip(log_tau, LOG_TAU_MIN, LOG_TAU_MAX))
     flip = a < 0
     a, phi = np.where(flip, -a, a), np.where(flip, phi + math.pi, phi)
     phi = np.arctan2(np.sin(phi), np.cos(phi))
@@ -407,7 +413,7 @@ def fit_damped_cosine(trace: TimeTrace) -> FitOutcome:
     (A cos φ, -A sin φ, c): one weighted solve gives them, one LM run
     refines all five. A peak at Nyquist (A and φ unresolvable) or a fit
     ending above it (an alias) raises FitError. The periodogram needs
-    uniform sampling: steps may differ by at most GRID_TOL_NS.
+    uniform sampling: steps may differ by at most ``errors.GRID_TOL_NS``.
     """
     t, y, w = _weighted(trace)
     out = _fit_damped_cosines(t, y[None], w[None])[0]
@@ -455,10 +461,10 @@ MIN_DETECTED_COLUMNS = 5
 MIN_AMPLITUDE = 5e-3
 
 
-def geff_from_chevron(chevron: ChevronMap) -> ChevronCouplingFit:
+def geff_from_chevron(chevron) -> ChevronCouplingFit:
     """Coupling magnitude from the frequency-versus-detuning hyperbola.
 
-    All chevron columns get their damped-cosine fits as one batch;
+    All columns of the ``dynamics.ChevronMap`` get damped-cosine fits as one batch;
     detected frequencies are fit to f(Δ) = sqrt(4g² + (Δ - Δ0)²).
     Oscillations slower than two periods per window are undetectable,
     which sets the sensitivity floor g_floor = 1/window (so 2·g_floor

@@ -105,11 +105,6 @@ class GapResult:
     location_ghz: float
     level_pair: tuple[int, int]
 
-    def __post_init__(self):
-        self.gap_mhz = float(self.gap_mhz)
-        self.location_ghz = float(self.location_ghz)
-        self.level_pair = tuple(int(k) for k in self.level_pair)
-
 
 @functools.lru_cache(maxsize=4)
 def _label_table(space: HilbertSpace) -> np.ndarray:
@@ -122,22 +117,6 @@ def _label_table(space: HilbertSpace) -> np.ndarray:
     table = np.array(tags + [MIXED_LABEL], dtype=object)
     table.flags.writeable = False
     return table
-
-
-def _axis_frequencies(
-    axis: str, values: np.ndarray, fixed: OperatingPoint, params: DeviceParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """(f1s, f2s) along a sweep: one qubit follows ``values``, the other stays fixed.
-
-    A flux axis maps each control value through the tuning curve first.
-    """
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
-    qubit = int(axis[-1])
-    if axis.startswith("flux"):
-        values = np.array([flux_to_frequency(params, qubit, v) for v in values])
-    held = np.full(values.size, fixed.qubit_freq_2 if qubit == 1 else fixed.qubit_freq_1)
-    return (values, held) if qubit == 1 else (held, values)
 
 
 def _spectrum_bytes(n_points: int, size: int, n_levels: int) -> int:
@@ -164,9 +143,10 @@ def sweep_spectrum(
     parity block are diagonalized in slices of STACK_SLICE_BYTES, and each
     point's levels of both blocks are merged with a stable sort; labels and
     overlaps refer to the full product basis. ``values`` must be a
-    non-empty, strictly monotone 1-d array of finite numbers; a bool among
-    them is refused with ConfigError, as is an ``n_levels`` not an integer
-    ≥ 1, or a sweep whose per-point results exceed ``errors.MEMORY_LIMIT``.
+    non-empty, strictly monotone 1-d array of finite numbers, none a bool,
+    that puts the swept qubit above 0 GHz; ConfigError refuses any other, an
+    ``n_levels`` not an integer ≥ 1, or a sweep whose per-point results
+    exceed ``errors.MEMORY_LIMIT``, before any model is built.
     """
     values = require_numbers(values, "sweep values")
     if values.size < 1:
@@ -180,7 +160,15 @@ def sweep_spectrum(
     diffs = np.diff(values)
     if values.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError("sweep values must be strictly monotone")
-    f1s, f2s = _axis_frequencies(axis, values, fixed_other, params)
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
+    qubit = int(axis[-1])
+    swept = values
+    if axis.startswith("flux"):
+        swept = [flux_to_frequency(params, qubit, v) for v in values]
+    swept = require_numbers(swept, f"qubit_freq_{qubit}", positive=True)
+    held = np.full(values.size, getattr(fixed_other, f"qubit_freq_{3 - qubit}"))
+    f1s, f2s = (swept, held) if qubit == 1 else (held, swept)
 
     model = device_model(params, space, True)
     # even, then odd eigenpairs; only each block's lowest n_levels + 1 can be reported
@@ -308,12 +296,12 @@ def _min_separation(params: DeviceParams, space: HilbertSpace, modes, swept_qubi
         found = min(abs(loc - x) for x, _, _ in held) <= GAP_LOCATION_RESOLUTION
         if found or not lo < loc < hi:
             break
-        sep, pair = separations([loc])
+        sep, pair = separations(np.array([loc]))
         if not sep[0] < held[2][1]:
             break
         held = sorted(held[:2] + [(loc, sep[0], pair[0])], key=lambda p: p[1])
     loc, sep_min, pair = held[0]
-    return GapResult(sep_min * 1e3, loc, pair)
+    return GapResult(float(sep_min * 1e3), float(loc), tuple(pair.tolist()))
 
 
 def _require_gap_setpoint(qubit2_freq) -> float:
@@ -363,21 +351,24 @@ def qubit_resonator_gap(params: DeviceParams, qubit: int, resonator: str,
 
     The qubit is swept over the resonator ± RESONATOR_GAP_HALF_SPAN, the other
     parked at its sweet spot ``qubit_max_freq_*``, and :func:`_min_separation`
-    locates the gap of the two modes' levels. Another qubit or resonator is
-    refused with ConfigError; a parked qubit within 3·g_max of a resonator,
-    and a minimum on the window's edge, with PhysicsError.
+    locates the gap of the two modes' levels. Another qubit or resonator, and
+    a parked qubit or a window at or below 0 GHz, are refused with
+    ConfigError before anything is built; a parked qubit within 3·g_max of a
+    resonator, and a minimum on the window's edge, with PhysicsError.
     """
     qubit = require_count(qubit, "qubit", 1)
     if qubit > 2:
         raise ConfigError(f"qubit must be 1 or 2, got {qubit}")
     if not isinstance(resonator, str) or resonator not in ("a", "b"):
         raise ConfigError(f"resonator must be 'a' or 'b', got {resonator!r}")
-    parked = getattr(params, f"qubit_max_freq_{3 - qubit}")
+    parked = require_number(getattr(params, f"qubit_max_freq_{3 - qubit}"),
+                            f"parked qubit {3 - qubit}", positive=True)
     _require_resonator_clearance(params, parked, f"parked qubit {3 - qubit}")
     f_res = getattr(params, f"resonator_freq_{resonator}")
+    lo = require_number(f_res - RESONATOR_GAP_HALF_SPAN,
+                        f"the lower end of the scan about resonator {resonator}", positive=True)
     modes = (MODE_NAMES.index(resonator), MODE_NAMES.index(f"q{qubit}"))
-    return _min_separation(params, space, modes, qubit, parked,
-                           f_res - RESONATOR_GAP_HALF_SPAN, f_res + RESONATOR_GAP_HALF_SPAN)
+    return _min_separation(params, space, modes, qubit, parked, lo, f_res + RESONATOR_GAP_HALF_SPAN)
 
 
 def _parabola_vertex(a, b, c) -> float:

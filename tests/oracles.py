@@ -46,7 +46,7 @@ def separations_alone(params, space: HilbertSpace, modes=(2, 3)):
     def solve(f1s, f2s):
         seps, pairs = [], []
         for f1, f2 in zip(f1s, f2s):
-            h = model.hamiltonians([f1], [f2])[0][odd]
+            h = model.hamiltonians(np.array([f1]), np.array([f2]), np.arange(space.size))[0][odd]
             bare = np.diag(h).tolist()
             order = sorted(range(len(bare)),
                            key=lambda j: (bare[j], j not in tracked, j != tracked[0]))
@@ -185,10 +185,11 @@ def vec_oracle(params, space, durations, freqs, rho0, observables, n_samples, co
         flip = pi_flip(space, 2 if tag == "pi_q1" else 3)
         rho0 = flip @ rho0 @ flip.T
     n_stages, batch = np.shape(freqs)[:2]
-    points = np.reshape(freqs, (-1, 2))
+    points = np.reshape(np.asarray(freqs, dtype=float), (-1, 2))
     if readout is not None:
         points = np.vstack([points, readout[0]])
-    hs = device_model(params, space, counter_rotating).hamiltonians(points[:, 0], points[:, 1])
+    hs = device_model(params, space, counter_rotating).hamiltonians(
+        points[:, 0], points[:, 1], np.arange(space.size))
     hs -= TWO_PI * frame * total_number_operator(space)
     ls = collapse_operators(params, space)
     idx = leak_rule_block(space, rho0, list(hs) + ls)

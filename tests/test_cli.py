@@ -528,15 +528,45 @@ def test_geff_peaks_within_its_count_and_is_refused_before_allocating(tmp_path, 
 
 def test_chevron_fits_over_the_limit_exit_2(tmp_path, monkeypatch, capsys):
     # 11 columns of 4,001 τ values: the propagation's own count fits in 10 MiB,
-    # the fits' 384 bytes a cell (16 MiB) do not, and nothing is written
+    # the fits' 384 bytes a cell and 1.5 MiB (18 MiB) do not, and nothing is written
     from dresq import errors
 
     monkeypatch.setattr(errors, "MEMORY_LIMIT", 10 * 2**20)
     out = tmp_path / "c"
     assert run(["chevron", "--detuning-points", 11, "--tau-points", 4001, "--out", out]) == 2
-    assert "damped-cosine fits of 11 trace(s) of 4001 points needs 16 MiB" in (
+    assert "damped-cosine fits of 11 trace(s) of 4001 points needs 18 MiB" in (
         capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("start", ["-0.1", "0"])
+def test_spectrum_frequency_grid_reaching_0_ghz_exit_2_before_a_model(tmp_path, monkeypatch,
+                                                                      capsys, start):
+    # the swept qubit's frequencies are checked where the sweep maps its grid,
+    # before the device model is built
+    from dresq import spectroscopy
+
+    built = []
+    monkeypatch.setattr(spectroscopy, "device_model", lambda *a: built.append(a))
+    out = tmp_path / "s"
+    assert run(["spectrum", "--axis", "freq_1", "--start", start, "--stop", 4.5,
+                "--points", 5, "--out", out]) == 2
+    assert f"qubit_freq_1 must be positive and finite, got {float(start)}" in (
+        capsys.readouterr().err)
+    assert built == [] and not out.exists()
+
+
+def test_chevron_hold_below_0_ghz_exit_2_before_propagating(tmp_path, monkeypatch, capsys):
+    # ± 5,000 MHz about the 4.60 GHz interaction point holds qubit 1 at -0.4 GHz
+    from dresq import dynamics
+
+    calls = []
+    monkeypatch.setattr(dynamics, "_propagate", lambda *a: calls.append(a))
+    out = tmp_path / "c"
+    assert run(["chevron", "--span-mhz", 5000, "--detuning-points", 11, "--out", out]) == 2
+    assert "qubit-1 interaction frequency must be positive and finite, got -0.4" in (
+        capsys.readouterr().err)
+    assert calls == [] and not out.exists()
 
 
 def test_gapscan_where_every_setpoint_fails_plots_no_data(tmp_path):

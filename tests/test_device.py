@@ -31,7 +31,8 @@ def decoupled(**kw):
 def hamiltonian(params, point, space, counter_rotating=True):
     """H/ħ at one operating point: a stack of one from the cached model."""
     model = device_model(params, space, counter_rotating)
-    return model.hamiltonians([point.qubit_freq_1], [point.qubit_freq_2])[0]
+    return model.hamiltonians(np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]),
+                              np.arange(space.size))[0]
 
 
 def state_index(space, occupations):
@@ -147,6 +148,12 @@ def test_bools_are_not_numbers(key):
         DeviceParams.from_json(json.dumps({key: False}))
     with pytest.raises(ConfigError, match="qubit_freq_1"):
         OperatingPoint(True, 4.6)
+
+
+def test_operating_point_keeps_its_frequencies_as_checked_floats():
+    point = OperatingPoint(fractions.Fraction(23, 5), np.int64(5))
+    assert (point.qubit_freq_1, point.qubit_freq_2) == (4.6, 5.0)
+    assert type(point.qubit_freq_1) is float and type(point.qubit_freq_2) is float
 
 
 # ---------------------------------------------------------------------------

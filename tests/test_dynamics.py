@@ -370,7 +370,7 @@ def test_preps_of_both_qubits_run_on_the_two_excitation_block(monkeypatch):
     blocks = []
     real = DeviceModel.hamiltonians
     monkeypatch.setattr(DeviceModel, "hamiltonians",
-                        lambda self, f1, f2, idx=None: blocks.append(idx) or real(self, f1, f2, idx))
+                        lambda self, f1, f2, idx: blocks.append(idx) or real(self, f1, f2, idx))
     sched = PulseSchedule([Stage(0.0, BIAS, "pi_q1"), Stage(0.0, BIAS, "pi_q2"),
                            Stage(30.0, OperatingPoint(4.601, 4.60)), Stage(20.0, BIAS)])
     obs = {"n_q1": number_operator(SPACE3, 2), "n_q2": number_operator(SPACE3, 3),
@@ -465,7 +465,8 @@ def test_block_from_static_couplings_matches_the_leak_rule(
                           + [Stage(1.0, pt) for pt in points])
     stage_points = [st.point for st in sched.stages]
     hs = device_model(p, space, counter_rotating).hamiltonians(
-        [pt.qubit_freq_1 for pt in stage_points], [pt.qubit_freq_2 for pt in stage_points]
+        np.array([pt.qubit_freq_1 for pt in stage_points]),
+        np.array([pt.qubit_freq_2 for pt in stage_points]), np.arange(space.size),
     )
     hs -= dynamics.TWO_PI * frame * total_number_operator(space)
     ls = collapse_operators(p, space)
@@ -481,7 +482,7 @@ def test_block_from_static_couplings_matches_the_leak_rule(
     seen = {}
     real = DeviceModel.hamiltonians
 
-    def hamiltonians(self, f1, f2, idx=None):
+    def hamiltonians(self, f1, f2, idx):
         seen["idx"], seen["hs"] = idx, real(self, f1, f2, idx)
         return seen["hs"]
 
@@ -520,8 +521,8 @@ def test_evolution_builds_its_stage_stack_on_the_excitation_block(monkeypatch):
     blocks = []
     real = DeviceModel.hamiltonians
 
-    def spy(self, f1, f2, idx=None):
-        blocks.append(None if idx is None else np.array(idx))
+    def spy(self, f1, f2, idx):
+        blocks.append(np.array(idx))
         return real(self, f1, f2, idx)
 
     monkeypatch.setattr(DeviceModel, "hamiltonians", spy)
@@ -785,7 +786,8 @@ def propagation_norm(params, sched, space, counter_rotating, frame):
     stage's duration."""
     points = [st.point for st in sched.stages]
     hs = device_model(params, space, counter_rotating).hamiltonians(
-        [pt.qubit_freq_1 for pt in points], [pt.qubit_freq_2 for pt in points])
+        np.array([pt.qubit_freq_1 for pt in points]), np.array([pt.qubit_freq_2 for pt in points]),
+        np.arange(space.size))
     hs -= dynamics.TWO_PI * frame * total_number_operator(space)
     generators = lindblad_superoperator(hs, collapse_operators(params, space))
     return sum(np.abs(g).sum(axis=0).max() * st.duration_ns
@@ -926,7 +928,7 @@ def test_hermitian_coordinates_make_lindblad_generators_real():
     random_generator = _superoperator(h + h.conj().T, collapse)
     p = DeviceParams()
     idx = np.flatnonzero(SPACE3.quanta.sum(axis=0) <= 1)
-    hd = device_model(p, SPACE3, False).hamiltonians([4.603], [4.60], idx)[0]
+    hd = device_model(p, SPACE3, False).hamiltonians(np.array([4.603]), np.array([4.60]), idx)[0]
     hd -= dynamics.TWO_PI * 4.60 * np.diag(SPACE3.quanta.sum(axis=0)[idx])
     device_generator = _superoperator(
         hd, [l[np.ix_(idx, idx)] for l in collapse_operators(p, SPACE3)])
@@ -970,7 +972,8 @@ def test_rotated_generators_match_each_point_built_alone(
     # built from its own superoperator, on the block and the reachable
     # entries a run would use, couplings, losses, model and frame drawn
     p = DeviceParams(**couplings) if lossy else DeviceParams(**lossless(**couplings))
-    hs = device_model(p, SPACE2, counter_rotating).hamiltonians(*np.array(freqs).T)
+    hs = device_model(p, SPACE2, counter_rotating).hamiltonians(
+        *np.array(freqs, dtype=float).T, np.arange(SPACE2.size))
     hs -= dynamics.TWO_PI * frame * total_number_operator(SPACE2)
     ls = collapse_operators(p, SPACE2)
     idx = leak_rule_block(SPACE2, initial.rho, list(hs) + ls)
@@ -1323,7 +1326,8 @@ def test_lossless_evolution_matches_generator_exponential():
     duration = 37.0
     init = DensityState.single_excitation(SPACE2, 3)
     ts = evolve(p, PulseSchedule([Stage(duration, point)]), init, SPACE2, {}, n_samples=2)
-    h = device_model(p, SPACE2, True).hamiltonians([point.qubit_freq_1], [point.qubit_freq_2])[0]
+    h = device_model(p, SPACE2, True).hamiltonians(
+        np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]), np.arange(SPACE2.size))[0]
     stage_map = _expm(duration * _superoperator(h, []))
     expected = (stage_map @ init.rho.reshape(-1)).reshape(init.rho.shape)
     assert np.abs(ts.final_state.rho - expected).max() < 1e-10
@@ -1344,7 +1348,8 @@ def test_lossless_full_space_matches_eigenbasis_reference():
     n_q1 = number_operator(SPACE3, 2)
     ts = evolve(p, PulseSchedule([Stage(2000.0, point)]), init, SPACE3, {"n_q1": n_q1},
                 n_samples=11)
-    h = device_model(p, SPACE3, True).hamiltonians([point.qubit_freq_1], [point.qubit_freq_2])[0]
+    h = device_model(p, SPACE3, True).hamiltonians(
+        np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]), np.arange(SPACE3.size))[0]
     for t, reading in zip(ts.times_ns, ts.expectations["n_q1"]):
         u = eigenbasis_propagator(h, t)
         rho = u @ init.rho @ u.conj().T
@@ -1390,7 +1395,8 @@ def test_superoperator_matches_the_term_by_term_lindblad_reference(
     # plus the dissipator built term by term, for a stack of device
     # Hamiltonians or one, with the device's collapse operators or none
     p = DeviceParams(**couplings) if lossy else DeviceParams(**lossless(**couplings))
-    hs = device_model(p, SPACE2, counter_rotating).hamiltonians(*np.array(freqs).T)
+    hs = device_model(p, SPACE2, counter_rotating).hamiltonians(
+        *np.array(freqs, dtype=float).T, np.arange(SPACE2.size))
     h = hs if stacked else hs[0]
     collapse = collapse_operators(p, SPACE2)
     assert bool(collapse) == lossy

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from dresq.errors import ConfigError, FitError
 from dresq.device import DeviceParams, OperatingPoint
 from dresq.dynamics import ChevronMap, vacuum_rabi_chevron
 from dresq.fitting import (
+    FIT_FIXED_BYTES,
     FIT_SAMPLE_BYTES,
     MIN_POINTS,
     ChevronCouplingFit,
@@ -509,9 +514,9 @@ def test_geff_from_chevron_stable_under_tiny_perturbation(target):
 def test_chevron_fits_peak_within_their_count_and_are_refused_before_allocating(monkeypatch):
     # a lossless 41 x 2001 chevron fits every column, so the lockstep solver
     # holds residuals and Jacobians of every cell: its peak stays within
-    # FIT_SAMPLE_BYTES a cell, and a limit one byte lower refuses the batch
-    # before its periodogram, with no more built than the unit weights and
-    # the finiteness check of the cells
+    # FIT_SAMPLE_BYTES a cell, and a limit one byte below the count (which
+    # adds FIT_FIXED_BYTES) refuses the batch before its periodogram, with no
+    # more built than the unit weights and the finiteness check of the cells
     chev = vacuum_rabi_chevron(DeviceParams(**lossless()), BIAS, 4.60,
                                np.linspace(-20.0, 20.0, 41), np.linspace(0.0, 2000.0, 2001))
     tracemalloc.start()
@@ -522,7 +527,8 @@ def test_chevron_fits_peak_within_their_count_and_are_refused_before_allocating(
         tracemalloc.stop()
     assert fit.n_detected == 41
     assert peak <= FIT_SAMPLE_BYTES * chev.p1.size
-    monkeypatch.setattr(errors, "MEMORY_LIMIT", FIT_SAMPLE_BYTES * chev.p1.size - 1)
+    count = FIT_SAMPLE_BYTES * chev.p1.size + FIT_FIXED_BYTES
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", count - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match="damped-cosine fits of 41 trace"):
@@ -603,3 +609,30 @@ def test_damped_cosine_fit_ending_above_nyquist_is_rejected(monkeypatch):
     t = np.arange(64.0)
     with pytest.raises(FitError, match="fit ended at 0.6 /ns, above the 0.5 /ns Nyquist"):
         fit_damped_cosine(TimeTrace(t, np.cos(2 * math.pi * 0.05 * t)))
+
+
+FIRST_FIT = """
+import math, sys, tracemalloc
+import numpy as np
+from dresq.fitting import FIT_FIXED_BYTES, FIT_SAMPLE_BYTES, TimeTrace, fit_damped_cosine
+n = int(sys.argv[1])
+t = np.linspace(0.0, 8.0 * n, n)
+trace = TimeTrace(t, 0.4 * np.exp(-t / (4.0 * n)) * np.cos(2 * math.pi * 0.02 * t) + 0.5)
+assert "numpy.fft" not in sys.modules
+tracemalloc.start()
+fit_damped_cosine(trace)
+print(tracemalloc.get_traced_memory()[1], FIT_SAMPLE_BYTES * n + FIT_FIXED_BYTES)
+"""
+
+
+@pytest.mark.parametrize("n", [16, 2000])
+def test_first_damped_cosine_fit_of_a_process_peaks_within_its_count(n):
+    # numpy loads numpy.fft on the first periodogram of a process, about 1.2 MB
+    # beyond the samples' count; in a fresh interpreter that fit stays within it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", FIRST_FIT, str(n)], timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    peak, count = map(int, done.stdout.split())
+    assert peak <= count

@@ -68,8 +68,11 @@ def build(case, counter_rotating):
 
 
 def at(model, point, idx=None):
-    """The model's Hamiltonian at one point: its stack of one."""
-    return model.hamiltonians([point.qubit_freq_1], [point.qubit_freq_2], idx)[0]
+    """The model's Hamiltonian at one point on the block ``idx``, the whole
+    space by default: its stack of one."""
+    idx = np.arange(model.space.size) if idx is None else idx
+    f1, f2 = np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2])
+    return model.hamiltonians(f1, f2, idx)[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -203,19 +206,18 @@ stacks = st.tuples(
 def test_stacked_hamiltonians_equal_each_point_alone(case):
     dims, block, points = case
     model = device_model(DeviceParams(), HilbertSpace(dims), True)
-    idx = None if block == "full" else getattr(model, block)
+    idx = np.arange(model.space.size) if block == "full" else getattr(model, block)
     f1, f2 = (np.array(f) for f in zip(*points))
     stack = model.hamiltonians(f1, f2, idx)
-    assert stack.shape == (len(points),) + (model.space.size if idx is None else idx.size,) * 2
-    rows = slice(None) if idx is None else idx
+    assert stack.shape == (len(points), idx.size, idx.size)
     for k, h in enumerate(stack):
         alone = model.hamiltonians(f1[k : k + 1], f2[k : k + 1], idx)
         assert alone.shape == (1,) + h.shape
         assert np.array_equal(h, alone[0])
         # the per-point assembly: restrict h_static, add 2π f n̂ to the diagonal
         w1, w2 = TWO_PI * float(f1[k]), TWO_PI * float(f2[k])
-        direct = model.h_static[rows][:, rows].copy()
-        direct.flat[:: direct.shape[0] + 1] += w1 * model.n_q1[rows] + w2 * model.n_q2[rows]
+        direct = model.h_static[idx][:, idx].copy()
+        direct.flat[:: direct.shape[0] + 1] += w1 * model.n_q1[idx] + w2 * model.n_q2[idx]
         assert np.array_equal(h, direct)
 
 
@@ -233,31 +235,18 @@ def test_model_keeps_each_block_it_restricts_within_the_space_squared(monkeypatc
     monkeypatch.setattr(DeviceModel, "_restrict", spy)
     model = DeviceModel(DeviceParams(), HilbertSpace((3, 3, 3, 3)), True)
     every = np.arange(model.space.size)
-    for idx in (model.even, model.odd, model.even, list(model.odd), model.odd):
-        model.hamiltonians([4.6], [4.62], idx)
+    f1, f2 = np.array([4.6]), np.array([4.62])
+    for idx in (model.even, model.odd, model.even, model.odd.copy(), model.odd):
+        model.hamiltonians(f1, f2, idx)
     assert restricted == [41, 40]
     for idx in (every, every, model.odd, model.even, model.odd):
-        model.hamiltonians([4.6], [4.62], idx)
+        model.hamiltonians(f1, f2, idx)
     assert restricted == [41, 40, 81, 40, 41]
     # at 2^4 the 16-state mask of state 0 has the bytes of the indices (1, 0)
     small = DeviceModel(DeviceParams(), HilbertSpace((2, 2, 2, 2)), True)
     mask = np.arange(small.space.size) == 0
     assert mask.tobytes() == np.array([1, 0]).tobytes()
-    pair = small.hamiltonians([4.6], [4.62], np.array([1, 0]))
-    assert small.hamiltonians([4.6], [4.62], mask).shape == (1, 1, 1)
-    assert np.array_equal(pair[0], small.hamiltonians([4.6], [4.62])[0][np.ix_([1, 0], [1, 0])])
-
-
-@pytest.mark.parametrize("f1, f2", [
-    ([4.6, np.nan], [4.6, 4.6]),
-    ([4.6], [-4.6]),
-    ([4.6], [np.inf]),
-    ([True], [4.6]),
-    ([4.6, True], [4.6, 4.6]),
-    ([[4.6]], [[4.6]]),
-    ([4.6, 4.7], [4.6]),
-])
-def test_stacked_hamiltonians_refuse_bad_frequencies(f1, f2):
-    model = device_model(DeviceParams(), HilbertSpace((2, 2, 2, 2)), True)
-    with pytest.raises(ConfigError, match="qubit_freq|frequencies"):
-        model.hamiltonians(f1, f2)
+    pair = small.hamiltonians(f1, f2, np.array([1, 0]))
+    assert small.hamiltonians(f1, f2, mask).shape == (1, 1, 1)
+    whole = small.hamiltonians(f1, f2, np.arange(small.space.size))[0]
+    assert np.array_equal(pair[0], whole[np.ix_([1, 0], [1, 0])])

@@ -40,7 +40,8 @@ def reference_separation(params, point, space, modes=(2, 3)):
     model = device_model(params, space, True)
     states = np.take(space.single_excitation_indices(), modes)
     s_1, s_2 = np.searchsorted(model.odd, states)
-    h = model.hamiltonians([point.qubit_freq_1], [point.qubit_freq_2], model.odd)[0]
+    h = model.hamiltonians(np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]),
+                           model.odd)[0]
     evals, evecs = np.linalg.eigh(h)
     weight = np.abs(evecs[s_1, :]) ** 2 + np.abs(evecs[s_2, :]) ** 2
     order = np.argsort(weight)[::-1]
@@ -53,7 +54,7 @@ def rank_pair(params, f1, f2, space):
     energies at (f1, f2), a qubit below any other state of its energy and q1
     below q2; in the band, the ranks of f1 and f2 among (ω_a, ω_b, f1, f2)."""
     model = device_model(params, space, True)
-    bare = np.diag(model.hamiltonians([f1], [f2], model.odd)[0])
+    bare = np.diag(model.hamiltonians(np.array([f1]), np.array([f2]), model.odd)[0])
     s_q1, s_q2 = np.searchsorted(model.odd, space.single_excitation_indices()[2:])
     order = sorted(range(bare.size),
                    key=lambda j: (bare[j], j not in (s_q1, s_q2), j != s_q1))
@@ -178,6 +179,27 @@ def test_qubit_resonator_gap_refuses_a_parked_qubit_near_a_resonator(qubit, reso
         qubit_resonator_gap(p, qubit, resonator, SPACE)
 
 
+@pytest.mark.parametrize("qubit, resonator, device, message", [
+    pytest.param(1, "a", {"resonator_freq_a": 0.03}, "scan about resonator a must be positive",
+                 id="q1-a-window"),
+    pytest.param(2, "a", {"resonator_freq_a": 0.03}, "scan about resonator a must be positive",
+                 id="q2-a-window"),
+    pytest.param(1, "b", {"qubit_max_freq_2": -4.91}, "parked qubit 2 must be positive",
+                 id="q1-b-parked"),
+])
+def test_qubit_resonator_gap_below_0_ghz_refused_before_solving(monkeypatch, qubit, resonator,
+                                                               device, message):
+    # a window of resonator a ± 50 MHz reaches -0.02 GHz at 0.03 GHz; both
+    # devices are far from dispersive, so DeviceParams warns
+    solved = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: solved.append(a))
+    with pytest.warns(UserWarning, match="not small"):
+        p = DeviceParams(**device)
+    with pytest.raises(ConfigError, match=message):
+        qubit_resonator_gap(p, qubit, resonator, SPACE)
+    assert solved == []
+
+
 def test_csv_format():
     values = np.linspace(4.55, 4.57, 3)
     sweep = sweep_spectrum(
@@ -258,7 +280,7 @@ def test_sliced_separations_equal_each_point_alone(monkeypatch, dims):
     seps, pairs = _separation_solver(p, space)(f1, f2)
     model = device_model(p, space, True)
     for k in range(f1.size):
-        evals = np.linalg.eigvalsh(model.hamiltonians([f1[k]], [f2[k]], model.odd)[0])
+        evals = np.linalg.eigvalsh(model.hamiltonians(f1[k:k + 1], f2[k:k + 1], model.odd)[0])
         pair = rank_pair(p, f1[k], f2[k], space)
         assert seps[k] == abs(evals[pair[1]] - evals[pair[0]]) / TWO_PI
         assert tuple(pairs[k]) == pair
@@ -495,8 +517,9 @@ def test_cotuned_half_gap_inside_a_resonator_band_keeps_the_rank_pair():
     # a half gap of 20.050224 MHz; the rank pair stays (1, 2)
     p = DeviceParams()
     model = device_model(p, SPACE, True)
-    _, pairs = _separation_solver(p, SPACE)([4.471], [4.471])
-    evals = np.linalg.eigvalsh(model.hamiltonians([4.471], [4.471], model.odd)[0])
+    point = np.array([4.471])
+    _, pairs = _separation_solver(p, SPACE)(point, point)
+    evals = np.linalg.eigvalsh(model.hamiltonians(point, point, model.odd)[0])
     half_gap = cotuned_half_gap(p, [4.471], SPACE)[0]
     assert tuple(pairs[0]) == (1, 2)
     assert reference_separation(p, OperatingPoint(4.471, 4.471), SPACE)[1] == (0, 1)
@@ -668,7 +691,7 @@ def test_cotuned_half_gap_of_an_array_is_each_one_point_call():
 
 
 @pytest.mark.parametrize("freq", [True, np.True_, np.nan, -4.6, [[4.6]], [4.6, True],
-                                  [[4.6], [4.6, 4.7]]])
+                                  [[4.6], [4.6, 4.7]], [4.6, np.inf]])
 def test_cotuned_half_gap_refuses_bad_frequencies(freq):
     with pytest.raises(ConfigError):
         cotuned_half_gap(DeviceParams(), freq, SPACE)
