@@ -24,6 +24,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, asdict, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,6 +218,32 @@ def model_bytes(dims) -> int:
     return 8 * (3 * d * d + 6 * n * n)
 
 
+class Block(NamedTuple):
+    """H compressed onto an orthonormal set of basis vectors: ``template`` is
+    h_static on it, and ``n_q1`` and ``n_q2`` are the qubit number operators on
+    it, diagonal there."""
+
+    template: np.ndarray
+    n_q1: np.ndarray
+    n_q2: np.ndarray
+
+    def diagonals(self, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+        """The (k, n) qubit terms 2π(f₁[k] n_q1 + f₂[k] n_q2) of each point's diagonal."""
+        return (TWO_PI * f1)[:, None] * self.n_q1 + (TWO_PI * f2)[:, None] * self.n_q2
+
+    def stack(self, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+        """The (k, n, n) stack ``template`` + :meth:`diagonals` at the points (f1[k], f2[k]).
+
+        A call copies the template and adds the diagonals, so every member is
+        bit-identical to the stack of one built at its point alone.
+        """
+        n = self.template.shape[0]
+        h = np.empty((f1.size, n, n))
+        h[:] = self.template
+        h.reshape(f1.size, n * n)[:, :: n + 1] += self.diagonals(f1, f2)
+        return h
+
+
 class DeviceModel:
     """H/ħ in rad/ns on the 4-mode space (a, b, q1, q2), split by dependence.
 
@@ -229,8 +256,12 @@ class DeviceModel:
     ``n_q1`` and ``n_q2`` are the qubit number diagonals that
     :meth:`hamiltonians` scales by the qubit frequencies; ``even`` and
     ``odd`` are the basis indices of the two excitation-parity blocks,
-    which no term of H couples. Arrays are read-only: one model is shared
-    by every caller of :func:`device_model`, as are the blocks it keeps.
+    which no term of H couples. The model keeps each block it is asked for
+    (:meth:`block`) and the co-tuned sectors of the odd block
+    (:meth:`cotuned_sectors`): a device whose qubits have equal dimensions
+    and enter h_static alike splits it in two, any other keeps it whole.
+    Arrays are read-only: one model is shared by every caller of
+    :func:`device_model`, as are the blocks it keeps.
 
     Raises ConfigError when :func:`model_bytes` exceeds
     ``errors.MEMORY_LIMIT``, before anything of the space's size is allocated.
@@ -256,33 +287,96 @@ class DeviceModel:
         for a in (self.even, self.odd, self.n_q1, self.n_q2, self.h_static):
             a.flags.writeable = False
 
-    def _restrict(self, key, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``h_static``, ``n_q1`` and ``n_q2`` on the basis states ``idx``, kept under
-        ``key``; the kept blocks are dropped first if they would exceed d² entries."""
-        if sum(n.size**2 for _, n, _ in self._blocks.values()) + len(idx)**2 > self.h_static.size:
+    def _keep(self, key, blocks: tuple[Block, ...]) -> tuple[Block, ...]:
+        """Keep ``blocks`` (read-only) under ``key``."""
+        for block in blocks:
+            for a in block:
+                a.flags.writeable = False
+        self._blocks[key] = blocks
+        return blocks
+
+    def _make_room(self, entries: int) -> None:
+        """Drop every kept block if ``entries`` more would exceed d² entries beside them."""
+        kept = sum(b.template.size for blocks in self._blocks.values() for b in blocks)
+        if kept + entries > self.h_static.size:
             self._blocks.clear()
-        self._blocks[key] = (self.h_static[np.ix_(idx, idx)], self.n_q1[idx], self.n_q2[idx])
-        return self._blocks[key]
+
+    def _restrict(self, key, idx) -> Block:
+        """``h_static``, ``n_q1`` and ``n_q2`` on the basis states ``idx``, kept under ``key``."""
+        self._make_room(len(idx)**2)
+        return self._keep(key, (Block(self.h_static[np.ix_(idx, idx)], self.n_q1[idx],
+                                      self.n_q2[idx]),))[0]
+
+    def block(self, idx: np.ndarray) -> Block:
+        """The kept :class:`Block` of the basis states ``idx``, an index array (``even``,
+        ``odd``, or ``np.arange(d)`` for the whole space), restricted on first use."""
+        key = (idx.dtype.str, idx.tobytes())
+        kept = self._blocks.get(key)
+        return kept[0] if kept else self._restrict(key, idx)
+
+    @functools.cached_property
+    def _odd_swap(self) -> np.ndarray | None:
+        """P on the odd block's positions, if H(f, f) commutes with it, else None.
+
+        P maps each basis state to the one with the qubits' quanta exchanged,
+        and keeps the excitation number. It commutes when the qubits have equal
+        dimensions, n_q1 permuted by P is n_q2 and the kept odd block of
+        h_static is invariant under P, all checked exactly.
+        """
+        space = self.space
+        if space.dims[2] != space.dims[3]:
+            return None
+        swap = np.ravel_multi_index(space.quanta[[0, 1, 3, 2]], space.dims)
+        at = np.searchsorted(self.odd, swap[self.odd])
+        h = self.block(self.odd).template
+        if np.array_equal(self.n_q1[swap], self.n_q2) and np.array_equal(h, h[np.ix_(at, at)]):
+            return at
+        return None
+
+    def cotuned_sectors(self) -> tuple[Block, ...]:
+        """The odd block at co-tuned points f₁ = f₂, as one or two kept blocks.
+
+        When H(f, f) commutes with the qubit exchange P (``_odd_swap``), its
+        odd block is the direct sum of the symmetric sector, each state with
+        Ps = s and (|s⟩ + |Ps⟩)/√2 of each pair, and the antisymmetric one,
+        (|s⟩ − |Ps⟩)/√2, s the pair's lower index: 26 and 14 of 40 states at
+        3⁴, 80 and 48 of 128 at 4⁴. A sector entry is (H[s, t] ± H[s, Pt])
+        times ½ between two states with Ps = s, √½ between one and a pair
+        and 1 between pairs, gathered from the odd block. Its number
+        diagonals are n_q1 and n_q2 compressed onto the sector, (n_q1 + n_q2)/2
+        each, so its stack is its block of H at co-tuned points only. The
+        sectors are kept beside the restricted blocks under the same d² rule.
+        Any other device has one sector, the odd block itself.
+        """
+        odd = self.block(self.odd)
+        at = self._odd_swap
+        if at is None:
+            return (odd,)
+        kept = self._blocks.get("sectors")
+        if kept:
+            return kept
+        position = np.arange(at.size)
+        parts = [(1.0, np.flatnonzero(position <= at)), (-1.0, np.flatnonzero(position < at))]
+        self._make_room(sum(states.size**2 for _, states in parts))
+        h, sectors = odd.template, []
+        for sign, states in parts:
+            weight = np.where(at[states] == states, 0.5, 1.0)
+            template = np.sqrt(np.multiply.outer(weight, weight)) * (
+                h[np.ix_(states, states)] + sign * h[np.ix_(states, at[states])])
+            number = 0.5 * (odd.n_q1[states] + odd.n_q2[states])
+            sectors.append(Block(template, number, number))
+        return self._keep("sectors", tuple(sectors))
 
     def hamiltonians(self, f1: np.ndarray, f2: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """The (k, n, n) stack H_static + 2π(f₁[k] N̂_q1 + f₂[k] N̂_q2) on the block ``idx``.
 
         It trusts its callers: ``f1`` and ``f2`` are equal-length 1-d float64
         arrays of qubit frequencies (GHz) already checked positive and finite,
-        and ``idx`` an index array of basis states (``even``, ``odd``, or
-        ``np.arange(d)`` for the whole space), whose restriction the model
-        keeps: a call copies it and adds the diagonals, so every member is
-        bit-identical to the stack of one built at its point alone.
+        and ``idx`` an index array of basis states, whose :meth:`block` the
+        model keeps; every member is bit-identical to the stack of one built
+        at its point alone (:meth:`Block.stack`).
         """
-        key = (idx.dtype.str, idx.tobytes())
-        template, n_q1, n_q2 = self._blocks.get(key) or self._restrict(key, idx)
-        n = template.shape[0]
-        h = np.empty((f1.size, n, n))
-        h[:] = template
-        h.reshape(f1.size, n * n)[:, :: n + 1] += (
-            (TWO_PI * f1)[:, None] * n_q1 + (TWO_PI * f2)[:, None] * n_q2
-        )
-        return h
+        return self.block(idx).stack(f1, f2)
 
 
 def _static_hamiltonian(

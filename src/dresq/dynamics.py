@@ -726,6 +726,8 @@ class ChevronMap:
     def __post_init__(self):
         if self.p1.shape != (len(self.detunings_mhz), len(self.taus_ns)):
             raise ConfigError("chevron population matrix has the wrong shape")
+        if not np.isfinite(self.p1).all():
+            raise ConfigError("chevron population must be finite, got a NaN or infinite cell")
         if self.p1.min() < -1e-6 or self.p1.max() > 1.0 + 1e-6:
             raise IntegrationError(
                 f"population outside [0, 1]: range [{self.p1.min():.2e}, {self.p1.max():.2e}]"

@@ -5,16 +5,22 @@ one real symmetric excitation-parity block at a time (no term couples the
 blocks); levels are reported relative to the ground state in GHz and
 tagged with the bare product state they overlap most, or "mixed" when no
 bare state dominates. Every diagonalization goes through one helper: the
-model builds the stack of block Hamiltonians of a batch of points, and
-each slice of at most STACK_SLICE_BYTES of it is one call of ``eigh`` (a
-spectrum, whose labels read eigenvectors) or ``eigvalsh``. A gap of any
-two modes needs only the odd block, which holds every single excitation,
-and its eigenvalues: the bare energies fix the level pair. One scan, with
-one solver that fixes the model, its odd block and the tracked states,
-locates every gap: a qubit is swept over the qubit-2 setpoint ± 20 MHz or
-a resonator ± 50 MHz, bracketed by a 5-point grid, one such stack, and the
-minimum located by a few parabolic vertex steps on the squared separation,
-one point each. The co-tuned half gap takes an array of points.
+model keeps each block, it builds the stack of a block's Hamiltonians of
+a batch of points, and each slice of at most STACK_SLICE_BYTES of it is
+one call of ``eigh`` (a spectrum, whose labels read eigenvectors) or
+``eigvalsh``. A gap of any two modes needs only the odd block, which holds
+every single excitation, and its eigenvalues: the bare energies fix the
+level pair. One scan, with one solver that fixes the model, its odd block
+and the tracked states, locates every gap: a qubit is swept over the
+qubit-2 setpoint ± 20 MHz or a resonator ± 50 MHz, bracketed by a 5-point
+grid, one such stack, and the minimum located by a few parabolic vertex
+steps on the squared separation, one point each. The co-tuned half gap
+takes an array of points, where the odd block of a device whose qubits
+have equal dimensions and enter it alike (the default device) splits into
+the two sectors of the qubit exchange, symmetric and antisymmetric, 26 and
+14 of its 40 states at 3⁴, 80 and 48 of 128 at 4⁴ and 186 and 126 of 312
+at 5⁴. Each sector is one stack and the sectors' levels are merged; any
+other device's odd block is one sector.
 """
 
 from __future__ import annotations
@@ -177,17 +183,17 @@ def sweep_spectrum(
     weight = np.empty((values.size, space.size))
     for start, idx in ((0, model.even), (model.even.size, model.odd)):
 
-        def store(part, eig):
+        def store(part, solved):
             # w[k, j, i] = |<i|j>|² laid out per eigenvector, so that argmax
             # reduces a contiguous axis rather than copying the stack
-            e, v = eig
+            [(e, v)] = solved
             w = np.square(v[:, :, : n_levels + 1].swapaxes(1, 2), order="C")
             low = slice(start, start + w.shape[1])
             evals[part, start : start + idx.size] = e
             dominant[part, low] = idx[w.argmax(axis=2)]
             weight[part, low] = w.max(axis=2)
 
-        _block_slices(model, f1s, f2s, idx, np.linalg.eigh, store)
+        _block_slices([model.block(idx)], f1s, f2s, np.linalg.eigh, store)
     order = np.argsort(evals, axis=1, kind="stable")[:, : n_levels + 1]
     ground, upper = order[:, :1], order[:, 1:]
     levels = (np.take_along_axis(evals, upper, 1) - np.take_along_axis(evals, ground, 1)) / TWO_PI
@@ -198,19 +204,47 @@ def sweep_spectrum(
     return SpectrumSweep(axis, values, levels, _label_table(space)[state].tolist(), np.sqrt(weight))
 
 
-def _block_slices(model: DeviceModel, f1s: np.ndarray, f2s: np.ndarray, idx: np.ndarray,
-                  solve, store) -> None:
-    """Diagonalize the block ``idx`` at every point (f1s[k], f2s[k]), a slice at a time.
+def _block_slices(blocks, f1s: np.ndarray, f2s: np.ndarray, solve, store) -> None:
+    """Diagonalize each of ``blocks`` (:class:`~dresq.device.Block`) at every point
+    (f1s[k], f2s[k]), a slice of points at a time.
 
-    A slice is as many points as fit in STACK_SLICE_BYTES: one stack of the
-    model's and one ``solve`` call (``np.linalg.eigh`` or ``eigvalsh``).
-    ``store(part, solved)`` keeps what it needs of the points ``part`` (a
-    slice object), as each slice is freed before the next is built.
+    A slice is as many points as fit in STACK_SLICE_BYTES at the largest
+    block. Each block in turn gives one stack of the slice and one ``solve``
+    call on it (``np.linalg.eigh`` or ``eigvalsh``), and ``store(part,
+    solved)`` keeps what it needs of the points ``part`` (a slice object),
+    ``solved`` holding one result a block, as each slice is freed before the
+    next is built.
     """
-    per_slice = max(1, STACK_SLICE_BYTES // (2 * 8 * idx.size**2))
+    per_slice = max(1, STACK_SLICE_BYTES // (2 * 8 * max(len(b.template) for b in blocks)**2))
     for start in range(0, len(f1s), per_slice):
         part = slice(start, start + per_slice)
-        store(part, solve(model.hamiltonians(f1s[part], f2s[part], idx)))
+        store(part, [solve(b.stack(f1s[part], f2s[part])) for b in blocks])
+
+
+def _tracked(model: DeviceModel, modes) -> np.ndarray:
+    """Positions in the odd block of the single-excitation states of ``modes``."""
+    return np.searchsorted(model.odd, np.take(model.space.single_excitation_indices(), modes))
+
+
+def _separations(evals: np.ndarray, bare: np.ndarray, tracked: np.ndarray):
+    """Separations (GHz) of two tracked dressed levels at each point, and their pairs.
+
+    ``evals`` and ``bare`` hold a point's ascending odd-block levels and the
+    block's bare energies, its diagonal, a row each. Anti-crossings keep the
+    level order, so row k of the (k, 2) pairs is the sorted ranks of the
+    ``tracked`` states among the bare energies, a tracked state below any
+    other state of its energy, and indexes the levels of point k: for the
+    qubits in the band, the ranks of f₁ and f₂ among (ω_a, ω_b, f₁, f₂), but
+    three-excitation states fall below a qubit under 3|α| (0.75 GHz) at 4⁴.
+    Co-tuned within about 5 MHz inside a resonator's band, the two levels of
+    largest qubit weight are instead a dark qubit state and a resonator
+    hybrid, and the pair keeps to the ranks.
+    """
+    states = np.sort(bare[:, tracked], axis=1)
+    pairs = np.count_nonzero(bare[:, None, :] < states[:, :, None], axis=2)
+    pairs[:, 1] += states[:, 0] == states[:, 1]
+    levels = evals[np.arange(len(evals))[:, None], pairs]
+    return np.abs(levels[:, 1] - levels[:, 0]) / TWO_PI, pairs
 
 
 def _separation_solver(params: DeviceParams, space: HilbertSpace, modes=(2, 3)):
@@ -220,34 +254,24 @@ def _separation_solver(params: DeviceParams, space: HilbertSpace, modes=(2, 3)):
     ``solve(f1s, f2s)`` gives one separation per point (f1s[k], f2s[k]);
     ``modes`` are two indices into MODE_NAMES, the qubits by default. Every
     single excitation is odd, so only the odd block's eigenvalues are found
-    (by :func:`_block_slices`); row k of the (k, 2) pairs indexes its
-    ascending levels at point k. Anti-crossings keep the level order, so the
-    pair is the sorted ranks of the two modes' bare single-excitation states
-    among the block's bare energies, its diagonal, a tracked state below any
-    other state of its energy: for the qubits in the band, the ranks of f₁
-    and f₂ among (ω_a, ω_b, f₁, f₂), but three-excitation states fall below
-    a qubit under 3|α| (0.75 GHz) at 4⁴. Co-tuned within about 5 MHz inside
-    a resonator's band, the two levels of largest qubit weight are instead a
-    dark qubit state and a resonator hybrid. With 6·g_max under 20 MHz a
-    resonator can lie inside a gap scan's window, 3·g_max clear of its
-    setpoint and its ends, and the ranks follow qubit 1 past it.
+    (by :func:`_block_slices`), and :func:`_separations` takes the pair from
+    the stack's diagonal. With 6·g_max under 20 MHz a resonator can lie
+    inside a gap scan's window, 3·g_max clear of its setpoint and its ends,
+    and the ranks follow qubit 1 past it.
     """
     model = device_model(params, space, True)
-    tracked = np.searchsorted(model.odd, np.take(space.single_excitation_indices(), modes))
+    odd = model.block(model.odd)
+    tracked = _tracked(model, modes)
 
     def solve(f1s, f2s) -> tuple[np.ndarray, np.ndarray]:
         seps = np.empty(len(f1s))
         pairs = np.empty((len(f1s), 2), dtype=int)
 
         def store(part, solved):
-            bare, evals = solved
-            states = np.sort(bare[:, tracked], axis=1)
-            pairs[part] = np.count_nonzero(bare[:, None, :] < states[:, :, None], axis=2)
-            pairs[part, 1] += states[:, 0] == states[:, 1]
-            levels = evals[np.arange(len(evals))[:, None], pairs[part]]
-            seps[part] = np.abs(levels[:, 1] - levels[:, 0]) / TWO_PI
+            [(bare, evals)] = solved
+            seps[part], pairs[part] = _separations(evals, bare, tracked)
 
-        _block_slices(model, f1s, f2s, model.odd,
+        _block_slices([odd], f1s, f2s,
                       lambda h: (np.diagonal(h, axis1=1, axis2=2), np.linalg.eigvalsh(h)), store)
         return seps, pairs
 
@@ -427,14 +451,31 @@ def cotuned_half_gap(params: DeviceParams, freqs, space: HilbertSpace) -> np.nda
     This is the exact-diagonalization counterpart of the analytic
     effective-coupling magnitude. ``freqs`` is a 1-d array or list of
     positive finite numbers, none a bool, and an array of the same length
-    is returned. Its points are one stack of odd-block Hamiltonians
-    (eigenvalues only, in slices of at most STACK_SLICE_BYTES), and each
-    half gap is that of the levels (r, r + 1) of the block, r its bare
-    states below the point. ConfigError is raised, before any result is
-    allocated, when the per-point results would exceed ``errors.MEMORY_LIMIT``.
+    is returned. The odd block is solved in the model's co-tuned sectors
+    (:meth:`~dresq.device.DeviceModel.cotuned_sectors`): the symmetric and
+    antisymmetric combinations of qubit-exchanged states, 26 and 14 of its
+    40 states at 3⁴, when the qubits have equal dimensions and enter the
+    device alike (the default device), else the whole block. Each sector
+    is one stack of the points (eigenvalues only, in slices of at most
+    STACK_SLICE_BYTES), and each point's eigenvalues of the sectors are
+    merged by a sort into the odd block's levels. Each half gap is that of
+    the levels (r, r + 1), r the block's bare states below the point: the
+    whole odd block's half gap to within rounding on a device that splits,
+    and bit for bit on one that does not. ConfigError is raised, before
+    any result is allocated, when the per-point results would exceed
+    ``errors.MEMORY_LIMIT``.
     """
     points = require_numbers(freqs, "co-tuned frequencies", positive=True)
-    # separation, level pair and half gap: four 8-byte words a point
+    # separation and half gap, and a slice's level pairs: at most four 8-byte words a point
     require_memory(4 * 8 * points.size, f"co-tuned half gaps at {points.size} points")
-    seps, _ = _separation_solver(params, space)(points, points)
+    model = device_model(params, space, True)
+    odd = model.block(model.odd)
+    static, tracked = np.diagonal(odd.template), _tracked(model, (2, 3))
+    seps = np.empty(points.size)
+
+    def store(part, solved):
+        bare = static + odd.diagonals(points[part], points[part])
+        seps[part], _ = _separations(np.sort(np.concatenate(solved, axis=1), axis=1), bare, tracked)
+
+    _block_slices(model.cotuned_sectors(), points, points, np.linalg.eigvalsh, store)
     return 0.5 * seps * 1e3

@@ -1562,6 +1562,17 @@ def test_chevron_map_of_the_wrong_shape_is_refused():
         ChevronMap(np.zeros(3), np.linspace(0.0, 10.0, 5), np.zeros((5, 3)))
 
 
+@pytest.mark.parametrize("cell", [None, (1, 2), (0, 0)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_chevron_map_of_a_non_finite_population_is_refused(cell, value):
+    # NaN fails both range comparisons; every cell is checked where the map is built
+    p1 = np.full((2, 3), value) if cell is None else np.full((2, 3), 0.5)
+    if cell is not None:
+        p1[cell] = value
+    with pytest.raises(ConfigError, match="chevron population must be finite"):
+        ChevronMap(np.zeros(2), np.linspace(0.0, 10.0, 3), p1)
+
+
 @pytest.mark.parametrize("offsets, taus, readout, message", [
     ([0.0], [0.0], None, "at least 2 interaction times"),
     ([], [0.0, 1.0, 2.0], None, "need at least one detuning offset"),

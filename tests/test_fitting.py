@@ -559,11 +559,11 @@ def test_trace_csv_refuses_uncertainties_on_only_some_rows():
 
 
 def test_geff_from_chevron_refuses_non_finite_cells():
-    # a NaN cell passes the map's range check (no comparison holds for NaN)
-    # and is refused by the fits' sample check
-    p1 = np.full((3, 11), 0.5)
-    p1[1, 4] = np.nan
-    chev = ChevronMap(np.array([-1.0, 0.0, 1.0]), np.linspace(0.0, 100.0, 11), p1)
+    # the map refuses a NaN cell where it is built; one written into a built
+    # map is refused by the fits' sample check
+    chev = ChevronMap(np.array([-1.0, 0.0, 1.0]), np.linspace(0.0, 100.0, 11),
+                      np.full((3, 11), 0.5))
+    chev.p1[1, 4] = np.nan
     with pytest.raises(ConfigError, match="trace times and values must be finite"):
         geff_from_chevron(chev)
 

@@ -250,3 +250,74 @@ def test_model_keeps_each_block_it_restricts_within_the_space_squared(monkeypatc
     assert small.hamiltonians(f1, f2, mask).shape == (1, 1, 1)
     whole = small.hamiltonians(f1, f2, np.arange(small.space.size))[0]
     assert np.array_equal(pair[0], whole[np.ix_([1, 0], [1, 0])])
+
+
+def weyl_bound(h: np.ndarray) -> np.ndarray:
+    """Per point of a (k, n, n) stack, c·u·‖H‖₂ with c = n fixed: the backward
+    error of a symmetric eigensolver is p(n)·u·‖H‖₂, p(n) = n in the textbook
+    bound, and by Weyl's inequality no eigenvalue moves by more than the norm
+    of a perturbation, so two solves of H and one of its orthogonal split
+    agree within it."""
+    n = h.shape[-1]
+    return n * (np.finfo(float).eps / 2) * np.abs(np.linalg.eigvalsh(h)).max(axis=1)
+
+
+def sector_levels(model: DeviceModel, f: np.ndarray) -> np.ndarray:
+    """The co-tuned sectors' eigenvalues at each point of ``f``, merged by a sort."""
+    solved = [np.linalg.eigvalsh(b.stack(f, f)) for b in model.cotuned_sectors()]
+    return np.sort(np.concatenate(solved, axis=1), axis=1)
+
+
+@pytest.mark.parametrize("dims, sizes", [((3, 3, 3, 3), [26, 14]), ((4, 4, 4, 4), [80, 48]),
+                                         ((5, 5, 5, 5), [186, 126])])
+@pytest.mark.parametrize("g_ab", [0.0, 0.01, -0.01])
+def test_cotuned_sectors_have_the_odd_blocks_eigenvalues(dims, sizes, g_ab):
+    model = DeviceModel(DeviceParams(g_ab=g_ab), HilbertSpace(dims), True)
+    sectors = model.cotuned_sectors()
+    assert [len(b.template) for b in sectors] == sizes
+    for b in sectors:
+        assert np.array_equal(b.template, b.template.T)
+        assert np.array_equal(b.n_q1, b.n_q2)
+    f = np.array([4.471, 4.52, 4.6392, 4.70, 4.76, 5.2])
+    full = model.hamiltonians(f, f, model.odd)
+    difference = np.abs(sector_levels(model, f) - np.linalg.eigvalsh(full)).max(axis=1)
+    assert np.all(difference <= weyl_bound(full))
+
+
+@pytest.mark.parametrize("params, dims", [
+    (DeviceParams(g_a1=0.026), (3, 3, 3, 3)),
+    (DeviceParams(g_b2=0.031), (3, 3, 3, 3)),
+    (DeviceParams(anharmonicity_1=-0.24), (3, 3, 3, 3)),
+    (DeviceParams(), (3, 3, 3, 4)),
+])
+def test_a_device_without_the_qubit_exchange_keeps_the_odd_block_whole(params, dims):
+    model = DeviceModel(params, HilbertSpace(dims), True)
+    [sector] = model.cotuned_sectors()
+    assert sector is model.block(model.odd)
+
+
+def test_the_sectors_are_kept_within_the_space_squared(monkeypatch):
+    # at 3^4 the parity blocks (3281 entries) and the sectors (26² + 14² = 872)
+    # are kept; a 50-state block (2500) fits beside the blocks alone but not
+    # beside the sectors too, so everything goes and is rebuilt when asked for
+    restricted = []
+    restrict = DeviceModel._restrict
+
+    def spy(self, key, idx):
+        restricted.append(len(idx))
+        return restrict(self, key, idx)
+
+    monkeypatch.setattr(DeviceModel, "_restrict", spy)
+    model = DeviceModel(DeviceParams(), HilbertSpace((3, 3, 3, 3)), True)
+    model.block(model.even)
+    sectors = model.cotuned_sectors()
+    assert model.cotuned_sectors() is sectors
+    assert restricted == [41, 40]
+    model.block(np.arange(50))
+    assert restricted == [41, 40, 50]
+    rebuilt = model.cotuned_sectors()
+    assert rebuilt is not sectors and restricted == [41, 40, 50, 40]
+    for old, new in zip(sectors, rebuilt):
+        assert all(np.array_equal(a, b) for a, b in zip(old, new))
+    with pytest.raises(ValueError, match="read-only"):
+        rebuilt[0].template[0, 0] = 1.0
