@@ -246,6 +246,10 @@ def cmd_chevron(args) -> int:
                  fitting.MIN_POINTS)
     offsets = _grid(-args.span_mhz, args.span_mhz, args.detuning_points,
                     ("--span-mhz", "--span-mhz", "--detuning-points"))
+    # every column is fitted and the map written as CSV: both are counted
+    # before anything is propagated
+    fitting.require_fits_memory(offsets.size, taus.size)
+    dynamics.require_csv_memory((offsets.size, taus.size))
     bias = OperatingPoint(args.bias_q1, args.bias_q2)
     # a lossless run is one with infinite lifetimes; the manifest keeps the device as given
     lifetimes = {f"t{k}_qubit{q}": math.inf for k in (1, 2) for q in (1, 2)}

@@ -65,7 +65,6 @@ and couplings where noted, ns for times, µs for coherence times, which
 from __future__ import annotations
 
 import bisect
-import io
 import math
 from dataclasses import dataclass
 
@@ -92,9 +91,32 @@ POSITIVITY_TOL = 1e-8
 # equal steps are found and read in slices of at most this size
 STACK_SLICE_BYTES = 2**21
 
-# peak bytes a cell of ChevronMap.to_csv: lines of at most 46 characters, in the
-# buffer and the result (53-84 measured)
+# peak bytes a cell of ChevronMap.to_csv, beyond about 7 kB a call: the cells'
+# 12-byte digits and their scratch, then lines of at most 46 characters in the
+# buffer and its text (tracemalloc: 46 at the bench's 41 × 201 grid, 78 at the
+# widest lines, 41 × 2001, and 98 there with every cell signed; 100-103 for one
+# row of 2,001-20,001 τ)
 CSV_CELL_BYTES = 112
+
+# ASCII digits of 0-9999, four bytes a row (built in uint16, so that no temporary
+# is large enough for the allocator to map and unmap it at import)
+_DIGITS = (np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+           % 10 + ord("0")).astype(np.uint8)
+
+
+def _words(*columns) -> np.ndarray:
+    """Texts of four ASCII bytes, given column by column, as one uint32 each."""
+    return np.column_stack(columns).astype(np.uint8).view(np.uint32)[:, 0]
+
+
+# the 12 bytes "a.ddddddddd\n" of a cell n = rint(1e9·p), 0 <= n <= 2e9, are three
+# words: "a.dd" of n // 10**7, "dddd" of n // 1000 % 10**4 and "ddd\n" of n % 1000
+_LEAD_WORDS = _words(_DIGITS[:201, 1], np.full(201, ord(".")), _DIGITS[:201, 2], _DIGITS[:201, 3])
+_MID_WORDS = _DIGITS.view(np.uint32)[:, 0]
+_LAST_WORDS = _words(_DIGITS[:1000, 1], _DIGITS[:1000, 2], _DIGITS[:1000, 3],
+                     np.full(1000, ord("\n")))
+
+_CSV_HEADER = b"detuning_mhz,tau_ns,p1\n"
 
 # ---------------------------------------------------------------------------
 # schedule and state types
@@ -734,22 +756,117 @@ class ChevronMap:
             )
 
     def to_csv(self) -> str:
-        """One line per cell, detuning-major, one ``%`` format per detuning.
+        """One line per cell, detuning-major (see :func:`_csv_bytes`).
 
-        The τ text is fixed once in a template of a column's lines; each
-        detuning fills it from its (detuning, p1) pairs. ConfigError first if
-        CSV_CELL_BYTES a cell would exceed ``errors.MEMORY_LIMIT``.
+        ConfigError first if CSV_CELL_BYTES a cell would exceed
+        ``errors.MEMORY_LIMIT``.
         """
-        require_memory(CSV_CELL_BYTES * self.p1.size, f"the CSV of a {self.p1.shape} chevron")
-        buf = io.StringIO()
-        buf.write("detuning_mhz,tau_ns,p1\n")
-        template = "".join([f"%s,{t:.9g},%.9f\n" for t in self.taus_ns])
-        cells = [None] * (2 * len(self.taus_ns))
-        for d, row in zip(self.detunings_mhz, self.p1.tolist()):
-            cells[0::2] = [f"{d:.9g}"] * len(row)
-            cells[1::2] = row
-            buf.write(template % tuple(cells))
-        return buf.getvalue()
+        require_csv_memory(self.p1.shape)
+        return _csv_bytes(self.detunings_mhz, self.taus_ns, self.p1).decode("ascii")
+
+
+def _csv_bytes(detunings: np.ndarray, taus: np.ndarray, p: np.ndarray) -> bytearray:
+    """The CSV of a chevron map, written into one byte buffer.
+
+    Each detuning and each τ is formatted once (``.9g``), and the layout
+    of the lines follows from the lengths of those texts. A cell whose
+    sign bit is clear, below 2 and whose 1e9·p lies more than 1e-6 from a
+    half-integer is written as the digits of n = rint(1e9·p): the product
+    is off by less than 1.2e-7 there, so no rounding tie lies between it
+    and the exact value, and the digits are those of ``f"{p:.9f}"``. Every
+    other cell (−0.0, a value in [−1e-6, 0), a near-tie) gets the text of
+    ``f"{p:.9f}"``, in a slot as wide as that text. ``p`` is finite, as
+    ``ChevronMap`` admits it.
+    """
+    n_taus = p.shape[1]
+    heads = [f"{d:.9g}".encode() for d in detunings.tolist()]
+    width = np.array([len(h) for h in heads])
+    texts = [f"{t:.9g}" for t in taus.tolist()]
+    tau_len = np.fromiter(map(len, texts), np.intp, n_taus)
+    tau_text = "\n".join(texts).encode()
+    del texts
+
+    scaled = p * 1e9
+    n = np.rint(scaled)
+    # |1e9·p − n| >= 0.5 − 1e-6: 1e9·p is within 1e-6 of a half-integer
+    other = np.signbit(p) | ~(p < 2.0) | (np.abs(scaled - n) >= 0.5 - 1e-6)
+    del scaled
+    n[other] = 0.0  # their texts come later; 0 keeps their lookups in the tables
+    n = n.astype(np.intp)
+    words = np.empty(p.shape + (3,), np.uint32)  # "a.dd", "dddd", "ddd\n"
+    q = n // 1000
+    words[..., 2] = _LAST_WORDS[n - 1000 * q]
+    n = q // 10_000
+    words[..., 1] = _MID_WORDS[q - 10_000 * n]
+    words[..., 0] = _LEAD_WORDS[n]
+    del n, q
+    cells = words.view("V12")[..., 0]
+
+    # the other cells, row-major, and the bytes their texts add to a line
+    rows, cols = np.divmod(np.flatnonzero(other), n_taus)
+    del other
+    extra = np.fromiter((len(f"{v:.9f}") - 11 for v in p[rows, cols]), np.intp, rows.size)
+    wide = extra > 0
+    rows_w, cols_w, extra_w = rows[wide], cols[wide], extra[wide]
+    del extra, wide
+    row_extra = np.bincount(rows_w, extra_w, len(heads)).astype(np.intp)
+    row_len = n_taus * (width + 14) + tau_len.sum() + row_extra
+    row_end = (np.cumsum(row_len) + len(_CSV_HEADER)).tolist()
+    buf = bytearray(row_end[-1])
+    buf[:len(_CSV_HEADER)] = _CSV_HEADER
+
+    def layout(w: int, wide_cols=(), wide_extra=()):
+        """A row's template, and where its lines' detuning texts and cells start."""
+        sep = b"," + bytes(12 + w) + b","
+        template = np.frombuffer(
+            b"".join([bytes(w) + b",", tau_text.replace(b"\n", sep), b"," + bytes(12)]), np.uint8)
+        line = w + tau_len + 14  # detuning, τ, two commas and a 12-byte cell
+        if len(wide_cols):
+            at = (np.cumsum(line) - line + w + tau_len + 2)[wide_cols]
+            template = np.insert(template, np.repeat(at, wide_extra), 0)
+            line[wide_cols] += wide_extra
+        at = np.cumsum(line) - line
+        return template, at, at + w + tau_len + 2
+
+    # runs of rows that share a layout: equal detuning widths, no wide cell
+    irregular = row_extra > 0
+    new_run = np.ones(len(heads), bool)
+    new_run[1:] = (width[1:] != width[:-1]) | irregular[1:] | irregular[:-1]
+    starts = np.flatnonzero(new_run).tolist()
+    layouts: dict[int, tuple] = {}
+    for a, b in zip(starts, starts[1:] + [len(heads)]):
+        w, size = int(width[a]), int(row_len[a])
+        if irregular[a]:
+            lo, hi = np.searchsorted(rows_w, [a, b])
+            template, head_at, cell_at = layout(w, cols_w[lo:hi], extra_w[lo:hi])
+        else:
+            if w not in layouts:
+                layouts[w] = layout(w)
+            template, head_at, cell_at = layouts[w]
+        start = row_end[a] - size
+        np.ndarray((b - a, size), np.uint8, buf, start)[:] = template
+        _windows(buf, start, b - a, size, w)[:, head_at] = np.frombuffer(
+            b"".join(heads[a:b]), f"V{w}")[:, None]
+        _windows(buf, start, b - a, size, 12)[:, cell_at] = cells[a:b]
+        # the run's other cells, over their digits
+        lo, hi = np.searchsorted(rows, [a, b])
+        for r, c in zip(rows[lo:hi], cols[lo:hi]):
+            text = f"{p[r, c]:.9f}\n".encode()
+            at = start + (r - a) * size + int(cell_at[c])
+            buf[at:at + len(text)] = text
+    return buf
+
+
+def _windows(buf: bytearray, start: int, rows: int, size: int, item: int) -> np.ndarray:
+    """The ``item``-byte windows of ``rows`` rows of ``size`` bytes at ``start`` of
+    ``buf``, one at every byte of a row: a (rows, size − item + 1) void array."""
+    return np.ndarray((rows, size - item + 1), f"V{item}", buf, start, (size, 1))
+
+
+def require_csv_memory(shape: tuple[int, int]) -> None:
+    """ConfigError unless the CSV of a chevron of ``shape`` (detunings, taus),
+    CSV_CELL_BYTES a cell, fits in ``errors.MEMORY_LIMIT``."""
+    require_memory(CSV_CELL_BYTES * shape[0] * shape[1], f"the CSV of a {shape} chevron")
 
 
 def vacuum_rabi_chevron(

@@ -315,6 +315,14 @@ def _periodogram_peaks(t: np.ndarray, y: np.ndarray):
 _COSINE_PARAMS = ("amplitude", "frequency_per_ns", "phase_rad", "decay_time_ns", "offset")
 
 
+def require_fits_memory(n_traces: int, n_points: int) -> None:
+    """ConfigError unless a batch of damped-cosine fits of ``n_traces`` traces
+    of ``n_points`` samples, FIT_SAMPLE_BYTES a sample and FIT_FIXED_BYTES,
+    fits in ``errors.MEMORY_LIMIT``."""
+    require_memory(FIT_SAMPLE_BYTES * n_traces * n_points + FIT_FIXED_BYTES,
+                   f"damped-cosine fits of {n_traces} trace(s) of {n_points} points")
+
+
 def _fit_damped_cosines(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> list:
     """Damped-cosine fits of the rows of y (traces on the grid t, weights w), in lockstep.
 
@@ -324,8 +332,7 @@ def _fit_damped_cosines(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> list:
     ``errors.MEMORY_LIMIT`` is a ConfigError before anything of its size is
     built.
     """
-    require_memory(FIT_SAMPLE_BYTES * y.size + FIT_FIXED_BYTES,
-                   f"damped-cosine fits of {len(y)} trace(s) of {t.size} points")
+    require_fits_memory(*y.shape)
     dt = np.diff(t)
     if uneven_steps(dt):
         raise ConfigError(

@@ -180,6 +180,29 @@ def test_chevron_outputs_and_determinism(tmp_path):
     assert "device" in manifest["config"]
 
 
+@pytest.mark.parametrize("extra", [[], ["--no-dissipation"], ["--prep-to-readout", 2500]],
+                         ids=["lossy", "lossless", "prep-to-readout"])
+def test_chevron_csv_on_disk_is_the_f_string_text_of_its_map(tmp_path, monkeypatch, extra):
+    # the bytes written are those of the map the command built, cell by cell
+    from dresq import dynamics
+
+    maps = []
+
+    def spy(*args, **kwargs):
+        maps.append(chevron(*args, **kwargs))
+        return maps[-1]
+
+    chevron = dynamics.vacuum_rabi_chevron
+    monkeypatch.setattr(dynamics, "vacuum_rabi_chevron", spy)
+    out = tmp_path / "c"
+    assert run(["chevron", "--target", 4.593, "--out", out] + extra) == 0
+    [chev] = maps
+    expected = "detuning_mhz,tau_ns,p1\n" + "".join(
+        f"{d:.9g},{t:.9g},{p:.9f}\n"
+        for d, row in zip(chev.detunings_mhz, chev.p1) for t, p in zip(chev.taus_ns, row.tolist()))
+    assert (out / "chevron.csv").read_bytes() == expected.encode()
+
+
 def test_every_svg_is_well_formed_xml_and_the_chevron_one_image(tmp_path):
     runs = [["spectrum", "--start", 4.40, "--stop", 4.55, "--points", 11],
             ["geff", "--points", 5], ["gapscan", "--setpoints", 4.58, 4.60], ["chevron"]]
@@ -528,15 +551,33 @@ def test_geff_peaks_within_its_count_and_is_refused_before_allocating(tmp_path, 
 
 def test_chevron_fits_over_the_limit_exit_2(tmp_path, monkeypatch, capsys):
     # 11 columns of 4,001 τ values: the propagation's own count fits in 10 MiB,
-    # the fits' 384 bytes a cell and 1.5 MiB (18 MiB) do not, and nothing is written
-    from dresq import errors
+    # the fits' 384 bytes a cell and 1.5 MiB (18 MiB) do not; they are refused
+    # from the grid sizes, before anything is propagated, and nothing is written
+    from dresq import dynamics, errors
 
+    propagated = []
+    monkeypatch.setattr(dynamics, "_propagate", lambda *a: propagated.append(a))
     monkeypatch.setattr(errors, "MEMORY_LIMIT", 10 * 2**20)
     out = tmp_path / "c"
     assert run(["chevron", "--detuning-points", 11, "--tau-points", 4001, "--out", out]) == 2
     assert "damped-cosine fits of 11 trace(s) of 4001 points needs 18 MiB" in (
         capsys.readouterr().err)
-    assert not out.exists()
+    assert propagated == [] and not out.exists()
+
+
+def test_chevron_csv_over_the_limit_exit_2_before_propagating(tmp_path, monkeypatch, capsys):
+    # under a limit that holds the fits but not the CSV's count, the CSV is
+    # refused from the grid sizes with the message of its own guard
+    from dresq import dynamics, errors, fitting
+
+    propagated = []
+    monkeypatch.setattr(dynamics, "_propagate", lambda *a: propagated.append(a))
+    monkeypatch.setattr(fitting, "FIT_SAMPLE_BYTES", 1)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", fitting.FIT_FIXED_BYTES + 11 * 4001)
+    out = tmp_path / "c"
+    assert run(["chevron", "--detuning-points", 11, "--tau-points", 4001, "--out", out]) == 2
+    assert "the CSV of a (11, 4001) chevron needs" in capsys.readouterr().err
+    assert propagated == [] and not out.exists()
 
 
 @pytest.mark.parametrize("start", ["-0.1", "0"])

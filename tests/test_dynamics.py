@@ -1519,18 +1519,44 @@ def test_chevron_csv_matches_cell_loop():
 
 def test_chevron_csv_formats_edge_values_as_f_strings():
     # each cell's text is f"{p:.9f}" also at signed zero, below the last
-    # digit and next to 9th-decimal rounding ties
+    # digit, next to 9th-decimal rounding ties, just above 1 and at or just below 0
     ties = np.array([(k + 0.5) / 1e9 for k in (0, 1, 7, 123456789, 499999999, 999999998)])
     edge = np.concatenate([[0.0, 1.0, -0.0, 1e-10, 5e-10, 1 - 5e-10], ties,
                            np.nextafter(ties, 0.0), np.nextafter(ties, 1.0)])
     taus = np.linspace(0.0, 0.3, edge.size)
-    chev = ChevronMap(np.array([-0.0, 2.5e-7, 123.456789012]), taus,
-                      np.stack([edge, edge[::-1], np.roll(edge, 5)]))
-    expected = "detuning_mhz,tau_ns,p1\n" + "".join(
-        f"{d:.9g},{t:.9g},{p:.9f}\n"
-        for d, row in zip(chev.detunings_mhz, chev.p1) for t, p in zip(taus, row.tolist()))
-    assert chev.to_csv() == expected
-    assert "-0,0,0.000000000\n" in expected and "-0.000000000" in expected
+    # cells in (1, 1 + 1e-6] and in [-1e-6, -0.0], and a row mixing them with unsigned ones
+    over_one = np.array([np.nextafter(1.0, 2.0), 1 + 5e-10, 1 + 3e-7,
+                         np.nextafter(1 + 1e-6, 1.0), 1 + 1e-6])
+    under_zero = np.array([-0.0, -5e-324, -1e-300, -4.9e-10, -5e-10, -5.1e-10, -3e-7, -1e-6])
+    mixed = np.random.default_rng(11).permutation(
+        np.concatenate([over_one, under_zero, [0.0, 0.25, 1.0, 5e-10]]))
+    # (k + ½)/1e9 and 1-3 ulps either side of it, over the whole of [0, 1]
+    half = (np.linspace(0, 999_999_999, 1001).round() + 0.5) / 1e9
+    near = [half]
+    for toward in (0.0, 2.0):
+        step = half
+        for _ in range(3):
+            step = np.nextafter(step, toward)
+            near.append(step)
+    maps = [
+        ChevronMap(np.array([-0.0, 2.5e-7, 123.456789012]), taus,
+                   np.stack([edge, edge[::-1], np.roll(edge, 5)])),
+        ChevronMap(np.array([-1.0, 0.0, 1.0]), np.linspace(0.0, 15.0, mixed.size),
+                   np.stack([np.resize(over_one, mixed.size), np.resize(under_zero, mixed.size),
+                             mixed])),
+        ChevronMap(np.linspace(-3.0, 3.0, 7), np.linspace(0.0, 1000.0, 1001),
+                   np.stack(near)),
+        ChevronMap(np.linspace(-20.0, 20.0, 41), np.linspace(0.0, 2000.0, 201),
+                   np.random.default_rng(4).random((41, 201))),
+    ]
+    for chev in maps:
+        expected = "detuning_mhz,tau_ns,p1\n" + "".join(
+            f"{d:.9g},{t:.9g},{p:.9f}\n"
+            for d, row in zip(chev.detunings_mhz, chev.p1)
+            for t, p in zip(chev.taus_ns, row.tolist()))
+        assert chev.to_csv() == expected
+    assert "-0,0,0.000000000\n" in maps[0].to_csv()
+    assert "-0.000000000" in maps[0].to_csv() and "-0.000001000" in maps[1].to_csv()
 
 
 def test_chevron_csv_peaks_within_its_count_and_is_refused_before_allocating(monkeypatch):
