@@ -144,11 +144,13 @@ def _write_file(path: Path, data: bytes) -> None:
         os.close(fd)
 
 
-def _write_outputs(args, artifacts: dict[str, str], params: DeviceParams | None = None) -> None:
-    """Write the artifacts and then a manifest of them, each through
-    :func:`_write_file`. Its config is every parsed option but ``out`` and
-    ``device`` (a path is written as text), plus the resolved device
-    parameters when the command has a device. An output directory that
+def _write_outputs(args, artifacts: dict[str, str | bytearray],
+                   params: DeviceParams | None = None) -> None:
+    """Write the artifacts, text encoded as UTF-8 and a byte buffer as it is,
+    and then a manifest of them, each through :func:`_write_file`. Its
+    config is every parsed option but ``out`` and ``device`` (a path is
+    written as text), plus the resolved device parameters when the command
+    has a device. An output directory that
     cannot be made or written is a ConfigError naming it."""
     config = {k: v for k, v in vars(args).items() if k not in ("out", "device")}
     if params is not None:
@@ -157,7 +159,7 @@ def _write_outputs(args, artifacts: dict[str, str], params: DeviceParams | None 
         args.out.mkdir(parents=True, exist_ok=True)
         checksums = {}
         for name, content in artifacts.items():
-            data = content.encode()
+            data = content.encode() if isinstance(content, str) else content
             _write_file(args.out / name, data)
             checksums[name] = hashlib.sha256(data).hexdigest()
         manifest = {"config": config, "artifacts": checksums}
@@ -262,7 +264,7 @@ def cmd_chevron(args) -> int:
     analytic_mhz = None if params.g_ab != 0.0 else effective_coupling(
         params, OperatingPoint(args.target, args.target)
     ) * 1e3
-    verdict = dict(json.loads(estimate.to_json()))
+    verdict = estimate.to_dict()
     verdict["analytic_geff_mhz"] = analytic_mhz
     svg = svgplot.heatmap(
         chev.detunings_mhz, chev.taus_ns, chev.p1,
@@ -270,7 +272,7 @@ def cmd_chevron(args) -> int:
         title="vacuum-Rabi chevron (qubit-1 population)",
     )
     _write_outputs(args, {
-        "chevron.csv": chev.to_csv(),
+        "chevron.csv": chev.to_csv_bytes(),
         "chevron.svg": svg,
         "geff_estimate.json": json.dumps(verdict, indent=2, sort_keys=True) + "\n",
     }, params)

@@ -756,13 +756,18 @@ class ChevronMap:
             )
 
     def to_csv(self) -> str:
-        """One line per cell, detuning-major (see :func:`_csv_bytes`).
+        """The text of :meth:`to_csv_bytes`."""
+        return self.to_csv_bytes().decode("ascii")
+
+    def to_csv_bytes(self) -> bytearray:
+        """The CSV as ASCII bytes, one line per cell, detuning-major (see
+        :func:`_csv_bytes`).
 
         ConfigError first if CSV_CELL_BYTES a cell would exceed
         ``errors.MEMORY_LIMIT``.
         """
         require_csv_memory(self.p1.shape)
-        return _csv_bytes(self.detunings_mhz, self.taus_ns, self.p1).decode("ascii")
+        return _csv_bytes(self.detunings_mhz, self.taus_ns, self.p1)
 
 
 def _csv_bytes(detunings: np.ndarray, taus: np.ndarray, p: np.ndarray) -> bytearray:

@@ -4,7 +4,11 @@ the exchange coupling from chevron data.
 All fits go through one damped Gauss-Newton (Levenberg-Marquardt) core
 with analytic Jacobians: deterministic, bounded at 200 iterations, step
 tolerance 1e-10. It runs a batch of problems in lockstep, each with its
-own damping and stopping test; a single fit is a batch of one. A damped
+own damping and stopping test; a single fit is a batch of one. While
+every problem of the batch runs, an iteration copies none of its
+residuals, Jacobians or parameters. A trace without uncertainties is
+fitted unweighted: no weight is multiplied into its residuals,
+Jacobians or seed. A damped
 cosine gets one start: its frequency from the periodogram peak of the
 mean-subtracted trace, which keeps low-signal data out of local minima,
 and its amplitude, phase and offset from an exact linear solve at that
@@ -34,8 +38,9 @@ MIN_POINTS = 8
 
 # peak bytes a sample of a batch of damped-cosine fits: the periodogram's 8×
 # zero-padded spectrum, then the lockstep solver's residuals, Jacobians and
-# their temporaries; 320-352 measured with every trace fitted (16-20,000 points)
-FIT_SAMPLE_BYTES = 384
+# their temporaries; 196-305 measured with every trace fitted, weighted or not
+# (tracemalloc, 1-1,000 traces of 16-20,000 points)
+FIT_SAMPLE_BYTES = 336
 
 # peak bytes a batch adds once: numpy loads numpy.fft on a process's first
 # periodogram, 1.19-1.30 MB above the samples' count (16-2,000 points measured)
@@ -204,31 +209,41 @@ def _levenberg_marquardt(residual_jac, p0: np.ndarray):
     converged = np.zeros(m, dtype=bool)
     accepted_any = np.zeros(m, dtype=bool)
     iterations = np.zeros(m, dtype=int)
-    diagonal = np.arange(k)
+    # the diagonal of a (k, k) matrix, as a slice of its k·k entries
+    diagonal = slice(None, None, k + 1)
     for it in range(1, MAX_ITERATIONS + 1):
-        iterations[run] = it
-        ja = jac[run]
+        # while every problem runs, its rows are the arrays themselves
+        every = run.size == m
+        at = slice(None) if every else run
+        iterations[at] = it
+        ja, ra, pa = (jac, r, p) if every else (jac[run], r[run], p[run])
         jtj = ja @ np.swapaxes(ja, 1, 2)
-        d = np.diagonal(jtj, axis1=1, axis2=2)
-        jtj[:, diagonal, diagonal] += lam[run, None] * np.where(d > 0, d, 1.0)
+        d = jtj.reshape(run.size, k * k)[:, diagonal]
+        d += lam[at, None] * np.where(d > 0, d, 1.0)
         # a singular member gets a NaN step, which no cost accepts
-        step, solved = _solve_each(jtj, -(ja @ r[run, :, None]))
+        step, solved = _solve_each(jtj, -(ja @ ra[:, :, None]))
         step = step[:, :, 0]
-        r_new, j_new = residual_jac(p[run] + step, run)
+        p_new = pa + step
+        r_new, j_new = residual_jac(p_new, run)
         c_new = (r_new * r_new).sum(axis=1)
-        better = c_new < cost[run]
-        rel = np.max(np.abs(step) / (np.abs(p[run]) + 1e-30), axis=1)
-        improvement = (cost[run] - c_new) / np.maximum(cost[run], 1e-300)
-        up = run[better]
-        p[up] += step[better]
-        r[up], jac[up], cost[up] = r_new[better], j_new[better], c_new[better]
-        lam[run] = np.where(better, np.maximum(lam[run] * 0.3, 1e-12), lam[run] * 10.0)
-        accepted_any[up] = True
+        c_run = cost[at]
+        better = c_new < c_run
+        rel = (np.abs(step) / (np.abs(pa) + 1e-30)).max(axis=1)
+        improvement = (c_run - c_new) / np.maximum(c_run, 1e-300)
+        if every and better.all():
+            p, r, jac, cost = p_new, r_new, j_new, c_new
+        else:
+            up = run[better]
+            p[up], r[up], jac[up], cost[up] = (
+                p_new[better], r_new[better], j_new[better], c_new[better])
+        damping = lam[at]
+        lam[at] = np.where(better, np.maximum(damping * 0.3, 1e-12), damping * 10.0)
+        accepted_any[at] |= better
         done = better & ((rel < STEP_TOL) | (improvement < 1e-12))
         # fully damped and no step helps: we are at a (possibly local)
         # optimum provided some progress was ever made
-        stuck = ~better & solved & (lam[run] > 1e12)
-        converged[run] = done | stuck & (accepted_any[run] | (cost[run] < 1e-30))
+        stuck = ~better & solved & (lam[at] > 1e12)
+        converged[at] = done | stuck & (accepted_any[at] | (cost[at] < 1e-30))
         run = run[~(done | stuck)]
         if not run.size:
             break
@@ -236,8 +251,9 @@ def _levenberg_marquardt(residual_jac, p0: np.ndarray):
     dof = max(n - k, 1)
     rms = np.sqrt(cost / n)
     jtj = jac @ np.swapaxes(jac, 1, 2)
-    dead = np.diagonal(jtj, axis1=1, axis2=2) == 0
-    jtj[:, diagonal, diagonal] += dead
+    d = jtj.reshape(m, k * k)[:, diagonal]
+    dead = d == 0
+    d += dead
     inv, _ = _solve_each(jtj, np.broadcast_to(np.eye(k), (m, k, k)))
     cov = (cost / dof)[:, None, None] * inv
     sigma = np.sqrt(np.clip(np.diagonal(cov, axis1=1, axis2=2), 0.0, None))
@@ -251,7 +267,8 @@ def _is_flat(y: np.ndarray) -> np.ndarray:
 
 
 def _weighted(trace: TimeTrace):
-    w = 1.0 / trace.uncertainty if trace.uncertainty is not None else np.ones_like(trace.values)
+    """Times, values and weights of a trace; weights None when it has no uncertainties."""
+    w = None if trace.uncertainty is None else 1.0 / trace.uncertainty
     return trace.times_ns, trace.values, w
 
 
@@ -277,9 +294,18 @@ def fit_exp_decay(trace: TimeTrace) -> FitOutcome:
         a, log_t, c = p.T[:, :, None]
         tau = np.exp(np.clip(log_t, LOG_TAU_MIN, LOG_TAU_MAX))
         e = np.exp(-elapsed / tau)
-        r = (a * e + c - y) * w
+        jac = np.empty((len(rows), 3, t.size))
+        jac[:, 0] = e
+        ae = np.multiply(a, e, out=jac[:, 1])
+        r = ae + c - y
         # d/d(logT) by the chain rule
-        return r, np.stack([e * w, a * e * elapsed / tau * w, np.broadcast_to(w, r.shape)], axis=1)
+        ae *= elapsed
+        ae /= tau
+        jac[:, 2] = 1.0
+        if w is not None:
+            r *= w
+            jac *= w
+        return r, jac
 
     p, sig, rms, conv, it = _levenberg_marquardt(rj, [[a0, math.log(t0_seed), c0]])
     a, log_t, c = p[0]
@@ -304,12 +330,19 @@ def _periodogram_peaks(t: np.ndarray, y: np.ndarray):
     dt = float(np.mean(np.diff(t)))
     z = y - y.mean(axis=1, keepdims=True)
     n_fft = 8 * t.size
-    spec = np.abs(np.fft.rfft(z, n=n_fft, axis=1)) ** 2
+    spec = np.abs(np.fft.rfft(z, n=n_fft, axis=1))
+    np.square(spec, out=spec)
     freqs = np.fft.rfftfreq(n_fft, d=dt)
     spec[:, 0] = 0.0
     k = np.argmax(spec, axis=1)
-    median = np.median(spec[:, 1:], axis=1)
-    return freqs[k], spec[np.arange(len(y)), k], median, float(freqs[-1])
+    peak = spec[np.arange(len(y)), k]
+    # np.median of the 4·t.size powers above 0, the mean of the two middle
+    # ranks: one partition in place at the lower (numpy selects one rank far
+    # faster than two), the upper the least power above it
+    power, h = spec[:, 1:], 2 * t.size
+    power.partition(h - 1, axis=1)
+    median = (power[:, h - 1] + power[:, h:].min(axis=1)) / 2.0
+    return freqs[k], peak, median, float(freqs[-1])
 
 
 _COSINE_PARAMS = ("amplitude", "frequency_per_ns", "phase_rad", "decay_time_ns", "offset")
@@ -323,8 +356,9 @@ def require_fits_memory(n_traces: int, n_points: int) -> None:
                    f"damped-cosine fits of {n_traces} trace(s) of {n_points} points")
 
 
-def _fit_damped_cosines(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> list:
-    """Damped-cosine fits of the rows of y (traces on the grid t, weights w), in lockstep.
+def _fit_damped_cosines(t: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> list:
+    """Damped-cosine fits of the rows of y (traces on the grid t, weights w or
+    unweighted), in lockstep.
 
     Each row gets what :func:`fit_damped_cosine` gives that trace alone:
     a FitOutcome, or the FitError that rejects it. A batch whose
@@ -358,14 +392,22 @@ def _fit_damped_cosines(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> list:
     if not rows.size:
         return outcomes
 
-    y, w, f_seed = y[rows], w[rows], f_seed[rows]
+    if rows.size < len(y):
+        y, f_seed = y[rows], f_seed[rows]
+        w = None if w is None else w[rows]
     elapsed = t - t[0]
     tau0 = window  # weak-damping seed; the solver shrinks it as needed
     e0, arg0 = np.exp(-elapsed / tau0), (2.0 * math.pi * f_seed)[:, None] * t
-    basis = np.stack([e0 * np.cos(arg0), e0 * np.sin(arg0), np.ones_like(arg0)], axis=1)
-    basis *= w[:, None, :]
+    basis = np.empty((rows.size, 3, t.size))
+    np.multiply(e0, np.cos(arg0), out=basis[:, 0])
+    np.multiply(e0, np.sin(arg0), out=basis[:, 1])
+    basis[:, 2] = 1.0
+    yw = y
+    if w is not None:
+        basis *= w[:, None, :]
+        yw = y * w
     u, v, c0 = np.linalg.solve(
-        basis @ np.swapaxes(basis, 1, 2), basis @ (y * w)[:, :, None]
+        basis @ np.swapaxes(basis, 1, 2), basis @ yw[:, :, None]
     )[:, :, 0].T
 
     def rj(p, sub):
@@ -374,18 +416,32 @@ def _fit_damped_cosines(t: np.ndarray, y: np.ndarray, w: np.ndarray) -> list:
         e = np.exp(-elapsed / tau)
         arg = 2.0 * math.pi * f * t + phi
         cos_, sin_ = np.cos(arg), np.sin(arg)
-        ws = w[sub]
+        # the solver asks for a subset of the rows in order, so all of them
+        # when it asks for as many
+        ys = y if sub.size == len(y) else y[sub]
+        jac = np.empty((sub.size, 5, t.size))
+        d_a, d_f, d_phi, d_tau, d_c = jac.swapaxes(0, 1)  # views, one per parameter
         ae = a * e
-        aec, aes = ae * cos_, -ae * sin_
+        aec = ae * cos_
+        np.multiply(e, cos_, out=d_a)
+        np.multiply(ae, sin_, out=d_phi)
+        np.negative(d_phi, out=d_phi)
+        np.multiply(d_phi, 2.0 * math.pi, out=d_f)
+        d_f *= t
         # the model does not move with log τ once the clamp holds it
         free = (log_tau > LOG_TAU_MIN) & (log_tau < LOG_TAU_MAX)
-        jac = np.stack(
-            [e * cos_, aes * (2.0 * math.pi) * t, aes, aec * elapsed / tau * free,
-             np.ones_like(e)],
-            axis=1,
-        )
-        jac *= ws[:, None]
-        return (aec + c - y[sub]) * ws, jac
+        np.multiply(aec, elapsed, out=d_tau)
+        d_tau /= tau
+        d_tau *= free
+        d_c[...] = 1.0
+        r = aec
+        r += c
+        r -= ys
+        if w is not None:
+            ws = w if sub.size == len(w) else w[sub]
+            r *= ws
+            jac *= ws[:, None]
+        return r, jac
 
     p0 = np.stack([np.hypot(u, v), f_seed, np.arctan2(-v, u),
                    np.full(rows.size, math.log(tau0)), c0], axis=1)
@@ -423,7 +479,7 @@ def fit_damped_cosine(trace: TimeTrace) -> FitOutcome:
     uniform sampling: steps may differ by at most ``errors.GRID_TOL_NS``.
     """
     t, y, w = _weighted(trace)
-    out = _fit_damped_cosines(t, y[None], w[None])[0]
+    out = _fit_damped_cosines(t, y[None], None if w is None else w[None])[0]
     if isinstance(out, FitError):
         raise out
     return out
@@ -447,19 +503,20 @@ class ChevronCouplingFit:
     column_freqs_mhz: dict[float, float] = field(default_factory=dict)
     rejected_columns: dict[float, str] = field(default_factory=dict)
 
+    def to_dict(self) -> dict:
+        """Every serialized field by name, a column frequency keyed by its ``:g`` detuning."""
+        return {
+            "g_mhz": self.g_mhz,
+            "resonance_offset_mhz": self.resonance_offset_mhz,
+            "below_floor": self.below_floor,
+            "floor_mhz": self.floor_mhz,
+            "n_detected": self.n_detected,
+            "column_freqs_mhz": {f"{k:g}": v for k, v in sorted(self.column_freqs_mhz.items())},
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "g_mhz": self.g_mhz,
-                "resonance_offset_mhz": self.resonance_offset_mhz,
-                "below_floor": self.below_floor,
-                "floor_mhz": self.floor_mhz,
-                "n_detected": self.n_detected,
-                "column_freqs_mhz": {f"{k:g}": v for k, v in sorted(self.column_freqs_mhz.items())},
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+        """JSON of :meth:`to_dict`."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 MIN_DETECTED_COLUMNS = 5
@@ -486,7 +543,7 @@ def geff_from_chevron(chevron) -> ChevronCouplingFit:
     floor_mhz = 1.0 / window * 1e3
     freqs: dict[float, float] = {}
     rejected: dict[float, str] = {}
-    outcomes = _fit_damped_cosines(taus, p1, np.ones_like(p1))
+    outcomes = _fit_damped_cosines(taus, p1)
     for det, out in zip(chevron.detunings_mhz.tolist(), outcomes):
         if isinstance(out, FitError):
             rejected[det] = str(out)

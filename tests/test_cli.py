@@ -551,7 +551,7 @@ def test_geff_peaks_within_its_count_and_is_refused_before_allocating(tmp_path, 
 
 def test_chevron_fits_over_the_limit_exit_2(tmp_path, monkeypatch, capsys):
     # 11 columns of 4,001 τ values: the propagation's own count fits in 10 MiB,
-    # the fits' 384 bytes a cell and 1.5 MiB (18 MiB) do not; they are refused
+    # the fits' 336 bytes a cell and 1.5 MiB (16 MiB) do not; they are refused
     # from the grid sizes, before anything is propagated, and nothing is written
     from dresq import dynamics, errors
 
@@ -560,7 +560,7 @@ def test_chevron_fits_over_the_limit_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(errors, "MEMORY_LIMIT", 10 * 2**20)
     out = tmp_path / "c"
     assert run(["chevron", "--detuning-points", 11, "--tau-points", 4001, "--out", out]) == 2
-    assert "damped-cosine fits of 11 trace(s) of 4001 points needs 18 MiB" in (
+    assert "damped-cosine fits of 11 trace(s) of 4001 points needs 16 MiB" in (
         capsys.readouterr().err)
     assert propagated == [] and not out.exists()
 

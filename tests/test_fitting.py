@@ -349,6 +349,58 @@ def test_stacked_damped_cosine_fits_equal_each_row_alone(rows, n, seed):
             assert _same(out.sigmas[key], alone.sigmas[key]), key
 
 
+@pytest.mark.parametrize("model", ["exp", "cosine"])
+@pytest.mark.parametrize("n", [40, 201])
+def test_unweighted_fit_equals_the_fit_with_unit_uncertainties(model, n):
+    # a trace without uncertainties multiplies no weights into its fit; the
+    # weighted path with every weight 1.0 must give the same bytes
+    t = np.linspace(0.0, 1000.0, n)
+    noise = 0.02 * np.random.default_rng(n).standard_normal(n)
+    if model == "exp":
+        fit, y = fit_exp_decay, 0.6 * np.exp(-t / 300.0) + 0.1 + noise
+    else:
+        fit = fit_damped_cosine
+        y = 0.4 * np.exp(-t / 800.0) * np.cos(2 * math.pi * 0.011 * t + 0.4) + 0.5 + noise
+    unweighted = fit(TimeTrace(t, y))
+    assert unweighted.to_json() == fit(TimeTrace(t, y, np.ones(n))).to_json()
+
+
+@pytest.mark.parametrize("n", [8, 9, 201])
+def test_periodogram_median_is_numpy_median_of_the_powers_above_0(n):
+    # the noise floor is selected in place, not taken by np.median: it must
+    # be np.median's value bit for bit, ties and repeated powers included
+    t = np.arange(float(n))
+    rng = np.random.default_rng(n)
+    y = np.vstack([rng.standard_normal((3, n)), np.cos(2 * math.pi * 0.125 * t),
+                   np.round(rng.standard_normal(n)), np.full(n, 0.3)])
+    spec = np.abs(np.fft.rfft(y - y.mean(axis=1, keepdims=True), n=8 * n, axis=1)) ** 2
+    median = fitting._periodogram_peaks(t, y)[2]
+    assert median.tobytes() == np.median(spec[:, 1:], axis=1).tobytes()
+
+
+def test_chevron_column_fits_in_one_batch_equal_each_column_alone():
+    # at 4.593 GHz every fitted column runs 4 iterations together, the
+    # batch shrinks as columns stop (some steps rejected), and one column
+    # runs alone to its 12th: each must end bit for bit where it ends alone
+    chev = vacuum_rabi_chevron(
+        DeviceParams(), BIAS, 4.593, np.linspace(-20, 20, 41), np.linspace(0, 2000, 201),
+        prep_to_readout_ns=2500.0,
+    )
+    batch = fitting._fit_damped_cosines(chev.taus_ns, chev.p1)
+    iterations = sorted(out.n_iterations for out in batch if not isinstance(out, FitError))
+    assert iterations[-1] == 12 and 4 <= iterations[0] and iterations[-2] <= 7
+    for column, out in zip(chev.p1, batch):
+        try:
+            alone = fit_damped_cosine(TimeTrace(chev.taus_ns, column))
+        except FitError as exc:
+            assert isinstance(out, FitError) and str(out) == str(exc)
+            continue
+        # repr round-trips a float, so equal JSON is equal bits (and a sigma
+        # written as null is infinite on both sides)
+        assert out.to_json() == alone.to_json()
+        assert out.sigmas == alone.sigmas
+
+
 @pytest.mark.parametrize("offset, decay_ns", [(0.0, math.inf), (0.2, 100.0)])
 def test_damped_cosine_refuses_a_peak_at_nyquist(offset, decay_ns):
     # (-1)^k: amplitude and phase cannot be told apart at the Nyquist frequency
