@@ -10,11 +10,15 @@ a batch of points, and each slice of at most STACK_SLICE_BYTES of it is
 one call of ``eigh`` (a spectrum, whose labels read eigenvectors) or
 ``eigvalsh``. A gap of any two modes needs only the odd block, which holds
 every single excitation, and its eigenvalues: the bare energies fix the
-level pair. One scan, with one solver that fixes the model, its odd block
-and the tracked states, locates every gap: a qubit is swept over the
-qubit-2 setpoint ± 20 MHz or a resonator ± 50 MHz, bracketed by a 5-point
-grid, one such stack, and the minimum located by a few parabolic vertex
-steps on the squared separation, one point each. The co-tuned half gap
+level pair. One locator, with one solver that fixes the model, its odd
+block and the tracked states, locates every gap of a call: a qubit is swept
+over a window, the qubit-2 setpoint ± 20 MHz or a resonator ± 50 MHz,
+bracketed by a 5-point grid, and the minimum located by a few parabolic
+vertex steps on the squared separation. The scans of all windows of a call
+advance in lockstep rounds: the coarse grids are one such stack, and each
+round the vertices of every scan still running are one more, so two
+setpoints at 3⁴ take 4-6 solver calls, where one scan after the other took
+8-10, and each scan's result is bit for bit its own. The co-tuned half gap
 takes an array of points, where the odd block of a device whose qubits
 have equal dimensions and enter it alike (the default device) splits into
 the two sectors of the qubit exchange, symmetric and antisymmetric, 26 and
@@ -64,6 +68,13 @@ GAP_LOCATION_RESOLUTION = 1e-9
 # half width (GHz) of a qubit-resonator gap scan about the resonator: 3 vertex
 # steps for the default 54-60 MHz gaps at 3^4, where ± 90 MHz took 5-8
 RESONATOR_GAP_HALF_SPAN = 0.050
+
+# peak bytes a setpoint adds to gap_vs_setpoint beyond one solver slice: its
+# window, its coarse grid points, separations and pairs in the lockstep's
+# stack, its three held points and its result hold 1,315-1,330 bytes at
+# 10,000-40,000 admitted 3^4 setpoints, a setpoint refused near a resonator
+# 177 (tracemalloc)
+GAP_SETPOINT_BYTES = 1536
 
 # most bytes of one slice at two n x n arrays a member, what an eigh call
 # holds (block and eigenvectors); an eigvalsh slice holds half of it. A
@@ -278,54 +289,81 @@ def _separation_solver(params: DeviceParams, space: HilbertSpace, modes=(2, 3)):
     return solve
 
 
-def _min_separation(params: DeviceParams, space: HilbertSpace, modes, swept_qubit: int,
-                    parked_ghz: float, lo: float, hi: float) -> GapResult:
-    """Minimum separation of the levels of ``modes`` as qubit ``swept_qubit``
-    sweeps (lo, hi), the other parked at ``parked_ghz``.
+def _min_separations(params: DeviceParams, space: HilbertSpace, modes, swept_qubit: int,
+                     windows) -> list[GapResult | str]:
+    """Minimum separation of the levels of ``modes`` in each of ``windows``,
+    as qubit ``swept_qubit`` sweeps the window (parked, lo, hi) and the other
+    qubit is parked at ``parked``.
 
-    A coarse grid of GAP_GRID points brackets the minimum; it is one stack of
-    odd-block Hamiltonians, diagonalized in slices of at most
-    STACK_SLICE_BYTES. Near an anti-crossing sep² is very nearly a parabola
-    in the swept frequency, so three points are held, the grid minimum and
-    its two neighbours, and at most GAP_VERTEX_STEPS parabolic steps follow
-    (Brent 1973). Each evaluates the vertex of the parabola through the held
-    points on sep², a stack of one, and its point replaces the worst held
-    point when it beats it, so the best three of four are kept. The steps
-    stop when the held points do not open upwards or their vertex leaves the
-    window, when the vertex lies within GAP_LOCATION_RESOLUTION of a held
-    point, or when a step beats none of them; the best point held is
-    returned, its location the swept qubit's frequency. A minimum on the
-    window's edge raises PhysicsError.
+    All scans share one solver and advance in lockstep. The coarse grids,
+    GAP_GRID points a window, are one stack of odd-block Hamiltonians,
+    diagonalized in slices of at most STACK_SLICE_BYTES; a grid minimum on
+    its window's edge ends that scan with an error. Near an anti-crossing
+    sep² is very nearly a parabola in the swept frequency, so each scan
+    holds three points, its grid minimum and the two neighbours, and takes
+    at most GAP_VERTEX_STEPS parabolic steps (Brent 1973). In each round
+    every scan still running takes the vertex of the parabola through its
+    held points on sep², and all those vertices are one more stack; a
+    vertex's point replaces its scan's worst held point when it beats it, so
+    the best three of four are kept. A scan stops when its held points do
+    not open upwards or their vertex leaves the window, when the vertex lies
+    within GAP_LOCATION_RESOLUTION of a held point, or when a step beats
+    none of them. Each scan takes the points and stops it would take alone,
+    so its result is bit for bit the one-window scan's, and any number of
+    windows takes at most 1 + GAP_VERTEX_STEPS solver calls. Returns, in the
+    order of ``windows``, the best point held as a GapResult, its location
+    the swept qubit's frequency, or the message of the scan's PhysicsError.
     """
+    if not windows:
+        return []
     solve = _separation_solver(params, space, modes)
 
-    def separations(swept):
-        parked = np.full(len(swept), parked_ghz)
+    def separations(swept, parked):
         return solve(*((swept, parked) if swept_qubit == 1 else (parked, swept)))
 
-    grid = np.linspace(lo, hi, GAP_GRID)
-    seps, pairs = separations(grid)
-    i_min = int(np.argmin(seps))
-    if i_min in (0, GAP_GRID - 1):
-        raise PhysicsError(
-            "minimum separation sits at a sweep endpoint: bracket too narrow"
-        )
-    # (location, separation, pair) of the three held points, best first; in
-    # an admitted window no two share a location, so the parabola through
-    # them is defined
-    held = sorted(zip(grid[i_min - 1 : i_min + 2], seps[i_min - 1 : i_min + 2],
-                      pairs[i_min - 1 : i_min + 2]), key=lambda p: p[1])
+    grids = np.concatenate([np.linspace(lo, hi, GAP_GRID) for _, lo, hi in windows])
+    seps, pairs = separations(grids, np.repeat([parked for parked, _, _ in windows], GAP_GRID))
+    outcomes: list[GapResult | str] = (
+        ["minimum separation sits at a sweep endpoint: bracket too narrow"] * len(windows))
+    # (location, separation, pair) of each bracketed scan's three held
+    # points, best first; in an admitted window no two share a location, so
+    # the parabola through them is defined
+    held = {}
+    for k in range(len(windows)):
+        i_min = int(np.argmin(seps[k * GAP_GRID : (k + 1) * GAP_GRID]))
+        if 0 < i_min < GAP_GRID - 1:
+            near = slice(k * GAP_GRID + i_min - 1, k * GAP_GRID + i_min + 2)
+            held[k] = sorted(zip(grids[near].tolist(), seps[near].tolist(),
+                                 pairs[near].tolist()), key=lambda p: p[1])
+    running = list(held)
     for _ in range(GAP_VERTEX_STEPS):
-        loc = _parabola_vertex(*((x, s * s) for x, s, _ in held))
-        found = min(abs(loc - x) for x, _, _ in held) <= GAP_LOCATION_RESOLUTION
-        if found or not lo < loc < hi:
+        steps = []
+        for k in running:
+            loc = _parabola_vertex(*((x, s * s) for x, s, _ in held[k]))
+            found = min(abs(loc - x) for x, _, _ in held[k]) <= GAP_LOCATION_RESOLUTION
+            _, lo, hi = windows[k]
+            if not found and lo < loc < hi:
+                steps.append((k, loc))
+        if not steps:
             break
-        sep, pair = separations(np.array([loc]))
-        if not sep[0] < held[2][1]:
-            break
-        held = sorted(held[:2] + [(loc, sep[0], pair[0])], key=lambda p: p[1])
-    loc, sep_min, pair = held[0]
-    return GapResult(float(sep_min * 1e3), float(loc), tuple(pair.tolist()))
+        sep, pair = separations(np.array([loc for _, loc in steps]),
+                                np.array([windows[k][0] for k, _ in steps]))
+        running = []
+        for (k, loc), sep_k, pair_k in zip(steps, sep.tolist(), pair.tolist()):
+            if sep_k < held[k][2][1]:
+                held[k] = sorted(held[k][:2] + [(loc, sep_k, pair_k)], key=lambda p: p[1])
+                running.append(k)
+    for k, points in held.items():
+        loc, sep_min, pair = points[0]
+        outcomes[k] = GapResult(sep_min * 1e3, loc, tuple(pair))
+    return outcomes
+
+
+def _gap_or_raise(outcome: GapResult | str) -> GapResult:
+    """A one-window scan's GapResult, or its error raised as PhysicsError."""
+    if isinstance(outcome, str):
+        raise PhysicsError(outcome)
+    return outcome
 
 
 def _require_gap_setpoint(qubit2_freq) -> float:
@@ -346,14 +384,28 @@ def _require_gap_setpoint(qubit2_freq) -> float:
     return qubit2_freq
 
 
+def _qubit_qubit_window(params: DeviceParams, qubit2_freq: float) -> tuple[float, float, float]:
+    """The scan window (qubit2_freq, lo, hi) of an admitted setpoint: qubit 1
+    sweeps the setpoint ± GAP_HALF_SPAN. PhysicsError when the setpoint or
+    either end of the window lies within 3·g_max of a resonator."""
+    _require_resonator_clearance(params, qubit2_freq, "qubit-2 setpoint")
+    lo, hi = qubit2_freq - GAP_HALF_SPAN, qubit2_freq + GAP_HALF_SPAN
+    for f1 in (lo, hi):
+        _require_resonator_clearance(params, f1, "sweep endpoint")
+    return qubit2_freq, lo, hi
+
+
 def qubit_qubit_gap(params: DeviceParams, qubit2_freq: float, space: HilbertSpace) -> GapResult:
     """Anti-crossing gap between the two qubit-like dressed levels.
 
     Qubit 2 is parked at ``qubit2_freq`` and qubit 1 swept over the setpoint
     ± GAP_HALF_SPAN; the minimum separation of the qubit pair of odd-block
     levels (ranked by the bare energies, see :func:`_separation_solver`) is
-    located by :func:`_min_separation`. Half the gap estimates the effective
-    qubit-qubit coupling magnitude.
+    located by :func:`_min_separations`, a scan of one window. The gap is
+    the full 2|g_eff| splitting: half of it estimates the effective
+    qubit-qubit coupling magnitude. On the default device at 3⁴ and
+    setpoints 4.58-4.68 GHz the gap lies 0.16-0.24 % below twice
+    :func:`cotuned_half_gap` at the setpoint, and never above it.
 
     A setpoint that is text, a bool or not finite, whose window reaches
     0 GHz, or too large for float64 to resolve GAP_LOCATION_RESOLUTION in
@@ -361,12 +413,8 @@ def qubit_qubit_gap(params: DeviceParams, qubit2_freq: float, space: HilbertSpac
     resonator, or whose window ends there, and a minimum on the window's
     edge with PhysicsError.
     """
-    qubit2_freq = _require_gap_setpoint(qubit2_freq)
-    _require_resonator_clearance(params, qubit2_freq, "qubit-2 setpoint")
-    lo, hi = qubit2_freq - GAP_HALF_SPAN, qubit2_freq + GAP_HALF_SPAN
-    for f1 in (lo, hi):
-        _require_resonator_clearance(params, f1, "sweep endpoint")
-    return _min_separation(params, space, (2, 3), 1, qubit2_freq, lo, hi)
+    window = _qubit_qubit_window(params, _require_gap_setpoint(qubit2_freq))
+    return _gap_or_raise(*_min_separations(params, space, (2, 3), 1, [window]))
 
 
 def qubit_resonator_gap(params: DeviceParams, qubit: int, resonator: str,
@@ -374,11 +422,12 @@ def qubit_resonator_gap(params: DeviceParams, qubit: int, resonator: str,
     """Anti-crossing gap, about twice their coupling, of qubit 1 or 2 and resonator 'a' or 'b'.
 
     The qubit is swept over the resonator ± RESONATOR_GAP_HALF_SPAN, the other
-    parked at its sweet spot ``qubit_max_freq_*``, and :func:`_min_separation`
-    locates the gap of the two modes' levels. Another qubit or resonator, and
-    a parked qubit or a window at or below 0 GHz, are refused with
-    ConfigError before anything is built; a parked qubit within 3·g_max of a
-    resonator, and a minimum on the window's edge, with PhysicsError.
+    parked at its sweet spot ``qubit_max_freq_*``, and :func:`_min_separations`
+    locates the gap of the two modes' levels in a scan of one window.
+    Another qubit or resonator, and a parked qubit or a window at or below
+    0 GHz, are refused with ConfigError before anything is built; a parked
+    qubit within 3·g_max of a resonator, and a minimum on the window's edge,
+    with PhysicsError.
     """
     qubit = require_count(qubit, "qubit", 1)
     if qubit > 2:
@@ -392,7 +441,8 @@ def qubit_resonator_gap(params: DeviceParams, qubit: int, resonator: str,
     lo = require_number(f_res - RESONATOR_GAP_HALF_SPAN,
                         f"the lower end of the scan about resonator {resonator}", positive=True)
     modes = (MODE_NAMES.index(resonator), MODE_NAMES.index(f"q{qubit}"))
-    return _min_separation(params, space, modes, qubit, parked, lo, f_res + RESONATOR_GAP_HALF_SPAN)
+    window = (parked, lo, f_res + RESONATOR_GAP_HALF_SPAN)
+    return _gap_or_raise(*_min_separations(params, space, modes, qubit, [window]))
 
 
 def _parabola_vertex(a, b, c) -> float:
@@ -412,7 +462,15 @@ def _parabola_vertex(a, b, c) -> float:
 def gap_vs_setpoint(
     params: DeviceParams, setpoints, space: HilbertSpace
 ) -> tuple[list[GapResult | None], list[str | None]]:
-    """Map qubit_qubit_gap over a list of qubit-2 setpoints.
+    """qubit_qubit_gap at each of a list of qubit-2 setpoints, all scans in lockstep.
+
+    The scans of the admitted setpoints share one solver and advance in
+    rounds (:func:`_min_separations`): one stack holds every coarse grid,
+    and each round one more stack holds the parabolic vertex of every scan
+    still running, so any number of setpoints takes at most
+    1 + GAP_VERTEX_STEPS solver calls, two setpoints at 3⁴ 4-6 where one
+    scan after the other took 8-10. Each setpoint's result and error are
+    bit for bit those of qubit_qubit_gap at it alone.
 
     A setpoint's PhysicsError (a resonator too close, a bracket too
     narrow) is collected, not fatal: the first return list holds a
@@ -420,9 +478,11 @@ def gap_vs_setpoint(
     Setpoints that are not a list of numbers (a single number or a string),
     and a setpoint that qubit_qubit_gap refuses as malformed (text, a bool,
     NaN, infinite, a scan window reaching 0 GHz, or above 2²³ GHz), raise
-    ConfigError before any setpoint is scanned. Every setpoint is checked
-    by then, so a ConfigError while scanning (a model too large for memory)
-    is the configuration's fault and is raised, not collected.
+    ConfigError before any setpoint is scanned, and so do more setpoints
+    than GAP_SETPOINT_BYTES each fit in ``errors.MEMORY_LIMIT``. Every
+    setpoint is checked by then, so a ConfigError while scanning (a model
+    too large for memory) is the configuration's fault and is raised, not
+    collected.
     """
     try:
         if isinstance(setpoints, (str, bytes, bytearray)):
@@ -433,16 +493,20 @@ def gap_vs_setpoint(
             f"qubit-2 setpoints must be a list of numbers, got {setpoints!r}"
         ) from None
     setpoints = [_require_gap_setpoint(f2) for f2 in setpoints]
-    results: list[GapResult | None] = []
-    errors: list[str | None] = []
-    for f2 in setpoints:
+    require_memory(GAP_SETPOINT_BYTES * len(setpoints), f"gap scans at {len(setpoints)} setpoints")
+    outcomes: list[GapResult | str | None] = []
+    windows = {}
+    for k, f2 in enumerate(setpoints):
         try:
-            results.append(qubit_qubit_gap(params, f2, space))
-            errors.append(None)
+            windows[k] = _qubit_qubit_window(params, f2)
+            outcomes.append(None)
         except PhysicsError as exc:
-            results.append(None)
-            errors.append(str(exc))
-    return results, errors
+            outcomes.append(str(exc))
+    for k, outcome in zip(windows, _min_separations(params, space, (2, 3), 1,
+                                                    list(windows.values()))):
+        outcomes[k] = outcome
+    return ([None if isinstance(o, str) else o for o in outcomes],
+            [o if isinstance(o, str) else None for o in outcomes])
 
 
 def cotuned_half_gap(params: DeviceParams, freqs, space: HilbertSpace) -> np.ndarray:

@@ -17,6 +17,8 @@ import pytest
 
 from dresq.cli import main
 from dresq.device import DeviceParams
+from dresq.errors import ConfigError
+from dresq.fock import HilbertSpace
 
 
 def run(args):
@@ -547,6 +549,36 @@ def test_geff_peaks_within_its_count_and_is_refused_before_allocating(tmp_path, 
     assert f"a --points grid of {points + 1} points needs" in capsys.readouterr().err
     assert halves == [points] and peak < 2**20
     assert not (tmp_path / "h").exists()
+
+
+def test_gapscan_peaks_within_its_count_and_is_refused_before_building(tmp_path, monkeypatch,
+                                                                      capsys):
+    # the lockstep holds each setpoint's grid points, separations, pairs, held
+    # points and result; beyond one solver slice its peak is within the
+    # count, and one setpoint more than the limit holds is refused before any
+    # solver is built
+    from dresq import errors, spectroscopy
+
+    p, space = DeviceParams(), HilbertSpace((3, 3, 3, 3))
+    setpoints = np.linspace(4.58, 4.68, 500).tolist()
+    spectroscopy.gap_vs_setpoint(p, setpoints[:1], space)  # the model is built and kept
+    tracemalloc.start()
+    try:
+        _, gap_errors = spectroscopy.gap_vs_setpoint(p, setpoints, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gap_errors == [None] * len(setpoints)
+    limit = spectroscopy.GAP_SETPOINT_BYTES * len(setpoints)
+    assert peak <= limit + spectroscopy.STACK_SLICE_BYTES
+    built = []
+    monkeypatch.setattr(spectroscopy, "_separation_solver", lambda *a: built.append(a))
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
+    with pytest.raises(ConfigError, match=f"gap scans at {len(setpoints) + 1} setpoints needs"):
+        spectroscopy.gap_vs_setpoint(p, setpoints + [4.60], space)
+    assert run(["gapscan", "--setpoints", *setpoints, 4.60, "--out", tmp_path / "g"]) == 2
+    assert f"gap scans at {len(setpoints) + 1} setpoints needs" in capsys.readouterr().err
+    assert built == [] and not (tmp_path / "g").exists()
 
 
 def test_chevron_fits_over_the_limit_exit_2(tmp_path, monkeypatch, capsys):

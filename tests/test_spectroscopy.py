@@ -570,9 +570,18 @@ def test_gap_work_is_the_coarse_grid_and_the_step_cap(monkeypatch):
     qubit_qubit_gap(DeviceParams(), 4.60, space=SPACE)
     assert members[0] == spectroscopy.GAP_GRID
     assert sum(members) <= cap
+    # the scans of a call advance in lockstep: one stack of every coarse grid,
+    # then one stack a round of the vertices of the scans still running
+    rounds = 1 + spectroscopy.GAP_VERTEX_STEPS
     members.clear()
     gap_vs_setpoint(DeviceParams(), [4.58, 4.63], SPACE)
+    assert members[0] == 2 * spectroscopy.GAP_GRID
+    assert len(members) <= rounds and max(members[1:]) <= 2
     assert sum(members) <= 2 * cap
+    members.clear()
+    _, errors = gap_vs_setpoint(DeviceParams(), np.linspace(4.58, 4.68, 12), SPACE)
+    assert errors == [None] * 12
+    assert members[0] == 12 * spectroscopy.GAP_GRID and len(members) <= rounds
 
 
 @pytest.mark.parametrize("dims", [(3, 3, 3, 3), (4, 4, 4, 4)])
@@ -598,12 +607,56 @@ def test_gap_scans_equal_each_point_diagonalized_alone(monkeypatch, dims):
     monkeypatch.setattr(spectroscopy, "_separation_solver",
                         lambda *args: made.append(args) or separations_alone(*args))
     alone = scans(lambda p, f, space: 0.5 * separations_alone(p, space)(f, f)[0] * 1e3)
-    assert len(made) == 6  # three scans, three of the four setpoints
+    assert len(made) == 4  # three one-window scans, one lockstep of the four setpoints
     for mine, ref in zip(prepared[:3], alone[:3]):
         assert fields(mine) == fields(ref)
     assert [fields(g) for g in prepared[3][0]] == [fields(g) for g in alone[3][0]]
     assert prepared[3][1] == alone[3][1] and prepared[3][1][2] is not None
     assert np.all(np.abs(prepared[4] - alone[4]) <= half_gap_bound(p, space, freqs))
+
+
+BRACKET_TOO_NARROW = DeviceParams(g_a1=0, g_a2=0.1, g_b1=0, g_b2=0, g_12=0.003,
+                                  resonator_freq_b=6.0)
+
+
+# 4.58 and 4.675 take 5 and 6 vertex steps at 3^4, 6 and 5 at 4^4, 4.60 and 4.63
+# take 3 and 2, and 4.47 is refused for resonator clearance; a budget of
+# three members splits the coarse stack and the rounds of four vertices
+# across slices; on the device of test_gap_bracket_too_narrow 4.80 fails
+# on its bracket and 5.2 is located
+@pytest.mark.parametrize("params, dims, setpoints, slice_members", [
+    (DeviceParams(), (3, 3, 3, 3), [4.58, 4.60, 4.47, 4.63, 4.675], None),
+    (DeviceParams(), (4, 4, 4, 4), [4.58, 4.60, 4.47, 4.63, 4.675], None),
+    (DeviceParams(), (3, 3, 3, 3), [4.58, 4.60, 4.47, 4.63, 4.675], 3),
+    (BRACKET_TOO_NARROW, (2, 2, 2, 2), [4.80, 5.2], None),
+], ids=["3^4", "4^4", "3^4-sliced", "bracket-too-narrow"])
+def test_lockstep_gaps_equal_each_setpoint_alone(monkeypatch, params, dims, setpoints,
+                                                 slice_members):
+    space = HilbertSpace(dims)
+    alone = []
+    for setpoint in setpoints:
+        try:
+            alone.append((qubit_qubit_gap(params, setpoint, space), None))
+        except PhysicsError as exc:
+            alone.append((None, str(exc)))
+    if slice_members:
+        odd = device_model(params, space, True).odd.size
+        monkeypatch.setattr(spectroscopy, "STACK_SLICE_BYTES", slice_members * 2 * 8 * odd**2)
+    results, errors = gap_vs_setpoint(params, setpoints, space)
+    assert list(zip(results, errors)) == alone
+    assert any(e is None for e in errors) and any(e is not None for e in errors)
+
+
+def test_gap_scan_measures_the_full_2j_splitting():
+    # the qubit-qubit gap is the whole splitting 2|g_eff| of the qubit pair,
+    # not |g_eff|: at each setpoint it lies within 0.5 % below twice the
+    # co-tuned half gap at the same frequency (0.16-0.24 % at 3^4)
+    p = DeviceParams()
+    setpoints = [4.58, 4.60, 4.62, 4.64, 4.66, 4.68]
+    results, errors = gap_vs_setpoint(p, setpoints, SPACE)
+    assert errors == [None] * len(setpoints)
+    for result, half_gap in zip(results, cotuned_half_gap(p, setpoints, SPACE)):
+        assert 0.995 * 2 * half_gap <= result.gap_mhz <= 2 * half_gap + 1e-9
 
 
 def test_a_gap_scan_restricts_the_odd_block_once_per_model(monkeypatch):
@@ -632,9 +685,8 @@ def test_gap_bracket_too_narrow():
     # qubit 2 alone couples to resonator a, 100 MHz strong, whose push moves
     # the anti-crossing above the 4.78-4.82 GHz window, so the minimum
     # separation lands on the last grid point
-    p = DeviceParams(g_a1=0, g_a2=0.1, g_b1=0, g_b2=0, g_12=0.003, resonator_freq_b=6.0)
     with pytest.raises(PhysicsError, match="bracket too narrow"):
-        qubit_qubit_gap(p, 4.80, HilbertSpace((2, 2, 2, 2)))
+        qubit_qubit_gap(BRACKET_TOO_NARROW, 4.80, HilbertSpace((2, 2, 2, 2)))
 
 
 def test_gap_setpoint_too_close_to_resonator():
