@@ -192,11 +192,13 @@ def _require_resonator_clearance(params: DeviceParams, freq_ghz: float, what: st
     """PhysicsError if ``freq_ghz`` is within 3·max g_qr of a resonator.
 
     A qubit there hybridizes with the resonator, so neither level tracking
-    nor the two-qubit exchange picture holds.
+    nor the two-qubit exchange picture holds. A distance short of the
+    clearance by no more than 1e-12 GHz, the rounding of a difference of
+    decimal frequencies (4.80 − 4.71 is 0.08999999999999986), is admitted.
     """
     clearance = 3.0 * params.max_qubit_resonator_coupling
     for tag, f_res in (("a", params.resonator_freq_a), ("b", params.resonator_freq_b)):
-        if abs(freq_ghz - f_res) < clearance:
+        if abs(freq_ghz - f_res) < clearance - 1e-12:
             raise PhysicsError(
                 f"{what} {freq_ghz} GHz is {abs(freq_ghz - f_res) * 1e3:.1f} MHz from "
                 f"resonator {tag} (needs {clearance * 1e3:.1f} MHz clearance)"
@@ -211,7 +213,9 @@ def model_bytes(dims) -> int:
     line is scattered onto its index pairs in O(d). A real ``eigh`` of the
     largest excitation-parity block, ⌈d/2⌉ states, takes six of its own
     size: the block, LAPACK's copy and 2n² workspace, the eigenvectors and
-    their squared weights.
+    their squared weights. The blocks a model keeps (both parity blocks
+    and the co-tuned sectors, under ¾d² entries) fit beside H_static within
+    the 3d² once the check's temporaries are freed.
     """
     d = math.prod(dims)
     n = (d + 1) // 2
@@ -256,12 +260,12 @@ class DeviceModel:
     ``n_q1`` and ``n_q2`` are the qubit number diagonals that
     :meth:`hamiltonians` scales by the qubit frequencies; ``even`` and
     ``odd`` are the basis indices of the two excitation-parity blocks,
-    which no term of H couples. The model keeps each block it is asked for
-    (:meth:`block`) and the co-tuned sectors of the odd block
-    (:meth:`cotuned_sectors`): a device whose qubits have equal dimensions
-    and enter h_static alike splits it in two, any other keeps it whole.
-    Arrays are read-only: one model is shared by every caller of
-    :func:`device_model`, as are the blocks it keeps.
+    which no term of H couples. The model keeps three blocks, each built
+    on first use: :attr:`even_block`, :attr:`odd_block` and the co-tuned
+    sectors of the odd block (:attr:`cotuned_sectors`); any other block is
+    restricted again on every call (:meth:`block`). Arrays are read-only:
+    one model is shared by every caller of :func:`device_model`, as are the
+    blocks it keeps.
 
     Raises ConfigError when :func:`model_bytes` exceeds
     ``errors.MEMORY_LIMIT``, before anything of the space's size is allocated.
@@ -283,100 +287,80 @@ class DeviceModel:
         asym = float(np.abs(self.h_static - self.h_static.T).max())
         if asym != 0.0:
             raise ConfigError(f"assembled Hamiltonian not symmetric (defect {asym:.2e})")
-        self._blocks = {}
         for a in (self.even, self.odd, self.n_q1, self.n_q2, self.h_static):
             a.flags.writeable = False
 
-    def _keep(self, key, blocks: tuple[Block, ...]) -> tuple[Block, ...]:
-        """Keep ``blocks`` (read-only) under ``key``."""
-        for block in blocks:
-            for a in block:
-                a.flags.writeable = False
-        self._blocks[key] = blocks
-        return blocks
-
-    def _make_room(self, entries: int) -> None:
-        """Drop every kept block if ``entries`` more would exceed d² entries beside them."""
-        kept = sum(b.template.size for blocks in self._blocks.values() for b in blocks)
-        if kept + entries > self.h_static.size:
-            self._blocks.clear()
-
-    def _restrict(self, key, idx) -> Block:
-        """``h_static``, ``n_q1`` and ``n_q2`` on the basis states ``idx``, kept under ``key``."""
-        self._make_room(len(idx)**2)
-        return self._keep(key, (Block(self.h_static[np.ix_(idx, idx)], self.n_q1[idx],
-                                      self.n_q2[idx]),))[0]
-
     def block(self, idx: np.ndarray) -> Block:
-        """The kept :class:`Block` of the basis states ``idx``, an index array (``even``,
-        ``odd``, or ``np.arange(d)`` for the whole space), restricted on first use."""
-        key = (idx.dtype.str, idx.tobytes())
-        kept = self._blocks.get(key)
-        return kept[0] if kept else self._restrict(key, idx)
+        """``h_static``, ``n_q1`` and ``n_q2`` on the basis states ``idx``, an index
+        array (``np.arange(d)`` for the whole space), restricted anew on every call."""
+        return Block(self.h_static[np.ix_(idx, idx)], self.n_q1[idx], self.n_q2[idx])
 
     @functools.cached_property
-    def _odd_swap(self) -> np.ndarray | None:
-        """P on the odd block's positions, if H(f, f) commutes with it, else None.
+    def even_block(self) -> Block:
+        """The kept :meth:`block` of the even states."""
+        return _read_only(self.block(self.even))
 
-        P maps each basis state to the one with the qubits' quanta exchanged,
-        and keeps the excitation number. It commutes when the qubits have equal
-        dimensions, n_q1 permuted by P is n_q2 and the kept odd block of
-        h_static is invariant under P, all checked exactly.
-        """
-        space = self.space
-        if space.dims[2] != space.dims[3]:
-            return None
-        swap = np.ravel_multi_index(space.quanta[[0, 1, 3, 2]], space.dims)
-        at = np.searchsorted(self.odd, swap[self.odd])
-        h = self.block(self.odd).template
-        if np.array_equal(self.n_q1[swap], self.n_q2) and np.array_equal(h, h[np.ix_(at, at)]):
-            return at
-        return None
+    @functools.cached_property
+    def odd_block(self) -> Block:
+        """The kept :meth:`block` of the odd states, every single excitation among them."""
+        return _read_only(self.block(self.odd))
 
+    @functools.cached_property
     def cotuned_sectors(self) -> tuple[Block, ...]:
         """The odd block at co-tuned points f₁ = f₂, as one or two kept blocks.
 
-        When H(f, f) commutes with the qubit exchange P (``_odd_swap``), its
-        odd block is the direct sum of the symmetric sector, each state with
-        Ps = s and (|s⟩ + |Ps⟩)/√2 of each pair, and the antisymmetric one,
-        (|s⟩ − |Ps⟩)/√2, s the pair's lower index: 26 and 14 of 40 states at
-        3⁴, 80 and 48 of 128 at 4⁴. A sector entry is (H[s, t] ± H[s, Pt])
-        times ½ between two states with Ps = s, √½ between one and a pair
-        and 1 between pairs, gathered from the odd block. Its number
-        diagonals are n_q1 and n_q2 compressed onto the sector, (n_q1 + n_q2)/2
-        each, so its stack is its block of H at co-tuned points only. The
-        sectors are kept beside the restricted blocks under the same d² rule.
-        Any other device has one sector, the odd block itself.
+        The qubit exchange P maps each basis state to the one with the qubits'
+        quanta exchanged, and keeps the excitation number. H(f, f) commutes
+        with it when the qubits have equal dimensions, n_q1 permuted by P is
+        n_q2 and the odd block of h_static is invariant under P, all checked
+        exactly. Then its odd block is the direct sum of the symmetric sector,
+        each state with Ps = s and (|s⟩ + |Ps⟩)/√2 of each pair, and the
+        antisymmetric one, (|s⟩ − |Ps⟩)/√2, s the pair's lower index: 26 and
+        14 of 40 states at 3⁴, 80 and 48 of 128 at 4⁴. A sector entry is
+        (H[s, t] ± H[s, Pt]) times ½ between two states with Ps = s, √½
+        between one and a pair and 1 between pairs, gathered from the odd
+        block. Its number diagonals are n_q1 and n_q2 compressed onto the
+        sector, (n_q1 + n_q2)/2 each, so its stack is its block of H at
+        co-tuned points only. Any other device has one sector,
+        :attr:`odd_block` itself.
         """
-        odd = self.block(self.odd)
-        at = self._odd_swap
-        if at is None:
+        space, odd = self.space, self.odd_block
+        if space.dims[2] != space.dims[3]:
             return (odd,)
-        kept = self._blocks.get("sectors")
-        if kept:
-            return kept
+        swap = np.ravel_multi_index(space.quanta[[0, 1, 3, 2]], space.dims)
+        at = np.searchsorted(self.odd, swap[self.odd])
+        h = odd.template
+        if not (np.array_equal(self.n_q1[swap], self.n_q2)
+                and np.array_equal(h, h[np.ix_(at, at)])):
+            return (odd,)
         position = np.arange(at.size)
-        parts = [(1.0, np.flatnonzero(position <= at)), (-1.0, np.flatnonzero(position < at))]
-        self._make_room(sum(states.size**2 for _, states in parts))
-        h, sectors = odd.template, []
-        for sign, states in parts:
+        sectors = []
+        for sign, states in ((1.0, np.flatnonzero(position <= at)),
+                             (-1.0, np.flatnonzero(position < at))):
             weight = np.where(at[states] == states, 0.5, 1.0)
             template = np.sqrt(np.multiply.outer(weight, weight)) * (
                 h[np.ix_(states, states)] + sign * h[np.ix_(states, at[states])])
             number = 0.5 * (odd.n_q1[states] + odd.n_q2[states])
-            sectors.append(Block(template, number, number))
-        return self._keep("sectors", tuple(sectors))
+            sectors.append(_read_only(Block(template, number, number)))
+        return tuple(sectors)
 
     def hamiltonians(self, f1: np.ndarray, f2: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """The (k, n, n) stack H_static + 2π(f₁[k] N̂_q1 + f₂[k] N̂_q2) on the block ``idx``.
 
         It trusts its callers: ``f1`` and ``f2`` are equal-length 1-d float64
         arrays of qubit frequencies (GHz) already checked positive and finite,
-        and ``idx`` an index array of basis states, whose :meth:`block` the
-        model keeps; every member is bit-identical to the stack of one built
-        at its point alone (:meth:`Block.stack`).
+        and ``idx`` an index array of basis states, whose :meth:`block` is
+        restricted anew; every member is bit-identical to the stack of one
+        built at its point alone (:meth:`Block.stack`).
         """
         return self.block(idx).stack(f1, f2)
+
+
+def _read_only(block: Block) -> Block:
+    """``block`` with its arrays made read-only, as a model keeps it."""
+    for a in block:
+        a.flags.writeable = False
+    return block
 
 
 def _static_hamiltonian(

@@ -4,27 +4,28 @@ Every sweep point is an exact diagonalization of the device Hamiltonian,
 one real symmetric excitation-parity block at a time (no term couples the
 blocks); levels are reported relative to the ground state in GHz and
 tagged with the bare product state they overlap most, or "mixed" when no
-bare state dominates. Every diagonalization goes through one helper: the
-model keeps each block, it builds the stack of a block's Hamiltonians of
-a batch of points, and each slice of at most STACK_SLICE_BYTES of it is
-one call of ``eigh`` (a spectrum, whose labels read eigenvectors) or
-``eigvalsh``. A gap of any two modes needs only the odd block, which holds
-every single excitation, and its eigenvalues: the bare energies fix the
-level pair. One locator, with one solver that fixes the model, its odd
-block and the tracked states, locates every gap of a call: a qubit is swept
-over a window, the qubit-2 setpoint ± 20 MHz or a resonator ± 50 MHz,
-bracketed by a 5-point grid, and the minimum located by a few parabolic
-vertex steps on the squared separation. The scans of all windows of a call
-advance in lockstep rounds: the coarse grids are one such stack, and each
-round the vertices of every scan still running are one more, so two
-setpoints at 3⁴ take 4-6 solver calls, where one scan after the other took
-8-10, and each scan's result is bit for bit its own. The co-tuned half gap
-takes an array of points, where the odd block of a device whose qubits
-have equal dimensions and enter it alike (the default device) splits into
-the two sectors of the qubit exchange, symmetric and antisymmetric, 26 and
-14 of its 40 states at 3⁴, 80 and 48 of 128 at 4⁴ and 186 and 126 of 312
-at 5⁴. Each sector is one stack and the sectors' levels are merged; any
-other device's odd block is one sector.
+bare state dominates. The model keeps the even and the odd block and the
+odd block's co-tuned sectors, each built once on first use. Every
+diagonalization goes through one helper: it builds the stack of a block's
+Hamiltonians of a batch of points, and each slice of at most
+STACK_SLICE_BYTES of it is one call of ``eigh`` (a spectrum, whose labels
+read eigenvectors) or ``eigvalsh``. A gap of any two modes needs only the
+odd block, which holds every single excitation, and its eigenvalues: the
+bare energies fix the level pair. One locator, with one solver that fixes
+the model, its odd block and the tracked states, locates every gap of a
+call: a qubit is swept over a window, the qubit-2 setpoint ± 20 MHz or a
+resonator ± 50 MHz, bracketed by a 5-point grid, and the minimum located
+by a few parabolic vertex steps on the squared separation. The scans of
+all windows of a call advance in lockstep rounds: the coarse grids are one
+such stack, and each round the vertices of every scan still running are
+one more, so two setpoints at 3⁴ take 4-6 solver calls, where one scan
+after the other took 8-10, and each scan's result is bit for bit its own.
+The co-tuned half gap takes an array of points, where the odd block of a
+device whose qubits have equal dimensions and enter it alike (the default
+device) splits into the two sectors of the qubit exchange, symmetric and
+antisymmetric, 26 and 14 of its 40 states at 3⁴, 80 and 48 of 128 at 4⁴
+and 186 and 126 of 312 at 5⁴. Each sector is one stack and the sectors'
+levels are merged; any other device's odd block is one sector.
 """
 
 from __future__ import annotations
@@ -192,7 +193,8 @@ def sweep_spectrum(
     evals = np.empty((values.size, space.size))
     dominant = np.empty((values.size, space.size), dtype=int)
     weight = np.empty((values.size, space.size))
-    for start, idx in ((0, model.even), (model.even.size, model.odd)):
+    for start, idx, block in ((0, model.even, model.even_block),
+                              (model.even.size, model.odd, model.odd_block)):
 
         def store(part, solved):
             # w[k, j, i] = |<i|j>|² laid out per eigenvector, so that argmax
@@ -204,7 +206,7 @@ def sweep_spectrum(
             dominant[part, low] = idx[w.argmax(axis=2)]
             weight[part, low] = w.max(axis=2)
 
-        _block_slices([model.block(idx)], f1s, f2s, np.linalg.eigh, store)
+        _block_slices([block], f1s, f2s, np.linalg.eigh, store)
     order = np.argsort(evals, axis=1, kind="stable")[:, : n_levels + 1]
     ground, upper = order[:, :1], order[:, 1:]
     levels = (np.take_along_axis(evals, upper, 1) - np.take_along_axis(evals, ground, 1)) / TWO_PI
@@ -271,7 +273,7 @@ def _separation_solver(params: DeviceParams, space: HilbertSpace, modes=(2, 3)):
     and the ranks follow qubit 1 past it.
     """
     model = device_model(params, space, True)
-    odd = model.block(model.odd)
+    odd = model.odd_block
     tracked = _tracked(model, modes)
 
     def solve(f1s, f2s) -> tuple[np.ndarray, np.ndarray]:
@@ -516,7 +518,7 @@ def cotuned_half_gap(params: DeviceParams, freqs, space: HilbertSpace) -> np.nda
     effective-coupling magnitude. ``freqs`` is a 1-d array or list of
     positive finite numbers, none a bool, and an array of the same length
     is returned. The odd block is solved in the model's co-tuned sectors
-    (:meth:`~dresq.device.DeviceModel.cotuned_sectors`): the symmetric and
+    (:attr:`~dresq.device.DeviceModel.cotuned_sectors`): the symmetric and
     antisymmetric combinations of qubit-exchanged states, 26 and 14 of its
     40 states at 3⁴, when the qubits have equal dimensions and enter the
     device alike (the default device), else the whole block. Each sector
@@ -533,7 +535,7 @@ def cotuned_half_gap(params: DeviceParams, freqs, space: HilbertSpace) -> np.nda
     # separation and half gap, and a slice's level pairs: at most four 8-byte words a point
     require_memory(4 * 8 * points.size, f"co-tuned half gaps at {points.size} points")
     model = device_model(params, space, True)
-    odd = model.block(model.odd)
+    odd = model.odd_block
     static, tracked = np.diagonal(odd.template), _tracked(model, (2, 3))
     seps = np.empty(points.size)
 
@@ -541,5 +543,5 @@ def cotuned_half_gap(params: DeviceParams, freqs, space: HilbertSpace) -> np.nda
         bare = static + odd.diagonals(points[part], points[part])
         seps[part], _ = _separations(np.sort(np.concatenate(solved, axis=1), axis=1), bare, tracked)
 
-    _block_slices(model.cotuned_sectors(), points, points, np.linalg.eigvalsh, store)
+    _block_slices(model.cotuned_sectors, points, points, np.linalg.eigvalsh, store)
     return 0.5 * seps * 1e3

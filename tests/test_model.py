@@ -221,35 +221,60 @@ def test_stacked_hamiltonians_equal_each_point_alone(case):
         assert np.array_equal(h, direct)
 
 
-def test_model_keeps_each_block_it_restricts_within_the_space_squared(monkeypatch):
-    # both parity blocks (3281 of 6561 entries at 3^4) are restricted once and
-    # kept; the whole space as a block (6561) would exceed d² beside them, so
-    # they go, and a block asked for again is restricted again
-    restricted = []
-    restrict = DeviceModel._restrict
-
-    def spy(self, key, idx):
-        restricted.append(len(idx))
-        return restrict(self, key, idx)
-
-    monkeypatch.setattr(DeviceModel, "_restrict", spy)
-    model = DeviceModel(DeviceParams(), HilbertSpace((3, 3, 3, 3)), True)
-    every = np.arange(model.space.size)
-    f1, f2 = np.array([4.6]), np.array([4.62])
-    for idx in (model.even, model.odd, model.even, model.odd.copy(), model.odd):
-        model.hamiltonians(f1, f2, idx)
-    assert restricted == [41, 40]
-    for idx in (every, every, model.odd, model.even, model.odd):
-        model.hamiltonians(f1, f2, idx)
-    assert restricted == [41, 40, 81, 40, 41]
-    # at 2^4 the 16-state mask of state 0 has the bytes of the indices (1, 0)
+def test_a_restricted_block_is_a_submatrix_of_the_whole_space():
+    # a block is restricted anew on every call, in the order of its indices;
+    # a boolean mask picks its own states
     small = DeviceModel(DeviceParams(), HilbertSpace((2, 2, 2, 2)), True)
+    f1, f2 = np.array([4.6]), np.array([4.62])
     mask = np.arange(small.space.size) == 0
-    assert mask.tobytes() == np.array([1, 0]).tobytes()
     pair = small.hamiltonians(f1, f2, np.array([1, 0]))
     assert small.hamiltonians(f1, f2, mask).shape == (1, 1, 1)
     whole = small.hamiltonians(f1, f2, np.arange(small.space.size))[0]
     assert np.array_equal(pair[0], whole[np.ix_([1, 0], [1, 0])])
+
+
+def test_block_and_hamiltonians_keep_nothing():
+    model = DeviceModel(DeviceParams(), HilbertSpace((3, 3, 3, 3)), True)
+    before = set(vars(model))
+    f = np.array([4.6])
+    for idx in (model.odd, model.even, np.arange(model.space.size), model.odd):
+        model.hamiltonians(f, f, idx)
+    first, again = model.block(model.odd), model.block(model.odd)
+    assert set(vars(model)) == before
+    assert first.template is not again.template
+    assert np.array_equal(first.template, again.template)
+    assert first.template.flags.writeable
+    assert np.array_equal(model.odd_block.template, first.template)
+
+
+def _kept_arrays(model: DeviceModel) -> list[np.ndarray]:
+    """Each array of the blocks a model keeps, once."""
+    kept = {id(a): a for b in (model.even_block, model.odd_block, *model.cotuned_sectors)
+            for a in b}
+    return list(kept.values())
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3, 3), (4, 4, 4, 4), (5, 5, 5, 5)])
+def test_the_kept_blocks_are_read_only_and_hold_under_the_space_squared(dims):
+    # even² + odd² + the two sectors: 0.63-0.67 of d² entries at 3^4 to 5^4
+    model = DeviceModel(DeviceParams(), HilbertSpace(dims), True)
+    kept = _kept_arrays(model)
+    assert all(not a.flags.writeable for a in kept)
+    assert sum(a.size for a in kept) < model.space.size**2
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 4, 4), (5, 5, 5, 5)])
+def test_building_the_model_and_its_blocks_peaks_within_the_model_bytes(dims):
+    space = HilbertSpace(dims)
+    tracemalloc.start()
+    try:
+        model = DeviceModel(DeviceParams(), space, True)
+        kept = _kept_arrays(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.cotuned_sectors) == 2
+    assert 8 * space.size**2 + sum(a.nbytes for a in kept) < peak <= model_bytes(dims)
 
 
 def weyl_bound(h: np.ndarray) -> np.ndarray:
@@ -264,7 +289,7 @@ def weyl_bound(h: np.ndarray) -> np.ndarray:
 
 def sector_levels(model: DeviceModel, f: np.ndarray) -> np.ndarray:
     """The co-tuned sectors' eigenvalues at each point of ``f``, merged by a sort."""
-    solved = [np.linalg.eigvalsh(b.stack(f, f)) for b in model.cotuned_sectors()]
+    solved = [np.linalg.eigvalsh(b.stack(f, f)) for b in model.cotuned_sectors]
     return np.sort(np.concatenate(solved, axis=1), axis=1)
 
 
@@ -273,7 +298,7 @@ def sector_levels(model: DeviceModel, f: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("g_ab", [0.0, 0.01, -0.01])
 def test_cotuned_sectors_have_the_odd_blocks_eigenvalues(dims, sizes, g_ab):
     model = DeviceModel(DeviceParams(g_ab=g_ab), HilbertSpace(dims), True)
-    sectors = model.cotuned_sectors()
+    sectors = model.cotuned_sectors
     assert [len(b.template) for b in sectors] == sizes
     for b in sectors:
         assert np.array_equal(b.template, b.template.T)
@@ -292,32 +317,5 @@ def test_cotuned_sectors_have_the_odd_blocks_eigenvalues(dims, sizes, g_ab):
 ])
 def test_a_device_without_the_qubit_exchange_keeps_the_odd_block_whole(params, dims):
     model = DeviceModel(params, HilbertSpace(dims), True)
-    [sector] = model.cotuned_sectors()
-    assert sector is model.block(model.odd)
-
-
-def test_the_sectors_are_kept_within_the_space_squared(monkeypatch):
-    # at 3^4 the parity blocks (3281 entries) and the sectors (26² + 14² = 872)
-    # are kept; a 50-state block (2500) fits beside the blocks alone but not
-    # beside the sectors too, so everything goes and is rebuilt when asked for
-    restricted = []
-    restrict = DeviceModel._restrict
-
-    def spy(self, key, idx):
-        restricted.append(len(idx))
-        return restrict(self, key, idx)
-
-    monkeypatch.setattr(DeviceModel, "_restrict", spy)
-    model = DeviceModel(DeviceParams(), HilbertSpace((3, 3, 3, 3)), True)
-    model.block(model.even)
-    sectors = model.cotuned_sectors()
-    assert model.cotuned_sectors() is sectors
-    assert restricted == [41, 40]
-    model.block(np.arange(50))
-    assert restricted == [41, 40, 50]
-    rebuilt = model.cotuned_sectors()
-    assert rebuilt is not sectors and restricted == [41, 40, 50, 40]
-    for old, new in zip(sectors, rebuilt):
-        assert all(np.array_equal(a, b) for a, b in zip(old, new))
-    with pytest.raises(ValueError, match="read-only"):
-        rebuilt[0].template[0, 0] = 1.0
+    [sector] = model.cotuned_sectors
+    assert sector is model.odd_block

@@ -659,15 +659,21 @@ def test_gap_scan_measures_the_full_2j_splitting():
         assert 0.995 * 2 * half_gap <= result.gap_mhz <= 2 * half_gap + 1e-9
 
 
-def test_a_gap_scan_restricts_the_odd_block_once_per_model(monkeypatch):
+def _spy_on_restrictions(monkeypatch) -> list[int]:
+    """The size of each block the models restrict from here on, in order."""
     restricted = []
-    restrict = DeviceModel._restrict
+    block = DeviceModel.block
 
-    def spy(self, key, idx):
+    def spy(self, idx):
         restricted.append(len(idx))
-        return restrict(self, key, idx)
+        return block(self, idx)
 
-    monkeypatch.setattr(DeviceModel, "_restrict", spy)
+    monkeypatch.setattr(DeviceModel, "block", spy)
+    return restricted
+
+
+def test_a_gap_scan_restricts_the_odd_block_once_per_model(monkeypatch):
+    restricted = _spy_on_restrictions(monkeypatch)
     device_model.cache_clear()
     p = DeviceParams()
     for space in (SPACE, HilbertSpace((4, 4, 4, 4))):
@@ -679,6 +685,24 @@ def test_a_gap_scan_restricts_the_odd_block_once_per_model(monkeypatch):
         qubit_resonator_gap(p, 1, "a", space)
         cotuned_half_gap(p, [4.55, 4.65], space)
         assert len(restricted) == 1
+
+
+def test_a_spectrum_a_gap_scan_and_geff_restrict_each_block_once(monkeypatch, tmp_path):
+    # the even and the odd block are restricted once and kept; the co-tuned
+    # sectors are gathered from the kept odd block, once
+    from dresq.cli import main
+
+    restricted = _spy_on_restrictions(monkeypatch)
+    device_model.cache_clear()
+    p = DeviceParams()
+    model = device_model(p, SPACE, True)
+    sweep_spectrum(p, "freq_2", np.linspace(4.4, 4.86, 5), OperatingPoint(4.6, 4.91), SPACE)
+    assert restricted == [model.even.size, model.odd.size]
+    gap_vs_setpoint(p, [4.58, 4.63], SPACE)
+    sectors = model.cotuned_sectors
+    assert main(["geff", "--points", "5", "--out", str(tmp_path)]) == 0
+    assert model.cotuned_sectors is sectors and len(sectors) == 2
+    assert restricted == [model.even.size, model.odd.size]
 
 
 def test_gap_bracket_too_narrow():
@@ -699,6 +723,36 @@ def test_gap_sweep_endpoint_too_close_to_resonator():
     # lower endpoint 4.545 GHz is 75 MHz from it, inside the 90 MHz clearance
     with pytest.raises(PhysicsError, match=r"sweep endpoint .* resonator a .*90\.0 MHz"):
         qubit_qubit_gap(DeviceParams(), 4.565, SPACE)
+
+
+def test_a_sweep_endpoint_exactly_at_the_clearance_is_admitted():
+    # the window of 4.69 ends at 4.71 GHz, 90 MHz from resonator b in decimal
+    # but 0.08999999999999986 GHz in float64; 4.6901 ends 89.9 MHz from it
+    result = qubit_qubit_gap(DeviceParams(), 4.69, SPACE)
+    assert (f"{result.gap_mhz:.6f}", f"{result.location_ghz:.9f}") == ("6.970650", "4.689436441")
+    with pytest.raises(PhysicsError, match=r"^sweep endpoint 4\.7101 GHz is 89\.9 MHz from "
+                                           r"resonator b \(needs 90\.0 MHz clearance\)$"):
+        qubit_qubit_gap(DeviceParams(), 4.6901, SPACE)
+
+
+def test_a_vertex_step_replaces_the_worst_held_point(monkeypatch):
+    # on a separation with a cusp, |Δ − 3.1 MHz|^0.6 + 0.1 MHz in qubit 1's
+    # detuning Δ from the parked qubit 2, no parabola fits: a step that beats
+    # the worst held point but not the middle one must still be taken
+    # (4.6031006 GHz); taking only steps that beat the middle one stops at
+    # 4.6031035 GHz
+
+    def cusp(params, space, modes):
+        def solve(f1s, f2s):
+            seps = np.abs(f1s - f2s - 0.0031) ** 0.6 + 1e-4
+            return seps, np.tile([1, 2], (len(f1s), 1))
+
+        return solve
+
+    monkeypatch.setattr(spectroscopy, "_separation_solver", cusp)
+    [result] = spectroscopy._min_separations(DeviceParams(), SPACE, (2, 3), 1,
+                                             [(4.60, 4.58, 4.62)])
+    assert abs(result.location_ghz - 4.6031) <= 1e-6
 
 
 def test_gap_vs_setpoint_decreasing():
@@ -798,14 +852,14 @@ def test_cotuned_half_gaps_do_not_depend_on_slicing(monkeypatch, params, dims):
     space = HilbertSpace(dims)
     freqs = np.linspace(4.52, 4.76, 11)
     whole = cotuned_half_gap(params, freqs, space)
-    largest = len(device_model(params, space, True).cotuned_sectors()[0].template)
+    largest = len(device_model(params, space, True).cotuned_sectors[0].template)
     # three points a slice
     monkeypatch.setattr(spectroscopy, "STACK_SLICE_BYTES", 3 * 2 * 8 * largest**2)
     solved = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: solved.append(len(h)) or eigvalsh(h))
     sliced = cotuned_half_gap(params, freqs, space)
-    sectors = len(device_model(params, space, True).cotuned_sectors())
+    sectors = len(device_model(params, space, True).cotuned_sectors)
     assert solved == [3] * 3 * sectors + [2] * sectors
     singles = [cotuned_half_gap(params, [f], space)[0] for f in freqs]
     assert whole.tobytes() == sliced.tobytes() == np.array(singles).tobytes()
@@ -826,8 +880,9 @@ def test_a_cotuned_call_at_5_4_peaks_within_one_slice_and_the_kept_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for blocks in model._blocks.values() for b in blocks for a in b)
-    assert [len(b.template) for b in model.cotuned_sectors()] == [186, 126]
+    kept = sum({id(a): a.nbytes for b in (model.odd_block, *model.cotuned_sectors)
+                for a in b}.values())
+    assert [len(b.template) for b in model.cotuned_sectors] == [186, 126]
     assert kept >= 8 * (312**2 + 186**2 + 126**2)
     assert peak <= spectroscopy.STACK_SLICE_BYTES + kept + 4 * 8 * half_gaps.size
 
