@@ -153,13 +153,13 @@ class DeviceParams:
 
     @classmethod
     def from_json(cls, text: str) -> "DeviceParams":
-        """Parse a flat JSON device file; unknown keys are rejected.
+        """Parse a flat JSON device file; unknown and repeated keys are rejected.
 
         Missing keys fall back to the defaults. Infinite coherence times
         may be written as null.
         """
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_unique_keys)
         except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
             raise ConfigError(f"device file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -174,6 +174,16 @@ class DeviceParams:
                 value = math.inf
             cleaned[key] = value
         return cls(**cleaned)
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict; ConfigError names a repeated key."""
+    raw = {}
+    for key, value in pairs:
+        if key in raw:
+            raise ConfigError(f"device file repeats key {key!r}")
+        raw[key] = value
+    return raw
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,8 @@ class TimeTrace:
         """Parse two-column CSV time_ns,value (optional third: uncertainty).
 
         Row 1 is a header when none of its fields parses as a number and
-        data when all do; a row 1 mixing the two is refused.
+        data when all do; a row 1 mixing the two is refused, and so is a
+        header with another number of fields than the rows.
         """
         times, values, sigmas = [], [], []
         rows = [r.strip() for r in text.splitlines() if r.strip()]
@@ -120,6 +121,9 @@ class TimeTrace:
                 raise ConfigError(f"trace line {lineno}: {exc}") from exc
         if sigmas and len(sigmas) != len(times):
             raise ConfigError("uncertainty column present on only some rows")
+        width = 3 if sigmas else 2
+        if start and len(numeric) != width:
+            raise ConfigError(f"trace header has {len(numeric)} field(s) over rows of {width}")
         return cls(np.array(times), np.array(values), np.array(sigmas) if sigmas else None)
 
 
@@ -513,10 +517,6 @@ class ChevronCouplingFit:
             "n_detected": self.n_detected,
             "column_freqs_mhz": {f"{k:g}": v for k, v in sorted(self.column_freqs_mhz.items())},
         }
-
-    def to_json(self) -> str:
-        """JSON of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 MIN_DETECTED_COLUMNS = 5

@@ -11,21 +11,22 @@ Hamiltonians of a batch of points, and each slice of at most
 STACK_SLICE_BYTES of it is one call of ``eigh`` (a spectrum, whose labels
 read eigenvectors) or ``eigvalsh``. A gap of any two modes needs only the
 odd block, which holds every single excitation, and its eigenvalues: the
-bare energies fix the level pair. One locator, with one solver that fixes
-the model, its odd block and the tracked states, locates every gap of a
+bare energies fix the level pair. One helper, ``_pair_separations``, gives
+the separation and level pair of two modes at a batch of points for the gap
+scans and the co-tuned half gap alike. One locator locates every gap of a
 call: a qubit is swept over a window, the qubit-2 setpoint ± 20 MHz or a
 resonator ± 50 MHz, bracketed by a 5-point grid, and the minimum located
 by a few parabolic vertex steps on the squared separation. The scans of
 all windows of a call advance in lockstep rounds: the coarse grids are one
 such stack, and each round the vertices of every scan still running are
-one more, so two setpoints at 3⁴ take 4-6 solver calls, where one scan
+one more, so two setpoints at 3⁴ take 4-6 helper calls, where one scan
 after the other took 8-10, and each scan's result is bit for bit its own.
 The co-tuned half gap takes an array of points, where the odd block of a
 device whose qubits have equal dimensions and enter it alike (the default
 device) splits into the two sectors of the qubit exchange, symmetric and
 antisymmetric, 26 and 14 of its 40 states at 3⁴, 80 and 48 of 128 at 4⁴
-and 186 and 126 of 312 at 5⁴. Each sector is one stack and the sectors'
-levels are merged; any other device's odd block is one sector.
+and 186 and 126 of 312 at 5⁴. Each sector is one stack and the helper
+merges the sectors' levels; any other device's odd block is one sector.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ GAP_LOCATION_RESOLUTION = 1e-9
 # steps for the default 54-60 MHz gaps at 3^4, where ± 90 MHz took 5-8
 RESONATOR_GAP_HALF_SPAN = 0.050
 
-# peak bytes a setpoint adds to gap_vs_setpoint beyond one solver slice: its
+# peak bytes a setpoint adds to gap_vs_setpoint beyond one eigvalsh slice: its
 # window, its coarse grid points, separations and pairs in the lockstep's
 # stack, its three held points and its result hold 1,315-1,330 bytes at
 # 10,000-40,000 admitted 3^4 setpoints, a setpoint refused near a resonator
@@ -234,61 +235,46 @@ def _block_slices(blocks, f1s: np.ndarray, f2s: np.ndarray, solve, store) -> Non
         store(part, [solve(b.stack(f1s[part], f2s[part])) for b in blocks])
 
 
-def _tracked(model: DeviceModel, modes) -> np.ndarray:
-    """Positions in the odd block of the single-excitation states of ``modes``."""
-    return np.searchsorted(model.odd, np.take(model.space.single_excitation_indices(), modes))
+def _pair_separations(model: DeviceModel, blocks, modes, f1s: np.ndarray,
+                      f2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Separations (GHz) of the dressed levels of two modes at each point
+    (f1s[k], f2s[k]), and their (k, 2) level pairs in the odd block.
 
-
-def _separations(evals: np.ndarray, bare: np.ndarray, tracked: np.ndarray):
-    """Separations (GHz) of two tracked dressed levels at each point, and their pairs.
-
-    ``evals`` and ``bare`` hold a point's ascending odd-block levels and the
-    block's bare energies, its diagonal, a row each. Anti-crossings keep the
-    level order, so row k of the (k, 2) pairs is the sorted ranks of the
-    ``tracked`` states among the bare energies, a tracked state below any
-    other state of its energy, and indexes the levels of point k: for the
-    qubits in the band, the ranks of f₁ and f₂ among (ω_a, ω_b, f₁, f₂), but
-    three-excitation states fall below a qubit under 3|α| (0.75 GHz) at 4⁴.
-    Co-tuned within about 5 MHz inside a resonator's band, the two levels of
-    largest qubit weight are instead a dark qubit state and a resonator
-    hybrid, and the pair keeps to the ranks.
+    ``blocks`` is ``[model.odd_block]`` or ``model.cotuned_sectors``, and
+    ``modes`` two indices into MODE_NAMES. Every single excitation is odd,
+    so only eigenvalues are found, each block's by :func:`_block_slices`,
+    and one sort merges a point's levels of two or more blocks into the odd
+    block's (one block's are ascending already).
+    The bare energies are the odd block's diagonal, ``np.diagonal(template)
+    + diagonals``, bit for bit its stack's. Anti-crossings keep the level
+    order, so row k of the pairs is the sorted ranks of the two modes'
+    states among the bare energies, a tracked state below any other state
+    of its energy: for the qubits in the band, the ranks of f₁ and f₂ among
+    (ω_a, ω_b, f₁, f₂), but three-excitation states fall below a qubit under
+    3|α| (0.75 GHz) at 4⁴. Co-tuned within about 5 MHz inside a resonator's
+    band, the two levels of largest qubit weight are instead a dark qubit
+    state and a resonator hybrid, and the pair keeps to the ranks. With
+    6·g_max under 20 MHz a resonator can lie inside a gap scan's window,
+    3·g_max clear of its setpoint and its ends, and the ranks follow qubit 1
+    past it.
     """
-    states = np.sort(bare[:, tracked], axis=1)
-    pairs = np.count_nonzero(bare[:, None, :] < states[:, :, None], axis=2)
-    pairs[:, 1] += states[:, 0] == states[:, 1]
-    levels = evals[np.arange(len(evals))[:, None], pairs]
-    return np.abs(levels[:, 1] - levels[:, 0]) / TWO_PI, pairs
-
-
-def _separation_solver(params: DeviceParams, space: HilbertSpace, modes=(2, 3)):
-    """Separations (GHz) of the dressed levels of two modes, and their pairs,
-    by a solver that fixes the model, its odd block and the tracked states.
-
-    ``solve(f1s, f2s)`` gives one separation per point (f1s[k], f2s[k]);
-    ``modes`` are two indices into MODE_NAMES, the qubits by default. Every
-    single excitation is odd, so only the odd block's eigenvalues are found
-    (by :func:`_block_slices`), and :func:`_separations` takes the pair from
-    the stack's diagonal. With 6·g_max under 20 MHz a resonator can lie
-    inside a gap scan's window, 3·g_max clear of its setpoint and its ends,
-    and the ranks follow qubit 1 past it.
-    """
-    model = device_model(params, space, True)
     odd = model.odd_block
-    tracked = _tracked(model, modes)
+    static = np.diagonal(odd.template)
+    tracked = np.searchsorted(model.odd, np.take(model.space.single_excitation_indices(), modes))
+    seps = np.empty(len(f1s))
+    pairs = np.empty((len(f1s), 2), dtype=int)
 
-    def solve(f1s, f2s) -> tuple[np.ndarray, np.ndarray]:
-        seps = np.empty(len(f1s))
-        pairs = np.empty((len(f1s), 2), dtype=int)
+    def store(part, solved):
+        bare = static + odd.diagonals(f1s[part], f2s[part])
+        states = np.sort(bare[:, tracked], axis=1)
+        pair = np.count_nonzero(bare[:, None, :] < states[:, :, None], axis=2)
+        pair[:, 1] += states[:, 0] == states[:, 1]
+        evals = solved[0] if len(solved) == 1 else np.sort(np.concatenate(solved, axis=1), axis=1)
+        levels = evals[np.arange(len(evals))[:, None], pair]
+        seps[part], pairs[part] = np.abs(levels[:, 1] - levels[:, 0]) / TWO_PI, pair
 
-        def store(part, solved):
-            [(bare, evals)] = solved
-            seps[part], pairs[part] = _separations(evals, bare, tracked)
-
-        _block_slices([odd], f1s, f2s,
-                      lambda h: (np.diagonal(h, axis1=1, axis2=2), np.linalg.eigvalsh(h)), store)
-        return seps, pairs
-
-    return solve
+    _block_slices(blocks, f1s, f2s, np.linalg.eigvalsh, store)
+    return seps, pairs
 
 
 def _min_separations(params: DeviceParams, space: HilbertSpace, modes, swept_qubit: int,
@@ -297,9 +283,10 @@ def _min_separations(params: DeviceParams, space: HilbertSpace, modes, swept_qub
     as qubit ``swept_qubit`` sweeps the window (parked, lo, hi) and the other
     qubit is parked at ``parked``.
 
-    All scans share one solver and advance in lockstep. The coarse grids,
-    GAP_GRID points a window, are one stack of odd-block Hamiltonians,
-    diagonalized in slices of at most STACK_SLICE_BYTES; a grid minimum on
+    All scans advance in lockstep, each round one call of
+    :func:`_pair_separations` on the odd block. The coarse grids, GAP_GRID
+    points a window, are one stack of odd-block Hamiltonians, diagonalized
+    in slices of at most STACK_SLICE_BYTES; a grid minimum on
     its window's edge ends that scan with an error. Near an anti-crossing
     sep² is very nearly a parabola in the swept frequency, so each scan
     holds three points, its grid minimum and the two neighbours, and takes
@@ -312,16 +299,17 @@ def _min_separations(params: DeviceParams, space: HilbertSpace, modes, swept_qub
     within GAP_LOCATION_RESOLUTION of a held point, or when a step beats
     none of them. Each scan takes the points and stops it would take alone,
     so its result is bit for bit the one-window scan's, and any number of
-    windows takes at most 1 + GAP_VERTEX_STEPS solver calls. Returns, in the
+    windows takes at most 1 + GAP_VERTEX_STEPS helper calls. Returns, in the
     order of ``windows``, the best point held as a GapResult, its location
     the swept qubit's frequency, or the message of the scan's PhysicsError.
     """
     if not windows:
         return []
-    solve = _separation_solver(params, space, modes)
+    model = device_model(params, space, True)
 
     def separations(swept, parked):
-        return solve(*((swept, parked) if swept_qubit == 1 else (parked, swept)))
+        f1s, f2s = (swept, parked) if swept_qubit == 1 else (parked, swept)
+        return _pair_separations(model, [model.odd_block], modes, f1s, f2s)
 
     grids = np.concatenate([np.linspace(lo, hi, GAP_GRID) for _, lo, hi in windows])
     seps, pairs = separations(grids, np.repeat([parked for parked, _, _ in windows], GAP_GRID))
@@ -402,7 +390,7 @@ def qubit_qubit_gap(params: DeviceParams, qubit2_freq: float, space: HilbertSpac
 
     Qubit 2 is parked at ``qubit2_freq`` and qubit 1 swept over the setpoint
     ± GAP_HALF_SPAN; the minimum separation of the qubit pair of odd-block
-    levels (ranked by the bare energies, see :func:`_separation_solver`) is
+    levels (ranked by the bare energies, see :func:`_pair_separations`) is
     located by :func:`_min_separations`, a scan of one window. The gap is
     the full 2|g_eff| splitting: half of it estimates the effective
     qubit-qubit coupling magnitude. On the default device at 3⁴ and
@@ -466,11 +454,11 @@ def gap_vs_setpoint(
 ) -> tuple[list[GapResult | None], list[str | None]]:
     """qubit_qubit_gap at each of a list of qubit-2 setpoints, all scans in lockstep.
 
-    The scans of the admitted setpoints share one solver and advance in
-    rounds (:func:`_min_separations`): one stack holds every coarse grid,
-    and each round one more stack holds the parabolic vertex of every scan
-    still running, so any number of setpoints takes at most
-    1 + GAP_VERTEX_STEPS solver calls, two setpoints at 3⁴ 4-6 where one
+    The scans of the admitted setpoints advance in rounds
+    (:func:`_min_separations`): one stack holds every coarse grid, and each
+    round one more stack holds the parabolic vertex of every scan still
+    running, so any number of setpoints takes at most 1 + GAP_VERTEX_STEPS
+    calls of :func:`_pair_separations`, two setpoints at 3⁴ 4-6 where one
     scan after the other took 8-10. Each setpoint's result and error are
     bit for bit those of qubit_qubit_gap at it alone.
 
@@ -521,7 +509,8 @@ def cotuned_half_gap(params: DeviceParams, freqs, space: HilbertSpace) -> np.nda
     (:attr:`~dresq.device.DeviceModel.cotuned_sectors`): the symmetric and
     antisymmetric combinations of qubit-exchanged states, 26 and 14 of its
     40 states at 3⁴, when the qubits have equal dimensions and enter the
-    device alike (the default device), else the whole block. Each sector
+    device alike (the default device), else the whole block. The qubit pair
+    comes from :func:`_pair_separations`, as a gap scan's does: each sector
     is one stack of the points (eigenvalues only, in slices of at most
     STACK_SLICE_BYTES), and each point's eigenvalues of the sectors are
     merged by a sort into the odd block's levels. Each half gap is that of
@@ -532,16 +521,8 @@ def cotuned_half_gap(params: DeviceParams, freqs, space: HilbertSpace) -> np.nda
     ``errors.MEMORY_LIMIT``.
     """
     points = require_numbers(freqs, "co-tuned frequencies", positive=True)
-    # separation and half gap, and a slice's level pairs: at most four 8-byte words a point
+    # the points, separations and level pairs: four 8-byte words a point (tracemalloc)
     require_memory(4 * 8 * points.size, f"co-tuned half gaps at {points.size} points")
     model = device_model(params, space, True)
-    odd = model.odd_block
-    static, tracked = np.diagonal(odd.template), _tracked(model, (2, 3))
-    seps = np.empty(points.size)
-
-    def store(part, solved):
-        bare = static + odd.diagonals(points[part], points[part])
-        seps[part], _ = _separations(np.sort(np.concatenate(solved, axis=1), axis=1), bare, tracked)
-
-    _block_slices(model.cotuned_sectors, points, points, np.linalg.eigvalsh, store)
+    seps = _pair_separations(model, model.cotuned_sectors, (2, 3), points, points)[0]
     return 0.5 * seps * 1e3

@@ -31,32 +31,27 @@ def dispersive_coupling(params, f1: float, f2: float) -> float:
     return total + params.g_12
 
 
-def separations_alone(params, space: HilbertSpace, modes=(2, 3)):
-    """A stand-in for ``spectroscopy._separation_solver``: its ``solve(f1s,
-    f2s)`` builds each point alone, on the whole space, and restricts it to
-    the odd block, where one ``eigvalsh`` gives its levels. The pair is the
-    sorted ranks of the two modes' single-excitation states in the block's
-    bare energies sorted in Python, a tracked state before any other of its
-    energy and the first mode's before the second's."""
-    model = device_model(params, space, True)
+def separations_alone(model, f1s, f2s, modes=(2, 3)):
+    """A stand-in for ``spectroscopy._pair_separations`` on the whole odd
+    block: it builds each point (f1s[k], f2s[k]) alone, on the whole space,
+    and restricts it to the odd block, where one ``eigvalsh`` gives its
+    levels. The pair is the sorted ranks of the two modes' single-excitation
+    states in the block's bare energies sorted in Python, a tracked state
+    before any other of its energy and the first mode's before the second's."""
     odd = np.ix_(model.odd, model.odd)
-    tracked = np.searchsorted(model.odd, np.take(space.single_excitation_indices(), modes))
+    tracked = np.searchsorted(model.odd, np.take(model.space.single_excitation_indices(), modes))
     tracked = [int(t) for t in tracked]
-
-    def solve(f1s, f2s):
-        seps, pairs = [], []
-        for f1, f2 in zip(f1s, f2s):
-            h = model.hamiltonians(np.array([f1]), np.array([f2]), np.arange(space.size))[0][odd]
-            bare = np.diag(h).tolist()
-            order = sorted(range(len(bare)),
-                           key=lambda j: (bare[j], j not in tracked, j != tracked[0]))
-            low, high = sorted(order.index(t) for t in tracked)
-            evals = np.linalg.eigvalsh(h)
-            seps.append(abs(evals[high] - evals[low]) / TWO_PI)
-            pairs.append((low, high))
-        return np.array(seps), np.array(pairs, dtype=int)
-
-    return solve
+    seps, pairs = [], []
+    for f1, f2 in zip(f1s, f2s):
+        h = model.hamiltonians(np.array([f1]), np.array([f2]), np.arange(model.space.size))[0][odd]
+        bare = np.diag(h).tolist()
+        order = sorted(range(len(bare)),
+                       key=lambda j: (bare[j], j not in tracked, j != tracked[0]))
+        low, high = sorted(order.index(t) for t in tracked)
+        evals = np.linalg.eigvalsh(h)
+        seps.append(abs(evals[high] - evals[low]) / TWO_PI)
+        pairs.append((low, high))
+    return np.array(seps), np.array(pairs, dtype=int)
 
 
 def total_number_operator(space: HilbertSpace) -> np.ndarray:

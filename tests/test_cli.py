@@ -480,6 +480,28 @@ def test_unknown_device_key_exit_2(tmp_path):
     assert run(["geff", "--device", device, "--out", tmp_path / "g"]) == 2
 
 
+def test_a_device_file_repeating_a_key_exit_2_writing_nothing(tmp_path, capsys):
+    # json.loads alone keeps the last value, and geff ran with g_12 = 0.002
+    device = tmp_path / "device.json"
+    device.write_text('{"g_12": 0.001, "g_12": 0.002}')
+    assert run(["geff", "--device", device, "--out", tmp_path / "g"]) == 2
+    assert "device file repeats key 'g_12'" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("header", ["time_ns", "time_ns,value,uncertainty"])
+def test_a_trace_header_wider_or_narrower_than_its_rows_exit_2_writing_nothing(
+        tmp_path, capsys, header):
+    trace = tmp_path / "trace.csv"
+    t = np.linspace(0.0, 500.0, 101)
+    trace.write_text(header + "\n" + "".join(
+        f"{a},{b}\n" for a, b in zip(t, np.exp(-t / 250.0))))
+    assert run(["fit", "--model", "exp", trace, "--out", tmp_path / "f"]) == 2
+    assert f"trace header has {header.count(',') + 1} field(s) over rows of 2" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "f").exists()
+
+
 def test_oversized_device_integer_exit_2(tmp_path):
     device = tmp_path / "device.json"
     device.write_text('{"g_12": 1' + "0" * 400 + "}")
@@ -572,7 +594,7 @@ def test_gapscan_peaks_within_its_count_and_is_refused_before_building(tmp_path,
     limit = spectroscopy.GAP_SETPOINT_BYTES * len(setpoints)
     assert peak <= limit + spectroscopy.STACK_SLICE_BYTES
     built = []
-    monkeypatch.setattr(spectroscopy, "_separation_solver", lambda *a: built.append(a))
+    monkeypatch.setattr(spectroscopy, "_pair_separations", lambda *a: built.append(a))
     monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
     with pytest.raises(ConfigError, match=f"gap scans at {len(setpoints) + 1} setpoints needs"):
         spectroscopy.gap_vs_setpoint(p, setpoints + [4.60], space)

@@ -493,6 +493,15 @@ def test_device_json_that_is_not_an_object_is_refused(text):
         DeviceParams.from_json(text)
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"g_12": 0.001, "g_12": 0.002}', "g_12"),
+    ('{"t1_qubit1": null, "g_ab": 0.01, "t1_qubit1": 30}', "t1_qubit1"),
+])
+def test_device_json_repeating_a_key_is_refused_naming_it(text, key):
+    with pytest.raises(ConfigError, match=f"device file repeats key '{key}'"):
+        DeviceParams.from_json(text)
+
+
 @pytest.mark.parametrize("interval", [(4.70, 4.55), (4.60, 4.60)])
 def test_switch_off_search_interval_must_increase(interval):
     with pytest.raises(ConfigError, match="search interval must be increasing"):

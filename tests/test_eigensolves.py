@@ -55,7 +55,21 @@ def test_every_hamiltonian_eigensolve_is_a_block_slice():
                 outside.append(where)
     assert len(SOURCES) >= 9
     assert outside == []
-    # the spectrum's eigh, the gap scans' and the co-tuned half gaps' eigvalsh
-    assert [w.split(":")[0] for w in passed] == ["spectroscopy.py"] * 3
+    # the spectrum's eigh, and the eigvalsh of the gap scans and co-tuned half gaps
+    assert [w.split(":")[0] for w in passed] == ["spectroscopy.py"] * 2
     assert [w.split(":")[0] for w in excepted] == ["dynamics.py"]
 
+
+def test_every_level_pair_is_solved_by_the_one_pair_helper():
+    # the gap scans and the co-tuned half gaps take their odd-block level
+    # pairs from spectroscopy._pair_separations alone: it is the one place
+    # in the module that names eigvalsh
+    path = next(p for p in SOURCES if p.name == "spectroscopy.py")
+    tree = ast.parse(path.read_text(), str(path))
+    helper = _inside(tree, lambda f: isinstance(f, ast.FunctionDef)
+                     and f.name == "_pair_separations")
+    named = [node for node in _solver_uses(tree)
+             if "eigvalsh" in (getattr(node, "attr", None), getattr(node, "id", None),
+                               getattr(node, "name", "").split(".")[-1])]
+    assert len(named) == 1
+    assert ast.unparse(named[0]) == "np.linalg.eigvalsh" and id(named[0]) in helper

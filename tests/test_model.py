@@ -247,6 +247,19 @@ def test_block_and_hamiltonians_keep_nothing():
     assert np.array_equal(model.odd_block.template, first.template)
 
 
+@pytest.mark.parametrize("dims", [(3, 3, 3, 3), (4, 4, 4, 4)])
+def test_a_stacks_diagonal_is_the_template_diagonal_plus_the_qubit_terms(dims):
+    # spectroscopy._pair_separations reads each point's bare energies this
+    # way, without a stack: bit for bit the stack's diagonal
+    model = device_model(DeviceParams(), HilbertSpace(dims), True)
+    rng = np.random.default_rng(sum(dims))
+    f1 = np.concatenate([[4.471, 0.6], np.linspace(4.58, 4.62, 5), rng.uniform(0.3, 9.0, 20)])
+    f2 = np.concatenate([[4.471, 0.6], np.full(5, 4.60), rng.uniform(0.3, 9.0, 20)])
+    for block in (model.even_block, model.odd_block, *model.cotuned_sectors):
+        bare = np.diagonal(block.template) + block.diagonals(f1, f2)
+        assert np.diagonal(block.stack(f1, f2), axis1=1, axis2=2).tobytes() == bare.tobytes()
+
+
 def _kept_arrays(model: DeviceModel) -> list[np.ndarray]:
     """Each array of the blocks a model keeps, once."""
     kept = {id(a): a for b in (model.even_block, model.odd_block, *model.cotuned_sectors)

@@ -17,7 +17,7 @@ from dresq.device import (
 )
 from dresq.spectroscopy import (
     GapResult,
-    _separation_solver,
+    _pair_separations,
     cotuned_half_gap,
     gap_vs_setpoint,
     qubit_qubit_gap,
@@ -56,6 +56,12 @@ def reference_separation(params, point, space, modes=(2, 3)):
     order = np.argsort(weight)[::-1]
     k1, k2 = sorted(int(k) for k in order[:2])
     return abs(evals[k2] - evals[k1]) / TWO_PI, (k1, k2)
+
+
+def odd_separations(params, space, f1s, f2s, modes=(2, 3)):
+    """Separations (GHz) and pairs of ``modes`` by the helper on the whole odd block."""
+    model = device_model(params, space, True)
+    return _pair_separations(model, [model.odd_block], modes, f1s, f2s)
 
 
 def rank_pair(params, f1, f2, space):
@@ -148,7 +154,7 @@ def test_qubit_resonator_gap_agrees_with_a_dense_reference(qubit, resonator, exp
     parked = np.full(grid.size, getattr(p, f"qubit_max_freq_{3 - qubit}"))
     f1, f2 = (grid, parked) if qubit == 1 else (parked, grid)
     modes = ("ab".index(resonator), 1 + qubit)
-    seps, _ = _separation_solver(p, SPACE, modes)(f1, f2)
+    seps, _ = odd_separations(p, SPACE, f1, f2, modes)
     i = int(np.argmin(seps))
     assert abs(gap.gap_mhz - seps[i] * 1e3) <= 1e-4
     assert abs(gap.location_ghz - grid[i]) <= 1e-5
@@ -170,7 +176,7 @@ def test_qubit_resonator_gap_agrees_with_a_dense_reference(qubit, resonator, exp
 ])
 def test_qubit_resonator_gap_refuses_an_unknown_qubit_or_resonator(monkeypatch, qubit, resonator):
     scanned = []
-    monkeypatch.setattr(spectroscopy, "_separation_solver", lambda *a: scanned.append(a))
+    monkeypatch.setattr(spectroscopy, "_pair_separations", lambda *a: scanned.append(a))
     with pytest.raises(ConfigError, match="qubit|resonator"):
         qubit_resonator_gap(DeviceParams(), qubit, resonator, SPACE)
     assert scanned == []
@@ -286,7 +292,7 @@ def test_sliced_separations_equal_each_point_alone(monkeypatch, dims):
     monkeypatch.setattr(spectroscopy, "STACK_SLICE_BYTES", 3 * 16 * n * n)
     f1 = np.concatenate([np.linspace(4.57, 4.63, 8), [4.60, 4.62, 4.66]])
     f2 = np.concatenate([np.full(8, 4.60), [4.60, 4.62, 4.66]])
-    seps, pairs = _separation_solver(p, space)(f1, f2)
+    seps, pairs = odd_separations(p, space, f1, f2)
     model = device_model(p, space, True)
     for k in range(f1.size):
         evals = np.linalg.eigvalsh(model.hamiltonians(f1[k:k + 1], f2[k:k + 1], model.odd)[0])
@@ -315,7 +321,7 @@ def test_rank_pair_is_the_pair_of_largest_qubit_weight(dims, device):
                           for _ in range(2))
     f1 = np.concatenate([cotuned, windows, random_1])
     f2 = np.concatenate([cotuned, np.repeat([4.58, 4.68], 5), random_2])
-    seps, pairs = _separation_solver(device, space)(f1, f2)
+    seps, pairs = odd_separations(device, space, f1, f2)
     for k in range(f1.size):
         sep, pair = reference_separation(device, OperatingPoint(f1[k], f2[k]), space)
         assert tuple(pairs[k]) == pair == rank_pair(device, f1[k], f2[k], space)
@@ -435,7 +441,7 @@ def test_spectrum_labels_share_one_tag_table_and_fit_the_memory_count():
 ])
 def test_bool_setpoints_refused_before_any_scan(monkeypatch, flag):
     scanned = []
-    monkeypatch.setattr(spectroscopy, "_separation_solver", lambda *a: scanned.append(a))
+    monkeypatch.setattr(spectroscopy, "_pair_separations", lambda *a: scanned.append(a))
     with pytest.raises(ConfigError, match="setpoint"):
         gap_vs_setpoint(DeviceParams(), [4.58, flag], SPACE)
     with pytest.raises(ConfigError, match="setpoint"):
@@ -468,7 +474,7 @@ def dense_reference_gap(params, setpoint, space):
     sweep, then a golden-section search of the bracket around its minimum
     down to 1e-10 GHz, each search point one eigh alone."""
     grid = np.linspace(setpoint - 0.020, setpoint + 0.020, 4001)
-    seps, _ = _separation_solver(params, space)(grid, np.full(grid.size, setpoint))
+    seps, _ = odd_separations(params, space, grid, np.full(grid.size, setpoint))
     i = int(np.argmin(seps))
     a, b = grid[i - 1], grid[i + 1]
 
@@ -527,7 +533,7 @@ def test_cotuned_half_gap_inside_a_resonator_band_keeps_the_rank_pair():
     p = DeviceParams()
     model = device_model(p, SPACE, True)
     point = np.array([4.471])
-    _, pairs = _separation_solver(p, SPACE)(point, point)
+    _, pairs = odd_separations(p, SPACE, point, point)
     evals = np.linalg.eigvalsh(model.hamiltonians(point, point, model.odd)[0])
     half_gap = cotuned_half_gap(p, [4.471], SPACE)[0]
     assert tuple(pairs[0]) == (1, 2)
@@ -554,18 +560,13 @@ def test_gaps_and_cotuned_half_gaps_need_no_eigenvectors(monkeypatch):
 
 def test_gap_work_is_the_coarse_grid_and_the_step_cap(monkeypatch):
     members = []
-    make = spectroscopy._separation_solver
+    separations = spectroscopy._pair_separations
 
-    def counting(*args):
-        solve = make(*args)
+    def counting(model, blocks, modes, f1s, f2s):
+        members.append(len(f1s))
+        return separations(model, blocks, modes, f1s, f2s)
 
-        def counted(f1s, f2s):
-            members.append(len(f1s))
-            return solve(f1s, f2s)
-
-        return counted
-
-    monkeypatch.setattr(spectroscopy, "_separation_solver", counting)
+    monkeypatch.setattr(spectroscopy, "_pair_separations", counting)
     cap = spectroscopy.GAP_GRID + spectroscopy.GAP_VERTEX_STEPS
     qubit_qubit_gap(DeviceParams(), 4.60, space=SPACE)
     assert members[0] == spectroscopy.GAP_GRID
@@ -603,11 +604,19 @@ def test_gap_scans_equal_each_point_diagonalized_alone(monkeypatch, dims):
         return None if gap is None else (gap.gap_mhz, gap.location_ghz, gap.level_pair)
 
     prepared = scans(cotuned_half_gap)
-    made = []
-    monkeypatch.setattr(spectroscopy, "_separation_solver",
-                        lambda *args: made.append(args) or separations_alone(*args))
-    alone = scans(lambda p, f, space: 0.5 * separations_alone(p, space)(f, f)[0] * 1e3)
-    assert len(made) == 4  # three one-window scans, one lockstep of the four setpoints
+    blocks = []
+
+    def stand_in(model, solved, modes, f1s, f2s):
+        blocks.append(solved)
+        return separations_alone(model, f1s, f2s, modes)
+
+    monkeypatch.setattr(spectroscopy, "_pair_separations", stand_in)
+    alone = scans(lambda p, f, space: 0.5 * separations_alone(
+        device_model(p, space, True), f, f)[0] * 1e3)
+    # every round of the three one-window scans and of the lockstep of the
+    # four setpoints took its pairs from the helper, on the whole odd block
+    odd = device_model(p, space, True).odd_block
+    assert len(blocks) >= 4 and all([id(b) for b in solved] == [id(odd)] for solved in blocks)
     for mine, ref in zip(prepared[:3], alone[:3]):
         assert fields(mine) == fields(ref)
     assert [fields(g) for g in prepared[3][0]] == [fields(g) for g in alone[3][0]]
@@ -742,14 +751,11 @@ def test_a_vertex_step_replaces_the_worst_held_point(monkeypatch):
     # (4.6031006 GHz); taking only steps that beat the middle one stops at
     # 4.6031035 GHz
 
-    def cusp(params, space, modes):
-        def solve(f1s, f2s):
-            seps = np.abs(f1s - f2s - 0.0031) ** 0.6 + 1e-4
-            return seps, np.tile([1, 2], (len(f1s), 1))
+    def cusp(model, blocks, modes, f1s, f2s):
+        seps = np.abs(f1s - f2s - 0.0031) ** 0.6 + 1e-4
+        return seps, np.tile([1, 2], (len(f1s), 1))
 
-        return solve
-
-    monkeypatch.setattr(spectroscopy, "_separation_solver", cusp)
+    monkeypatch.setattr(spectroscopy, "_pair_separations", cusp)
     [result] = spectroscopy._min_separations(DeviceParams(), SPACE, (2, 3), 1,
                                              [(4.60, 4.58, 4.62)])
     assert abs(result.location_ghz - 4.6031) <= 1e-6
@@ -815,7 +821,7 @@ def test_cotuned_half_gaps_equal_the_odd_blocks_within_rounding(dims, g_ab):
     space = HilbertSpace(dims)
     freqs = np.array([4.471, 4.52, 4.58, 4.6392, 4.70, 4.76])
     half_gaps = cotuned_half_gap(p, freqs, space)
-    whole = 0.5 * separations_alone(p, space)(freqs, freqs)[0] * 1e3
+    whole = 0.5 * separations_alone(device_model(p, space, True), freqs, freqs)[0] * 1e3
     assert np.all(np.abs(half_gaps - whole) <= half_gap_bound(p, space, freqs))
 
 
@@ -830,7 +836,7 @@ def test_cotuned_half_gaps_of_a_device_without_the_qubit_exchange_are_the_odd_bl
     space = HilbertSpace(dims)
     freqs = np.array([4.471, 4.52, 4.58, 4.6392, 4.70, 4.76])
     half_gaps = cotuned_half_gap(params, freqs, space)
-    whole = 0.5 * separations_alone(params, space)(freqs, freqs)[0] * 1e3
+    whole = 0.5 * separations_alone(device_model(params, space, True), freqs, freqs)[0] * 1e3
     assert half_gaps.tobytes() == whole.tobytes()
 
 
@@ -895,7 +901,7 @@ def test_cotuned_half_gap_refuses_bad_frequencies(freq):
 
 
 def test_cotuned_half_gaps_beyond_the_memory_limit_refused_before_allocating(monkeypatch):
-    # 40,000 points need 1.2 MiB of separations, level pairs and half gaps
+    # 40,000 points need 1.2 MiB of points, separations and level pairs
     freqs = np.linspace(4.52, 4.76, 40_000)
     monkeypatch.setattr(errors, "MEMORY_LIMIT", 2**20)
     tracemalloc.start()
@@ -920,8 +926,7 @@ def test_a_vertex_step_that_beats_no_held_point_ends_the_steps(monkeypatch):
     # gap is the grid minimum
     lo, hi = 4.60 - spectroscopy.GAP_HALF_SPAN, 4.60 + spectroscopy.GAP_HALF_SPAN
     grid = np.linspace(lo, hi, spectroscopy.GAP_GRID)
-    seps, _ = spectroscopy._separation_solver(DeviceParams(), SPACE, (2, 3))(
-        grid, np.full(grid.size, 4.60))
+    seps, _ = odd_separations(DeviceParams(), SPACE, grid, np.full(grid.size, 4.60))
     i_min = int(np.argmin(seps))
     assert 1 <= i_min <= grid.size - 2
     far = (grid[0] + 0.1 * (grid[1] - grid[0]) if i_min >= 2
