@@ -272,7 +272,7 @@ def cmd_chevron(args) -> int:
         title="vacuum-Rabi chevron (qubit-1 population)",
     )
     _write_outputs(args, {
-        "chevron.csv": chev.to_csv_bytes(),
+        "chevron.csv": chev.to_csv(),
         "chevron.svg": svg,
         "geff_estimate.json": json.dumps(verdict, indent=2, sort_keys=True) + "\n",
     }, params)

@@ -248,6 +248,8 @@ class Block(NamedTuple):
     def stack(self, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
         """The (k, n, n) stack ``template`` + :meth:`diagonals` at the points (f1[k], f2[k]).
 
+        It trusts its callers: ``f1`` and ``f2`` are equal-length 1-d float64
+        arrays of qubit frequencies (GHz) already checked positive and finite.
         A call copies the template and adds the diagonals, so every member is
         bit-identical to the stack of one built at its point alone.
         """
@@ -268,7 +270,7 @@ class DeviceModel:
     excitation-conserving rotating-wave model. All elements are real, so
     H is stored as float64, and it is checked symmetric once, here.
     ``n_q1`` and ``n_q2`` are the qubit number diagonals that
-    :meth:`hamiltonians` scales by the qubit frequencies; ``even`` and
+    :meth:`Block.stack` scales by the qubit frequencies; ``even`` and
     ``odd`` are the basis indices of the two excitation-parity blocks,
     which no term of H couples. The model keeps three blocks, each built
     on first use: :attr:`even_block`, :attr:`odd_block` and the co-tuned
@@ -353,17 +355,6 @@ class DeviceModel:
             number = 0.5 * (odd.n_q1[states] + odd.n_q2[states])
             sectors.append(_read_only(Block(template, number, number)))
         return tuple(sectors)
-
-    def hamiltonians(self, f1: np.ndarray, f2: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """The (k, n, n) stack H_static + 2π(f₁[k] N̂_q1 + f₂[k] N̂_q2) on the block ``idx``.
-
-        It trusts its callers: ``f1`` and ``f2`` are equal-length 1-d float64
-        arrays of qubit frequencies (GHz) already checked positive and finite,
-        and ``idx`` an index array of basis states, whose :meth:`block` is
-        restricted anew; every member is bit-identical to the stack of one
-        built at its point alone (:meth:`Block.stack`).
-        """
-        return self.block(idx).stack(f1, f2)
 
 
 def _read_only(block: Block) -> Block:

@@ -525,7 +525,7 @@ def _propagate(params, space, durations, freqs, rho0, order, observables, n_samp
                    * (n_samples * n_rows + (n_samples - 1).bit_length() * m),
                    f"{n_samples} samples of {batch} evolution(s) on a "
                    f"{idx.size}-state evolution block")
-    hs = model.hamiltonians(points[:, 0], points[:, 1], idx)
+    hs = model.block(idx).stack(points[:, 0], points[:, 1])
     if frame_ghz:
         hs.reshape(len(hs), -1)[:, :: idx.size + 1] -= TWO_PI * frame_ghz * n_exc[idx]
     sel = np.ix_(idx, idx)
@@ -755,11 +755,7 @@ class ChevronMap:
                 f"population outside [0, 1]: range [{self.p1.min():.2e}, {self.p1.max():.2e}]"
             )
 
-    def to_csv(self) -> str:
-        """The text of :meth:`to_csv_bytes`."""
-        return self.to_csv_bytes().decode("ascii")
-
-    def to_csv_bytes(self) -> bytearray:
+    def to_csv(self) -> bytearray:
         """The CSV as ASCII bytes, one line per cell, detuning-major (see
         :func:`_csv_bytes`).
 

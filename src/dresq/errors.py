@@ -13,8 +13,8 @@ MEMORY_LIMIT bytes. Every module checks its input and its allocations with
 the helpers below, so that decision is made here alone, and each refusal
 is a ConfigError raised before anything of the refused size is allocated.
 Each input is checked once, where it enters: a public function checks its
-inputs before it builds anything, and the Hamiltonian stack builder
-(``DeviceModel.hamiltonians``) and the private helpers trust them.
+inputs before it builds anything, and the one Hamiltonian stack builder
+(``device.Block.stack``) and the private helpers trust them.
 """
 
 import math

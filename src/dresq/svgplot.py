@@ -51,6 +51,8 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     v = start
     while v <= hi + 1e-12 * step:
         out.append(round(v, 12))
+        if v + step == v:  # a step below the spacing of floats at v
+            break
         v += step
     return out
 
@@ -60,10 +62,12 @@ class _Canvas:
         self.buf = io.StringIO()
         self.x_lo, self.x_hi = x_range
         self.y_lo, self.y_hi = y_range
+        # a flat axis is widened by 1, or by enough to leave |lo|'s float
+        # spacing where 1 would vanish in it
         if self.x_hi <= self.x_lo:
-            self.x_hi = self.x_lo + 1.0
+            self.x_hi = self.x_lo + max(1.0, abs(self.x_lo) * 2**-40)
         if self.y_hi <= self.y_lo:
-            self.y_hi = self.y_lo + 1.0
+            self.y_hi = self.y_lo + max(1.0, abs(self.y_lo) * 2**-40)
         self.buf.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
             f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'

@@ -43,7 +43,7 @@ def separations_alone(model, f1s, f2s, modes=(2, 3)):
     tracked = [int(t) for t in tracked]
     seps, pairs = [], []
     for f1, f2 in zip(f1s, f2s):
-        h = model.hamiltonians(np.array([f1]), np.array([f2]), np.arange(model.space.size))[0][odd]
+        h = model.block(np.arange(model.space.size)).stack(np.array([f1]), np.array([f2]))[0][odd]
         bare = np.diag(h).tolist()
         order = sorted(range(len(bare)),
                        key=lambda j: (bare[j], j not in tracked, j != tracked[0]))
@@ -183,8 +183,8 @@ def vec_oracle(params, space, durations, freqs, rho0, observables, n_samples, co
     points = np.reshape(np.asarray(freqs, dtype=float), (-1, 2))
     if readout is not None:
         points = np.vstack([points, readout[0]])
-    hs = device_model(params, space, counter_rotating).hamiltonians(
-        points[:, 0], points[:, 1], np.arange(space.size))
+    hs = device_model(params, space, counter_rotating).block(np.arange(space.size)).stack(
+        points[:, 0], points[:, 1])
     hs -= TWO_PI * frame * total_number_operator(space)
     ls = collapse_operators(params, space)
     idx = leak_rule_block(space, rho0, list(hs) + ls)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import svg_coordinates
 from dresq.cli import main
 from dresq.device import DeviceParams
 from dresq.errors import ConfigError
@@ -25,16 +26,21 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def child_env():
+    """The environment of a child process that imports this checkout's dresq."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_a_second_call_in_one_process_writes_a_fresh_process_manifest(tmp_path):
     # the parser is built once per process: the --dims of one call must not
     # leak into the default of the next
     assert run(["geff", "--points", 5, "--dims", 2, 2, 2, 2, "--out", tmp_path / "first"]) == 0
     assert run(["geff", "--points", 5, "--out", tmp_path / "second"]) == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run(
         [sys.executable, "-m", "dresq.cli", "geff", "--points", "5", "--out", str(tmp_path / "fresh")],
-        check=True, env=env, timeout=120,
+        check=True, env=child_env(), timeout=120,
     )
     second = (tmp_path / "second" / "manifest.json").read_bytes()
     assert json.loads(second)["config"]["dims"] == [3, 3, 3, 3]
@@ -203,6 +209,43 @@ def test_chevron_csv_on_disk_is_the_f_string_text_of_its_map(tmp_path, monkeypat
         f"{d:.9g},{t:.9g},{p:.9f}\n"
         for d, row in zip(chev.detunings_mhz, chev.p1) for t, p in zip(chev.taus_ns, row.tolist()))
     assert (out / "chevron.csv").read_bytes() == expected.encode()
+
+
+def test_chevron_csv_is_the_bytes_of_one_to_csv_call(tmp_path, monkeypatch):
+    # the command writes chevron.csv from ChevronMap.to_csv, called once
+    from dresq.dynamics import ChevronMap
+
+    returned = []
+    real = ChevronMap.to_csv
+    monkeypatch.setattr(ChevronMap, "to_csv",
+                        lambda self: returned.append(real(self)) or returned[-1])
+    out = tmp_path / "c"
+    assert run(["chevron", "--tau-max", 600, "--tau-points", 61, "--span-mhz", 12,
+                "--detuning-points", 13, "--out", out]) == 0
+    assert len(returned) == 1
+    assert (out / "chevron.csv").read_bytes() == returned[0]
+
+
+def test_spectrum_over_a_span_of_one_ulp_finishes_with_finite_coordinates(tmp_path):
+    # a sweep from 4.5 to the next float: its axis ticks step by less than
+    # the float spacing at 4.5, and the command must still return. The child
+    # runs on one BLAS thread in 1 GiB of address space, so a tick loop that
+    # never ends fails there rather than filling the machine's memory
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    out = tmp_path / "d"
+    done = subprocess.run(
+        [sys.executable, "-m", "dresq.cli", "spectrum", "--axis", "freq_2", "--start", "4.5",
+         "--stop", "4.500000000000001", "--points", "2", "--dims", "2", "2", "2", "2",
+         "--out", str(out)],
+        env=dict(child_env(), OPENBLAS_NUM_THREADS="1"), preexec_fn=cap_memory, timeout=60,
+    )
+    assert done.returncode == 0
+    values = svg_coordinates((out / "spectrum.svg").read_text())
+    assert values and all(math.isfinite(v) for v in values)
 
 
 def test_every_svg_is_well_formed_xml_and_the_chevron_one_image(tmp_path):

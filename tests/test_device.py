@@ -31,8 +31,8 @@ def decoupled(**kw):
 def hamiltonian(params, point, space, counter_rotating=True):
     """H/ħ at one operating point: a stack of one from the cached model."""
     model = device_model(params, space, counter_rotating)
-    return model.hamiltonians(np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]),
-                              np.arange(space.size))[0]
+    return model.block(np.arange(space.size)).stack(
+        np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]))[0]
 
 
 def state_index(space, occupations):

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from dresq import dynamics, errors
 from dresq.errors import MEMORY_LIMIT, ConfigError, IntegrationError, PhysicsError
 from dresq.fock import HilbertSpace, lowering_operator, number_operator
-from dresq.device import DeviceModel, DeviceParams, OperatingPoint, device_model
+from dresq.device import Block, DeviceModel, DeviceParams, OperatingPoint, device_model
 from dresq.dynamics import (
     ChevronMap,
     DensityState,
@@ -331,7 +331,7 @@ def test_a_prep_after_0_ns_is_refused_before_anything_is_built(monkeypatch):
     # preps act on the initial state only: one on a stage that starts at
     # 12.5 ns is refused, naming that time, before any Hamiltonian is built
     built = []
-    monkeypatch.setattr(DeviceModel, "hamiltonians", lambda *a: built.append(a))
+    monkeypatch.setattr(DeviceModel, "block", lambda *a: built.append(a))
     sched = PulseSchedule([Stage(0.0, BIAS, prep="pi_q2"), Stage(12.5, BIAS),
                            Stage(10.0, BIAS, prep="pi_q1")])
     with pytest.raises(ConfigError, match=r"'pi_q1' at 12.5 ns"):
@@ -368,9 +368,9 @@ def test_preps_of_both_qubits_run_on_the_two_excitation_block(monkeypatch):
     # evolution runs on the 15 states with N <= 2 and matches the complex
     # vec(ρ) reference, which flips ρ₀ on the full space
     blocks = []
-    real = DeviceModel.hamiltonians
-    monkeypatch.setattr(DeviceModel, "hamiltonians",
-                        lambda self, f1, f2, idx: blocks.append(idx) or real(self, f1, f2, idx))
+    real = DeviceModel.block
+    monkeypatch.setattr(DeviceModel, "block",
+                        lambda self, idx: blocks.append(idx) or real(self, idx))
     sched = PulseSchedule([Stage(0.0, BIAS, "pi_q1"), Stage(0.0, BIAS, "pi_q2"),
                            Stage(30.0, OperatingPoint(4.601, 4.60)), Stage(20.0, BIAS)])
     obs = {"n_q1": number_operator(SPACE3, 2), "n_q2": number_operator(SPACE3, 3),
@@ -464,9 +464,9 @@ def test_block_from_static_couplings_matches_the_leak_rule(
     sched = PulseSchedule([Stage(0.0, points[0], "pi_q2")] * n_preps
                           + [Stage(1.0, pt) for pt in points])
     stage_points = [st.point for st in sched.stages]
-    hs = device_model(p, space, counter_rotating).hamiltonians(
+    hs = device_model(p, space, counter_rotating).block(np.arange(space.size)).stack(
         np.array([pt.qubit_freq_1 for pt in stage_points]),
-        np.array([pt.qubit_freq_2 for pt in stage_points]), np.arange(space.size),
+        np.array([pt.qubit_freq_2 for pt in stage_points]),
     )
     hs -= dynamics.TWO_PI * frame * total_number_operator(space)
     ls = collapse_operators(p, space)
@@ -480,10 +480,14 @@ def test_block_from_static_couplings_matches_the_leak_rule(
         pass
 
     seen = {}
-    real = DeviceModel.hamiltonians
+    real_block, real_stack = DeviceModel.block, Block.stack
 
-    def hamiltonians(self, f1, f2, idx):
-        seen["idx"], seen["hs"] = idx, real(self, f1, f2, idx)
+    def block(self, idx):
+        seen["idx"] = idx
+        return real_block(self, idx)
+
+    def stack(self, f1, f2):
+        seen["hs"] = real_stack(self, f1, f2)
         return seen["hs"]
 
     def superoperator(h, collapse):
@@ -498,7 +502,8 @@ def test_block_from_static_couplings_matches_the_leak_rule(
                include_counter_rotating=counter_rotating, frame_ghz=frame)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DeviceModel, "hamiltonians", hamiltonians)
+        mp.setattr(DeviceModel, "block", block)
+        mp.setattr(Block, "stack", stack)
         mp.setattr(dynamics, "_superoperator", superoperator)
         mp.setattr(dynamics, "_expm", expm)
         if _expm_bytes(expected.size**2 if ls else expected.size) > MEMORY_LIMIT:
@@ -519,13 +524,13 @@ def test_block_from_static_couplings_matches_the_leak_rule(
 
 def test_evolution_builds_its_stage_stack_on_the_excitation_block(monkeypatch):
     blocks = []
-    real = DeviceModel.hamiltonians
+    real = DeviceModel.block
 
-    def spy(self, f1, f2, idx):
+    def spy(self, idx):
         blocks.append(np.array(idx))
-        return real(self, f1, f2, idx)
+        return real(self, idx)
 
-    monkeypatch.setattr(DeviceModel, "hamiltonians", spy)
+    monkeypatch.setattr(DeviceModel, "block", spy)
     # a lossy rotating-wave run at 3^4 from the ground state with one prep:
     # the N <= 1 block, ground and one quantum in each of the four modes
     hold = OperatingPoint(4.601, 4.60)
@@ -785,9 +790,8 @@ def propagation_norm(params, sched, space, counter_rotating, frame):
     Lindblad generator on the whole space, at least its block's, times the
     stage's duration."""
     points = [st.point for st in sched.stages]
-    hs = device_model(params, space, counter_rotating).hamiltonians(
-        np.array([pt.qubit_freq_1 for pt in points]), np.array([pt.qubit_freq_2 for pt in points]),
-        np.arange(space.size))
+    hs = device_model(params, space, counter_rotating).block(np.arange(space.size)).stack(
+        np.array([pt.qubit_freq_1 for pt in points]), np.array([pt.qubit_freq_2 for pt in points]))
     hs -= dynamics.TWO_PI * frame * total_number_operator(space)
     generators = lindblad_superoperator(hs, collapse_operators(params, space))
     return sum(np.abs(g).sum(axis=0).max() * st.duration_ns
@@ -928,7 +932,7 @@ def test_hermitian_coordinates_make_lindblad_generators_real():
     random_generator = _superoperator(h + h.conj().T, collapse)
     p = DeviceParams()
     idx = np.flatnonzero(SPACE3.quanta.sum(axis=0) <= 1)
-    hd = device_model(p, SPACE3, False).hamiltonians(np.array([4.603]), np.array([4.60]), idx)[0]
+    hd = device_model(p, SPACE3, False).block(idx).stack(np.array([4.603]), np.array([4.60]))[0]
     hd -= dynamics.TWO_PI * 4.60 * np.diag(SPACE3.quanta.sum(axis=0)[idx])
     device_generator = _superoperator(
         hd, [l[np.ix_(idx, idx)] for l in collapse_operators(p, SPACE3)])
@@ -972,8 +976,8 @@ def test_rotated_generators_match_each_point_built_alone(
     # built from its own superoperator, on the block and the reachable
     # entries a run would use, couplings, losses, model and frame drawn
     p = DeviceParams(**couplings) if lossy else DeviceParams(**lossless(**couplings))
-    hs = device_model(p, SPACE2, counter_rotating).hamiltonians(
-        *np.array(freqs, dtype=float).T, np.arange(SPACE2.size))
+    hs = device_model(p, SPACE2, counter_rotating).block(np.arange(SPACE2.size)).stack(
+        *np.array(freqs, dtype=float).T)
     hs -= dynamics.TWO_PI * frame * total_number_operator(SPACE2)
     ls = collapse_operators(p, SPACE2)
     idx = leak_rule_block(SPACE2, initial.rho, list(hs) + ls)
@@ -1230,7 +1234,7 @@ def test_chevron_refuses_a_step_stack_over_the_limit_before_building(monkeypatch
     # more than fits is refused before any block Hamiltonian is built, with
     # nothing per column held but its row of the frequency table
     built = []
-    monkeypatch.setattr(DeviceModel, "hamiltonians", lambda *a: built.append(a))
+    monkeypatch.setattr(DeviceModel, "block", lambda *a: built.append(a))
     columns = errors.MEMORY_LIMIT // _expm_bytes(25, 8) + 1
     offsets = np.linspace(-20.0, 20.0, columns)
     tracemalloc.start()
@@ -1326,8 +1330,8 @@ def test_lossless_evolution_matches_generator_exponential():
     duration = 37.0
     init = DensityState.single_excitation(SPACE2, 3)
     ts = evolve(p, PulseSchedule([Stage(duration, point)]), init, SPACE2, {}, n_samples=2)
-    h = device_model(p, SPACE2, True).hamiltonians(
-        np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]), np.arange(SPACE2.size))[0]
+    h = device_model(p, SPACE2, True).block(np.arange(SPACE2.size)).stack(
+        np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]))[0]
     stage_map = _expm(duration * _superoperator(h, []))
     expected = (stage_map @ init.rho.reshape(-1)).reshape(init.rho.shape)
     assert np.abs(ts.final_state.rho - expected).max() < 1e-10
@@ -1348,8 +1352,8 @@ def test_lossless_full_space_matches_eigenbasis_reference():
     n_q1 = number_operator(SPACE3, 2)
     ts = evolve(p, PulseSchedule([Stage(2000.0, point)]), init, SPACE3, {"n_q1": n_q1},
                 n_samples=11)
-    h = device_model(p, SPACE3, True).hamiltonians(
-        np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]), np.arange(SPACE3.size))[0]
+    h = device_model(p, SPACE3, True).block(np.arange(SPACE3.size)).stack(
+        np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]))[0]
     for t, reading in zip(ts.times_ns, ts.expectations["n_q1"]):
         u = eigenbasis_propagator(h, t)
         rho = u @ init.rho @ u.conj().T
@@ -1395,8 +1399,8 @@ def test_superoperator_matches_the_term_by_term_lindblad_reference(
     # plus the dissipator built term by term, for a stack of device
     # Hamiltonians or one, with the device's collapse operators or none
     p = DeviceParams(**couplings) if lossy else DeviceParams(**lossless(**couplings))
-    hs = device_model(p, SPACE2, counter_rotating).hamiltonians(
-        *np.array(freqs, dtype=float).T, np.arange(SPACE2.size))
+    hs = device_model(p, SPACE2, counter_rotating).block(np.arange(SPACE2.size)).stack(
+        *np.array(freqs, dtype=float).T)
     h = hs if stacked else hs[0]
     collapse = collapse_operators(p, SPACE2)
     assert bool(collapse) == lossy
@@ -1499,7 +1503,7 @@ def test_chevron_population_bounds_and_csv():
     taus = np.linspace(0, 200, 21)
     chev = vacuum_rabi_chevron(p, BIAS, 4.60, np.array([-5.0, 0.0, 5.0]), taus)
     assert chev.p1.min() >= 0.0 and chev.p1.max() <= 1.0
-    lines = chev.to_csv().splitlines()
+    lines = chev.to_csv().decode().splitlines()
     assert lines[0] == "detuning_mhz,tau_ns,p1"
     assert len(lines) == 1 + 3 * 21
 
@@ -1514,7 +1518,7 @@ def test_chevron_csv_matches_cell_loop():
     for i, d in enumerate(chev.detunings_mhz):
         for j, t in enumerate(chev.taus_ns):
             lines.append(f"{d:.9g},{t:.9g},{chev.p1[i, j]:.9f}\n")
-    assert chev.to_csv() == "".join(lines)
+    assert chev.to_csv().decode() == "".join(lines)
 
 
 def test_chevron_csv_formats_edge_values_as_f_strings():
@@ -1554,9 +1558,10 @@ def test_chevron_csv_formats_edge_values_as_f_strings():
             f"{d:.9g},{t:.9g},{p:.9f}\n"
             for d, row in zip(chev.detunings_mhz, chev.p1)
             for t, p in zip(chev.taus_ns, row.tolist()))
-        assert chev.to_csv() == expected
-    assert "-0,0,0.000000000\n" in maps[0].to_csv()
-    assert "-0.000000000" in maps[0].to_csv() and "-0.000001000" in maps[1].to_csv()
+        assert chev.to_csv().decode() == expected
+    assert "-0,0,0.000000000\n" in maps[0].to_csv().decode()
+    assert "-0.000000000" in maps[0].to_csv().decode()
+    assert "-0.000001000" in maps[1].to_csv().decode()
 
 
 def test_chevron_csv_peaks_within_its_count_and_is_refused_before_allocating(monkeypatch):

@@ -72,7 +72,7 @@ def at(model, point, idx=None):
     space by default: its stack of one."""
     idx = np.arange(model.space.size) if idx is None else idx
     f1, f2 = np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2])
-    return model.hamiltonians(f1, f2, idx)[0]
+    return model.block(idx).stack(f1, f2)[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -208,10 +208,10 @@ def test_stacked_hamiltonians_equal_each_point_alone(case):
     model = device_model(DeviceParams(), HilbertSpace(dims), True)
     idx = np.arange(model.space.size) if block == "full" else getattr(model, block)
     f1, f2 = (np.array(f) for f in zip(*points))
-    stack = model.hamiltonians(f1, f2, idx)
+    stack = model.block(idx).stack(f1, f2)
     assert stack.shape == (len(points), idx.size, idx.size)
     for k, h in enumerate(stack):
-        alone = model.hamiltonians(f1[k : k + 1], f2[k : k + 1], idx)
+        alone = model.block(idx).stack(f1[k : k + 1], f2[k : k + 1])
         assert alone.shape == (1,) + h.shape
         assert np.array_equal(h, alone[0])
         # the per-point assembly: restrict h_static, add 2π f n̂ to the diagonal
@@ -227,9 +227,9 @@ def test_a_restricted_block_is_a_submatrix_of_the_whole_space():
     small = DeviceModel(DeviceParams(), HilbertSpace((2, 2, 2, 2)), True)
     f1, f2 = np.array([4.6]), np.array([4.62])
     mask = np.arange(small.space.size) == 0
-    pair = small.hamiltonians(f1, f2, np.array([1, 0]))
-    assert small.hamiltonians(f1, f2, mask).shape == (1, 1, 1)
-    whole = small.hamiltonians(f1, f2, np.arange(small.space.size))[0]
+    pair = small.block(np.array([1, 0])).stack(f1, f2)
+    assert small.block(mask).stack(f1, f2).shape == (1, 1, 1)
+    whole = small.block(np.arange(small.space.size)).stack(f1, f2)[0]
     assert np.array_equal(pair[0], whole[np.ix_([1, 0], [1, 0])])
 
 
@@ -238,7 +238,7 @@ def test_block_and_hamiltonians_keep_nothing():
     before = set(vars(model))
     f = np.array([4.6])
     for idx in (model.odd, model.even, np.arange(model.space.size), model.odd):
-        model.hamiltonians(f, f, idx)
+        model.block(idx).stack(f, f)
     first, again = model.block(model.odd), model.block(model.odd)
     assert set(vars(model)) == before
     assert first.template is not again.template
@@ -317,7 +317,7 @@ def test_cotuned_sectors_have_the_odd_blocks_eigenvalues(dims, sizes, g_ab):
         assert np.array_equal(b.template, b.template.T)
         assert np.array_equal(b.n_q1, b.n_q2)
     f = np.array([4.471, 4.52, 4.6392, 4.70, 4.76, 5.2])
-    full = model.hamiltonians(f, f, model.odd)
+    full = model.block(model.odd).stack(f, f)
     difference = np.abs(sector_levels(model, f) - np.linalg.eigvalsh(full)).max(axis=1)
     assert np.all(difference <= weyl_bound(full))
 

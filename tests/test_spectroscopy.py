@@ -36,7 +36,7 @@ def half_gap_bound(params, space, freqs) -> np.ndarray:
     in MHz of a half gap: what the sector solve may move a half gap by against
     the whole block's."""
     model = device_model(params, space, True)
-    return weyl_bound(model.hamiltonians(freqs, freqs, model.odd)) / TWO_PI * 1e3
+    return weyl_bound(model.block(model.odd).stack(freqs, freqs)) / TWO_PI * 1e3
 
 
 def reference_separation(params, point, space, modes=(2, 3)):
@@ -49,8 +49,8 @@ def reference_separation(params, point, space, modes=(2, 3)):
     model = device_model(params, space, True)
     states = np.take(space.single_excitation_indices(), modes)
     s_1, s_2 = np.searchsorted(model.odd, states)
-    h = model.hamiltonians(np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]),
-                           model.odd)[0]
+    h = model.block(model.odd).stack(
+        np.array([point.qubit_freq_1]), np.array([point.qubit_freq_2]))[0]
     evals, evecs = np.linalg.eigh(h)
     weight = np.abs(evecs[s_1, :]) ** 2 + np.abs(evecs[s_2, :]) ** 2
     order = np.argsort(weight)[::-1]
@@ -69,7 +69,7 @@ def rank_pair(params, f1, f2, space):
     energies at (f1, f2), a qubit below any other state of its energy and q1
     below q2; in the band, the ranks of f1 and f2 among (ω_a, ω_b, f1, f2)."""
     model = device_model(params, space, True)
-    bare = np.diag(model.hamiltonians(np.array([f1]), np.array([f2]), model.odd)[0])
+    bare = np.diag(model.block(model.odd).stack(np.array([f1]), np.array([f2]))[0])
     s_q1, s_q2 = np.searchsorted(model.odd, space.single_excitation_indices()[2:])
     order = sorted(range(bare.size),
                    key=lambda j: (bare[j], j not in (s_q1, s_q2), j != s_q1))
@@ -295,7 +295,7 @@ def test_sliced_separations_equal_each_point_alone(monkeypatch, dims):
     seps, pairs = odd_separations(p, space, f1, f2)
     model = device_model(p, space, True)
     for k in range(f1.size):
-        evals = np.linalg.eigvalsh(model.hamiltonians(f1[k:k + 1], f2[k:k + 1], model.odd)[0])
+        evals = np.linalg.eigvalsh(model.block(model.odd).stack(f1[k:k + 1], f2[k:k + 1])[0])
         pair = rank_pair(p, f1[k], f2[k], space)
         assert seps[k] == abs(evals[pair[1]] - evals[pair[0]]) / TWO_PI
         assert tuple(pairs[k]) == pair
@@ -534,7 +534,7 @@ def test_cotuned_half_gap_inside_a_resonator_band_keeps_the_rank_pair():
     model = device_model(p, SPACE, True)
     point = np.array([4.471])
     _, pairs = odd_separations(p, SPACE, point, point)
-    evals = np.linalg.eigvalsh(model.hamiltonians(point, point, model.odd)[0])
+    evals = np.linalg.eigvalsh(model.block(model.odd).stack(point, point)[0])
     half_gap = cotuned_half_gap(p, [4.471], SPACE)[0]
     assert tuple(pairs[0]) == (1, 2)
     assert reference_separation(p, OperatingPoint(4.471, 4.471), SPACE)[1] == (0, 1)

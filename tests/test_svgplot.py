@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import svg_coordinates
 from dresq import svgplot
 from dresq.svgplot import _Canvas, heatmap
 
@@ -246,3 +247,50 @@ def test_canvas_widens_a_flat_range_to_one_unit():
     assert (cv.x_hi, cv.y_hi) == (2.0, 3.0)
     assert cv.px(1.0) == svgplot.MARGIN_LEFT
     assert cv.py(2.0) == svgplot.HEIGHT - svgplot.MARGIN_BOTTOM
+
+
+@pytest.fixture
+def tick_budget(monkeypatch):
+    """Fail a figure after 100 axis ticks: ``_ticks`` rounds each tick once, and a
+    tick loop that never ends fills memory long before the watchdog fires."""
+    ticks = []
+
+    def counted(v, ndigits):
+        ticks.append(v)
+        if len(ticks) > 100:
+            raise AssertionError("more than 100 axis ticks")
+        return round(v, ndigits)
+
+    monkeypatch.setattr(svgplot, "round", counted, raising=False)
+
+
+@pytest.mark.usefixtures("tick_budget")
+@pytest.mark.parametrize("ulps", [1, 2])
+def test_ticks_of_a_span_of_ulps_are_a_few(ulps):
+    # the tick step of a span of one or two ulps at 4.5 is below the float
+    # spacing there, or barely above it: adding it must not loop forever
+    hi = 4.5
+    for _ in range(ulps):
+        hi = math.nextafter(hi, 5.0)
+    ticks = svgplot._ticks(4.5, hi)
+    assert 1 <= len(ticks) <= 3
+    assert ticks[0] == 4.5
+
+
+def test_canvas_widens_a_flat_range_where_one_unit_vanishes():
+    # 1e17 + 1 rounds back to 1e17: the axis must still get a nonzero width
+    cv = _Canvas((4.6, 4.6), (1e17, 1e17), "x", "y", "")
+    assert cv.y_hi > cv.y_lo == 1e17
+    assert cv.py(1e17) == svgplot.HEIGHT - svgplot.MARGIN_BOTTOM
+
+
+@pytest.mark.parametrize("x, y", [
+    ([4.5, math.nextafter(4.5, 5.0)], [1.0, 2.0]),
+    ([4.6], [1e17]),
+], ids=["x-span-of-one-ulp", "flat-y-at-1e17"])
+@pytest.mark.usefixtures("tick_budget")
+def test_line_plot_of_a_degenerate_axis_has_finite_coordinates(x, y):
+    svg = svgplot.line_plot(np.array(x), {"s": np.array(y)}, "x", "y")
+    ET.fromstring(svg)
+    values = svg_coordinates(svg)
+    assert values and all(math.isfinite(v) for v in values)
