@@ -45,6 +45,9 @@ _RESONATOR_QUBIT_PAIRS = {
     "g_b2": (1, 3),
 }
 
+_MODE_FREQ_FIELDS = ("resonator_freq_a", "resonator_freq_b", "qubit_max_freq_1", "qubit_max_freq_2")
+_COUPLING_FIELDS = ("g_a1", "g_a2", "g_b1", "g_b2", "g_ab", "g_12")
+
 DEGENERACY_TOL_GHZ = 1e-6
 
 # peak bytes a point of effective_coupling on an array: the frequencies checked
@@ -68,6 +71,11 @@ class DeviceParams:
     measured; g_ab defaults to zero and the anharmonicity α to -0.250.
     The Hamiltonian adds α·n(n−1) = α a†a†aa per qubit, so the 1→2
     transition lies 2α (−500 MHz at the default) below the 0→1 one.
+
+    The model describes a device whose mode frequencies (resonators and
+    qubit sweet spots) are above 0 GHz and whose |α| and |g| are below half
+    the lowest of them; any other raises ConfigError naming the field. A
+    coupling of a tenth of that frequency or more warns.
     """
 
     resonator_freq_a: float = 4.47
@@ -101,6 +109,16 @@ class DeviceParams:
                 number = require_number(v, f"parameter {f.name}")
                 if not isinstance(v, (int, float)):
                     object.__setattr__(self, f.name, number)
+        for name in _MODE_FREQ_FIELDS:
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be above 0 GHz, got {getattr(self, name)}")
+        min_freq = min(getattr(self, name) for name in _MODE_FREQ_FIELDS)
+        for name in ("anharmonicity_1", "anharmonicity_2", *_COUPLING_FIELDS):
+            if not abs(getattr(self, name)) < min_freq / 2:
+                raise ConfigError(
+                    f"|{name}| = {abs(getattr(self, name))} GHz is not below half the lowest "
+                    f"mode frequency, {min_freq} GHz"
+                )
         if not self.resonator_freq_a < self.resonator_freq_b:
             raise ConfigError(
                 "resonator_freq_a must be below resonator_freq_b "
@@ -117,16 +135,7 @@ class DeviceParams:
                 )
         if self.flux_period_1 == 0 or self.flux_period_2 == 0:
             raise ConfigError("flux periods must be nonzero")
-        min_freq = min(
-            self.resonator_freq_a,
-            self.resonator_freq_b,
-            self.qubit_max_freq_1,
-            self.qubit_max_freq_2,
-        )
-        max_g = max(
-            abs(self.g_a1), abs(self.g_a2), abs(self.g_b1), abs(self.g_b2),
-            abs(self.g_ab), abs(self.g_12),
-        )
+        max_g = max(abs(getattr(self, name)) for name in _COUPLING_FIELDS)
         if max_g >= min_freq / 10.0:
             warnings.warn(
                 f"largest coupling {max_g} GHz is not small against the lowest "
@@ -515,7 +524,10 @@ def find_switch_off(params: DeviceParams, search_interval: tuple[float, float]) 
 
 
 def flux_to_frequency(params: DeviceParams, qubit_index: int, control_value: float) -> float:
-    """Symmetric-junction tuning law ω(x) = ω_max √|cos(π(x−x0)/period)|."""
+    """Symmetric-junction tuning law ω(x) = ω_max √|cos(π(x−x0)/period)|.
+
+    A phase π(x−x0)/period that overflows float64 raises ConfigError.
+    """
     control_value = require_number(control_value, "control value")
     qubit_index = require_count(qubit_index, "qubit index", 1)
     if qubit_index > 2:
@@ -523,4 +535,9 @@ def flux_to_frequency(params: DeviceParams, qubit_index: int, control_value: flo
     f_max, period, offset = (getattr(params, f"{name}_{qubit_index}")
                              for name in ("qubit_max_freq", "flux_period", "flux_offset"))
     phase = math.pi * (control_value - offset) / period
+    if not math.isfinite(phase):
+        raise ConfigError(
+            f"flux phase of qubit {qubit_index} overflows: control value {control_value}, "
+            f"offset {offset}, period {period}"
+        )
     return f_max * math.sqrt(abs(math.cos(phase)))

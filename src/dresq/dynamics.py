@@ -92,11 +92,11 @@ POSITIVITY_TOL = 1e-8
 STACK_SLICE_BYTES = 2**21
 
 # peak bytes a cell of ChevronMap.to_csv, beyond about 7 kB a call: the cells'
-# 12-byte digits and their scratch, then lines of at most 46 characters in the
-# buffer and its text (tracemalloc: 46 at the bench's 41 × 201 grid, 78 at the
-# widest lines, 41 × 2001, and 98 there with every cell signed; 100-103 for one
-# row of 2,001-20,001 τ)
-CSV_CELL_BYTES = 112
+# 12-byte digits and their scratch, lines of at most 46 characters in the buffer,
+# and about 100 bytes a τ for all rows, its float and text (tracemalloc: 45 at the
+# bench's 41 × 201 grid, 53 at the widest lines, 41 × 2001; 137-150 for one row
+# of 200-20,001 τ)
+CSV_CELL_BYTES = 160
 
 # ASCII digits of 0-9999, four bytes a row (built in uint16, so that no temporary
 # is large enough for the allocator to map and unmap it at import)
@@ -109,9 +109,9 @@ def _words(*columns) -> np.ndarray:
     return np.column_stack(columns).astype(np.uint8).view(np.uint32)[:, 0]
 
 
-# the 12 bytes "a.ddddddddd\n" of a cell n = rint(1e9·p), 0 <= n <= 2e9, are three
-# words: "a.dd" of n // 10**7, "dddd" of n // 1000 % 10**4 and "ddd\n" of n % 1000
-_LEAD_WORDS = _words(_DIGITS[:201, 1], np.full(201, ord(".")), _DIGITS[:201, 2], _DIGITS[:201, 3])
+# the 12 bytes "d.ddddddddd\n" of a cell n = rint(1e9·p), 0 <= n <= 1e9, are three
+# words: "d.dd" of n // 10**7, "dddd" of n // 1000 % 10**4 and "ddd\n" of n % 1000
+_LEAD_WORDS = _words(_DIGITS[:101, 1], np.full(101, ord(".")), _DIGITS[:101, 2], _DIGITS[:101, 3])
 _MID_WORDS = _DIGITS.view(np.uint32)[:, 0]
 _LAST_WORDS = _words(_DIGITS[:1000, 1], _DIGITS[:1000, 2], _DIGITS[:1000, 3],
                      np.full(1000, ord("\n")))
@@ -737,9 +737,13 @@ def evolve(
 # chevron
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChevronMap:
-    """Qubit-1 population versus interaction time and qubit detuning."""
+    """Qubit-1 population versus interaction time and qubit detuning.
+
+    A ``p1`` cell that is not finite raises ConfigError, and one outside
+    [0, 1] by more than 1e-6 IntegrationError. ``p1`` is stored as float64
+    clipped to [0, 1], −0.0 as +0.0, C-contiguous and read-only."""
 
     detunings_mhz: np.ndarray
     taus_ns: np.ndarray
@@ -754,6 +758,10 @@ class ChevronMap:
             raise IntegrationError(
                 f"population outside [0, 1]: range [{self.p1.min():.2e}, {self.p1.max():.2e}]"
             )
+        p1 = np.ascontiguousarray(np.clip(self.p1, 0.0, 1.0), dtype=float)
+        p1 += 0.0  # np.clip keeps −0.0, and −0.0 + 0.0 is +0.0
+        p1.flags.writeable = False
+        object.__setattr__(self, "p1", p1)
 
     def to_csv(self) -> bytearray:
         """The CSV as ASCII bytes, one line per cell, detuning-major (see
@@ -769,32 +777,28 @@ class ChevronMap:
 def _csv_bytes(detunings: np.ndarray, taus: np.ndarray, p: np.ndarray) -> bytearray:
     """The CSV of a chevron map, written into one byte buffer.
 
-    Each detuning and each τ is formatted once (``.9g``), and the layout
-    of the lines follows from the lengths of those texts. A cell whose
-    sign bit is clear, below 2 and whose 1e9·p lies more than 1e-6 from a
-    half-integer is written as the digits of n = rint(1e9·p): the product
-    is off by less than 1.2e-7 there, so no rounding tie lies between it
-    and the exact value, and the digits are those of ``f"{p:.9f}"``. Every
-    other cell (−0.0, a value in [−1e-6, 0), a near-tie) gets the text of
-    ``f"{p:.9f}"``, in a slot as wide as that text. ``p`` is finite, as
-    ``ChevronMap`` admits it.
+    Each detuning and each τ is formatted once (``.9g``), and the layout of
+    the lines follows from the lengths of those texts. Every cell is 12
+    bytes, ``f"{p:.9f}"`` and a newline, as ``ChevronMap`` holds p in [0, 1]
+    without −0.0. Where 1e9·p lies more than 1e-6 from a half-integer it is
+    written as the digits of n = rint(1e9·p): the product is off by less than
+    1.2e-7 there, so no rounding tie lies between it and the exact value, and
+    the digits are those of ``f"{p:.9f}"``. A near-tie is written as that text.
     """
-    n_taus = p.shape[1]
     heads = [f"{d:.9g}".encode() for d in detunings.tolist()]
     width = np.array([len(h) for h in heads])
     texts = [f"{t:.9g}" for t in taus.tolist()]
-    tau_len = np.fromiter(map(len, texts), np.intp, n_taus)
+    tau_len = np.fromiter(map(len, texts), np.intp, len(texts))
     tau_text = "\n".join(texts).encode()
     del texts
 
     scaled = p * 1e9
     n = np.rint(scaled)
     # |1e9·p − n| >= 0.5 − 1e-6: 1e9·p is within 1e-6 of a half-integer
-    other = np.signbit(p) | ~(p < 2.0) | (np.abs(scaled - n) >= 0.5 - 1e-6)
+    ties = np.nonzero(np.abs(scaled - n) >= 0.5 - 1e-6)
     del scaled
-    n[other] = 0.0  # their texts come later; 0 keeps their lookups in the tables
     n = n.astype(np.intp)
-    words = np.empty(p.shape + (3,), np.uint32)  # "a.dd", "dddd", "ddd\n"
+    words = np.empty(p.shape + (3,), np.uint32)  # "d.dd", "dddd", "ddd\n"
     q = n // 1000
     words[..., 2] = _LAST_WORDS[n - 1000 * q]
     n = q // 10_000
@@ -802,59 +806,26 @@ def _csv_bytes(detunings: np.ndarray, taus: np.ndarray, p: np.ndarray) -> bytear
     words[..., 0] = _LEAD_WORDS[n]
     del n, q
     cells = words.view("V12")[..., 0]
+    cells[ties] = np.frombuffer("".join(f"{v:.9f}\n" for v in p[ties].tolist()).encode(), "V12")
 
-    # the other cells, row-major, and the bytes their texts add to a line
-    rows, cols = np.divmod(np.flatnonzero(other), n_taus)
-    del other
-    extra = np.fromiter((len(f"{v:.9f}") - 11 for v in p[rows, cols]), np.intp, rows.size)
-    wide = extra > 0
-    rows_w, cols_w, extra_w = rows[wide], cols[wide], extra[wide]
-    del extra, wide
-    row_extra = np.bincount(rows_w, extra_w, len(heads)).astype(np.intp)
-    row_len = n_taus * (width + 14) + tau_len.sum() + row_extra
+    row_len = p.shape[1] * (width + 14) + tau_len.sum()
     row_end = (np.cumsum(row_len) + len(_CSV_HEADER)).tolist()
     buf = bytearray(row_end[-1])
     buf[:len(_CSV_HEADER)] = _CSV_HEADER
-
-    def layout(w: int, wide_cols=(), wide_extra=()):
-        """A row's template, and where its lines' detuning texts and cells start."""
-        sep = b"," + bytes(12 + w) + b","
-        template = np.frombuffer(
-            b"".join([bytes(w) + b",", tau_text.replace(b"\n", sep), b"," + bytes(12)]), np.uint8)
-        line = w + tau_len + 14  # detuning, τ, two commas and a 12-byte cell
-        if len(wide_cols):
-            at = (np.cumsum(line) - line + w + tau_len + 2)[wide_cols]
-            template = np.insert(template, np.repeat(at, wide_extra), 0)
-            line[wide_cols] += wide_extra
-        at = np.cumsum(line) - line
-        return template, at, at + w + tau_len + 2
-
-    # runs of rows that share a layout: equal detuning widths, no wide cell
-    irregular = row_extra > 0
-    new_run = np.ones(len(heads), bool)
-    new_run[1:] = (width[1:] != width[:-1]) | irregular[1:] | irregular[:-1]
-    starts = np.flatnonzero(new_run).tolist()
-    layouts: dict[int, tuple] = {}
+    # each run of rows whose detuning texts are equally wide: a row's template,
+    # then the detuning texts and the cells at their places in its lines
+    starts = np.flatnonzero(np.diff(width, prepend=0)).tolist()
     for a, b in zip(starts, starts[1:] + [len(heads)]):
         w, size = int(width[a]), int(row_len[a])
-        if irregular[a]:
-            lo, hi = np.searchsorted(rows_w, [a, b])
-            template, head_at, cell_at = layout(w, cols_w[lo:hi], extra_w[lo:hi])
-        else:
-            if w not in layouts:
-                layouts[w] = layout(w)
-            template, head_at, cell_at = layouts[w]
+        sep = b"," + bytes(12 + w) + b","
+        template = b"".join([bytes(w) + b",", tau_text.replace(b"\n", sep), b"," + bytes(12)])
+        line = w + tau_len + 14  # detuning, τ, two commas and a 12-byte cell
+        head_at = np.cumsum(line) - line
         start = row_end[a] - size
-        np.ndarray((b - a, size), np.uint8, buf, start)[:] = template
+        np.ndarray((b - a, size), np.uint8, buf, start)[:] = np.frombuffer(template, np.uint8)
         _windows(buf, start, b - a, size, w)[:, head_at] = np.frombuffer(
             b"".join(heads[a:b]), f"V{w}")[:, None]
-        _windows(buf, start, b - a, size, 12)[:, cell_at] = cells[a:b]
-        # the run's other cells, over their digits
-        lo, hi = np.searchsorted(rows, [a, b])
-        for r, c in zip(rows[lo:hi], cols[lo:hi]):
-            text = f"{p[r, c]:.9f}\n".encode()
-            at = start + (r - a) * size + int(cell_at[c])
-            buf[at:at + len(text)] = text
+        _windows(buf, start, b - a, size, 12)[:, head_at + w + tau_len + 2] = cells[a:b]
     return buf
 
 
@@ -897,9 +868,10 @@ def vacuum_rabi_chevron(
     reached by repeated squaring of each column's one step map, and the
     readout rows by powers of the padding's. A trace drift beyond 1e-8 (or a
     NaN), checked as each slice of τ values is read, raises IntegrationError
-    naming the first such column of that slice, and a population outside
-    [0, 1] beyond rounding raises IntegrationError before the rounding is
-    clipped. Every device ``DeviceParams`` admits runs.
+    naming the first such column of that slice. The map is a
+    ``ChevronMap``, which raises IntegrationError on a population outside
+    [0, 1] beyond rounding and clips the rounding. Every device
+    ``DeviceParams`` admits runs.
 
     ``q2_target``, the offsets, the τ values and a readout delay must be
     finite numbers, the offsets strictly ascending (a single offset is
@@ -940,6 +912,4 @@ def vacuum_rabi_chevron(
         DensityState.single_excitation(space, 3).rho, np.arange(space.size),
         [number_operator(space, 2)], taus.size, False, q2_target, readout, "chevron column",
     )
-    chevron = ChevronMap(offsets, taus, readings[:, 1])  # checks the raw range
-    chevron.p1 = np.clip(chevron.p1, 0.0, 1.0)
-    return chevron
+    return ChevronMap(offsets, taus, readings[:, 1])

@@ -414,18 +414,17 @@ def qubit_resonator_gap(params: DeviceParams, qubit: int, resonator: str,
     The qubit is swept over the resonator ± RESONATOR_GAP_HALF_SPAN, the other
     parked at its sweet spot ``qubit_max_freq_*``, and :func:`_min_separations`
     locates the gap of the two modes' levels in a scan of one window.
-    Another qubit or resonator, and a parked qubit or a window at or below
-    0 GHz, are refused with ConfigError before anything is built; a parked
-    qubit within 3·g_max of a resonator, and a minimum on the window's edge,
-    with PhysicsError.
+    Another qubit or resonator, and a window reaching 0 GHz, are refused
+    with ConfigError before anything is built (``DeviceParams`` admits no
+    sweet spot at or below 0 GHz); a parked qubit within 3·g_max of a
+    resonator, and a minimum on the window's edge, with PhysicsError.
     """
     qubit = require_count(qubit, "qubit", 1)
     if qubit > 2:
         raise ConfigError(f"qubit must be 1 or 2, got {qubit}")
     if not isinstance(resonator, str) or resonator not in ("a", "b"):
         raise ConfigError(f"resonator must be 'a' or 'b', got {resonator!r}")
-    parked = require_number(getattr(params, f"qubit_max_freq_{3 - qubit}"),
-                            f"parked qubit {3 - qubit}", positive=True)
+    parked = getattr(params, f"qubit_max_freq_{3 - qubit}")
     _require_resonator_clearance(params, parked, f"parked qubit {3 - qubit}")
     f_res = getattr(params, f"resonator_freq_{resonator}")
     lo = require_number(f_res - RESONATOR_GAP_HALF_SPAN,

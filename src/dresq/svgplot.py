@@ -33,15 +33,18 @@ def _text(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}".rstrip("0").rstrip(".")
+def _fmt(x: float, decimals: int) -> str:
+    return f"{x:.{decimals}f}".rstrip("0").rstrip(".")
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float, n: int = 5) -> tuple[list[float], int]:
+    """Ticks over [lo, hi] a step of 1, 2, 2.5 or 5 times a power of ten apart,
+    and the decimals their labels need: those of the step, at least two."""
     if hi <= lo:
-        return [lo]
+        return [lo], 2
     raw = (hi - lo) / n
-    mag = 10.0 ** math.floor(math.log10(raw))
+    exp = math.floor(math.log10(raw))
+    mag = 10.0 ** exp
     for m in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= m * mag:
             step = m * mag
@@ -54,7 +57,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
         if v + step == v:  # a step below the spacing of floats at v
             break
         v += step
-    return out
+    return out, max(2, -exp + (m == 2.5))  # 2.5·10^exp needs one decimal more
 
 
 class _Canvas:
@@ -89,16 +92,18 @@ class _Canvas:
         y0, y1 = HEIGHT - MARGIN_BOTTOM, MARGIN_TOP
         b.write(f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
                 f'fill="none" stroke="#333" stroke-width="1"/>\n')
-        for tx in _ticks(self.x_lo, self.x_hi):
+        ticks, decimals = _ticks(self.x_lo, self.x_hi)
+        for tx in ticks:
             px = self.px(tx)
             b.write(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" stroke="#333"/>\n')
             b.write(f'<text x="{px:.1f}" y="{y0 + 18}" font-size="11" '
-                    f'text-anchor="middle" font-family="sans-serif">{_fmt(tx)}</text>\n')
-        for ty in _ticks(self.y_lo, self.y_hi):
+                    f'text-anchor="middle" font-family="sans-serif">{_fmt(tx, decimals)}</text>\n')
+        ticks, decimals = _ticks(self.y_lo, self.y_hi)
+        for ty in ticks:
             py = self.py(ty)
             b.write(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" y2="{py:.1f}" stroke="#333"/>\n')
             b.write(f'<text x="{x0 - 8}" y="{py + 4:.1f}" font-size="11" '
-                    f'text-anchor="end" font-family="sans-serif">{_fmt(ty)}</text>\n')
+                    f'text-anchor="end" font-family="sans-serif">{_fmt(ty, decimals)}</text>\n')
         b.write(f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 16}" font-size="13" '
                 f'text-anchor="middle" font-family="sans-serif">{_text(x_label)}</text>\n')
         b.write(f'<text x="18" y="{(y0 + y1) / 2:.1f}" font-size="13" text-anchor="middle" '

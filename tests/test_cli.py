@@ -532,6 +532,34 @@ def test_a_device_file_repeating_a_key_exit_2_writing_nothing(tmp_path, capsys):
     assert not (tmp_path / "g").exists()
 
 
+@pytest.mark.parametrize("device, message", [
+    ({"resonator_freq_a": -4.47}, "resonator_freq_a must be above 0 GHz"),
+    ({"qubit_max_freq_1": -4.641}, "qubit_max_freq_1 must be above 0 GHz"),
+    ({"anharmonicity_1": -1e100}, "|anharmonicity_1| = 1e+100 GHz is not below half"),
+])
+def test_a_device_the_model_does_not_describe_exit_2_writing_nothing(tmp_path, capsys, device,
+                                                                     message):
+    # each ran, and the last wrote a gap of 2.4e86 MHz, rounding noise
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps(device))
+    out = tmp_path / "g"
+    assert run(["gapscan", "--setpoints", 4.60, "--device", path, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("device, start", [({"flux_period_1": 1e-310}, "0.1"),
+                                           ({"flux_offset_1": -1e308}, "1e308")])
+def test_a_flux_phase_that_overflows_exit_2_writing_nothing(tmp_path, capsys, device, start):
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps(device))
+    out = tmp_path / "s"
+    assert run(["spectrum", "--axis", "flux_1", f"--start={start}", "--stop", 0.2,
+                "--points", 3, "--device", path, "--out", out]) == 2
+    assert "flux phase of qubit 1 overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("header", ["time_ns", "time_ns,value,uncertainty"])
 def test_a_trace_header_wider_or_narrower_than_its_rows_exit_2_writing_nothing(
         tmp_path, capsys, header):

@@ -2,7 +2,9 @@ import dataclasses
 import fractions
 import json
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -523,3 +525,43 @@ def test_switch_off_at_an_end_of_the_interval_is_that_end(end):
 def test_flux_qubit_index_beyond_two_is_refused():
     with pytest.raises(ConfigError, match="qubit index must be 1 or 2, got 3"):
         flux_to_frequency(DeviceParams(), 3, 0.0)
+
+
+@pytest.mark.parametrize("period, offset, x", [(1e-310, 0.0, 0.1), (1.0, -1e308, 1e308)])
+def test_a_flux_phase_that_overflows_is_refused_naming_its_inputs(period, offset, x):
+    # π(x − x0)/period is infinite, where math.cos raised a bare ValueError
+    p = DeviceParams(flux_period_1=period, flux_offset_1=offset)
+    message = (f"flux phase of qubit 1 overflows: control value {x}, offset {offset}, "
+               f"period {period}")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        flux_to_frequency(p, 1, x)
+
+
+@pytest.mark.parametrize("name", ["resonator_freq_a", "resonator_freq_b",
+                                  "qubit_max_freq_1", "qubit_max_freq_2"])
+@pytest.mark.parametrize("value", [0.0, -0.0, -4.47])
+def test_a_mode_frequency_at_or_below_0_ghz_is_refused_naming_it(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be above 0 GHz, got {value}"):
+        DeviceParams(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["anharmonicity_1", "anharmonicity_2",
+                                  "g_a1", "g_a2", "g_b1", "g_b2", "g_ab", "g_12"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_anharmonicities_and_couplings_stay_below_half_the_lowest_mode_frequency(name, sign):
+    # resonator a, at 4.47 GHz, is the lowest mode of the default device
+    half = DeviceParams().resonator_freq_a / 2
+    with pytest.raises(ConfigError, match=rf"\|{name}\| = {half} GHz is not below half the "
+                                          rf"lowest mode frequency, 4.47 GHz"):
+        DeviceParams(**{name: sign * half})
+    below = sign * math.nextafter(half, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a coupling this large warns
+        assert getattr(DeviceParams(**{name: below}), name) == below
+
+
+def test_the_coupling_bound_follows_the_lowest_mode_even_a_qubit():
+    with pytest.raises(ConfigError, match=r"\|g_a1\| = 0.5 GHz .* mode frequency, 1.0 GHz"):
+        DeviceParams(qubit_max_freq_1=1.0, g_a1=0.5)
+    with pytest.warns(UserWarning, match="not small"):
+        DeviceParams(qubit_max_freq_1=1.0, g_a1=math.nextafter(0.5, 0.0))

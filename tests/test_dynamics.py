@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -1509,11 +1510,9 @@ def test_chevron_population_bounds_and_csv():
 
 
 def test_chevron_csv_matches_cell_loop():
-    rng = np.random.default_rng(3)
-    chev = ChevronMap(
-        np.linspace(-20, 20, 7), np.linspace(0, 2000, 13), rng.random((7, 13))
-    )
-    chev.p1[0, :3] = [0.0, 1.0, 1e-12]
+    p1 = np.random.default_rng(3).random((7, 13))
+    p1[0, :3] = [0.0, 1.0, 1e-12]
+    chev = ChevronMap(np.linspace(-20, 20, 7), np.linspace(0, 2000, 13), p1)
     lines = ["detuning_mhz,tau_ns,p1\n"]
     for i, d in enumerate(chev.detunings_mhz):
         for j, t in enumerate(chev.taus_ns):
@@ -1522,8 +1521,9 @@ def test_chevron_csv_matches_cell_loop():
 
 
 def test_chevron_csv_formats_edge_values_as_f_strings():
-    # each cell's text is f"{p:.9f}" also at signed zero, below the last
-    # digit, next to 9th-decimal rounding ties, just above 1 and at or just below 0
+    # each cell's text is f"{p:.9f}" of the stored map also below the last
+    # digit, next to 9th-decimal rounding ties, and where the map clipped
+    # signed zero, cells just above 1 and cells at or just below 0
     ties = np.array([(k + 0.5) / 1e9 for k in (0, 1, 7, 123456789, 499999999, 999999998)])
     edge = np.concatenate([[0.0, 1.0, -0.0, 1e-10, 5e-10, 1 - 5e-10], ties,
                            np.nextafter(ties, 0.0), np.nextafter(ties, 1.0)])
@@ -1552,6 +1552,9 @@ def test_chevron_csv_formats_edge_values_as_f_strings():
                    np.stack(near)),
         ChevronMap(np.linspace(-20.0, 20.0, 41), np.linspace(0.0, 2000.0, 201),
                    np.random.default_rng(4).random((41, 201))),
+        # float32 cells: 1e9·p in float32 kept 7 digits of the 9 written
+        ChevronMap(np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 49.0, 50),
+                   np.random.default_rng(6).random((3, 50)).astype(np.float32)),
     ]
     for chev in maps:
         expected = "detuning_mhz,tau_ns,p1\n" + "".join(
@@ -1560,8 +1563,28 @@ def test_chevron_csv_formats_edge_values_as_f_strings():
             for t, p in zip(chev.taus_ns, row.tolist()))
         assert chev.to_csv().decode() == expected
     assert "-0,0,0.000000000\n" in maps[0].to_csv().decode()
-    assert "-0.000000000" in maps[0].to_csv().decode()
-    assert "-0.000001000" in maps[1].to_csv().decode()
+
+
+@pytest.mark.parametrize("raw, stored", [
+    (-1e-6, 0.0), (-5e-324, 0.0), (-0.0, 0.0), (np.nextafter(1.0, 2.0), 1.0), (1 + 1e-6, 1.0),
+])
+def test_chevron_map_stores_rounding_outside_0_1_clipped_and_no_signed_zero(raw, stored):
+    p1 = np.full((2, 3), 0.5)
+    p1[1, 2] = raw
+    chev = ChevronMap(np.array([-1.0, 1.0]), np.linspace(0.0, 10.0, 3), p1)
+    assert chev.p1[1, 2] == stored and not np.signbit(chev.p1).any()
+    assert chev.p1.min() >= 0.0 and chev.p1.max() <= 1.0
+    assert p1[1, 2] == raw  # the caller's array is left as given
+
+
+def test_chevron_map_population_is_read_only_and_c_contiguous():
+    p1 = np.asfortranarray(np.full((3, 4), 0.25))
+    chev = ChevronMap(np.zeros(3), np.linspace(0.0, 10.0, 4), p1)
+    assert chev.p1.flags.c_contiguous and not chev.p1.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        chev.p1[0, 0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chev.p1 = np.zeros((3, 4))
 
 
 def test_chevron_csv_peaks_within_its_count_and_is_refused_before_allocating(monkeypatch):
@@ -1586,6 +1609,21 @@ def test_chevron_csv_peaks_within_its_count_and_is_refused_before_allocating(mon
     finally:
         tracemalloc.stop()
     assert peak < 2**16
+
+
+def test_the_csv_of_one_row_of_widest_taus_peaks_within_its_count():
+    # one row: the float and text of each τ count for a single cell, about
+    # 150 bytes of it in all
+    taus = np.linspace(0.0, 1234.56789, 20_001) + 1e-7
+    chev = ChevronMap(np.array([-1.23456789e-5]), taus,
+                      np.random.default_rng(5).random((1, taus.size)))
+    tracemalloc.start()
+    try:
+        chev.to_csv()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= dynamics.CSV_CELL_BYTES * chev.p1.size
 
 
 def test_chevron_map_of_the_wrong_shape_is_refused():

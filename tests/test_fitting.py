@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -523,8 +524,9 @@ def test_geff_from_chevron_flat_column_is_not_detected():
     chev = vacuum_rabi_chevron(
         synthetic_device(3.0, **lossless()), BIAS, 4.60, np.linspace(-12, 12, 25), taus
     )
-    chev.p1[0] = 0.25
-    est = geff_from_chevron(chev)
+    p1 = chev.p1.copy()
+    p1[0] = 0.25
+    est = geff_from_chevron(ChevronMap(chev.detunings_mhz, taus, p1))
     assert est.rejected_columns[-12.0].startswith("oscillation not detected")
     assert -12.0 not in est.column_freqs_mhz
 
@@ -627,11 +629,12 @@ def test_trace_csv_refuses_uncertainties_on_only_some_rows():
 
 
 def test_geff_from_chevron_refuses_non_finite_cells():
-    # the map refuses a NaN cell where it is built; one written into a built
-    # map is refused by the fits' sample check
-    chev = ChevronMap(np.array([-1.0, 0.0, 1.0]), np.linspace(0.0, 100.0, 11),
-                      np.full((3, 11), 0.5))
-    chev.p1[1, 4] = np.nan
+    # ChevronMap refuses a NaN cell where it is built; another object with
+    # its three fields is refused by the fits' sample check
+    p1 = np.full((3, 11), 0.5)
+    p1[1, 4] = np.nan
+    chev = types.SimpleNamespace(detunings_mhz=np.array([-1.0, 0.0, 1.0]),
+                                 taus_ns=np.linspace(0.0, 100.0, 11), p1=p1)
     with pytest.raises(ConfigError, match="trace times and values must be finite"):
         geff_from_chevron(chev)
 

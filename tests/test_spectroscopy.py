@@ -194,24 +194,35 @@ def test_qubit_resonator_gap_refuses_a_parked_qubit_near_a_resonator(qubit, reso
         qubit_resonator_gap(p, qubit, resonator, SPACE)
 
 
+# a 40 MHz resonator a, with every coupling and anharmonicity at most 15 MHz,
+# under the half of the lowest mode frequency that DeviceParams admits
+LOW_RESONATOR_A = {"resonator_freq_a": 0.04, "anharmonicity_1": -0.015, "anharmonicity_2": -0.015,
+                   "g_a1": 0.015, "g_a2": 0.015, "g_b1": 0.015, "g_b2": 0.015}
+
+
 @pytest.mark.parametrize("qubit, resonator, device, message", [
-    pytest.param(1, "a", {"resonator_freq_a": 0.03}, "scan about resonator a must be positive",
+    pytest.param(1, "a", LOW_RESONATOR_A, "scan about resonator a must be positive",
                  id="q1-a-window"),
-    pytest.param(2, "a", {"resonator_freq_a": 0.03}, "scan about resonator a must be positive",
+    pytest.param(2, "a", LOW_RESONATOR_A, "scan about resonator a must be positive",
                  id="q2-a-window"),
-    pytest.param(1, "b", {"qubit_max_freq_2": -4.91}, "parked qubit 2 must be positive",
+    pytest.param(1, "b", {"qubit_max_freq_2": -4.91}, "qubit_max_freq_2 must be above 0 GHz",
                  id="q1-b-parked"),
 ])
 def test_qubit_resonator_gap_below_0_ghz_refused_before_solving(monkeypatch, qubit, resonator,
                                                                device, message):
-    # a window of resonator a ± 50 MHz reaches -0.02 GHz at 0.03 GHz; both
-    # devices are far from dispersive, so DeviceParams warns
+    # a window of resonator a ± 50 MHz reaches -0.01 GHz at 0.04 GHz, and
+    # 15 MHz couplings are far from dispersive there, so DeviceParams warns;
+    # a parked qubit below 0 GHz is refused where the device is built
     solved = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: solved.append(a))
-    with pytest.warns(UserWarning, match="not small"):
-        p = DeviceParams(**device)
-    with pytest.raises(ConfigError, match=message):
-        qubit_resonator_gap(p, qubit, resonator, SPACE)
+    if device is LOW_RESONATOR_A:
+        with pytest.warns(UserWarning, match="not small"):
+            p = DeviceParams(**device)
+        with pytest.raises(ConfigError, match=message):
+            qubit_resonator_gap(p, qubit, resonator, SPACE)
+    else:
+        with pytest.raises(ConfigError, match=message):
+            DeviceParams(**device)
     assert solved == []
 
 

@@ -237,8 +237,26 @@ def test_heatmap_rejects_non_finite_values(bad):
 
 
 def test_ticks_of_an_empty_range_are_its_one_end():
-    assert svgplot._ticks(2.5, 2.5) == [2.5]
-    assert svgplot._ticks(3.0, 1.0) == [3.0]
+    assert svgplot._ticks(2.5, 2.5) == ([2.5], 2)
+    assert svgplot._ticks(3.0, 1.0) == ([3.0], 2)
+
+
+@pytest.mark.parametrize("lo, hi, step, decimals", [
+    (4.4, 4.86, 0.1, 2), (4.5, 4.6, 0.02, 2), (4.5, 4.62, 0.025, 3), (4.5, 4.501, 0.00025, 5),
+    (0.0, 2000.0, 500.0, 2),
+])
+def test_tick_labels_get_the_decimals_of_the_step_and_at_least_two(lo, hi, step, decimals):
+    ticks, got = svgplot._ticks(lo, hi)
+    assert got == decimals
+    assert np.diff(ticks) == pytest.approx(step, rel=1e-9)
+
+
+def test_tick_labels_of_a_1_mhz_wide_axis_are_distinct():
+    # at two decimals every x tick of 4.5-4.501 GHz read "4.5"
+    svg = svgplot.line_plot(np.linspace(4.5, 4.501, 5), {"s": np.arange(5.0)}, "x", "y")
+    labels = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
+              if t.get("font-size") == "11" and t.get("text-anchor") == "middle"]
+    assert labels == ["4.5", "4.50025", "4.5005", "4.50075"]
 
 
 def test_canvas_widens_a_flat_range_to_one_unit():
@@ -272,7 +290,7 @@ def test_ticks_of_a_span_of_ulps_are_a_few(ulps):
     hi = 4.5
     for _ in range(ulps):
         hi = math.nextafter(hi, 5.0)
-    ticks = svgplot._ticks(4.5, hi)
+    ticks, _ = svgplot._ticks(4.5, hi)
     assert 1 <= len(ticks) <= 3
     assert ticks[0] == 4.5
 
